@@ -248,31 +248,24 @@ def numerical_rank(a, rel: float) -> tuple[int, np.ndarray, float]:
     return rank, s, gap
 
 
-def svd_null_space(a, rel: float, guard: float = 16.0,
-                   floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the right null space of ``a`` via SVD.
+def orthonormal_span(mats, rel: float) -> np.ndarray:
+    """Frobenius-orthonormal basis (stacked like the input) of the span of
+    k linearly independent matrices, from one QR factorization of their
+    k x n^2 stack.
 
-    Null directions are those with singular value at most
-    ``rel * max(sigma_max, floor)``; ``floor`` supplies the natural scale of
-    the problem for operators that may be numerically close to zero (for
-    them sigma_max alone would promote rounding noise to signal).  Singular
-    values within a factor ``guard`` of the threshold make the rank decision
-    ambiguous and raise :class:`RankAmbiguityError`.
-
-    Returns ``(basis, singular_values)`` with basis vectors stacked as rows.
+    Each matrix is scaled to unit Frobenius norm first, so ``|R_ii|`` is the
+    distance of the i-th one from the span of those before it; a distance
+    at most ``rel`` means the inputs are not independent and raises
+    :class:`RankAmbiguityError`.
     """
-    a = np.asarray(a)
-    if a.shape[0] < a.shape[1]:
-        a = np.vstack([a, np.zeros((a.shape[1] - a.shape[0], a.shape[1]), dtype=a.dtype)])
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    thr = rel * max(smax, floor)
-    if thr > 0.0 and guard > 1.0:
-        band = s[(s > thr / guard) & (s < thr * guard)]
-        if band.size:
-            raise RankAmbiguityError(
-                "cannot decide numerical rank: singular values "
-                f"{[float(x) for x in band]} lie within a factor {guard} of the "
-                f"threshold {thr:.3e}"
-            )
-    return vh[s <= thr].conj(), s
+    mats = np.asarray(mats)
+    rows = mats.reshape(mats.shape[0], -1)
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    q, r = np.linalg.qr(rows.T)
+    dist = np.abs(np.diagonal(r))
+    if dist.min() <= rel:
+        raise RankAmbiguityError(
+            f"matrices are not linearly independent: element {int(dist.argmin())} "
+            f"lies within {float(dist.min()):.3e} of the span of those before it"
+        )
+    return q.T.reshape(mats.shape)

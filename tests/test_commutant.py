@@ -145,6 +145,14 @@ class TestCommutant:
         op = operator_from_spectrum([1.0, 1.0, 2.0], rng)
         assert commutant_dim(op) == 5  # 2^2 + 1^2
 
+    @pytest.mark.parametrize("gap", [1e-9, 1e-8, 5e-8])
+    def test_eigenvalues_within_cluster_gap_merge(self, gap):
+        # closer than cluster_gap (1e-7) apart: one cluster of multiplicity 2
+        op = operator_from_spectrum([1.0, 1.0 + gap, 2.0], np.random.default_rng(18))
+        assert commutant_dim(op) == 5
+        assert bicommutant_dim(op) == 2
+        assert not is_generic_operator(op)
+
     def test_basis_elements_commute_with_operator(self):
         rng = np.random.default_rng(7)
         op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from biham.commutant import bicommutant_dim, commutant_dim, complexify, transfer_operator
 from biham.compatibility import check_compatible
 from biham.decomposition import synthesize_pair
 from biham.dynamics import (
@@ -12,7 +13,7 @@ from biham.dynamics import (
     recursion_basis,
 )
 from biham.linalg import commutator, op_norm
-from biham.structures import LinearField, field_preserves, phase_group
+from biham.structures import LinearField, check_admissible, field_preserves, phase_group
 from conftest import S_BLOCK, standard_triple
 
 
@@ -58,6 +59,27 @@ class TestBiPreservingAlgebra:
     def test_dimension_matches_signature(self, spec, expected):
         alg = bi_preserving_algebra(synthesize_pair(spec, seed=17))
         assert alg.dim == expected
+
+    @pytest.mark.parametrize("spec,alg_dim,comm_dim,bicomm_dim", [
+        ([(2.0, 1, 1), (3.0, -1, 1)], 2, 2, 2),
+        ([(2.0, 1, 2), (3.0, -1, 1)], 5, 5, 2),
+    ])
+    def test_second_triple_scaled_by_1e8(self, spec, alg_dim, comm_dim, bicomm_dim):
+        # the four tensors differ in norm by 1e8, so no single rank threshold
+        # fits a joint system of their preservation constraints
+        p = synthesize_pair(spec, seed=3)
+        t2 = check_admissible(1e8 * p.t2.g.m, 1e8 * p.t2.omega.m)
+        scaled = check_compatible(p.t1, t2)
+        assert scaled
+        alg = bi_preserving_algebra(scaled)
+        assert alg.dim == alg_dim
+        for m in alg.basis:
+            assert field_preserves(LinearField(m), scaled.t1)
+            assert field_preserves(LinearField(m), scaled.t2)
+        h1, h2, _ = complexify(scaled)
+        op = transfer_operator(h1, h2, scaled.tol)
+        assert commutant_dim(op) == comm_dim
+        assert bicommutant_dim(op) == bicomm_dim
 
     def test_every_element_preserves_both_triples(self, ref4d_pair):
         alg = bi_preserving_algebra(ref4d_pair)

@@ -13,7 +13,7 @@ from biham.linalg import (
     metric_adjoint,
     numerical_rank,
     op_norm,
-    svd_null_space,
+    orthonormal_span,
     sym_sqrt,
 )
 
@@ -221,20 +221,23 @@ class TestRankAndNullSpace:
         assert gap == np.inf or gap > 1e9
         assert s[0] == pytest.approx(1.0)
 
-    def test_null_space_of_projector(self):
-        basis, _ = svd_null_space(np.diag([1.0, 1.0, 0.0]), 1e-9)
-        assert basis.shape == (1, 3)
-        np.testing.assert_allclose(np.abs(basis[0]), [0.0, 0.0, 1.0], atol=1e-14)
+    def test_orthonormal_span_keeps_the_span(self):
+        rng = np.random.default_rng(0)
+        mats = rng.standard_normal((3, 4, 4)) * np.array([1e-8, 1.0, 1e8])[:, None, None]
+        basis = orthonormal_span(mats, 1e-9)
+        rows = basis.reshape(3, -1)
+        np.testing.assert_allclose(rows @ rows.T, np.eye(3), atol=1e-12)
+        for m in mats:
+            v = m.ravel() / np.linalg.norm(m)
+            np.testing.assert_allclose(rows.T @ (rows @ v), v, atol=1e-12)
 
-    def test_wide_matrix(self):
-        basis, _ = svd_null_space(np.array([[1.0, 0.0, 0.0]]), 1e-9)
-        assert basis.shape == (2, 3)
-        np.testing.assert_allclose(basis @ np.array([1.0, 0.0, 0.0]), 0.0, atol=1e-14)
+    def test_orthonormal_span_complex(self):
+        rng = np.random.default_rng(1)
+        mats = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        rows = orthonormal_span(mats, 1e-9).reshape(2, -1)
+        np.testing.assert_allclose(rows.conj() @ rows.T, np.eye(2), atol=1e-12)
 
-    def test_ambiguous_rank_raises(self):
+    def test_orthonormal_span_rejects_dependent_input(self):
+        a = np.diag([1.0, 2.0])
         with pytest.raises(RankAmbiguityError):
-            svd_null_space(np.diag([1.0, 2e-9]), 1e-9)
-
-    def test_zero_matrix(self):
-        basis, _ = svd_null_space(np.zeros((3, 3)), 1e-9)
-        assert basis.shape == (3, 3)
+            orthonormal_span([a, np.eye(2), 3.0 * a], 1e-9)
