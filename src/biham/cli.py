@@ -31,14 +31,13 @@ from .commutant import (
     bicommutant_dim,
     commutant_dim,
     complexify,
-    is_generic_operator,
     transfer_operator,
 )
 from .compatibility import check_compatible, pencil_member, positivity_range
 from .decomposition import decompose, group_signature, is_generic, synthesize_pair
 from .dynamics import bi_preserving_algebra, certify_recursion, conservation_probe, recursion_basis
-from .linalg import NumericalCheckError, Tolerance
-from .structures import ViolationReport, check_admissible
+from .linalg import NumericalCheckError, Tolerance, op_norm
+from .structures import LinearField, ViolationReport, check_admissible
 
 SCHEMA_VERSION = 1
 CONSERVATION_TIMES = tuple(0.1 * k for k in range(1, 101))
@@ -245,8 +244,10 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
 
             rb = recursion_basis(pair)
             cert = certify_recursion(rb, pair)
+            # unit-norm fields: the raw powers T^k J1 grow like lambda^k
             drift = max(
-                conservation_probe(f, pair, CONSERVATION_TIMES).max_drift
+                conservation_probe(LinearField(f.matrix / op_norm(f.matrix)), pair,
+                                   CONSERVATION_TIMES).max_drift
                 for f in rb.fields
             )
             report["recursion"] = {
@@ -267,11 +268,13 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
 
             h1, h2, signs = complexify(pair)
             op = transfer_operator(h1, h2, pair.tol)
-            report["generic"]["operator"] = is_generic_operator(op, pair.tol)
+            comm_dim = commutant_dim(op, pair.tol)
+            bicomm_dim = bicommutant_dim(op, pair.tol)
+            report["generic"]["operator"] = comm_dim == bicomm_dim
             residuals["operator"] = {
                 "eigenvalues": _py(op.eigenvalues),
-                "commutant_dim": commutant_dim(op, pair.tol),
-                "bicommutant_dim": bicommutant_dim(op, pair.tol),
+                "commutant_dim": comm_dim,
+                "bicommutant_dim": bicomm_dim,
                 "sign_pattern": list(signs),
             }
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from biham.cli import main
+from biham.decomposition import synthesize_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,6 +137,26 @@ class TestRecursion:
         assert rec["all_pass"] is True
         assert rec["max_conservation_drift"] < 1e-9
         assert rec["nijenhuis_residual"] <= 1e-12
+
+    def test_generic_dim32_synth_output_conserves(self, tmp_path, capsys):
+        # ||T^15 J1|| is about 2e16 here: probing the raw power overflowed
+        spec = ",".join(f"{0.5 + 0.75 * k!r}:{'+-'[k % 2]}:1" for k in range(16))
+        path = tmp_path / "generic32.json"
+        assert run_cli(capsys, "synth", "--spec", spec, "--seed", "1", "--out", path)[0] == 0
+        code, report, _ = run_report(capsys, "check", path)
+        assert code == 0
+        assert report["recursion"]["max_conservation_drift"] <= 1e-12
+
+    def test_second_triple_scaled_by_1e8_conserves(self, tmp_path, capsys):
+        # T scales by 1e8, so the raw power T^7 J1 has norm about 5e59
+        pair = synthesize_pair([(2.0, 1, 4), (3.0, -1, 4)], seed=5)
+        doc = {"dim": pair.dim, "g1": pair.t1.g.m.tolist(), "omega1": pair.t1.omega.m.tolist(),
+               "g2": (1e8 * pair.t2.g.m).tolist(), "omega2": (1e8 * pair.t2.omega.m).tolist()}
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_report(capsys, "check", path)
+        assert code == 0
+        assert report["recursion"]["max_conservation_drift"] <= 1e-12
 
 
 class TestPencil:

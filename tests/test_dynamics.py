@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from biham import dynamics
+from biham.cli import CONSERVATION_TIMES
 from biham.commutant import bicommutant_dim, commutant_dim, complexify, transfer_operator
 from biham.compatibility import check_compatible
 from biham.decomposition import synthesize_pair
 from biham.dynamics import (
     FlowOverflowError,
+    _probe_flows,
     bi_preserving_algebra,
     certify_recursion,
     conservation_probe,
@@ -229,3 +233,49 @@ class TestConservationProbe:
         second = recursion_basis(ref4d_pair).fields[1]
         report = conservation_probe(second, ref4d_pair, self.TIMES)
         assert report.max_drift <= 1e-9
+
+
+class TestProbePaths:
+    SPECS = [
+        [(2.0, 1, 1)],
+        [(2.0, 1, 1), (3.0, -1, 1)],
+        [(1.5, 1, 2), (4.0, -1, 1)],
+        [(0.5, 1, 1), (1.25, -1, 1), (2.0, 1, 1), (2.75, -1, 1)],
+        [(2.0, 1, 2), (3.0, -1, 2)],
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_spectral_flows_match_expm(self, spec, monkeypatch):
+        pair = synthesize_pair(spec, seed=41)
+        fields = [LinearField(m) for m in bi_preserving_algebra(pair).basis]
+        fields += [LinearField(f.matrix / op_norm(f.matrix))
+                   for f in recursion_basis(pair).fields]
+        # g1-skew fields never reach the matrix-exponential path
+        monkeypatch.setattr(dynamics, "flow", None)
+        for f in fields:
+            flows = _probe_flows(f, pair, CONSERVATION_TIMES)
+            assert flows.shape == (len(CONSERVATION_TIMES), pair.dim, pair.dim)
+            for t, o in zip(CONSERVATION_TIMES, flows):
+                assert np.abs(o - scipy.linalg.expm(t * f.matrix)).max() <= 1e-10
+
+    def test_large_norm_skew_field_conserves(self, ref4d_pair):
+        # scaling and squaring overflows on this field at t = 0.1; the
+        # eigenvector flow stays g1-orthogonal at any norm
+        f = LinearField(1e20 * ref4d_pair.recursion_operator @ ref4d_pair.t1.j.m)
+        report = conservation_probe(f, ref4d_pair, CONSERVATION_TIMES)
+        assert report.max_drift <= 1e-12
+
+    def test_non_skew_field_overflows(self, ref2d_pair):
+        f = LinearField(np.diag([800.0, -800.0]))
+        assert not field_preserves(f, ref2d_pair.t1)
+        with pytest.raises(FlowOverflowError):
+            conservation_probe(f, ref2d_pair, CONSERVATION_TIMES)
+
+    def test_rejects_nonfinite_time(self, ref2d_pair):
+        f = LinearField(ref2d_pair.t1.j.m)
+        with pytest.raises(ValueError):
+            conservation_probe(f, ref2d_pair, (1.0, np.nan))
+
+    def test_no_times(self, ref4d_pair):
+        report = conservation_probe(LinearField(ref4d_pair.t1.j.m), ref4d_pair, ())
+        assert report.drifts == {"g1": 0.0, "g2": 0.0, "omega1": 0.0, "omega2": 0.0}
