@@ -264,9 +264,9 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
                 "all_pass": cert.all_pass,
             }
 
-            report["algebra_dim"] = bi_preserving_algebra(pair).dim
+            report["algebra_dim"] = bi_preserving_algebra(dec).dim
 
-            h1, h2, signs = complexify(pair)
+            h1, h2, signs = complexify(dec)
             op = transfer_operator(h1, h2, pair.tol)
             comm_dim = commutant_dim(op, pair.tol)
             bicomm_dim = bicommutant_dim(op, pair.tol)
@@ -279,7 +279,7 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             }
 
             if gamma is not None:
-                member = pencil_member(pair, gamma)
+                member = pencil_member(dec, gamma)
                 report["pencil_member"] = {
                     "gamma": _py(member.gamma),
                     "admissible": member.admissible,
@@ -348,10 +348,9 @@ def _parse_synth_spec(text: str) -> list[tuple[float, int, int]]:
     return specs
 
 
-def _run_analysis(args: argparse.Namespace, gamma: float | None = None) -> int:
-    tol_override = getattr(args, "tol", None)
-    doc = load_document(args.file, tol_override)
-    report, code = analyze(doc, gamma=gamma)
+def _run_analysis(args: argparse.Namespace) -> int:
+    doc = load_document(args.file, getattr(args, "tol", None))
+    report, code = analyze(doc, gamma=getattr(args, "gamma", None))
     text = _dump_report(report)
     output = getattr(args, "output", None)
     if output:
@@ -359,26 +358,6 @@ def _run_analysis(args: argparse.Namespace, gamma: float | None = None) -> int:
     else:
         sys.stdout.write(text)
     return code
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    return _run_analysis(args)
-
-
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    return _run_analysis(args)
-
-
-def _cmd_recursion(args: argparse.Namespace) -> int:
-    return _run_analysis(args)
-
-
-def _cmd_pencil(args: argparse.Namespace) -> int:
-    return _run_analysis(args, gamma=args.gamma)
-
-
-def _cmd_commutant(args: argparse.Namespace) -> int:
-    return _run_analysis(args)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -409,27 +388,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="validate admissibility and compatibility")
     p_check.add_argument("file")
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_run_analysis)
 
     p_dec = sub.add_parser("decompose", help="block decomposition and group signature")
     p_dec.add_argument("file")
     p_dec.add_argument("--tol", type=float, default=None,
                        help="relative tolerance override")
     p_dec.add_argument("--output", default=None, help="write the report to this file")
-    p_dec.set_defaults(func=_cmd_decompose)
+    p_dec.set_defaults(func=_run_analysis)
 
     p_rec = sub.add_parser("recursion", help="recursion family certificate and drifts")
     p_rec.add_argument("file")
-    p_rec.set_defaults(func=_cmd_recursion)
+    p_rec.set_defaults(func=_run_analysis)
 
     p_pen = sub.add_parser("pencil", help="evaluate the structure pencil at gamma")
     p_pen.add_argument("file")
     p_pen.add_argument("--gamma", type=float, required=True)
-    p_pen.set_defaults(func=_cmd_pencil)
+    p_pen.set_defaults(func=_run_analysis)
 
     p_com = sub.add_parser("commutant", help="transfer-operator commutant analysis")
     p_com.add_argument("file")
-    p_com.set_defaults(func=_cmd_commutant)
+    p_com.set_defaults(func=_run_analysis)
 
     p_syn = sub.add_parser("synth", help="synthesize a compatible pair input file")
     p_syn.add_argument("--spec", required=True,

@@ -24,13 +24,14 @@ of Kronecker/SVD null spaces.  The two dimensions agree exactly when the
 spectrum is simple, which is the genericity criterion for the pair of
 forms.
 
-:func:`complexify` bridges from the real picture: a compatible pair of real
-triples becomes a pair of Hermitian forms on C^n using the first complex
-structure for the multiplication.  On blocks where the two complex
-structures are opposite, the second form is conjugated to restore
-sesquilinearity; that leaves the bi-unitary group unchanged.  Eigenvalues of
-the resulting transfer operator reproduce the block eigenvalues of the real
-decomposition, one copy per complex dimension of the block.
+:func:`complexify` bridges from the real picture: the block decomposition
+of a compatible pair of real triples becomes a pair of Hermitian forms on
+C^n using the first complex structure for the multiplication.  On blocks
+where the two complex structures are opposite, the second form is
+conjugated to restore sesquilinearity; that leaves the bi-unitary group
+unchanged.  Eigenvalues of the resulting transfer operator reproduce the
+block eigenvalues of the real decomposition, one copy per complex
+dimension of the block.
 """
 
 from __future__ import annotations
@@ -40,18 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .compatibility import CompatiblePair
-from .decomposition import adapted_frame, decompose
+from .decomposition import BlockDecomposition
 from .linalg import (
     DEFAULT_TOL,
     StructureError,
     Tolerance,
-    as_complex_matrix,
+    as_matrix,
     cluster_eigenvalues,
     frozen,
     op_norm,
     orthonormal_span,
     scale_of,
+    symmetric_part,
 )
 
 __all__ = [
@@ -74,14 +75,8 @@ class HermitianForm:
     (conjugate-linear in the first argument)."""
 
     def __init__(self, h, tol: Tolerance = DEFAULT_TOL):
-        h = as_complex_matrix(h, "hermitian form")
-        resid = op_norm(h - h.conj().T)
-        if resid > tol.rel * scale_of(h):
-            raise StructureError(
-                f"form is not conjugate-symmetric (residual {resid:.3e})",
-                check="hermitian_symmetric", residual=resid,
-            )
-        herm = 0.5 * (h + h.conj().T)
+        h = as_matrix(h, "hermitian form", dtype=np.complex128)
+        herm = symmetric_part(h, tol, "form", "hermitian_symmetric")
         w = np.linalg.eigvalsh(herm)
         if w[0] <= tol.rel * scale_of(herm):
             raise StructureError(
@@ -288,21 +283,20 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float,
     return u
 
 
-def complexify(p: CompatiblePair,
-               tol: Tolerance | None = None) -> tuple[HermitianForm, HermitianForm, tuple[int, ...]]:
-    """Turn a compatible real pair into two Hermitian forms on C^n.
+def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tuple[int, ...]]:
+    """Turn the block decomposition of a compatible real pair into two
+    Hermitian forms on C^n.
 
-    The first complex structure defines the multiplication by i; in an
-    adapted g1-orthonormal basis the first form becomes the identity.  The
-    second form is assembled blockwise as g2 - i * omega2 on blocks where
-    the complex structures agree and as the conjugate g2 + i * omega2 where
-    they are opposite (conjugation restores sesquilinearity there without
-    changing the bi-unitary group).  Returns the two forms and the sign
-    applied to each complex coordinate.
+    The first complex structure defines the multiplication by i; in the
+    decomposition's adapted g1-orthonormal frame the first form becomes the
+    identity.  The second form is assembled blockwise as g2 - i * omega2 on
+    blocks where the complex structures agree and as the conjugate
+    g2 + i * omega2 where they are opposite (conjugation restores
+    sesquilinearity there without changing the bi-unitary group).  Returns
+    the two forms and the sign applied to each complex coordinate.
     """
-    tol = tol or p.tol
-    d = decompose(p, tol)
-    cols, signs = adapted_frame(d)
+    p = d.pair
+    cols, signs = d.adapted_frame
     sign_rows = np.array(signs, dtype=float)[:, None]
 
     def form_matrix(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -310,6 +304,6 @@ def complexify(p: CompatiblePair,
         wm = cols.T @ w @ cols
         return gm - 1j * sign_rows * wm
 
-    h1 = HermitianForm(form_matrix(p.t1.g.m, p.t1.omega.m), tol)
-    h2 = HermitianForm(form_matrix(p.t2.g.m, p.t2.omega.m), tol)
+    h1 = HermitianForm(form_matrix(p.t1.g.m, p.t1.omega.m), d.tol)
+    h2 = HermitianForm(form_matrix(p.t2.g.m, p.t2.omega.m), d.tol)
     return h1, h2, signs

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,6 +50,9 @@ from .structures import (
     phase_generator,
     poisson_bracket,
 )
+
+if TYPE_CHECKING:
+    from .decomposition import BlockDecomposition
 
 __all__ = [
     "CompatiblePair",
@@ -163,7 +167,9 @@ def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
     Pure report: commutation of G and T with both complex structures and
     with each other, the identity G = -J1 @ T @ J2, self-adjointness of G
     and T and skew-adjointness of both J's with respect to both metrics, and
-    the transfer identity g1(G x, y) = g2(x, y).
+    the transfer identity g1(G x, y) = g2(x, y).  The residuals that
+    :func:`check_compatible` already measured are read from the pair's
+    certificates.
     """
     g1, j1 = p.t1.g.m, p.t1.j.m
     g2, j2 = p.t2.g.m, p.t2.j.m
@@ -174,14 +180,14 @@ def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
     for name, op in (("G", big_g), ("T", big_t)):
         out[f"{name}_J1_commutator"] = op_norm(commutator(op, j1))
         out[f"{name}_J2_commutator"] = op_norm(commutator(op, j2))
-    out["G_T_commutator"] = op_norm(commutator(big_g, big_t))
-    out["G_plus_J1_T_J2"] = op_norm(big_g + j1 @ big_t @ j2)
+    for name in ("G_T_commutator", "G_plus_J1_T_J2"):
+        out[name] = p.certificates[name]
     for name, op in (("G", big_g), ("T", big_t)):
         out[f"{name}_adjoint_g1"] = op_norm(metric_adjoint(op, g1, tol) - op)
         out[f"{name}_adjoint_g2"] = op_norm(metric_adjoint(op, g2, tol) - op)
     out["J1_adjoint_g2_plus_J1"] = op_norm(metric_adjoint(j1, g2, tol) + j1)
     out["J2_adjoint_g1_plus_J2"] = op_norm(metric_adjoint(j2, g1, tol) + j2)
-    out["metric_transfer"] = op_norm(g1 @ big_g - g2)
+    out["metric_transfer"] = p.certificates["metric_transfer"]
     return out
 
 
@@ -213,22 +219,20 @@ class PencilMember:
     blocks: tuple[PencilBlockVerdict, ...]
 
 
-def pencil_member(p: CompatiblePair, gamma: float,
-                  tol: Tolerance | None = None) -> PencilMember:
-    """Evaluate the pencil of the pair at parameter ``gamma``.
+def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
+    """Evaluate the pencil of the decomposed pair at parameter ``gamma``.
 
-    On a block where g2 = r * g1 and omega2 = s * r * omega1 (s = +-1) the
-    candidate complex structure scales as
-    ``J_c = (1 + s * gamma * r) / (1 + gamma * r) * J1``, so the member is
-    admissible on the block iff s = +1 or gamma = 0.  The verdicts report
-    the measured coefficient of ``(J_c|block)^2`` for each block.
+    On a block of the decomposition, where g2 = r * g1 and
+    omega2 = s * r * omega1 (s = +-1), the candidate complex structure
+    scales as ``J_c = (1 + s * gamma * r) / (1 + gamma * r) * J1``, so the
+    member is admissible on the block iff s = +1 or gamma = 0.  The
+    verdicts report the measured coefficient of ``(J_c|block)^2`` for each
+    block.
 
     Raises :class:`StructureError` when ``g_c`` is not positive-definite
     (``gamma`` outside :func:`positivity_range`).
     """
-    from .decomposition import decompose
-
-    tol = tol or p.tol
+    p, tol = d.pair, d.tol
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
@@ -247,7 +251,7 @@ def pencil_member(p: CompatiblePair, gamma: float,
     admissible = global_resid <= tol.rel * dim
 
     verdicts = []
-    for block in decompose(p, tol).blocks:
+    for block in d.blocks:
         b = block.basis
         gb = b.T @ g_c @ b
         wb = b.T @ w_c @ b

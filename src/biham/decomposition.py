@@ -21,6 +21,7 @@ makes it the natural round-trip oracle for :func:`decompose`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "is_generic",
     "canonical_basis",
     "group_signature",
-    "adapted_frame",
     "synthesize_pair",
 ]
 
@@ -85,6 +85,40 @@ class BlockDecomposition:
     @property
     def dim(self) -> int:
         return self.pair.dim
+
+    @cached_property
+    def adapted_frame(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Complex basis vectors (columns) adapted to the decomposition.
+
+        Within each block, picks g1-orthonormal vectors c with partners
+        J1 @ c so that the real block basis is (c_1, J1 c_1, c_2, J1 c_2,
+        ...); the c's are the complex coordinate axes.  Returns the stacked
+        c columns and the block sign carried by each.  Built once per
+        decomposition, on first use.
+        """
+        g1, j1 = self.pair.t1.g.m, self.pair.t1.j.m
+        cols: list[np.ndarray] = []
+        signs: list[int] = []
+        for block in self.blocks:
+            chosen: list[np.ndarray] = []
+            candidates = [block.basis[:, k] for k in range(block.dim)]
+            for _ in range(block.dim // 2):
+                best, best_norm = None, 0.0
+                for v in candidates:
+                    r = v.copy()
+                    for u in chosen:  # two Gram-Schmidt sweeps for stability
+                        r = r - float(u @ g1 @ r) * u
+                    for u in chosen:
+                        r = r - float(u @ g1 @ r) * u
+                    nrm = float(np.sqrt(r @ g1 @ r))
+                    if nrm > best_norm:
+                        best, best_norm = r, nrm
+                assert best is not None and best_norm > 0.0
+                c = best / best_norm
+                chosen.extend((c, j1 @ c))
+                cols.append(c)
+                signs.append(block.sign)
+        return frozen(np.column_stack(cols)), tuple(signs)
 
 
 @dataclass(frozen=True)
@@ -269,40 +303,6 @@ def group_signature(d: BlockDecomposition) -> GroupSignature:
     else:
         real_form = "×".join(f"U_r({2 * r};g,ω)" for r in ranks)
     return GroupSignature(ranks, complex_form, real_form)
-
-
-def adapted_frame(d: BlockDecomposition) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Complex basis vectors (columns) adapted to the decomposition.
-
-    Within each block, picks g1-orthonormal vectors c with partners
-    J1 @ c so that the real block basis is (c_1, J1 c_1, c_2, J1 c_2, ...);
-    the c's are the complex coordinate axes.  Returns the stacked c columns
-    and the block sign carried by each.
-    """
-    p = d.pair
-    g1, j1 = p.t1.g.m, p.t1.j.m
-    cols: list[np.ndarray] = []
-    signs: list[int] = []
-    for block in d.blocks:
-        chosen: list[np.ndarray] = []
-        candidates = [block.basis[:, k] for k in range(block.dim)]
-        for _ in range(block.dim // 2):
-            best, best_norm = None, 0.0
-            for v in candidates:
-                r = v.copy()
-                for u in chosen:  # two Gram-Schmidt sweeps for stability
-                    r = r - float(u @ g1 @ r) * u
-                for u in chosen:
-                    r = r - float(u @ g1 @ r) * u
-                nrm = float(np.sqrt(r @ g1 @ r))
-                if nrm > best_norm:
-                    best, best_norm = r, nrm
-            assert best is not None and best_norm > 0.0
-            c = best / best_norm
-            chosen.extend((c, j1 @ c))
-            cols.append(c)
-            signs.append(block.sign)
-    return np.column_stack(cols), tuple(signs)
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from .compatibility import CompatiblePair
-from .decomposition import DecompositionError, adapted_frame, decompose, group_signature
+from .decomposition import BlockDecomposition, DecompositionError, group_signature
 from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
@@ -135,9 +135,9 @@ class ConservationReport:
         return max(self.drifts.values())
 
 
-def bi_preserving_algebra(p: CompatiblePair,
-                          tol: Tolerance | None = None) -> BiPreservingAlgebra:
-    """All linear fields preserving both triples, block by block.
+def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
+    """All linear fields preserving both triples of the decomposed pair,
+    block by block.
 
     On a block of complex rank r the two structures are proportional, so
     the fields preserving both are those preserving the first triple there:
@@ -148,15 +148,14 @@ def bi_preserving_algebra(p: CompatiblePair,
         (C X + D Y) @ C.T @ g1 + (D X - C Y) @ D.T @ g1,    D = J1 @ C,
 
     where the columns C are the block's g1-orthonormal complex axes from
-    :func:`adapted_frame`.  The generators of all blocks are orthonormalized
-    in the Frobenius inner product by one QR.  The dimension is
-    cross-checked against the group signature (sum of squared ranks) and
-    every basis element is re-verified to preserve both triples.
+    :attr:`BlockDecomposition.adapted_frame`.  The generators of all blocks
+    are orthonormalized in the Frobenius inner product by one QR.  The
+    dimension is cross-checked against the group signature (sum of squared
+    ranks) and every basis element is re-verified to preserve both triples.
     """
-    tol = tol or p.tol
-    d = decompose(p, tol)
+    p, tol = d.pair, d.tol
     g1, j1 = p.t1.g.m, p.t1.j.m
-    cols, _ = adapted_frame(d)
+    cols, _ = d.adapted_frame
     gens = []
     start = 0
     for block in d.blocks:

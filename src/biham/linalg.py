@@ -62,30 +62,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a, name: str = "matrix", dim: int | None = None) -> np.ndarray:
-    """Validate ``a`` as a finite square float64 matrix and return a
-    read-only copy."""
-    arr = np.array(a, dtype=np.float64, copy=True)
+def as_matrix(a, name: str = "matrix", dim: int | None = None,
+              dtype=np.float64) -> np.ndarray:
+    """Validate ``a`` as a finite square matrix of the given dtype (float64,
+    or complex128 on the complexified side) and return a read-only copy."""
+    arr = np.array(a, dtype=dtype, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError(f"{name} must have positive dimension")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"{name} must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[0]}")
-    arr.setflags(write=False)
-    return arr
-
-
-def as_complex_matrix(a, name: str = "matrix", dim: int | None = None) -> np.ndarray:
-    """Validate ``a`` as a finite square complex128 matrix (read-only copy)."""
-    arr = np.array(a, dtype=np.complex128, copy=True)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError(f"{name} must have positive dimension")
-    if not np.isfinite(arr.real).all() or not np.isfinite(arr.imag).all():
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[0]}")
@@ -110,18 +96,34 @@ def scale_of(a: np.ndarray) -> float:
     return max(1.0, op_norm(a))
 
 
+def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
+                   check: str = "symmetric", anti: bool = False) -> np.ndarray:
+    """Symmetric part ``0.5 * (m + mᴴ)`` of ``m``, or with ``anti`` its
+    antisymmetric part ``0.5 * (m - mᴴ)``.
+
+    The other part is rounding noise when ``op_norm(m ∓ mᴴ) <= tol.rel *
+    scale_of(m)``; beyond that :class:`StructureError` names ``check``.
+    ``mᴴ`` is the conjugate transpose, so complex input is checked for
+    conjugate symmetry.
+    """
+    mh = m.conj().T
+    resid = op_norm(m + mh if anti else m - mh)
+    if resid > tol.rel * scale_of(m):
+        kind = "antisymmetric" if anti else (
+            "conjugate-symmetric" if np.iscomplexobj(m) else "symmetric")
+        raise StructureError(
+            f"{name} is not {kind} (residual {resid:.3e})",
+            check=check, residual=resid,
+        )
+    return 0.5 * (m - mh if anti else m + mh)
+
+
 def cholesky_spd(g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
     Symmetrizes inputs whose asymmetry is below tolerance, rejects the rest.
     """
-    asym = op_norm(g - g.T)
-    if asym > tol.rel * scale_of(g):
-        raise StructureError(
-            f"matrix is not symmetric (residual {asym:.3e})",
-            check="symmetric", residual=asym,
-        )
-    sym = 0.5 * (g + g.T)
+    sym = symmetric_part(g, tol)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
@@ -155,13 +157,7 @@ def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     m = as_matrix(m, "m")
     nrm = op_norm(m)
-    asym = op_norm(m - m.T)
-    if asym > tol.rel * max(1.0, nrm):
-        raise StructureError(
-            f"matrix is not symmetric (residual {asym:.3e})",
-            check="symmetric", residual=asym,
-        )
-    sym = 0.5 * (m + m.T)
+    sym = symmetric_part(m, tol)
     w, v = np.linalg.eigh(sym)
     if w[0] < -tol.rel * max(1.0, nrm):
         raise StructureError(

@@ -36,6 +36,7 @@ from .linalg import (
     frozen,
     op_norm,
     scale_of,
+    symmetric_part,
 )
 
 __all__ = [
@@ -61,33 +62,12 @@ __all__ = [
 ]
 
 
-def _symmetric_part(m: np.ndarray, name: str, tol: Tolerance) -> np.ndarray:
-    """Symmetrize when the asymmetry is rounding-level noise, reject otherwise."""
-    resid = op_norm(m - m.T)
-    if resid > tol.rel * scale_of(m):
-        raise StructureError(
-            f"{name} is not symmetric (residual {resid:.3e})",
-            check=f"{name}_symmetric", residual=resid,
-        )
-    return 0.5 * (m + m.T)
-
-
-def _antisymmetric_part(m: np.ndarray, name: str, tol: Tolerance) -> np.ndarray:
-    resid = op_norm(m + m.T)
-    if resid > tol.rel * scale_of(m):
-        raise StructureError(
-            f"{name} is not antisymmetric (residual {resid:.3e})",
-            check=f"{name}_antisymmetric", residual=resid,
-        )
-    return 0.5 * (m - m.T)
-
-
 class MetricTensor:
     """Symmetric positive-definite Gram matrix; value ``g(x, y) = x @ m @ y``."""
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
         m = as_matrix(m, "metric")
-        sym = _symmetric_part(m, "metric", tol)
+        sym = symmetric_part(m, tol, "metric", "metric_symmetric")
         w = np.linalg.eigvalsh(sym)
         if w[0] <= tol.rel * scale_of(sym):
             raise StructureError(
@@ -113,7 +93,8 @@ class SymplecticForm:
             raise ValueError(
                 f"symplectic form needs even dimension, got {m.shape[0]}"
             )
-        anti = _antisymmetric_part(m, "symplectic form", tol)
+        anti = symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric",
+                              anti=True)
         smin = float(np.linalg.svd(anti, compute_uv=False)[-1])
         if smin <= tol.rel * scale_of(anti):
             raise StructureError(
@@ -196,7 +177,8 @@ class QuadraticForm:
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "quadratic form")
-        object.__setattr__(self, "matrix", frozen(_symmetric_part(m, "quadratic form", self.tol)))
+        sym = symmetric_part(m, self.tol, "quadratic form", "quadratic form_symmetric")
+        object.__setattr__(self, "matrix", frozen(sym))
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)

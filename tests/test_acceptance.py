@@ -167,7 +167,7 @@ def test_criterion_3_group_theory_consistency():
             specs = random_block_specs(rng, n)
         pair = synthesize_pair(specs, seed=500 + case)
         sig = group_signature(decompose(pair))
-        alg = bi_preserving_algebra(pair)
+        alg = bi_preserving_algebra(decompose(pair))
         assert alg.dim == sum(r * r for r in sig.multiplicities)
 
         if all(r == 1 for r in sig.multiplicities):
@@ -255,7 +255,7 @@ def test_criterion_5_operator_suite():
     for case in range(20):
         n = int(rng.integers(1, 9))
         pair = synthesize_pair(random_block_specs(rng, n), seed=700 + case)
-        h1, h2, _ = complexify(pair)
+        h1, h2, _ = complexify(decompose(pair))
         op = transfer_operator(h1, h2)
         expected = sorted(b.eigenvalue for b in decompose(pair).blocks
                           for _ in range(b.dim // 2))
@@ -293,7 +293,7 @@ def test_criterion_6_conservation():
         synthesize_pair([(0.5, 1, 1), (1.0, -1, 1), (2.0, 1, 1), (4.0, -1, 1)], seed=63),
     ]
     for pair in pairs:
-        for element in bi_preserving_algebra(pair).basis:
+        for element in bi_preserving_algebra(decompose(pair)).basis:
             report = conservation_probe(LinearField(element), pair, times)
             assert report.max_drift <= 1e-9
 
@@ -305,7 +305,7 @@ def test_criterion_7_pencil():
     assert abs(lo - (-1.0 / 3.0)) <= 1e-12
     assert hi == math.inf
 
-    member = pencil_member(pair, 1.0)
+    member = pencil_member(decompose(pair), 1.0)
     assert not member.admissible
     first, second = member.blocks
     assert first.sign == 1 and first.admissible

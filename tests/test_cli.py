@@ -1,15 +1,21 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from biham.cli import main
-from biham.decomposition import synthesize_pair
+import biham
+from biham import decomposition
+from biham.cli import InputDocument, analyze, main
+from biham.decomposition import BlockDecomposition, synthesize_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 
 
 def run_cli(capsys, *argv):
@@ -275,3 +281,48 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["compatible"] is True
+
+
+class TestSharedResults:
+    def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
+        calls = {"decompose": 0, "frame": 0}
+        original = decomposition.decompose
+
+        def counting_decompose(*args, **kwargs):
+            calls["decompose"] += 1
+            return original(*args, **kwargs)
+
+        # patch every biham module that binds decompose by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("biham") and getattr(module, "decompose", None) is original:
+                monkeypatch.setattr(module, "decompose", counting_decompose)
+
+        build_frame = BlockDecomposition.__dict__["adapted_frame"].func
+
+        def counting_frame(d):
+            calls["frame"] += 1
+            return build_frame(d)
+
+        frame = cached_property(counting_frame)
+        frame.__set_name__(BlockDecomposition, "adapted_frame")
+        monkeypatch.setattr(BlockDecomposition, "adapted_frame", frame)
+
+        pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc, gamma=0.5)
+        assert code == 0
+        assert report["pencil_member"]["gamma"] == 0.5
+        assert calls == {"decompose": 1, "frame": 1}
+
+
+class TestBenchmarkHooks:
+    def test_traced_functions_resolve(self):
+        # the benchmark's traced mode patches these names by getattr
+        spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH_TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TRACED
+        for modname, fname in tracing.TRACED:
+            module = importlib.import_module(f"{biham.__name__}.{modname}")
+            assert callable(getattr(module, fname)), f"{modname}.{fname}"

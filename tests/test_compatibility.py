@@ -10,7 +10,7 @@ from biham.compatibility import (
     positivity_range,
     verify_relation_suite,
 )
-from biham.decomposition import synthesize_pair
+from biham.decomposition import decompose, synthesize_pair
 from biham.linalg import StructureError, commutator, eig_self_adjoint, op_norm
 from biham.structures import ViolationReport
 from conftest import standard_triple
@@ -103,21 +103,21 @@ class TestRelationSuite:
 
 class TestPencil:
     def test_gamma_zero_recovers_first_triple(self, ref4d_pair):
-        member = pencil_member(ref4d_pair, 0.0)
+        member = pencil_member(decompose(ref4d_pair), 0.0)
         np.testing.assert_array_equal(member.g, ref4d_pair.t1.g.m)
         np.testing.assert_array_equal(member.omega, ref4d_pair.t1.omega.m)
         assert member.admissible
         assert all(v.admissible for v in member.blocks)
 
     def test_positive_block_scales_without_breaking(self, ref2d_pair):
-        member = pencil_member(ref2d_pair, 1.0)
+        member = pencil_member(decompose(ref2d_pair), 1.0)
         np.testing.assert_allclose(member.g, np.diag([3.0, 12.0]), atol=1e-12)
         np.testing.assert_allclose(member.omega, [[0.0, 6.0], [-6.0, 0.0]], atol=1e-12)
         np.testing.assert_allclose(member.j, ref2d_pair.t1.j.m, atol=1e-12)
         assert member.admissible
 
     def test_negative_block_obstruction(self, ref4d_pair):
-        member = pencil_member(ref4d_pair, 1.0)
+        member = pencil_member(decompose(ref4d_pair), 1.0)
         assert not member.admissible
         first, second = member.blocks
         assert first.sign == 1 and first.admissible
@@ -128,9 +128,8 @@ class TestPencil:
         assert second.residual <= 1e-12
 
     def test_members_commute_on_admissible_blocks(self, ref4d_pair):
-        m1 = pencil_member(ref4d_pair, 0.5)
-        m2 = pencil_member(ref4d_pair, 2.0)
-        from biham.decomposition import decompose
+        m1 = pencil_member(decompose(ref4d_pair), 0.5)
+        m2 = pencil_member(decompose(ref4d_pair), 2.0)
         for block in decompose(ref4d_pair).blocks:
             b = block.basis
             j1 = np.linalg.solve(b.T @ m1.g @ b, b.T @ m1.omega @ b)
@@ -139,11 +138,11 @@ class TestPencil:
 
     def test_out_of_range_gamma_rejected(self, ref4d_pair):
         with pytest.raises(StructureError):
-            pencil_member(ref4d_pair, -0.5)  # below -1/3
+            pencil_member(decompose(ref4d_pair), -0.5)  # below -1/3
 
     def test_infinite_gamma_rejected(self, ref4d_pair):
         with pytest.raises(ValueError):
-            pencil_member(ref4d_pair, math.inf)
+            pencil_member(decompose(ref4d_pair), math.inf)
 
 
 class TestPositivityRange:
@@ -164,6 +163,6 @@ class TestPositivityRange:
 
     def test_boundary_behavior(self, ref4d_pair):
         lo, _ = positivity_range(ref4d_pair)
-        assert pencil_member(ref4d_pair, lo + 1e-3)  # just inside: fine
+        assert pencil_member(decompose(ref4d_pair), lo + 1e-3)  # just inside: fine
         with pytest.raises(StructureError):
-            pencil_member(ref4d_pair, lo - 1e-3)
+            pencil_member(decompose(ref4d_pair), lo - 1e-3)

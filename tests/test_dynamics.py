@@ -6,7 +6,7 @@ from biham import dynamics
 from biham.cli import CONSERVATION_TIMES
 from biham.commutant import bicommutant_dim, commutant_dim, complexify, transfer_operator
 from biham.compatibility import check_compatible
-from biham.decomposition import synthesize_pair
+from biham.decomposition import decompose, synthesize_pair
 from biham.dynamics import (
     FlowOverflowError,
     _probe_flows,
@@ -34,12 +34,12 @@ def projection_residual(matrix, basis):
 class TestBiPreservingAlgebra:
     def test_single_phase_generator_in_2d(self):
         t = standard_triple(1)
-        alg = bi_preserving_algebra(check_compatible(t, t))
+        alg = bi_preserving_algebra(decompose(check_compatible(t, t)))
         assert alg.dim == 1
         assert projection_residual(t.j.m, alg.basis) <= 1e-12
 
     def test_reference_4d_two_torus(self, ref4d_pair):
-        alg = bi_preserving_algebra(ref4d_pair)
+        alg = bi_preserving_algebra(decompose(ref4d_pair))
         assert alg.dim == 2
         # the block rotations span the algebra
         s_top = np.zeros((4, 4))
@@ -51,7 +51,7 @@ class TestBiPreservingAlgebra:
 
     def test_identity_pair_gives_full_unitary_algebra(self):
         t = standard_triple(2)
-        alg = bi_preserving_algebra(check_compatible(t, t))
+        alg = bi_preserving_algebra(decompose(check_compatible(t, t)))
         assert alg.dim == 4  # dim u(2)
 
     @pytest.mark.parametrize("spec,expected", [
@@ -61,7 +61,7 @@ class TestBiPreservingAlgebra:
         ([(1.5, 1, 2), (4.0, -1, 1)], 5),
     ])
     def test_dimension_matches_signature(self, spec, expected):
-        alg = bi_preserving_algebra(synthesize_pair(spec, seed=17))
+        alg = bi_preserving_algebra(decompose(synthesize_pair(spec, seed=17)))
         assert alg.dim == expected
 
     @pytest.mark.parametrize("spec,alg_dim,comm_dim,bicomm_dim", [
@@ -75,18 +75,18 @@ class TestBiPreservingAlgebra:
         t2 = check_admissible(1e8 * p.t2.g.m, 1e8 * p.t2.omega.m)
         scaled = check_compatible(p.t1, t2)
         assert scaled
-        alg = bi_preserving_algebra(scaled)
+        alg = bi_preserving_algebra(decompose(scaled))
         assert alg.dim == alg_dim
         for m in alg.basis:
             assert field_preserves(LinearField(m), scaled.t1)
             assert field_preserves(LinearField(m), scaled.t2)
-        h1, h2, _ = complexify(scaled)
+        h1, h2, _ = complexify(decompose(scaled))
         op = transfer_operator(h1, h2, scaled.tol)
         assert commutant_dim(op) == comm_dim
         assert bicommutant_dim(op) == bicomm_dim
 
     def test_every_element_preserves_both_triples(self, ref4d_pair):
-        alg = bi_preserving_algebra(ref4d_pair)
+        alg = bi_preserving_algebra(decompose(ref4d_pair))
         for m in alg.basis:
             f = LinearField(m)
             assert field_preserves(f, ref4d_pair.t1)
@@ -159,7 +159,7 @@ class TestCertifyRecursion:
         assert cert.rank == n
 
     def test_recursion_fields_live_in_the_algebra(self, ref4d_pair):
-        alg = bi_preserving_algebra(ref4d_pair)
+        alg = bi_preserving_algebra(decompose(ref4d_pair))
         for f in recursion_basis(ref4d_pair).fields:
             assert projection_residual(f.matrix, alg.basis) <= 1e-9
 
@@ -247,7 +247,7 @@ class TestProbePaths:
     @pytest.mark.parametrize("spec", SPECS)
     def test_spectral_flows_match_expm(self, spec, monkeypatch):
         pair = synthesize_pair(spec, seed=41)
-        fields = [LinearField(m) for m in bi_preserving_algebra(pair).basis]
+        fields = [LinearField(m) for m in bi_preserving_algebra(decompose(pair)).basis]
         fields += [LinearField(f.matrix / op_norm(f.matrix))
                    for f in recursion_basis(pair).fields]
         # g1-skew fields never reach the matrix-exponential path

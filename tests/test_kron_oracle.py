@@ -21,7 +21,7 @@ from biham.commutant import (
     transfer_operator,
 )
 from biham.compatibility import check_compatible
-from biham.decomposition import synthesize_pair
+from biham.decomposition import decompose, synthesize_pair
 from biham.dynamics import bi_preserving_algebra
 from biham.linalg import RankAmbiguityError
 from conftest import standard_triple
@@ -69,8 +69,8 @@ def check_pair(pair, ranks, multiplicities):
     distinct lambda."""
     oracle_alg = kron_oracle.bi_preserving_algebra(pair)
     assert len(oracle_alg) == sum(r * r for r in ranks)
-    assert_same_span(bi_preserving_algebra(pair).basis, oracle_alg)
-    h1, h2, _ = complexify(pair)
+    assert_same_span(bi_preserving_algebra(decompose(pair)).basis, oracle_alg)
+    h1, h2, _ = complexify(decompose(pair))
     check_operator(transfer_operator(h1, h2, pair.tol), multiplicities)
 
 

@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biham.structures import MetricTensor, QuadraticForm, SymplecticForm
+
+from biham.commutant import HermitianForm
 from biham.linalg import (
     RankAmbiguityError,
     StructureError,
     Tolerance,
+    as_matrix,
+    cholesky_spd,
     cluster_eigenvalues,
     commutator,
     eig_self_adjoint,
@@ -41,6 +46,43 @@ class TestTolerance:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+
+class TestSymmetricPart:
+    # the check names are keys of the CLI report's residuals section
+    @pytest.mark.parametrize("build, check, message", [
+        (cholesky_spd, "symmetric", "matrix is not symmetric"),
+        (sym_sqrt, "symmetric", "matrix is not symmetric"),
+        (MetricTensor, "metric_symmetric", "metric is not symmetric"),
+        (QuadraticForm, "quadratic form_symmetric", "quadratic form is not symmetric"),
+        (HermitianForm, "hermitian_symmetric", "form is not conjugate-symmetric"),
+    ])
+    def test_rejects_asymmetric_with_named_check(self, build, check, message):
+        with pytest.raises(StructureError, match=message) as info:
+            build(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        assert info.value.check == check
+        assert info.value.residual == 1.0
+
+    def test_symplectic_form_rejects_symmetric_part(self):
+        with pytest.raises(StructureError, match="symplectic form is not antisymmetric") as info:
+            SymplecticForm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert info.value.check == "symplectic form_antisymmetric"
+        assert info.value.residual == 1.0
+
+    def test_hermitian_form_takes_conjugate_transpose(self):
+        h = HermitianForm(np.array([[2.0, 1j], [-1j, 2.0]]))
+        assert h.h[0, 1] == 1j and h.h[1, 0] == -1j
+
+
+class TestAsMatrix:
+    def test_complex_dtype(self):
+        m = as_matrix([[1.0, 2j], [0.0, 1.0]], "form", dtype=np.complex128)
+        assert m.dtype == np.complex128 and not m.flags.writeable
+
+    @pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(0.0, np.nan)])
+    def test_complex_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="form contains non-finite entries"):
+            as_matrix([[1.0, bad], [0.0, 1.0]], "form", dtype=np.complex128)
 
 
 class TestMetricAdjoint:
