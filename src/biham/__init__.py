@@ -15,7 +15,6 @@ from .commutant import (
     bicommutant_basis,
     bicommutant_dim,
     biunitary_sample,
-    commutant_basis,
     commutant_dim,
     complexify,
     is_generic_operator,

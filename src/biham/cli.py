@@ -99,8 +99,10 @@ def load_document(path: str, tol_override: float | None = None) -> InputDocument
             raw = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise InputError(f"{path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise InputError("input document must be a JSON object")
 
@@ -243,7 +245,7 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             report["pencil_range"] = [_py(lo), _py(hi)]
 
             rb = recursion_basis(pair)
-            cert = certify_recursion(rb, pair)
+            cert = certify_recursion(rb, dec)
             # unit-norm fields: the raw powers T^k J1 grow like lambda^k
             drift = max(
                 conservation_probe(LinearField(f.matrix / op_norm(f.matrix)), pair,
@@ -268,8 +270,8 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
 
             h1, h2, signs = complexify(dec)
             op = transfer_operator(h1, h2, pair.tol)
-            comm_dim = commutant_dim(op, pair.tol)
-            bicomm_dim = bicommutant_dim(op, pair.tol)
+            comm_dim = commutant_dim(op)
+            bicomm_dim = bicommutant_dim(op)
             report["generic"]["operator"] = comm_dim == bicomm_dim
             residuals["operator"] = {
                 "eigenvalues": _py(op.eigenvalues),
@@ -348,6 +350,17 @@ def _parse_synth_spec(text: str) -> list[tuple[float, int, int]]:
     return specs
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: ``nan`` and ``inf`` exit 2 like any other bad number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
 def _run_analysis(args: argparse.Namespace) -> int:
     doc = load_document(args.file, getattr(args, "tol", None))
     report, code = analyze(doc, gamma=getattr(args, "gamma", None))
@@ -403,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pen = sub.add_parser("pencil", help="evaluate the structure pencil at gamma")
     p_pen.add_argument("file")
-    p_pen.add_argument("--gamma", type=float, required=True)
+    p_pen.add_argument("--gamma", type=_finite_float, required=True)
     p_pen.set_defaults(func=_run_analysis)
 
     p_com = sub.add_parser("commutant", help="transfer-operator commutant analysis")

@@ -22,7 +22,8 @@ That costs O(n^3 + k n^2) for k basis elements, plus O(k^2 n^2) for the QR
 and O(k n^3) for the checks, instead of the O(n^6) time and O(n^4) memory
 of Kronecker/SVD null spaces.  The two dimensions agree exactly when the
 spectrum is simple, which is the genericity criterion for the pair of
-forms.
+forms.  The :class:`TransferOperator` carries its tolerance and builds its
+commutant basis once, on first use, for every function here.
 
 :func:`complexify` bridges from the real picture: the block decomposition
 of a compatible pair of real triples becomes a pair of Hermitian forms on
@@ -37,6 +38,7 @@ dimension of the block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -60,7 +62,6 @@ __all__ = [
     "TransferOperator",
     "transfer_operator",
     "norm_bounds",
-    "commutant_basis",
     "commutant_dim",
     "bicommutant_basis",
     "bicommutant_dim",
@@ -96,18 +97,35 @@ class HermitianForm:
 @dataclass(frozen=True)
 class TransferOperator:
     """Operator carrying one Hermitian form into the other, together with
-    its spectral data: eigenvalues ascending, eigenvector columns
-    orthonormal for the first form."""
+    its spectral data (eigenvalues ascending, eigenvector columns
+    orthonormal for the first form) and the tolerance of its checks."""
 
     matrix: np.ndarray
     h1: HermitianForm
     h2: HermitianForm
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    tol: Tolerance
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def commutant_basis(self) -> np.ndarray:
+        """Orthonormal basis (stacked k x n x n) of all complex matrices
+        commuting with the operator, built once, on first use.
+
+        Spanned by ``V E_ab inv(V)`` for eigenvector indices a, b in the
+        same eigenvalue cluster (``⊕ gl(p)``, one factor per cluster of
+        multiplicity p).  Every element is verified to commute with F up to
+        the cluster tolerance, the eigenvalue spread a cluster may carry.
+        """
+        gens = [np.einsum("ia,bj->abij", vc, vc_inv).reshape(-1, self.dim, self.dim)
+                for vc, vc_inv in _cluster_spectral_frames(self)]
+        basis = orthonormal_span(np.concatenate(gens), self.tol.rel)
+        _check_commutes(basis, [self.matrix], self.tol.cluster_gap, "commutant")
+        return frozen(basis)
 
 
 def transfer_operator(h1: HermitianForm, h2: HermitianForm,
@@ -151,7 +169,7 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
                 f"transfer identity fails on probe vectors (|diff| {abs(lhs - rhs):.3e})",
                 check="transfer_identity", residual=float(abs(lhs - rhs)),
             )
-    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(vecs))
+    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(vecs), tol)
 
 
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:
@@ -173,15 +191,14 @@ def norm_bounds(op: TransferOperator) -> tuple[float, float]:
     return a, b
 
 
-def _cluster_spectral_frames(op: TransferOperator,
-                             tol: Tolerance) -> list[tuple[np.ndarray, np.ndarray]]:
+def _cluster_spectral_frames(op: TransferOperator) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per eigenvalue cluster of F, the eigenvector columns V_c and the
     matching rows of inv(V) = V^H @ H1 (V is h1-orthonormal)."""
     v = op.eigenvectors
     v_inv = v.conj().T @ op.h1.h
     frames = []
     start = 0
-    for _, mult in cluster_eigenvalues(op.eigenvalues, tol.cluster_gap):
+    for _, mult in cluster_eigenvalues(op.eigenvalues, op.tol.cluster_gap):
         frames.append((v[:, start:start + mult], v_inv[start:start + mult]))
         start += mult
     return frames
@@ -203,61 +220,44 @@ def _check_commutes(elements: np.ndarray, against, allowance: float,
             )
 
 
-def commutant_basis(op: TransferOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (stacked k x n x n) of all complex matrices
-    commuting with the transfer operator.
-
-    Spanned by ``V E_ab inv(V)`` for eigenvector indices a, b in the same
-    eigenvalue cluster (``⊕ gl(p)``, one factor per cluster of
-    multiplicity p).  Every element is verified to commute with F up to the
-    cluster tolerance, the eigenvalue spread a cluster may carry.
-    """
-    gens = [np.einsum("ia,bj->abij", vc, vc_inv).reshape(-1, op.dim, op.dim)
-            for vc, vc_inv in _cluster_spectral_frames(op, tol)]
-    basis = orthonormal_span(np.concatenate(gens), tol.rel)
-    _check_commutes(basis, [op.matrix], tol.cluster_gap, "commutant")
-    return basis
-
-
-def commutant_dim(op: TransferOperator, tol: Tolerance = DEFAULT_TOL) -> int:
+def commutant_dim(op: TransferOperator) -> int:
     """Complex dimension of the commutant: the sum of the squared
     eigenvalue multiplicities."""
-    return len(commutant_basis(op, tol))
+    return len(op.commutant_basis)
 
 
-def bicommutant_basis(op: TransferOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def bicommutant_basis(op: TransferOperator) -> np.ndarray:
     """Orthonormal basis of the joint commutant of the whole commutant.
 
     Spanned by the spectral projectors ``V_c inv(V)_c`` of the eigenvalue
     clusters of F.  Every element is verified to commute with F and with
-    every element of :func:`commutant_basis`.
+    every element of the operator's commutant basis.
     """
-    projectors = np.array([vc @ vc_inv for vc, vc_inv in _cluster_spectral_frames(op, tol)])
-    basis = orthonormal_span(projectors, tol.rel)
-    _check_commutes(basis, [op.matrix], tol.rel, "bicommutant")
-    _check_commutes(commutant_basis(op, tol), basis, tol.rel, "bicommutant")
+    projectors = np.array([vc @ vc_inv for vc, vc_inv in _cluster_spectral_frames(op)])
+    basis = orthonormal_span(projectors, op.tol.rel)
+    _check_commutes(basis, [op.matrix], op.tol.rel, "bicommutant")
+    _check_commutes(op.commutant_basis, basis, op.tol.rel, "bicommutant")
     return basis
 
 
-def bicommutant_dim(op: TransferOperator, tol: Tolerance = DEFAULT_TOL) -> int:
+def bicommutant_dim(op: TransferOperator) -> int:
     """Complex dimension of the bicommutant: the number of distinct
     eigenvalue clusters of F (the minimal-polynomial degree of a
     diagonalizable operator), one spectral projector each."""
-    return len(bicommutant_basis(op, tol))
+    return len(bicommutant_basis(op))
 
 
-def is_generic_operator(op: TransferOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_generic_operator(op: TransferOperator) -> bool:
     """Genericity of the pair of forms: bicommutant equals commutant.
 
     Equivalent to all eigenvalue clusters of the transfer operator being
     simple, since the sum of the squared multiplicities equals the number
     of clusters exactly when every multiplicity is one.
     """
-    return commutant_dim(op, tol) == bicommutant_dim(op, tol)
+    return commutant_dim(op) == bicommutant_dim(op)
 
 
-def biunitary_sample(op: TransferOperator, poly_coeffs, t: float,
-                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     """Sample of the bi-unitary family exp(i * f(F) * t) for a real
     polynomial f (coefficients in ascending order).
 
@@ -275,7 +275,7 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float,
     u = (v * phases) @ v_inv
     for name, h in (("first", op.h1.h), ("second", op.h2.h)):
         resid = op_norm(u.conj().T @ h @ u - h)
-        if resid > tol.rel * scale_of(h):
+        if resid > op.tol.rel * scale_of(h):
             raise StructureError(
                 f"sample fails unitarity for the {name} form (residual {resid:.3e})",
                 check="biunitary_sample", residual=resid,

@@ -15,7 +15,8 @@ Compatibility forces [J1, J2] = 0 and makes the derived operators
 a commuting family together with the two complex structures: G and T are
 self-adjoint and the J's skew-adjoint for both metrics, G = -J1 @ T @ J2,
 [G, T] = 0, the spectrum of G is positive, and T^2 = G^2.  Those relations
-are verified numerically and stored as certificates on the pair.
+are verified numerically and stored as certificates on the pair, which
+also keeps the eigendecomposition of G for every later stage.
 
 A compatible pair also spans the *pencil*  g_c = g1 + c * g2,
 omega_c = omega1 + c * omega2, whose members are admissible block by block
@@ -69,12 +70,15 @@ __all__ = [
 class CompatiblePair:
     """Two admissible triples that passed every compatibility check, plus the
     derived metric operator G = inv(g1) @ g2 and recursion operator
-    T = inv(omega1) @ omega2 and the residuals of all verified relations."""
+    T = inv(omega1) @ omega2, G's eigenvalues (ascending) with a
+    g1-orthonormal eigenbasis, and the residuals of all verified relations."""
 
     t1: AdmissibleTriple
     t2: AdmissibleTriple
     metric_operator: np.ndarray
     recursion_operator: np.ndarray
+    metric_eigenvalues: np.ndarray
+    metric_eigenbasis: np.ndarray
     certificates: dict[str, float]
     tol: Tolerance
 
@@ -152,13 +156,14 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     if violations:
         return ViolationReport("compatibility", tuple(violations))
 
-    evals, _ = eig_self_adjoint(big_g, g1, tol)
+    evals, basis = eig_self_adjoint(big_g, g1, tol)
     certificates["G_min_eigenvalue"] = float(evals[0])
     if evals[0] <= tol.rel * max(1.0, float(evals[-1])):
         violations.append(Violation("G_positive_spectrum", float(evals[0])))
         return ViolationReport("compatibility", tuple(violations))
 
-    return CompatiblePair(t1, t2, frozen(big_g), frozen(big_t), certificates, tol)
+    return CompatiblePair(t1, t2, frozen(big_g), frozen(big_t), frozen(evals),
+                          frozen(basis), certificates, tol)
 
 
 def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
@@ -272,5 +277,4 @@ def positivity_range(p: CompatiblePair) -> tuple[float, float]:
     Since g_c = g1 @ (I + c G) and the spectrum of G is positive, the
     interval is ``(-1 / max eigenvalue of G, +inf)``; it always contains 0.
     """
-    evals, _ = eig_self_adjoint(p.metric_operator, p.t1.g.m, p.tol)
-    return (-1.0 / float(evals[-1]), math.inf)
+    return (-1.0 / float(p.metric_eigenvalues[-1]), math.inf)

@@ -1,9 +1,10 @@
 """Bi-orthogonal block decomposition of a compatible pair.
 
-Diagonalizing the metric operator G (self-adjoint for g1) splits the space
-into eigenspaces that are orthogonal for *both* metrics; the recursion
-operator T refines each eigenspace into blocks where T = +-lambda.  On every
-block the two structures are proportional:
+Diagonalizing the metric operator G (self-adjoint for g1; the pair carries
+its eigendecomposition) splits the space into eigenspaces that are
+orthogonal for *both* metrics; the recursion operator T refines each
+eigenspace into blocks where T = +-lambda.  On every block the two
+structures are proportional:
 
     g2 = lambda * g1,   omega2 = sign * lambda * omega1,   J2 = sign * J1.
 
@@ -31,7 +32,6 @@ from .linalg import (
     NumericalCheckError,
     Tolerance,
     cluster_eigenvalues,
-    eig_self_adjoint,
     frozen,
     op_norm,
     scale_of,
@@ -76,15 +76,12 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Ordered blocks (ascending eigenvalue, + before -) of a compatible pair."""
+    """Ordered blocks (ascending eigenvalue, + before -) of a compatible pair;
+    carries the pair, its tolerance and its adapted frame to later stages."""
 
     blocks: tuple[Block, ...]
     pair: CompatiblePair
     tol: Tolerance
-
-    @property
-    def dim(self) -> int:
-        return self.pair.dim
 
     @cached_property
     def adapted_frame(self) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -155,25 +152,24 @@ class CanonicalBlockBasis:
     metric_ratio: float
 
 
-def decompose(p: CompatiblePair, tol: Tolerance | None = None) -> BlockDecomposition:
+def decompose(p: CompatiblePair) -> BlockDecomposition:
     """Compute the bi-orthogonal block decomposition of a compatible pair.
 
-    G is diagonalized in a g1-orthonormal basis, its eigenvalues clustered,
-    and T diagonalized inside each cluster; T must take the values
-    +-lambda there.  Per-block proportionality of the structures and
+    The eigenvalues of G, in the pair's g1-orthonormal eigenbasis, are
+    clustered and T diagonalized inside each cluster; T must take the
+    values +-lambda there.  Per-block proportionality of the structures and
     cross-block bi-orthogonality are verified before returning.
     """
-    tol = tol or p.tol
+    tol = p.tol
     g1, w1 = p.t1.g.m, p.t1.omega.m
     g2, w2 = p.t2.g.m, p.t2.omega.m
     j1, j2 = p.t1.j.m, p.t2.j.m
     big_t = p.recursion_operator
 
-    evals, basis = eig_self_adjoint(p.metric_operator, g1, tol)
     blocks: list[Block] = []
     col = 0
-    for lam, mult in cluster_eigenvalues(evals, tol.cluster_gap):
-        sub = basis[:, col:col + mult]
+    for lam, mult in cluster_eigenvalues(p.metric_eigenvalues, tol.cluster_gap):
+        sub = p.metric_eigenbasis[:, col:col + mult]
         col += mult
         # T preserves the eigenspace; express it there in g1-orthonormal coords
         t_sub = sub.T @ g1 @ (big_t @ sub)
@@ -240,8 +236,7 @@ def is_generic(d: BlockDecomposition) -> bool:
     return all(b.dim == 2 for b in d.blocks)
 
 
-def canonical_basis(b: Block, p: CompatiblePair,
-                    tol: Tolerance | None = None) -> CanonicalBlockBasis:
+def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
     """Canonical frame of a two-dimensional block.
 
     ``e1`` is the first basis column normalized to g1(e1, e1) = 1 and
@@ -249,7 +244,7 @@ def canonical_basis(b: Block, p: CompatiblePair,
     omega1(e1, e2) = -g1(e1, e1), and the measured metric ratio g2/g1 on the
     block equals the block eigenvalue.
     """
-    tol = tol or p.tol
+    tol = p.tol
     if b.dim != 2:
         raise ValueError(f"canonical frame needs a 2-dimensional block, got dim {b.dim}")
     g1, w1, j1, j2 = p.t1.g.m, p.t1.omega.m, p.t1.j.m, p.t2.j.m
@@ -288,13 +283,11 @@ def group_signature(d: BlockDecomposition) -> GroupSignature:
     tol = d.tol
     factors: list[list[float | int]] = []  # [eigenvalue, sign, dim]
     for b in d.blocks:
-        merged = False
         for f in factors:
             if f[1] == b.sign and abs(b.eigenvalue - f[0]) <= tol.cluster_gap * max(1.0, b.eigenvalue):
                 f[2] += b.dim
-                merged = True
                 break
-        if not merged:
+        else:
             factors.append([b.eigenvalue, b.sign, b.dim])
     ranks = tuple(int(f[2]) // 2 for f in factors)
     complex_form = "×".join(f"U({r})" for r in ranks)

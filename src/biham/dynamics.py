@@ -24,7 +24,7 @@ at matrix level is the identity [T A, T] = T [A, T]; preservation and
 pairwise commutation of the family follow.  The family is linearly
 independent exactly when T has n distinct eigenvalues (Vandermonde
 argument on the minimal polynomial), so its certified rank equals the
-number of distinct T eigenvalue clusters.
+number of distinct T eigenvalues, the (lambda, sign) classes of the blocks.
 
 The conservation probe flows a field over N sampled times along one of two
 paths.  A field that preserves g1 within ``tol.rel`` (every algebra element
@@ -53,9 +53,7 @@ from .linalg import (
     NumericalCheckError,
     Tolerance,
     cholesky_spd,
-    cluster_eigenvalues,
     commutator,
-    eig_self_adjoint,
     frozen,
     numerical_rank,
     op_norm,
@@ -86,7 +84,6 @@ class BiPreservingAlgebra:
     """Orthonormalized basis of the Lie algebra of fields preserving all
     four tensors of the pair; dimension = sum of squared signature ranks."""
 
-    pair: CompatiblePair
     basis: tuple[np.ndarray, ...]
     dim: int
 
@@ -96,12 +93,7 @@ class RecursionBasis:
     """The commuting family generated by the recursion operator:
     fields with matrices T^k @ J1 for k = 0 .. n-1."""
 
-    pair: CompatiblePair
     fields: tuple[LinearField, ...]
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(f.matrix for f in self.fields)
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,7 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
                     "algebra element fails preservation (residuals "
                     f"{report.metric_residual:.3e}, {report.symplectic_residual:.3e})"
                 )
-    return BiPreservingAlgebra(p, mats, len(mats))
+    return BiPreservingAlgebra(mats, len(mats))
 
 
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
@@ -203,18 +195,17 @@ def recursion_basis(p: CompatiblePair) -> RecursionBasis:
     for _ in range(n):
         mats.append(LinearField(cur))
         cur = p.recursion_operator @ cur
-    return RecursionBasis(p, tuple(mats))
+    return RecursionBasis(tuple(mats))
 
 
-def certify_recursion(rb: RecursionBasis, p: CompatiblePair,
-                      tol: Tolerance | None = None) -> RecursionCertificate:
-    """Certify the recursion family: preservation of all four tensors,
-    pairwise commutation, numerical rank with singular-value gap, the
-    Vandermonde consistency between rank and the number of distinct
-    recursion-operator eigenvalues, and the matrix Nijenhuis identity
-    [T A, T] = T [A, T] for A = J1."""
-    tol = tol or p.tol
-    mats = rb.matrices
+def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
+    """Certify the recursion family of the decomposed pair: preservation of
+    all four tensors, pairwise commutation, numerical rank with
+    singular-value gap, the Vandermonde consistency between rank and the
+    number of (lambda, sign) classes of the blocks, and the matrix
+    Nijenhuis identity [T A, T] = T [A, T] for A = J1."""
+    p, tol = d.pair, d.tol
+    mats = [f.matrix for f in rb.fields]
     n = p.dim // 2
 
     max_pres = 0.0
@@ -236,8 +227,7 @@ def certify_recursion(rb: RecursionBasis, p: CompatiblePair,
     stacked = np.stack([m.ravel() / np.linalg.norm(m.ravel()) for m in mats])
     rank, s, rank_gap = numerical_rank(stacked, tol.rel)
 
-    t_evals, _ = eig_self_adjoint(p.recursion_operator, p.t1.g.m, tol)
-    distinct = len(cluster_eigenvalues(t_evals, tol.cluster_gap))
+    distinct = len(group_signature(d).multiplicities)
     vandermonde_consistent = rank == min(distinct, n)
 
     big_t = p.recursion_operator

@@ -172,7 +172,7 @@ def test_criterion_3_group_theory_consistency():
 
         if all(r == 1 for r in sig.multiplicities):
             assert alg.dim == n
-            cert = certify_recursion(recursion_basis(pair), pair)
+            cert = certify_recursion(recursion_basis(pair), decompose(pair))
             assert cert.rank == n
             assert cert.max_commutator_residual <= 1e-10
             # the torus sits inside the algebra: projection residuals vanish
@@ -198,7 +198,7 @@ def test_criterion_4_recursion_degeneration():
             specs = [(1.0 + i, 1 if i % 2 == 0 else -1, r)
                      for i, r in enumerate(base)]
             pair = synthesize_pair(specs, seed=40 + 10 * n + k)
-            cert = certify_recursion(recursion_basis(pair), pair)
+            cert = certify_recursion(recursion_basis(pair), decompose(pair))
             assert cert.distinct_t_eigenvalues == k
             assert cert.rank == k
             assert cert.vandermonde_consistent

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import biham
-from biham import decomposition
+from biham import decomposition, linalg
 from biham.cli import InputDocument, analyze, main
+from biham.commutant import TransferOperator
 from biham.decomposition import BlockDecomposition, synthesize_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,6 +70,22 @@ class TestCheck:
         bad.write_text("{not json")
         code, _, err = run_cli(capsys, "check", bad)
         assert code == 2
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"dim": 2, "g1": "\xff\xfe"}')
+        code, out, err = run_cli(capsys, "check", bad)
+        assert code == 2
+        assert err.startswith("error:") and "utf-8" in err
+        assert out == ""
+
+    def test_over_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "check", deep)
+        assert code == 2
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert out == ""
 
     def test_schema_rejects_lone_g2(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "compatible_2d.json").read_text())
@@ -184,6 +201,15 @@ class TestPencil:
         assert code == 1
         assert "pipeline_error" in report["residuals"]
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_is_a_usage_error(self, capsys, gamma):
+        with pytest.raises(SystemExit) as exc:
+            main(["pencil", str(FIXTURES / "reference_4d.json"), f"--gamma={gamma}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--gamma: value must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestCommutant:
     def test_reference_4d(self, capsys):
@@ -285,35 +311,45 @@ class TestEntryPoint:
 
 class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
-        calls = {"decompose": 0, "frame": 0}
-        original = decomposition.decompose
-
-        def counting_decompose(*args, **kwargs):
-            calls["decompose"] += 1
-            return original(*args, **kwargs)
-
-        # patch every biham module that binds decompose by name
-        for name, module in list(sys.modules.items()):
-            if name.startswith("biham") and getattr(module, "decompose", None) is original:
-                monkeypatch.setattr(module, "decompose", counting_decompose)
-
-        build_frame = BlockDecomposition.__dict__["adapted_frame"].func
-
-        def counting_frame(d):
-            calls["frame"] += 1
-            return build_frame(d)
-
-        frame = cached_property(counting_frame)
-        frame.__set_name__(BlockDecomposition, "adapted_frame")
-        monkeypatch.setattr(BlockDecomposition, "adapted_frame", frame)
-
+        # one analysis computes each spectral fact once: the G eigensolve,
+        # the decomposition, its adapted frame and the commutant basis
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
+        calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0, "commutant": 0}
+
+        def count_function(home, key):
+            original = getattr(home, key)
+
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            # patch every biham module that binds the function by name
+            for name, module in list(sys.modules.items()):
+                if name.startswith("biham") and getattr(module, key, None) is original:
+                    monkeypatch.setattr(module, key, counting)
+
+        def count_property(cls, attr, key):
+            build = cls.__dict__[attr].func
+
+            def counting(obj):
+                calls[key] += 1
+                return build(obj)
+
+            prop = cached_property(counting)
+            prop.__set_name__(cls, attr)
+            monkeypatch.setattr(cls, attr, prop)
+
+        count_function(linalg, "eig_self_adjoint")
+        count_function(decomposition, "decompose")
+        count_property(BlockDecomposition, "adapted_frame", "frame")
+        count_property(TransferOperator, "commutant_basis", "commutant")
+
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc, gamma=0.5)
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
-        assert calls == {"decompose": 1, "frame": 1}
+        assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1, "commutant": 1}
 
 
 class TestBenchmarkHooks:

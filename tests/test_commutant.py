@@ -6,7 +6,6 @@ from biham.commutant import (
     bicommutant_basis,
     bicommutant_dim,
     biunitary_sample,
-    commutant_basis,
     commutant_dim,
     complexify,
     is_generic_operator,
@@ -15,7 +14,7 @@ from biham.commutant import (
 )
 from biham.compatibility import check_compatible
 from biham.decomposition import decompose, synthesize_pair
-from biham.linalg import StructureError, commutator, op_norm
+from biham.linalg import DEFAULT_TOL, StructureError, Tolerance, commutator, op_norm
 from conftest import standard_triple
 
 
@@ -24,7 +23,7 @@ def random_hermitian_pd(rng, n):
     return z @ z.conj().T + n * np.eye(n)
 
 
-def operator_from_spectrum(evals, rng):
+def operator_from_spectrum(evals, rng, tol=DEFAULT_TOL):
     """Random Hermitian-form pair whose transfer operator has the given
     spectrum: an independent construction used as oracle."""
     n = len(evals)
@@ -35,7 +34,7 @@ def operator_from_spectrum(evals, rng):
     f = v @ np.diag(evals) @ np.linalg.inv(v)
     h2 = h1 @ f
     h2 = 0.5 * (h2 + h2.conj().T)
-    return transfer_operator(HermitianForm(h1), HermitianForm(h2))
+    return transfer_operator(HermitianForm(h1), HermitianForm(h2), tol)
 
 
 class TestHermitianForm:
@@ -153,10 +152,20 @@ class TestCommutant:
         assert bicommutant_dim(op) == 2
         assert not is_generic_operator(op)
 
+    def test_operator_tolerance_decides_clusters(self):
+        # 1e-5 apart: two clusters at the default cluster gap, one at 1e-4
+        spectrum = [1.0, 1.0 + 1e-5, 2.0]
+        loose = Tolerance(rel=1e-9, cluster_gap=1e-4)
+        op = operator_from_spectrum(spectrum, np.random.default_rng(19), loose)
+        assert op.tol == loose
+        assert (commutant_dim(op), bicommutant_dim(op)) == (5, 2)
+        op = operator_from_spectrum(spectrum, np.random.default_rng(19))
+        assert (commutant_dim(op), bicommutant_dim(op)) == (3, 3)
+
     def test_basis_elements_commute_with_operator(self):
         rng = np.random.default_rng(7)
         op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], rng)
-        for b in commutant_basis(op):
+        for b in op.commutant_basis:
             assert op_norm(commutator(op.matrix, b)) <= 1e-10 * op_norm(op.matrix)
 
 
@@ -176,7 +185,7 @@ class TestBicommutant:
     def test_bicommutant_commutes_with_commutant(self):
         rng = np.random.default_rng(10)
         op = operator_from_spectrum([1.0, 1.0, 3.0], rng)
-        cb = commutant_basis(op)
+        cb = op.commutant_basis
         for b in bicommutant_basis(op):
             for c in cb:
                 assert op_norm(commutator(b, c)) <= 1e-10

@@ -16,7 +16,7 @@ from biham.dynamics import (
     flow,
     recursion_basis,
 )
-from biham.linalg import commutator, op_norm
+from biham.linalg import cluster_eigenvalues, commutator, eig_self_adjoint, op_norm
 from biham.structures import LinearField, check_admissible, field_preserves, phase_group
 from conftest import S_BLOCK, standard_triple
 
@@ -115,7 +115,7 @@ class TestRecursionBasis:
 
 class TestCertifyRecursion:
     def test_reference_4d_passes(self, ref4d_pair):
-        cert = certify_recursion(recursion_basis(ref4d_pair), ref4d_pair)
+        cert = certify_recursion(recursion_basis(ref4d_pair), decompose(ref4d_pair))
         assert cert.all_pass
         assert cert.rank == 2 == cert.expected_rank
         assert cert.distinct_t_eigenvalues == 2
@@ -124,7 +124,7 @@ class TestCertifyRecursion:
     def test_identity_pair_fails_rank_only(self):
         t = standard_triple(2)
         p = check_compatible(t, t)
-        cert = certify_recursion(recursion_basis(p), p)
+        cert = certify_recursion(recursion_basis(p), decompose(p))
         assert cert.preserves_all and cert.commute
         assert cert.nijenhuis_residual <= 1e-12
         assert cert.rank == 1
@@ -144,17 +144,36 @@ class TestCertifyRecursion:
     ])
     def test_rank_equals_distinct_eigenvalue_count(self, spec, expected_rank):
         p = synthesize_pair(spec, seed=29)
-        cert = certify_recursion(recursion_basis(p), p)
+        cert = certify_recursion(recursion_basis(p), decompose(p))
         assert cert.rank == expected_rank
         assert cert.distinct_t_eigenvalues == expected_rank
         assert cert.vandermonde_consistent
+
+    @pytest.mark.parametrize("spec", [
+        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(6)],  # generic
+        [(2.0, 1, 2), (3.0, -1, 2)],  # two classes
+        [(1.0, 1, 1), (2.0, 1, 2), (5.0, -1, 3)],  # three classes
+        [(2.0, 1, 1), (2.0, -1, 1)],  # equal lambda, opposite signs
+        None,  # identity pair
+    ])
+    def test_distinct_t_eigenvalues_match_t_spectrum(self, spec):
+        # oracle: the clusters of T's own spectrum, which the certificate
+        # counts from the decomposition's (lambda, sign) classes instead
+        if spec is None:
+            p = check_compatible(standard_triple(3), standard_triple(3))
+        else:
+            p = synthesize_pair(spec, seed=11)
+        t_evals, _ = eig_self_adjoint(p.recursion_operator, p.t1.g.m, p.tol)
+        expected = len(cluster_eigenvalues(t_evals, p.tol.cluster_gap))
+        cert = certify_recursion(recursion_basis(p), decompose(p))
+        assert cert.distinct_t_eigenvalues == expected
 
     @pytest.mark.parametrize("dim", [4, 16, 32])
     def test_generic_pairs_pass(self, dim):
         n = dim // 2
         spec = [(1.0 + k, 1 if k % 2 == 0 else -1, 1) for k in range(n)]
         p = synthesize_pair(spec, seed=dim)
-        cert = certify_recursion(recursion_basis(p), p)
+        cert = certify_recursion(recursion_basis(p), decompose(p))
         assert cert.all_pass
         assert cert.rank == n
 

@@ -16,7 +16,6 @@ import pytest
 import kron_oracle
 from biham.commutant import (
     bicommutant_basis,
-    commutant_basis,
     complexify,
     transfer_operator,
 )
@@ -59,7 +58,7 @@ def check_operator(op, multiplicities):
     oracle_bicomm = kron_oracle.bicommutant(op)
     assert len(oracle_comm) == sum(p * p for p in multiplicities)
     assert len(oracle_bicomm) == len(multiplicities)
-    assert_same_span(commutant_basis(op), oracle_comm)
+    assert_same_span(op.commutant_basis, oracle_comm)
     assert_same_span(bicommutant_basis(op), oracle_bicomm)
 
 
