@@ -63,7 +63,6 @@ from .linalg import (
     cluster_eigenvalues,
     commutator,
     eig_self_adjoint,
-    metric_adjoint,
     sym_sqrt,
 )
 from .structures import (

@@ -36,8 +36,8 @@ from .commutant import (
 from .compatibility import check_compatible, pencil_member, positivity_range
 from .decomposition import decompose, group_signature, is_generic, synthesize_pair
 from .dynamics import bi_preserving_algebra, certify_recursion, conservation_probe, recursion_basis
-from .linalg import NumericalCheckError, Tolerance, op_norm
-from .structures import LinearField, ViolationReport, check_admissible
+from .linalg import NumericalCheckError, Tolerance
+from .structures import ViolationReport, check_admissible
 
 SCHEMA_VERSION = 1
 CONSERVATION_TIMES = tuple(0.1 * k for k in range(1, 101))
@@ -246,12 +246,8 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
 
             rb = recursion_basis(pair)
             cert = certify_recursion(rb, dec)
-            # unit-norm fields: the raw powers T^k J1 grow like lambda^k
-            drift = max(
-                conservation_probe(LinearField(f.matrix / op_norm(f.matrix)), pair,
-                                   CONSERVATION_TIMES).max_drift
-                for f in rb.fields
-            )
+            drift = max(conservation_probe(f, pair, CONSERVATION_TIMES).max_drift
+                        for f in rb.unit_fields)
             report["recursion"] = {
                 "rank": cert.rank,
                 "expected_rank": cert.expected_rank,

@@ -10,9 +10,11 @@ extreme eigenvalues give the best constants of the norm equivalence
 ``a * |x|_2 <= |x|_1 <= b * |x|_2``.
 
 Operators unitary for both forms commute with F, so the bi-unitary group
-lives in the commutant of F.  F is diagonalized by h1-orthonormal
-eigenvectors V (so inv(V) = V^H @ H1), which gives both spaces from the
-spectral data directly: the commutant is spanned by V E_ab inv(V) with a
+lives in the commutant of F.  In the h1-orthonormal frame W of
+:class:`HermitianForm` F is the Hermitian matrix ``W^H @ H2 @ W``, whose
+eigenvectors U give h1-orthonormal eigenvectors V = W U of F (so
+inv(V) = V^H @ H1).  That gives both spaces from the spectral data
+directly: the commutant is spanned by V E_ab inv(V) with a
 and b in one eigenvalue cluster (dimension: the sum of the squared
 multiplicities), the bicommutant by the spectral projectors of the clusters
 (dimension: the number of distinct eigenvalues).  Each basis is
@@ -23,7 +25,8 @@ and O(k n^3) for the checks, instead of the O(n^6) time and O(n^4) memory
 of Kronecker/SVD null spaces.  The two dimensions agree exactly when the
 spectrum is simple, which is the genericity criterion for the pair of
 forms.  The :class:`TransferOperator` carries its tolerance and builds its
-commutant basis once, on first use, for every function here.
+cluster frames and commutant basis once, on first use, for every function
+here.
 
 :func:`complexify` bridges from the real picture: the block decomposition
 of a compatible pair of real triples becomes a pair of Hermitian forms on
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .decomposition import BlockDecomposition
 from .linalg import (
@@ -52,9 +54,10 @@ from .linalg import (
     cluster_eigenvalues,
     frozen,
     op_norm,
+    op_norms,
     orthonormal_span,
-    scale_of,
     symmetric_part,
+    whitening,
 )
 
 __all__ = [
@@ -73,17 +76,15 @@ __all__ = [
 
 class HermitianForm:
     """Positive-definite Hermitian Gram matrix; value ``conj(x) @ h @ y``
-    (conjugate-linear in the first argument)."""
+    (conjugate-linear in the first argument).  Factored once, on validation,
+    into an h-orthonormal ``frame`` W (``W^H @ h @ W = I``) and ``frame_inv``.
+    """
 
     def __init__(self, h, tol: Tolerance = DEFAULT_TOL):
         h = as_matrix(h, "hermitian form", dtype=np.complex128)
         herm = symmetric_part(h, tol, "form", "hermitian_symmetric")
-        w = np.linalg.eigvalsh(herm)
-        if w[0] <= tol.rel * scale_of(herm):
-            raise StructureError(
-                f"form is not positive-definite (min eigenvalue {w[0]:.3e})",
-                check="hermitian_positive_definite", residual=float(w[0]),
-            )
+        self.frame, self.frame_inv = whitening(herm, tol, "form",
+                                               "hermitian_positive_definite")
         self.h = frozen(herm)
 
     @property
@@ -112,6 +113,17 @@ class TransferOperator:
         return self.matrix.shape[0]
 
     @cached_property
+    def cluster_frames(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per eigenvalue cluster, the eigenvector columns V_c and the
+        matching rows of inv(V) = V^H @ H1 (V is h1-orthonormal), built once,
+        on first use."""
+        v = self.eigenvectors
+        v_inv = v.conj().T @ self.h1.h
+        sizes = [m for _, m in cluster_eigenvalues(self.eigenvalues, self.tol.cluster_gap)]
+        ends = np.cumsum([0] + sizes)
+        return tuple((frozen(v[:, a:b]), frozen(v_inv[a:b])) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
     def commutant_basis(self) -> np.ndarray:
         """Orthonormal basis (stacked k x n x n) of all complex matrices
         commuting with the operator, built once, on first use.
@@ -122,7 +134,7 @@ class TransferOperator:
         the cluster tolerance, the eigenvalue spread a cluster may carry.
         """
         gens = [np.einsum("ia,bj->abij", vc, vc_inv).reshape(-1, self.dim, self.dim)
-                for vc, vc_inv in _cluster_spectral_frames(self)]
+                for vc, vc_inv in self.cluster_frames]
         basis = orthonormal_span(np.concatenate(gens), self.tol.rel)
         _check_commutes(basis, [self.matrix], self.tol.cluster_gap, "commutant")
         return frozen(basis)
@@ -132,9 +144,10 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
                       tol: Tolerance = DEFAULT_TOL) -> TransferOperator:
     """Build the transfer operator F = inv(H1) @ H2 of two Hermitian forms.
 
-    Verifies that F is self-adjoint for both forms, has positive spectrum,
-    and reproduces the second form on random probe vectors:
-    ``(x, y)_2 = (F x, y)_1``.
+    In the first form's frame W, F reads ``F_w = W^H @ H2 @ W``.  Verifies
+    that ``F_w`` is Hermitian (F is self-adjoint for the first form, and by
+    ``H1 @ F = H2`` for the second), has positive spectrum, and that the
+    reported F reproduces the second form, ``(x, y)_2 = (F x, y)_1``.
     """
     if not isinstance(h1, HermitianForm):
         h1 = HermitianForm(h1, tol)
@@ -142,34 +155,23 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
         h2 = HermitianForm(h2, tol)
     if h1.dim != h2.dim:
         raise ValueError(f"dimension mismatch: {h1.dim} vs {h2.dim}")
-    f = np.linalg.solve(h1.h, h2.h)
-    for name, h in (("first", h1.h), ("second", h2.h)):
-        prod = h @ f
-        resid = op_norm(prod - prod.conj().T)
-        if resid > tol.rel * scale_of(prod):
-            raise StructureError(
-                f"transfer operator not self-adjoint for the {name} form "
-                f"(residual {resid:.3e})",
-                check="transfer_self_adjoint", residual=resid,
-            )
-    evals, vecs = scipy.linalg.eigh(h2.h, h1.h)
+    f_w = symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
+                         "transfer operator in the first form's frame",
+                         "transfer_self_adjoint")
+    evals, vecs = np.linalg.eigh(f_w)
     if evals[0] <= 0:
         raise StructureError(
             f"transfer operator spectrum is not positive (min {evals[0]:.3e})",
             check="transfer_positive", residual=float(evals[0]),
         )
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        x = rng.standard_normal(h1.dim) + 1j * rng.standard_normal(h1.dim)
-        y = rng.standard_normal(h1.dim) + 1j * rng.standard_normal(h1.dim)
-        lhs = np.conj(x) @ h2.h @ y
-        rhs = np.conj(f @ x) @ h1.h @ y
-        if abs(lhs - rhs) > tol.rel * max(1.0, abs(lhs)) * scale_of(h2.h):
-            raise StructureError(
-                f"transfer identity fails on probe vectors (|diff| {abs(lhs - rhs):.3e})",
-                check="transfer_identity", residual=float(abs(lhs - rhs)),
-            )
-    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(vecs), tol)
+    f = h1.frame @ f_w @ h1.frame_inv
+    resid = op_norm(h1.h @ f - h2.h)
+    if not resid <= tol.threshold(h1.h, f):
+        raise StructureError(
+            f"transfer identity H1 @ F = H2 fails (residual {resid:.3e})",
+            check="transfer_identity", residual=resid,
+        )
+    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(h1.frame @ vecs), tol)
 
 
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:
@@ -185,33 +187,17 @@ def norm_bounds(op: TransferOperator) -> tuple[float, float]:
     lam_max = float(op.eigenvalues[-1])
     a = 1.0 / np.sqrt(lam_max)
     b = 1.0 / np.sqrt(lam_min)
-    if not (1.0 / b**2 <= lam_max * (1 + 1e-12) and lam_max <= (1.0 / a**2) * (1 + 1e-12)):
-        raise StructureError("norm-bound chain 1/b^2 <= |F| <= 1/a^2 violated",
-                             check="norm_bound_chain")
     return a, b
-
-
-def _cluster_spectral_frames(op: TransferOperator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per eigenvalue cluster of F, the eigenvector columns V_c and the
-    matching rows of inv(V) = V^H @ H1 (V is h1-orthonormal)."""
-    v = op.eigenvectors
-    v_inv = v.conj().T @ op.h1.h
-    frames = []
-    start = 0
-    for _, mult in cluster_eigenvalues(op.eigenvalues, op.tol.cluster_gap):
-        frames.append((v[:, start:start + mult], v_inv[start:start + mult]))
-        start += mult
-    return frames
 
 
 def _check_commutes(elements: np.ndarray, against, allowance: float,
                     what: str) -> None:
     """Raise unless every element commutes with every matrix in ``against``:
-    the residual |[a, x]| must stay within ``allowance * max(1, |a|) * |x|``."""
-    elem_norms = np.abs(elements).sum(axis=2).max(axis=1)
+    the residual |[a, x]| must stay within ``allowance * |a| * |x|``."""
+    elem_norms = op_norms(elements)
     for a in against:
         comm = a @ elements - elements @ a
-        resid = np.abs(comm).sum(axis=2).max(axis=1) / (scale_of(a) * elem_norms)
+        resid = op_norms(comm) / (op_norm(a) * elem_norms)
         worst = float(resid.max())
         if worst > allowance:
             raise StructureError(
@@ -233,7 +219,7 @@ def bicommutant_basis(op: TransferOperator) -> np.ndarray:
     clusters of F.  Every element is verified to commute with F and with
     every element of the operator's commutant basis.
     """
-    projectors = np.array([vc @ vc_inv for vc, vc_inv in _cluster_spectral_frames(op)])
+    projectors = np.array([vc @ vc_inv for vc, vc_inv in op.cluster_frames])
     basis = orthonormal_span(projectors, op.tol.rel)
     _check_commutes(basis, [op.matrix], op.tol.rel, "bicommutant")
     _check_commutes(op.commutant_basis, basis, op.tol.rel, "bicommutant")
@@ -261,8 +247,8 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     """Sample of the bi-unitary family exp(i * f(F) * t) for a real
     polynomial f (coefficients in ascending order).
 
-    Computed spectrally from the eigendecomposition of the transfer
-    operator; the result is verified to preserve both Hermitian forms.
+    Computed spectrally from the operator's cluster frames; the result is
+    verified to preserve both Hermitian forms.
     """
     coeffs = np.asarray(poly_coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0:
@@ -270,12 +256,11 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     t = float(t)
     vals = np.polynomial.polynomial.polyval(op.eigenvalues, coeffs)
     phases = np.exp(1j * vals * t)
-    v = op.eigenvectors
-    v_inv = v.conj().T @ op.h1.h  # inverse, since v is h1-orthonormal
-    u = (v * phases) @ v_inv
+    vs, v_invs = zip(*op.cluster_frames)
+    u = (np.hstack(vs) * phases) @ np.vstack(v_invs)
     for name, h in (("first", op.h1.h), ("second", op.h2.h)):
         resid = op_norm(u.conj().T @ h @ u - h)
-        if resid > op.tol.rel * scale_of(h):
+        if not resid <= op.tol.threshold(u, h, u):
             raise StructureError(
                 f"sample fails unitarity for the {name} form (residual {resid:.3e})",
                 check="biunitary_sample", residual=resid,
@@ -288,8 +273,8 @@ def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tup
     Hermitian forms on C^n.
 
     The first complex structure defines the multiplication by i; in the
-    decomposition's adapted g1-orthonormal frame the first form becomes the
-    identity.  The second form is assembled blockwise as g2 - i * omega2 on
+    decomposition's adapted frame, orthonormal in t1's g1-orthonormal
+    frame, the first form becomes the identity.  The second form is assembled blockwise as g2 - i * omega2 on
     blocks where the complex structures agree and as the conjugate
     g2 + i * omega2 where they are opposite (conjugation restores
     sesquilinearity there without changing the bi-unitary group).  Returns
@@ -304,6 +289,6 @@ def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tup
         wm = cols.T @ w @ cols
         return gm - 1j * sign_rows * wm
 
-    h1 = HermitianForm(form_matrix(p.t1.g.m, p.t1.omega.m), d.tol)
-    h2 = HermitianForm(form_matrix(p.t2.g.m, p.t2.omega.m), d.tol)
+    h1 = HermitianForm(form_matrix(np.eye(p.dim), p.t1.j_w), d.tol)
+    h2 = HermitianForm(form_matrix(p.metric_operator_w, p.omega2_w), d.tol)
     return h1, h2, signs

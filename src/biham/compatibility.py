@@ -15,8 +15,9 @@ Compatibility forces [J1, J2] = 0 and makes the derived operators
 a commuting family together with the two complex structures: G and T are
 self-adjoint and the J's skew-adjoint for both metrics, G = -J1 @ T @ J2,
 [G, T] = 0, the spectrum of G is positive, and T^2 = G^2.  Those relations
-are verified numerically and stored as certificates on the pair, which
-also keeps the eigendecomposition of G for every later stage.
+are verified in t1's g1-orthonormal frame, where G and T are symmetric,
+and stored as certificates on the pair, which also keeps the pair in that
+frame and the eigendecomposition of G for every later stage.
 
 A compatible pair also spans the *pencil*  g_c = g1 + c * g2,
 omega_c = omega1 + c * omega2, whose members are admissible block by block
@@ -38,19 +39,9 @@ from .linalg import (
     commutator,
     eig_self_adjoint,
     frozen,
-    metric_adjoint,
     op_norm,
-    scale_of,
 )
-from .structures import (
-    AdmissibleTriple,
-    Violation,
-    ViolationReport,
-    lie_bracket,
-    metric_hamiltonian,
-    phase_generator,
-    poisson_bracket,
-)
+from .structures import AdmissibleTriple, Violation, ViolationReport
 
 if TYPE_CHECKING:
     from .decomposition import BlockDecomposition
@@ -70,17 +61,27 @@ __all__ = [
 class CompatiblePair:
     """Two admissible triples that passed every compatibility check, plus the
     derived metric operator G = inv(g1) @ g2 and recursion operator
-    T = inv(omega1) @ omega2, G's eigenvalues (ascending) with a
-    g1-orthonormal eigenbasis, and the residuals of all verified relations."""
+    T = inv(omega1) @ omega2, G's eigenvalues (ascending) and the residuals
+    of all verified relations.
+
+    The fields ending in ``_w`` hold the pair in t1's g1-orthonormal frame
+    ``W = t1.g.frame``, where g1 = I and omega1 = ``t1.j_w``: G (there also
+    g2) and T are symmetric, J2 is orthogonal and skew, and
+    ``metric_eigenbasis_w`` holds orthonormal eigenvectors of G.
+    """
 
     t1: AdmissibleTriple
     t2: AdmissibleTriple
     metric_operator: np.ndarray
     recursion_operator: np.ndarray
     metric_eigenvalues: np.ndarray
-    metric_eigenbasis: np.ndarray
     certificates: dict[str, float]
     tol: Tolerance
+    metric_operator_w: np.ndarray
+    recursion_operator_w: np.ndarray
+    omega2_w: np.ndarray
+    j2_w: np.ndarray
+    metric_eigenbasis_w: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -99,71 +100,78 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
                      tol: Tolerance = DEFAULT_TOL):
     """Decide compatibility of two admissible triples.
 
-    Checks the four matrix conditions, then builds G and T and verifies the
-    whole commuting-family relation suite (including the vanishing of the
+    Works in t1's g1-orthonormal frame, where g1 = I and omega1 = J1: checks
+    the four matrix conditions, then builds G and T and verifies the whole
+    commuting-family relation suite (including the vanishing of the
     phase-generator bracket and of both mutual Poisson brackets of the two
     quadratic energies).  Returns a :class:`CompatiblePair` carrying every
     residual, or a :class:`ViolationReport` naming each failed condition.
     """
     if t1.dim != t2.dim:
         raise ValueError(f"dimension mismatch: {t1.dim} vs {t2.dim}")
-    g1, w1, j1 = t1.g.m, t1.omega.m, t1.j.m
-    g2, w2, j2 = t2.g.m, t2.omega.m, t2.j.m
+    frame, frame_inv = t1.g.frame, t1.g.frame_inv
+    j1 = t1.j_w
+    # g2 and omega2 in t1's frame, where g2 is also G = W^-1 inv(g1) g2 W;
+    # triples whose scales differ beyond the floating-point range overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2_in = frame.T @ t2.g.m @ frame
+        w2 = frame.T @ t2.omega.m @ frame
+    if not (np.isfinite(g2_in).all() and np.isfinite(w2).all()):
+        return ViolationReport("compatibility", (Violation("G_finite", math.inf),))
+    g2 = 0.5 * (g2_in + g2_in.T)
+    evals, vecs = eig_self_adjoint(g2, tol)
+    if not evals[0] > tol.rel * evals[-1]:
+        return ViolationReport("compatibility",
+                               (Violation("G_positive_spectrum", float(evals[0])),))
+    j2 = np.linalg.solve(g2, w2)
 
     certificates: dict[str, float] = {}
     violations: list[Violation] = []
 
     def record(name: str, resid: float, threshold: float) -> None:
         certificates[name] = float(resid)
-        if resid > threshold:
+        if not resid <= threshold:
             violations.append(Violation(name, float(resid)))
 
-    record("g2_J1_skew", _skew_resid(g2 @ j1), tol.rel * scale_of(g2 @ j1))
-    record("omega2_J1_symmetric", _sym_resid(w2 @ j1), tol.rel * scale_of(w2 @ j1))
-    record("g1_J2_skew", _skew_resid(g1 @ j2), tol.rel * scale_of(g1 @ j2))
-    record("omega1_J2_symmetric", _sym_resid(w1 @ j2), tol.rel * scale_of(w1 @ j2))
+    # a residual that overflows fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        record("g2_J1_skew", _skew_resid(g2 @ j1), tol.threshold(g2, j1))
+        record("omega2_J1_symmetric", _sym_resid(w2 @ j1), tol.threshold(w2, j1))
+        record("g1_J2_skew", _skew_resid(j2), tol.threshold(j2))
+        record("omega1_J2_symmetric", _sym_resid(j1 @ j2), tol.threshold(j1, j2))
+        jj_comm = op_norm(commutator(j1, j2))
+        record("J1_J2_commutator", jj_comm, tol.threshold(j1, j2))
+        if violations:
+            return ViolationReport("compatibility", tuple(violations))
 
-    jj_scale = tol.rel * max(1.0, op_norm(j1) * op_norm(j2))
-    record("J1_J2_commutator", op_norm(commutator(j1, j2)), jj_scale)
-    if violations:
-        return ViolationReport("compatibility", tuple(violations))
+        # the phase generators are the fields J1 and J2: their bracket is
+        # -[J1, J2]; the Poisson bracket of the energies of g1 = I and G
+        # for a form w is sym(-G @ inv(w)) = [inv(w), G] / 2
+        record("phase_generator_commutator", jj_comm, tol.threshold(j1, j2))
+        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2)):
+            w_inv = np.linalg.inv(w)
+            record(name, 0.5 * op_norm(commutator(w_inv, g2)), tol.threshold(w_inv, g2))
 
-    gamma_bracket = lie_bracket(phase_generator(t1, tol), phase_generator(t2, tol))
-    record("phase_generator_commutator", op_norm(gamma_bracket.matrix), jj_scale)
-
-    e1, e2 = metric_hamiltonian(t1.g), metric_hamiltonian(t2.g)
-    energy_scale = tol.rel * max(1.0, op_norm(g1) * op_norm(g2))
-    record("poisson_bracket_omega1", op_norm(poisson_bracket(e1, e2, t1.omega, tol).matrix),
-           energy_scale)
-    record("poisson_bracket_omega2", op_norm(poisson_bracket(e1, e2, t2.omega, tol).matrix),
-           energy_scale)
-
-    big_g = np.linalg.solve(g1, g2)
-    big_t = np.linalg.solve(w1, w2)
-    gt_scale = max(1.0, op_norm(big_g) * op_norm(big_t))
-    record("G_T_commutator", op_norm(commutator(big_g, big_t)), tol.rel * gt_scale)
-    record("G_plus_J1_T_J2", op_norm(big_g + j1 @ big_t @ j2),
-           tol.rel * max(1.0, op_norm(big_g)))
-    for name, op in (("G", big_g), ("T", big_t)):
-        for metric_name, gm in (("g1", g1), ("g2", g2)):
-            prod = gm @ op
-            record(f"{name}_selfadjoint_{metric_name}", _sym_resid(prod),
-                   tol.rel * scale_of(prod))
-    record("metric_transfer", op_norm(g1 @ big_g - g2), tol.rel * scale_of(g2))
-    gsq = big_g @ big_g
-    record("T_sq_minus_G_sq", op_norm(big_t @ big_t - gsq), tol.rel * scale_of(gsq))
-
-    if violations:
-        return ViolationReport("compatibility", tuple(violations))
-
-    evals, basis = eig_self_adjoint(big_g, g1, tol)
+        big_t = np.linalg.solve(j1, w2)
+        record("G_T_commutator", op_norm(commutator(g2, big_t)), tol.threshold(g2, big_t))
+        record("G_plus_J1_T_J2", op_norm(g2 + j1 @ big_t @ j2),
+               tol.threshold(j1, big_t, j2))
+        for name, op in (("G", g2_in), ("T", big_t)):
+            record(f"{name}_selfadjoint_g1", _sym_resid(op), tol.threshold(op))
+            record(f"{name}_selfadjoint_g2", _sym_resid(g2 @ op), tol.threshold(g2, op))
+        # the reported G in the original coordinates must carry g1 into g2
+        big_g = frame @ g2 @ frame_inv
+        record("metric_transfer", op_norm(t1.g.m @ big_g - t2.g.m),
+               tol.threshold(t1.g.m, big_g))
+        record("T_sq_minus_G_sq", op_norm(big_t @ big_t - g2 @ g2),
+               tol.threshold(big_t, big_t))
     certificates["G_min_eigenvalue"] = float(evals[0])
-    if evals[0] <= tol.rel * max(1.0, float(evals[-1])):
-        violations.append(Violation("G_positive_spectrum", float(evals[0])))
+    if violations:
         return ViolationReport("compatibility", tuple(violations))
 
-    return CompatiblePair(t1, t2, frozen(big_g), frozen(big_t), frozen(evals),
-                          frozen(basis), certificates, tol)
+    return CompatiblePair(t1, t2, frozen(big_g), frozen(frame @ big_t @ frame_inv),
+                          frozen(evals), certificates, tol, frozen(g2), frozen(big_t),
+                          frozen(w2), frozen(j2), frozen(vecs))
 
 
 def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
@@ -172,27 +180,28 @@ def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
     Pure report: commutation of G and T with both complex structures and
     with each other, the identity G = -J1 @ T @ J2, self-adjointness of G
     and T and skew-adjointness of both J's with respect to both metrics, and
-    the transfer identity g1(G x, y) = g2(x, y).  The residuals that
+    the transfer identity g1(G x, y) = g2(x, y).  Measured in t1's
+    g1-orthonormal frame, where the g1-adjoint is the transpose and the
+    g2-adjoint of a is ``inv(G) @ a.T @ G``.  The residuals that
     :func:`check_compatible` already measured are read from the pair's
     certificates.
     """
-    g1, j1 = p.t1.g.m, p.t1.j.m
-    g2, j2 = p.t2.g.m, p.t2.j.m
-    big_g, big_t = p.metric_operator, p.recursion_operator
-    tol = p.tol
+    j1, j2 = p.t1.j_w, p.j2_w
+    big_g, big_t = p.metric_operator_w, p.recursion_operator_w
+
+    def g2_adjoint(a: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(big_g, a.T @ big_g)
 
     out: dict[str, float] = {}
     for name, op in (("G", big_g), ("T", big_t)):
         out[f"{name}_J1_commutator"] = op_norm(commutator(op, j1))
         out[f"{name}_J2_commutator"] = op_norm(commutator(op, j2))
-    for name in ("G_T_commutator", "G_plus_J1_T_J2"):
+        out[f"{name}_adjoint_g1"] = op_norm(op.T - op)
+        out[f"{name}_adjoint_g2"] = op_norm(g2_adjoint(op) - op)
+    out["J1_adjoint_g2_plus_J1"] = op_norm(g2_adjoint(j1) + j1)
+    out["J2_adjoint_g1_plus_J2"] = op_norm(j2.T + j2)
+    for name in ("G_T_commutator", "G_plus_J1_T_J2", "metric_transfer"):
         out[name] = p.certificates[name]
-    for name, op in (("G", big_g), ("T", big_t)):
-        out[f"{name}_adjoint_g1"] = op_norm(metric_adjoint(op, g1, tol) - op)
-        out[f"{name}_adjoint_g2"] = op_norm(metric_adjoint(op, g2, tol) - op)
-    out["J1_adjoint_g2_plus_J1"] = op_norm(metric_adjoint(j1, g2, tol) + j1)
-    out["J2_adjoint_g1_plus_J2"] = op_norm(metric_adjoint(j2, g1, tol) + j2)
-    out["metric_transfer"] = p.certificates["metric_transfer"]
     return out
 
 
@@ -241,32 +250,32 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    g_c = p.t1.g.m + gamma * p.t2.g.m
-    w_c = p.t1.omega.m + gamma * p.t2.omega.m
-    wmin = float(np.linalg.eigvalsh(0.5 * (g_c + g_c.T))[0])
-    if wmin <= tol.rel * scale_of(g_c):
+    # in t1's frame g_c is I + gamma * G, with eigenvalues 1 + gamma * lambda
+    scales = 1.0 + gamma * p.metric_eigenvalues
+    if not scales.min() > tol.rel * scales.max():
         raise StructureError(
             f"pencil metric is not positive-definite at gamma={gamma} "
-            f"(min eigenvalue {wmin:.3e})",
-            check="pencil_metric_positive", residual=wmin,
+            f"(min eigenvalue {scales.min():.3e} relative to g1)",
+            check="pencil_metric_positive", residual=float(scales.min()),
         )
-    j_c = np.linalg.solve(g_c, w_c)
-    dim = p.dim
-    global_resid = op_norm(j_c @ j_c + np.eye(dim))
-    admissible = global_resid <= tol.rel * dim
+    g_w = np.eye(p.dim) + gamma * p.metric_operator_w
+    w_w = p.t1.j_w + gamma * p.omega2_w
+    j_w = np.linalg.solve(g_w, w_w)
+    admissible = op_norm(j_w @ j_w + np.eye(p.dim)) <= tol.threshold(j_w, j_w)
 
     verdicts = []
     for block in d.blocks:
-        b = block.basis
-        gb = b.T @ g_c @ b
-        wb = b.T @ w_c @ b
-        jb = np.linalg.solve(gb, wb)
+        b = block.basis_w
+        jb = np.linalg.solve(b.T @ g_w @ b, b.T @ w_w @ b)
         jb2 = jb @ jb
         coeff = float(np.trace(jb2) / block.dim)
         resid = op_norm(jb2 - coeff * np.eye(block.dim))
-        block_adm = op_norm(jb2 + np.eye(block.dim)) <= tol.rel * block.dim
+        block_adm = op_norm(jb2 + np.eye(block.dim)) <= tol.threshold(jb, jb)
         verdicts.append(PencilBlockVerdict(block.eigenvalue, block.sign, block.dim,
                                            coeff, resid, block_adm))
+    g_c = p.t1.g.m + gamma * p.t2.g.m
+    w_c = p.t1.omega.m + gamma * p.t2.omega.m
+    j_c = p.t1.g.frame @ j_w @ p.t1.g.frame_inv
     return PencilMember(gamma, frozen(g_c), frozen(w_c), frozen(j_c),
                         admissible, tuple(verdicts))
 

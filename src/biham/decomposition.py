@@ -34,7 +34,7 @@ from .linalg import (
     cluster_eigenvalues,
     frozen,
     op_norm,
-    scale_of,
+    same_cluster,
 )
 from .structures import ViolationReport, check_admissible
 
@@ -61,13 +61,15 @@ class DecompositionError(NumericalCheckError):
 class Block:
     """One joint eigenspace: G = eigenvalue, T = sign * eigenvalue on it.
 
-    ``basis`` holds g1-orthonormal columns spanning the block.
+    ``basis`` holds g1-orthonormal columns spanning the block, and
+    ``basis_w`` the same columns in t1's g1-orthonormal frame W.
     """
 
     eigenvalue: float
     sign: int
     dim: int
     basis: np.ndarray
+    basis_w: np.ndarray
 
     def __repr__(self) -> str:
         return (f"Block(eigenvalue={self.eigenvalue:.6g}, sign={self.sign:+d}, "
@@ -85,37 +87,25 @@ class BlockDecomposition:
 
     @cached_property
     def adapted_frame(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Complex basis vectors (columns) adapted to the decomposition.
+        """Complex basis vectors (columns) adapted to the decomposition, in
+        t1's g1-orthonormal frame, and the block sign carried by each.
 
-        Within each block, picks g1-orthonormal vectors c with partners
-        J1 @ c so that the real block basis is (c_1, J1 c_1, c_2, J1 c_2,
-        ...); the c's are the complex coordinate axes.  Returns the stacked
-        c columns and the block sign carried by each.  Built once per
-        decomposition, on first use.
+        Within each block, orthonormal c's whose partners J1 @ c complete
+        them to an orthonormal real basis; the c's are the complex
+        coordinate axes.  In the block's basis B, J1 is the skew orthogonal
+        K = B.T @ J1 @ B, and sqrt(2) times the real parts of the
+        eigenvectors of i K for its eigenvalue +1 are such c's.  Built once
+        per decomposition, on first use.
         """
-        g1, j1 = self.pair.t1.g.m, self.pair.t1.j.m
+        j1 = self.pair.t1.j_w
         cols: list[np.ndarray] = []
         signs: list[int] = []
         for block in self.blocks:
-            chosen: list[np.ndarray] = []
-            candidates = [block.basis[:, k] for k in range(block.dim)]
-            for _ in range(block.dim // 2):
-                best, best_norm = None, 0.0
-                for v in candidates:
-                    r = v.copy()
-                    for u in chosen:  # two Gram-Schmidt sweeps for stability
-                        r = r - float(u @ g1 @ r) * u
-                    for u in chosen:
-                        r = r - float(u @ g1 @ r) * u
-                    nrm = float(np.sqrt(r @ g1 @ r))
-                    if nrm > best_norm:
-                        best, best_norm = r, nrm
-                assert best is not None and best_norm > 0.0
-                c = best / best_norm
-                chosen.extend((c, j1 @ c))
-                cols.append(c)
-                signs.append(block.sign)
-        return frozen(np.column_stack(cols)), tuple(signs)
+            b, r = block.basis_w, block.dim // 2
+            _, u = np.linalg.eigh(1j * (b.T @ j1 @ b))
+            cols.append(np.sqrt(2.0) * (b @ u[:, r:].real))
+            signs.extend([block.sign] * r)
+        return frozen(np.hstack(cols)), tuple(signs)
 
 
 @dataclass(frozen=True)
@@ -155,36 +145,30 @@ class CanonicalBlockBasis:
 def decompose(p: CompatiblePair) -> BlockDecomposition:
     """Compute the bi-orthogonal block decomposition of a compatible pair.
 
-    The eigenvalues of G, in the pair's g1-orthonormal eigenbasis, are
-    clustered and T diagonalized inside each cluster; T must take the
-    values +-lambda there.  Per-block proportionality of the structures and
-    cross-block bi-orthogonality are verified before returning.
+    In t1's g1-orthonormal frame, the eigenvalues of the symmetric G are
+    clustered and the symmetric T diagonalized inside each cluster; T must
+    take the values +-lambda there.  Per-block proportionality of the
+    structures and cross-block bi-orthogonality are verified before
+    returning.
     """
     tol = p.tol
-    g1, w1 = p.t1.g.m, p.t1.omega.m
-    g2, w2 = p.t2.g.m, p.t2.omega.m
-    j1, j2 = p.t1.j.m, p.t2.j.m
-    big_t = p.recursion_operator
+    j1, j2 = p.t1.j_w, p.j2_w
+    g2, w2, big_t = p.metric_operator_w, p.omega2_w, p.recursion_operator_w
 
     blocks: list[Block] = []
     col = 0
     for lam, mult in cluster_eigenvalues(p.metric_eigenvalues, tol.cluster_gap):
-        sub = p.metric_eigenbasis[:, col:col + mult]
+        sub = p.metric_eigenbasis_w[:, col:col + mult]
         col += mult
-        # T preserves the eigenspace; express it there in g1-orthonormal coords
-        t_sub = sub.T @ g1 @ (big_t @ sub)
-        sym_resid = op_norm(t_sub - t_sub.T)
-        if sym_resid > tol.rel * scale_of(t_sub):
-            raise DecompositionError(
-                f"recursion operator is not symmetric on the eigenspace of "
-                f"{lam:.6g} (residual {sym_resid:.3e})"
-            )
+        # T preserves the eigenspace; express it there in orthonormal
+        # coords (the pair certified T symmetric, T_selfadjoint_g1)
+        t_sub = sub.T @ big_t @ sub
         mu, vecs = np.linalg.eigh(0.5 * (t_sub + t_sub.T))
         start = 0
         for mu_val, mu_mult in cluster_eigenvalues(mu, tol.cluster_gap):
             cols = sub @ vecs[:, start:start + mu_mult]
             start += mu_mult
-            if abs(abs(mu_val) - lam) > tol.cluster_gap * max(1.0, lam):
+            if not same_cluster(abs(mu_val), lam, tol.cluster_gap):
                 raise DecompositionError(
                     f"T eigenvalue {mu_val:.6g} is not +-{lam:.6g}; "
                     "the pair is not compatible or is too ill-conditioned"
@@ -194,8 +178,8 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
                     f"block for (lambda={lam:.6g}, mu={mu_val:.6g}) has odd "
                     f"dimension {mu_mult}"
                 )
-            blocks.append(Block(float(lam), 1 if mu_val > 0 else -1,
-                                mu_mult, frozen(cols)))
+            blocks.append(Block(float(lam), 1 if mu_val > 0 else -1, mu_mult,
+                                frozen(p.t1.g.frame @ cols), frozen(cols)))
 
     blocks.sort(key=lambda b: (b.eigenvalue, -b.sign))
 
@@ -203,27 +187,26 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
         raise DecompositionError("block dimensions do not add up to the space dimension")
 
     for b in blocks:
-        c = b.basis
+        c = b.basis_w
         lam, sign = b.eigenvalue, b.sign
         checks = (
-            ("g2 proportional to g1",
-             op_norm(c.T @ g2 @ c - lam * (c.T @ g1 @ c)), scale_of(g2)),
+            ("g2 proportional to g1", op_norm(c.T @ g2 @ c - lam * (c.T @ c)),
+             tol.threshold(g2)),
             ("omega2 proportional to omega1",
-             op_norm(c.T @ w2 @ c - sign * lam * (c.T @ w1 @ c)), scale_of(w2)),
-            ("J2 = sign * J1",
-             op_norm(j2 @ c - sign * (j1 @ c)), scale_of(j1)),
+             op_norm(c.T @ w2 @ c - sign * lam * (c.T @ j1 @ c)), tol.threshold(w2)),
+            ("J2 = sign * J1", op_norm(j2 @ c - sign * (j1 @ c)), tol.threshold(j1)),
         )
-        for what, resid, scl in checks:
-            if resid > tol.rel * scl:
+        for what, resid, thr in checks:
+            if not resid <= thr:
                 raise DecompositionError(
                     f"{what} fails on block (lambda={lam:.6g}, sign={sign:+d}) "
                     f"with residual {resid:.3e}"
                 )
     for i in range(len(blocks)):
         for k in range(i + 1, len(blocks)):
-            for name, gm in (("g1", g1), ("g2", g2)):
-                resid = op_norm(blocks[i].basis.T @ gm @ blocks[k].basis)
-                if resid > tol.rel * scale_of(gm):
+            for name, gm in (("g1", np.eye(p.dim)), ("g2", g2)):
+                resid = op_norm(blocks[i].basis_w.T @ gm @ blocks[k].basis_w)
+                if not resid <= tol.threshold(gm):
                     raise DecompositionError(
                         f"blocks {i} and {k} are not {name}-orthogonal "
                         f"(residual {resid:.3e})"
@@ -247,29 +230,29 @@ def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
     tol = p.tol
     if b.dim != 2:
         raise ValueError(f"canonical frame needs a 2-dimensional block, got dim {b.dim}")
-    g1, w1, j1, j2 = p.t1.g.m, p.t1.omega.m, p.t1.j.m, p.t2.j.m
-    g2 = p.t2.g.m
-    e1 = b.basis[:, 0]
-    e1 = e1 / np.sqrt(float(e1 @ g1 @ e1))
+    j1, j2 = p.t1.j_w, p.j2_w
+    e1 = b.basis_w[:, 0]
+    e1 = e1 / np.linalg.norm(e1)
     e2 = j1 @ e1
 
-    len1 = float(e1 @ g1 @ e1)
+    len1 = float(e1 @ e1)
     checks = (
-        ("frame is not g1-orthogonal", abs(float(e1 @ g1 @ e2))),
-        ("frame lengths are unequal", abs(float(e2 @ g1 @ e2) - len1)),
-        ("omega1(e1, e2) != -g1(e1, e1)", abs(float(e1 @ w1 @ e2) + len1)),
+        ("frame is not g1-orthogonal", abs(float(e1 @ e2))),
+        ("frame lengths are unequal", abs(float(e2 @ e2) - len1)),
+        ("omega1(e1, e2) != -g1(e1, e1)", abs(float(e1 @ j1 @ e2) + len1)),
         ("J2 e1 != sign * J1 e1", float(np.abs(j2 @ e1 - b.sign * e2).max())),
     )
     for what, resid in checks:
-        if resid > tol.rel * max(1.0, op_norm(j1)):
+        if not resid <= tol.threshold(j1):
             raise DecompositionError(f"{what} (residual {resid:.3e})")
-    ratio = float(e1 @ g2 @ e1) / len1
-    if abs(ratio - b.eigenvalue) > tol.cluster_gap * max(1.0, b.eigenvalue):
+    ratio = float(e1 @ p.metric_operator_w @ e1) / len1
+    if not same_cluster(ratio, b.eigenvalue, tol.cluster_gap):
         raise DecompositionError(
             f"measured metric ratio {ratio:.6g} disagrees with block "
             f"eigenvalue {b.eigenvalue:.6g}"
         )
-    return CanonicalBlockBasis(frozen(e1), frozen(e2), b.eigenvalue, ratio)
+    frame = p.t1.g.frame
+    return CanonicalBlockBasis(frozen(frame @ e1), frozen(frame @ e2), b.eigenvalue, ratio)
 
 
 def group_signature(d: BlockDecomposition) -> GroupSignature:
@@ -284,7 +267,7 @@ def group_signature(d: BlockDecomposition) -> GroupSignature:
     factors: list[list[float | int]] = []  # [eigenvalue, sign, dim]
     for b in d.blocks:
         for f in factors:
-            if f[1] == b.sign and abs(b.eigenvalue - f[0]) <= tol.cluster_gap * max(1.0, b.eigenvalue):
+            if f[1] == b.sign and same_cluster(b.eigenvalue, f[0], tol.cluster_gap):
                 f[2] += b.dim
                 break
         else:
@@ -347,7 +330,7 @@ def synthesize_pair(block_specs, seed: int,
     for s in (-1, 1):
         lams = sorted(lam for lam, sign, _ in specs if sign == s)
         for a, b in zip(lams, lams[1:]):
-            if b - a <= tol.cluster_gap * max(1.0, b):
+            if same_cluster(a, b, tol.cluster_gap):
                 raise ValueError(
                     f"block eigenvalues {a} and {b} with sign {s:+d} are not "
                     "distinguishable at the cluster tolerance"

@@ -26,22 +26,25 @@ independent exactly when T has n distinct eigenvalues (Vandermonde
 argument on the minimal polynomial), so its certified rank equals the
 number of distinct T eigenvalues, the (lambda, sign) classes of the blocks.
 
-The conservation probe flows a field over N sampled times along one of two
-paths.  A field that preserves g1 within ``tol.rel`` (every algebra element
-and every recursion field) is g1-skew: whitened by the Cholesky factor of
-g1 it is a real skew matrix, so one Hermitian eigensolve gives its flow at
-every time, O(m^3) per field plus batched O(N m^3) products (the
-eigenvector method for normal matrices; Moler & Van Loan, SIAM Rev. 2003).
-This is the flow of the field's g1-skew part, unitary at any norm.  Any
-other field, such as the dilation, takes one scaling-and-squaring matrix
-exponential per time (N expm calls), which raises
-:class:`FlowOverflowError` when it overflows.  Either way the drift of all
-four tensors is measured on every flow in the original coordinates.
+Every stage here computes in t1's g1-orthonormal frame, where the fields
+that preserve g1 are skew matrices, and maps back only the fields it
+reports.  The conservation probe flows a field over N sampled times along
+one of two paths.  A field that preserves g1 within ``tol.rel`` (every
+algebra element and every recursion field) is a real skew matrix in that
+frame, so one Hermitian eigensolve gives its flow at every time, O(m^3) per
+field plus batched O(N m^3) products (the eigenvector method for normal
+matrices; Moler & Van Loan, SIAM Rev. 2003).  This is the flow of the
+field's g1-skew part, unitary at any norm.  Any other field, such as the
+dilation, takes one scaling-and-squaring matrix exponential per time (N
+expm calls), which raises :class:`FlowOverflowError` when it overflows.
+Either way the drift of all four tensors is measured on every flow in the
+original coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -52,14 +55,13 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
     Tolerance,
-    cholesky_spd,
     commutator,
     frozen,
     numerical_rank,
     op_norm,
     orthonormal_span,
 )
-from .structures import LinearField, field_preserves
+from .structures import LinearField, preservation_residuals
 
 __all__ = [
     "BiPreservingAlgebra",
@@ -91,9 +93,29 @@ class BiPreservingAlgebra:
 @dataclass(frozen=True)
 class RecursionBasis:
     """The commuting family generated by the recursion operator:
-    fields with matrices T^k @ J1 for k = 0 .. n-1."""
+    fields with matrices T^k @ J1 for k = 0 .. n-1.
 
-    fields: tuple[LinearField, ...]
+    ``directions_w`` stacks them in t1's g1-orthonormal frame, each of unit
+    norm: the powers scale like lambda^k and leave the floating-point range
+    for extreme spectra, while every check of the family is scale-free.
+    """
+
+    pair: CompatiblePair
+    directions_w: np.ndarray
+
+    @cached_property
+    def fields(self) -> tuple[LinearField, ...]:
+        p = self.pair
+        mats = [p.t1.j_w]
+        for _ in range(p.dim // 2 - 1):
+            mats.append(p.recursion_operator_w @ mats[-1])
+        return tuple(LinearField(p.t1.g.frame @ m @ p.t1.g.frame_inv) for m in mats)
+
+    @property
+    def unit_fields(self) -> tuple[LinearField, ...]:
+        """The directions in the original coordinates, each of unit norm."""
+        raw = self.pair.t1.g.frame @ self.directions_w @ self.pair.t1.g.frame_inv
+        return tuple(LinearField(m / op_norm(m)) for m in raw)
 
 
 @dataclass(frozen=True)
@@ -134,19 +156,21 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     On a block of complex rank r the two structures are proportional, so
     the fields preserving both are those preserving the first triple there:
     u(r) in the block's complex coordinates, spanned by i E_aa, E_ab - E_ba
-    and i (E_ab + E_ba) for a < b.  A complex matrix Z = X + iY is
-    realified with J1 as the real field
+    and i (E_ab + E_ba) for a < b.  In t1's g1-orthonormal frame a complex
+    matrix Z = X + iY is realified with J1 as the real field
 
-        (C X + D Y) @ C.T @ g1 + (D X - C Y) @ D.T @ g1,    D = J1 @ C,
+        (C X + D Y) @ C.T + (D X - C Y) @ D.T,    D = J1 @ C,
 
-    where the columns C are the block's g1-orthonormal complex axes from
+    where the columns C are the block's orthonormal complex axes from
     :attr:`BlockDecomposition.adapted_frame`.  The generators of all blocks
-    are orthonormalized in the Frobenius inner product by one QR.  The
-    dimension is cross-checked against the group signature (sum of squared
-    ranks) and every basis element is re-verified to preserve both triples.
+    are mapped back to the original coordinates and orthonormalized there
+    in the Frobenius inner product by one QR.  The dimension is
+    cross-checked against the group signature (sum of squared ranks) and
+    every basis element is re-verified to preserve both triples.
     """
     p, tol = d.pair, d.tol
-    g1, j1 = p.t1.g.m, p.t1.j.m
+    j1 = p.t1.j_w
+    frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
     cols, _ = d.adapted_frame
     gens = []
     start = 0
@@ -155,47 +179,48 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
         c = cols[:, start:start + r]
         start += r
         dj = j1 @ c
-        cw, dw = c.T @ g1, dj.T @ g1
         # realified matrix units: unit[a, b] is the real field of E_ab
-        unit = np.einsum("ia,bj->abij", c, cw) + np.einsum("ia,bj->abij", dj, dw)
-        i_unit = np.einsum("ia,bj->abij", dj, cw) - np.einsum("ia,bj->abij", c, dw)
+        unit = np.einsum("ia,jb->abij", c, c) + np.einsum("ia,jb->abij", dj, dj)
+        i_unit = np.einsum("ia,jb->abij", dj, c) - np.einsum("ia,jb->abij", c, dj)
         diag, upper = np.diag_indices(r), np.triu_indices(r, 1)
         lower = upper[::-1]
         gens.extend((i_unit[diag], unit[upper] - unit[lower],
                      i_unit[upper] + i_unit[lower]))
-    mats = tuple(frozen(a) for a in orthonormal_span(np.concatenate(gens), tol.rel))
+    basis = orthonormal_span(frame @ np.concatenate(gens) @ frame_inv, tol.rel)
 
     expected = sum(r * r for r in group_signature(d).multiplicities)
-    if len(mats) != expected:
+    if len(basis) != expected:
         raise DecompositionError(
-            f"bi-preserving algebra has dimension {len(mats)}, expected "
+            f"bi-preserving algebra has dimension {len(basis)}, expected "
             f"{expected} from the group signature"
         )
-    for a in mats:
-        f = LinearField(a)
-        for t in (p.t1, p.t2):
-            report = field_preserves(f, t, tol)
-            if not report:
-                raise DecompositionError(
-                    "algebra element fails preservation (residuals "
-                    f"{report.metric_residual:.3e}, {report.symplectic_residual:.3e})"
-                )
-    return BiPreservingAlgebra(mats, len(mats))
+    worst = _max_preservation_residual(frame_inv @ basis @ frame, p)
+    if not worst <= tol.rel:
+        raise DecompositionError(
+            f"algebra element fails preservation (residual {worst:.3e})")
+    return BiPreservingAlgebra(tuple(frozen(a) for a in basis), len(basis))
+
+
+def _max_preservation_residual(mats_w: np.ndarray, p: CompatiblePair) -> float:
+    """Worst relative residual of the four invariance conditions over a
+    stack of fields given in t1's g1-orthonormal frame."""
+    residuals = (preservation_residuals(mats_w, np.eye(p.dim), p.t1.j_w)
+                 + preservation_residuals(mats_w, p.metric_operator_w, p.omega2_w))
+    return float(max(r.max() for r in residuals))
 
 
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
     """The candidate commuting family T^k @ J1, k = 0 .. n-1.
 
-    Built unconditionally; :func:`certify_recursion` decides whether it is
-    an actual basis (full rank requires genericity).
+    Built unconditionally, as unit-norm directions in t1's g1-orthonormal
+    frame; :func:`certify_recursion` decides whether it is an actual basis
+    (full rank requires genericity).
     """
-    n = p.dim // 2
-    mats = []
-    cur = p.t1.j.m
-    for _ in range(n):
-        mats.append(LinearField(cur))
-        cur = p.recursion_operator @ cur
-    return RecursionBasis(tuple(mats))
+    dirs = [p.t1.j_w / op_norm(p.t1.j_w)]
+    for _ in range(p.dim // 2 - 1):
+        nxt = p.recursion_operator_w @ dirs[-1]
+        dirs.append(nxt / op_norm(nxt))
+    return RecursionBasis(p, frozen(np.array(dirs)))
 
 
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
@@ -203,37 +228,33 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     all four tensors, pairwise commutation, numerical rank with
     singular-value gap, the Vandermonde consistency between rank and the
     number of (lambda, sign) classes of the blocks, and the matrix
-    Nijenhuis identity [T A, T] = T [A, T] for A = J1."""
+    Nijenhuis identity [T A, T] = T [A, T] for A = J1.  Every check reads
+    the family in t1's g1-orthonormal frame."""
     p, tol = d.pair, d.tol
-    mats = [f.matrix for f in rb.fields]
+    mats = rb.directions_w
     n = p.dim // 2
 
-    max_pres = 0.0
-    for f in rb.fields:
-        for t in (p.t1, p.t2):
-            rep = field_preserves(f, t, tol)
-            max_pres = max(max_pres, rep.metric_residual, rep.symplectic_residual)
+    max_pres = _max_preservation_residual(mats, p)
     preserves_all = max_pres <= tol.rel
 
+    # the directions have unit norm, so each commutator is relative
     max_comm = 0.0
     for i in range(len(mats)):
         for k in range(i + 1, len(mats)):
-            scl = max(1.0, op_norm(mats[i]) * op_norm(mats[k]))
-            max_comm = max(max_comm, op_norm(commutator(mats[i], mats[k])) / scl)
+            max_comm = max(max_comm, op_norm(commutator(mats[i], mats[k])))
     commute = max_comm <= tol.rel
 
-    # rank of the set of directions: normalize rows first, since the raw
-    # powers of T scale like lambda^k and would swamp the threshold
-    stacked = np.stack([m.ravel() / np.linalg.norm(m.ravel()) for m in mats])
+    # rank of the set of directions, each of unit Frobenius norm
+    rows = mats.reshape(len(mats), -1)
+    stacked = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     rank, s, rank_gap = numerical_rank(stacked, tol.rel)
 
     distinct = len(group_signature(d).multiplicities)
     vandermonde_consistent = rank == min(distinct, n)
 
-    big_t = p.recursion_operator
-    a = p.t1.j.m
+    big_t, a = p.recursion_operator_w, p.t1.j_w
     nij = op_norm(commutator(big_t @ a, big_t) - big_t @ commutator(a, big_t))
-    nij_ok = nij <= 1e-12 * max(1.0, op_norm(big_t) ** 2 * op_norm(a))
+    nij_ok = nij <= tol.threshold(big_t, big_t, a)
 
     return RecursionCertificate(
         preserves_all=preserves_all,
@@ -269,7 +290,7 @@ def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
         return np.eye(m)
     a2 = a @ a
     c2 = -float(np.trace(a2)) / m
-    if c2 > 0.0 and op_norm(a2 + c2 * np.eye(m)) <= tol.rel * max(1.0, op_norm(a2)):
+    if c2 > 0.0 and op_norm(a2 + c2 * np.eye(m)) <= tol.threshold(a, a):
         c = np.sqrt(c2)
         out = np.cos(c * t) * np.eye(m) + (np.sin(c * t) / c) * a
     else:
@@ -285,24 +306,24 @@ def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
 def _probe_flows(field: LinearField, p: CompatiblePair, times: tuple[float, ...]) -> np.ndarray:
     """Flows of the field at every sampled time, stacked as (len(times), m, m).
 
-    A field that preserves g1 within ``tol.rel`` takes the spectral path:
-    whitened by g1 = L L^T it is the real skew matrix S = L^T A L^-T, and
-    with (mu, U) = eigh(i K) for the skew part K of S,
+    A field that preserves g1 within the threshold rule takes the spectral
+    path: in the g1-orthonormal frame W it is the real skew matrix
+    S = inv(W) A W, and with (mu, U) = eigh(i K) for the skew part K of S,
 
-        exp(t A) = L^-T Re(U diag(exp(-i mu t)) U^H) L^T
+        exp(t A) = W Re(U diag(exp(-i mu t)) U^H) inv(W)
 
     for all times at once, the flow of A's g1-skew part.  Any other field
     takes :func:`flow`, one matrix exponential per time.
     """
     tol = p.tol
     a = field.matrix
-    if field_preserves(field, p.t1, tol).metric_residual > tol.rel:
+    frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+    s = frame_inv @ a @ frame
+    if not op_norm(s + s.T) <= tol.threshold(s):
         return np.array([flow(field, t, tol) for t in times]).reshape(-1, *a.shape)
-    chol = cholesky_spd(p.t1.g.m, tol)
-    s = chol.T @ scipy.linalg.solve_triangular(chol, a.T, lower=True).T
     mu, u = np.linalg.eigh(1j * (0.5 * (s - s.T)))
-    left = scipy.linalg.solve_triangular(chol.T, u, lower=False)  # L^-T U
-    right = u.conj().T @ chol.T  # U^H L^T
+    left = frame @ u
+    right = u.conj().T @ frame_inv
     phase = np.exp(-1j * np.multiply.outer(times, mu))
     return ((left * phase[:, None, :]) @ right).real
 

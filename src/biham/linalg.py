@@ -5,17 +5,21 @@ Conventions used throughout the package:
 * matrices are square ``numpy`` arrays (``float64``, or ``complex128`` on the
   complexified side), validated on entry and treated as immutable afterwards;
 * a bilinear form with Gram matrix ``m`` takes the value ``x @ m @ y``;
-* operator norms are estimated by the maximum absolute row sum (the induced
-  infinity norm), and tolerance checks compare residuals against
-  ``rel * max(1, norm)`` so that they are invariant under rescaling.
+* every metric is factored once, when it is validated, into a frame ``W``
+  with ``W.T @ g @ W = I`` (:func:`whitening`); later stages work with the
+  tensors in the g1-orthonormal frame, where J1 is orthogonal and skew and
+  the metric and recursion operators are symmetric, and map back only the
+  matrices they report;
+* operator norms are the maximum absolute row sum (the induced infinity
+  norm), and every check follows the threshold rule of :class:`Tolerance`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalCheckError(ValueError):
@@ -42,21 +46,43 @@ class RankAmbiguityError(NumericalCheckError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative tolerances: ``rel`` for residual checks, ``cluster_gap``
-    for deciding when two eigenvalues count as equal."""
+    """Relative tolerances, finite and in (0, 1): ``rel`` for residual
+    checks, ``cluster_gap`` for deciding when two eigenvalues are equal.
+
+    The threshold rule, the one every check in the package follows:
+
+    * a residual passes when it is at most ``rel`` times the product of the
+      norms of the matrices in the expression (:meth:`threshold`), e.g.
+      ``rel * |A| * |B|`` for ``A @ B - B @ A``, taken in a g1-orthonormal
+      frame wherever the stage has one (an orthonormal basis counts as norm
+      1).  The ratio is a normwise backward error (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., ch. 1): rescaling a
+      tensor scales residual and threshold alike, and whitened tensors
+      carry no condition number of g1;
+    * a matrix is positive-definite (nondegenerate) when its smallest
+      eigenvalue (singular value) exceeds ``rel`` times its largest;
+    * two eigenvalues are equal when they differ by at most ``cluster_gap``
+      times the larger magnitude (:func:`same_cluster`).
+    """
 
     rel: float = 1e-9
     cluster_gap: float = 1e-7
 
     def __post_init__(self):
-        if not self.rel > 0:
-            raise ValueError(f"rel must be positive, got {self.rel}")
-        if not self.cluster_gap > 0:
-            raise ValueError(f"cluster_gap must be positive, got {self.cluster_gap}")
+        for name in ("rel", "cluster_gap"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be finite and in (0, 1), got {value}")
         if self.cluster_gap < self.rel:
             raise ValueError(
                 f"cluster_gap ({self.cluster_gap}) must be at least rel ({self.rel})"
             )
+
+    def threshold(self, *factors) -> float:
+        """``rel`` times the product of the norms of ``factors``; NaN, which
+        no residual passes, when that product overflows."""
+        bound = self.rel * math.prod(op_norm(f) for f in factors)
+        return bound if math.isfinite(bound) else math.nan
 
 
 DEFAULT_TOL = Tolerance()
@@ -88,12 +114,12 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 def op_norm(a: np.ndarray) -> float:
     """Induced infinity norm (maximum absolute row sum)."""
-    return float(np.abs(a).sum(axis=1).max())
+    return float(op_norms(a))
 
 
-def scale_of(a: np.ndarray) -> float:
-    """Scale used for relative tolerance checks: ``max(1, op_norm(a))``."""
-    return max(1.0, op_norm(a))
+def op_norms(a: np.ndarray) -> np.ndarray:
+    """:func:`op_norm` of each matrix in a stack of shape (..., m, m)."""
+    return np.abs(a).sum(axis=-1).max(axis=-1)
 
 
 def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
@@ -101,14 +127,15 @@ def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
     """Symmetric part ``0.5 * (m + mᴴ)`` of ``m``, or with ``anti`` its
     antisymmetric part ``0.5 * (m - mᴴ)``.
 
-    The other part is rounding noise when ``op_norm(m ∓ mᴴ) <= tol.rel *
-    scale_of(m)``; beyond that :class:`StructureError` names ``check``.
+    The other part is rounding noise when ``op_norm(m ∓ mᴴ) <=
+    tol.threshold(m)``; beyond that :class:`StructureError` names ``check``.
     ``mᴴ`` is the conjugate transpose, so complex input is checked for
     conjugate symmetry.
     """
+    m = np.asarray(m)
     mh = m.conj().T
     resid = op_norm(m + mh if anti else m - mh)
-    if resid > tol.rel * scale_of(m):
+    if not resid <= tol.threshold(m):
         kind = "antisymmetric" if anti else (
             "conjugate-symmetric" if np.iscomplexobj(m) else "symmetric")
         raise StructureError(
@@ -118,48 +145,34 @@ def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
     return 0.5 * (m - mh if anti else m + mh)
 
 
-def cholesky_spd(g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    Symmetrizes inputs whose asymmetry is below tolerance, rejects the rest.
+def whitening(sym: np.ndarray, tol: Tolerance, name: str,
+              check: str) -> tuple[np.ndarray, np.ndarray]:
+    """Frame ``W = V diag(w^-1/2)`` with ``Wᴴ @ sym @ W = I``, and
+    ``inv(W) = diag(w^1/2) Vᴴ``, from one eigendecomposition ``sym = V
+    diag(w) Vᴴ`` of a (conjugate-)symmetric matrix.  Raises
+    :class:`StructureError` naming ``check`` unless ``sym`` is
+    positive-definite by the threshold rule.
     """
-    sym = symmetric_part(g, tol)
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(sym)
+    w, v = np.linalg.eigh(sym)
+    if not w[0] > tol.rel * w[-1]:
         raise StructureError(
-            f"matrix is not positive-definite (min eigenvalue {w[0]:.3e})",
-            check="positive_definite", residual=float(w[0]),
-        ) from None
-
-
-def metric_adjoint(a, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Adjoint of ``a`` with respect to the inner product with SPD Gram
-    matrix ``g``.
-
-    The adjoint ``b`` is characterised by ``g(b x, y) = g(x, a y)`` for all
-    vectors; in matrix form it is ``inv(g) @ a.T @ g``.  For the Euclidean
-    metric this reduces to the plain transpose, and symmetric matrices need
-    not be self-adjoint when ``g`` is not a multiple of the identity.
-    """
-    a = as_matrix(a, "a")
-    g = as_matrix(g, "g", dim=a.shape[0])
-    chol = cholesky_spd(g, tol)
-    return scipy.linalg.cho_solve((chol, True), a.T @ g)
+            f"{name} is not positive-definite (min eigenvalue {w[0]:.3e})",
+            check=check, residual=float(w[0]),
+        )
+    root = np.sqrt(w)
+    return frozen(v / root), frozen(root[:, None] * v.conj().T)
 
 
 def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric nonnegative square root of a symmetric PSD matrix.
 
-    Eigenvalues in ``[-rel * norm, 0)`` are treated as rounding noise and
-    clipped to zero; anything more negative is an error.
+    Eigenvalues in ``[-tol.threshold(m), 0)`` are treated as rounding noise
+    and clipped to zero; anything more negative is an error.
     """
     m = as_matrix(m, "m")
-    nrm = op_norm(m)
     sym = symmetric_part(m, tol)
     w, v = np.linalg.eigh(sym)
-    if w[0] < -tol.rel * max(1.0, nrm):
+    if not w[0] >= -tol.threshold(m):
         raise StructureError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance",
             check="positive_semidefinite", residual=float(w[0]),
@@ -168,48 +181,35 @@ def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def eig_self_adjoint(a, g, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of an operator ``a`` that is self-adjoint with
-    respect to the SPD metric ``g``.
+def eig_self_adjoint(a_w, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors U of an operator
+    self-adjoint for a metric g, given in a g-orthonormal frame W as the
+    symmetric ``a_w = inv(W) @ a @ W``; ``W @ U`` is a g-orthonormal
+    eigenbasis of ``a``.  Raises :class:`StructureError` (check
+    ``self_adjoint``) unless ``a_w`` is symmetric by the threshold rule."""
+    sym = symmetric_part(a_w, tol, "operator", "self_adjoint")
+    return np.linalg.eigh(sym)
 
-    Whitens with the Cholesky factor ``g = L L^T``, solves the ordinary
-    symmetric eigenproblem for ``L^T a L^{-T}``, and maps the eigenvectors
-    back.  Returns ``(eigenvalues, basis)`` with eigenvalues ascending and
-    basis columns g-orthonormal (``basis.T @ g @ basis = I``), so that
-    ``a @ basis = basis @ diag(eigenvalues)``.
-    """
-    a = as_matrix(a, "a")
-    g = as_matrix(g, "g", dim=a.shape[0])
-    adj = metric_adjoint(a, g, tol)
-    resid = op_norm(adj - a)
-    if resid > tol.rel * scale_of(a):
-        raise StructureError(
-            f"operator is not self-adjoint w.r.t. the metric (residual {resid:.3e})",
-            check="self_adjoint", residual=resid,
-        )
-    chol = cholesky_spd(g, tol)
-    # b = L^T a L^{-T}, symmetric exactly when g a is symmetric
-    yt = scipy.linalg.solve_triangular(chol, a.T, lower=True)
-    b = chol.T @ yt.T
-    b = 0.5 * (b + b.T)
-    w, u = np.linalg.eigh(b)
-    basis = scipy.linalg.solve_triangular(chol.T, u, lower=False)
-    return w, basis
+
+def same_cluster(a: float, b: float, cluster_gap: float) -> bool:
+    """Whether two eigenvalues count as equal: ``|a - b|`` at most
+    ``cluster_gap`` times the larger magnitude."""
+    return abs(a - b) <= cluster_gap * max(abs(a), abs(b))
 
 
 def cluster_eigenvalues(values, cluster_gap: float) -> list[tuple[float, int]]:
     """Merge an ascending list of eigenvalues into clusters.
 
-    A value joins the current cluster when its gap to the previous value is
-    at most ``cluster_gap * max(1, |value|)``.  Returns ``(mean, count)``
-    pairs; the counts always add up to ``len(values)``.
+    A value joins the current cluster when it is :func:`same_cluster` as
+    the previous value.  Returns ``(mean, count)`` pairs; the counts always
+    add up to ``len(values)``.
     """
     vals = [float(v) for v in values]
     if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
         raise ValueError("values must be sorted in ascending order")
     clusters: list[list[float]] = []
     for v in vals:
-        if clusters and v - clusters[-1][-1] <= cluster_gap * max(1.0, abs(v)):
+        if clusters and same_cluster(clusters[-1][-1], v, cluster_gap):
             clusters[-1].append(v)
         else:
             clusters.append([v])

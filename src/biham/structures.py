@@ -32,11 +32,12 @@ from .linalg import (
     Tolerance,
     as_matrix,
     commutator,
-    eig_self_adjoint,
     frozen,
     op_norm,
-    scale_of,
+    op_norms,
+    sym_sqrt,
     symmetric_part,
+    whitening,
 )
 
 __all__ = [
@@ -63,17 +64,16 @@ __all__ = [
 
 
 class MetricTensor:
-    """Symmetric positive-definite Gram matrix; value ``g(x, y) = x @ m @ y``."""
+    """Symmetric positive-definite Gram matrix; value ``g(x, y) = x @ m @ y``.
+    Factored once, on validation, into a g-orthonormal ``frame`` W (``W.T @
+    m @ W = I``) and ``frame_inv``; in that frame a form b reads ``W.T @ b @
+    W`` and an operator a reads ``frame_inv @ a @ W``."""
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
         m = as_matrix(m, "metric")
         sym = symmetric_part(m, tol, "metric", "metric_symmetric")
-        w = np.linalg.eigvalsh(sym)
-        if w[0] <= tol.rel * scale_of(sym):
-            raise StructureError(
-                f"metric is not positive-definite (min eigenvalue {w[0]:.3e})",
-                check="metric_positive_definite", residual=float(w[0]),
-            )
+        self.frame, self.frame_inv = whitening(sym, tol, "metric",
+                                               "metric_positive_definite")
         self.m = frozen(sym)
 
     @property
@@ -95,8 +95,9 @@ class SymplecticForm:
             )
         anti = symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric",
                               anti=True)
-        smin = float(np.linalg.svd(anti, compute_uv=False)[-1])
-        if smin <= tol.rel * scale_of(anti):
+        s = np.linalg.svd(anti, compute_uv=False)
+        smin = float(s[-1])
+        if not smin > tol.rel * s[0]:
             raise StructureError(
                 f"symplectic form is degenerate (min singular value {smin:.3e})",
                 check="symplectic_nondegenerate", residual=smin,
@@ -117,7 +118,7 @@ class ComplexStructure:
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
         m = as_matrix(m, "complex structure")
         resid = op_norm(m @ m + np.eye(m.shape[0]))
-        if resid > tol.rel * m.shape[0]:
+        if not resid <= tol.threshold(m, m):
             raise StructureError(
                 f"matrix squared is not -I (residual {resid:.3e})",
                 check="complex_structure_square", residual=resid,
@@ -136,14 +137,16 @@ class ComplexStructure:
 class AdmissibleTriple:
     """Validated bundle (g, omega, J) with J = inv(g) @ omega and J^2 = -I.
 
-    Construct through :func:`check_admissible` or :func:`polar_admissible`;
-    instances are immutable and safe to share.
+    ``j_w`` is J in the frame ``g.frame``, orthogonal and skew there (it is
+    also omega there).  Construct through :func:`check_admissible` or
+    :func:`polar_admissible`; instances are immutable and safe to share.
     """
 
     g: MetricTensor
     omega: SymplecticForm
     j: ComplexStructure
     dim: int
+    j_w: np.ndarray
 
     def __repr__(self) -> str:
         return f"AdmissibleTriple(dim={self.dim})"
@@ -218,8 +221,8 @@ class ViolationReport:
 
 @dataclass(frozen=True)
 class PreservationReport:
-    """Whether a linear field preserves a triple, with the two residuals
-    (relative to ``max(1, norm)`` of the respective products)."""
+    """Whether a linear field preserves a triple, with the two residuals of
+    :func:`preservation_residuals` in the triple's g-orthonormal frame."""
 
     preserves: bool
     metric_residual: float
@@ -258,24 +261,26 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
         raise ValueError(f"admissible triples need even dimension, got {metric.dim}")
 
     dim = metric.dim
-    jm = np.linalg.solve(metric.m, symp.m)
     eye = np.eye(dim)
-
-    checks = (
-        ("J_squared_plus_identity", op_norm(jm @ jm + eye), tol.rel * dim),
-        ("J_metric_invariance", op_norm(jm.T @ metric.m @ jm - metric.m),
-         tol.rel * scale_of(metric.m)),
-        ("J_metric_skewness", op_norm(metric.m @ jm + jm.T @ metric.m),
-         tol.rel * scale_of(metric.m)),
-        ("J_symplectic_invariance", op_norm(jm.T @ symp.m @ jm - symp.m),
-         tol.rel * scale_of(symp.m)),
-    )
+    # J = inv(g) @ omega reads W.T @ omega @ W in the g-orthonormal frame W;
+    # metric and form on scales far apart overflow here, and an overflowed
+    # (non-finite) residual fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        jw = metric.frame.T @ symp.m @ metric.frame
+        checks = (
+            ("J_squared_plus_identity", op_norm(jw @ jw + eye), tol.threshold(jw, jw)),
+            ("J_metric_invariance", op_norm(jw.T @ jw - eye), tol.threshold(jw, jw)),
+            ("J_metric_skewness", op_norm(jw + jw.T), tol.threshold(jw)),
+            ("J_symplectic_invariance", op_norm(jw.T @ jw @ jw - jw),
+             tol.threshold(jw, jw, jw)),
+        )
     for name, resid, thr in checks:
-        if resid > thr:
+        if not resid <= thr:
             violations.append(Violation(name, resid))
     if violations:
         return ViolationReport("admissibility", tuple(violations))
-    return AdmissibleTriple(metric, symp, ComplexStructure(jm, tol), dim)
+    jm = metric.frame @ jw @ metric.frame_inv
+    return AdmissibleTriple(metric, symp, ComplexStructure(jm, tol), dim, frozen(jw))
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:
@@ -305,41 +310,33 @@ def polar_admissible(g, omega, tol: Tolerance = DEFAULT_TOL) -> AdmissibleTriple
         J = A @ inv(P),      g_omega(x, y) = g(P x, y)
 
     satisfies ``J^2 = -I`` and ``omega = g_omega @ J``, so
-    ``(g_omega, omega, J)`` is admissible.  If the input pair was already
-    admissible then ``P = I`` and the metric is returned unchanged.
+    ``(g_omega, omega, J)`` is admissible.  In the g-orthonormal frame A is
+    the skew matrix ``A_w = W.T @ omega @ W`` and P is ``sym_sqrt(-A_w @
+    A_w)``.  If the input pair was already admissible then ``P = I`` and the
+    metric is returned unchanged.
     """
     metric = g if isinstance(g, MetricTensor) else MetricTensor(g, tol)
     symp = omega if isinstance(omega, SymplecticForm) else SymplecticForm(omega, tol)
     if metric.dim != symp.dim:
         raise ValueError(f"dimension mismatch: metric is {metric.dim}, form is {symp.dim}")
 
-    a = np.linalg.solve(metric.m, symp.m)
-    # skew-adjointness of A w.r.t. g means g @ A is antisymmetric; g @ A = omega
-    skew = op_norm(metric.m @ a + a.T @ metric.m)
-    if skew > tol.rel * scale_of(symp.m):
+    frame, frame_inv = metric.frame, metric.frame_inv
+    a_w = frame.T @ symp.m @ frame
+    skew = op_norm(a_w + a_w.T)
+    if not skew <= tol.threshold(a_w):
         raise StructureError(
             f"Riesz operator is not skew-adjoint for the metric (residual {skew:.3e})",
             check="riesz_skew_adjoint", residual=skew,
         )
-    w, basis = eig_self_adjoint(-(a @ a), metric.m, tol)
-    if w[0] <= tol.rel * max(1.0, float(w[-1])):
-        raise StructureError(
-            f"square root factor is singular (min eigenvalue {w[0]:.3e})",
-            check="polar_factor_singular", residual=float(w[0]),
-        )
-    # basis is g-orthonormal, so inv(basis) = basis.T @ g
-    binv = basis.T @ metric.m
-    p = basis @ np.diag(np.sqrt(w)) @ binv
-    p_inv = basis @ np.diag(1.0 / np.sqrt(w)) @ binv
-    jm = a @ p_inv
-    g_omega = metric.m @ p
-    g_omega = 0.5 * (g_omega + g_omega.T)
-    triple = check_admissible(MetricTensor(g_omega, tol), symp, tol)
+    p_w = sym_sqrt(-(a_w @ a_w), tol)
+    # a singular P fails the positive-definiteness of g_omega
+    triple = check_admissible(MetricTensor(frame_inv.T @ p_w @ frame_inv, tol), symp, tol)
     if isinstance(triple, ViolationReport):
         raise StructureError(f"polar construction failed: {triple}", check="polar_admissible")
     # the construction determines J directly; make sure both routes agree
+    jm = frame @ np.linalg.solve(p_w, a_w) @ frame_inv
     drift = op_norm(triple.j.m - jm)
-    if drift > tol.rel * scale_of(jm):
+    if not drift <= tol.threshold(jm):
         raise StructureError(
             f"polar complex structure disagrees with inv(g_omega) @ omega "
             f"(residual {drift:.3e})",
@@ -363,20 +360,30 @@ def hermitian_product(t: AdmissibleTriple, x, y) -> tuple[float, float]:
     return float(x @ t.g.m @ y), float(x @ t.omega.m @ y)
 
 
-def phase_generator(t: AdmissibleTriple, tol: Tolerance = DEFAULT_TOL) -> LinearField:
+def phase_generator(t: AdmissibleTriple) -> LinearField:
     """The Hamiltonian field of the quadratic energy ``0.5 * g(x, x)``.
 
     Its matrix is exactly J; equivalently ``-inv(omega) @ g``, an identity
-    forced by ``J^2 = -I``.  The residual between the two expressions is
-    checked rather than silently absorbed.
+    forced by ``J^2 = -I``: in the g-orthonormal frame ``omega @ J + g``
+    reads ``J_w @ J_w + I``, which :func:`check_admissible` bounded.
     """
-    resid = op_norm(t.omega.m @ t.j.m + t.g.m)
-    if resid > tol.rel * scale_of(t.g.m):
-        raise StructureError(
-            f"phase generator identity omega @ J = -g violated (residual {resid:.3e})",
-            check="phase_generator_identity", residual=resid,
-        )
     return LinearField(t.j.m)
+
+
+def preservation_residuals(a, g, w) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of ``tau @ a + a.T @ tau = 0`` for tau in (g, w), a
+    symmetric and a skew form, over the product of the norms of tau and the
+    field ``a`` (0 for a zero field), for one field or a stack (..., m, m)
+    given in the frame of the forms: above ``tol.rel`` fails the rule."""
+    a = np.asarray(a)
+    norms = op_norms(a)
+    out = []
+    for form, sign in ((g, 1.0), (w, -1.0)):
+        fa = form @ a
+        resid = op_norms(fa + sign * np.swapaxes(fa, -1, -2))
+        scale = op_norm(form) * norms
+        out.append(np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0))
+    return out[0], out[1]
 
 
 def field_preserves(field: LinearField, t: AdmissibleTriple,
@@ -384,16 +391,15 @@ def field_preserves(field: LinearField, t: AdmissibleTriple,
     """Does the flow of the field preserve the triple?
 
     Invariance of the symplectic form means ``omega @ A`` is symmetric,
-    invariance of the metric means ``g @ A`` is antisymmetric.  Residuals are
-    reported relative to ``max(1, norm)`` of the respective product.
+    invariance of the metric means ``g @ A`` is antisymmetric.  Both are
+    measured in the triple's g-orthonormal frame, where g is the identity
+    and omega is ``t.j_w`` (:func:`preservation_residuals`).
     """
     a = field.matrix
     if a.shape[0] != t.dim:
         raise ValueError(f"field dimension {a.shape[0]} does not match triple dimension {t.dim}")
-    ga = t.g.m @ a
-    wa = t.omega.m @ a
-    g_resid = op_norm(ga + ga.T) / scale_of(ga)
-    w_resid = op_norm(wa - wa.T) / scale_of(wa)
+    a_w = t.g.frame_inv @ a @ t.g.frame
+    g_resid, w_resid = (float(r) for r in preservation_residuals(a_w, np.eye(t.dim), t.j_w))
     ok = g_resid <= tol.rel and w_resid <= tol.rel
     return PreservationReport(ok, g_resid, w_resid)
 

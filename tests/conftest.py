@@ -35,6 +35,29 @@ def random_symplectic_form(rng: np.random.Generator, n: int) -> np.ndarray:
             return w
 
 
+def whitened(op, pair):
+    """An operator of the pair's original coordinates in t1's g1-orthonormal
+    frame."""
+    return pair.t1.g.frame_inv @ op @ pair.t1.g.frame
+
+
+def conditioned_basis(dim: int, cond: float, rng: np.random.Generator) -> np.ndarray:
+    """Random change of basis P with condition number ``cond``: two random
+    orthogonal factors around log-spaced singular values."""
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q1 @ np.diag(np.logspace(0.0, np.log10(cond), dim)) @ q2
+
+
+def congruent(pair, p, c1: float = 1.0, c2: float = 1.0) -> dict:
+    """Input document of the pair after the congruence c_i * P.T @ (g_i,
+    omega_i) @ P: the same pair in another basis, each triple rescaled."""
+    tensors = {"g1": (c1, pair.t1.g.m), "omega1": (c1, pair.t1.omega.m),
+               "g2": (c2, pair.t2.g.m), "omega2": (c2, pair.t2.omega.m)}
+    doc = {name: c * (p.T @ m @ p) for name, (c, m) in tensors.items()}
+    return {"dim": pair.dim, **doc}
+
+
 @pytest.fixture
 def ref2d_pair():
     """Compatible diagonal pair: metric ratios 4 = 4, eigenvalue 2."""

@@ -296,6 +296,30 @@ class TestToleranceOverrides:
         code, report, _ = run_report(capsys, "check", path)
         assert code == 0
 
+    # a non-finite or huge tolerance made every threshold infinite, so both
+    # valid triples failed with exit 1; each entry point now rejects it
+    @pytest.mark.parametrize("value", ["inf", "1e300"])
+    def test_tol_flag_rejects_non_finite_and_huge(self, capsys, value):
+        code, out, err = run_cli(capsys, "decompose", FIXTURES / "compatible_2d.json",
+                                 "--tol", value)
+        assert code == 2 and out == ""
+        assert "must be finite and in (0, 1)" in err
+
+    @pytest.mark.parametrize("tol_field", ["1e300", '{"cluster_gap": Infinity}'])
+    def test_file_tol_rejects_non_finite_and_huge(self, tmp_path, capsys, tol_field):
+        text = (FIXTURES / "compatible_2d.json").read_text().rstrip()
+        path = tmp_path / "huge_tol.json"
+        path.write_text(text[:-1] + f', "tol": {tol_field}}}')
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert "must be finite and in (0, 1)" in err
+
+    def test_env_var_rejects_non_finite(self, capsys, monkeypatch):
+        monkeypatch.setenv("BIHAM_TOL", "inf")
+        code, out, err = run_cli(capsys, "check", FIXTURES / "compatible_2d.json")
+        assert code == 2 and out == ""
+        assert "must be finite and in (0, 1)" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -312,9 +336,11 @@ class TestEntryPoint:
 class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
         # one analysis computes each spectral fact once: the G eigensolve,
-        # the decomposition, its adapted frame and the commutant basis
+        # the decomposition, its adapted frame, the transfer operator's
+        # cluster frames and its commutant basis
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
-        calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0, "commutant": 0}
+        calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0,
+                 "cluster_frames": 0, "commutant": 0}
 
         def count_function(home, key):
             original = getattr(home, key)
@@ -342,6 +368,7 @@ class TestSharedResults:
         count_function(linalg, "eig_self_adjoint")
         count_function(decomposition, "decompose")
         count_property(BlockDecomposition, "adapted_frame", "frame")
+        count_property(TransferOperator, "cluster_frames", "cluster_frames")
         count_property(TransferOperator, "commutant_basis", "commutant")
 
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
@@ -349,7 +376,8 @@ class TestSharedResults:
         report, code = analyze(doc, gamma=0.5)
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
-        assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1, "commutant": 1}
+        assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1,
+                         "cluster_frames": 1, "commutant": 1}
 
 
 class TestBenchmarkHooks:

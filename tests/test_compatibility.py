@@ -13,7 +13,7 @@ from biham.compatibility import (
 from biham.decomposition import decompose, synthesize_pair
 from biham.linalg import StructureError, commutator, eig_self_adjoint, op_norm
 from biham.structures import ViolationReport
-from conftest import standard_triple
+from conftest import standard_triple, whitened
 
 
 class TestCheckCompatible:
@@ -40,10 +40,12 @@ class TestCheckCompatible:
         assert "J1_J2_commutator" in names
         assert "g1_J2_skew" in names
         by_name = {v.name: v.residual for v in report.violations}
-        # frozen values from direct evaluation of the two diagonal triples
+        # frozen values from direct evaluation of the two diagonal triples in
+        # the g1-orthonormal frame W = diag(1, 1/2), where J2 reads
+        # [[0, sqrt(3)/2], [-2/sqrt(3), 0]]
         root3 = math.sqrt(3.0)
         assert by_name["J1_J2_commutator"] == pytest.approx(root3 / 6.0, rel=1e-12)
-        assert by_name["g1_J2_skew"] == pytest.approx(root3 / 3.0, rel=1e-12)
+        assert by_name["g1_J2_skew"] == pytest.approx(root3 / 6.0, rel=1e-12)
 
     def test_verdict_is_symmetric(self, ref2d_pair, incompatible_triples):
         assert isinstance(check_compatible(ref2d_pair.t2, ref2d_pair.t1),
@@ -56,15 +58,15 @@ class TestCheckCompatible:
             check_compatible(standard_triple(1), standard_triple(2))
 
     def test_metric_operator_spectrum_positive(self, ref4d_pair):
-        evals, _ = eig_self_adjoint(ref4d_pair.metric_operator, ref4d_pair.t1.g.m)
+        evals, _ = eig_self_adjoint(whitened(ref4d_pair.metric_operator, ref4d_pair))
         assert evals[0] > 0
         np.testing.assert_allclose(evals, [2.0, 2.0, 3.0, 3.0], atol=1e-12)
 
     def test_recursion_eigenvalues_are_signed_metric_eigenvalues(self, ref4d_pair):
         p = ref4d_pair
-        t_evals, _ = eig_self_adjoint(p.recursion_operator, p.t1.g.m)
+        t_evals, _ = eig_self_adjoint(whitened(p.recursion_operator, p))
         np.testing.assert_allclose(t_evals, [-3.0, -3.0, 2.0, 2.0], atol=1e-12)
-        g_evals, _ = eig_self_adjoint(p.metric_operator, p.t1.g.m)
+        g_evals, _ = eig_self_adjoint(whitened(p.metric_operator, p))
         np.testing.assert_allclose(np.sort(np.abs(t_evals)), g_evals, atol=1e-12)
 
     def test_squares_agree(self, ref4d_pair):

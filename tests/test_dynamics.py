@@ -18,7 +18,7 @@ from biham.dynamics import (
 )
 from biham.linalg import cluster_eigenvalues, commutator, eig_self_adjoint, op_norm
 from biham.structures import LinearField, check_admissible, field_preserves, phase_group
-from conftest import S_BLOCK, standard_triple
+from conftest import S_BLOCK, standard_triple, whitened
 
 
 def projection_residual(matrix, basis):
@@ -163,7 +163,7 @@ class TestCertifyRecursion:
             p = check_compatible(standard_triple(3), standard_triple(3))
         else:
             p = synthesize_pair(spec, seed=11)
-        t_evals, _ = eig_self_adjoint(p.recursion_operator, p.t1.g.m, p.tol)
+        t_evals, _ = eig_self_adjoint(whitened(p.recursion_operator, p), p.tol)
         expected = len(cluster_eigenvalues(t_evals, p.tol.cluster_gap))
         cert = certify_recursion(recursion_basis(p), decompose(p))
         assert cert.distinct_t_eigenvalues == expected

@@ -11,11 +11,9 @@ from biham.linalg import (
     StructureError,
     Tolerance,
     as_matrix,
-    cholesky_spd,
     cluster_eigenvalues,
     commutator,
     eig_self_adjoint,
-    metric_adjoint,
     numerical_rank,
     op_norm,
     orthonormal_span,
@@ -42,6 +40,11 @@ class TestTolerance:
     @pytest.mark.parametrize("kwargs", [
         {"rel": 0.0}, {"rel": -1e-9}, {"cluster_gap": 0.0},
         {"rel": 1e-6, "cluster_gap": 1e-9},
+        # non-finite or huge values would make every threshold infinite
+        {"rel": float("inf"), "cluster_gap": float("inf")},
+        {"rel": float("nan")}, {"cluster_gap": float("nan")},
+        {"rel": 1e300, "cluster_gap": 1e300}, {"cluster_gap": float("inf")},
+        {"rel": 1.0, "cluster_gap": 1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,7 +54,6 @@ class TestTolerance:
 class TestSymmetricPart:
     # the check names are keys of the CLI report's residuals section
     @pytest.mark.parametrize("build, check, message", [
-        (cholesky_spd, "symmetric", "matrix is not symmetric"),
         (sym_sqrt, "symmetric", "matrix is not symmetric"),
         (MetricTensor, "metric_symmetric", "metric is not symmetric"),
         (QuadraticForm, "quadratic form_symmetric", "quadratic form is not symmetric"),
@@ -85,20 +87,46 @@ class TestAsMatrix:
             as_matrix([[1.0, bad], [0.0, 1.0]], "form", dtype=np.complex128)
 
 
-class TestMetricAdjoint:
+class TestMetricFrame:
+    # the adjoint of a for the metric g, inv(g) @ a.T @ g, is the transpose
+    # in the g-orthonormal frame W: W @ (inv(W) @ a @ W).T @ inv(W)
+    @staticmethod
+    def adjoint(a, g):
+        metric = MetricTensor(g)
+        w, w_inv = metric.frame, metric.frame_inv
+        return w @ (w_inv @ a @ w).T @ w_inv
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_frame_is_metric_orthonormal(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        g = g @ g.T + n * np.eye(n)
+        metric = MetricTensor(g)
+        np.testing.assert_allclose(metric.frame.T @ g @ metric.frame, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(metric.frame @ metric.frame_inv, np.eye(n), atol=1e-12)
+
     def test_identity_is_self_adjoint(self):
-        np.testing.assert_allclose(metric_adjoint(np.eye(2), np.diag([1.0, 4.0])),
+        np.testing.assert_allclose(self.adjoint(np.eye(2), np.diag([1.0, 4.0])),
                                    np.eye(2), atol=1e-15)
 
     def test_euclidean_metric_gives_transpose(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5))
-        np.testing.assert_array_equal(metric_adjoint(a, np.eye(5)), a.T)
+        np.testing.assert_allclose(self.adjoint(a, np.eye(5)), a.T, atol=1e-14)
+
+    def test_involution(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 5, 9):
+            a = rng.standard_normal((n, n))
+            g = rng.standard_normal((n, n))
+            g = g @ g.T + n * np.eye(n)
+            twice = self.adjoint(self.adjoint(a, g), g)
+            assert op_norm(twice - a) <= 1e-12 * op_norm(a)
 
     def test_weighted_example(self):
         # inv(g) @ a.T @ g computed by hand for g = diag(1, 4)
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        adj = metric_adjoint(a, np.diag([1.0, 4.0]))
+        adj = self.adjoint(a, np.diag([1.0, 4.0]))
         np.testing.assert_allclose(adj, [[0.0, 0.0], [0.25, 0.0]], atol=1e-15)
 
     def test_defining_pairing_on_random_vectors(self):
@@ -107,27 +135,22 @@ class TestMetricAdjoint:
         a = rng.standard_normal((n, n))
         g = rng.standard_normal((n, n))
         g = g @ g.T + n * np.eye(n)
-        adj = metric_adjoint(a, g)
+        adj = self.adjoint(a, g)
         for _ in range(20):
             x, y = rng.standard_normal(n), rng.standard_normal(n)
             assert (adj @ x) @ g @ y == pytest.approx(x @ g @ (a @ y), rel=1e-11)
 
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 9):
-            a = rng.standard_normal((n, n))
-            g = rng.standard_normal((n, n))
-            g = g @ g.T + n * np.eye(n)
-            twice = metric_adjoint(metric_adjoint(a, g), g)
-            assert op_norm(twice - a) <= 1e-12 * max(1.0, op_norm(a))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            metric_adjoint(np.eye(2), np.eye(3))
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+    def test_scale_free_positive_definiteness(self, scale):
+        # a threshold relative to max(1, norm) rejected every metric below
+        # norm 1e-9; the rule compares eigenvalues with each other
+        assert MetricTensor(scale * np.diag([1.0, 2.0])).dim == 2
+        with pytest.raises(StructureError, match="not positive-definite"):
+            MetricTensor(scale * np.diag([1.0, 1e-10]))
 
     def test_rejects_indefinite_metric(self):
         with pytest.raises(StructureError):
-            metric_adjoint(np.eye(2), np.diag([1.0, -1.0]))
+            MetricTensor(np.diag([1.0, -1.0]))
 
 
 class TestSymSqrt:
@@ -162,40 +185,45 @@ class TestSymSqrt:
 
 class TestEigSelfAdjoint:
     def test_identity(self):
-        w, basis = eig_self_adjoint(np.eye(3), np.eye(3))
+        w, basis = eig_self_adjoint(np.eye(3))
         np.testing.assert_allclose(w, np.ones(3))
         np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-14)
 
     def test_diagonal_with_multiplicities(self):
-        w, _ = eig_self_adjoint(np.diag([2.0, 2.0, 3.0, 3.0]), np.eye(4))
+        w, _ = eig_self_adjoint(np.diag([2.0, 2.0, 3.0, 3.0]))
         np.testing.assert_allclose(w, [2.0, 2.0, 3.0, 3.0], atol=1e-14)
 
     def test_conjugation_invariance(self):
         # rotating a diagonal operator by an orthogonal matrix keeps its
-        # spectrum; the solver must recover it in a g-orthonormal basis
+        # spectrum; the solver must recover it in an orthonormal basis
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         g_op = q.T @ np.diag([2.0, 2.0, 3.0, 3.0]) @ q
-        w, basis = eig_self_adjoint(g_op, np.eye(4))
+        w, basis = eig_self_adjoint(g_op)
         np.testing.assert_allclose(w, [2.0, 2.0, 3.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 6, 16])
     def test_reconstruction_and_metric_orthonormality(self, n):
+        # a g-self-adjoint operator is symmetric in the g-orthonormal frame;
+        # its eigenvectors mapped back form a g-orthonormal eigenbasis
         rng = np.random.default_rng(n + 100)
         g = rng.standard_normal((n, n))
         g = g @ g.T + n * np.eye(n)
         sym = rng.standard_normal((n, n))
         a = np.linalg.solve(g, sym + sym.T)  # g-self-adjoint by construction
-        w, basis = eig_self_adjoint(a, g)
+        metric = MetricTensor(g)
+        w, vecs = eig_self_adjoint(metric.frame_inv @ a @ metric.frame)
+        basis = metric.frame @ vecs
         assert list(w) == sorted(w)
         np.testing.assert_allclose(basis.T @ g @ basis, np.eye(n), atol=1e-9)
         recon = basis @ np.diag(w) @ np.linalg.inv(basis)
-        assert op_norm(recon - a) <= 1e-9 * max(1.0, op_norm(a))
+        assert op_norm(recon - a) <= 1e-9 * op_norm(a)
 
     def test_rejects_non_self_adjoint(self):
-        with pytest.raises(StructureError):
-            eig_self_adjoint([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+        with pytest.raises(StructureError, match="operator is not symmetric") as info:
+            eig_self_adjoint([[0.0, 1.0], [0.0, 0.0]])
+        assert info.value.check == "self_adjoint"
 
 
 class TestClusterEigenvalues:
@@ -215,6 +243,12 @@ class TestClusterEigenvalues:
 
     def test_empty(self):
         assert cluster_eigenvalues([], 1e-7) == []
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_gap_is_relative_at_every_scale(self, scale):
+        # a gap of cluster_gap * max(1, |v|) merged 2e-8 and 3e-8
+        out = cluster_eigenvalues([2.0 * scale, 3.0 * scale, 3.0 * scale * (1 + 1e-9)], 1e-7)
+        assert [mult for _, mult in out] == [1, 2]
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):

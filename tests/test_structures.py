@@ -112,9 +112,20 @@ class TestCheckAdmissible:
             check_admissible(np.eye(2), np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_degenerate_form_reports_violation(self):
-        report = check_admissible(np.eye(2), [[0.0, 1e-13], [-1e-13, 0.0]])
+        # degenerate relative to its own scale: singular values 1 and 1e-13
+        omega = np.kron(np.diag([1.0, 1e-13]), [[0.0, 1.0], [-1.0, 0.0]])
+        report = check_admissible(np.eye(4), omega)
         assert isinstance(report, ViolationReport)
         assert "symplectic_nondegenerate" in report.names
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-13, 1e160])
+    def test_rescaled_triple_stays_admissible(self, scale):
+        # the thresholds scale with the tensors: a uniformly rescaled
+        # admissible triple is admissible with the same J
+        g = np.diag([1.0, 4.0])
+        t = check_admissible(scale * g, scale * np.array([[0.0, 2.0], [-2.0, 0.0]]))
+        assert isinstance(t, AdmissibleTriple)
+        np.testing.assert_allclose(t.j.m, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-15)
 
 
 class TestSymmetrizeMetric:
