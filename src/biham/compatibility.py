@@ -104,8 +104,11 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     the four matrix conditions, then builds G and T and verifies the whole
     commuting-family relation suite (including the vanishing of the
     phase-generator bracket and of both mutual Poisson brackets of the two
-    quadratic energies).  Returns a :class:`CompatiblePair` carrying every
-    residual, or a :class:`ViolationReport` naming each failed condition.
+    quadratic energies).  The checks but ``metric_transfer`` read G, T and
+    omega2 divided by G's largest eigenvalue, so no product overflows on a
+    valid pair; the pair stores them unscaled.
+    Returns a :class:`CompatiblePair` carrying every residual, or a
+    :class:`ViolationReport` naming each failed condition.
     """
     if t1.dim != t2.dim:
         raise ValueError(f"dimension mismatch: {t1.dim} vs {t2.dim}")
@@ -135,8 +138,12 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
 
     # a residual that overflows fails its check
     with np.errstate(over="ignore", invalid="ignore"):
-        record("g2_J1_skew", _skew_resid(g2 @ j1), tol.threshold(g2, j1))
-        record("omega2_J1_symmetric", _sym_resid(w2 @ j1), tol.threshold(w2, j1))
+        # every check is homogeneous in the second triple's scale: reading G,
+        # T and omega2 over G's largest eigenvalue keeps T @ T in range
+        scale = evals[-1]
+        g2_s, w2_s = g2 / scale, w2 / scale
+        record("g2_J1_skew", _skew_resid(g2_s @ j1), tol.threshold(g2_s, j1))
+        record("omega2_J1_symmetric", _sym_resid(w2_s @ j1), tol.threshold(w2_s, j1))
         record("g1_J2_skew", _skew_resid(j2), tol.threshold(j2))
         record("omega1_J2_symmetric", _sym_resid(j1 @ j2), tol.threshold(j1, j2))
         jj_comm = op_norm(commutator(j1, j2))
@@ -148,30 +155,30 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         # -[J1, J2]; the Poisson bracket of the energies of g1 = I and G
         # for a form w is sym(-G @ inv(w)) = [inv(w), G] / 2
         record("phase_generator_commutator", jj_comm, tol.threshold(j1, j2))
-        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2)):
+        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2_s)):
             w_inv = np.linalg.inv(w)
-            record(name, 0.5 * op_norm(commutator(w_inv, g2)), tol.threshold(w_inv, g2))
+            record(name, 0.5 * op_norm(commutator(w_inv, g2_s)), tol.threshold(w_inv, g2_s))
 
         big_t = np.linalg.solve(j1, w2)
-        record("G_T_commutator", op_norm(commutator(g2, big_t)), tol.threshold(g2, big_t))
-        record("G_plus_J1_T_J2", op_norm(g2 + j1 @ big_t @ j2),
-               tol.threshold(j1, big_t, j2))
-        for name, op in (("G", g2_in), ("T", big_t)):
+        t_s = big_t / scale
+        record("G_T_commutator", op_norm(commutator(g2_s, t_s)), tol.threshold(g2_s, t_s))
+        record("G_plus_J1_T_J2", op_norm(g2_s + j1 @ t_s @ j2),
+               tol.threshold(j1, t_s, j2))
+        for name, op in (("G", g2_in / scale), ("T", t_s)):
             record(f"{name}_selfadjoint_g1", _sym_resid(op), tol.threshold(op))
-            record(f"{name}_selfadjoint_g2", _sym_resid(g2 @ op), tol.threshold(g2, op))
-        # the reported G in the original coordinates must carry g1 into g2
-        big_g = frame @ g2 @ frame_inv
+            record(f"{name}_selfadjoint_g2", _sym_resid(g2_s @ op), tol.threshold(g2_s, op))
+        # the reported, unscaled G must carry g1 into g2 (an overflow fails)
+        big_g, t_orig = frame @ g2 @ frame_inv, frame @ big_t @ frame_inv
         record("metric_transfer", op_norm(t1.g.m @ big_g - t2.g.m),
                tol.threshold(t1.g.m, big_g))
-        record("T_sq_minus_G_sq", op_norm(big_t @ big_t - g2 @ g2),
-               tol.threshold(big_t, big_t))
+        record("T_sq_minus_G_sq", op_norm(t_s @ t_s - g2_s @ g2_s),
+               tol.threshold(t_s, t_s))
     certificates["G_min_eigenvalue"] = float(evals[0])
     if violations:
         return ViolationReport("compatibility", tuple(violations))
 
-    return CompatiblePair(t1, t2, frozen(big_g), frozen(frame @ big_t @ frame_inv),
-                          frozen(evals), certificates, tol, frozen(g2), frozen(big_t),
-                          frozen(w2), frozen(j2), frozen(vecs))
+    return CompatiblePair(t1, t2, frozen(big_g), frozen(t_orig), frozen(evals), certificates,
+                          tol, frozen(g2), frozen(big_t), frozen(w2), frozen(j2), frozen(vecs))
 
 
 def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
@@ -196,10 +203,10 @@ def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
     for name, op in (("G", big_g), ("T", big_t)):
         out[f"{name}_J1_commutator"] = op_norm(commutator(op, j1))
         out[f"{name}_J2_commutator"] = op_norm(commutator(op, j2))
-        out[f"{name}_adjoint_g1"] = op_norm(op.T - op)
+        out[f"{name}_adjoint_g1"] = p.certificates[f"{name}_selfadjoint_g1"]
         out[f"{name}_adjoint_g2"] = op_norm(g2_adjoint(op) - op)
     out["J1_adjoint_g2_plus_J1"] = op_norm(g2_adjoint(j1) + j1)
-    out["J2_adjoint_g1_plus_J2"] = op_norm(j2.T + j2)
+    out["J2_adjoint_g1_plus_J2"] = p.certificates["g1_J2_skew"]
     for name in ("G_T_commutator", "G_plus_J1_T_J2", "metric_transfer"):
         out[name] = p.certificates[name]
     return out

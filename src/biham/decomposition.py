@@ -107,6 +107,21 @@ class BlockDecomposition:
             signs.extend([block.sign] * r)
         return frozen(np.hstack(cols)), tuple(signs)
 
+    @cached_property
+    def classes(self) -> tuple[tuple[Block, ...], ...]:
+        """The blocks grouped by (lambda, sign) class, on each of which T =
+        sign * lambda: a block joins the first class of its sign and cluster."""
+        classes: list[list[Block]] = []
+        for b in self.blocks:
+            for c in classes:
+                if c[0].sign == b.sign and same_cluster(b.eigenvalue, c[0].eigenvalue,
+                                                        self.tol.cluster_gap):
+                    c.append(b)
+                    break
+            else:
+                classes.append([b])
+        return tuple(tuple(c) for c in classes)
+
 
 @dataclass(frozen=True)
 class GroupSignature:
@@ -259,20 +274,11 @@ def group_signature(d: BlockDecomposition) -> GroupSignature:
     """Signature of the group preserving both structures of the pair.
 
     Blocks sharing (eigenvalue, sign) within the cluster tolerance merge
-    into one factor of rank dim/2.  Blocks with equal eigenvalue but
-    opposite sign stay separate: their complex structures differ, so no
-    bi-unitary transformation mixes them.
+    into one factor of rank dim/2 (:attr:`BlockDecomposition.classes`).
+    Blocks with equal eigenvalue but opposite sign stay separate: their
+    complex structures differ, so no bi-unitary transformation mixes them.
     """
-    tol = d.tol
-    factors: list[list[float | int]] = []  # [eigenvalue, sign, dim]
-    for b in d.blocks:
-        for f in factors:
-            if f[1] == b.sign and same_cluster(b.eigenvalue, f[0], tol.cluster_gap):
-                f[2] += b.dim
-                break
-        else:
-            factors.append([b.eigenvalue, b.sign, b.dim])
-    ranks = tuple(int(f[2]) // 2 for f in factors)
+    ranks = tuple(sum(b.dim for b in c) // 2 for c in d.classes)
     complex_form = "×".join(f"U({r})" for r in ranks)
     if all(r == 1 for r in ranks):
         real_form = "×".join("SO(2)" for _ in ranks)

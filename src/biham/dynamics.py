@@ -21,28 +21,26 @@ The recursion operator T generates a distinguished commuting family inside
 it: the fields with matrices J1, T @ J1, ..., T^(n-1) @ J1.  Because T is a
 constant invertible (1,1)-tensor it satisfies the Nijenhuis condition, which
 at matrix level is the identity [T A, T] = T [A, T]; preservation and
-pairwise commutation of the family follow.  The family is linearly
-independent exactly when T has n distinct eigenvalues (Vandermonde
-argument on the minimal polynomial), so its certified rank equals the
-number of distinct T eigenvalues, the (lambda, sign) classes of the blocks.
+pairwise commutation of the family follow.  On each (lambda, sign) class of
+blocks T = sign * lambda, so the family spans the projections P_i J1 onto
+the classes, and by the Vandermonde theorem its rank is the number of
+classes.  :func:`certify_recursion` certifies that rank on the P_i J1, and
+bounds the drift of all four tensors along the family's flows by its
+preservation residuals (Duhamel's formula) without sampling a flow.
 
 Every stage here computes in t1's g1-orthonormal frame, where the fields
 that preserve g1 are skew matrices, and maps back only the fields it
-reports.  The conservation probe flows a field over N sampled times along
-one of two paths.  A field that preserves g1 within ``tol.rel`` (every
-algebra element and every recursion field) is a real skew matrix in that
-frame, so one Hermitian eigensolve gives its flow at every time, O(m^3) per
-field plus batched O(N m^3) products (the eigenvector method for normal
-matrices; Moler & Van Loan, SIAM Rev. 2003).  This is the flow of the
-field's g1-skew part, unitary at any norm.  Any other field, such as the
-dilation, takes one scaling-and-squaring matrix exponential per time (N
-expm calls), which raises :class:`FlowOverflowError` when it overflows.
-Either way the drift of all four tensors is measured on every flow in the
-original coordinates.
+reports.  The library function :func:`conservation_probe` samples the
+drift of any field instead.  A field that preserves g1 within ``tol.rel``
+is flowed from one Hermitian eigensolve, as the flow of its g1-skew part
+(the eigenvector method for normal matrices; Moler & Van Loan, SIAM Rev.
+2003); any other field by one matrix exponential per time, which raises
+:class:`FlowOverflowError` when it overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,7 +55,6 @@ from .linalg import (
     Tolerance,
     commutator,
     frozen,
-    numerical_rank,
     op_norm,
     orthonormal_span,
 )
@@ -111,16 +108,12 @@ class RecursionBasis:
             mats.append(p.recursion_operator_w @ mats[-1])
         return tuple(LinearField(p.t1.g.frame @ m @ p.t1.g.frame_inv) for m in mats)
 
-    @property
-    def unit_fields(self) -> tuple[LinearField, ...]:
-        """The directions in the original coordinates, each of unit norm."""
-        raw = self.pair.t1.g.frame @ self.directions_w @ self.pair.t1.g.frame_inv
-        return tuple(LinearField(m / op_norm(m)) for m in raw)
-
 
 @dataclass(frozen=True)
 class RecursionCertificate:
-    """Certification report for a recursion family."""
+    """Certification report for a recursion family.  ``holds`` when every
+    prediction of the theory for a compatible pair came true; ``all_pass``
+    also needs full rank, that is, a generic pair."""
 
     preserves_all: bool
     max_preservation_residual: float
@@ -128,12 +121,20 @@ class RecursionCertificate:
     max_commutator_residual: float
     rank: int
     expected_rank: int
-    singular_values: tuple[float, ...]
-    rank_gap: float
     distinct_t_eigenvalues: int
     vandermonde_consistent: bool
     nijenhuis_residual: float
-    all_pass: bool
+    nijenhuis_holds: bool
+    max_conservation_drift: float
+
+    @property
+    def holds(self) -> bool:
+        return (self.preserves_all and self.commute and self.vandermonde_consistent
+                and self.nijenhuis_holds)
+
+    @property
+    def all_pass(self) -> bool:
+        return self.holds and self.rank == self.expected_rank
 
 
 @dataclass(frozen=True)
@@ -194,19 +195,18 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
             f"bi-preserving algebra has dimension {len(basis)}, expected "
             f"{expected} from the group signature"
         )
-    worst = _max_preservation_residual(frame_inv @ basis @ frame, p)
+    worst = max(r.max() for r in _preservation_residuals(frame_inv @ basis @ frame, p))
     if not worst <= tol.rel:
         raise DecompositionError(
             f"algebra element fails preservation (residual {worst:.3e})")
     return BiPreservingAlgebra(tuple(frozen(a) for a in basis), len(basis))
 
 
-def _max_preservation_residual(mats_w: np.ndarray, p: CompatiblePair) -> float:
-    """Worst relative residual of the four invariance conditions over a
-    stack of fields given in t1's g1-orthonormal frame."""
-    residuals = (preservation_residuals(mats_w, np.eye(p.dim), p.t1.j_w)
-                 + preservation_residuals(mats_w, p.metric_operator_w, p.omega2_w))
-    return float(max(r.max() for r in residuals))
+def _preservation_residuals(mats_w: np.ndarray, p: CompatiblePair) -> tuple[np.ndarray, ...]:
+    """Relative residuals of the invariance of g1, omega1, g2 and omega2,
+    in that order, for a stack of fields in t1's g1-orthonormal frame."""
+    return (preservation_residuals(mats_w, np.eye(p.dim), p.t1.j_w)
+            + preservation_residuals(mats_w, p.metric_operator_w, p.omega2_w))
 
 
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
@@ -224,52 +224,63 @@ def recursion_basis(p: CompatiblePair) -> RecursionBasis:
 
 
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
-    """Certify the recursion family of the decomposed pair: preservation of
-    all four tensors, pairwise commutation, numerical rank with
-    singular-value gap, the Vandermonde consistency between rank and the
-    number of (lambda, sign) classes of the blocks, and the matrix
-    Nijenhuis identity [T A, T] = T [A, T] for A = J1.  Every check reads
-    the family in t1's g1-orthonormal frame."""
+    """Certify the recursion family of the decomposed pair, read as unit
+    directions in t1's g1-orthonormal frame: preservation of all four
+    tensors and pairwise commutation within ``tol.rel``, the rank, the
+    matrix Nijenhuis identity [T A, T] = T [A, T] for A = J1 on T / |T|,
+    and a drift bound.
+
+    Rank: with P_i = B_i B_i.T the projector onto the i-th of c (lambda,
+    sign) classes, T^k J1 = sum_i (s_i lambda_i)^k P_i J1.  The check is
+    that the normalized P_i J1 have Gram matrix I and that every direction
+    lies in their span, within ``tol.rel`` (``vandermonde_consistent``).
+    The c nodes s_i lambda_i are distinct and c <= n, so by the Vandermonde
+    theorem the first c powers span all the P_i J1: the rank is c.
+
+    Drift: for a unit direction s with symmetric part E and skew part K,
+    K.T tau + tau K = (s.T tau + tau s) - (E tau + tau E) has row-sum norm
+    at most (r_tau + r_g1) |tau|, r being the preservation residuals.  The
+    flow exp(t K) is orthogonal, so by Duhamel's formula the relative drift
+    of tau over t in [0, 10] is at most 10 sqrt(m) (r_tau + r_g1); that of
+    g1 is 0.
+    """
     p, tol = d.pair, d.tol
     mats = rb.directions_w
-    n = p.dim // 2
+    m, n = p.dim, p.dim // 2
 
-    max_pres = _max_preservation_residual(mats, p)
-    preserves_all = max_pres <= tol.rel
+    residuals = _preservation_residuals(mats, p)
+    max_pres = float(max(r.max() for r in residuals))
+    drift = 10.0 * math.sqrt(m) * float(max((r + residuals[0]).max() for r in residuals[1:]))
 
     # the directions have unit norm, so each commutator is relative
     max_comm = 0.0
     for i in range(len(mats)):
         for k in range(i + 1, len(mats)):
             max_comm = max(max_comm, op_norm(commutator(mats[i], mats[k])))
-    commute = max_comm <= tol.rel
 
-    # rank of the set of directions, each of unit Frobenius norm
-    rows = mats.reshape(len(mats), -1)
-    stacked = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    rank, s, rank_gap = numerical_rank(stacked, tol.rel)
+    j1 = p.t1.j_w
+    classes = [np.hstack([b.basis_w for b in c]) for c in d.classes]
+    basis = np.array([(b @ (b.T @ j1)).ravel() for b in classes])
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    rows = (mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]).reshape(n, -1)
+    gram_error = np.abs(basis @ basis.T - np.eye(len(basis))).max()
+    inclusion = np.linalg.norm(rows - (rows @ basis.T) @ basis, axis=1).max()
 
-    distinct = len(group_signature(d).multiplicities)
-    vandermonde_consistent = rank == min(distinct, n)
-
-    big_t, a = p.recursion_operator_w, p.t1.j_w
-    nij = op_norm(commutator(big_t @ a, big_t) - big_t @ commutator(a, big_t))
-    nij_ok = nij <= tol.threshold(big_t, big_t, a)
+    big_t = p.recursion_operator_w / op_norm(p.recursion_operator_w)
+    nij = op_norm(commutator(big_t @ j1, big_t) - big_t @ commutator(j1, big_t))
 
     return RecursionCertificate(
-        preserves_all=preserves_all,
+        preserves_all=max_pres <= tol.rel,
         max_preservation_residual=max_pres,
-        commute=commute,
+        commute=max_comm <= tol.rel,
         max_commutator_residual=max_comm,
-        rank=rank,
+        rank=len(basis),
         expected_rank=n,
-        singular_values=tuple(float(x) for x in s),
-        rank_gap=rank_gap,
-        distinct_t_eigenvalues=distinct,
-        vandermonde_consistent=vandermonde_consistent,
+        distinct_t_eigenvalues=len(d.classes),
+        vandermonde_consistent=bool(gram_error <= tol.rel and inclusion <= tol.rel),
         nijenhuis_residual=float(nij),
-        all_pass=(preserves_all and commute and rank == n
-                  and vandermonde_consistent and nij_ok),
+        nijenhuis_holds=nij <= tol.threshold(big_t, big_t, j1),
+        max_conservation_drift=drift,
     )
 
 
@@ -330,17 +341,12 @@ def _probe_flows(field: LinearField, p: CompatiblePair, times: tuple[float, ...]
 
 def conservation_probe(field: LinearField, p: CompatiblePair,
                        times) -> ConservationReport:
-    """Finite-time invariance check: worst relative drift of each of the
-    four tensors under the flow of the field, over the sampled times.
-
-    A field that preserves g1 within ``tol.rel`` is flowed from one
-    Hermitian eigensolve, as the flow of its g1-skew part; any other field
-    by one matrix exponential per time (see :func:`_probe_flows`).  On both
-    paths the drift ``||O^T tau O - tau|| / ||tau||`` is measured for all
-    four tensors at every sampled time, in the original coordinates.
-
-    Fields inside the bi-preserving algebra drift only at rounding level;
-    for any other field the report documents how the tensors move.
+    """Finite-time invariance check: worst relative drift
+    ``||O^T tau O - tau|| / ||tau||`` of each of the four tensors, in the
+    original coordinates, over the flows O of the field at the sampled
+    times (:func:`_probe_flows`).  It serves any field; the recursion
+    certificate bounds the drift of its own family without sampling, and
+    this probe is that bound's test oracle.
     """
     times = tuple(float(t) for t in times)
     if not np.isfinite(times).all():

@@ -41,7 +41,7 @@ class StructureError(NumericalCheckError):
 
 
 class RankAmbiguityError(NumericalCheckError):
-    """Singular values fall too close to a rank threshold to call the rank."""
+    """Matrices that should be linearly independent are not, within ``rel``."""
 
 
 @dataclass(frozen=True)
@@ -223,25 +223,6 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def numerical_rank(a, rel: float) -> tuple[int, np.ndarray, float]:
-    """Numerical rank of ``a`` with threshold ``rel * sigma_max``.
-
-    Returns ``(rank, singular_values, gap)`` where ``gap`` is the ratio of
-    the smallest kept to the largest dropped singular value (``inf`` when
-    nothing is dropped or everything is).
-    """
-    s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s, float("inf")
-    thr = rel * s[0]
-    rank = int((s > thr).sum())
-    if 0 < rank < s.size and s[rank] > 0.0:
-        gap = float(s[rank - 1] / s[rank])
-    else:
-        gap = float("inf")
-    return rank, s, gap
 
 
 def orthonormal_span(mats, rel: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import biham
-from biham import decomposition, linalg
+from biham import cli, decomposition, dynamics, linalg
 from biham.cli import InputDocument, analyze, main
 from biham.commutant import TransferOperator
 from biham.decomposition import BlockDecomposition, synthesize_pair
+from biham.dynamics import certify_recursion
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
@@ -181,6 +183,41 @@ class TestRecursion:
         assert code == 0
         assert report["recursion"]["max_conservation_drift"] <= 1e-12
 
+    def test_generic_dim64_synth_output_has_full_rank(self, tmp_path, capsys):
+        # the SVD of the power stack T^k J1 read rank 25/32 here
+        spec = ",".join(f"{0.5 + 0.75 * k!r}:{'+-'[k % 2]}:1" for k in range(32))
+        path = tmp_path / "generic64.json"
+        assert run_cli(capsys, "synth", "--spec", spec, "--seed", "1", "--out", path)[0] == 0
+        code, report, _ = run_report(capsys, "recursion", path)
+        assert code == 0
+        rec = report["recursion"]
+        assert rec["rank"] == 32 == rec["expected_rank"]
+        assert rec["vandermonde_consistent"] is True
+        assert rec["all_pass"] is True
+
+    def test_degenerate_pair_rank_is_a_fact(self, tmp_path, capsys):
+        path = tmp_path / "two_class.json"
+        assert run_cli(capsys, "synth", "--spec", "2:+:4,3:-:4", "--seed", "1",
+                       "--out", path)[0] == 0
+        code, report, _ = run_report(capsys, "recursion", path)
+        assert code == 0
+        rec = report["recursion"]
+        assert rec["rank"] == 2 < rec["expected_rank"] == 8
+        assert rec["vandermonde_consistent"] is True
+        assert rec["all_pass"] is False
+
+    @pytest.mark.parametrize("check", ["preserves_all", "commute",
+                                       "vandermonde_consistent", "nijenhuis_holds"])
+    @pytest.mark.parametrize("command", ["check", "decompose", "recursion", "commutant"])
+    def test_failed_certificate_exits_one(self, capsys, monkeypatch, check, command):
+        def failing(*args):
+            return dataclasses.replace(certify_recursion(*args), **{check: False})
+
+        monkeypatch.setattr(cli, "certify_recursion", failing)
+        code, report, _ = run_report(capsys, command, FIXTURES / "reference_4d.json")
+        assert code == 1
+        assert report["recursion"]["all_pass"] is False
+
 
 class TestPencil:
     def test_gamma_one_blocks(self, capsys):
@@ -337,10 +374,11 @@ class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
         # one analysis computes each spectral fact once: the G eigensolve,
         # the decomposition, its adapted frame, the transfer operator's
-        # cluster frames and its commutant basis
+        # cluster frames and its commutant basis; the drift bound comes
+        # from the recursion certificate, with no sampled flow
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
         calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0,
-                 "cluster_frames": 0, "commutant": 0}
+                 "cluster_frames": 0, "commutant": 0, "conservation_probe": 0}
 
         def count_function(home, key):
             original = getattr(home, key)
@@ -367,6 +405,7 @@ class TestSharedResults:
 
         count_function(linalg, "eig_self_adjoint")
         count_function(decomposition, "decompose")
+        count_function(dynamics, "conservation_probe")
         count_property(BlockDecomposition, "adapted_frame", "frame")
         count_property(TransferOperator, "cluster_frames", "cluster_frames")
         count_property(TransferOperator, "commutant_basis", "commutant")
@@ -377,7 +416,7 @@ class TestSharedResults:
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
         assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1,
-                         "cluster_frames": 1, "commutant": 1}
+                         "cluster_frames": 1, "commutant": 1, "conservation_probe": 0}
 
 
 class TestBenchmarkHooks:

@@ -102,6 +102,14 @@ class TestRelationSuite:
         suite = verify_relation_suite(p)
         assert max(suite.values()) <= 1e-10
 
+    def test_reads_the_certified_residuals(self):
+        # measured again on the symmetrized G, G_adjoint_g1 was always 0.0
+        p = synthesize_pair([(2.0, 1, 2), (5.0, -1, 1)], seed=3)
+        suite = verify_relation_suite(p)
+        assert suite["G_adjoint_g1"] == p.certificates["G_selfadjoint_g1"] > 0.0
+        assert suite["T_adjoint_g1"] == p.certificates["T_selfadjoint_g1"]
+        assert suite["J2_adjoint_g1_plus_J2"] == p.certificates["g1_J2_skew"]
+
 
 class TestPencil:
     def test_gamma_zero_recovers_first_triple(self, ref4d_pair):

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from biham import dynamics
-from biham.cli import CONSERVATION_TIMES
 from biham.commutant import bicommutant_dim, commutant_dim, complexify, transfer_operator
 from biham.compatibility import check_compatible
 from biham.decomposition import decompose, synthesize_pair
@@ -19,6 +18,10 @@ from biham.dynamics import (
 from biham.linalg import cluster_eigenvalues, commutator, eig_self_adjoint, op_norm
 from biham.structures import LinearField, check_admissible, field_preserves, phase_group
 from conftest import S_BLOCK, standard_triple, whitened
+
+# the probe's sampled times, covering (0, 10], the horizon of the certified
+# drift bound of the recursion family
+CONSERVATION_TIMES = tuple(0.1 * k for k in range(1, 101))
 
 
 def projection_residual(matrix, basis):
@@ -177,6 +180,21 @@ class TestCertifyRecursion:
         assert cert.all_pass
         assert cert.rank == n
 
+    # the power stack T^k J1 is a Vandermonde system in T's eigenvalues; an
+    # SVD of it read ranks 22/24, 25/32, 32/64 and 5/8 on these pairs
+    @pytest.mark.parametrize("spec", [
+        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(24)],
+        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(32)],
+        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(64)],
+        [(1.0 + 0.01 * k, 1, 1) for k in range(8)],
+    ], ids=["generic48", "generic64", "generic128", "dim16_eigenvalues_0.01_apart"])
+    def test_full_rank_where_the_power_stack_is_ill_conditioned(self, spec):
+        p = synthesize_pair(spec, seed=1)
+        cert = certify_recursion(recursion_basis(p), decompose(p))
+        assert cert.rank == cert.expected_rank == len(spec)
+        assert cert.vandermonde_consistent
+        assert cert.all_pass
+
     def test_recursion_fields_live_in_the_algebra(self, ref4d_pair):
         alg = bi_preserving_algebra(decompose(ref4d_pair))
         for f in recursion_basis(ref4d_pair).fields:
@@ -190,6 +208,37 @@ class TestCertifyRecursion:
             resid = op_norm(commutator(big_t @ a, big_t)
                             - big_t @ commutator(a, big_t))
             assert resid <= 1e-12 * max(1.0, op_norm(big_t) ** 2 * op_norm(a))
+
+
+class TestDriftBound:
+    """The certified drift bound against the sampled probe (the oracle), on
+    each pair rebuilt in t1's g1-orthonormal frame, where the probe
+    measures the drift the bound is stated for."""
+
+    @pytest.mark.parametrize("spec", [
+        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(n)]
+        for n in (4, 8, 16)
+    ] + [
+        [(2.0, 1, 4), (3.0, -1, 4)],
+        [(2.0, 1, 8), (3.0, -1, 8)],
+        [(1.0, 1, 4), (2.0, 1, 4), (5.0, -1, 4)],
+        [(1.0, 1, 4), (2.0, 1, 4), (5.0, -1, 8)],
+    ], ids=["generic8", "generic16", "generic32", "two_class16", "two_class32",
+            "three_class24", "three_class32"])
+    def test_sampled_drift_stays_within_the_bound(self, spec):
+        q = synthesize_pair(spec, seed=7)
+        p = check_compatible(check_admissible(np.eye(q.dim), q.t1.j_w),
+                             check_admissible(q.metric_operator_w, q.omega2_w))
+        assert np.array_equal(p.t1.g.frame, np.eye(p.dim))
+        rb = recursion_basis(p)
+        bound = certify_recursion(rb, decompose(p)).max_conservation_drift
+        # the probe's own rounding: it flows by eigenvectors that are
+        # orthogonal to a few m * eps only, and the drift of g1, exactly 0
+        # for a g1-skew field, reads up to 3.7 m * eps on these pairs
+        allowance = 10 * p.dim * np.finfo(float).eps
+        for d in rb.directions_w:
+            drift = conservation_probe(LinearField(d), p, CONSERVATION_TIMES).max_drift
+            assert drift <= bound + allowance
 
 
 class TestFlow:
@@ -234,11 +283,9 @@ class TestFlow:
 
 
 class TestConservationProbe:
-    TIMES = tuple(0.1 * k for k in range(1, 101))
-
     def test_phase_generator_conserves_everything(self, ref2d_pair):
         f = LinearField(ref2d_pair.t1.j.m)
-        report = conservation_probe(f, ref2d_pair, self.TIMES)
+        report = conservation_probe(f, ref2d_pair, CONSERVATION_TIMES)
         assert report.max_drift <= 1e-9
         assert set(report.drifts) == {"g1", "g2", "omega1", "omega2"}
 
@@ -250,7 +297,7 @@ class TestConservationProbe:
 
     def test_recursion_field_conserves(self, ref4d_pair):
         second = recursion_basis(ref4d_pair).fields[1]
-        report = conservation_probe(second, ref4d_pair, self.TIMES)
+        report = conservation_probe(second, ref4d_pair, CONSERVATION_TIMES)
         assert report.max_drift <= 1e-9
 
 

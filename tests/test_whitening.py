@@ -67,14 +67,16 @@ def test_generic_dim16_scaled_by_1e_minus_20(tmp_path, capsys):
 
 # at 1e-8 a cluster gap of cluster_gap * max(1, |v|) merged 2e-8 and 3e-8
 # into one cluster, and decompose failed on the merged block; at 1e-280 the
-# powers T^k J1 of the recursion family underflow to zero
-@pytest.mark.parametrize("scale", [1e-8, 1e-280])
+# powers T^k J1 of the recursion family underflow to zero; from 1e154 on
+# T @ T overflowed in the compatibility checks
+@pytest.mark.parametrize("scale", [1e-8, 1e-280, 1e154, 1e300])
 def test_reference_second_triple_rescaled(tmp_path, capsys, scale):
     doc = json.loads((FIXTURES / "reference_4d.json").read_text())
     for key in ("g2", "omega2"):
         doc[key] = (scale * np.array(doc[key])).tolist()
     code, report, _ = run_report(capsys, "recursion", write_doc(tmp_path, doc))
     assert code == 0
+    assert report["compatible"] is True
     assert [(b["sign"], b["dim"]) for b in report["blocks"]] == [(1, 2), (-1, 2)]
     assert report["blocks"][0]["lambda"] == pytest.approx(2 * scale, rel=1e-12)
     assert report["blocks"][1]["lambda"] == pytest.approx(3 * scale, rel=1e-12)
