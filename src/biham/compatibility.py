@@ -189,12 +189,16 @@ def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
     and T and skew-adjointness of both J's with respect to both metrics, and
     the transfer identity g1(G x, y) = g2(x, y).  Measured in t1's
     g1-orthonormal frame, where the g1-adjoint is the transpose and the
-    g2-adjoint of a is ``inv(G) @ a.T @ G``.  The residuals that
-    :func:`check_compatible` already measured are read from the pair's
-    certificates.
+    g2-adjoint of a is ``inv(G) @ a.T @ G``, on G and T divided by G's
+    largest eigenvalue like the checks of :func:`check_compatible`, whose
+    certificates supply the residuals it already measured; the transfer
+    residual, taken in the original coordinates, is divided by
+    ``|g1| |G|``.  Every residual is thus relative and compares with
+    ``tol.rel`` at any scale of the second triple.
     """
     j1, j2 = p.t1.j_w, p.j2_w
-    big_g, big_t = p.metric_operator_w, p.recursion_operator_w
+    scale = p.metric_eigenvalues[-1]
+    big_g, big_t = p.metric_operator_w / scale, p.recursion_operator_w / scale
 
     def g2_adjoint(a: np.ndarray) -> np.ndarray:
         return np.linalg.solve(big_g, a.T @ big_g)
@@ -207,8 +211,10 @@ def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
         out[f"{name}_adjoint_g2"] = op_norm(g2_adjoint(op) - op)
     out["J1_adjoint_g2_plus_J1"] = op_norm(g2_adjoint(j1) + j1)
     out["J2_adjoint_g1_plus_J2"] = p.certificates["g1_J2_skew"]
-    for name in ("G_T_commutator", "G_plus_J1_T_J2", "metric_transfer"):
+    for name in ("G_T_commutator", "G_plus_J1_T_J2"):
         out[name] = p.certificates[name]
+    out["metric_transfer"] = (p.certificates["metric_transfer"] / op_norm(p.t1.g.m)
+                              / op_norm(p.metric_operator))
     return out
 
 

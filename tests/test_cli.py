@@ -369,6 +369,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["compatible"] is True
 
+    @pytest.mark.parametrize("args", [
+        ["-c", "import biham"],
+        ["-m", "biham", "check", str(FIXTURES / "reference_4d.json")],
+    ])
+    def test_loads_no_scipy_module(self, args):
+        # the package needs numpy only; -X importtime logs every module the
+        # fresh interpreter imports
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "biham.dynamics" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
 
 class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):

@@ -12,8 +12,8 @@ from biham.compatibility import (
 )
 from biham.decomposition import decompose, synthesize_pair
 from biham.linalg import StructureError, commutator, eig_self_adjoint, op_norm
-from biham.structures import ViolationReport
-from conftest import standard_triple, whitened
+from biham.structures import ViolationReport, check_admissible
+from conftest import conditioned_basis, congruent, standard_triple, whitened
 
 
 class TestCheckCompatible:
@@ -109,6 +109,17 @@ class TestRelationSuite:
         assert suite["G_adjoint_g1"] == p.certificates["G_selfadjoint_g1"] > 0.0
         assert suite["T_adjoint_g1"] == p.certificates["T_selfadjoint_g1"]
         assert suite["J2_adjoint_g1_plus_J2"] == p.certificates["g1_J2_skew"]
+
+    @pytest.mark.parametrize("scale", [1e8, 1e-8])
+    def test_every_residual_is_relative(self, ref4d_pair, scale):
+        # the reference pair in a random orthonormal basis, where its
+        # products round, with the second triple rescaled
+        rotation = conditioned_basis(4, 1.0, np.random.default_rng(3))
+        doc = congruent(ref4d_pair, rotation, c2=scale)
+        p = check_compatible(check_admissible(doc["g1"], doc["omega1"]),
+                             check_admissible(doc["g2"], doc["omega2"]))
+        suite = verify_relation_suite(p)
+        assert max(suite.values()) <= p.tol.rel
 
 
 class TestPencil:

@@ -277,6 +277,11 @@ class TestFlow:
         with pytest.raises(FlowOverflowError):
             flow(f, 2.0)
 
+    def test_overflow_of_the_scaled_field_reported(self):
+        f = LinearField([[1e10, 1.0], [0.0, 1.0]])
+        with pytest.raises(FlowOverflowError):
+            flow(f, 1e300)
+
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
             flow(LinearField(np.eye(2)), np.inf)

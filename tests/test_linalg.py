@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from biham.linalg import (
     cluster_eigenvalues,
     commutator,
     eig_self_adjoint,
+    expm,
     op_norm,
     orthonormal_span,
     sym_sqrt,
@@ -310,3 +312,31 @@ class TestRankAndNullSpace:
         a = np.diag([1.0, 2.0])
         with pytest.raises(RankAmbiguityError):
             orthonormal_span([a, np.eye(2), 3.0 * a], 1e-9)
+
+
+class TestExpm:
+    """The numpy Padé-13 exponential against ``scipy.linalg.expm``, the
+    oracle, to a relative error of 1e-12 in the largest entry."""
+
+    @staticmethod
+    def assert_matches_oracle(a):
+        ref = scipy.linalg.expm(a)
+        assert np.abs(expm(a) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # 1-norms 1e-3 .. 1e3 take the degrees 3, 5, 7 and 9, then degree 13
+    # after 0 to 8 squarings
+    @pytest.mark.parametrize("norm", np.logspace(-3.0, 3.0, 13))
+    def test_random_non_skew_field_at_dim_16(self, norm):
+        a = np.random.default_rng(7).standard_normal((16, 16))
+        self.assert_matches_oracle(a * (norm / np.abs(a).sum(axis=0).max()))
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.5, 3.0, 1e3])
+    def test_non_normal_jordan_like_field(self, norm):
+        a = -np.eye(8) + np.diag(np.ones(7), 1)
+        self.assert_matches_oracle(a * (norm / np.abs(a).sum(axis=0).max()))
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0, 300.0])
+    def test_dilation(self, t):
+        a = t * np.diag([1.0, -1.0])
+        self.assert_matches_oracle(a)
+        np.testing.assert_allclose(expm(a), np.diag(np.exp([t, -t])), rtol=1e-13)
