@@ -53,7 +53,7 @@ from .linalg import (
     NumericalCheckError,
     Tolerance,
     commutator,
-    expm,
+    _expm,
     frozen,
     op_norm,
     orthonormal_span,
@@ -288,8 +288,8 @@ def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     """Time-t flow exp(t * A) of a linear field.
 
     When A @ A = -c^2 I (phase-generator-like fields) the closed form
-    cos(c t) I + sin(c t) / c * A is used; otherwise the Padé scaling-and-
-    squaring matrix exponential :func:`biham.linalg.expm`.  Overflow raises
+    cos(c t) I + sin(c t) / c * A is used; otherwise a numpy Padé-13 scaling-
+    and-squaring matrix exponential.  Overflow raises
     :class:`FlowOverflowError`.
     """
     t = float(t)
@@ -306,7 +306,7 @@ def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
         out = np.cos(c * t) * np.eye(m) + (np.sin(c * t) / c) * a
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = expm(t * a)
+            out = _expm(t * a)
     if not np.isfinite(out).all():
         raise FlowOverflowError(
             f"matrix exponential overflowed for t={t} (field norm {op_norm(a):.3e})"

@@ -12,9 +12,6 @@ Conventions used throughout the package:
   matrices they report;
 * operator norms are the maximum absolute row sum (the induced infinity
   norm), and every check follows the threshold rule of :class:`Tolerance`.
-
-The package needs numpy only: the one matrix exponential it takes
-(:func:`expm`, for :func:`biham.dynamics.flow`) is a Padé approximant here.
 """
 
 from __future__ import annotations
@@ -251,51 +248,32 @@ def orthonormal_span(mats, rel: float) -> np.ndarray:
     return q.T.reshape(mats.shape)
 
 
-# Coefficients b_0 .. b_m of the [m/m] Padé approximant of exp, with
-# p_m(A) = sum_j b_j A^j and r_m(A) = p_m(-A)^-1 p_m(A), for m = 3, 5, 7, 9
-# and 13, each with theta_m: the largest 1-norm of A for which r_m(A) has a
-# backward error below the unit roundoff of float64 (Higham, SIAM J. Matrix
-# Anal. Appl. 26(4), 2005, Table 2.3).
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                            1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-)
+# Coefficients b_0 .. b_13 of the [13/13] Padé approximant of exp, with
+# p(A) = sum_j b_j A^j and r_13(A) = p(-A)^-1 p(A), and theta_13: the largest
+# 1-norm of A for which r_13(A) has a backward error below the unit roundoff
+# of float64 (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
 _THETA_13 = 5.371920351148152
 _PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
             1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
             33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
-def expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a real square matrix by Padé-13 scaling and
-    squaring (Higham 2005, Algorithm 2.3).
+    squaring (Higham 2005).
 
-    The degree m in {3, 5, 7, 9} is the lowest whose theta_m bounds the
-    1-norm of ``a``; beyond theta_9, ``a`` is scaled by 2^-s into the ball
-    of radius theta_13, r_13 is taken there and squared s times.  Each r_m
-    costs (m + 1) / 2 products and one solve (r_13: six products).  The
-    result overflows to inf or NaN, which callers check, when the
-    exponential leaves the floating-point range or ``a`` is not finite.
+    Beyond theta_13 in the 1-norm, ``a`` is scaled by 2^-s into the ball of
+    radius theta_13; r_13 is taken there (six products and one solve) and
+    squared s times.  The result overflows to inf or NaN, which callers
+    check, when the exponential leaves the floating-point range or ``a`` is
+    not finite.
     """
     a = np.asarray(a, dtype=np.float64)
     ident = np.eye(a.shape[0])
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan)
-    for theta, b in _PADE:
-        if norm <= theta:
-            a2 = a @ a
-            powers = [ident, a2]
-            while len(powers) < len(b) // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-            v = sum(b[2 * k] * p for k, p in enumerate(powers))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     a = np.ldexp(a, -s)
     b = _PADE_13
     a2 = a @ a

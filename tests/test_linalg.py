@@ -14,8 +14,8 @@ from biham.linalg import (
     as_matrix,
     cluster_eigenvalues,
     commutator,
+    _expm,
     eig_self_adjoint,
-    expm,
     op_norm,
     orthonormal_span,
     sym_sqrt,
@@ -321,10 +321,9 @@ class TestExpm:
     @staticmethod
     def assert_matches_oracle(a):
         ref = scipy.linalg.expm(a)
-        assert np.abs(expm(a) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(_expm(a) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    # 1-norms 1e-3 .. 1e3 take the degrees 3, 5, 7 and 9, then degree 13
-    # after 0 to 8 squarings
+    # 1-norms 1e-3 .. 1e3 take 0 to 8 squarings
     @pytest.mark.parametrize("norm", np.logspace(-3.0, 3.0, 13))
     def test_random_non_skew_field_at_dim_16(self, norm):
         a = np.random.default_rng(7).standard_normal((16, 16))
@@ -339,4 +338,4 @@ class TestExpm:
     def test_dilation(self, t):
         a = t * np.diag([1.0, -1.0])
         self.assert_matches_oracle(a)
-        np.testing.assert_allclose(expm(a), np.diag(np.exp([t, -t])), rtol=1e-13)
+        np.testing.assert_allclose(_expm(a), np.diag(np.exp([t, -t])), rtol=1e-13)
