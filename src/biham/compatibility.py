@@ -40,6 +40,7 @@ from .linalg import (
     eig_self_adjoint,
     frozen,
     op_norm,
+    op_norms,
 )
 from .structures import AdmissibleTriple, Violation, ViolationReport
 
@@ -254,7 +255,7 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     scales as ``J_c = (1 + s * gamma * r) / (1 + gamma * r) * J1``, so the
     member is admissible on the block iff s = +1 or gamma = 0.  The
     verdicts report the measured coefficient of ``(J_c|block)^2`` for each
-    block.
+    block, from one stacked solve per distinct block dimension.
 
     Raises :class:`StructureError` when ``g_c`` is not positive-definite
     (``gamma`` outside :func:`positivity_range`).
@@ -276,16 +277,22 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     j_w = np.linalg.solve(g_w, w_w)
     admissible = op_norm(j_w @ j_w + np.eye(p.dim)) <= tol.threshold(j_w, j_w)
 
-    verdicts = []
-    for block in d.blocks:
-        b = block.basis_w
-        jb = np.linalg.solve(b.T @ g_w @ b, b.T @ w_w @ b)
+    verdicts: list = [None] * len(d.blocks)
+    for dim in sorted({block.dim for block in d.blocks}):
+        # every block of this dimension in one stacked solve
+        at = [i for i, block in enumerate(d.blocks) if block.dim == dim]
+        b = np.stack([d.blocks[i].basis_w for i in at])
+        bt = b.transpose(0, 2, 1)
+        jb = np.linalg.solve(bt @ g_w @ b, bt @ w_w @ b)
         jb2 = jb @ jb
-        coeff = float(np.trace(jb2) / block.dim)
-        resid = op_norm(jb2 - coeff * np.eye(block.dim))
-        block_adm = op_norm(jb2 + np.eye(block.dim)) <= tol.threshold(jb, jb)
-        verdicts.append(PencilBlockVerdict(block.eigenvalue, block.sign, block.dim,
-                                           coeff, resid, block_adm))
+        eye = np.eye(dim)
+        coeffs = np.trace(jb2, axis1=1, axis2=2) / dim
+        resids = op_norms(jb2 - coeffs[:, None, None] * eye)
+        block_adm = op_norms(jb2 + eye) <= tol.thresholds(jb, jb)
+        for i, coeff, resid, adm in zip(at, coeffs, resids, block_adm):
+            block = d.blocks[i]
+            verdicts[i] = PencilBlockVerdict(block.eigenvalue, block.sign, block.dim,
+                                             float(coeff), float(resid), bool(adm))
     g_c = p.t1.g.m + gamma * p.t2.g.m
     w_c = p.t1.omega.m + gamma * p.t2.omega.m
     j_c = p.t1.g.frame @ j_w @ p.t1.g.frame_inv

@@ -33,7 +33,6 @@ from .linalg import (
     Tolerance,
     cluster_eigenvalues,
     frozen,
-    op_norm,
     same_cluster,
 )
 from .structures import ViolationReport, check_admissible
@@ -164,11 +163,18 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     clustered and the symmetric T diagonalized inside each cluster; T must
     take the values +-lambda there.  Per-block proportionality of the
     structures and cross-block bi-orthogonality are verified before
-    returning.
+    returning, all from one set of dense products (:func:`_block_residuals`):
+    with C the block bases side by side, the diagonal sub-blocks of
+    ``C.T @ g2 @ C``, ``C.T @ omega2 @ C`` and ``C.T @ C`` and the column
+    blocks of ``J2 @ C - sign J1 @ C`` give the per-block residuals, and the
+    off-diagonal sub-blocks of ``C.T @ C`` and ``C.T @ g2 @ C`` the
+    cross-block ones, each the row-sum norm of its sub-block.  An error
+    names the first failing block (then check) or pair (then metric) in
+    block order.
     """
     tol = p.tol
-    j1, j2 = p.t1.j_w, p.j2_w
-    g2, w2, big_t = p.metric_operator_w, p.omega2_w, p.recursion_operator_w
+    j1, g2, w2 = p.t1.j_w, p.metric_operator_w, p.omega2_w
+    big_t = p.recursion_operator_w
 
     blocks: list[Block] = []
     col = 0
@@ -201,32 +207,64 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     if sum(b.dim for b in blocks) != p.dim:
         raise DecompositionError("block dimensions do not add up to the space dimension")
 
-    for b in blocks:
-        c = b.basis_w
-        lam, sign = b.eigenvalue, b.sign
-        checks = (
-            ("g2 proportional to g1", op_norm(c.T @ g2 @ c - lam * (c.T @ c)),
-             tol.threshold(g2)),
-            ("omega2 proportional to omega1",
-             op_norm(c.T @ w2 @ c - sign * lam * (c.T @ j1 @ c)), tol.threshold(w2)),
-            ("J2 = sign * J1", op_norm(j2 @ c - sign * (j1 @ c)), tol.threshold(j1)),
+    per_block, cross = _block_residuals(blocks, p)
+    thresholds = np.array([tol.threshold(g2), tol.threshold(w2), tol.threshold(j1)])
+    failed = np.argwhere(~(per_block <= thresholds))
+    if failed.size:
+        i, check = failed[0]
+        b = blocks[i]
+        what = ("g2 proportional to g1", "omega2 proportional to omega1",
+                "J2 = sign * J1")[check]
+        raise DecompositionError(
+            f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
+            f"with residual {per_block[i, check]:.3e}"
         )
-        for what, resid, thr in checks:
-            if not resid <= thr:
-                raise DecompositionError(
-                    f"{what} fails on block (lambda={lam:.6g}, sign={sign:+d}) "
-                    f"with residual {resid:.3e}"
-                )
-    for i in range(len(blocks)):
-        for k in range(i + 1, len(blocks)):
-            for name, gm in (("g1", np.eye(p.dim)), ("g2", g2)):
-                resid = op_norm(blocks[i].basis_w.T @ gm @ blocks[k].basis_w)
-                if not resid <= tol.threshold(gm):
-                    raise DecompositionError(
-                        f"blocks {i} and {k} are not {name}-orthogonal "
-                        f"(residual {resid:.3e})"
-                    )
+    # g1 is I in this frame, of norm 1
+    upper = np.triu(np.ones(cross.shape[:2], dtype=bool), 1)[:, :, None]
+    failed = np.argwhere(upper & ~(cross <= np.array([tol.rel, tol.threshold(g2)])))
+    if failed.size:
+        i, k, name = failed[0]
+        raise DecompositionError(
+            f"blocks {i} and {k} are not {('g1', 'g2')[name]}-orthogonal "
+            f"(residual {cross[i, k, name]:.3e})"
+        )
     return BlockDecomposition(tuple(blocks), p, tol)
+
+
+def _block_residuals(blocks: list[Block], p: CompatiblePair) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the checks of :func:`decompose`, from one set of dense
+    products of the stacked bases C (the (i, k) sub-block of C.T @ M @ C
+    is B_i.T @ M @ B_k).
+
+    ``per_block[i]`` holds, for block i, the row-sum norms of
+    B.T g2 B - lambda B.T B, B.T omega2 B - sign lambda B.T J1 B and
+    J2 B - sign J1 B; ``cross[i, k]`` those of B_i.T B_k and
+    B_i.T g2 B_k, meaningful for i < k.
+    """
+    j1, j2 = p.t1.j_w, p.j2_w
+    g2, w2 = p.metric_operator_w, p.omega2_w
+    dims = [b.dim for b in blocks]
+    starts = np.cumsum([0] + dims[:-1])
+    lam = np.repeat([b.eigenvalue for b in blocks], dims)
+    sign = np.repeat([b.sign for b in blocks], dims)
+    c = np.hstack([b.basis_w for b in blocks])
+    gram, gram2 = c.T @ c, c.T @ g2 @ c
+    j1c = j1 @ c
+    per_block = np.stack([
+        np.diagonal(_block_norms(gram2 - lam * gram, starts)),
+        np.diagonal(_block_norms(c.T @ w2 @ c - (sign * lam) * (c.T @ j1c), starts)),
+        _block_norms(j2 @ c - sign * j1c, starts).max(axis=0),
+    ], axis=1)
+    cross = np.stack([_block_norms(gram, starts), _block_norms(gram2, starts)], axis=2)
+    return per_block, cross
+
+
+def _block_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Row-sum norm (the package's operator norm) of every sub-block of
+    ``a`` when both axes are cut at ``starts``: entry (i, k) belongs to row
+    block i and column block k."""
+    row_sums = np.add.reduceat(np.abs(a), starts, axis=1)
+    return np.maximum.reduceat(row_sums, starts, axis=0)
 
 
 def is_generic(d: BlockDecomposition) -> bool:

@@ -56,6 +56,7 @@ from .linalg import (
     _expm,
     frozen,
     op_norm,
+    op_norms,
     orthonormal_span,
 )
 from .structures import LinearField, preservation_residuals
@@ -163,7 +164,8 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
         (C X + D Y) @ C.T + (D X - C Y) @ D.T,    D = J1 @ C,
 
     where the columns C are the block's orthonormal complex axes from
-    :attr:`BlockDecomposition.adapted_frame`.  The generators of all blocks
+    :attr:`BlockDecomposition.adapted_frame`; the generators of all blocks
+    of one rank are built together, by one stacked product per rank.  They
     are mapped back to the original coordinates and orthonormalized there
     in the Frobenius inner product by one QR.  The dimension is
     cross-checked against the group signature (sum of squared ranks) and
@@ -173,20 +175,27 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     j1 = p.t1.j_w
     frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
     cols, _ = d.adapted_frame
-    gens = []
-    start = 0
-    for block in d.blocks:
-        r = block.dim // 2
-        c = cols[:, start:start + r]
-        start += r
+    ranks = [b.dim // 2 for b in d.blocks]
+    starts = np.cumsum([0] + ranks[:-1])
+    gens: list = [None] * len(ranks)
+    for r in sorted(set(ranks)):
+        # the k blocks of rank r at once: c stacks their axes as (k, m, r)
+        at = [i for i, q in enumerate(ranks) if q == r]
+        c = np.stack([cols[:, s:s + r] for s in starts[at]])
         dj = j1 @ c
-        # realified matrix units: unit[a, b] is the real field of E_ab
-        unit = np.einsum("ia,jb->abij", c, c) + np.einsum("ia,jb->abij", dj, dj)
-        i_unit = np.einsum("ia,jb->abij", dj, c) - np.einsum("ia,jb->abij", c, dj)
+        cd = np.stack((c, dj))
+        # realified matrix units: unit[:, a, b] is the real field of E_ab,
+        # C E_ab C.T + D E_ab D.T, and i_unit that of i E_ab
+        unit = np.einsum("skia,skjb->kabij", cd, cd)
+        i_unit = np.einsum("skia,skjb->kabij", np.stack((dj, -c)), cd)
         diag, upper = np.diag_indices(r), np.triu_indices(r, 1)
         lower = upper[::-1]
-        gens.extend((i_unit[diag], unit[upper] - unit[lower],
-                     i_unit[upper] + i_unit[lower]))
+        stacked = np.concatenate((i_unit[:, diag[0], diag[1]],
+                                  unit[:, upper[0], upper[1]] - unit[:, lower[0], lower[1]],
+                                  i_unit[:, upper[0], upper[1]] + i_unit[:, lower[0], lower[1]]),
+                                 axis=1)
+        for i, block_gens in zip(at, stacked):
+            gens[i] = block_gens
     basis = orthonormal_span(frame @ np.concatenate(gens) @ frame_inv, tol.rel)
 
     expected = sum(r * r for r in group_signature(d).multiplicities)
@@ -228,7 +237,8 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     directions in t1's g1-orthonormal frame: preservation of all four
     tensors and pairwise commutation within ``tol.rel``, the rank, the
     matrix Nijenhuis identity [T A, T] = T [A, T] for A = J1 on T / |T|,
-    and a drift bound.
+    and a drift bound.  The n(n-1)/2 commutators are formed as n - 1
+    stacked products, direction i against all directions after it.
 
     Rank: with P_i = B_i B_i.T the projector onto the i-th of c (lambda,
     sign) classes, T^k J1 = sum_i (s_i lambda_i)^k P_i J1.  The check is
@@ -252,11 +262,10 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     max_pres = float(max(r.max() for r in residuals))
     drift = 10.0 * math.sqrt(m) * float(max((r + residuals[0]).max() for r in residuals[1:]))
 
-    # the directions have unit norm, so each commutator is relative
-    max_comm = 0.0
-    for i in range(len(mats)):
-        for k in range(i + 1, len(mats)):
-            max_comm = max(max_comm, op_norm(commutator(mats[i], mats[k])))
+    # the directions have unit norm, so each commutator is relative; one
+    # stacked product per direction takes all its later partners at once
+    max_comm = max((float(op_norms(mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).max())
+                    for i in range(n - 1)), default=0.0)
 
     j1 = p.t1.j_w
     classes = [np.hstack([b.basis_w for b in c]) for c in d.classes]

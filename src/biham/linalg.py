@@ -84,6 +84,13 @@ class Tolerance:
         bound = self.rel * math.prod(op_norm(f) for f in factors)
         return bound if math.isfinite(bound) else math.nan
 
+    def thresholds(self, *stacks) -> np.ndarray:
+        """:meth:`threshold` of each expression in stacks of factors of
+        shape (k, m, m): entry i takes the i-th matrix of every stack."""
+        with np.errstate(over="ignore"):
+            bound = self.rel * math.prod(op_norms(f) for f in stacks)
+        return np.where(np.isfinite(bound), bound, math.nan)
+
 
 DEFAULT_TOL = Tolerance()
 

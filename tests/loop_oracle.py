@@ -1,0 +1,71 @@
+"""Per-block and per-pair verification loops, kept as a test oracle.
+
+The package verifies the block decomposition, the commutation of the
+recursion family and the pencil's per-block verdicts from stacked
+products, one set per stage.  These are the loops they replaced: one small
+dense product per block or per pair of blocks or directions, each read with
+``op_norm`` and judged by ``Tolerance.threshold``.
+"""
+
+import numpy as np
+
+from biham.linalg import commutator, op_norm
+
+
+def decomposition_residuals(blocks, p):
+    """Per-block residuals [g2, omega2, J2 checks] and, for each pair
+    i < k, the g1- and g2-orthogonality residuals of ``decompose``."""
+    j1, j2 = p.t1.j_w, p.j2_w
+    g2, w2 = p.metric_operator_w, p.omega2_w
+    per_block = []
+    for b in blocks:
+        c, lam, sign = b.basis_w, b.eigenvalue, b.sign
+        per_block.append([
+            op_norm(c.T @ g2 @ c - lam * (c.T @ c)),
+            op_norm(c.T @ w2 @ c - sign * lam * (c.T @ j1 @ c)),
+            op_norm(j2 @ c - sign * (j1 @ c)),
+        ])
+    cross = {}
+    for i in range(len(blocks)):
+        for k in range(i + 1, len(blocks)):
+            cross[i, k] = [op_norm(blocks[i].basis_w.T @ gm @ blocks[k].basis_w)
+                           for gm in (np.eye(p.dim), g2)]
+    return np.array(per_block), cross
+
+
+def max_commutator_residual(mats):
+    """Largest row-sum norm of the commutators of all pairs of directions."""
+    worst = 0.0
+    for i in range(len(mats)):
+        for k in range(i + 1, len(mats)):
+            worst = max(worst, op_norm(commutator(mats[i], mats[k])))
+    return worst
+
+
+def pencil_verdicts(d, gamma):
+    """(jsq_coefficient, residual, admissible) of the pencil member at
+    ``gamma`` restricted to each block, one solve per block."""
+    p, tol = d.pair, d.tol
+    g_w = np.eye(p.dim) + gamma * p.metric_operator_w
+    w_w = p.t1.j_w + gamma * p.omega2_w
+    out = []
+    for block in d.blocks:
+        b = block.basis_w
+        jb = np.linalg.solve(b.T @ g_w @ b, b.T @ w_w @ b)
+        jb2 = jb @ jb
+        coeff = float(np.trace(jb2) / block.dim)
+        resid = op_norm(jb2 - coeff * np.eye(block.dim))
+        admissible = op_norm(jb2 + np.eye(block.dim)) <= tol.threshold(jb, jb)
+        out.append((coeff, resid, admissible))
+    return out
+
+
+def bicommutant_commutator_residual(op, basis):
+    """Largest ``|[a, x]| / (|a| |x|)`` over every bicommutant basis element
+    x and commutant basis element a: the element-wise check that the
+    biorthogonality bound of ``bicommutant_basis`` replaced."""
+    worst = 0.0
+    for x in basis:
+        for a in op.commutant_basis:
+            worst = max(worst, op_norm(commutator(a, x)) / (op_norm(a) * op_norm(x)))
+    return worst

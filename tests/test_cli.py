@@ -435,6 +435,35 @@ class TestSharedResults:
         assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1,
                          "cluster_frames": 1, "commutant": 1, "conservation_probe": 0}
 
+    def test_norm_evaluations_grow_linearly(self, monkeypatch):
+        # the checks of every stage are stacked products, so the number of
+        # norm evaluations grows at most linearly in the number of blocks,
+        # not with the number of block pairs or direction pairs
+        original = linalg.op_norms
+        calls = [0]
+
+        def counting(a):
+            calls[0] += 1
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("biham") and getattr(module, "op_norms", None) is original:
+                monkeypatch.setattr(module, "op_norms", counting)
+
+        def count(dim):
+            spec = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(dim // 2)]
+            pair = synthesize_pair(spec, seed=1)
+            doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                                pair.t2.g.m, pair.t2.omega.m, pair.tol)
+            calls[0] = 0
+            _, code = analyze(doc, gamma=0.5)
+            assert code == 0
+            return calls[0]
+
+        small, large = count(16), count(32)
+        assert small > 0
+        assert large <= 1.5 * small
+
 
 class TestBenchmarkHooks:
     def test_traced_functions_resolve(self):

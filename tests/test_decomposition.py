@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from biham.compatibility import check_compatible
 from biham.decomposition import (
+    DecompositionError,
     canonical_basis,
     decompose,
     group_signature,
@@ -69,6 +72,72 @@ class TestDecompose:
             assert op_norm(c.T @ g2 @ c - lam * (c.T @ g1 @ c)) <= 1e-9 * op_norm(g2)
             assert op_norm(c.T @ w2 @ c - sign * lam * (c.T @ w1 @ c)) <= 1e-9 * op_norm(w2)
             assert op_norm(p.t2.j.m @ c - sign * (p.t1.j.m @ c)) <= 1e-9
+
+
+class TestDecomposeFaults:
+    """Each verification of :func:`decompose` fails on a pair tampered with
+    in t1's g1-orthonormal frame, and names the offending block or pair.
+
+    Blocks (ascending): 0 = (1, +), 1 = (2, -), 2 = (3, +).  Every fault is
+    confined to the span of the named blocks, of size EPS, far above the
+    threshold rule's 1e-9 and far below the cluster gap.
+    """
+
+    EPS = 1e-5
+    SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    @pytest.fixture
+    def pair(self):
+        return synthesize_pair([(1.0, 1, 1), (2.0, -1, 1), (3.0, 1, 1)], seed=4)
+
+    @staticmethod
+    def bases(pair):
+        return [b.basis_w for b in decompose(pair).blocks]
+
+    def test_g2_proportionality(self, pair):
+        b = self.bases(pair)[1]
+        g2 = pair.metric_operator_w + self.EPS * (b @ b.T)
+        tampered = dataclasses.replace(pair, metric_operator_w=g2)
+        with pytest.raises(DecompositionError,
+                           match=r"g2 proportional to g1 fails on block "
+                                 r"\(lambda=2, sign=-1\) with residual 1\.0\d*e-05"):
+            decompose(tampered)
+
+    def test_omega2_proportionality(self, pair):
+        b = self.bases(pair)[1]
+        w2 = pair.omega2_w + self.EPS * (b @ self.SKEW @ b.T)
+        tampered = dataclasses.replace(pair, omega2_w=w2)
+        with pytest.raises(DecompositionError,
+                           match=r"omega2 proportional to omega1 fails on block "
+                                 r"\(lambda=2, sign=-1\)"):
+            decompose(tampered)
+
+    def test_j2_equals_sign_j1(self, pair):
+        b = self.bases(pair)[2]
+        j2 = pair.j2_w + self.EPS * (b @ self.SKEW @ b.T)
+        tampered = dataclasses.replace(pair, j2_w=j2)
+        with pytest.raises(DecompositionError,
+                           match=r"J2 = sign \* J1 fails on block \(lambda=3, sign=\+1\)"):
+            decompose(tampered)
+
+    def test_g1_orthogonality(self, pair):
+        # tilt the lambda = 3 eigenvectors of G towards the lambda = 1 ones:
+        # both blocks have sign +1, so J2 = J1 on the tilted block and its own
+        # checks move only at second order in EPS
+        v = pair.metric_eigenbasis_w.copy()
+        v[:, 4:6] += self.EPS * v[:, 0:2]
+        tampered = dataclasses.replace(pair, metric_eigenbasis_w=v)
+        with pytest.raises(DecompositionError,
+                           match=r"blocks 0 and 2 are not g1-orthogonal \(residual \d\.\d+e-05\)"):
+            decompose(tampered)
+
+    def test_g2_orthogonality(self, pair):
+        b = self.bases(pair)
+        g2 = pair.metric_operator_w + self.EPS * (b[1] @ b[2].T + b[2] @ b[1].T)
+        tampered = dataclasses.replace(pair, metric_operator_w=g2)
+        with pytest.raises(DecompositionError,
+                           match=r"blocks 1 and 2 are not g2-orthogonal \(residual 1\.0\d*e-05\)"):
+            decompose(tampered)
 
 
 class TestIsGeneric:
