@@ -209,9 +209,9 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
 
     per_block, cross = _block_residuals(blocks, p)
     thresholds = np.array([tol.threshold(g2), tol.threshold(w2), tol.threshold(j1)])
-    failed = np.argwhere(~(per_block <= thresholds))
-    if failed.size:
-        i, check = failed[0]
+    failing = ~(per_block <= thresholds)
+    if failing.any():
+        i, check = np.argwhere(failing)[0]
         b = blocks[i]
         what = ("g2 proportional to g1", "omega2 proportional to omega1",
                 "J2 = sign * J1")[check]
@@ -219,14 +219,13 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
             f"with residual {per_block[i, check]:.3e}"
         )
-    # g1 is I in this frame, of norm 1
-    upper = np.triu(np.ones(cross.shape[:2], dtype=bool), 1)[:, :, None]
-    failed = np.argwhere(upper & ~(cross <= np.array([tol.rel, tol.threshold(g2)])))
-    if failed.size:
-        i, k, name = failed[0]
+    # g1 is I in this frame, of norm 1; only the pairs i < k are checked
+    failing = np.triu(~(cross <= np.array([[[tol.rel]], [[tol.threshold(g2)]]])), 1)
+    if failing.any():
+        i, k, name = np.argwhere(failing.transpose(1, 2, 0))[0]
         raise DecompositionError(
             f"blocks {i} and {k} are not {('g1', 'g2')[name]}-orthogonal "
-            f"(residual {cross[i, k, name]:.3e})"
+            f"(residual {cross[name, i, k]:.3e})"
         )
     return BlockDecomposition(tuple(blocks), p, tol)
 
@@ -238,7 +237,7 @@ def _block_residuals(blocks: list[Block], p: CompatiblePair) -> tuple[np.ndarray
 
     ``per_block[i]`` holds, for block i, the row-sum norms of
     B.T g2 B - lambda B.T B, B.T omega2 B - sign lambda B.T J1 B and
-    J2 B - sign J1 B; ``cross[i, k]`` those of B_i.T B_k and
+    J2 B - sign J1 B; ``cross[:, i, k]`` those of B_i.T B_k and
     B_i.T g2 B_k, meaningful for i < k.
     """
     j1, j2 = p.t1.j_w, p.j2_w
@@ -255,7 +254,7 @@ def _block_residuals(blocks: list[Block], p: CompatiblePair) -> tuple[np.ndarray
         np.diagonal(_block_norms(c.T @ w2 @ c - (sign * lam) * (c.T @ j1c), starts)),
         _block_norms(j2 @ c - sign * j1c, starts).max(axis=0),
     ], axis=1)
-    cross = np.stack([_block_norms(gram, starts), _block_norms(gram2, starts)], axis=2)
+    cross = np.stack([_block_norms(gram, starts), _block_norms(gram2, starts)])
     return per_block, cross
 
 

@@ -164,8 +164,9 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
         (C X + D Y) @ C.T + (D X - C Y) @ D.T,    D = J1 @ C,
 
     where the columns C are the block's orthonormal complex axes from
-    :attr:`BlockDecomposition.adapted_frame`; the generators of all blocks
-    of one rank are built together, by one stacked product per rank.  They
+    :attr:`BlockDecomposition.adapted_frame`; each generator is thus a sum
+    of four outer products of the c's and their partners J1 c, and those
+    of all blocks of one rank are formed by one stacked product.  They
     are mapped back to the original coordinates and orthonormalized there
     in the Frobenius inner product by one QR.  The dimension is
     cross-checked against the group signature (sum of squared ranks) and
@@ -179,21 +180,14 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     starts = np.cumsum([0] + ranks[:-1])
     gens: list = [None] * len(ranks)
     for r in sorted(set(ranks)):
-        # the k blocks of rank r at once: c stacks their axes as (k, m, r)
+        # the k blocks of rank r at once, their axes C as rows (k, r, m)
         at = [i for i, q in enumerate(ranks) if q == r]
-        c = np.stack([cols[:, s:s + r] for s in starts[at]])
-        dj = j1 @ c
-        cd = np.stack((c, dj))
-        # realified matrix units: unit[:, a, b] is the real field of E_ab,
-        # C E_ab C.T + D E_ab D.T, and i_unit that of i E_ab
-        unit = np.einsum("skia,skjb->kabij", cd, cd)
-        i_unit = np.einsum("skia,skjb->kabij", np.stack((dj, -c)), cd)
-        diag, upper = np.diag_indices(r), np.triu_indices(r, 1)
-        lower = upper[::-1]
-        stacked = np.concatenate((i_unit[:, diag[0], diag[1]],
-                                  unit[:, upper[0], upper[1]] - unit[:, lower[0], lower[1]],
-                                  i_unit[:, upper[0], upper[1]] + i_unit[:, lower[0], lower[1]]),
-                                 axis=1)
+        c = np.stack([cols[:, s:s + r].T for s in starts[at]])
+        dj = c @ j1.T
+        rows = np.concatenate((c, dj, -c, -dj, np.zeros((len(at), 1, p.dim))), axis=1)
+        left, right = _u_generator_terms(r)
+        # (k, r^2, m, 4) @ (k, r^2, 4, m): every generator of every block
+        stacked = rows[:, left].swapaxes(2, 3) @ rows[:, right]
         for i, block_gens in zip(at, stacked):
             gens[i] = block_gens
     basis = orthonormal_span(frame @ np.concatenate(gens) @ frame_inv, tol.rel)
@@ -209,6 +203,28 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
         raise DecompositionError(
             f"algebra element fails preservation (residual {worst:.3e})")
     return BiPreservingAlgebra(tuple(frozen(a) for a in basis), len(basis))
+
+
+def _u_generator_terms(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (r^2, 4) into ``[C, D, -C, -D, 0]`` (the axes of a
+    block of rank r as rows, D = C @ J1.T, then one zero row) of the four
+    outer products whose sum is each realified u(r) generator: generator g
+    is the sum over t of ``outer(rows[left[g, t]], rows[right[g, t]])``.
+
+    The generators are i E_aa, D_a C_a - C_a D_a; then for a < b,
+    E_ab - E_ba, C_a C_b - C_b C_a + D_a D_b - D_b D_a; and i (E_ab + E_ba),
+    D_a C_b - C_a D_b + D_b C_a - C_b D_a (each product an outer product).
+    """
+    e, (a, b) = np.arange(r), np.triu_indices(r, 1)
+    c, d, neg_c, neg_d = 0, r, 2 * r, 3 * r
+    zero = np.full(r, 4 * r)
+    left = np.concatenate((np.column_stack((d + e, neg_c + e, zero, zero)),
+                           np.column_stack((c + a, neg_c + b, d + a, neg_d + b)),
+                           np.column_stack((d + a, neg_c + a, d + b, neg_c + b))))
+    right = np.concatenate((np.column_stack((c + e, d + e, zero, zero)),
+                            np.column_stack((c + b, c + a, d + b, d + a)),
+                            np.column_stack((c + b, d + b, c + a, d + a))))
+    return left, right
 
 
 def _preservation_residuals(mats_w: np.ndarray, p: CompatiblePair) -> tuple[np.ndarray, ...]:

@@ -76,7 +76,7 @@ def assert_decomposition_residuals_match(blocks, p, rtol=0.0):
             + rtol * np.abs(loop_block)).all()
     assert len(loop_cross) == len(blocks) * (len(blocks) - 1) // 2
     for (i, k), values in loop_cross.items():
-        assert (np.abs(cross[i, k] - values) <= p.dim * EPS * cross_scale
+        assert (np.abs(cross[:, i, k] - values) <= p.dim * EPS * cross_scale
                 + rtol * np.abs(values)).all()
 
 
@@ -121,7 +121,7 @@ class TestTamperedPairs:
         )
         per_block, cross = _block_residuals(blocks, tampered)
         assert (per_block[[0, 1, 2], [0, 1, 2]] > 1e-6).all()
-        assert cross[1, 2, 1] > 1e-6
+        assert cross[1, 1, 2] > 1e-6
         assert_decomposition_residuals_match(blocks, tampered, rtol=1e-12)
 
 
