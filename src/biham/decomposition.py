@@ -220,7 +220,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             f"with residual {per_block[i, check]:.3e}"
         )
     # g1 is I in this frame, of norm 1; only the pairs i < k are checked
-    failing = np.triu(~(cross <= np.array([[[tol.rel]], [[tol.threshold(g2)]]])), 1)
+    failing = np.triu(~(cross <= np.array([tol.rel, thresholds[0]])[:, None, None]), 1)
     if failing.any():
         i, k, name = np.argwhere(failing.transpose(1, 2, 0))[0]
         raise DecompositionError(
