@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -192,6 +193,8 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
     """
     report = _empty_report()
     residuals = report["residuals"]
+    if gamma is not None:
+        report["pencil_member"] = None
     failed = False
 
     triples = []
@@ -293,7 +296,10 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
         except NumericalCheckError as err:
             residuals["pipeline_error"] = str(err)
             failed = True
-    elif gamma is not None and pair is None:
+    elif gamma is not None:
+        residuals["pencil_member"] = (
+            "not computed: the two triples are not a compatible pair" if doc.has_pair
+            else "not computed: the document has no second triple")
         failed = True
 
     return report, (1 if failed else 0)
@@ -304,9 +310,19 @@ def _dump_report(report: dict) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file renamed over ``path``.  The file gets
+    the mode a plain ``open(path, "w")`` would leave: the existing file's,
+    or 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".biham-", suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -85,26 +85,32 @@ class BlockDecomposition:
     tol: Tolerance
 
     @cached_property
-    def adapted_frame(self) -> tuple[np.ndarray, tuple[int, ...]]:
+    def adapted_frame(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Complex basis vectors (columns) adapted to the decomposition, in
-        t1's g1-orthonormal frame, and the block sign carried by each.
+        t1's g1-orthonormal frame, their partners and the block sign
+        carried by each.
 
-        Within each block, orthonormal c's whose partners J1 @ c complete
-        them to an orthonormal real basis; the c's are the complex
+        Within each block, orthonormal c's whose partners d = J1 @ c
+        complete them to an orthonormal real basis; the c's are the complex
         coordinate axes.  In the block's basis B, J1 is the skew orthogonal
-        K = B.T @ J1 @ B, and sqrt(2) times the real parts of the
-        eigenvectors of i K for its eigenvalue +1 are such c's.  Built once
-        per decomposition, on first use.
+        K = B.T @ J1 @ B, and for the eigenvectors x + iy of i K for its
+        eigenvalue +1, c = sqrt(2) B x and d = sqrt(2) B y (K x = y).  The
+        partners are taken from the eigenvectors rather than as J1 @ c, so
+        that [c's, d's] is orthonormal to rounding even where J1 is
+        orthogonal only to a larger residual.  Built once per decomposition,
+        on first use.
         """
         j1 = self.pair.t1.j_w
         cols: list[np.ndarray] = []
+        partners: list[np.ndarray] = []
         signs: list[int] = []
         for block in self.blocks:
             b, r = block.basis_w, block.dim // 2
             _, u = np.linalg.eigh(1j * (b.T @ j1 @ b))
             cols.append(np.sqrt(2.0) * (b @ u[:, r:].real))
+            partners.append(np.sqrt(2.0) * (b @ u[:, r:].imag))
             signs.extend([block.sign] * r)
-        return frozen(np.hstack(cols)), tuple(signs)
+        return frozen(np.hstack(cols)), frozen(np.hstack(partners)), tuple(signs)
 
     @cached_property
     def classes(self) -> tuple[tuple[Block, ...], ...]:

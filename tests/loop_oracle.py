@@ -1,15 +1,19 @@
-"""Per-block and per-pair verification loops, kept as a test oracle.
+"""Per-block, per-pair and per-element verification loops, kept as a test
+oracle.
 
 The package verifies the block decomposition, the commutation of the
 recursion family and the pencil's per-block verdicts from stacked
-products, one set per stage.  These are the loops they replaced: one small
-dense product per block or per pair of blocks or directions, each read with
-``op_norm`` and judged by ``Tolerance.threshold``.
+products, one set per stage, and certifies the bi-preserving algebra, the
+commutant and the bicommutant from the frames they are built from.  These
+are the checks they replaced: one small dense product per block, per pair
+of blocks or directions, or per basis element, each read with ``op_norm``.
 """
 
 import numpy as np
 
-from biham.linalg import commutator, op_norm
+from biham.commutant import bicommutant_basis
+from biham.linalg import commutator, op_norm, op_norms
+from biham.structures import preservation_residuals
 
 
 def decomposition_residuals(blocks, p):
@@ -60,12 +64,31 @@ def pencil_verdicts(d, gamma):
     return out
 
 
-def bicommutant_commutator_residual(op, basis):
-    """Largest ``|[a, x]| / (|a| |x|)`` over every bicommutant basis element
-    x and commutant basis element a: the element-wise check that the
-    biorthogonality bound of ``bicommutant_basis`` replaced."""
+def commutation_residual(elements, against):
+    """Largest ``|[a, x]| / (|a| |x|)`` over every element x and every
+    matrix a in ``against``."""
     worst = 0.0
-    for x in basis:
-        for a in op.commutant_basis:
-            worst = max(worst, op_norm(commutator(a, x)) / (op_norm(a) * op_norm(x)))
+    for a in against:
+        comm = a @ elements - elements @ a
+        worst = max(worst, float((op_norms(comm) / (op_norm(a) * op_norms(elements))).max()))
     return worst
+
+
+def operator_space_residuals(op):
+    """The element-wise checks of the commutant and the bicommutant, in the
+    original coordinates: commutant elements against F (allowance
+    ``cluster_gap``), bicommutant elements against F and against every
+    commutant element (allowance ``rel``)."""
+    comm, bicomm = op.commutant_basis, bicommutant_basis(op)
+    return {"commutant_vs_operator": commutation_residual(comm, [op.matrix]),
+            "bicommutant_vs_operator": commutation_residual(bicomm, [op.matrix]),
+            "bicommutant_vs_commutant": commutation_residual(bicomm, comm)}
+
+
+def algebra_preservation_residual(alg, p):
+    """Largest relative residual of the invariance of g1, omega1, g2 and
+    omega2 over the algebra's basis elements, in t1's g1-orthonormal frame."""
+    mats_w = p.t1.g.frame_inv @ np.array(alg.basis) @ p.t1.g.frame
+    residuals = (preservation_residuals(mats_w, np.eye(p.dim), p.t1.j_w)
+                 + preservation_residuals(mats_w, p.metric_operator_w, p.omega2_w))
+    return float(max(r.max() for r in residuals))

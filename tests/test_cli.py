@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import stat
 import subprocess
 import sys
 from functools import cached_property
@@ -153,6 +154,44 @@ class TestDecompose:
         assert code == 1
 
 
+class TestOutputMode:
+    """Output files get the mode a plain ``open(path, "w")`` gives them, not
+    the private mode of the temporary file they are written through."""
+
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    @staticmethod
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    def test_new_report_file(self, tmp_path, capsys, umask_022):
+        out = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "decompose", FIXTURES / "reference_4d.json",
+                             "--output", out)
+        assert code == 0
+        assert self.mode(out) == 0o644
+
+    def test_new_synth_file(self, tmp_path, capsys, umask_022):
+        out = tmp_path / "pair.json"
+        code, _, _ = run_cli(capsys, "synth", "--spec", "2:+:1", "--seed", "1", "--out", out)
+        assert code == 0
+        assert self.mode(out) == 0o644
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys, umask_022):
+        out = tmp_path / "report.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        code, _, _ = run_cli(capsys, "decompose", FIXTURES / "reference_4d.json",
+                             "--output", out)
+        assert code == 0
+        assert self.mode(out) == 0o640
+        assert json.loads(out.read_text())["compatible"] is True
+
+
 class TestRecursion:
     def test_reference_4d_certificate(self, capsys):
         code, report, _ = run_report(capsys, "recursion", FIXTURES / "reference_4d.json")
@@ -237,6 +276,34 @@ class TestPencil:
                                      "--gamma", "-0.5")
         assert code == 1
         assert "pipeline_error" in report["residuals"]
+
+    def test_gamma_out_of_range_reports_null_member(self, capsys):
+        code, report, _ = run_report(capsys, "pencil", FIXTURES / "reference_4d.json",
+                                     "--gamma", "-0.5")
+        assert code == 1
+        assert report["pencil_member"] is None
+        assert "not positive-definite" in report["residuals"]["pipeline_error"]
+
+    def test_single_triple_names_the_reason(self, capsys):
+        code, report, _ = run_report(capsys, "pencil", FIXTURES / "single_2d.json",
+                                     "--gamma", "0.5")
+        assert code == 1
+        assert report["pencil_member"] is None
+        assert "no second triple" in report["residuals"]["pencil_member"]
+
+    def test_incompatible_pair_names_the_reason(self, capsys):
+        code, report, _ = run_report(capsys, "pencil", FIXTURES / "incompatible_2d.json",
+                                     "--gamma", "0.5")
+        assert code == 1
+        assert report["pencil_member"] is None
+        assert "not a compatible pair" in report["residuals"]["pencil_member"]
+        assert report["residuals"]["compatibility"]
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "recursion", "commutant"])
+    def test_other_commands_have_no_member_section(self, capsys, command):
+        _, report, _ = run_report(capsys, command, FIXTURES / "single_2d.json")
+        assert "pencil_member" not in report
+        assert "pencil_member" not in report["residuals"]
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
     def test_non_finite_gamma_is_a_usage_error(self, capsys, gamma):
@@ -390,12 +457,15 @@ class TestEntryPoint:
 class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
         # one analysis computes each spectral fact once: the G eigensolve,
-        # the decomposition, its adapted frame, the transfer operator's
-        # cluster frames and its commutant basis; the drift bound comes
-        # from the recursion certificate, with no sampled flow
+        # the decomposition, its adapted frame and the transfer operator's
+        # cluster frames; the dimensions are read off the certified frames,
+        # so no basis is built and nothing is orthonormalized, and the
+        # drift bound comes from the recursion certificate, with no
+        # sampled flow
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
         calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0,
-                 "cluster_frames": 0, "commutant": 0, "conservation_probe": 0}
+                 "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
+                 "orthonormal_span": 0}
 
         def count_function(home, key):
             original = getattr(home, key)
@@ -423,6 +493,7 @@ class TestSharedResults:
         count_function(linalg, "eig_self_adjoint")
         count_function(decomposition, "decompose")
         count_function(dynamics, "conservation_probe")
+        count_function(linalg, "orthonormal_span")
         count_property(BlockDecomposition, "adapted_frame", "frame")
         count_property(TransferOperator, "cluster_frames", "cluster_frames")
         count_property(TransferOperator, "commutant_basis", "commutant")
@@ -433,7 +504,8 @@ class TestSharedResults:
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
         assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1,
-                         "cluster_frames": 1, "commutant": 1, "conservation_probe": 0}
+                         "cluster_frames": 1, "commutant": 0, "conservation_probe": 0,
+                         "orthonormal_span": 0}
 
     def test_norm_evaluations_grow_linearly(self, monkeypatch):
         # the checks of every stage are stacked products, so the number of

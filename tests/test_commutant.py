@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,30 @@ class TestComplexify:
         expected = sorted(
             [b.eigenvalue for b in decompose(p).blocks for _ in range(b.dim // 2)])
         np.testing.assert_allclose(op.eigenvalues, expected, atol=1e-9)
+
+
+class TestSpectralFaults:
+    """Spectral data that no longer match the operator fail the checks of
+    the commutant and the bicommutant."""
+
+    @staticmethod
+    def tampered(op, angle):
+        # rotate the first eigenvector towards the last, which lies in
+        # another eigenvalue cluster
+        v = np.array(op.eigenvectors)
+        first, last = v[:, 0].copy(), v[:, -1].copy()
+        v[:, 0] = np.cos(angle) * first + np.sin(angle) * last
+        v[:, -1] = np.cos(angle) * last - np.sin(angle) * first
+        return dataclasses.replace(op, eigenvectors=v)
+
+    @pytest.mark.parametrize("angle", [1e-3, 1e-6])
+    def test_tampered_eigenvectors_raise(self, angle):
+        op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], np.random.default_rng(20))
+        with pytest.raises(StructureError):
+            commutant_dim(self.tampered(op, angle))
+        with pytest.raises(StructureError):
+            bicommutant_dim(self.tampered(op, angle))
+
+    def test_untampered_operator_passes(self):
+        op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], np.random.default_rng(20))
+        assert (commutant_dim(op), bicommutant_dim(op)) == (6, 3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ import scipy.linalg
 from biham import dynamics
 from biham.commutant import bicommutant_dim, commutant_dim, complexify, transfer_operator
 from biham.compatibility import check_compatible
-from biham.decomposition import decompose, synthesize_pair
+from biham.decomposition import DecompositionError, decompose, synthesize_pair
 from biham.dynamics import (
     FlowOverflowError,
     _probe_flows,
@@ -350,3 +352,25 @@ class TestProbePaths:
     def test_no_times(self, ref4d_pair):
         report = conservation_probe(LinearField(ref4d_pair.t1.j.m), ref4d_pair, ())
         assert report.drifts == {"g1": 0.0, "g2": 0.0, "omega1": 0.0, "omega2": 0.0}
+
+
+class TestAlgebraFaults:
+    """A decomposition whose block bases no longer span joint eigenspaces
+    fails the algebra's check."""
+
+    @pytest.mark.parametrize("angle", [1e-3, 1e-6])
+    def test_tampered_block_bases_raise(self, angle):
+        d = decompose(synthesize_pair([(2.0, 1, 2), (3.0, -1, 1)], seed=5))
+        first, second = d.blocks[0].basis_w, d.blocks[1].basis_w
+        # tilt the first block's plane towards the second block
+        mixed = np.array(first)
+        mixed[:, :2] = np.cos(angle) * first[:, :2] + np.sin(angle) * second
+        frame = d.pair.t1.g.frame
+        block = dataclasses.replace(d.blocks[0], basis_w=mixed, basis=frame @ mixed)
+        tampered = dataclasses.replace(d, blocks=(block,) + d.blocks[1:])
+        with pytest.raises(DecompositionError):
+            bi_preserving_algebra(tampered)
+
+    def test_untampered_decomposition_passes(self):
+        d = decompose(synthesize_pair([(2.0, 1, 2), (3.0, -1, 1)], seed=5))
+        assert bi_preserving_algebra(d).dim == 5

@@ -5,8 +5,9 @@ in a stack as the loops did one by one, so their values are equal.  The
 decomposition residuals group each product differently, so they may
 differ in the last bits: by at most ``dim * eps`` times the norm each is
 measured against, and by a relative 1e-12 on the large residuals of
-tampered pairs.  The element-wise bicommutant check, the other retired
-loop, never exceeds the bound that replaced it.
+tampered pairs.  The element-wise checks of the algebra, the commutant and
+the bicommutant, which the frame certificates replaced, pass wherever the
+certificates pass.
 """
 
 import dataclasses
@@ -17,16 +18,17 @@ import pytest
 import loop_oracle
 from biham.commutant import (
     HermitianForm,
-    _commutation_bound,
-    bicommutant_basis,
+    bicommutant_dim,
+    commutant_dim,
     complexify,
     transfer_operator,
 )
 from biham.compatibility import check_compatible, pencil_member
 from biham.decomposition import _block_residuals, decompose, synthesize_pair
-from biham.dynamics import certify_recursion, recursion_basis
-from biham.linalg import DEFAULT_TOL, op_norm
-from conftest import standard_triple
+from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
+from biham.structures import check_admissible
+from biham.linalg import op_norm
+from conftest import conditioned_basis, congruent, standard_triple
 from test_commutant import operator_from_spectrum
 
 EPS = np.finfo(float).eps
@@ -134,43 +136,100 @@ COMPLEXIFIED = [pytest.param(spec, id=name) for name, spec in (
 )]
 
 
-class TestBicommutantBound:
-    """The element-wise check the biorthogonality bound replaced, for dims
-    up to 32: its residual never exceeds the bound (plus rounding)."""
+def assert_operator_elements_commute(op):
+    """Certificate first (the dimensions), then every retired element-wise
+    check at its allowance."""
+    assert commutant_dim(op) == len(op.commutant_basis)
+    assert bicommutant_dim(op) == len(op.cluster_frames)
+    resid = loop_oracle.operator_space_residuals(op)
+    assert resid["commutant_vs_operator"] <= op.tol.cluster_gap
+    assert resid["bicommutant_vs_operator"] <= op.tol.rel
+    assert resid["bicommutant_vs_commutant"] <= op.tol.rel
 
-    def check(self, op):
-        basis = bicommutant_basis(op)
-        bound = _commutation_bound(op)
-        resid = loop_oracle.bicommutant_commutator_residual(op, basis)
-        assert resid <= bound + 4 * op.dim * EPS
-        return bound, resid
+
+def assert_algebra_elements_preserve(d):
+    alg = bi_preserving_algebra(d)
+    assert len(alg.basis) == alg.dim
+    assert loop_oracle.algebra_preservation_residual(alg, d.pair) <= d.tol.rel
+
+
+SCALED = [pytest.param(spec, id=name) for name, spec in (
+    ("generic-4", [(2.0, 1, 1), (3.0, -1, 1)]),
+    ("two-class-6", [(2.0, 1, 2), (3.0, -1, 1)]),
+)]
+
+
+def scaled_pair(spec):
+    p = synthesize_pair(spec, seed=3)
+    return check_compatible(p.t1, check_admissible(1e8 * p.t2.g.m, 1e8 * p.t2.omega.m))
+
+
+def ill_conditioned_operator():
+    """A first form of condition number 1e6 and a spectrum with two double
+    eigenvalues."""
+    rng = np.random.default_rng(3)
+    n = 6
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h1 = q @ np.diag(np.logspace(0.0, 6.0, n)) @ q.conj().T
+    h1 = 0.5 * (h1 + h1.conj().T)
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v = np.linalg.solve(np.linalg.cholesky(h1).conj().T, q2)  # h1-orthonormal
+    h2 = h1 @ v @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 4.0]) @ np.linalg.inv(v)
+    return transfer_operator(HermitianForm(h1), HermitianForm(0.5 * (h2 + h2.conj().T)))
+
+
+class TestBicommutantBound:
+    """The element-wise checks of the commutant and the bicommutant, which
+    the certificate of the cluster frames bounds for whole spans, for dims
+    up to 32: wherever the certificate passes, every basis element passes
+    the check it replaced."""
 
     @pytest.mark.parametrize("spec", COMPLEXIFIED)
     def test_complexified_pairs(self, spec):
         p = synthesize_pair(spec, seed=1)
         h1, h2, _ = complexify(decompose(p))
-        bound, resid = self.check(transfer_operator(h1, h2, p.tol))
-        assert bound <= 1e-2 * DEFAULT_TOL.rel
+        assert_operator_elements_commute(transfer_operator(h1, h2, p.tol))
 
     @pytest.mark.parametrize("evals", [[1.0, 2.0, 3.0], [1.0, 1.0, 3.0],
                                        [1.0, 1.0, 2.0, 4.0], [1.0] * 4 + [5.0] * 4])
     def test_random_forms(self, evals):
-        bound, resid = self.check(operator_from_spectrum(evals, np.random.default_rng(11)))
-        assert bound <= DEFAULT_TOL.rel
+        assert_operator_elements_commute(
+            operator_from_spectrum(evals, np.random.default_rng(11)))
 
-    def test_inconclusive_bound_falls_back_to_elements(self):
-        # a first form with condition number 1e6: the bound exceeds rel
-        # while every element commutes, so the element-wise check decides
-        rng = np.random.default_rng(3)
-        n = 6
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        h1 = q @ np.diag(np.logspace(0.0, 6.0, n)) @ q.conj().T
-        h1 = 0.5 * (h1 + h1.conj().T)
-        q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        v = np.linalg.solve(np.linalg.cholesky(h1).conj().T, q2)  # h1-orthonormal
-        h2 = h1 @ v @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 4.0]) @ np.linalg.inv(v)
-        op = transfer_operator(HermitianForm(h1), HermitianForm(0.5 * (h2 + h2.conj().T)))
-        bound, resid = self.check(op)
-        assert bound > DEFAULT_TOL.rel
-        assert resid <= DEFAULT_TOL.rel
-        assert len(bicommutant_basis(op)) == 4
+    @pytest.mark.parametrize("spec", SCALED)
+    def test_second_triple_scaled_by_1e8(self, spec):
+        d = decompose(scaled_pair(spec))
+        h1, h2, _ = complexify(d)
+        assert_operator_elements_commute(transfer_operator(h1, h2, d.tol))
+
+    def test_ill_conditioned_first_form(self):
+        # the form whose biorthogonality bound once exceeded rel and fell
+        # back to the element-wise check
+        op = ill_conditioned_operator()
+        assert_operator_elements_commute(op)
+        assert (commutant_dim(op), bicommutant_dim(op)) == (10, 4)
+
+
+class TestAlgebraElements:
+    """The per-element preservation check the certificate of the adapted
+    frame replaced: wherever ``bi_preserving_algebra`` passes, every basis
+    element preserves all four tensors within ``rel``."""
+
+    @pytest.mark.parametrize("spec", COMPLEXIFIED)
+    def test_complexified_pairs(self, spec):
+        assert_algebra_elements_preserve(decompose(synthesize_pair(spec, seed=1)))
+
+    @pytest.mark.parametrize("spec", SCALED)
+    def test_second_triple_scaled_by_1e8(self, spec):
+        assert_algebra_elements_preserve(decompose(scaled_pair(spec)))
+
+    @pytest.mark.parametrize("spec", [generic_spec(4), two_class_spec(16)],
+                             ids=["generic-8", "two-class-16"])
+    def test_first_metric_of_condition_number_1e6(self, spec):
+        # the certificate reads t1's g1-orthonormal frame; the elements
+        # are orthonormalized in the original coordinates
+        pair = synthesize_pair(spec, seed=2)
+        doc = congruent(pair, conditioned_basis(pair.dim, 1e3, np.random.default_rng(2)))
+        t1 = check_admissible(doc["g1"], doc["omega1"])
+        t2 = check_admissible(doc["g2"], doc["omega2"])
+        assert_algebra_elements_preserve(decompose(check_compatible(t1, t2)))
