@@ -41,7 +41,7 @@ from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from .linalg import NumericalCheckError, Tolerance
 from .structures import ViolationReport, check_admissible
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class InputError(ValueError):
@@ -260,6 +260,7 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
                 "max_preservation_residual": _py(cert.max_preservation_residual),
                 "max_commutator_residual": _py(cert.max_commutator_residual),
                 "max_conservation_drift": _py(cert.max_conservation_drift),
+                "power_basis_log10_condition": _py(cert.power_basis_log10_condition),
                 "all_pass": cert.all_pass,
             }
 

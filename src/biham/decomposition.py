@@ -21,6 +21,7 @@ makes it the natural round-trip oracle for :func:`decompose`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,8 @@ from .linalg import (
     Tolerance,
     cluster_eigenvalues,
     frozen,
+    op_norm,
+    op_norms,
     same_cluster,
 )
 from .structures import ViolationReport, check_admissible
@@ -97,20 +100,75 @@ class BlockDecomposition:
         eigenvalue +1, c = sqrt(2) B x and d = sqrt(2) B y (K x = y).  The
         partners are taken from the eigenvectors rather than as J1 @ c, so
         that [c's, d's] is orthonormal to rounding even where J1 is
-        orthogonal only to a larger residual.  Built once per decomposition,
-        on first use.
+        orthogonal only to a larger residual.  One stacked eigensolve per
+        distinct block dimension; built once per decomposition, on first
+        use.
         """
         j1 = self.pair.t1.j_w
-        cols: list[np.ndarray] = []
-        partners: list[np.ndarray] = []
-        signs: list[int] = []
-        for block in self.blocks:
-            b, r = block.basis_w, block.dim // 2
-            _, u = np.linalg.eigh(1j * (b.T @ j1 @ b))
-            cols.append(np.sqrt(2.0) * (b @ u[:, r:].real))
-            partners.append(np.sqrt(2.0) * (b @ u[:, r:].imag))
-            signs.extend([block.sign] * r)
-        return frozen(np.hstack(cols)), frozen(np.hstack(partners)), tuple(signs)
+        dims = [b.dim for b in self.blocks]
+        starts = np.cumsum([0] + [dim // 2 for dim in dims[:-1]])
+        cols = np.empty((self.pair.dim, self.pair.dim // 2))
+        partners = np.empty_like(cols)
+        for dim, at in _by_size(dims):
+            r = dim // 2
+            b = np.stack([self.blocks[i].basis_w for i in at])
+            _, u = np.linalg.eigh(1j * (b.swapaxes(1, 2) @ j1 @ b))
+            axes = np.sqrt(2.0) * (b @ u[:, :, r:].real)
+            duals = np.sqrt(2.0) * (b @ u[:, :, r:].imag)
+            for i, c, d in zip(at, axes, duals):
+                cols[:, starts[i]:starts[i] + r] = c
+                partners[:, starts[i]:starts[i] + r] = d
+        signs = tuple(b.sign for b in self.blocks for _ in range(b.dim // 2))
+        return frozen(cols), frozen(partners), signs
+
+    @cached_property
+    def frame_certificate(self) -> tuple[float, float]:
+        """``(bound, e)``: how far every field of the realified ``⊕ u(r)``
+        on the adapted frame may be from preserving all four tensors, and
+        how far the frame is from orthonormal; measured once, on first use,
+        by one O(m^3) check, and never raises (the stages that rely on it
+        compare ``bound`` with ``rel``).
+
+        In t1's frame let Q = [C, D] (axes and partners), e = |Q.T Q - I|,
+        |.| the row-sum norm, and for tau = J1, G, omega2 let tau_c be its
+        canonical block form ([[0, -I], [I, 0]], diag(lam, lam) and that
+        first form times diag(s lam, s lam), per complex coordinate) and
+        d = max |tau - Q tau_c Q.T| / |tau|.  Then
+
+            bound = 2 d + 2 m e (1 + e) (1 + d) / (1 - e)^2
+
+        (inf when e >= 1) and every A in the span satisfies
+        |tau A + A.T tau| <= bound |tau| |A|.
+
+        Proof: the span is {A = Q K Q.T}, K skew and commuting with every
+        tau_c, so A is skew (g1 = I is preserved) and with O = Q.T Q - I
+
+            tau A + A.T tau = [tau - Q tau_c Q.T, A] + Q (tau_c O K - K O tau_c) Q.T.
+
+        The first term is at most 2 d |tau| |A|.  In the spectral norm,
+        where |O| <= e as O is symmetric, |Q|^2 <= 1 + e, |K| <= |A| /
+        (1 - e) and |tau_c| <= (1 + d) |tau| / (1 - e) (symmetric and skew
+        matrices have spectral norm at most row-sum norm); |z| <= sqrt(m)
+        |z|_2 and |A|_2 <= sqrt(m) |A| bound the second by the rest of the
+        bound times |tau| |A|.  Rounding: the departures are measured like
+        every residual of the threshold rule; the frame comes from backward
+        stable ``eigh`` (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+        §8.1), so e is O(m eps) and d O((m + cond(g1)) eps): the bound is
+        2.3e-10 at cond(g1) = 1e6.
+        """
+        p, (cols, partners, signs) = self.pair, self.adapted_frame
+        q = np.hstack((cols, partners))
+        n, m = cols.shape[1], p.dim
+        lam = np.tile(np.repeat([b.eigenvalue for b in self.blocks],
+                                [b.dim // 2 for b in self.blocks]), 2)
+        rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+        canon = np.array([rot, np.diag(lam), (np.tile(signs, 2) * lam)[:, None] * rot])
+        taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
+        dep = float((op_norms(taus - q @ canon @ q.T) / op_norms(taus)).max())
+        e = op_norm(q.T @ q - np.eye(m))
+        bound = (2.0 * dep + 2.0 * m * e * (1.0 + e) * (1.0 + dep) / (1.0 - e) ** 2
+                 if e < 1.0 else math.inf)
+        return bound, e
 
     @cached_property
     def classes(self) -> tuple[tuple[Block, ...], ...]:
@@ -182,15 +240,22 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     j1, g2, w2 = p.t1.j_w, p.metric_operator_w, p.omega2_w
     big_t = p.recursion_operator_w
 
+    # T preserves each eigenspace; express it there in orthonormal coords
+    # (the pair certified T symmetric, T_selfadjoint_g1), one stacked
+    # eigensolve per distinct cluster size
+    clusters = cluster_eigenvalues(p.metric_eigenvalues, tol.cluster_gap)
+    sizes = [mult for _, mult in clusters]
+    starts = np.cumsum([0] + sizes[:-1])
+    spectra: list = [None] * len(clusters)
+    for size, at in _by_size(sizes):
+        sub = np.stack([p.metric_eigenbasis_w[:, starts[i]:starts[i] + size] for i in at])
+        t_sub = sub.swapaxes(1, 2) @ big_t @ sub
+        mu, vecs = np.linalg.eigh(0.5 * (t_sub + t_sub.swapaxes(1, 2)))
+        for i, *spectrum in zip(at, sub, mu, vecs):
+            spectra[i] = spectrum
+
     blocks: list[Block] = []
-    col = 0
-    for lam, mult in cluster_eigenvalues(p.metric_eigenvalues, tol.cluster_gap):
-        sub = p.metric_eigenbasis_w[:, col:col + mult]
-        col += mult
-        # T preserves the eigenspace; express it there in orthonormal
-        # coords (the pair certified T symmetric, T_selfadjoint_g1)
-        t_sub = sub.T @ big_t @ sub
-        mu, vecs = np.linalg.eigh(0.5 * (t_sub + t_sub.T))
+    for (lam, _), (sub, mu, vecs) in zip(clusters, spectra):
         start = 0
         for mu_val, mu_mult in cluster_eigenvalues(mu, tol.cluster_gap):
             cols = sub @ vecs[:, start:start + mu_mult]
@@ -234,6 +299,12 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             f"(residual {cross[name, i, k]:.3e})"
         )
     return BlockDecomposition(tuple(blocks), p, tol)
+
+
+def _by_size(sizes) -> list[tuple[int, list[int]]]:
+    """The positions of ``sizes`` grouped by value, ascending: one stacked
+    solve or product per distinct size instead of one per item."""
+    return [(size, [i for i, s in enumerate(sizes) if s == size]) for size in sorted(set(sizes))]
 
 
 def _block_residuals(blocks: list[Block], p: CompatiblePair) -> tuple[np.ndarray, np.ndarray]:

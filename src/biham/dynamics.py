@@ -11,12 +11,13 @@ factor per block of complex rank r (a maximal torus for a generic pair).
 Its dimension is read off the adapted frame after one O(m^3) certificate of
 that frame; the basis is built only on request.
 
-The recursion operator T generates a distinguished commuting family inside
-it, the fields J1, T @ J1, ..., T^(n-1) @ J1; it satisfies the Nijenhuis
-identity [T A, T] = T [A, T], and its rank is the number of (lambda, sign)
-classes (Vandermonde).  :func:`certify_recursion` certifies the family and
-bounds the drift of the four tensors along its flows without sampling one;
-:func:`conservation_probe` samples the drift of any field instead.  Every
+The recursion operator T generates a distinguished commuting family in
+its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1; it satisfies the
+Nijenhuis identity [T A, T] = T [A, T], and its rank is the number of
+(lambda, sign) classes (Vandermonde).  :func:`certify_recursion` reads the
+family's preservation, commutation and drift bounds off the same frame
+certificate, with no product of two directions; :func:`conservation_probe`
+samples the drift of any field instead.  Every
 stage computes in t1's g1-orthonormal frame, where the fields preserving g1
 are skew, and maps back only the fields it reports.
 """
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .compatibility import CompatiblePair
-from .decomposition import BlockDecomposition, DecompositionError, group_signature
+from .decomposition import BlockDecomposition, DecompositionError, _by_size, group_signature
 from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
@@ -39,10 +40,9 @@ from .linalg import (
     _expm,
     frozen,
     op_norm,
-    op_norms,
     orthonormal_span,
 )
-from .structures import LinearField, preservation_residuals
+from .structures import LinearField
 
 __all__ = [
     "BiPreservingAlgebra",
@@ -85,10 +85,9 @@ class BiPreservingAlgebra:
         ranks = [b.dim // 2 for b in d.blocks]
         starts = np.cumsum([0] + ranks[:-1])
         gens: list = [None] * len(ranks)
-        for r in sorted(set(ranks)):
+        for r, at in _by_size(ranks):
             # the k blocks of rank r at once, their axes C and partners D
             # as rows (k, r, m)
-            at = [i for i, q in enumerate(ranks) if q == r]
             c = np.stack([cols[:, s:s + r].T for s in starts[at]])
             dj = np.stack([partners[:, s:s + r].T for s in starts[at]])
             rows = np.concatenate((c, dj, -c, -dj, np.zeros((len(at), 1, p.dim))), axis=1)
@@ -117,11 +116,22 @@ class RecursionBasis:
 
     @cached_property
     def fields(self) -> tuple[LinearField, ...]:
+        """The raw powers T^k @ J1 in the original coordinates.  Raises
+        :class:`NumericalCheckError` naming the first power that leaves the
+        floating-point range, which ``directions_w`` never do."""
         p = self.pair
-        mats = [p.t1.j_w]
-        for _ in range(p.dim // 2 - 1):
-            mats.append(p.recursion_operator_w @ mats[-1])
-        return tuple(LinearField(p.t1.g.frame @ m @ p.t1.g.frame_inv) for m in mats)
+        frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+        power, fields = p.t1.j_w, []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(p.dim // 2):
+                if k:
+                    power = p.recursion_operator_w @ power
+                mat = frame @ power @ frame_inv
+                if not np.isfinite(mat).all():
+                    raise NumericalCheckError(
+                        f"recursion field T^{k} @ J1 leaves the floating-point range")
+                fields.append(LinearField(mat))
+        return tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,7 @@ class RecursionCertificate:
     nijenhuis_residual: float
     nijenhuis_holds: bool
     max_conservation_drift: float
+    power_basis_log10_condition: float
 
     @property
     def holds(self) -> bool:
@@ -168,61 +179,19 @@ class ConservationReport:
 def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     """All linear fields preserving both triples of the decomposed pair:
     ``⊕ u(r)``, of dimension the sum of the r^2 over the blocks, checked
-    against the group signature, on a certified frame
-    (:func:`_certify_adapted_frame`)."""
+    against the group signature, on a frame certified by
+    :attr:`BlockDecomposition.frame_certificate`."""
     dim = sum((b.dim // 2) ** 2 for b in d.blocks)
     expected = sum(r * r for r in group_signature(d).multiplicities)
     if dim != expected:
         raise DecompositionError(f"bi-preserving algebra has dimension {dim}, "
                                  f"expected {expected} from the group signature")
-    _certify_adapted_frame(d)
-    return BiPreservingAlgebra(d, dim)
-
-
-def _certify_adapted_frame(d: BlockDecomposition) -> None:
-    """Certify that every field of the realified ``⊕ u(r)`` preserves all
-    four tensors within ``rel``, from one O(m^3) check of its frame.
-
-    In t1's frame let Q = [C, D] (axes and partners), e = |Q.T Q - I|, |.|
-    the row-sum norm, and for tau = J1, G, omega2 let tau_c be its
-    canonical block form ([[0, -I], [I, 0]], diag(lam, lam) and that first
-    form times diag(s lam, s lam), per complex coordinate) and
-    d = max |tau - Q tau_c Q.T| / |tau|.  The check is
-
-        bound = 2 d + 2 m e (1 + e) (1 + d) / (1 - e)^2 <= rel.
-
-    Implication: the span is {A = Q K Q.T}, K skew and commuting with every
-    tau_c, so A is skew (g1 = I is preserved) and with O = Q.T Q - I
-
-        tau A + A.T tau = [tau - Q tau_c Q.T, A] + Q (tau_c O K - K O tau_c) Q.T.
-
-    The first term is at most 2 d |tau| |A|.  In the spectral norm, where
-    |O| <= e as O is symmetric, |Q|^2 <= 1 + e, |K| <= |A| / (1 - e) and |tau_c| <= (1 + d) |tau| /
-    (1 - e) (symmetric and skew matrices have spectral norm at most
-    row-sum norm); |z| <= sqrt(m) |z|_2 and |A|_2 <= sqrt(m) |A| bound the
-    second by the rest of the bound times |tau| |A|.  So every element of
-    the span, not only of a basis, passes the element-wise check this
-    replaces.  Rounding: the departures are measured like every residual
-    of the threshold rule; the frame comes from backward stable ``eigh``
-    (Golub & Van Loan, *Matrix Computations*, 4th ed., §8.1), so e is
-    O(m eps) and d O((m + cond(g1)) eps): the bound is 2.3e-10 at
-    cond(g1) = 1e6.
-    """
-    p, (cols, partners, signs) = d.pair, d.adapted_frame
-    q = np.hstack((cols, partners))
-    n, m = cols.shape[1], p.dim
-    lam = np.tile(np.repeat([b.eigenvalue for b in d.blocks], [b.dim // 2 for b in d.blocks]), 2)
-    rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    canon = np.array([rot, np.diag(lam), (np.tile(signs, 2) * lam)[:, None] * rot])
-    taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
-    dep = float((op_norms(taus - q @ canon @ q.T) / op_norms(taus)).max())
-    e = op_norm(q.T @ q - np.eye(m))
-    bound = (2.0 * dep + 2.0 * m * e * (1.0 + e) * (1.0 + dep) / (1.0 - e) ** 2
-             if e < 1.0 else math.inf)
+    bound, _ = d.frame_certificate
     if not bound <= d.tol.rel:
         raise DecompositionError(
             f"bi-preserving algebra is not certified: the adapted frame departs "
             f"from the canonical block forms (bound {bound:.3e})")
+    return BiPreservingAlgebra(d, dim)
 
 
 def _u_generator_terms(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,76 +220,187 @@ def recursion_basis(p: CompatiblePair) -> RecursionBasis:
     """The candidate commuting family T^k @ J1, k = 0 .. n-1.
 
     Built unconditionally, as unit-norm directions in t1's g1-orthonormal
-    frame; :func:`certify_recursion` decides whether it is an actual basis
-    (full rank requires genericity).
+    frame, in one preallocated stack; :func:`certify_recursion` decides
+    whether it is an actual basis (full rank requires genericity).
     """
-    dirs = [p.t1.j_w / op_norm(p.t1.j_w)]
-    for _ in range(p.dim // 2 - 1):
-        nxt = p.recursion_operator_w @ dirs[-1]
-        dirs.append(nxt / op_norm(nxt))
-    return RecursionBasis(p, frozen(np.array(dirs)))
+    m = p.dim
+    dirs = np.empty((m // 2, m, m))
+    np.divide(p.t1.j_w, op_norm(p.t1.j_w), out=dirs[0])
+    for k in range(1, m // 2):
+        np.matmul(p.recursion_operator_w, dirs[k - 1], out=dirs[k])
+        dirs[k] /= op_norm(dirs[k])
+    dirs.setflags(write=False)
+    return RecursionBasis(p, dirs)
 
 
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
     """Certify the recursion family of the decomposed pair, read as unit
-    directions in t1's g1-orthonormal frame: preservation of all four
+    directions s_k in t1's g1-orthonormal frame: preservation of all four
     tensors and pairwise commutation within ``tol.rel``, the rank, the
     matrix Nijenhuis identity [T A, T] = T [A, T] for A = J1 on T / |T|,
-    and a drift bound.  The n(n-1)/2 commutators are formed as n - 1
-    stacked products, direction i against all directions after it.
+    and a drift bound.  No product of two directions is formed: every
+    number but the rank and the Nijenhuis residual is a bound read off the
+    certificate of the adapted frame, ``(beta, e) = d.frame_certificate``,
+    and one measured distance of each direction from the class elements.
 
-    Rank: with P_i = B_i B_i.T the projector onto the i-th of c (lambda,
-    sign) classes, T^k J1 = sum_i (s_i lambda_i)^k P_i J1.  The check is
-    that the normalized P_i J1 have Gram matrix I and that every direction
-    lies in their span, within ``tol.rel`` (``vandermonde_consistent``).
-    The c nodes s_i lambda_i are distinct and c <= n, so by the Vandermonde
-    theorem the first c powers span all the P_i J1: the rank is c.
+    Class elements: with C_i, D_i the axes and partners of the i-th of c
+    (lambda, sign) classes in the adapted frame Q = [C, D], r_i their
+    number and K_i the canonical rotation on the class's complex
+    coordinates, Z_i = Q K_i Q.T = D_i C_i.T - C_i D_i.T, which is P_i J1
+    for the projector P_i onto the class.  K_i is skew and commutes with
+    every canonical form and with every K_j, so each Z_i, and each of their
+    combinations, lies in the centre of the realified ``⊕ u(r)`` that the
+    frame certificate covers.
 
-    Drift: for a unit direction s with symmetric part E and skew part K,
-    K.T tau + tau K = (s.T tau + tau s) - (E tau + tau E) has row-sum norm
-    at most (r_tau + r_g1) |tau|, r being the preservation residuals.  The
-    flow exp(t K) is orthogonal, so by Duhamel's formula the relative drift
-    of tau over t in [0, 10] is at most 10 sqrt(m) (r_tau + r_g1); that of
-    g1 is 0.
+    Rank: T^k J1 = sum_i (s_i lambda_i)^k P_i J1.  The check is that the
+    Frobenius-normalized Z_i have Gram matrix I and that every normalized
+    direction t_k = s_k / |s_k|_F lies within rho of their span, both
+    within ``tol.rel`` (``vandermonde_consistent``).  rho is measured
+    (:func:`_inclusion_residual`); the Gram matrix is not formed, as
+    <Z_i, Z_j>_F = tr((I + O) K_i.T (I + O) K_j) with O = Q.T Q - I puts it
+    within (2 e + e^2) / (1 - 2 e - e^2) of I (|O|_2 <= e, and
+    tr(K_i.T K_j) = 2 r_i for i = j, else 0).  The c nodes s_i lambda_i
+    are distinct and c <= n, so by the Vandermonde theorem the first c
+    powers span all the Z_i: the rank is c.
+
+    Bounds: |.| is the row-sum norm, |.|_1 the column-sum norm and |s_k| =
+    1.  Write s_k = Y_k + E_k with Y_k = |s_k|_F X_k for the element X_k of
+    the span that :func:`_inclusion_residual` subtracts; it measures
+    eps = max_k |E_k| and eps1 = max_k |E_k|_1, and a = max_k |s_k|_F.
+
+    * Preservation.  For tau in J1, G, omega2, |tau Y + Y.T tau| <=
+      beta |tau| |Y| with |Y| <= 1 + eps, and |tau E + E.T tau| <=
+      (eps + eps1) |tau|, so the relative residual of every s_k is at most
+      P = beta (1 + eps) + eps + eps1, ``max_preservation_residual``; Y is
+      skew, so that of g1 is at most P1 = eps + eps1.
+    * Commutation.  Y_j = Q K Q.T and Y_k = Q K' Q.T for combinations of
+      the K_i, and K K' = K' K, so [Y_j, Y_k] = Q (K O K' - K' O K) Q.T,
+      of spectral norm at most 2 e (1 + e) |K|_2 |K'|_2 with |K|_2 <=
+      |Y|_F / (1 - e) <= a (1 + rho) / (1 - e); the row-sum norm is at most
+      sqrt(m) times that.  The terms with an E add 2 (2 (1 + eps) eps +
+      eps^2), so |[s_j, s_k]| <= sqrt(m) a^2 2 e (1 + e) (1 + rho)^2 /
+      (1 - e)^2 + 4 eps + 6 eps^2, ``max_commutator_residual``.
+    * Drift.  For s_k with symmetric part S and skew part K,
+      K.T tau + tau K = (s.T tau + tau s) - (S tau + tau S) has row-sum
+      norm at most (P + P1) |tau|.  The flow exp(t K) is orthogonal, so by
+      Duhamel's formula the relative drift of tau over t in [0, 10] is at
+      most 10 sqrt(m) (P + P1), ``max_conservation_drift``; that of g1 is
+      0.  It is reported, not judged.
+
+    Both verdicts rest on a certified frame: when beta exceeds ``rel``,
+    ``preserves_all`` (as P >= beta) and ``commute`` are false, and nothing
+    is raised.
+    Rounding: beta and e carry theirs (see ``frame_certificate``); eps,
+    eps1 and rho are measured from the stored directions like every
+    residual of the threshold rule, so they carry the rounding of the
+    directions (O(n eps) per power) and of their two products with Q.  On
+    the synthesized pairs to dim 256, P and the commutator bound stay
+    below 5e-11 and the drift bound below 1e-8.  At cond(g1) = 1e6 the
+    rounding of the whitened tensors, about eps cond(g1), puts beta and eps
+    at 1e-10 to 8e-10, and P, 4-8 times the measured residuals, can exceed
+    ``rel``.
+
+    ``power_basis_log10_condition`` is log10 of Gautschi's bound on the
+    condition number of the Vandermonde matrix of the nodes
+    (:func:`_power_basis_log10_condition`): an observable of how far the
+    raw powers are from a usable basis, not a verdict.
     """
     p, tol = d.pair, d.tol
-    mats = rb.directions_w
     m, n = p.dim, p.dim // 2
+    beta, e = d.frame_certificate
+    rho, alpha, eps, eps1 = _inclusion_residual(rb.directions_w, d)
+    gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
 
-    residuals = (preservation_residuals(mats, np.eye(m), p.t1.j_w)
-                 + preservation_residuals(mats, p.metric_operator_w, p.omega2_w))
-    max_pres = float(max(r.max() for r in residuals))
-    drift = 10.0 * math.sqrt(m) * float(max((r + residuals[0]).max() for r in residuals[1:]))
-
-    # the directions have unit norm, so each commutator is relative; one
-    # stacked product per direction takes all its later partners at once
-    max_comm = max((float(op_norms(mats[i] @ mats[i + 1:] - mats[i + 1:] @ mats[i]).max())
-                    for i in range(n - 1)), default=0.0)
+    pres_g1 = eps + eps1
+    pres = beta * (1.0 + eps) + pres_g1
+    comm = (math.sqrt(m) * alpha ** 2 * 2.0 * e * (1.0 + e) * (1.0 + rho) ** 2 / (1.0 - e) ** 2
+            + 4.0 * eps + 6.0 * eps ** 2) if e < 1.0 else math.inf
 
     j1 = p.t1.j_w
-    classes = [np.hstack([b.basis_w for b in c]) for c in d.classes]
-    basis = np.array([(b @ (b.T @ j1)).ravel() for b in classes])
-    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-    rows = (mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]).reshape(n, -1)
-    gram_error = np.abs(basis @ basis.T - np.eye(len(basis))).max()
-    inclusion = np.linalg.norm(rows - (rows @ basis.T) @ basis, axis=1).max()
-
     big_t = p.recursion_operator_w / op_norm(p.recursion_operator_w)
     nij = op_norm(commutator(big_t @ j1, big_t) - big_t @ commutator(j1, big_t))
 
+    nodes = [c[0].sign * c[0].eigenvalue for c in d.classes]
     return RecursionCertificate(
-        preserves_all=max_pres <= tol.rel,
-        max_preservation_residual=max_pres,
-        commute=max_comm <= tol.rel,
-        max_commutator_residual=max_comm,
-        rank=len(basis),
+        preserves_all=pres <= tol.rel,
+        max_preservation_residual=pres,
+        commute=beta <= tol.rel and comm <= tol.rel,
+        max_commutator_residual=comm,
+        rank=len(d.classes),
         expected_rank=n,
         distinct_t_eigenvalues=len(d.classes),
-        vandermonde_consistent=bool(gram_error <= tol.rel and inclusion <= tol.rel),
+        vandermonde_consistent=bool(gram <= tol.rel and rho <= tol.rel),
         nijenhuis_residual=float(nij),
         nijenhuis_holds=nij <= tol.threshold(big_t, big_t, j1),
-        max_conservation_drift=drift,
+        max_conservation_drift=10.0 * math.sqrt(m) * (pres + pres_g1),
+        power_basis_log10_condition=_power_basis_log10_condition(nodes),
     )
+
+
+# entries of one (rows, m, m) working stack, about 2 MB
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _inclusion_residual(mats: np.ndarray,
+                        d: BlockDecomposition) -> tuple[float, float, float, float]:
+    """``(rho, a, eps, eps1)`` of :func:`certify_recursion` for a stack of
+    unit directions s: with t = s / |s|_F and X = sum_i <t, Z_i>_F /
+    (2 r_i) Z_i (the projection onto the span of the class elements when Q
+    is orthonormal; any element of the span serves the bounds), the
+    largest |t - X|_F, |s|_F, and row-sum and column-sum norms of
+    E = |s|_F (t - X).
+
+    No Z_i is formed: with W = t Q, <t, Z_i>_F = sum over the columns j of
+    class i of d_j.T W[:, j] - c_j.T W[:, n + j], and X = [D, -C]
+    diag(w, w) Q.T for the per-column coefficients w; two O(m^3) products
+    per direction, in chunks of directions.  The difference t - X is
+    formed, never read as |t|^2 - |X|^2, which cancels the digits ``rel``
+    needs."""
+    cols, partners, _ = d.adapted_frame
+    n, m = cols.shape[1], d.pair.dim
+    q, q_dual = np.hstack((cols, partners)), np.hstack((partners, -cols))
+    klass = {id(b): i for i, c in enumerate(d.classes) for b in c}
+    owner = np.repeat([klass[id(b)] for b in d.blocks], [b.dim // 2 for b in d.blocks])
+    # w = coef @ spread: the sum over the columns of each class, over 2 r_i
+    spread = (owner[:, None] == owner) / (2.0 * np.bincount(owner)[owner])
+    step = max(1, _CHUNK_ENTRIES // (m * m))
+    rho = alpha = eps = eps1 = 0.0
+    for lo in range(0, len(mats), step):
+        chunk = mats[lo:lo + step]
+        norms = np.sqrt(np.einsum("kij,kij->k", chunk, chunk))
+        unit = chunk / norms[:, None, None]
+        w_q = unit @ q
+        coef = (np.einsum("kij,ij->kj", w_q[:, :, :n], partners)
+                - np.einsum("kij,ij->kj", w_q[:, :, n:], cols))
+        w = np.tile(coef @ spread, 2)
+        unit -= (q_dual * w[:, None, :]) @ q.T
+        rho = max(rho, float(np.sqrt(np.einsum("kij,kij->k", unit, unit)).max()))
+        alpha = max(alpha, float(norms.max()))
+        np.abs(unit, out=unit)
+        eps = max(eps, float((norms * unit.sum(axis=2).max(axis=1)).max()))
+        eps1 = max(eps1, float((norms * unit.sum(axis=1).max(axis=1)).max()))
+    return rho, alpha, eps, eps1
+
+
+def _power_basis_log10_condition(nodes) -> float:
+    """log10 of Gautschi's bound on the infinity-norm condition number of
+    the Vandermonde matrix V[k, i] = x_i^k, k < c, of c distinct nodes
+    (Gautschi, Numer. Math. 4, 1962):
+
+        |V| = max(c, sum_i |x_i|^(c-1)),
+        |inv(V)| <= max_i prod_(j != i) (1 + |x_j|) / |x_i - x_j|,
+
+    summed in logarithms: the plain value leaves the floating-point range
+    for many or large nodes (|V| alone is about 1e375 for the 40 nodes
+    1e8 .. 4e9)."""
+    x = np.asarray(nodes, dtype=float)
+    c = len(x)
+    norm = max(math.log(c), float(np.logaddexp.reduce((c - 1) * np.log(np.abs(x)))))
+    gaps = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    terms = np.log1p(np.abs(x))[None, :] - np.log(gaps)
+    np.fill_diagonal(terms, 0.0)
+    return (norm + float(terms.sum(axis=1).max())) / math.log(10.0)
 
 
 def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biham import check_admissible, check_compatible
+from biham import check_admissible, check_compatible, synthesize_pair
 
 S_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -56,6 +56,16 @@ def congruent(pair, p, c1: float = 1.0, c2: float = 1.0) -> dict:
                "g2": (c2, pair.t2.g.m), "omega2": (c2, pair.t2.omega.m)}
     doc = {name: c * (p.T @ m @ p) for name, (c, m) in tensors.items()}
     return {"dim": pair.dim, **doc}
+
+
+def conditioned_pair(spec, cond_basis: float, seed: int):
+    """The synthesized pair of ``spec`` after a random congruence of
+    condition number ``cond_basis``: its first metric has condition number
+    cond_basis^2."""
+    pair = synthesize_pair(spec, seed=seed)
+    doc = congruent(pair, conditioned_basis(pair.dim, cond_basis, np.random.default_rng(seed)))
+    return check_compatible(check_admissible(doc["g1"], doc["omega1"]),
+                            check_admissible(doc["g2"], doc["omega2"]))
 
 
 @pytest.fixture

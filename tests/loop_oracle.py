@@ -1,19 +1,23 @@
 """Per-block, per-pair and per-element verification loops, kept as a test
 oracle.
 
-The package verifies the block decomposition, the commutation of the
-recursion family and the pencil's per-block verdicts from stacked
-products, one set per stage, and certifies the bi-preserving algebra, the
-commutant and the bicommutant from the frames they are built from.  These
-are the checks they replaced: one small dense product per block, per pair
-of blocks or directions, or per basis element, each read with ``op_norm``.
+The package verifies the block decomposition and the pencil's per-block
+verdicts from stacked products, one set per stage, and certifies the
+bi-preserving algebra, the recursion family, the commutant and the
+bicommutant from the frames they are built from.  These are the checks
+they replaced: one small dense product per block, per pair of blocks or
+directions, or per basis element, each read with ``op_norm``.
 """
+
+import math
 
 import numpy as np
 
 from biham.commutant import bicommutant_basis
+from biham.compatibility import check_compatible
+from biham.dynamics import conservation_probe, recursion_basis
 from biham.linalg import commutator, op_norm, op_norms
-from biham.structures import preservation_residuals
+from biham.structures import LinearField, check_admissible, preservation_residuals
 
 
 def decomposition_residuals(blocks, p):
@@ -44,6 +48,40 @@ def max_commutator_residual(mats):
         for k in range(i + 1, len(mats)):
             worst = max(worst, op_norm(commutator(mats[i], mats[k])))
     return worst
+
+
+def direction_residuals(mats, p):
+    """Measured relative residuals of the unit directions in t1's
+    g1-orthonormal frame, one direction at a time: ``preservation`` of g1,
+    J1, G and omega2, ``commutator`` over all pairs, and ``drift``, the
+    Duhamel bound 10 sqrt(m) (r_tau + r_g1) on the measured residuals r."""
+    eye = np.eye(p.dim)
+    pres, drift = 0.0, 0.0
+    for a in mats:
+        r_g1, r_j1 = (float(r) for r in preservation_residuals(a, eye, p.t1.j_w))
+        r_g2, r_w2 = (float(r) for r in preservation_residuals(a, p.metric_operator_w,
+                                                               p.omega2_w))
+        pres = max(pres, r_g1, r_j1, r_g2, r_w2)
+        drift = max(drift, 10.0 * math.sqrt(p.dim) * (max(r_j1, r_g2, r_w2) + r_g1))
+    return {"preservation": pres, "commutator": max_commutator_residual(mats),
+            "drift": drift}
+
+
+def in_t1_frame(q):
+    """The pair rebuilt in its own t1's g1-orthonormal frame, where g1 is
+    I and the row-sum drift the certificate bounds is the one the probe
+    measures."""
+    p = check_compatible(check_admissible(np.eye(q.dim), q.t1.j_w),
+                         check_admissible(q.metric_operator_w, q.omega2_w))
+    assert np.array_equal(p.t1.g.frame, np.eye(p.dim))
+    return p
+
+
+def probed_drift(p, times):
+    """Largest drift the sampled probe measures over the unit directions of
+    ``p``, which must be given in its own t1's frame (:func:`in_t1_frame`)."""
+    return max(conservation_probe(LinearField(d), p, times).max_drift
+               for d in recursion_basis(p).directions_w)
 
 
 def pencil_verdicts(d, gamma):

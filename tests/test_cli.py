@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 import importlib.util
 import json
 import os
@@ -16,7 +17,12 @@ from biham import cli, decomposition, dynamics, linalg
 from biham.cli import InputDocument, analyze, main
 from biham.commutant import TransferOperator
 from biham.decomposition import BlockDecomposition, synthesize_pair
+from biham.compatibility import check_compatible
 from biham.dynamics import certify_recursion
+from biham.structures import check_admissible
+
+import loop_oracle
+from test_dynamics import CONSERVATION_TIMES, beyond_range_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
@@ -37,7 +43,7 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
@@ -192,6 +198,19 @@ class TestOutputMode:
         assert json.loads(out.read_text())["compatible"] is True
 
 
+def assert_probed_drift_within_bound(doc, report):
+    """The drift the sampled probe measures on the document's unit
+    directions, in t1's frame, is rounding noise, and the certified bound
+    the report gives for it covers it.  The bound is computed on the
+    document's own whitened pair, whose directions the rebuilt pair repeats
+    to rounding."""
+    pair = check_compatible(check_admissible(doc.g1, doc.omega1),
+                            check_admissible(doc.g2, doc.omega2))
+    drift = loop_oracle.probed_drift(loop_oracle.in_t1_frame(pair), CONSERVATION_TIMES)
+    assert drift <= 1e-12
+    assert drift <= report["recursion"]["max_conservation_drift"] <= pair.tol.rel
+
+
 class TestRecursion:
     def test_reference_4d_certificate(self, capsys):
         code, report, _ = run_report(capsys, "recursion", FIXTURES / "reference_4d.json")
@@ -201,6 +220,21 @@ class TestRecursion:
         assert rec["all_pass"] is True
         assert rec["max_conservation_drift"] < 1e-9
         assert rec["nijenhuis_residual"] <= 1e-12
+        # nodes 2 and -3: Gautschi's bound is attained, |V| |inv(V)| = 5 * 0.8
+        assert rec["power_basis_log10_condition"] == pytest.approx(math.log10(4.0))
+
+    def test_uncertified_frame_reports_failed_verdicts(self):
+        # cond(g1) = 1e8: the certificate fails without raising, and the
+        # algebra, which needs the same frame, names the failure
+        pair = beyond_range_pair()
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc)
+        assert code == 1
+        rec = report["recursion"]
+        assert rec["preserves_all"] is False and rec["commute"] is False
+        assert rec["rank"] == 4 and rec["all_pass"] is False
+        assert "not certified" in report["residuals"]["pipeline_error"]
 
     def test_generic_dim32_synth_output_conserves(self, tmp_path, capsys):
         # ||T^15 J1|| is about 2e16 here: probing the raw power overflowed
@@ -209,7 +243,7 @@ class TestRecursion:
         assert run_cli(capsys, "synth", "--spec", spec, "--seed", "1", "--out", path)[0] == 0
         code, report, _ = run_report(capsys, "check", path)
         assert code == 0
-        assert report["recursion"]["max_conservation_drift"] <= 1e-12
+        assert_probed_drift_within_bound(cli.load_document(str(path)), report)
 
     def test_second_triple_scaled_by_1e8_conserves(self, tmp_path, capsys):
         # T scales by 1e8, so the raw power T^7 J1 has norm about 5e59
@@ -220,7 +254,7 @@ class TestRecursion:
         path.write_text(json.dumps(doc))
         code, report, _ = run_report(capsys, "check", path)
         assert code == 0
-        assert report["recursion"]["max_conservation_drift"] <= 1e-12
+        assert_probed_drift_within_bound(cli.load_document(str(path)), report)
 
     def test_generic_dim64_synth_output_has_full_rank(self, tmp_path, capsys):
         # the SVD of the power stack T^k J1 read rank 25/32 here
@@ -457,13 +491,13 @@ class TestEntryPoint:
 class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
         # one analysis computes each spectral fact once: the G eigensolve,
-        # the decomposition, its adapted frame and the transfer operator's
-        # cluster frames; the dimensions are read off the certified frames,
-        # so no basis is built and nothing is orthonormalized, and the
-        # drift bound comes from the recursion certificate, with no
-        # sampled flow
+        # the decomposition, its adapted frame and that frame's certificate,
+        # and the transfer operator's cluster frames; the dimensions are
+        # read off the certified frames, so no basis is built and nothing
+        # is orthonormalized, and the drift bound comes from the recursion
+        # certificate, with no sampled flow
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
-        calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0,
+        calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0, "frame_certificate": 0,
                  "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                  "orthonormal_span": 0}
 
@@ -495,6 +529,7 @@ class TestSharedResults:
         count_function(dynamics, "conservation_probe")
         count_function(linalg, "orthonormal_span")
         count_property(BlockDecomposition, "adapted_frame", "frame")
+        count_property(BlockDecomposition, "frame_certificate", "frame_certificate")
         count_property(TransferOperator, "cluster_frames", "cluster_frames")
         count_property(TransferOperator, "commutant_basis", "commutant")
 
@@ -504,6 +539,7 @@ class TestSharedResults:
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
         assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1,
+                         "frame_certificate": 1,
                          "cluster_frames": 1, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}
 

@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from biham.compatibility import check_compatible
 from biham.decomposition import DecompositionError, decompose, synthesize_pair
 from biham.dynamics import (
     FlowOverflowError,
+    RecursionBasis,
+    _power_basis_log10_condition,
     _probe_flows,
     bi_preserving_algebra,
     certify_recursion,
@@ -17,9 +22,16 @@ from biham.dynamics import (
     flow,
     recursion_basis,
 )
-from biham.linalg import cluster_eigenvalues, commutator, eig_self_adjoint, op_norm
+from biham.linalg import (
+    NumericalCheckError,
+    cluster_eigenvalues,
+    commutator,
+    eig_self_adjoint,
+    op_norm,
+)
 from biham.structures import LinearField, check_admissible, field_preserves, phase_group
-from conftest import S_BLOCK, standard_triple, whitened
+from conftest import S_BLOCK, conditioned_pair, standard_triple, whitened
+import loop_oracle
 
 # the probe's sampled times, covering (0, 10], the horizon of the certified
 # drift bound of the recursion family
@@ -117,6 +129,27 @@ class TestRecursionBasis:
         np.testing.assert_allclose(rb.fields[0].matrix, rb.fields[1].matrix,
                                    atol=1e-14)
 
+    def test_fields_name_the_first_power_out_of_range(self):
+        # a valid pair whose raw powers T^k J1 grow like (4e9)^k: the fields
+        # once overflowed with a matmul RuntimeWarning and a bare ValueError
+        p = synthesize_pair([(1e8 * (1 + k), (-1) ** k, 1) for k in range(40)], 1)
+        rb = recursion_basis(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalCheckError, match=r"T\^\d+ @ J1") as info:
+                rb.fields
+        k = int(re.search(r"T\^(\d+)", str(info.value)).group(1))
+        frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+        powers = [p.t1.j_w]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k):
+                powers.append(p.recursion_operator_w @ powers[-1])
+            finite = [np.isfinite(frame @ a @ frame_inv).all() for a in powers]
+        assert all(finite[:k]) and not finite[k]
+        # the unit directions stay in range and certify
+        assert np.isfinite(rb.directions_w).all()
+        assert certify_recursion(rb, decompose(p)).all_pass
+
 
 class TestCertifyRecursion:
     def test_reference_4d_passes(self, ref4d_pair):
@@ -212,6 +245,85 @@ class TestCertifyRecursion:
             assert resid <= 1e-12 * max(1.0, op_norm(big_t) ** 2 * op_norm(a))
 
 
+def beyond_range_pair():
+    """Generic dim 8 with cond(g1) = 1e8, beyond the advertised 1e6: its
+    adapted frame's bound exceeds ``rel``."""
+    spec = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(4)]
+    return conditioned_pair(spec, 1e4, seed=0)
+
+
+class TestCertificateFaults:
+    """The recursion certificate reads every bound off the adapted frame
+    and the class elements, so a fault in either must fail it."""
+
+    SPEC = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(6)]
+
+    def test_passes_untampered(self):
+        p = synthesize_pair(self.SPEC, seed=3)
+        assert certify_recursion(recursion_basis(p), decompose(p)).all_pass
+
+    def test_tampered_frame_fails(self):
+        p = synthesize_pair(self.SPEC, seed=3)
+        d = decompose(p)
+        cols, partners, signs = d.adapted_frame
+        bad = cols.copy()
+        bad[:, 0] += 1e-6 * cols[:, 1]
+        vars(d)["adapted_frame"] = (bad, partners, signs)
+        bound, e = d.frame_certificate
+        assert bound > p.tol.rel and e > 1e-7
+        cert = certify_recursion(recursion_basis(p), d)
+        assert not cert.preserves_all and not cert.commute and not cert.holds
+        assert cert.max_preservation_residual > p.tol.rel
+        with pytest.raises(DecompositionError, match="not certified"):
+            bi_preserving_algebra(d)
+
+    def test_tampered_direction_fails(self):
+        p = synthesize_pair(self.SPEC, seed=3)
+        rb = recursion_basis(p)
+        dirs = rb.directions_w.copy()
+        sym = np.random.default_rng(5).standard_normal((p.dim, p.dim))
+        dirs[2] += 1e-6 * (sym + sym.T)
+        tampered = RecursionBasis(p, dirs)
+        # the oracle sees the fault the certificate must not miss
+        measured = loop_oracle.direction_residuals(dirs, p)
+        assert measured["preservation"] > p.tol.rel and measured["commutator"] > p.tol.rel
+        cert = certify_recursion(tampered, decompose(p))
+        assert not cert.preserves_all and not cert.commute
+        assert not cert.vandermonde_consistent
+        assert cert.max_preservation_residual >= measured["preservation"]
+        assert cert.max_commutator_residual >= measured["commutator"]
+
+    def test_uncertified_frame_fails_without_raising(self):
+        p = beyond_range_pair()
+        d = decompose(p)
+        assert d.frame_certificate[0] > p.tol.rel
+        cert = certify_recursion(recursion_basis(p), d)
+        assert not cert.preserves_all and not cert.commute
+        assert cert.rank == cert.expected_rank == 4
+        with pytest.raises(DecompositionError, match="not certified"):
+            bi_preserving_algebra(d)
+
+
+class TestPowerBasisCondition:
+    @pytest.mark.parametrize("nodes", [[2.0, -3.0], [0.5, -1.25, 2.0, -2.75],
+                                       [1.0, 1.01, 1.02], [1e3, -2e3, 5e-2], [7.0]])
+    def test_bounds_the_condition_number(self, nodes):
+        v = np.vander(nodes, increasing=True).T  # v[k, i] = x_i^k
+        kappa = np.linalg.norm(v, np.inf) * np.linalg.norm(np.linalg.inv(v), np.inf)
+        assert math.log10(kappa) <= _power_basis_log10_condition(nodes) + 1e-12
+
+    def test_attained_on_two_nodes(self):
+        # V = [[1, 1], [2, -3]]: |V| = 5 and |inv(V)| = 0.8
+        assert _power_basis_log10_condition([2.0, -3.0]) == pytest.approx(math.log10(4.0))
+
+    def test_finite_beyond_the_floating_point_range(self):
+        # the nodes of the pair whose raw powers overflow: |V| alone is
+        # about (4e9)^39, beyond the largest double
+        nodes = [1e8 * (1 + k) * (-1) ** k for k in range(40)]
+        value = _power_basis_log10_condition(nodes)
+        assert math.isfinite(value) and value > 308
+
+
 class TestDriftBound:
     """The certified drift bound against the sampled probe (the oracle), on
     each pair rebuilt in t1's g1-orthonormal frame, where the probe
@@ -228,19 +340,13 @@ class TestDriftBound:
     ], ids=["generic8", "generic16", "generic32", "two_class16", "two_class32",
             "three_class24", "three_class32"])
     def test_sampled_drift_stays_within_the_bound(self, spec):
-        q = synthesize_pair(spec, seed=7)
-        p = check_compatible(check_admissible(np.eye(q.dim), q.t1.j_w),
-                             check_admissible(q.metric_operator_w, q.omega2_w))
-        assert np.array_equal(p.t1.g.frame, np.eye(p.dim))
-        rb = recursion_basis(p)
-        bound = certify_recursion(rb, decompose(p)).max_conservation_drift
+        p = loop_oracle.in_t1_frame(synthesize_pair(spec, seed=7))
+        bound = certify_recursion(recursion_basis(p), decompose(p)).max_conservation_drift
         # the probe's own rounding: it flows by eigenvectors that are
         # orthogonal to a few m * eps only, and the drift of g1, exactly 0
         # for a g1-skew field, reads up to 3.7 m * eps on these pairs
         allowance = 10 * p.dim * np.finfo(float).eps
-        for d in rb.directions_w:
-            drift = conservation_probe(LinearField(d), p, CONSERVATION_TIMES).max_drift
-            assert drift <= bound + allowance
+        assert loop_oracle.probed_drift(p, CONSERVATION_TIMES) <= bound + allowance
 
 
 class TestFlow:

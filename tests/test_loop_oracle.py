@@ -1,13 +1,14 @@
 """The stacked verifications against the per-block and per-pair loops.
 
-The recursion commutators and the pencil verdicts take the same products
-in a stack as the loops did one by one, so their values are equal.  The
-decomposition residuals group each product differently, so they may
-differ in the last bits: by at most ``dim * eps`` times the norm each is
-measured against, and by a relative 1e-12 on the large residuals of
-tampered pairs.  The element-wise checks of the algebra, the commutant and
-the bicommutant, which the frame certificates replaced, pass wherever the
-certificates pass.
+The pencil verdicts take the same products in a stack as the loops did one
+by one, so their values are equal.  The decomposition residuals group each
+product differently, so they may differ in the last bits: by at most
+``dim * eps`` times the norm each is measured against, and by a relative
+1e-12 on the large residuals of tampered pairs.  The element-wise checks of
+the algebra, the recursion family, the commutant and the bicommutant,
+which the frame certificates replaced, pass wherever the certificates
+pass, and each measured residual of the family stays within the bound the
+certificate reports for it.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ from biham.decomposition import _block_residuals, decompose, synthesize_pair
 from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from biham.structures import check_admissible
 from biham.linalg import op_norm
-from conftest import conditioned_basis, congruent, standard_triple
+from conftest import conditioned_pair, standard_triple
 from test_commutant import operator_from_spectrum
 
 EPS = np.finfo(float).eps
@@ -70,6 +71,21 @@ def scales(p):
             np.array([1.0, op_norm(p.metric_operator_w)]))
 
 
+def assert_directions_within_bounds(p, drift_within_rel=True):
+    """Certificate first, then every measured residual of the unit
+    directions within the bound reported for it, and that within ``rel``.
+    The drift is no verdict: at cond(g1) = 1e6 its measured value already
+    exceeds ``rel``."""
+    rb = recursion_basis(p)
+    cert = certify_recursion(rb, decompose(p))
+    assert cert.preserves_all and cert.commute
+    measured = loop_oracle.direction_residuals(rb.directions_w, p)
+    assert measured["preservation"] <= cert.max_preservation_residual <= p.tol.rel
+    assert measured["commutator"] <= cert.max_commutator_residual <= p.tol.rel
+    assert measured["drift"] <= cert.max_conservation_drift
+    assert cert.max_conservation_drift <= p.tol.rel or not drift_within_rel
+
+
 def assert_decomposition_residuals_match(blocks, p, rtol=0.0):
     per_block, cross = _block_residuals(blocks, p)
     loop_block, loop_cross = loop_oracle.decomposition_residuals(blocks, p)
@@ -89,11 +105,7 @@ class TestStackedEqualsLoops:
         assert_decomposition_residuals_match(list(decompose(p).blocks), p)
 
     def test_max_commutator_residual(self, make_pair):
-        p = make_pair()
-        rb = recursion_basis(p)
-        cert = certify_recursion(rb, decompose(p))
-        expected = loop_oracle.max_commutator_residual(rb.directions_w)
-        assert cert.max_commutator_residual == expected
+        assert_directions_within_bounds(make_pair())
 
     @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.05])
     def test_pencil_verdicts(self, make_pair, gamma):
@@ -210,6 +222,27 @@ class TestBicommutantBound:
         assert (commutant_dim(op), bicommutant_dim(op)) == (10, 4)
 
 
+class TestRecursionBounds:
+    """The element-wise preservation, commutation and drift the recursion
+    certificate replaced, measured direction by direction: wherever the
+    certificate passes (dims up to 32, cond(g1) up to 1e6), each stays
+    within the bound the certificate reports, and that within ``rel``."""
+
+    @pytest.mark.parametrize("spec", COMPLEXIFIED)
+    def test_complexified_pairs(self, spec):
+        assert_directions_within_bounds(synthesize_pair(spec, seed=1))
+
+    @pytest.mark.parametrize("spec", SCALED)
+    def test_second_triple_scaled_by_1e8(self, spec):
+        assert_directions_within_bounds(scaled_pair(spec))
+
+    @pytest.mark.parametrize("spec", [generic_spec(4), two_class_spec(16)],
+                             ids=["generic-8", "two-class-16"])
+    def test_first_metric_of_condition_number_1e6(self, spec):
+        assert_directions_within_bounds(conditioned_pair(spec, 1e3, seed=2),
+                                        drift_within_rel=False)
+
+
 class TestAlgebraElements:
     """The per-element preservation check the certificate of the adapted
     frame replaced: wherever ``bi_preserving_algebra`` passes, every basis
@@ -228,8 +261,4 @@ class TestAlgebraElements:
     def test_first_metric_of_condition_number_1e6(self, spec):
         # the certificate reads t1's g1-orthonormal frame; the elements
         # are orthonormalized in the original coordinates
-        pair = synthesize_pair(spec, seed=2)
-        doc = congruent(pair, conditioned_basis(pair.dim, 1e3, np.random.default_rng(2)))
-        t1 = check_admissible(doc["g1"], doc["omega1"])
-        t2 = check_admissible(doc["g2"], doc["omega2"])
-        assert_algebra_elements_preserve(decompose(check_compatible(t1, t2)))
+        assert_algebra_elements_preserve(decompose(conditioned_pair(spec, 1e3, seed=2)))
