@@ -16,8 +16,9 @@ its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1; it satisfies the
 Nijenhuis identity [T A, T] = T [A, T], and its rank is the number of
 (lambda, sign) classes (Vandermonde).  :func:`certify_recursion` reads the
 family's preservation, commutation and drift bounds off the same frame
-certificate, with no product of two directions; :func:`conservation_probe`
-samples the drift of any field instead.  Every
+certificate, with no product of two directions, and measures the directions
+only where a bound exceeds ``rel``; :func:`conservation_probe` samples the
+drift of any field instead.  Every
 stage computes in t1's g1-orthonormal frame, where the fields preserving g1
 are skew, and maps back only the fields it reports.
 """
@@ -40,9 +41,10 @@ from .linalg import (
     _expm,
     frozen,
     op_norm,
+    op_norms,
     orthonormal_span,
 )
-from .structures import LinearField
+from .structures import LinearField, preservation_residuals
 
 __all__ = [
     "BiPreservingAlgebra",
@@ -238,10 +240,15 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     directions s_k in t1's g1-orthonormal frame: preservation of all four
     tensors and pairwise commutation within ``tol.rel``, the rank, the
     matrix Nijenhuis identity [T A, T] = T [A, T] for A = J1 on T / |T|,
-    and a drift bound.  No product of two directions is formed: every
-    number but the rank and the Nijenhuis residual is a bound read off the
-    certificate of the adapted frame, ``(beta, e) = d.frame_certificate``,
-    and one measured distance of each direction from the class elements.
+    and a drift bound.  Every number but the rank and the Nijenhuis
+    residual is first a bound read off the certificate of the adapted
+    frame, ``(beta, e) = d.frame_certificate``, and one measured distance
+    of each direction from the class elements, with no product of two
+    directions.  Where the preservation or the commutation bound exceeds
+    ``tol.rel``, the directions are measured instead
+    (:func:`_measured_preservation`, :func:`_max_commutator`), so each
+    verdict is the measured one wherever its bound cannot decide, and
+    nothing is raised.
 
     Class elements: with C_i, D_i the axes and partners of the i-th of c
     (lambda, sign) classes in the adapted frame Q = [C, D], r_i their
@@ -285,20 +292,20 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
       norm at most (P + P1) |tau|.  The flow exp(t K) is orthogonal, so by
       Duhamel's formula the relative drift of tau over t in [0, 10] is at
       most 10 sqrt(m) (P + P1), ``max_conservation_drift``; that of g1 is
-      0.  It is reported, not judged.
+      0.  It is reported, not judged.  Where P is replaced by measured
+      residuals r, the drift bound is 10 sqrt(m) max_k (r_tau + r_g1).
 
-    Both verdicts rest on a certified frame: when beta exceeds ``rel``,
-    ``preserves_all`` (as P >= beta) and ``commute`` are false, and nothing
-    is raised.
-    Rounding: beta and e carry theirs (see ``frame_certificate``); eps,
-    eps1 and rho are measured from the stored directions like every
-    residual of the threshold rule, so they carry the rounding of the
-    directions (O(n eps) per power) and of their two products with Q.  On
-    the synthesized pairs to dim 256, P and the commutator bound stay
-    below 5e-11 and the drift bound below 1e-8.  At cond(g1) = 1e6 the
-    rounding of the whitened tensors, about eps cond(g1), puts beta and eps
-    at 1e-10 to 8e-10, and P, 4-8 times the measured residuals, can exceed
-    ``rel``.
+    Each reported value is its bound, or the measured value where the
+    bound exceeds ``rel``.  Rounding: beta and e carry theirs (see
+    ``frame_certificate``); eps, eps1, rho and the measured residuals are
+    taken from the stored directions like every residual of the threshold
+    rule, so they carry the rounding of the directions (O(n eps) per power)
+    and of their products with Q and the tensors.  On the synthesized
+    pairs to dim 256, P and the commutator bound stay below 5e-11 and the
+    drift bound below 1e-8.  At cond(g1) = 1e6 the rounding of the whitened
+    tensors, about eps cond(g1), puts beta and eps at 1e-10 to 8e-10: P
+    and the commutator bound, 4-40x above the measured residuals, can then
+    exceed ``rel`` and hand the verdict to the measurement.
 
     ``power_basis_log10_condition`` is log10 of Gautschi's bound on the
     condition number of the Vandermonde matrix of the nodes
@@ -313,8 +320,13 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
 
     pres_g1 = eps + eps1
     pres = beta * (1.0 + eps) + pres_g1
+    drift = 10.0 * math.sqrt(m) * (pres + pres_g1)
     comm = (math.sqrt(m) * alpha ** 2 * 2.0 * e * (1.0 + e) * (1.0 + rho) ** 2 / (1.0 - e) ** 2
             + 4.0 * eps + 6.0 * eps ** 2) if e < 1.0 else math.inf
+    if not pres <= tol.rel:
+        pres, drift = _measured_preservation(rb.directions_w, p)
+    if not comm <= tol.rel:
+        comm = _max_commutator(rb.directions_w)
 
     j1 = p.t1.j_w
     big_t = p.recursion_operator_w / op_norm(p.recursion_operator_w)
@@ -324,7 +336,7 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     return RecursionCertificate(
         preserves_all=pres <= tol.rel,
         max_preservation_residual=pres,
-        commute=beta <= tol.rel and comm <= tol.rel,
+        commute=comm <= tol.rel,
         max_commutator_residual=comm,
         rank=len(d.classes),
         expected_rank=n,
@@ -332,7 +344,7 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
         vandermonde_consistent=bool(gram <= tol.rel and rho <= tol.rel),
         nijenhuis_residual=float(nij),
         nijenhuis_holds=nij <= tol.threshold(big_t, big_t, j1),
-        max_conservation_drift=10.0 * math.sqrt(m) * (pres + pres_g1),
+        max_conservation_drift=drift,
         power_basis_log10_condition=_power_basis_log10_condition(nodes),
     )
 
@@ -380,6 +392,37 @@ def _inclusion_residual(mats: np.ndarray,
         eps = max(eps, float((norms * unit.sum(axis=2).max(axis=1)).max()))
         eps1 = max(eps1, float((norms * unit.sum(axis=1).max(axis=1)).max()))
     return rho, alpha, eps, eps1
+
+
+def _measured_preservation(mats: np.ndarray, p: CompatiblePair) -> tuple[float, float]:
+    """The measured ``(pres, drift)`` of :func:`certify_recursion` for a
+    stack of directions s: the largest relative residual of ``tau s + s.T
+    tau`` over tau in g1 = I, J1, G and omega2, and the largest 10 sqrt(m)
+    (r_tau + r_g1) over the directions; one product with each tensor per
+    direction, in chunks of directions."""
+    eye = np.eye(p.dim)
+    step = max(1, _CHUNK_ENTRIES // mats[0].size)
+    pres = drift = 0.0
+    for lo in range(0, len(mats), step):
+        chunk = mats[lo:lo + step]
+        r = (preservation_residuals(chunk, eye, p.t1.j_w)
+             + preservation_residuals(chunk, p.metric_operator_w, p.omega2_w))
+        pres = max(pres, float(max(x.max() for x in r)))
+        drift = max(drift, float(max((x + r[0]).max() for x in r[1:])))
+    return pres, 10.0 * math.sqrt(p.dim) * drift
+
+
+def _max_commutator(mats: np.ndarray) -> float:
+    """Largest row-sum norm of the commutators of all pairs of unit
+    directions, one stacked product per direction against a chunk of
+    those after it."""
+    step = max(1, _CHUNK_ENTRIES // mats[0].size)
+    worst = 0.0
+    for i in range(len(mats) - 1):
+        for lo in range(i + 1, len(mats), step):
+            rest = mats[lo:lo + step]
+            worst = max(worst, float(op_norms(mats[i] @ rest - rest @ mats[i]).max()))
+    return worst
 
 
 def _power_basis_log10_condition(nodes) -> float:

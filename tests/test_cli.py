@@ -22,6 +22,7 @@ from biham.dynamics import certify_recursion
 from biham.structures import check_admissible
 
 import loop_oracle
+from conftest import conditioned_pair
 from test_dynamics import CONSERVATION_TIMES, beyond_range_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -223,18 +224,35 @@ class TestRecursion:
         # nodes 2 and -3: Gautschi's bound is attained, |V| |inv(V)| = 5 * 0.8
         assert rec["power_basis_log10_condition"] == pytest.approx(math.log10(4.0))
 
-    def test_uncertified_frame_reports_failed_verdicts(self):
-        # cond(g1) = 1e8: the certificate fails without raising, and the
-        # algebra, which needs the same frame, names the failure
+    def test_uncertified_frame_names_the_algebra_failure(self):
+        # cond(g1) = 1e8: the recursion certificate keeps the verdicts its
+        # directions measure, and the algebra, which needs the certified
+        # frame, names the failure
         pair = beyond_range_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc)
         assert code == 1
         rec = report["recursion"]
-        assert rec["preserves_all"] is False and rec["commute"] is False
-        assert rec["rank"] == 4 and rec["all_pass"] is False
+        assert rec["preserves_all"] is True and rec["commute"] is True
+        assert rec["rank"] == 4 and rec["all_pass"] is True
         assert "not certified" in report["residuals"]["pipeline_error"]
+
+    @pytest.mark.parametrize("spec", [
+        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(8)],
+        [(2.0, 1, 4), (3.0, -1, 4)],
+    ], ids=["generic-16", "two-class-16"])
+    def test_congruent_pair_at_cond_1e6_passes(self, spec):
+        # basis seed 29, cond(g1) = 1e6: a preservation bound derived from
+        # the adapted frame, 4-8x above the measured residuals, once failed
+        # these valid pairs
+        pair = conditioned_pair(spec, 1e3, seed=29)
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc)
+        assert code == 0
+        rec = report["recursion"]
+        assert rec["preserves_all"] is True and rec["commute"] is True
 
     def test_generic_dim32_synth_output_conserves(self, tmp_path, capsys):
         # ||T^15 J1|| is about 2e16 here: probing the raw power overflowed

@@ -247,14 +247,17 @@ class TestCertifyRecursion:
 
 def beyond_range_pair():
     """Generic dim 8 with cond(g1) = 1e8, beyond the advertised 1e6: its
-    adapted frame's bound exceeds ``rel``."""
+    adapted frame's bound exceeds ``rel``, while its directions measure
+    within ``rel``."""
     spec = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(4)]
     return conditioned_pair(spec, 1e4, seed=0)
 
 
 class TestCertificateFaults:
-    """The recursion certificate reads every bound off the adapted frame
-    and the class elements, so a fault in either must fail it."""
+    """The recursion certificate measures preservation on the directions
+    and reads the rank, and the commutation wherever its bound decides, off
+    the adapted frame and the class elements, so a fault in either must
+    fail it."""
 
     SPEC = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(6)]
 
@@ -271,9 +274,13 @@ class TestCertificateFaults:
         vars(d)["adapted_frame"] = (bad, partners, signs)
         bound, e = d.frame_certificate
         assert bound > p.tol.rel and e > 1e-7
-        cert = certify_recursion(recursion_basis(p), d)
-        assert not cert.preserves_all and not cert.commute and not cert.holds
-        assert cert.max_preservation_residual > p.tol.rel
+        rb = recursion_basis(p)
+        cert = certify_recursion(rb, d)
+        assert not cert.vandermonde_consistent and not cert.holds
+        # the untouched directions are measured, not judged by the frame
+        measured = loop_oracle.direction_residuals(rb.directions_w, p)
+        assert cert.preserves_all and cert.commute
+        assert measured["commutator"] <= cert.max_commutator_residual <= p.tol.rel
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)
 
@@ -293,12 +300,18 @@ class TestCertificateFaults:
         assert cert.max_preservation_residual >= measured["preservation"]
         assert cert.max_commutator_residual >= measured["commutator"]
 
-    def test_uncertified_frame_fails_without_raising(self):
+    def test_uncertified_frame_keeps_measured_verdicts(self):
+        # the certificate does not raise; its verdicts are those of the
+        # measured directions, and the algebra, which needs the certified
+        # frame, names the failure
         p = beyond_range_pair()
         d = decompose(p)
         assert d.frame_certificate[0] > p.tol.rel
-        cert = certify_recursion(recursion_basis(p), d)
-        assert not cert.preserves_all and not cert.commute
+        rb = recursion_basis(p)
+        cert = certify_recursion(rb, d)
+        measured = loop_oracle.direction_residuals(rb.directions_w, p)
+        assert max(measured["preservation"], measured["commutator"]) <= p.tol.rel
+        assert cert.preserves_all and cert.commute
         assert cert.rank == cert.expected_rank == 4
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)

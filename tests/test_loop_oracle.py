@@ -73,7 +73,8 @@ def scales(p):
 
 def assert_directions_within_bounds(p, drift_within_rel=True):
     """Certificate first, then every measured residual of the unit
-    directions within the bound reported for it, and that within ``rel``.
+    directions within the value reported for it (a bound, or the same
+    measurement where the bound exceeds ``rel``), and that within ``rel``.
     The drift is no verdict: at cond(g1) = 1e6 its measured value already
     exceeds ``rel``."""
     rb = recursion_basis(p)
@@ -105,7 +106,11 @@ class TestStackedEqualsLoops:
         assert_decomposition_residuals_match(list(decompose(p).blocks), p)
 
     def test_max_commutator_residual(self, make_pair):
-        assert_directions_within_bounds(make_pair())
+        p = make_pair()
+        rb = recursion_basis(p)
+        cert = certify_recursion(rb, decompose(p))
+        measured = loop_oracle.max_commutator_residual(rb.directions_w)
+        assert measured <= cert.max_commutator_residual <= p.tol.rel
 
     @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.05])
     def test_pencil_verdicts(self, make_pair, gamma):
@@ -222,25 +227,30 @@ class TestBicommutantBound:
         assert (commutant_dim(op), bicommutant_dim(op)) == (10, 4)
 
 
+RECURSION_PAIRS = [
+    pytest.param(lambda: synthesize_pair([(2.0, 1, 16)], seed=1), True, id="one-class-32"),
+    *(pytest.param(lambda s=spec.values[0]: scaled_pair(s), True, id=f"{spec.id}-scaled-1e8")
+      for spec in SCALED),
+    # cond(g1) = 1e6; basis seed 29 at dim 16 once failed a derived
+    # preservation bound 4-8x above the measured residuals
+    *(pytest.param(lambda s=spec, k=seed: conditioned_pair(s, 1e3, seed=k), False,
+                   id=f"{name}-cond-1e6-seed-{seed}")
+      for name, spec, seed in (("generic-8", generic_spec(4), 2),
+                               ("two-class-16", two_class_spec(16), 2),
+                               ("generic-16", generic_spec(8), 29),
+                               ("two-class-16", two_class_spec(16), 29))),
+]
+
+
 class TestRecursionBounds:
-    """The element-wise preservation, commutation and drift the recursion
-    certificate replaced, measured direction by direction: wherever the
-    certificate passes (dims up to 32, cond(g1) up to 1e6), each stays
-    within the bound the certificate reports, and that within ``rel``."""
+    """The element-wise preservation, commutation and drift of the
+    recursion family, measured direction by direction, against the values
+    the certificate reports, on pairs beyond the stacked-loop set: one
+    class, the second triple scaled by 1e8, and cond(g1) = 1e6."""
 
-    @pytest.mark.parametrize("spec", COMPLEXIFIED)
-    def test_complexified_pairs(self, spec):
-        assert_directions_within_bounds(synthesize_pair(spec, seed=1))
-
-    @pytest.mark.parametrize("spec", SCALED)
-    def test_second_triple_scaled_by_1e8(self, spec):
-        assert_directions_within_bounds(scaled_pair(spec))
-
-    @pytest.mark.parametrize("spec", [generic_spec(4), two_class_spec(16)],
-                             ids=["generic-8", "two-class-16"])
-    def test_first_metric_of_condition_number_1e6(self, spec):
-        assert_directions_within_bounds(conditioned_pair(spec, 1e3, seed=2),
-                                        drift_within_rel=False)
+    @pytest.mark.parametrize("make_pair, drift_within_rel", RECURSION_PAIRS)
+    def test_directions_within_bounds(self, make_pair, drift_within_rel):
+        assert_directions_within_bounds(make_pair(), drift_within_rel)
 
 
 class TestAlgebraElements:
