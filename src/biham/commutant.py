@@ -43,6 +43,7 @@ from .linalg import (
     cluster_eigenvalues,
     frozen,
     op_norm,
+    op_norms,
     orthonormal_span,
     symmetric_part,
     whitening,
@@ -87,8 +88,10 @@ class HermitianForm:
 class TransferOperator:
     """Operator carrying one Hermitian form into the other, together with
     its spectral data (eigenvalues ascending, eigenvector columns
-    orthonormal for the first form) and the tolerance of its checks.  The
-    spectral data are certified once, when the cluster frames are built."""
+    orthonormal for the first form), the tolerance of its checks and the
+    Hermitian ``matrix_w`` = F in the first form's frame, which the
+    eigenvalues diagonalize.  The spectral data are certified once, when
+    the cluster frames are built."""
 
     matrix: np.ndarray
     h1: HermitianForm
@@ -96,6 +99,7 @@ class TransferOperator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     tol: Tolerance
+    matrix_w: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -119,13 +123,6 @@ class TransferOperator:
         gens = [np.einsum("ia,bj->abij", vc, vc_inv).reshape(-1, self.dim, self.dim)
                 for vc, vc_inv in self.cluster_frames]
         return frozen(orthonormal_span(np.concatenate(gens), self.tol.rel))
-
-
-def _matrix_in_frame(h1: HermitianForm, h2: HermitianForm, tol: Tolerance) -> np.ndarray:
-    """``F_w = W^H @ H2 @ W``, Hermitian by the threshold rule."""
-    return symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
-                          "transfer operator in the first form's frame",
-                          "transfer_self_adjoint")
 
 
 def _certify_spectrum(op: TransferOperator) -> list[int]:
@@ -159,24 +156,23 @@ def _certify_spectrum(op: TransferOperator) -> list[int]:
     1e-10 at n = 128.
     """
     tol, n = op.tol, op.dim
-    f_w = _matrix_in_frame(op.h1, op.h2, tol)
+    f_w = op.matrix_w
     u = op.h1.frame_inv @ op.eigenvectors
     uh, lam = u.conj().T, op.eigenvalues
     sizes = [m for _, m in cluster_eigenvalues(lam, tol.cluster_gap)]
     ends = np.cumsum([0] + sizes)
     low, high = lam[ends[:-1]], lam[ends[1:] - 1]
     mid = np.repeat(0.5 * (low + high), sizes)
-    e, f_norm = op_norm(uh @ u - np.eye(n)), op_norm(f_w)
+    e, f_norm, pairs, clusters = op_norms([uh @ u - np.eye(n), f_w, f_w - (u * lam) @ uh,
+                                           f_w - (u * mid) @ uh]).tolist()
     eta = (2.0 * n ** 1.5 * e * (1.0 + e) / (1.0 - e) ** 2
            * max(1.0, float(lam[-1]) / f_norm)) if e < 1.0 else math.inf
     spread = np.max((high - low) / high)
     for check, what, value, bound in (
         ("unitary", "eigenvectors are not unitary", eta, tol.rel),
-        ("eigenpairs", "eigenpairs do not reproduce it",
-         2.0 * op_norm(f_w - (u * lam) @ uh) / f_norm + eta, tol.rel),
+        ("eigenpairs", "eigenpairs do not reproduce it", 2.0 * pairs / f_norm + eta, tol.rel),
         ("cluster_spread", "eigenvalue clusters are wider than the cluster gap",
-         float(np.maximum(spread, 2.0 * op_norm(f_w - (u * mid) @ uh) / f_norm + eta)),
-         tol.cluster_gap),
+         float(np.maximum(spread, 2.0 * clusters / f_norm + eta)), tol.cluster_gap),
     ):
         if not value <= bound:
             raise StructureError(f"transfer operator: {what} (residual {value:.3e})",
@@ -199,7 +195,8 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
         h2 = HermitianForm(h2, tol)
     if h1.dim != h2.dim:
         raise ValueError(f"dimension mismatch: {h1.dim} vs {h2.dim}")
-    f_w = _matrix_in_frame(h1, h2, tol)
+    f_w = symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
+                         "transfer operator in the first form's frame", "transfer_self_adjoint")
     evals, vecs = np.linalg.eigh(f_w)
     if evals[0] <= 0:
         raise StructureError(
@@ -207,13 +204,14 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
             check="transfer_positive", residual=float(evals[0]),
         )
     f = h1.frame @ f_w @ h1.frame_inv
-    resid = op_norm(h1.h @ f - h2.h)
-    if not resid <= tol.threshold(h1.h, f):
+    resid, n_h1, n_f = op_norms([h1.h @ f - h2.h, h1.h, f]).tolist()
+    if not resid <= tol.threshold(n_h1, n_f):
         raise StructureError(
             f"transfer identity H1 @ F = H2 fails (residual {resid:.3e})",
             check="transfer_identity", residual=resid,
         )
-    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(h1.frame @ vecs), tol)
+    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(h1.frame @ vecs), tol,
+                            frozen(f_w))
 
 
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:

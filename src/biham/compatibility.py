@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,13 +89,24 @@ class CompatiblePair:
     def dim(self) -> int:
         return self.t1.dim
 
+    @cached_property
+    def norms_w(self) -> tuple[float, float, float]:
+        """:func:`op_norm` of ``metric_operator_w``, ``omega2_w`` and
+        ``recursion_operator_w``, the factors of the decomposition, frame
+        and recursion thresholds: taken once, on first use, in one
+        reduction."""
+        return tuple(op_norms([self.metric_operator_w, self.omega2_w,
+                               self.recursion_operator_w]).tolist())
 
-def _sym_resid(m: np.ndarray) -> float:
-    return op_norm(m - m.T)
+
+def _sym_defect(m: np.ndarray) -> np.ndarray:
+    """``m - m.T``, zero when ``m`` is symmetric."""
+    return m - m.T
 
 
-def _skew_resid(m: np.ndarray) -> float:
-    return op_norm(m + m.T)
+def _skew_defect(m: np.ndarray) -> np.ndarray:
+    """``m + m.T``, zero when ``m`` is skew."""
+    return m + m.T
 
 
 def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
@@ -133,47 +145,54 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     violations: list[Violation] = []
 
     def record(name: str, resid: float, threshold: float) -> None:
-        certificates[name] = float(resid)
+        certificates[name] = resid
         if not resid <= threshold:
-            violations.append(Violation(name, float(resid)))
+            violations.append(Violation(name, resid))
 
-    # a residual that overflows fails its check
+    # a residual that overflows fails its check; each group of checks takes
+    # its residual norms and the norms of its new factors in one reduction
     with np.errstate(over="ignore", invalid="ignore"):
         # every check is homogeneous in the second triple's scale: reading G,
         # T and omega2 over G's largest eigenvalue keeps T @ T in range
         scale = evals[-1]
         g2_s, w2_s = g2 / scale, w2 / scale
-        record("g2_J1_skew", _skew_resid(g2_s @ j1), tol.threshold(g2_s, j1))
-        record("omega2_J1_symmetric", _sym_resid(w2_s @ j1), tol.threshold(w2_s, j1))
-        record("g1_J2_skew", _skew_resid(j2), tol.threshold(j2))
-        record("omega1_J2_symmetric", _sym_resid(j1 @ j2), tol.threshold(j1, j2))
-        jj_comm = op_norm(commutator(j1, j2))
-        record("J1_J2_commutator", jj_comm, tol.threshold(j1, j2))
+        n_j1 = t1.j_w_norm
+        skew_g2, sym_w2, skew_j2, sym_j1j2, jj_comm, n_g2, n_w2, n_j2 = op_norms([
+            _skew_defect(g2_s @ j1), _sym_defect(w2_s @ j1), _skew_defect(j2),
+            _sym_defect(j1 @ j2), commutator(j1, j2), g2_s, w2_s, j2]).tolist()
+        record("g2_J1_skew", skew_g2, tol.threshold(n_g2, n_j1))
+        record("omega2_J1_symmetric", sym_w2, tol.threshold(n_w2, n_j1))
+        record("g1_J2_skew", skew_j2, tol.threshold(n_j2))
+        record("omega1_J2_symmetric", sym_j1j2, tol.threshold(n_j1, n_j2))
+        record("J1_J2_commutator", jj_comm, tol.threshold(n_j1, n_j2))
         if violations:
             return ViolationReport("compatibility", tuple(violations))
 
         # the phase generators are the fields J1 and J2: their bracket is
         # -[J1, J2]; the Poisson bracket of the energies of g1 = I and G
         # for a form w is sym(-G @ inv(w)) = [inv(w), G] / 2
-        record("phase_generator_commutator", jj_comm, tol.threshold(j1, j2))
-        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2_s)):
-            w_inv = np.linalg.inv(w)
-            record(name, 0.5 * op_norm(commutator(w_inv, g2_s)), tol.threshold(w_inv, g2_s))
-
+        j1_inv, w2_inv = np.linalg.inv(j1), np.linalg.inv(w2_s)
         big_t = np.linalg.solve(j1, w2)
-        t_s = big_t / scale
-        record("G_T_commutator", op_norm(commutator(g2_s, t_s)), tol.threshold(g2_s, t_s))
-        record("G_plus_J1_T_J2", op_norm(g2_s + j1 @ t_s @ j2),
-               tol.threshold(j1, t_s, j2))
-        for name, op in (("G", g2_in / scale), ("T", t_s)):
-            record(f"{name}_selfadjoint_g1", _sym_resid(op), tol.threshold(op))
-            record(f"{name}_selfadjoint_g2", _sym_resid(g2_s @ op), tol.threshold(g2_s, op))
+        t_s, g_s = big_t / scale, g2_in / scale
         # the reported, unscaled G must carry g1 into g2 (an overflow fails)
         big_g, t_orig = frame @ g2 @ frame_inv, frame @ big_t @ frame_inv
-        record("metric_transfer", op_norm(t1.g.m @ big_g - t2.g.m),
-               tol.threshold(t1.g.m, big_g))
-        record("T_sq_minus_G_sq", op_norm(t_s @ t_s - g2_s @ g2_s),
-               tol.threshold(t_s, t_s))
+        (poisson1, poisson2, gt_comm, g_jtj, g_g1, g_g2, t_g1, t_g2, transfer, t_sq,
+         n_j1_inv, n_w2_inv, n_t, n_g, n_g1, n_big_g) = op_norms([
+            commutator(j1_inv, g2_s), commutator(w2_inv, g2_s), commutator(g2_s, t_s),
+            g2_s + j1 @ t_s @ j2, _sym_defect(g_s), _sym_defect(g2_s @ g_s), _sym_defect(t_s),
+            _sym_defect(g2_s @ t_s), t1.g.m @ big_g - t2.g.m, t_s @ t_s - g2_s @ g2_s,
+            j1_inv, w2_inv, t_s, g_s, t1.g.m, big_g]).tolist()
+        record("phase_generator_commutator", jj_comm, tol.threshold(n_j1, n_j2))
+        record("poisson_bracket_omega1", 0.5 * poisson1, tol.threshold(n_j1_inv, n_g2))
+        record("poisson_bracket_omega2", 0.5 * poisson2, tol.threshold(n_w2_inv, n_g2))
+        record("G_T_commutator", gt_comm, tol.threshold(n_g2, n_t))
+        record("G_plus_J1_T_J2", g_jtj, tol.threshold(n_j1, n_t, n_j2))
+        record("G_selfadjoint_g1", g_g1, tol.threshold(n_g))
+        record("G_selfadjoint_g2", g_g2, tol.threshold(n_g2, n_g))
+        record("T_selfadjoint_g1", t_g1, tol.threshold(n_t))
+        record("T_selfadjoint_g2", t_g2, tol.threshold(n_g2, n_t))
+        record("metric_transfer", transfer, tol.threshold(n_g1, n_big_g))
+        record("T_sq_minus_G_sq", t_sq, tol.threshold(n_t, n_t))
     certificates["G_min_eigenvalue"] = float(evals[0])
     if violations:
         return ViolationReport("compatibility", tuple(violations))
@@ -275,7 +294,8 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     g_w = np.eye(p.dim) + gamma * p.metric_operator_w
     w_w = p.t1.j_w + gamma * p.omega2_w
     j_w = np.linalg.solve(g_w, w_w)
-    admissible = op_norm(j_w @ j_w + np.eye(p.dim)) <= tol.threshold(j_w, j_w)
+    resid, n_j = op_norms([j_w @ j_w + np.eye(p.dim), j_w]).tolist()
+    admissible = resid <= tol.threshold(n_j, n_j)
 
     verdicts: list = [None] * len(d.blocks)
     for dim in sorted({block.dim for block in d.blocks}):
@@ -287,8 +307,8 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
         jb2 = jb @ jb
         eye = np.eye(dim)
         coeffs = np.trace(jb2, axis1=1, axis2=2) / dim
-        resids = op_norms(jb2 - coeffs[:, None, None] * eye)
-        block_adm = op_norms(jb2 + eye) <= tol.thresholds(jb, jb)
+        resids, sq_resids, n_jb = op_norms([jb2 - coeffs[:, None, None] * eye, jb2 + eye, jb])
+        block_adm = sq_resids <= tol.thresholds(n_jb, n_jb)
         for i, coeff, resid, adm in zip(at, coeffs, resids, block_adm):
             block = d.blocks[i]
             verdicts[i] = PencilBlockVerdict(block.eigenvalue, block.sign, block.dim,

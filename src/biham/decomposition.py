@@ -34,7 +34,6 @@ from .linalg import (
     Tolerance,
     cluster_eigenvalues,
     frozen,
-    op_norm,
     op_norms,
     same_cluster,
 )
@@ -164,8 +163,10 @@ class BlockDecomposition:
         rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
         canon = np.array([rot, np.diag(lam), (np.tile(signs, 2) * lam)[:, None] * rot])
         taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
-        dep = float((op_norms(taus - q @ canon @ q.T) / op_norms(taus)).max())
-        e = op_norm(q.T @ q - np.eye(m))
+        n_g2, n_w2, _ = p.norms_w
+        norms = op_norms(np.concatenate((taus - q @ canon @ q.T, [q.T @ q - np.eye(m)])))
+        dep = float((norms[:3] / (p.t1.j_w_norm, n_g2, n_w2)).max())
+        e = float(norms[3])
         bound = (2.0 * dep + 2.0 * m * e * (1.0 + e) * (1.0 + dep) / (1.0 - e) ** 2
                  if e < 1.0 else math.inf)
         return bound, e
@@ -237,7 +238,6 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     block order.
     """
     tol = p.tol
-    j1, g2, w2 = p.t1.j_w, p.metric_operator_w, p.omega2_w
     big_t = p.recursion_operator_w
 
     # T preserves each eigenspace; express it there in orthonormal coords
@@ -279,7 +279,9 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
         raise DecompositionError("block dimensions do not add up to the space dimension")
 
     per_block, cross = _block_residuals(blocks, p)
-    thresholds = np.array([tol.threshold(g2), tol.threshold(w2), tol.threshold(j1)])
+    n_g2, n_w2, _ = p.norms_w
+    thresholds = np.array([tol.threshold(n_g2), tol.threshold(n_w2),
+                           tol.threshold(p.t1.j_w_norm)])
     failing = ~(per_block <= thresholds)
     if failing.any():
         i, check = np.argwhere(failing)[0]
@@ -371,8 +373,9 @@ def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
         ("omega1(e1, e2) != -g1(e1, e1)", abs(float(e1 @ j1 @ e2) + len1)),
         ("J2 e1 != sign * J1 e1", float(np.abs(j2 @ e1 - b.sign * e2).max())),
     )
+    threshold = tol.threshold(p.t1.j_w_norm)
     for what, resid in checks:
-        if not resid <= tol.threshold(j1):
+        if not resid <= threshold:
             raise DecompositionError(f"{what} (residual {resid:.3e})")
     ratio = float(e1 @ p.metric_operator_w @ e1) / len1
     if not same_cluster(ratio, b.eigenvalue, tol.cluster_gap):
@@ -435,7 +438,8 @@ def synthesize_pair(block_specs, seed: int,
     a fixed seed (numpy PCG64 generator).
 
     The result always passes :func:`check_compatible` and decomposes back to
-    the prescribed data.
+    the prescribed data.  A spec whose dense matrices cannot be allocated
+    raises ``ValueError`` before any per-coordinate data is built.
     """
     specs = [(float(lam), int(sign), int(mult)) for lam, sign, mult in block_specs]
     if not specs:
@@ -456,21 +460,26 @@ def synthesize_pair(block_specs, seed: int,
                     "distinguishable at the cluster tolerance"
                 )
 
-    per_coord = [(lam, sign) for lam, sign, mult in specs for _ in range(mult)]
-    n = len(per_coord)
-    eye2 = np.eye(2)
-    s2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    lams = np.array([lam for lam, _ in per_coord])
-    signs = np.array([sign for _, sign in per_coord], dtype=float)
+    mults = [mult for _, _, mult in specs]
+    n = sum(mults)
+    try:
+        # the first dense matrix before any per-coordinate data: a
+        # dimension beyond memory is refused at once
+        g1 = np.eye(2 * n)
+        eye2 = np.eye(2)
+        s2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        lams = np.repeat([lam for lam, _, _ in specs], mults)
+        signs = np.repeat([float(sign) for _, sign, _ in specs], mults)
+        w1 = np.kron(np.eye(n), s2)
+        g2 = np.kron(np.diag(lams), eye2)
+        w2 = np.kron(np.diag(signs * lams), s2)
 
-    g1 = np.eye(2 * n)
-    w1 = np.kron(np.eye(n), s2)
-    g2 = np.kron(np.diag(lams), eye2)
-    w2 = np.kron(np.diag(signs * lams), s2)
-
-    q = _realify(_haar_unitary(n, np.random.default_rng(seed)))
-    g1, w1 = q.T @ g1 @ q, q.T @ w1 @ q
-    g2, w2 = q.T @ g2 @ q, q.T @ w2 @ q
+        q = _realify(_haar_unitary(n, np.random.default_rng(seed)))
+        g1, w1 = q.T @ g1 @ q, q.T @ w1 @ q
+        g2, w2 = q.T @ g2 @ q, q.T @ w2 @ q
+    except (MemoryError, ValueError) as err:
+        # numpy raises ValueError for a shape whose byte size overflows
+        raise ValueError(f"a pair of dimension {2 * n} does not fit in memory: {err}") from None
 
     t1 = check_admissible(g1, w1, tol)
     t2 = check_admissible(g2, w2, tol)

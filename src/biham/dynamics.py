@@ -227,7 +227,7 @@ def recursion_basis(p: CompatiblePair) -> RecursionBasis:
     """
     m = p.dim
     dirs = np.empty((m // 2, m, m))
-    np.divide(p.t1.j_w, op_norm(p.t1.j_w), out=dirs[0])
+    np.divide(p.t1.j_w, p.t1.j_w_norm, out=dirs[0])
     for k in range(1, m // 2):
         np.matmul(p.recursion_operator_w, dirs[k - 1], out=dirs[k])
         dirs[k] /= op_norm(dirs[k])
@@ -329,8 +329,9 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
         comm = _max_commutator(rb.directions_w)
 
     j1 = p.t1.j_w
-    big_t = p.recursion_operator_w / op_norm(p.recursion_operator_w)
-    nij = op_norm(commutator(big_t @ j1, big_t) - big_t @ commutator(j1, big_t))
+    big_t = p.recursion_operator_w / p.norms_w[2]
+    nij, n_t = op_norms([commutator(big_t @ j1, big_t) - big_t @ commutator(j1, big_t),
+                         big_t]).tolist()
 
     nodes = [c[0].sign * c[0].eigenvalue for c in d.classes]
     return RecursionCertificate(
@@ -342,8 +343,8 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
         expected_rank=n,
         distinct_t_eigenvalues=len(d.classes),
         vandermonde_consistent=bool(gram <= tol.rel and rho <= tol.rel),
-        nijenhuis_residual=float(nij),
-        nijenhuis_holds=nij <= tol.threshold(big_t, big_t, j1),
+        nijenhuis_residual=nij,
+        nijenhuis_holds=nij <= tol.threshold(n_t, n_t, p.t1.j_w_norm),
         max_conservation_drift=drift,
         power_basis_log10_condition=_power_basis_log10_condition(nodes),
     )

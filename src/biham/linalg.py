@@ -79,17 +79,22 @@ class Tolerance:
             )
 
     def threshold(self, *factors) -> float:
-        """``rel`` times the product of the norms of ``factors``; NaN, which
-        no residual passes, when that product overflows."""
-        bound = self.rel * math.prod(op_norm(f) for f in factors)
+        """``rel`` times the product of the norms of ``factors``, each a
+        matrix or its :func:`op_norm` taken beforehand (a number); NaN,
+        which no residual passes, when that product overflows.  The norms
+        are multiplied in the order given, so passing a norm instead of
+        its matrix gives the same float."""
+        bound = self.rel * math.prod(op_norm(f) if isinstance(f, np.ndarray) else f
+                                     for f in factors)
         return bound if math.isfinite(bound) else math.nan
 
     def thresholds(self, *stacks) -> np.ndarray:
-        """:meth:`threshold` of each expression in stacks of factors of
-        shape (k, m, m): entry i takes the i-th matrix of every stack."""
-        with np.errstate(over="ignore"):
-            bound = self.rel * math.prod(op_norms(f) for f in stacks)
-        return np.where(np.isfinite(bound), bound, math.nan)
+        """:meth:`threshold` of each expression in stacks of factors, each
+        of shape (k, m, m) or the k norms of one taken beforehand: entry i
+        takes the i-th matrix of every stack."""
+        norms = (op_norms(s) if np.ndim(s) > 1 else np.asarray(s) for s in stacks)
+        return np.array([self.threshold(*f) for f in zip(*(n.tolist() for n in norms))],
+                        dtype=float)
 
 
 DEFAULT_TOL = Tolerance()
@@ -113,7 +118,8 @@ def as_matrix(a, name: str = "matrix", dim: int | None = None,
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """Return ``a`` as a read-only array (copies only if needed)."""
+    """Return a read-only copy of ``a``; the copy is always made, so later
+    writes to ``a`` cannot reach the frozen array."""
     arr = np.array(a, copy=True)
     arr.setflags(write=False)
     return arr
@@ -124,9 +130,15 @@ def op_norm(a: np.ndarray) -> float:
     return float(op_norms(a))
 
 
-def op_norms(a: np.ndarray) -> np.ndarray:
-    """:func:`op_norm` of each matrix in a stack of shape (..., m, m)."""
-    return np.abs(a).sum(axis=-1).max(axis=-1)
+def op_norms(a) -> np.ndarray:
+    """:func:`op_norm` of each matrix in a stack of shape (..., m, m), or in
+    a sequence of equal-shaped matrices, which is stacked: one reduction
+    for every norm a check group needs.
+
+    The absolute values are laid out in C order before the row sums, whose
+    rounding depends on the layout, so a matrix gets the same norm, to the
+    bit, alone, inside a stack or as a transposed view."""
+    return np.maximum.reduce(np.add.reduce(np.abs(a, order="C"), axis=-1), axis=-1)
 
 
 def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
@@ -141,8 +153,8 @@ def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
     """
     m = np.asarray(m)
     mh = m.conj().T
-    resid = op_norm(m + mh if anti else m - mh)
-    if not resid <= tol.threshold(m):
+    resid, norm = op_norms([m + mh if anti else m - mh, m]).tolist()
+    if not resid <= tol.threshold(norm):
         kind = "antisymmetric" if anti else (
             "conjugate-symmetric" if np.iscomplexobj(m) else "symmetric")
         raise StructureError(

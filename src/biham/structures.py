@@ -117,8 +117,8 @@ class ComplexStructure:
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
         m = as_matrix(m, "complex structure")
-        resid = op_norm(m @ m + np.eye(m.shape[0]))
-        if not resid <= tol.threshold(m, m):
+        resid, norm = op_norms([m @ m + np.eye(m.shape[0]), m]).tolist()
+        if not resid <= tol.threshold(norm, norm):
             raise StructureError(
                 f"matrix squared is not -I (residual {resid:.3e})",
                 check="complex_structure_square", residual=resid,
@@ -138,8 +138,10 @@ class AdmissibleTriple:
     """Validated bundle (g, omega, J) with J = inv(g) @ omega and J^2 = -I.
 
     ``j_w`` is J in the frame ``g.frame``, orthogonal and skew there (it is
-    also omega there).  Construct through :func:`check_admissible` or
-    :func:`polar_admissible`; instances are immutable and safe to share.
+    also omega there), and ``j_w_norm`` its :func:`op_norm`, taken once,
+    with the admissibility residuals, for every later threshold it enters.
+    Construct through :func:`check_admissible` or :func:`polar_admissible`;
+    instances are immutable and safe to share.
     """
 
     g: MetricTensor
@@ -147,6 +149,7 @@ class AdmissibleTriple:
     j: ComplexStructure
     dim: int
     j_w: np.ndarray
+    j_w_norm: float
 
     def __repr__(self) -> str:
         return f"AdmissibleTriple(dim={self.dim})"
@@ -267,20 +270,22 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     # (non-finite) residual fails its check
     with np.errstate(over="ignore", invalid="ignore"):
         jw = metric.frame.T @ symp.m @ metric.frame
-        checks = (
-            ("J_squared_plus_identity", op_norm(jw @ jw + eye), tol.threshold(jw, jw)),
-            ("J_metric_invariance", op_norm(jw.T @ jw - eye), tol.threshold(jw, jw)),
-            ("J_metric_skewness", op_norm(jw + jw.T), tol.threshold(jw)),
-            ("J_symplectic_invariance", op_norm(jw.T @ jw @ jw - jw),
-             tol.threshold(jw, jw, jw)),
-        )
-    for name, resid, thr in checks:
+        jtj = jw.T @ jw
+        *resids, nj = op_norms([jw @ jw + eye, jtj - eye, jw + jw.T, jtj @ jw - jw,
+                                jw]).tolist()
+    checks = (
+        ("J_squared_plus_identity", tol.threshold(nj, nj)),
+        ("J_metric_invariance", tol.threshold(nj, nj)),
+        ("J_metric_skewness", tol.threshold(nj)),
+        ("J_symplectic_invariance", tol.threshold(nj, nj, nj)),
+    )
+    for (name, thr), resid in zip(checks, resids):
         if not resid <= thr:
             violations.append(Violation(name, resid))
     if violations:
         return ViolationReport("admissibility", tuple(violations))
     jm = metric.frame @ jw @ metric.frame_inv
-    return AdmissibleTriple(metric, symp, ComplexStructure(jm, tol), dim, frozen(jw))
+    return AdmissibleTriple(metric, symp, ComplexStructure(jm, tol), dim, frozen(jw), nj)
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:

@@ -1,12 +1,15 @@
-"""Per-block, per-pair and per-element verification loops, kept as a test
-oracle.
+"""Per-check, per-block, per-pair and per-element verification loops, kept
+as a test oracle.
 
 The package verifies the block decomposition and the pencil's per-block
 verdicts from stacked products, one set per stage, and certifies the
 bi-preserving algebra, the recursion family, the commutant and the
 bicommutant from the frames they are built from.  These are the checks
 they replaced: one small dense product per block, per pair of blocks or
-directions, or per basis element, each read with ``op_norm``.
+directions, or per basis element, each read with ``op_norm``.  The
+admissibility and compatibility checks take the norms of each check group
+in one reduction and carry the factor norms; here each residual and each
+factor of each threshold gets its own ``op_norm``.
 """
 
 import math
@@ -16,8 +19,99 @@ import numpy as np
 from biham.commutant import bicommutant_basis
 from biham.compatibility import check_compatible
 from biham.dynamics import conservation_probe, recursion_basis
-from biham.linalg import commutator, op_norm, op_norms
-from biham.structures import LinearField, check_admissible, preservation_residuals
+from biham.linalg import commutator, eig_self_adjoint, op_norm, op_norms
+from biham.structures import (
+    LinearField,
+    MetricTensor,
+    SymplecticForm,
+    check_admissible,
+    preservation_residuals,
+)
+
+
+def threshold(tol, *factors):
+    """The threshold rule with one ``op_norm`` per factor: ``rel`` times
+    the product of the norms, NaN when it overflows."""
+    bound = tol.rel * math.prod(op_norm(f) for f in factors)
+    return bound if math.isfinite(bound) else math.nan
+
+
+def admissibility_violations(g, omega, tol):
+    """``{check: residual}`` of every check ``check_admissible`` fails, in
+    its order, one norm per residual and per factor; ``{}`` for an
+    admissible triple.  The metric and the form are validated by the
+    package."""
+    metric, symp = MetricTensor(g, tol), SymplecticForm(omega, tol)
+    eye = np.eye(metric.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jw = metric.frame.T @ symp.m @ metric.frame
+        checks = (
+            ("J_squared_plus_identity", op_norm(jw @ jw + eye), threshold(tol, jw, jw)),
+            ("J_metric_invariance", op_norm(jw.T @ jw - eye), threshold(tol, jw, jw)),
+            ("J_metric_skewness", op_norm(jw + jw.T), threshold(tol, jw)),
+            ("J_symplectic_invariance", op_norm(jw.T @ jw @ jw - jw),
+             threshold(tol, jw, jw, jw)),
+        )
+    return {name: resid for name, resid, thr in checks if not resid <= thr}
+
+
+def compatibility_residuals(t1, t2, tol):
+    """``(certificates, violations)`` of ``check_compatible``, key order
+    included, one norm per residual and per factor: the certificates of a
+    compatible pair with ``{}``, or ``(None, violations)``."""
+    frame, frame_inv = t1.g.frame, t1.g.frame_inv
+    j1 = t1.j_w
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2_in = frame.T @ t2.g.m @ frame
+        w2 = frame.T @ t2.omega.m @ frame
+    if not (np.isfinite(g2_in).all() and np.isfinite(w2).all()):
+        return None, {"G_finite": math.inf}
+    g2 = 0.5 * (g2_in + g2_in.T)
+    evals, _ = eig_self_adjoint(g2, tol)
+    if not evals[0] > tol.rel * evals[-1]:
+        return None, {"G_positive_spectrum": float(evals[0])}
+    j2 = np.linalg.solve(g2, w2)
+    certificates, violations = {}, {}
+
+    def record(name, resid, thr):
+        certificates[name] = float(resid)
+        if not resid <= thr:
+            violations[name] = float(resid)
+
+    def sym(m):
+        return op_norm(m - m.T)
+
+    def skew(m):
+        return op_norm(m + m.T)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = evals[-1]
+        g2_s, w2_s = g2 / scale, w2 / scale
+        record("g2_J1_skew", skew(g2_s @ j1), threshold(tol, g2_s, j1))
+        record("omega2_J1_symmetric", sym(w2_s @ j1), threshold(tol, w2_s, j1))
+        record("g1_J2_skew", skew(j2), threshold(tol, j2))
+        record("omega1_J2_symmetric", sym(j1 @ j2), threshold(tol, j1, j2))
+        jj_comm = op_norm(commutator(j1, j2))
+        record("J1_J2_commutator", jj_comm, threshold(tol, j1, j2))
+        if violations:
+            return None, violations
+        record("phase_generator_commutator", jj_comm, threshold(tol, j1, j2))
+        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2_s)):
+            w_inv = np.linalg.inv(w)
+            record(name, 0.5 * op_norm(commutator(w_inv, g2_s)), threshold(tol, w_inv, g2_s))
+        big_t = np.linalg.solve(j1, w2)
+        t_s = big_t / scale
+        record("G_T_commutator", op_norm(commutator(g2_s, t_s)), threshold(tol, g2_s, t_s))
+        record("G_plus_J1_T_J2", op_norm(g2_s + j1 @ t_s @ j2), threshold(tol, j1, t_s, j2))
+        for name, op in (("G", g2_in / scale), ("T", t_s)):
+            record(f"{name}_selfadjoint_g1", sym(op), threshold(tol, op))
+            record(f"{name}_selfadjoint_g2", sym(g2_s @ op), threshold(tol, g2_s, op))
+        big_g = frame @ g2 @ frame_inv
+        record("metric_transfer", op_norm(t1.g.m @ big_g - t2.g.m),
+               threshold(tol, t1.g.m, big_g))
+        record("T_sq_minus_G_sq", op_norm(t_s @ t_s - g2_s @ g2_s), threshold(tol, t_s, t_s))
+    certificates["G_min_eigenvalue"] = float(evals[0])
+    return (None, violations) if violations else (certificates, {})
 
 
 def decomposition_residuals(blocks, p):

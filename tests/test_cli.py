@@ -10,6 +10,7 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biham
@@ -413,6 +414,18 @@ class TestSynth:
                                "--seed", "1", "--out", tmp_path / "x.json")
         assert code == 2
 
+    def test_dimension_beyond_memory_exits_2(self, tmp_path, capsys):
+        # dim 2e6: one dense matrix would take 29 TiB; the spec is refused
+        # before any per-coordinate data is built, and nothing is written
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "synth", "--spec", "1:+:1000000",
+                                    "--seed", "1", "--out", out)
+        assert code == 2
+        assert err.startswith("error: invalid spec: ")
+        assert "2000000" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -560,6 +573,33 @@ class TestSharedResults:
                          "frame_certificate": 1,
                          "cluster_frames": 1, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}
+
+    def test_each_check_group_takes_its_norms_once(self, monkeypatch):
+        # each check group takes its residual norms and the norms of its new
+        # factors in one reduction, and a factor norm is taken once: at
+        # most 40 reductions for a generic dim-24 analysis, 11 of them the
+        # unit recursion directions, and J1's norm once, with the
+        # admissibility residuals of the first triple
+        spec = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(12)]
+        pair = synthesize_pair(spec, seed=1)
+        original = linalg.op_norms
+        stacks = []
+
+        def recording(a):
+            stacks.append(np.asarray(a))
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("biham") and getattr(module, "op_norms", None) is original:
+                monkeypatch.setattr(module, "op_norms", recording)
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        _, code = analyze(doc, gamma=0.5)
+        assert code == 0
+        assert len(stacks) <= 40
+        j1 = pair.t1.j_w
+        assert sum(np.array_equal(m, j1) for s in stacks if s.shape[-2:] == j1.shape
+                   for m in s.reshape(-1, *j1.shape)) == 1
 
     def test_norm_evaluations_grow_linearly(self, monkeypatch):
         # the checks of every stage are stacked products, so the number of

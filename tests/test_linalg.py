@@ -17,6 +17,7 @@ from biham.linalg import (
     _expm,
     eig_self_adjoint,
     op_norm,
+    op_norms,
     orthonormal_span,
     sym_sqrt,
 )
@@ -50,6 +51,73 @@ class TestTolerance:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+
+class TestOpNorms:
+    """One stacked reduction gives every matrix the norm ``op_norm`` gives
+    it alone, to the bit, whatever the layout: the check groups rely on it
+    to keep every residual and threshold of the per-check form."""
+
+    @staticmethod
+    def stack(dim, complex_entries):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((5, dim, dim))
+        if complex_entries:
+            a = a + 1j * rng.standard_normal((5, dim, dim))
+        return a
+
+    @pytest.mark.parametrize("dim", [2, 8, 9, 24, 64])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_stack_equals_each_matrix(self, dim, complex_entries):
+        a = self.stack(dim, complex_entries)
+        assert op_norms(a).tolist() == [op_norm(m) for m in a]
+        assert op_norms(list(a)).tolist() == [op_norm(m) for m in a]
+
+    @pytest.mark.parametrize("dim", [2, 8, 9, 24, 64])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_stack_of_transposed_views(self, dim, complex_entries):
+        # at dims 8 and up numpy sums a transposed view's rows in another
+        # order than a C-ordered copy's
+        views = [m.T for m in self.stack(dim, complex_entries)]
+        expected = [op_norm(np.ascontiguousarray(v)) for v in views]
+        assert [op_norm(v) for v in views] == expected
+        assert op_norms(views).tolist() == expected
+        assert op_norms(np.stack(views)).tolist() == expected
+        assert op_norms(self.stack(dim, complex_entries).swapaxes(1, 2)).tolist() == expected
+
+
+class TestPrecomputedNorms:
+    """``Tolerance.threshold`` fed with norms taken beforehand gives the
+    float it gives when it takes them from the factors."""
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_equals_factor_form(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b, c = rng.standard_normal((3, dim, dim)) * [[[1e-3]], [[1.0]], [[7e4]]]
+        tol = Tolerance(rel=3e-10)
+        na, nb, nc = op_norm(a), op_norm(b), op_norm(c)
+        assert tol.threshold(na) == tol.threshold(a)
+        assert tol.threshold(na, nb, nc) == tol.threshold(a, b, c)
+        assert tol.threshold(na, b, nc) == tol.threshold(a, b, c)
+        assert tol.threshold(nb, nb) == tol.threshold(b, b)
+        assert type(tol.threshold(na, nb)) is float
+
+    def test_nan_on_overflow(self):
+        big = np.full((4, 4), 1e200)
+        assert np.isnan(Tolerance().threshold(big, big))
+        assert np.isnan(Tolerance().threshold(op_norm(big), op_norm(big)))
+        assert np.isnan(Tolerance().threshold(op_norm(big), big))
+
+    def test_stacked_thresholds(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((6, 8, 8))
+        a[2] *= 1e200
+        tol = Tolerance()
+        expected = tol.thresholds(a, a)
+        assert np.isnan(expected[2]) and np.isfinite(np.delete(expected, 2)).all()
+        np.testing.assert_array_equal(tol.thresholds(op_norms(a), op_norms(a)), expected)
+        np.testing.assert_array_equal(tol.thresholds(op_norms(a), a), expected)
+        assert expected.tolist()[:2] == [tol.threshold(m, m) for m in a[:2]]
 
 
 class TestSymmetricPart:

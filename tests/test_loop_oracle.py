@@ -12,6 +12,8 @@ certificate reports for it.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from biham.commutant import (
 from biham.compatibility import check_compatible, pencil_member
 from biham.decomposition import _block_residuals, decompose, synthesize_pair
 from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
-from biham.structures import check_admissible
-from biham.linalg import op_norm
+from biham.structures import AdmissibleTriple, ViolationReport, check_admissible
+from biham.linalg import StructureError, Tolerance, op_norm
 from conftest import conditioned_pair, standard_triple
 from test_commutant import operator_from_spectrum
 
@@ -272,3 +274,105 @@ class TestAlgebraElements:
         # the certificate reads t1's g1-orthonormal frame; the elements
         # are orthonormalized in the original coordinates
         assert_algebra_elements_preserve(decompose(conditioned_pair(spec, 1e3, seed=2)))
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# a tolerance no nonzero residual passes: every residual is then reported
+STRICT = Tolerance(rel=1e-300, cluster_gap=1e-7)
+
+
+def exact(items):
+    """Key order and every float to the bit (NaN equal to NaN)."""
+    return [(k, repr(float(v))) for k, v in items]
+
+
+def fixture_triples(name):
+    doc = json.loads((FIXTURES / name).read_text())
+    return [(np.array(doc[g]), np.array(doc[w])) for g, w in (("g1", "omega1"), ("g2", "omega2"))
+            if g in doc]
+
+
+def synth_triples(spec, seed):
+    p = synthesize_pair(spec, seed=seed)
+    return [(p.t1.g.m, p.t1.omega.m), (p.t2.g.m, p.t2.omega.m)]
+
+
+def scaled_triples(spec):
+    p = synthesize_pair(spec, seed=3)
+    return [(p.t1.g.m, p.t1.omega.m), (1e8 * p.t2.g.m, 1e8 * p.t2.omega.m)]
+
+
+def mixed_triples():
+    # the first triple of one synthesized pair, the second of another
+    a, b = synth_triples(generic_spec(4), 1), synth_triples(generic_spec(4), 2)
+    return [a[0], b[1]]
+
+
+S_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+DEGENERATE_OMEGA = np.kron(np.diag([1.0, 0.0]), S_BLOCK)
+# inputs with two admissible triples
+PAIR_SETS = (
+    [pytest.param(lambda name=name: fixture_triples(name), id=name)
+     for name in ("compatible_2d.json", "incompatible_2d.json", "reference_4d.json")]
+    + [pytest.param(lambda d=d, f=f: synth_triples(f(d), d), id=f"{name}-{d}")
+       for name, f in (("generic", lambda d: generic_spec(d // 2)), ("two-class", two_class_spec),
+                       ("three-class", three_class_spec))
+       for d in (8, 16, 24, 32, 48, 64)]
+    + [pytest.param(lambda s=spec.values[0]: scaled_triples(s), id=f"{spec.id}-scaled-1e8")
+       for spec in SCALED]
+    + [pytest.param(mixed_triples, id="incompatible-8")]
+)
+TRIPLE_SETS = PAIR_SETS + [
+    pytest.param(lambda: fixture_triples("single_2d.json"), id="single_2d.json"),
+    pytest.param(lambda: [(np.eye(4), np.kron(np.eye(2), S_BLOCK)),
+                          (np.eye(4), DEGENERATE_OMEGA)], id="degenerate-omega"),
+]
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), STRICT], ids=["default", "strict"])
+class TestPerCheckEqualsGrouped:
+    """Every admissibility residual and compatibility certificate, with its
+    verdict and its key order, equals the per-check form's to the bit, at
+    the default tolerance and at one that reports every residual."""
+
+    @pytest.mark.parametrize("make_triples", TRIPLE_SETS)
+    def test_admissibility(self, make_triples, tol):
+        for g, w in make_triples():
+            # exactly symmetric inputs pass their symmetry checks at any
+            # tolerance and reach the J checks
+            g, w = 0.5 * (g + g.T), 0.5 * (w - w.T)
+            result = check_admissible(g, w, tol)
+            try:
+                expected = loop_oracle.admissibility_violations(g, w, tol)
+            except StructureError as err:
+                expected = {err.check: err.residual}
+            if isinstance(result, AdmissibleTriple):
+                assert expected == {}
+                assert result.j_w_norm == op_norm(result.j_w)
+            else:
+                assert exact((v.name, v.residual) for v in result.violations) == \
+                    exact(expected.items())
+
+    @pytest.mark.parametrize("make_triples", PAIR_SETS)
+    def test_compatibility(self, make_triples, tol):
+        # admissible at the default tolerance, checked for compatibility at tol
+        triples = [check_admissible(g, w) for g, w in make_triples()]
+        result = check_compatible(*triples, tol)
+        certificates, violations = loop_oracle.compatibility_residuals(*triples, tol)
+        if isinstance(result, ViolationReport):
+            assert certificates is None
+            assert exact((v.name, v.residual) for v in result.violations) == \
+                exact(violations.items())
+        else:
+            assert violations == {}
+            assert exact(result.certificates.items()) == exact(certificates.items())
+
+
+def test_per_check_form_rejects_the_malformed_fixture_alike():
+    # the fifth fixture has odd dimension: both forms refuse it the same way
+    [(g, w)] = fixture_triples("malformed_dim3.json")
+    with pytest.raises(ValueError) as grouped:
+        check_admissible(g, w)
+    with pytest.raises(ValueError) as per_check:
+        loop_oracle.admissibility_violations(g, w, Tolerance())
+    assert str(grouped.value) == str(per_check.value)
