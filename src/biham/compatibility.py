@@ -307,12 +307,13 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
         jb2 = jb @ jb
         eye = np.eye(dim)
         coeffs = np.trace(jb2, axis1=1, axis2=2) / dim
-        resids, sq_resids, n_jb = op_norms([jb2 - coeffs[:, None, None] * eye, jb2 + eye, jb])
-        block_adm = sq_resids <= tol.thresholds(n_jb, n_jb)
-        for i, coeff, resid, adm in zip(at, coeffs, resids, block_adm):
+        resids, sq_resids, n_jb = op_norms([jb2 - coeffs[:, None, None] * eye,
+                                            jb2 + eye, jb]).tolist()
+        for i, coeff, resid, sq_resid, n_j in zip(at, coeffs, resids, sq_resids, n_jb):
             block = d.blocks[i]
             verdicts[i] = PencilBlockVerdict(block.eigenvalue, block.sign, block.dim,
-                                             float(coeff), float(resid), bool(adm))
+                                             float(coeff), resid,
+                                             sq_resid <= tol.threshold(n_j, n_j))
     g_c = p.t1.g.m + gamma * p.t2.g.m
     w_c = p.t1.omega.m + gamma * p.t2.omega.m
     j_c = p.t1.g.frame @ j_w @ p.t1.g.frame_inv

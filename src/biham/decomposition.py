@@ -462,9 +462,10 @@ def synthesize_pair(block_specs, seed: int,
 
     mults = [mult for _, _, mult in specs]
     n = sum(mults)
+    rng = np.random.default_rng(seed)
     try:
-        # the first dense matrix before any per-coordinate data: a
-        # dimension beyond memory is refused at once
+        # the dense matrices before any per-coordinate data: a dimension
+        # beyond memory is refused at once
         g1 = np.eye(2 * n)
         eye2 = np.eye(2)
         s2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -473,13 +474,13 @@ def synthesize_pair(block_specs, seed: int,
         w1 = np.kron(np.eye(n), s2)
         g2 = np.kron(np.diag(lams), eye2)
         w2 = np.kron(np.diag(signs * lams), s2)
-
-        q = _realify(_haar_unitary(n, np.random.default_rng(seed)))
-        g1, w1 = q.T @ g1 @ q, q.T @ w1 @ q
-        g2, w2 = q.T @ g2 @ q, q.T @ w2 @ q
     except (MemoryError, ValueError) as err:
         # numpy raises ValueError for a shape whose byte size overflows
         raise ValueError(f"a pair of dimension {2 * n} does not fit in memory: {err}") from None
+
+    q = _realify(_haar_unitary(n, rng))
+    g1, w1 = q.T @ g1 @ q, q.T @ w1 @ q
+    g2, w2 = q.T @ g2 @ q, q.T @ w2 @ q
 
     t1 = check_admissible(g1, w1, tol)
     t2 = check_admissible(g2, w2, tol)

@@ -88,14 +88,6 @@ class Tolerance:
                                      for f in factors)
         return bound if math.isfinite(bound) else math.nan
 
-    def thresholds(self, *stacks) -> np.ndarray:
-        """:meth:`threshold` of each expression in stacks of factors, each
-        of shape (k, m, m) or the k norms of one taken beforehand: entry i
-        takes the i-th matrix of every stack."""
-        norms = (op_norms(s) if np.ndim(s) > 1 else np.asarray(s) for s in stacks)
-        return np.array([self.threshold(*f) for f in zip(*(n.tolist() for n in norms))],
-                        dtype=float)
-
 
 DEFAULT_TOL = Tolerance()
 

@@ -426,6 +426,16 @@ class TestSynth:
         assert stdout == ""
         assert not out.exists()
 
+    def test_negative_seed_is_not_a_memory_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "synth", "--spec", "1:+:1",
+                                    "--seed", "-1", "--out", out)
+        assert code == 2
+        assert err.startswith("error: invalid spec: ")
+        assert "non-negative" in err
+        assert "memory" not in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

@@ -108,17 +108,6 @@ class TestPrecomputedNorms:
         assert np.isnan(Tolerance().threshold(op_norm(big), op_norm(big)))
         assert np.isnan(Tolerance().threshold(op_norm(big), big))
 
-    def test_stacked_thresholds(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 8, 8))
-        a[2] *= 1e200
-        tol = Tolerance()
-        expected = tol.thresholds(a, a)
-        assert np.isnan(expected[2]) and np.isfinite(np.delete(expected, 2)).all()
-        np.testing.assert_array_equal(tol.thresholds(op_norms(a), op_norms(a)), expected)
-        np.testing.assert_array_equal(tol.thresholds(op_norms(a), a), expected)
-        assert expected.tolist()[:2] == [tol.threshold(m, m) for m in a[:2]]
-
 
 class TestSymmetricPart:
     # the check names are keys of the CLI report's residuals section
