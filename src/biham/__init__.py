@@ -28,7 +28,6 @@ from .compatibility import (
     check_compatible,
     pencil_member,
     positivity_range,
-    verify_relation_suite,
 )
 from .decomposition import (
     Block,

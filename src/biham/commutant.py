@@ -272,9 +272,10 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     phases = np.exp(1j * vals * t)
     vs, v_invs = zip(*op.cluster_frames)
     u = (np.hstack(vs) * phases) @ np.vstack(v_invs)
+    n_u = op_norm(u)
     for name, h in (("first", op.h1.h), ("second", op.h2.h)):
-        resid = op_norm(u.conj().T @ h @ u - h)
-        if not resid <= op.tol.threshold(u, h, u):
+        resid, n_h = op_norms([u.conj().T @ h @ u - h, h]).tolist()
+        if not resid <= op.tol.threshold(n_u, n_h, n_u):
             raise StructureError(
                 f"sample fails unitarity for the {name} form (residual {resid:.3e})",
                 check="biunitary_sample", residual=resid,

@@ -37,10 +37,10 @@ from .linalg import (
     DEFAULT_TOL,
     StructureError,
     Tolerance,
+    by_size,
     commutator,
     eig_self_adjoint,
     frozen,
-    op_norm,
     op_norms,
 )
 from .structures import AdmissibleTriple, Violation, ViolationReport
@@ -53,7 +53,6 @@ __all__ = [
     "PencilBlockVerdict",
     "PencilMember",
     "check_compatible",
-    "verify_relation_suite",
     "pencil_member",
     "positivity_range",
 ]
@@ -63,8 +62,9 @@ __all__ = [
 class CompatiblePair:
     """Two admissible triples that passed every compatibility check, plus the
     derived metric operator G = inv(g1) @ g2 and recursion operator
-    T = inv(omega1) @ omega2, G's eigenvalues (ascending) and the residuals
-    of all verified relations.
+    T = inv(omega1) @ omega2, G's eigenvalues (ascending) and, in
+    ``certificates``, the residual of every verified relation: the pair's
+    one relation report.
 
     The fields ending in ``_w`` hold the pair in t1's g1-orthonormal frame
     ``W = t1.g.frame``, where g1 = I and omega1 = ``t1.j_w``: G (there also
@@ -201,43 +201,6 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
                           tol, frozen(g2), frozen(big_t), frozen(w2), frozen(j2), frozen(vecs))
 
 
-def verify_relation_suite(p: CompatiblePair) -> dict[str, float]:
-    """Residuals of the full relation suite of a compatible pair.
-
-    Pure report: commutation of G and T with both complex structures and
-    with each other, the identity G = -J1 @ T @ J2, self-adjointness of G
-    and T and skew-adjointness of both J's with respect to both metrics, and
-    the transfer identity g1(G x, y) = g2(x, y).  Measured in t1's
-    g1-orthonormal frame, where the g1-adjoint is the transpose and the
-    g2-adjoint of a is ``inv(G) @ a.T @ G``, on G and T divided by G's
-    largest eigenvalue like the checks of :func:`check_compatible`, whose
-    certificates supply the residuals it already measured; the transfer
-    residual, taken in the original coordinates, is divided by
-    ``|g1| |G|``.  Every residual is thus relative and compares with
-    ``tol.rel`` at any scale of the second triple.
-    """
-    j1, j2 = p.t1.j_w, p.j2_w
-    scale = p.metric_eigenvalues[-1]
-    big_g, big_t = p.metric_operator_w / scale, p.recursion_operator_w / scale
-
-    def g2_adjoint(a: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(big_g, a.T @ big_g)
-
-    out: dict[str, float] = {}
-    for name, op in (("G", big_g), ("T", big_t)):
-        out[f"{name}_J1_commutator"] = op_norm(commutator(op, j1))
-        out[f"{name}_J2_commutator"] = op_norm(commutator(op, j2))
-        out[f"{name}_adjoint_g1"] = p.certificates[f"{name}_selfadjoint_g1"]
-        out[f"{name}_adjoint_g2"] = op_norm(g2_adjoint(op) - op)
-    out["J1_adjoint_g2_plus_J1"] = op_norm(g2_adjoint(j1) + j1)
-    out["J2_adjoint_g1_plus_J2"] = p.certificates["g1_J2_skew"]
-    for name in ("G_T_commutator", "G_plus_J1_T_J2"):
-        out[name] = p.certificates[name]
-    out["metric_transfer"] = (p.certificates["metric_transfer"] / op_norm(p.t1.g.m)
-                              / op_norm(p.metric_operator))
-    return out
-
-
 @dataclass(frozen=True)
 class PencilBlockVerdict:
     """Admissibility of a pencil member restricted to one decomposition
@@ -298,9 +261,8 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     admissible = resid <= tol.threshold(n_j, n_j)
 
     verdicts: list = [None] * len(d.blocks)
-    for dim in sorted({block.dim for block in d.blocks}):
+    for dim, at in by_size([block.dim for block in d.blocks]):
         # every block of this dimension in one stacked solve
-        at = [i for i, block in enumerate(d.blocks) if block.dim == dim]
         b = np.stack([d.blocks[i].basis_w for i in at])
         bt = b.transpose(0, 2, 1)
         jb = np.linalg.solve(bt @ g_w @ b, bt @ w_w @ b)

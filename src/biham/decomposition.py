@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
     Tolerance,
+    by_size,
     cluster_eigenvalues,
     frozen,
     op_norms,
@@ -108,7 +109,7 @@ class BlockDecomposition:
         starts = np.cumsum([0] + [dim // 2 for dim in dims[:-1]])
         cols = np.empty((self.pair.dim, self.pair.dim // 2))
         partners = np.empty_like(cols)
-        for dim, at in _by_size(dims):
+        for dim, at in by_size(dims):
             r = dim // 2
             b = np.stack([self.blocks[i].basis_w for i in at])
             _, u = np.linalg.eigh(1j * (b.swapaxes(1, 2) @ j1 @ b))
@@ -247,7 +248,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     sizes = [mult for _, mult in clusters]
     starts = np.cumsum([0] + sizes[:-1])
     spectra: list = [None] * len(clusters)
-    for size, at in _by_size(sizes):
+    for size, at in by_size(sizes):
         sub = np.stack([p.metric_eigenbasis_w[:, starts[i]:starts[i] + size] for i in at])
         t_sub = sub.swapaxes(1, 2) @ big_t @ sub
         mu, vecs = np.linalg.eigh(0.5 * (t_sub + t_sub.swapaxes(1, 2)))
@@ -275,9 +276,6 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
 
     blocks.sort(key=lambda b: (b.eigenvalue, -b.sign))
 
-    if sum(b.dim for b in blocks) != p.dim:
-        raise DecompositionError("block dimensions do not add up to the space dimension")
-
     per_block, cross = _block_residuals(blocks, p)
     n_g2, n_w2, _ = p.norms_w
     thresholds = np.array([tol.threshold(n_g2), tol.threshold(n_w2),
@@ -301,12 +299,6 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             f"(residual {cross[name, i, k]:.3e})"
         )
     return BlockDecomposition(tuple(blocks), p, tol)
-
-
-def _by_size(sizes) -> list[tuple[int, list[int]]]:
-    """The positions of ``sizes`` grouped by value, ascending: one stacked
-    solve or product per distinct size instead of one per item."""
-    return [(size, [i for i, s in enumerate(sizes) if s == size]) for size in sorted(set(sizes))]
 
 
 def _block_residuals(blocks: list[Block], p: CompatiblePair) -> tuple[np.ndarray, np.ndarray]:

@@ -32,11 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from .compatibility import CompatiblePair
-from .decomposition import BlockDecomposition, DecompositionError, _by_size, group_signature
+from .decomposition import BlockDecomposition, DecompositionError, group_signature
 from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
     Tolerance,
+    by_size,
     commutator,
     _expm,
     frozen,
@@ -87,7 +88,7 @@ class BiPreservingAlgebra:
         ranks = [b.dim // 2 for b in d.blocks]
         starts = np.cumsum([0] + ranks[:-1])
         gens: list = [None] * len(ranks)
-        for r, at in _by_size(ranks):
+        for r, at in by_size(ranks):
             # the k blocks of rank r at once, their axes C and partners D
             # as rows (k, r, m)
             c = np.stack([cols[:, s:s + r].T for s in starts[at]])
@@ -464,7 +465,8 @@ def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
         return np.eye(m)
     a2 = a @ a
     c2 = -float(np.trace(a2)) / m
-    if c2 > 0.0 and op_norm(a2 + c2 * np.eye(m)) <= tol.threshold(a, a):
+    n_a = op_norm(a)
+    if c2 > 0.0 and op_norm(a2 + c2 * np.eye(m)) <= tol.threshold(n_a, n_a):
         c = np.sqrt(c2)
         out = np.cos(c * t) * np.eye(m) + (np.sin(c * t) / c) * a
     else:
@@ -472,7 +474,7 @@ def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
             out = _expm(t * a)
     if not np.isfinite(out).all():
         raise FlowOverflowError(
-            f"matrix exponential overflowed for t={t} (field norm {op_norm(a):.3e})"
+            f"matrix exponential overflowed for t={t} (field norm {n_a:.3e})"
         )
     return out
 
@@ -494,7 +496,8 @@ def _probe_flows(field: LinearField, p: CompatiblePair, times: tuple[float, ...]
     a = field.matrix
     frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
     s = frame_inv @ a @ frame
-    if not op_norm(s + s.T) <= tol.threshold(s):
+    skew, n_s = op_norms([s + s.T, s]).tolist()
+    if not skew <= tol.threshold(n_s):
         return np.array([flow(field, t, tol) for t in times]).reshape(-1, *a.shape)
     mu, u = np.linalg.eigh(1j * (0.5 * (s - s.T)))
     left = frame @ u

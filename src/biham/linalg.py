@@ -78,14 +78,11 @@ class Tolerance:
                 f"cluster_gap ({self.cluster_gap}) must be at least rel ({self.rel})"
             )
 
-    def threshold(self, *factors) -> float:
-        """``rel`` times the product of the norms of ``factors``, each a
-        matrix or its :func:`op_norm` taken beforehand (a number); NaN,
-        which no residual passes, when that product overflows.  The norms
-        are multiplied in the order given, so passing a norm instead of
-        its matrix gives the same float."""
-        bound = self.rel * math.prod(op_norm(f) if isinstance(f, np.ndarray) else f
-                                     for f in factors)
+    def threshold(self, *norms: float) -> float:
+        """``rel`` times the product of ``norms``, the :func:`op_norm` of
+        each factor taken beforehand, multiplied in the order given; NaN,
+        which no residual passes, when that product overflows."""
+        bound = self.rel * math.prod(norms)
         return bound if math.isfinite(bound) else math.nan
 
 
@@ -139,9 +136,9 @@ def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
     antisymmetric part ``0.5 * (m - mᴴ)``.
 
     The other part is rounding noise when ``op_norm(m ∓ mᴴ) <=
-    tol.threshold(m)``; beyond that :class:`StructureError` names ``check``.
-    ``mᴴ`` is the conjugate transpose, so complex input is checked for
-    conjugate symmetry.
+    tol.threshold(op_norm(m))``; beyond that :class:`StructureError` names
+    ``check``.  ``mᴴ`` is the conjugate transpose, so complex input is
+    checked for conjugate symmetry.
     """
     m = np.asarray(m)
     mh = m.conj().T
@@ -177,13 +174,13 @@ def whitening(sym: np.ndarray, tol: Tolerance, name: str,
 def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric nonnegative square root of a symmetric PSD matrix.
 
-    Eigenvalues in ``[-tol.threshold(m), 0)`` are treated as rounding noise
-    and clipped to zero; anything more negative is an error.
+    Eigenvalues in ``[-tol.threshold(op_norm(m)), 0)`` are treated as
+    rounding noise and clipped to zero; anything more negative is an error.
     """
     m = as_matrix(m, "m")
     sym = symmetric_part(m, tol)
     w, v = np.linalg.eigh(sym)
-    if not w[0] >= -tol.threshold(m):
+    if not w[0] >= -tol.threshold(op_norm(m)):
         raise StructureError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance",
             check="positive_semidefinite", residual=float(w[0]),
@@ -225,6 +222,12 @@ def cluster_eigenvalues(values, cluster_gap: float) -> list[tuple[float, int]]:
         else:
             clusters.append([v])
     return [(sum(c) / len(c), len(c)) for c in clusters]
+
+
+def by_size(sizes) -> list[tuple[int, list[int]]]:
+    """The positions of ``sizes`` grouped by value, ascending: one stacked
+    solve or product per distinct size instead of one per item."""
+    return [(size, [i for i, s in enumerate(sizes) if s == size]) for size in sorted(set(sizes))]
 
 
 def commutator(a, b) -> np.ndarray:

@@ -113,7 +113,9 @@ class SymplecticForm:
 
 
 class ComplexStructure:
-    """Linear complex structure: a real matrix with ``m @ m = -I``."""
+    """Linear complex structure given on its own: a real matrix with ``m @
+    m = -I``, checked in its own coordinates.  The J of a triple is judged
+    in the metric's frame instead (:func:`check_admissible`)."""
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
         m = as_matrix(m, "complex structure")
@@ -137,16 +139,18 @@ class ComplexStructure:
 class AdmissibleTriple:
     """Validated bundle (g, omega, J) with J = inv(g) @ omega and J^2 = -I.
 
-    ``j_w`` is J in the frame ``g.frame``, orthogonal and skew there (it is
-    also omega there), and ``j_w_norm`` its :func:`op_norm`, taken once,
-    with the admissibility residuals, for every later threshold it enters.
+    ``j_w`` is J in the frame W = ``g.frame``, orthogonal and skew there (it
+    is also omega there), where every admissibility check is judged, and
+    ``j_w_norm`` its :func:`op_norm`, taken once, with the admissibility
+    residuals, for every later threshold it enters.  ``j`` is the read-only
+    matrix ``W @ j_w @ inv(W)``, J in the input coordinates.
     Construct through :func:`check_admissible` or :func:`polar_admissible`;
     instances are immutable and safe to share.
     """
 
     g: MetricTensor
     omega: SymplecticForm
-    j: ComplexStructure
+    j: np.ndarray
     dim: int
     j_w: np.ndarray
     j_w_norm: float
@@ -240,10 +244,14 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     triple, i.e. whether ``J = inv(g) @ omega`` squares to ``-I``.
 
     ``g`` and ``omega`` may be raw matrices or already-validated
-    :class:`MetricTensor` / :class:`SymplecticForm` objects.  Returns the
-    :class:`AdmissibleTriple` on success and a :class:`ViolationReport`
-    naming each failed invariant otherwise.  Structural problems (odd or
-    mismatched dimension, non-finite entries) raise ``ValueError``.
+    :class:`MetricTensor` / :class:`SymplecticForm` objects.  The four
+    invariants are judged once, on ``J_w = W.T @ omega @ W`` in the
+    g-orthonormal frame W, where rounding does not grow with cond(g); J
+    itself is then mapped back as ``W @ J_w @ inv(W)`` and not checked
+    again.  Returns the :class:`AdmissibleTriple` on success and a
+    :class:`ViolationReport` naming each failed invariant otherwise.
+    Structural problems (odd or mismatched dimension, non-finite entries)
+    raise ``ValueError``.
     """
     violations: list[Violation] = []
     metric = symp = None
@@ -285,12 +293,13 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     if violations:
         return ViolationReport("admissibility", tuple(violations))
     jm = metric.frame @ jw @ metric.frame_inv
-    return AdmissibleTriple(metric, symp, ComplexStructure(jm, tol), dim, frozen(jw), nj)
+    return AdmissibleTriple(metric, symp, frozen(jm), dim, frozen(jw), nj)
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:
-    """Average a symmetric PD matrix with its pullback along ``j``:
-    ``g_s = 0.5 * (J.T @ g @ J + g)``.
+    """Average a symmetric PD matrix with its pullback along ``j``, a
+    :class:`ComplexStructure` (a triple's J enters as
+    ``ComplexStructure(t.j)``): ``g_s = 0.5 * (J.T @ g @ J + g)``.
 
     The result is invariant under ``j`` by construction and stays positive
     definite, so it is always an admissible partner for the complex
@@ -327,8 +336,8 @@ def polar_admissible(g, omega, tol: Tolerance = DEFAULT_TOL) -> AdmissibleTriple
 
     frame, frame_inv = metric.frame, metric.frame_inv
     a_w = frame.T @ symp.m @ frame
-    skew = op_norm(a_w + a_w.T)
-    if not skew <= tol.threshold(a_w):
+    skew, n_a = op_norms([a_w + a_w.T, a_w]).tolist()
+    if not skew <= tol.threshold(n_a):
         raise StructureError(
             f"Riesz operator is not skew-adjoint for the metric (residual {skew:.3e})",
             check="riesz_skew_adjoint", residual=skew,
@@ -340,8 +349,8 @@ def polar_admissible(g, omega, tol: Tolerance = DEFAULT_TOL) -> AdmissibleTriple
         raise StructureError(f"polar construction failed: {triple}", check="polar_admissible")
     # the construction determines J directly; make sure both routes agree
     jm = frame @ np.linalg.solve(p_w, a_w) @ frame_inv
-    drift = op_norm(triple.j.m - jm)
-    if not drift <= tol.threshold(jm):
+    drift, n_j = op_norms([triple.j - jm, jm]).tolist()
+    if not drift <= tol.threshold(n_j):
         raise StructureError(
             f"polar complex structure disagrees with inv(g_omega) @ omega "
             f"(residual {drift:.3e})",
@@ -372,7 +381,7 @@ def phase_generator(t: AdmissibleTriple) -> LinearField:
     forced by ``J^2 = -I``: in the g-orthonormal frame ``omega @ J + g``
     reads ``J_w @ J_w + I``, which :func:`check_admissible` bounded.
     """
-    return LinearField(t.j.m)
+    return LinearField(t.j)
 
 
 def preservation_residuals(a, g, w) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +428,7 @@ def phase_group(t: AdmissibleTriple, time: float) -> np.ndarray:
     time = float(time)
     if not np.isfinite(time):
         raise ValueError("time must be finite")
-    return np.cos(time) * np.eye(t.dim) + np.sin(time) * t.j.m
+    return np.cos(time) * np.eye(t.dim) + np.sin(time) * t.j
 
 
 def lie_bracket(x: LinearField, y: LinearField) -> LinearField:

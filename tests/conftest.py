@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biham import check_admissible, check_compatible, synthesize_pair
+from biham.decomposition import _haar_unitary, _realify
 
 S_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -56,6 +57,27 @@ def congruent(pair, p, c1: float = 1.0, c2: float = 1.0) -> dict:
                "g2": (c2, pair.t2.g.m), "omega2": (c2, pair.t2.omega.m)}
     doc = {name: c * (p.T @ m @ p) for name, (c, m) in tensors.items()}
     return {"dim": pair.dim, **doc}
+
+
+def j_invariant_basis(n: int, cond: float, seed: int) -> np.ndarray:
+    """Change of basis B on R^2n of condition number ``cond`` that commutes
+    with S = kron(I_n, S_BLOCK): the real image of U1 @ diag(logspace(0,
+    log10 cond, n)) @ U2 for Haar unitaries U1 then U2 drawn from
+    ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    u1 = _haar_unitary(n, rng)
+    u2 = _haar_unitary(n, rng)
+    return _realify(u1 @ np.diag(np.logspace(0.0, np.log10(cond), n)) @ u2)
+
+
+def j_invariant_tensors(n: int, cond: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Metric and form on R^2n whose complex structure is exactly S, with
+    cond(g) = cond^2: B = :func:`j_invariant_basis` commutes with S, so g =
+    B.T @ B and omega = B.T @ S @ B (symmetrized and antisymmetrized) have
+    inv(g) @ omega = inv(B) @ S @ B = S."""
+    b = j_invariant_basis(n, cond, seed)
+    g, w = b.T @ b, b.T @ np.kron(np.eye(n), S_BLOCK) @ b
+    return 0.5 * (g + g.T), 0.5 * (w - w.T)
 
 
 def conditioned_pair(spec, cond_basis: float, seed: int):

@@ -114,6 +114,43 @@ def compatibility_residuals(t1, t2, tol):
     return (None, violations) if violations else (certificates, {})
 
 
+def relation_residuals(p):
+    """The relation suite of a compatible pair, each relation measured on
+    its own in t1's g1-orthonormal frame: commutation of G and T with both
+    complex structures and with each other, G = -J1 @ T @ J2,
+    self-adjointness of G and T and skew-adjointness of both J's for both
+    metrics (the g1-adjoint is the transpose, the g2-adjoint of a is
+    ``inv(G) @ a.T @ G``), on G, T and omega2 divided by G's largest
+    eigenvalue, and the transfer identity g1(G x, y) = g2(x, y) in the
+    original coordinates over ``|g1| |G|``.  Every residual is relative and
+    compares with ``tol.rel`` at any scale of the second triple.  G is read
+    unsymmetrized off the second metric, so its symmetry is measured."""
+    frame = p.t1.g.frame
+    j1 = p.t1.j_w
+    scale = p.metric_eigenvalues[-1]
+    big_g = frame.T @ p.t2.g.m @ frame / scale
+    w2 = frame.T @ p.t2.omega.m @ frame / scale
+    j2 = np.linalg.solve(big_g, w2)
+    big_t = np.linalg.solve(j1, w2)
+
+    def g2_adjoint(a):
+        return np.linalg.solve(big_g, a.T @ big_g)
+
+    out = {}
+    for name, op in (("G", big_g), ("T", big_t)):
+        out[f"{name}_J1_commutator"] = op_norm(commutator(op, j1))
+        out[f"{name}_J2_commutator"] = op_norm(commutator(op, j2))
+        out[f"{name}_adjoint_g1"] = op_norm(op - op.T)
+        out[f"{name}_adjoint_g2"] = op_norm(g2_adjoint(op) - op)
+    out["J1_adjoint_g2_plus_J1"] = op_norm(g2_adjoint(j1) + j1)
+    out["J2_adjoint_g1_plus_J2"] = op_norm(j2 + j2.T)
+    out["G_T_commutator"] = op_norm(commutator(big_g, big_t))
+    out["G_plus_J1_T_J2"] = op_norm(big_g + j1 @ big_t @ j2)
+    g1, g = p.t1.g.m, p.metric_operator
+    out["metric_transfer"] = op_norm(g1 @ g - p.t2.g.m) / op_norm(g1) / op_norm(g)
+    return out
+
+
 def decomposition_residuals(blocks, p):
     """Per-block residuals [g2, omega2, J2 checks] and, for each pair
     i < k, the g1- and g2-orthogonality residuals of ``decompose``."""
@@ -191,7 +228,7 @@ def pencil_verdicts(d, gamma):
         jb2 = jb @ jb
         coeff = float(np.trace(jb2) / block.dim)
         resid = op_norm(jb2 - coeff * np.eye(block.dim))
-        admissible = op_norm(jb2 + np.eye(block.dim)) <= tol.threshold(jb, jb)
+        admissible = op_norm(jb2 + np.eye(block.dim)) <= threshold(tol, jb, jb)
         out.append((coeff, resid, admissible))
     return out
 

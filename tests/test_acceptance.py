@@ -94,12 +94,12 @@ def test_criterion_1_two_dimensional_example():
         # produces exactly the closed-form complex structure
         t1 = check_admissible(np.diag([rho1, rho2]), omega_closed)
         assert isinstance(t1, AdmissibleTriple)
-        assert op_norm(t1.j.m - j_closed) <= 1e-12
+        assert op_norm(t1.j - j_closed) <= 1e-12
 
         # route 2: the polar construction from the unscaled standard form
         # finds the same complex structure independently
         t_polar = polar_admissible(np.diag([rho1, rho2]), S_BLOCK)
-        assert op_norm(t_polar.j.m - j_closed) <= 1e-12
+        assert op_norm(t_polar.j - j_closed) <= 1e-12
 
         # any other scaling of the form is rejected
         bad = check_admissible(np.diag([rho1, rho2]), 1.7 * omega_closed)
@@ -119,7 +119,7 @@ def test_criterion_1_two_dimensional_example():
         for time in rng.uniform(-7.0, 7.0, size=3):
             closed = math.cos(time) * np.eye(2) + math.sin(time) * j_closed
             assert op_norm(phase_group(t1, time) - closed) <= 1e-12
-            assert op_norm(flow(LinearField(t1.j.m), time) - closed) <= 1e-12
+            assert op_norm(flow(LinearField(t1.j), time) - closed) <= 1e-12
 
 
 @criterion(2, "block decomposition round trip across dims 2..32")
@@ -151,7 +151,7 @@ def test_criterion_2_decomposition_round_trip():
             c, lam, sign = b.basis, b.eigenvalue, b.sign
             assert op_norm(c.T @ g2 @ c - lam * (c.T @ g1 @ c)) <= 1e-9 * op_norm(g2)
             assert op_norm(c.T @ w2 @ c - sign * lam * (c.T @ w1 @ c)) <= 1e-9 * op_norm(w2)
-            assert op_norm(pair.t2.j.m @ c - sign * (pair.t1.j.m @ c)) <= 1e-9
+            assert op_norm(pair.t2.j @ c - sign * (pair.t1.j @ c)) <= 1e-9
 
 
 @criterion(3, "bi-preserving algebra dimension and recursion torus")

@@ -71,7 +71,7 @@ class TestDecompose:
             lam, sign = b.eigenvalue, b.sign
             assert op_norm(c.T @ g2 @ c - lam * (c.T @ g1 @ c)) <= 1e-9 * op_norm(g2)
             assert op_norm(c.T @ w2 @ c - sign * lam * (c.T @ w1 @ c)) <= 1e-9 * op_norm(w2)
-            assert op_norm(p.t2.j.m @ c - sign * (p.t1.j.m @ c)) <= 1e-9
+            assert op_norm(p.t2.j @ c - sign * (p.t1.j @ c)) <= 1e-9
 
 
 class TestDecomposeFaults:
@@ -159,7 +159,7 @@ class TestCanonicalBasis:
         frame = canonical_basis(decompose(p).blocks[0], p)
         np.testing.assert_allclose(np.abs(frame.e1), [1.0, 0.0], atol=1e-12)
         # e2 = J1 e1 by definition, which rotates e1 by a quarter turn
-        np.testing.assert_allclose(frame.e2, t.j.m @ frame.e1, atol=1e-12)
+        np.testing.assert_allclose(frame.e2, t.j @ frame.e1, atol=1e-12)
         assert frame.eigenvalue == pytest.approx(1.0)
         assert frame.metric_ratio == pytest.approx(1.0)
 
@@ -183,7 +183,7 @@ class TestCanonicalBasis:
         blocks = decompose(p).blocks
         frame = canonical_basis(blocks[1], p)
         assert blocks[1].sign == -1
-        np.testing.assert_allclose(p.t2.j.m @ frame.e1, -(p.t1.j.m @ frame.e1),
+        np.testing.assert_allclose(p.t2.j @ frame.e1, -(p.t1.j @ frame.e1),
                                    atol=1e-12)
 
     def test_rejects_big_block(self):

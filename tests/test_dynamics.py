@@ -53,7 +53,7 @@ class TestBiPreservingAlgebra:
         t = standard_triple(1)
         alg = bi_preserving_algebra(decompose(check_compatible(t, t)))
         assert alg.dim == 1
-        assert projection_residual(t.j.m, alg.basis) <= 1e-12
+        assert projection_residual(t.j, alg.basis) <= 1e-12
 
     def test_reference_4d_two_torus(self, ref4d_pair):
         alg = bi_preserving_algebra(decompose(ref4d_pair))
@@ -114,7 +114,7 @@ class TestRecursionBasis:
     def test_2d_single_field(self, ref2d_pair):
         rb = recursion_basis(ref2d_pair)
         assert len(rb.fields) == 1
-        np.testing.assert_allclose(rb.fields[0].matrix, ref2d_pair.t1.j.m)
+        np.testing.assert_allclose(rb.fields[0].matrix, ref2d_pair.t1.j)
 
     def test_reference_4d_fields(self, ref4d_pair):
         rb = recursion_basis(ref4d_pair)
@@ -374,7 +374,7 @@ class TestFlow:
 
     def test_matches_phase_group(self, ref2d_pair):
         t1 = ref2d_pair.t1
-        f = LinearField(t1.j.m)
+        f = LinearField(t1.j)
         for time in (-3.0, 0.2, 1.0, 7.7):
             np.testing.assert_allclose(flow(f, time), phase_group(t1, time),
                                        atol=1e-10)
@@ -410,7 +410,7 @@ class TestFlow:
 
 class TestConservationProbe:
     def test_phase_generator_conserves_everything(self, ref2d_pair):
-        f = LinearField(ref2d_pair.t1.j.m)
+        f = LinearField(ref2d_pair.t1.j)
         report = conservation_probe(f, ref2d_pair, CONSERVATION_TIMES)
         assert report.max_drift <= 1e-9
         assert set(report.drifts) == {"g1", "g2", "omega1", "omega2"}
@@ -453,7 +453,7 @@ class TestProbePaths:
     def test_large_norm_skew_field_conserves(self, ref4d_pair):
         # scaling and squaring overflows on this field at t = 0.1; the
         # eigenvector flow stays g1-orthogonal at any norm
-        f = LinearField(1e20 * ref4d_pair.recursion_operator @ ref4d_pair.t1.j.m)
+        f = LinearField(1e20 * ref4d_pair.recursion_operator @ ref4d_pair.t1.j)
         report = conservation_probe(f, ref4d_pair, CONSERVATION_TIMES)
         assert report.max_drift <= 1e-12
 
@@ -464,12 +464,12 @@ class TestProbePaths:
             conservation_probe(f, ref2d_pair, CONSERVATION_TIMES)
 
     def test_rejects_nonfinite_time(self, ref2d_pair):
-        f = LinearField(ref2d_pair.t1.j.m)
+        f = LinearField(ref2d_pair.t1.j)
         with pytest.raises(ValueError):
             conservation_probe(f, ref2d_pair, (1.0, np.nan))
 
     def test_no_times(self, ref4d_pair):
-        report = conservation_probe(LinearField(ref4d_pair.t1.j.m), ref4d_pair, ())
+        report = conservation_probe(LinearField(ref4d_pair.t1.j), ref4d_pair, ())
         assert report.drifts == {"g1": 0.0, "g2": 0.0, "omega1": 0.0, "omega2": 0.0}
 
 

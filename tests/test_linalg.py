@@ -87,26 +87,11 @@ class TestOpNorms:
 
 
 class TestPrecomputedNorms:
-    """``Tolerance.threshold`` fed with norms taken beforehand gives the
-    float it gives when it takes them from the factors."""
-
-    @pytest.mark.parametrize("dim", [2, 16])
-    def test_equals_factor_form(self, dim):
-        rng = np.random.default_rng(dim)
-        a, b, c = rng.standard_normal((3, dim, dim)) * [[[1e-3]], [[1.0]], [[7e4]]]
-        tol = Tolerance(rel=3e-10)
-        na, nb, nc = op_norm(a), op_norm(b), op_norm(c)
-        assert tol.threshold(na) == tol.threshold(a)
-        assert tol.threshold(na, nb, nc) == tol.threshold(a, b, c)
-        assert tol.threshold(na, b, nc) == tol.threshold(a, b, c)
-        assert tol.threshold(nb, nb) == tol.threshold(b, b)
-        assert type(tol.threshold(na, nb)) is float
+    """``Tolerance.threshold`` on the factors' norms, taken beforehand."""
 
     def test_nan_on_overflow(self):
-        big = np.full((4, 4), 1e200)
+        big = op_norm(np.full((4, 4), 1e200))
         assert np.isnan(Tolerance().threshold(big, big))
-        assert np.isnan(Tolerance().threshold(op_norm(big), op_norm(big)))
-        assert np.isnan(Tolerance().threshold(op_norm(big), big))
 
 
 class TestSymmetricPart:

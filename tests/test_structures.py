@@ -74,13 +74,20 @@ class TestCheckAdmissible:
     def test_standard_structures(self):
         t = check_admissible(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
         assert isinstance(t, AdmissibleTriple)
-        np.testing.assert_allclose(t.j.m, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(t.j, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_weighted_diagonal_pair(self):
         # metric diag(1, 4) pairs with sqrt(1*4) = 2 off-diagonal form
         t = check_admissible(np.diag([1.0, 4.0]), [[0.0, 2.0], [-2.0, 0.0]])
         assert isinstance(t, AdmissibleTriple)
-        np.testing.assert_allclose(t.j.m, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(t.j, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-15)
+
+    def test_j_is_the_read_only_mapped_back_j_w(self):
+        rng = np.random.default_rng(5)
+        t = polar_admissible(random_spd(rng, 6), random_symplectic_form(rng, 6))
+        assert np.array_equal(t.j, t.g.frame @ t.j_w @ t.g.frame_inv)
+        with pytest.raises(ValueError):
+            t.j[0, 0] = 1.0
 
     def test_mismatched_scaling_reports_violation(self):
         report = check_admissible(np.diag([1.0, 4.0]), [[0.0, 1.0], [-1.0, 0.0]])
@@ -97,7 +104,7 @@ class TestCheckAdmissible:
             t = polar_admissible(random_spd(rng, 2 * n),
                                  random_symplectic_form(rng, 2 * n))
             dim = 2 * n
-            j, g, w = t.j.m, t.g.m, t.omega.m
+            j, g, w = t.j, t.g.m, t.omega.m
             assert op_norm(j @ j + np.eye(dim)) <= 1e-9 * dim
             assert op_norm(j.T @ g @ j - g) <= 1e-9 * op_norm(g)
             assert op_norm(g @ j + j.T @ g) <= 1e-9 * op_norm(g)
@@ -125,13 +132,13 @@ class TestCheckAdmissible:
         g = np.diag([1.0, 4.0])
         t = check_admissible(scale * g, scale * np.array([[0.0, 2.0], [-2.0, 0.0]]))
         assert isinstance(t, AdmissibleTriple)
-        np.testing.assert_allclose(t.j.m, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(t.j, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-15)
 
 
 class TestSymmetrizeMetric:
     def test_invariant_metric_is_fixed_point(self):
         t = diag_triple(1.0, 4.0)
-        gs = symmetrize_metric(t.g, t.j)
+        gs = symmetrize_metric(t.g, ComplexStructure(t.j))
         np.testing.assert_allclose(gs.m, t.g.m, atol=1e-15)
 
     def test_identity_with_orthogonal_complex_structure(self):
@@ -148,8 +155,8 @@ class TestSymmetrizeMetric:
         rng = np.random.default_rng(8)
         t = polar_admissible(random_spd(rng, 4), random_symplectic_form(rng, 4))
         g = random_spd(rng, 4)
-        gs = symmetrize_metric(g, t.j)
-        j = t.j.m
+        gs = symmetrize_metric(g, ComplexStructure(t.j))
+        j = t.j
         assert op_norm(j.T @ gs.m @ j - gs.m) <= 1e-9 * op_norm(gs.m)
 
 
@@ -158,16 +165,16 @@ class TestPolarAdmissible:
         t_in = diag_triple(1.0, 4.0)
         t_out = polar_admissible(t_in.g, t_in.omega)
         np.testing.assert_allclose(t_out.g.m, t_in.g.m, atol=1e-12)
-        np.testing.assert_allclose(t_out.j.m, t_in.j.m, atol=1e-12)
+        np.testing.assert_allclose(t_out.j, t_in.j, atol=1e-12)
 
     def test_rescales_mismatched_diagonal_pair(self):
         # worked case: A = inv(g) w has -A^2 = I/4, so P = I/2 and the
         # rescaled metric is g/2 with J doubled
         t = polar_admissible(np.diag([1.0, 4.0]), [[0.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(t.j.m, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(t.j, [[0.0, 2.0], [-0.5, 0.0]], atol=1e-12)
         np.testing.assert_allclose(t.g.m, np.diag([0.5, 2.0]), atol=1e-12)
         # defining property: omega(x, y) = g_omega(J x, y)
-        resid = op_norm(t.g.m @ t.j.m - t.omega.m)
+        resid = op_norm(t.g.m @ t.j - t.omega.m)
         assert resid <= 1e-10
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
@@ -179,7 +186,7 @@ class TestPolarAdmissible:
             t = polar_admissible(g, w)
             again = check_admissible(t.g, t.omega)
             assert isinstance(again, AdmissibleTriple)
-            np.testing.assert_allclose(again.j.m, t.j.m, atol=1e-9)
+            np.testing.assert_allclose(again.j, t.j, atol=1e-9)
 
 
 class TestHermitianProduct:
@@ -220,7 +227,7 @@ class TestPhaseGenerator:
         # J = -inv(omega) g is forced by J^2 = -I; check the residual
         rng = np.random.default_rng(9)
         t = polar_admissible(random_spd(rng, 6), random_symplectic_form(rng, 6))
-        resid = op_norm(t.j.m + np.linalg.solve(t.omega.m, t.g.m))
+        resid = op_norm(t.j + np.linalg.solve(t.omega.m, t.g.m))
         assert resid <= 1e-9 * op_norm(t.g.m)
         phase_generator(t)  # must not raise
 
@@ -317,14 +324,14 @@ class TestPoissonBracket:
         # the Hamiltonian field of the metric energy is the phase generator
         t = diag_triple(1.0, 4.0)
         m = -np.linalg.solve(t.omega.m, metric_hamiltonian(t.g).matrix)
-        np.testing.assert_allclose(m, t.j.m, atol=1e-15)
+        np.testing.assert_allclose(m, t.j, atol=1e-15)
 
 
 class TestSymplecticPairingInvariance:
     def test_omega_j_antisymmetry(self):
         rng = np.random.default_rng(14)
         t = polar_admissible(random_spd(rng, 6), random_symplectic_form(rng, 6))
-        w, j = t.omega.m, t.j.m
+        w, j = t.omega.m, t.j
         for _ in range(20):
             x, y = rng.standard_normal(6), rng.standard_normal(6)
             assert (j @ x) @ w @ y + x @ w @ (j @ y) == pytest.approx(0.0, abs=1e-9)

@@ -17,7 +17,7 @@ from biham.cli import InputDocument, analyze
 from biham.decomposition import synthesize_pair
 from biham.linalg import Tolerance
 from biham.structures import AdmissibleTriple, check_admissible
-from conftest import conditioned_basis, congruent
+from conftest import conditioned_basis, congruent, j_invariant_tensors
 
 from test_cli import FIXTURES, run_report
 
@@ -41,6 +41,31 @@ def test_congruence_to_cond_1e8_keeps_both_triples_admissible(seed):
     assert np.linalg.cond(doc["g1"]) == pytest.approx(1e8, rel=1e-3)
     for g, w in (("g1", "omega1"), ("g2", "omega2")):
         assert isinstance(check_admissible(doc[g], doc[w]), AdmissibleTriple)
+
+
+# J mapped back to the input coordinates, W @ J_w @ inv(W), carries a
+# rounding error that grows with cond(W); checking J @ J = -I there once
+# more, against a threshold that does not grow, rejected valid triples at
+# cond(g1) = 1e6: 3 of 60 at dim 32 and 8 of 60 at dim 64 (1.19e-9 on dim
+# 32, seed 13, against a threshold of 1e-9), and 31 of 60 at dim 64 and
+# cond(g1) = 1.44e6
+@pytest.mark.parametrize("dim, cond", [(32, 1e3), (64, 1e3), (64, 1.2e3)])
+def test_j_invariant_metrics_near_cond_1e6_are_admissible(dim, cond):
+    rng = np.random.default_rng(dim)
+    for seed in range(60):
+        g, w = j_invariant_tensors(dim // 2, cond, seed)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        for gm, wm in ((g, w), (q.T @ g @ q, q.T @ w @ q)):
+            assert isinstance(check_admissible(gm, wm), AdmissibleTriple), (seed, cond)
+
+
+def test_j_invariant_fixture_checks(capsys):
+    # j_invariant_tensors(16, 1e3, 13); it used to exit 1 on
+    # complex_structure_square 1.19e-9
+    code, report, _ = run_report(capsys, "check", FIXTURES / "j_invariant_32d.json")
+    assert code == 0
+    assert report["admissible"] == {"triple1": True}
+    assert report["residuals"] == {"triple1": {}}
 
 
 def test_reference_scaled_by_1e_minus_160(tmp_path, capsys):
