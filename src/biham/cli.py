@@ -25,6 +25,7 @@ import os
 import stat
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,15 @@ def _empty_report() -> dict:
     }
 
 
+@contextmanager
+def _stage(errors: list[str]):
+    """Run one analysis stage; a failed check ends it, its message kept in ``errors``."""
+    try:
+        yield
+    except NumericalCheckError as err:
+        errors.append(str(err))
+
+
 def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
     """Run the full analysis pipeline on an input document.
 
@@ -203,13 +213,7 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
     if doc.has_pair:
         inputs.append(("triple2", doc.g2, doc.omega2))
     for name, g, w in inputs:
-        try:
-            result = check_admissible(g, w, doc.tol)
-        except NumericalCheckError as err:
-            admissible[name] = False
-            residuals[name] = {getattr(err, "check", "error"): _py(getattr(err, "residual", None))}
-            failed = True
-            continue
+        result = check_admissible(g, w, doc.tol)
         if isinstance(result, ViolationReport):
             admissible[name] = False
             residuals[name] = _violation_dict(result)
@@ -233,8 +237,12 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             residuals["compatibility"] = _py(dict(pair.certificates))
 
     if pair is not None:
-        try:
+        # the stages after decompose depend on it alone; errors join in order
+        errors: list[str] = []
+        dec = None
+        with _stage(errors):
             dec = decompose(pair)
+        if dec is not None:
             sig = group_signature(dec)
             report["blocks"] = [
                 {"lambda": _py(b.eigenvalue), "sign": b.sign, "dim": b.dim}
@@ -247,55 +255,55 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             lo, hi = positivity_range(pair)
             report["pencil_range"] = [_py(lo), _py(hi)]
 
-            cert = certify_recursion(recursion_basis(pair), dec)
-            failed = failed or not cert.holds
-            report["recursion"] = {
-                "rank": cert.rank,
-                "expected_rank": cert.expected_rank,
-                "preserves_all": cert.preserves_all,
-                "commute": cert.commute,
-                "distinct_t_eigenvalues": cert.distinct_t_eigenvalues,
-                "vandermonde_consistent": cert.vandermonde_consistent,
-                "nijenhuis_residual": _py(cert.nijenhuis_residual),
-                "max_preservation_residual": _py(cert.max_preservation_residual),
-                "max_commutator_residual": _py(cert.max_commutator_residual),
-                "max_conservation_drift": _py(cert.max_conservation_drift),
-                "power_basis_log10_condition": _py(cert.power_basis_log10_condition),
-                "all_pass": cert.all_pass,
-            }
+            with _stage(errors):
+                cert = certify_recursion(recursion_basis(pair), dec)
+                failed = failed or not cert.holds
+                report["recursion"] = {
+                    "rank": cert.rank,
+                    "expected_rank": cert.expected_rank,
+                    "preserves_all": cert.preserves_all,
+                    "commute": cert.commute,
+                    "distinct_t_eigenvalues": cert.distinct_t_eigenvalues,
+                    "vandermonde_consistent": cert.vandermonde_consistent,
+                    "nijenhuis_residual": _py(cert.nijenhuis_residual),
+                    "max_preservation_residual": _py(cert.max_preservation_residual),
+                    "max_commutator_residual": _py(cert.max_commutator_residual),
+                    "max_conservation_drift": _py(cert.max_conservation_drift),
+                    "power_basis_log10_condition": _py(cert.power_basis_log10_condition),
+                    "all_pass": cert.all_pass,
+                }
 
-            report["algebra_dim"] = bi_preserving_algebra(dec).dim
+            with _stage(errors):
+                report["algebra_dim"] = bi_preserving_algebra(dec).dim
 
-            h1, h2, signs = complexify(dec)
-            op = transfer_operator(h1, h2, pair.tol)
-            comm_dim = commutant_dim(op)
-            bicomm_dim = bicommutant_dim(op)
-            report["generic"]["operator"] = comm_dim == bicomm_dim
-            residuals["operator"] = {
-                "eigenvalues": _py(op.eigenvalues),
-                "commutant_dim": comm_dim,
-                "bicommutant_dim": bicomm_dim,
-                "sign_pattern": list(signs),
-            }
+            with _stage(errors):
+                h1, h2, signs = complexify(dec)
+                op = transfer_operator(h1, h2, dec.tol)
+                comm_dim = commutant_dim(op)
+                bicomm_dim = bicommutant_dim(op)
+                report["generic"]["operator"] = comm_dim == bicomm_dim
+                residuals["operator"] = {
+                    "eigenvalues": _py(op.eigenvalues),
+                    "commutant_dim": comm_dim,
+                    "bicommutant_dim": bicomm_dim,
+                    "sign_pattern": list(signs),
+                }
 
             if gamma is not None:
-                member = pencil_member(dec, gamma)
-                report["pencil_member"] = {
-                    "gamma": _py(member.gamma),
-                    "admissible": member.admissible,
-                    "blocks": [
-                        {
-                            "lambda": _py(v.eigenvalue),
-                            "sign": v.sign,
-                            "dim": v.dim,
-                            "admissible": v.admissible,
-                            "jsq_coefficient": _py(v.jsq_coefficient),
-                        }
-                        for v in member.blocks
-                    ],
-                }
-        except NumericalCheckError as err:
-            residuals["pipeline_error"] = str(err)
+                with _stage(errors):
+                    member = pencil_member(dec, gamma)
+                    report["pencil_member"] = {
+                        "gamma": _py(member.gamma),
+                        "admissible": member.admissible,
+                        "blocks": [
+                            {"lambda": _py(v.eigenvalue), "sign": v.sign, "dim": v.dim,
+                             "admissible": v.admissible,
+                             "jsq_coefficient": _py(v.jsq_coefficient)}
+                            for v in member.blocks
+                        ],
+                    }
+        if errors:
+            residuals["pipeline_error"] = "; ".join(errors)
             failed = True
     elif gamma is not None:
         residuals["pencil_member"] = (

@@ -11,7 +11,7 @@ structures are proportional:
 Every block is even-dimensional.  The pair is *generic* when all blocks are
 two-dimensional; the group of transformations preserving both structures is
 then an n-torus, and in general a product of unitary groups, one U(r) factor
-of rank r = dim/2 per block class.
+of rank r = dim/2 per block.
 
 :func:`synthesize_pair` inverts the decomposition: it assembles a pair with
 prescribed (lambda, sign, multiplicity) data in canonical coordinates and
@@ -62,6 +62,8 @@ class DecompositionError(NumericalCheckError):
 @dataclass(frozen=True)
 class Block:
     """One joint eigenspace: G = eigenvalue, T = sign * eigenvalue on it.
+    The blocks of a decomposition have distinct (eigenvalue, sign): each is
+    the whole (lambda, sign) eigenspace of T.
 
     ``basis`` holds g1-orthonormal columns spanning the block, and
     ``basis_w`` the same columns in t1's g1-orthonormal frame W.
@@ -85,7 +87,11 @@ class BlockDecomposition:
 
     blocks: tuple[Block, ...]
     pair: CompatiblePair
-    tol: Tolerance
+
+    @property
+    def tol(self) -> Tolerance:
+        """The pair's tolerance: one per decomposition."""
+        return self.pair.tol
 
     @cached_property
     def adapted_frame(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -172,27 +178,12 @@ class BlockDecomposition:
                  if e < 1.0 else math.inf)
         return bound, e
 
-    @cached_property
-    def classes(self) -> tuple[tuple[Block, ...], ...]:
-        """The blocks grouped by (lambda, sign) class, on each of which T =
-        sign * lambda: a block joins the first class of its sign and cluster."""
-        classes: list[list[Block]] = []
-        for b in self.blocks:
-            for c in classes:
-                if c[0].sign == b.sign and same_cluster(b.eigenvalue, c[0].eigenvalue,
-                                                        self.tol.cluster_gap):
-                    c.append(b)
-                    break
-            else:
-                classes.append([b])
-        return tuple(tuple(c) for c in classes)
-
 
 @dataclass(frozen=True)
 class GroupSignature:
     """Signature of the group preserving both structures.
 
-    ``multiplicities`` lists one rank r per block class; the group is the
+    ``multiplicities`` lists one rank r per block; the group is the
     product of the corresponding U(r) factors (complex picture) or of their
     real 2r-dimensional realizations (real picture, SO(2) factors in the
     generic all-ranks-one case).
@@ -227,14 +218,16 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
 
     In t1's g1-orthonormal frame, the eigenvalues of the symmetric G are
     clustered and the symmetric T diagonalized inside each cluster; T must
-    take the values +-lambda there.  Per-block proportionality of the
-    structures and cross-block bi-orthogonality are verified before
-    returning, all from one set of dense products (:func:`_block_residuals`):
-    with C the block bases side by side, the diagonal sub-blocks of
-    ``C.T @ g2 @ C``, ``C.T @ omega2 @ C`` and ``C.T @ C`` and the column
-    blocks of ``J2 @ C - sign J1 @ C`` give the per-block residuals, and the
-    off-diagonal sub-blocks of ``C.T @ C`` and ``C.T @ g2 @ C`` the
-    cross-block ones, each the row-sum norm of its sub-block.  An error
+    take the values +-lambda there, and the cluster's blocks are T's two
+    sign groups, each given the cluster's mean lambda.  Per-block
+    proportionality of the structures and cross-block bi-orthogonality are
+    verified before returning, all from one set of dense products
+    (:func:`_block_residuals`): with C the block bases side by side, the
+    diagonal sub-blocks of ``C.T @ g2 @ C``, ``C.T @ omega2 @ C`` and
+    ``C.T @ C`` and the column blocks of ``J2 @ C - sign J1 @ C`` give the
+    per-block residuals, and the off-diagonal sub-blocks of ``C.T @ C`` and
+    ``C.T @ g2 @ C`` the cross-block ones, each the row-sum norm of its
+    sub-block.  An error
     names the first failing block (then check) or pair (then metric) in
     block order.
     """
@@ -255,12 +248,15 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
         for i, *spectrum in zip(at, sub, mu, vecs):
             spectra[i] = spectrum
 
+    # mu ascends; a zero joins the + part and fails the |mu| = lambda check
     blocks: list[Block] = []
     for (lam, _), (sub, mu, vecs) in zip(clusters, spectra):
-        start = 0
-        for mu_val, mu_mult in cluster_eigenvalues(mu, tol.cluster_gap):
-            cols = sub @ vecs[:, start:start + mu_mult]
-            start += mu_mult
+        split = int(np.searchsorted(mu, 0.0))
+        for lo, hi in ((0, split), (split, len(mu))):
+            if lo == hi:
+                continue
+            mu_val, mu_mult = float(mu[lo:hi].mean()), hi - lo
+            cols = sub @ vecs[:, lo:hi]
             if not same_cluster(abs(mu_val), lam, tol.cluster_gap):
                 raise DecompositionError(
                     f"T eigenvalue {mu_val:.6g} is not +-{lam:.6g}; "
@@ -298,7 +294,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             f"blocks {i} and {k} are not {('g1', 'g2')[name]}-orthogonal "
             f"(residual {cross[name, i, k]:.3e})"
         )
-    return BlockDecomposition(tuple(blocks), p, tol)
+    return BlockDecomposition(tuple(blocks), p)
 
 
 def _block_residuals(blocks: list[Block], p: CompatiblePair) -> tuple[np.ndarray, np.ndarray]:
@@ -380,14 +376,13 @@ def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
 
 
 def group_signature(d: BlockDecomposition) -> GroupSignature:
-    """Signature of the group preserving both structures of the pair.
-
-    Blocks sharing (eigenvalue, sign) within the cluster tolerance merge
-    into one factor of rank dim/2 (:attr:`BlockDecomposition.classes`).
-    Blocks with equal eigenvalue but opposite sign stay separate: their
-    complex structures differ, so no bi-unitary transformation mixes them.
+    """Signature of the group preserving both structures of the pair: one
+    U(r) factor of rank r = dim/2 per block, each block being a whole
+    (eigenvalue, sign) class.  Blocks with equal eigenvalue but opposite
+    sign stay separate: their complex structures differ, so no bi-unitary
+    transformation mixes them.
     """
-    ranks = tuple(sum(b.dim for b in c) // 2 for c in d.classes)
+    ranks = tuple(b.dim // 2 for b in d.blocks)
     complex_form = "×".join(f"U({r})" for r in ranks)
     if all(r == 1 for r in ranks):
         real_form = "×".join("SO(2)" for _ in ranks)

@@ -14,13 +14,13 @@ that frame; the basis is built only on request.
 The recursion operator T generates a distinguished commuting family in
 its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1; it satisfies the
 Nijenhuis identity [T A, T] = T [A, T], and its rank is the number of
-(lambda, sign) classes (Vandermonde).  :func:`certify_recursion` reads the
-family's preservation, commutation and drift bounds off the same frame
-certificate, with no product of two directions, and measures the directions
-only where a bound exceeds ``rel``; :func:`conservation_probe` samples the
-drift of any field instead.  Every
-stage computes in t1's g1-orthonormal frame, where the fields preserving g1
-are skew, and maps back only the fields it reports.
+blocks, one per (lambda, sign) class (Vandermonde).  :func:`certify_recursion`
+reads the family's preservation, commutation and drift bounds off the same
+frame certificate, with no product of two directions, and measures the
+directions only where a bound exceeds ``rel``; :func:`conservation_probe`
+samples the drift of any field instead.  Every stage computes in t1's
+g1-orthonormal frame, where the fields preserving g1 are skew, and maps back
+only the fields it reports.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .compatibility import CompatiblePair
-from .decomposition import BlockDecomposition, DecompositionError, group_signature
+from .decomposition import BlockDecomposition, DecompositionError
 from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
@@ -181,14 +181,10 @@ class ConservationReport:
 
 def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     """All linear fields preserving both triples of the decomposed pair:
-    ``⊕ u(r)``, of dimension the sum of the r^2 over the blocks, checked
-    against the group signature, on a frame certified by
+    ``⊕ u(r)``, one factor per block (the group signature's U(r)), of
+    dimension the sum of the r^2, on a frame certified by
     :attr:`BlockDecomposition.frame_certificate`."""
     dim = sum((b.dim // 2) ** 2 for b in d.blocks)
-    expected = sum(r * r for r in group_signature(d).multiplicities)
-    if dim != expected:
-        raise DecompositionError(f"bi-preserving algebra has dimension {dim}, "
-                                 f"expected {expected} from the group signature")
     bound, _ = d.frame_certificate
     if not bound <= d.tol.rel:
         raise DecompositionError(
@@ -251,14 +247,14 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     verdict is the measured one wherever its bound cannot decide, and
     nothing is raised.
 
-    Class elements: with C_i, D_i the axes and partners of the i-th of c
-    (lambda, sign) classes in the adapted frame Q = [C, D], r_i their
-    number and K_i the canonical rotation on the class's complex
-    coordinates, Z_i = Q K_i Q.T = D_i C_i.T - C_i D_i.T, which is P_i J1
-    for the projector P_i onto the class.  K_i is skew and commutes with
-    every canonical form and with every K_j, so each Z_i, and each of their
-    combinations, lies in the centre of the realified ``⊕ u(r)`` that the
-    frame certificate covers.
+    Class elements: with C_i, D_i the axes and partners of the i-th of the
+    c blocks, each a whole (lambda, sign) class, in the adapted frame Q =
+    [C, D], r_i their number and K_i the canonical rotation on the block's
+    complex coordinates, Z_i = Q K_i Q.T = D_i C_i.T - C_i D_i.T, which is
+    P_i J1 for the projector P_i onto the block.  K_i is skew and commutes
+    with every canonical form and with every K_j, so each Z_i, and each of
+    their combinations, lies in the centre of the realified ``⊕ u(r)`` that
+    the frame certificate covers.
 
     Rank: T^k J1 = sum_i (s_i lambda_i)^k P_i J1.  The check is that the
     Frobenius-normalized Z_i have Gram matrix I and that every normalized
@@ -334,15 +330,15 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     nij, n_t = op_norms([commutator(big_t @ j1, big_t) - big_t @ commutator(j1, big_t),
                          big_t]).tolist()
 
-    nodes = [c[0].sign * c[0].eigenvalue for c in d.classes]
+    nodes = [b.sign * b.eigenvalue for b in d.blocks]
     return RecursionCertificate(
         preserves_all=pres <= tol.rel,
         max_preservation_residual=pres,
         commute=comm <= tol.rel,
         max_commutator_residual=comm,
-        rank=len(d.classes),
+        rank=len(d.blocks),
         expected_rank=n,
-        distinct_t_eigenvalues=len(d.classes),
+        distinct_t_eigenvalues=len(d.blocks),
         vandermonde_consistent=bool(gram <= tol.rel and rho <= tol.rel),
         nijenhuis_residual=nij,
         nijenhuis_holds=nij <= tol.threshold(n_t, n_t, p.t1.j_w_norm),
@@ -365,7 +361,7 @@ def _inclusion_residual(mats: np.ndarray,
     E = |s|_F (t - X).
 
     No Z_i is formed: with W = t Q, <t, Z_i>_F = sum over the columns j of
-    class i of d_j.T W[:, j] - c_j.T W[:, n + j], and X = [D, -C]
+    block i of d_j.T W[:, j] - c_j.T W[:, n + j], and X = [D, -C]
     diag(w, w) Q.T for the per-column coefficients w; two O(m^3) products
     per direction, in chunks of directions.  The difference t - X is
     formed, never read as |t|^2 - |X|^2, which cancels the digits ``rel``
@@ -373,9 +369,8 @@ def _inclusion_residual(mats: np.ndarray,
     cols, partners, _ = d.adapted_frame
     n, m = cols.shape[1], d.pair.dim
     q, q_dual = np.hstack((cols, partners)), np.hstack((partners, -cols))
-    klass = {id(b): i for i, c in enumerate(d.classes) for b in c}
-    owner = np.repeat([klass[id(b)] for b in d.blocks], [b.dim // 2 for b in d.blocks])
-    # w = coef @ spread: the sum over the columns of each class, over 2 r_i
+    owner = np.repeat(np.arange(len(d.blocks)), [b.dim // 2 for b in d.blocks])
+    # w = coef @ spread: the sum over the columns of each block, over 2 r_i
     spread = (owner[:, None] == owner) / (2.0 * np.bincount(owner)[owner])
     step = max(1, _CHUNK_ENTRIES // (m * m))
     rho = alpha = eps = eps1 = 0.0

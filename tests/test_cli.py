@@ -161,6 +161,24 @@ class TestDecompose:
         code, _, _ = run_report(capsys, "decompose", FIXTURES / "incompatible_2d.json")
         assert code == 1
 
+    def test_same_sign_chain_lists_one_block_per_class(self, capsys):
+        # the + eigenvalues of T in the G cluster at 1.00000009 are 1.8e-7
+        # apart: one (lambda, sign) class, one block.  The transfer operator
+        # refuses the G cluster, wider than the cluster gap, on its own
+        code, report, _ = run_report(capsys, "decompose", FIXTURES / "same_sign_chain_8d.json")
+        blocks = [(b["lambda"], b["sign"], b["dim"]) for b in report["blocks"]]
+        assert blocks == [(pytest.approx(1.0 + 0.9e-7, rel=1e-12), 1, 4),
+                          (pytest.approx(1.0 + 0.9e-7, rel=1e-12), -1, 2),
+                          (pytest.approx(1000.0), 1, 2)]
+        assert report["signature_complex"] == "U(2)×U(1)×U(1)"
+        assert report["algebra_dim"] == 6
+        assert report["recursion"]["vandermonde_consistent"] is True
+        assert report["recursion"]["rank"] == 3
+        assert code == 1
+        assert report["residuals"]["pipeline_error"] == (
+            "transfer operator: eigenvalue clusters are wider than the cluster gap "
+            "(residual 1.800e-07)")
+
 
 class TestOutputMode:
     """Output files get the mode a plain ``open(path, "w")`` gives them, not
@@ -336,6 +354,24 @@ class TestPencil:
         assert code == 1
         assert report["pencil_member"] is None
         assert "not positive-definite" in report["residuals"]["pipeline_error"]
+
+    def test_later_stages_run_past_a_failed_stage(self):
+        # cond(g1) = 1e8: the algebra and the transfer operator fail, each
+        # on its own; the recursion and the pencil, which need neither, are
+        # reported, and both failures are named in stage order
+        pair = beyond_range_pair()
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc, gamma=0.5)
+        assert code == 1
+        assert report["recursion"]["all_pass"] is True
+        assert report["algebra_dim"] is None
+        assert report["generic"]["operator"] is None and "operator" not in report["residuals"]
+        assert report["pencil_member"]["admissible"] is False
+        assert len(report["pencil_member"]["blocks"]) == 4
+        algebra, operator = report["residuals"]["pipeline_error"].split("; ")
+        assert algebra.startswith("bi-preserving algebra is not certified")
+        assert operator.startswith("form is not conjugate-symmetric")
 
     def test_single_triple_names_the_reason(self, capsys):
         code, report, _ = run_report(capsys, "pencil", FIXTURES / "single_2d.json",

@@ -12,8 +12,10 @@ from biham.decomposition import (
     is_generic,
     synthesize_pair,
 )
+from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from biham.linalg import op_norm
-from conftest import standard_triple
+from biham.structures import check_admissible
+from conftest import same_sign_chain_document, standard_triple
 
 
 def block_data(decomposition):
@@ -193,6 +195,34 @@ class TestCanonicalBasis:
             canonical_basis(decompose(p).blocks[0], p)
 
 
+def assert_one_block_per_class(d):
+    """Every block is a whole (lambda, sign) class, and the group signature
+    has one U(r) factor per block."""
+    classes = [(b.eigenvalue, b.sign) for b in d.blocks]
+    assert len(set(classes)) == len(classes)
+    assert group_signature(d).multiplicities == tuple(b.dim // 2 for b in d.blocks)
+
+
+class TestSameSignChain:
+    """A G cluster whose + eigenvalues of T are too far apart to chain on
+    their own is still one (lambda, sign) class: one block, one U(2) factor,
+    and an algebra of dimension 4 + 1 + 1.  Chain-clustering T inside the
+    cluster once gave two (1.00000009, +) blocks beside the signature
+    U(2)×U(1)×U(1), and the algebra refused the disagreement."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_block_per_class(self, seed):
+        doc = same_sign_chain_document(seed)
+        p = check_compatible(check_admissible(doc["g1"], doc["omega1"]),
+                             check_admissible(doc["g2"], doc["omega2"]))
+        d = decompose(p)
+        assert [(b.sign, b.dim) for b in d.blocks] == [(1, 4), (-1, 2), (1, 2)]
+        assert_one_block_per_class(d)
+        assert group_signature(d).complex_form == "U(2)×U(1)×U(1)"
+        assert bi_preserving_algebra(d).dim == 6
+        assert certify_recursion(recursion_basis(p), d).vandermonde_consistent
+
+
 class TestGroupSignature:
     def test_generic_4d(self, ref4d_pair):
         sig = group_signature(decompose(ref4d_pair))
@@ -281,7 +311,8 @@ class TestSynthesizePair:
             used[sign].add(lam)
             spec.append((lam, sign, int(rng.integers(1, 3))))
         p = synthesize_pair(spec, seed=seed)
-        recovered = sorted((round(b.eigenvalue, 6), b.sign, b.dim // 2)
-                           for b in decompose(p).blocks)
+        d = decompose(p)
+        recovered = sorted((round(b.eigenvalue, 6), b.sign, b.dim // 2) for b in d.blocks)
         expected = sorted((round(lam, 6), sign, mult) for lam, sign, mult in spec)
         assert recovered == expected
+        assert_one_block_per_class(d)
