@@ -17,7 +17,7 @@ self-adjoint and the J's skew-adjoint for both metrics, G = -J1 @ T @ J2,
 [G, T] = 0, the spectrum of G is positive, and T^2 = G^2.  Those relations
 are verified in t1's g1-orthonormal frame, where G and T are symmetric,
 and stored as certificates on the pair, which also keeps the pair in that
-frame and the eigendecomposition of G for every later stage.
+frame and the eigenvalues of G for every later stage.
 
 A compatible pair also spans the *pencil*  g_c = g1 + c * g2,
 omega_c = omega1 + c * omega2, whose members are admissible block by block
@@ -39,7 +39,6 @@ from .linalg import (
     Tolerance,
     by_size,
     commutator,
-    eig_self_adjoint,
     frozen,
     op_norms,
 )
@@ -68,8 +67,10 @@ class CompatiblePair:
 
     The fields ending in ``_w`` hold the pair in t1's g1-orthonormal frame
     ``W = t1.g.frame``, where g1 = I and omega1 = ``t1.j_w``: G (there also
-    g2) and T are symmetric, J2 is orthogonal and skew, and
-    ``metric_eigenbasis_w`` holds orthonormal eigenvectors of G.
+    g2) and T are symmetric, and J2 is orthogonal and skew.  G's
+    eigenvalues serve the positivity check and the pencil; no eigenvector
+    of G is kept, as :func:`~biham.decomposition.decompose` reads its frame
+    off J1's complex coordinates and T.
     """
 
     t1: AdmissibleTriple
@@ -83,7 +84,6 @@ class CompatiblePair:
     recursion_operator_w: np.ndarray
     omega2_w: np.ndarray
     j2_w: np.ndarray
-    metric_eigenbasis_w: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -135,7 +135,7 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     if not (np.isfinite(g2_in).all() and np.isfinite(w2).all()):
         return ViolationReport("compatibility", (Violation("G_finite", math.inf),))
     g2 = 0.5 * (g2_in + g2_in.T)
-    evals, vecs = eig_self_adjoint(g2, tol)
+    evals = np.linalg.eigvalsh(g2)
     if not evals[0] > tol.rel * evals[-1]:
         return ViolationReport("compatibility",
                                (Violation("G_positive_spectrum", float(evals[0])),))
@@ -198,7 +198,7 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         return ViolationReport("compatibility", tuple(violations))
 
     return CompatiblePair(t1, t2, frozen(big_g), frozen(t_orig), frozen(evals), certificates,
-                          tol, frozen(g2), frozen(big_t), frozen(w2), frozen(j2), frozen(vecs))
+                          tol, frozen(g2), frozen(big_t), frozen(w2), frozen(j2))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,12 @@ def random_symplectic_form(rng: np.random.Generator, n: int) -> np.ndarray:
             return w
 
 
+def generic_spec(n: int) -> list:
+    """``synthesize_pair`` spec of n complex dimensions, lambda_k =
+    0.5 + 0.75 k with alternating signs: one block per dimension."""
+    return [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(n)]
+
+
 def whitened(op, pair):
     """An operator of the pair's original coordinates in t1's g1-orthonormal
     frame."""
@@ -80,21 +86,27 @@ def j_invariant_tensors(n: int, cond: float, seed: int) -> tuple[np.ndarray, np.
     return 0.5 * (g + g.T), 0.5 * (w - w.T)
 
 
+def spectrum_document(lam, sign, seed: int) -> dict:
+    """Input document of a pair with one complex dimension per (lambda,
+    sign) entry, in canonical coordinates, then moved by the real image of
+    a Haar unitary drawn from ``default_rng(seed)``."""
+    lam, sign = np.asarray(lam, dtype=float), np.asarray(sign, dtype=float)
+    n = len(lam)
+    q = _realify(_haar_unitary(n, np.random.default_rng(seed)))
+    tensors = {"g1": np.eye(2 * n), "omega1": np.kron(np.eye(n), S_BLOCK),
+               "g2": np.kron(np.diag(lam), np.eye(2)),
+               "omega2": np.kron(np.diag(sign * lam), S_BLOCK)}
+    return {"dim": 2 * n, **{name: q.T @ m @ q for name, m in tensors.items()}}
+
+
 def same_sign_chain_document(seed: int) -> dict:
     """Input document of a dim-8 pair, one complex dimension per (lambda,
     sign): lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 with signs +, -, + chain into
-    one G cluster at the default gap, beside lambda = 1000 (+).  The two +
+    one cluster at the default gap, beside lambda = 1000 (+).  The two +
     eigenvalues of T there are 1.8e-7 apart, too far to chain on their own,
-    yet span one (lambda, sign) class.  In canonical coordinates, then
-    moved by the real image of a Haar unitary drawn from
-    ``default_rng(seed)``."""
-    lam = np.array([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 1000.0])
-    sign = np.array([1.0, -1.0, 1.0, 1.0])
-    q = _realify(_haar_unitary(4, np.random.default_rng(seed)))
-    tensors = {"g1": np.eye(8), "omega1": np.kron(np.eye(4), S_BLOCK),
-               "g2": np.kron(np.diag(lam), np.eye(2)),
-               "omega2": np.kron(np.diag(sign * lam), S_BLOCK)}
-    return {"dim": 8, **{name: q.T @ m @ q for name, m in tensors.items()}}
+    yet span one (lambda, sign) class (:func:`spectrum_document`)."""
+    return spectrum_document([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 1000.0],
+                             [1.0, -1.0, 1.0, 1.0], seed)
 
 
 def conditioned_pair(spec, cond_basis: float, seed: int):

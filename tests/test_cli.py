@@ -20,14 +20,29 @@ from biham.commutant import TransferOperator
 from biham.decomposition import BlockDecomposition, synthesize_pair
 from biham.compatibility import check_compatible
 from biham.dynamics import certify_recursion
+from biham.linalg import StructureError
 from biham.structures import check_admissible
 
 import loop_oracle
-from conftest import conditioned_pair
-from test_dynamics import CONSERVATION_TIMES, beyond_range_pair
+from conftest import conditioned_pair, congruent, generic_spec, j_invariant_basis
+from test_dynamics import CONSERVATION_TIMES, uncertified_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
+
+
+# (spec, basis, seed) of valid pairs moved to cond(g1) = 1e6; the
+# J-invariant seeds are those that exited 1 on the frame of G's eigenvectors
+CONGRUENCES_AT_COND_1E6 = [
+    pytest.param(generic_spec(8), "random", 29, id="generic-16"),
+    pytest.param([(2.0, 1, 4), (3.0, -1, 4)], "random", 29, id="two-class-16"),
+] + [
+    pytest.param(generic_spec(dim // 2), "j-invariant", seed,
+                 id=f"generic-{dim}-j-invariant-{seed}")
+    for dim, seeds in ((16, (1, 4, 6, 7, 8, 10, 17, 20, 24, 25, 28, 29, 31, 32, 33, 37, 38)),
+                       (24, (1, 2, 4, 7, 9, 13, 14, 16, 17, 29, 31, 32, 34)))
+    for seed in seeds
+]
 
 
 def run_cli(capsys, *argv):
@@ -244,10 +259,10 @@ class TestRecursion:
         assert rec["power_basis_log10_condition"] == pytest.approx(math.log10(4.0))
 
     def test_uncertified_frame_names_the_algebra_failure(self):
-        # cond(g1) = 1e8: the recursion certificate keeps the verdicts its
+        # cond(g1) = 9e6: the recursion certificate keeps the verdicts its
         # directions measure, and the algebra, which needs the certified
         # frame, names the failure
-        pair = beyond_range_pair()
+        pair = uncertified_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc)
@@ -257,17 +272,34 @@ class TestRecursion:
         assert rec["rank"] == 4 and rec["all_pass"] is True
         assert "not certified" in report["residuals"]["pipeline_error"]
 
-    @pytest.mark.parametrize("spec", [
-        [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(8)],
-        [(2.0, 1, 4), (3.0, -1, 4)],
-    ], ids=["generic-16", "two-class-16"])
-    def test_congruent_pair_at_cond_1e6_passes(self, spec):
-        # basis seed 29, cond(g1) = 1e6: a preservation bound derived from
-        # the adapted frame, 4-8x above the measured residuals, once failed
-        # these valid pairs
-        pair = conditioned_pair(spec, 1e3, seed=29)
+    def test_cond_1e8_pair_is_certified(self):
+        # cond(g1) = 1e8, basis seed 0: the frame read off J1's complex
+        # coordinates certifies it (bound 8.4e-10); the frame of G's
+        # eigenvectors did not (the algebra and the transfer operator failed)
+        pair = conditioned_pair(generic_spec(4), 1e4, seed=0)
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc, gamma=0.5)
+        assert code == 0
+        assert report["algebra_dim"] == 4 and report["generic"]["operator"] is True
+
+    @pytest.mark.parametrize("spec, basis, seed", CONGRUENCES_AT_COND_1E6)
+    def test_congruent_pair_at_cond_1e6_passes(self, spec, basis, seed):
+        # cond(g1) = 1e6.  Random congruence, basis seed 29: a preservation
+        # bound derived from the adapted frame, 4-8x above the measured
+        # residuals, once failed these valid pairs.  J-invariant congruence
+        # (synth seed = basis seed): the frame read off G's eigenvectors
+        # departed from J1's canonical form by up to 3e-9, and the algebra
+        # (or, at dim 24 seed 1, decompose) failed on these seeds
+        if basis == "j-invariant":
+            synth = synthesize_pair(spec, seed=seed)
+            moved = congruent(synth, j_invariant_basis(synth.dim // 2, 1e3, seed))
+            doc = InputDocument(synth.dim, moved["g1"], moved["omega1"],
+                                moved["g2"], moved["omega2"], synth.tol)
+        else:
+            pair = conditioned_pair(spec, 1e3, seed=seed)
+            doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                                pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc)
         assert code == 0
         rec = report["recursion"]
@@ -355,19 +387,33 @@ class TestPencil:
         assert report["pencil_member"] is None
         assert "not positive-definite" in report["residuals"]["pipeline_error"]
 
-    def test_later_stages_run_past_a_failed_stage(self):
-        # cond(g1) = 1e8: the algebra and the transfer operator fail, each
-        # on its own; the recursion and the pencil, which need neither, are
-        # reported, and both failures are named in stage order
-        pair = beyond_range_pair()
+    def test_later_stages_run_past_a_failed_stage(self, monkeypatch):
+        # cond(g1) = 9e6: the algebra fails on its own; the recursion, the
+        # transfer operator and the pencil, which do not need it, are
+        # reported.  With the transfer operator failing too, both failures
+        # are named in stage order and the pencil still runs
+        pair = uncertified_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc, gamma=0.5)
         assert code == 1
         assert report["recursion"]["all_pass"] is True
         assert report["algebra_dim"] is None
-        assert report["generic"]["operator"] is None and "operator" not in report["residuals"]
+        assert report["generic"]["operator"] is True
+        assert report["residuals"]["operator"]["commutant_dim"] == 4
         assert report["pencil_member"]["admissible"] is False
+        assert len(report["pencil_member"]["blocks"]) == 4
+        assert report["residuals"]["pipeline_error"].startswith(
+            "bi-preserving algebra is not certified")
+
+        def failing(*args):
+            raise StructureError("form is not conjugate-symmetric (residual 1.000e-08)",
+                                 check="hermitian_symmetric", residual=1e-8)
+
+        monkeypatch.setattr(cli, "transfer_operator", failing)
+        report, code = analyze(doc, gamma=0.5)
+        assert code == 1
+        assert report["generic"]["operator"] is None and "operator" not in report["residuals"]
         assert len(report["pencil_member"]["blocks"]) == 4
         algebra, operator = report["residuals"]["pipeline_error"].split("; ")
         assert algebra.startswith("bi-preserving algebra is not certified")
@@ -567,14 +613,14 @@ class TestEntryPoint:
 
 class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
-        # one analysis computes each spectral fact once: the G eigensolve,
-        # the decomposition, its adapted frame and that frame's certificate,
-        # and the transfer operator's cluster frames; the dimensions are
-        # read off the certified frames, so no basis is built and nothing
-        # is orthonormalized, and the drift bound comes from the recursion
-        # certificate, with no sampled flow
+        # one analysis computes each spectral fact once: the decomposition
+        # (with its two eigensolves), its adapted frame and that frame's
+        # certificate, and the transfer operator's cluster frames; the
+        # dimensions are read off the certified frames, so no basis is
+        # built and nothing is orthonormalized, and the drift bound comes
+        # from the recursion certificate, with no sampled flow
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
-        calls = {"eig_self_adjoint": 0, "decompose": 0, "frame": 0, "frame_certificate": 0,
+        calls = {"decompose": 0, "frame": 0, "frame_certificate": 0,
                  "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                  "orthonormal_span": 0}
 
@@ -601,7 +647,6 @@ class TestSharedResults:
             prop.__set_name__(cls, attr)
             monkeypatch.setattr(cls, attr, prop)
 
-        count_function(linalg, "eig_self_adjoint")
         count_function(decomposition, "decompose")
         count_function(dynamics, "conservation_probe")
         count_function(linalg, "orthonormal_span")
@@ -615,7 +660,7 @@ class TestSharedResults:
         report, code = analyze(doc, gamma=0.5)
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
-        assert calls == {"eig_self_adjoint": 1, "decompose": 1, "frame": 1,
+        assert calls == {"decompose": 1, "frame": 1,
                          "frame_certificate": 1,
                          "cluster_frames": 1, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}

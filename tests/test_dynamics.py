@@ -30,7 +30,7 @@ from biham.linalg import (
     op_norm,
 )
 from biham.structures import LinearField, check_admissible, field_preserves, phase_group
-from conftest import S_BLOCK, conditioned_pair, standard_triple, whitened
+from conftest import S_BLOCK, conditioned_pair, generic_spec, standard_triple, whitened
 import loop_oracle
 
 # the probe's sampled times, covering (0, 10], the horizon of the certified
@@ -245,12 +245,11 @@ class TestCertifyRecursion:
             assert resid <= 1e-12 * max(1.0, op_norm(big_t) ** 2 * op_norm(a))
 
 
-def beyond_range_pair():
-    """Generic dim 8 with cond(g1) = 1e8, beyond the advertised 1e6: its
-    adapted frame's bound exceeds ``rel``, while its directions measure
-    within ``rel``."""
-    spec = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(4)]
-    return conditioned_pair(spec, 1e4, seed=0)
+def uncertified_pair():
+    """Generic dim 8 with cond(g1) = 9e6, beyond the advertised 1e6: its
+    adapted frame's bound (1.2e-9) exceeds ``rel``, while its directions
+    measure within ``rel`` (5.0e-10 at most)."""
+    return conditioned_pair(generic_spec(4), 3e3, seed=10)
 
 
 class TestCertificateFaults:
@@ -304,7 +303,7 @@ class TestCertificateFaults:
         # the certificate does not raise; its verdicts are those of the
         # measured directions, and the algebra, which needs the certified
         # frame, names the failure
-        p = beyond_range_pair()
+        p = uncertified_pair()
         d = decompose(p)
         assert d.frame_certificate[0] > p.tol.rel
         rb = recursion_basis(p)

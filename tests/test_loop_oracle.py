@@ -70,7 +70,7 @@ def scales(p):
     """The norm each decomposition residual is measured against, in the
     order of ``_block_residuals``."""
     return (np.array([op_norm(p.metric_operator_w), op_norm(p.omega2_w), op_norm(p.t1.j_w)]),
-            np.array([1.0, op_norm(p.metric_operator_w)]))
+            op_norm(p.metric_operator_w))
 
 
 def assert_directions_within_bounds(p, drift_within_rel=True):
@@ -96,9 +96,8 @@ def assert_decomposition_residuals_match(blocks, p, rtol=0.0):
     assert (np.abs(per_block - loop_block) <= p.dim * EPS * block_scale
             + rtol * np.abs(loop_block)).all()
     assert len(loop_cross) == len(blocks) * (len(blocks) - 1) // 2
-    for (i, k), values in loop_cross.items():
-        assert (np.abs(cross[:, i, k] - values) <= p.dim * EPS * cross_scale
-                + rtol * np.abs(values)).all()
+    for (i, k), value in loop_cross.items():
+        assert abs(cross[i, k] - value) <= p.dim * EPS * cross_scale + rtol * abs(value)
 
 
 @pytest.mark.parametrize("make_pair", PAIRS)
@@ -142,7 +141,7 @@ class TestTamperedPairs:
         )
         per_block, cross = _block_residuals(blocks, tampered)
         assert (per_block[[0, 1, 2], [0, 1, 2]] > 1e-6).all()
-        assert cross[1, 1, 2] > 1e-6
+        assert cross[1, 2] > 1e-6
         assert_decomposition_residuals_match(blocks, tampered, rtol=1e-12)
 
 
