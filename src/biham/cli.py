@@ -30,12 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import (
-    bicommutant_dim,
-    commutant_dim,
-    complexify,
-    transfer_operator,
-)
 from .compatibility import check_compatible, pencil_member, positivity_range
 from .decomposition import decompose, group_signature, is_generic, synthesize_pair
 from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
@@ -276,18 +270,19 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             with _stage(errors):
                 report["algebra_dim"] = bi_preserving_algebra(dec).dim
 
-            with _stage(errors):
-                h1, h2, signs = complexify(dec)
-                op = transfer_operator(h1, h2, dec.tol)
-                comm_dim = commutant_dim(op)
-                bicomm_dim = bicommutant_dim(op)
-                report["generic"]["operator"] = comm_dim == bicomm_dim
-                residuals["operator"] = {
-                    "eigenvalues": _py(op.eigenvalues),
-                    "commutant_dim": comm_dim,
-                    "bicommutant_dim": bicomm_dim,
-                    "sign_pattern": list(signs),
-                }
+            # F = diag(lambda) in the adapted frame, as decompose certified:
+            # its clusters are the blocks of equal lambda, of either sign
+            eigenvalues = np.repeat([b.eigenvalue for b in dec.blocks],
+                                    [b.dim // 2 for b in dec.blocks])
+            sizes = np.unique(eigenvalues, return_counts=True)[1]
+            comm_dim = int(sizes @ sizes)
+            report["generic"]["operator"] = comm_dim == len(sizes)
+            residuals["operator"] = {
+                "eigenvalues": _py(eigenvalues),
+                "commutant_dim": comm_dim,
+                "bicommutant_dim": len(sizes),
+                "sign_pattern": list(dec.adapted_frame[2]),
+            }
 
             if gamma is not None:
                 with _stage(errors):

@@ -236,32 +236,31 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     and a drift bound.  Every number but the rank and the Nijenhuis
     residual is first a bound read off the certificate of the adapted
     frame, ``(beta, e) = d.frame_certificate``, and one measured distance
-    of each direction from the class elements, with no product of two
+    of each direction from the coordinate elements, with no product of two
     directions.  Where the preservation or the commutation bound exceeds
     ``tol.rel``, the directions are measured instead
     (:func:`_measured_preservation`, :func:`_max_commutator`), so each
     verdict is the measured one wherever its bound cannot decide, and
     nothing is raised.
 
-    Class elements: with C_i, D_i the axes and partners of the i-th of the
-    c blocks, each a whole (lambda, sign) class, in the adapted frame Q =
-    [C, D], r_i their number and K_i the canonical rotation on the block's
-    complex coordinates, Z_i = Q K_i Q.T = D_i C_i.T - C_i D_i.T, which is
-    P_i J1 for the projector P_i onto the block.  K_i is skew and commutes
-    with every canonical form and with every K_j, so each Z_i, and each of
-    their combinations, lies in the centre of the realified ``⊕ u(r)`` that
-    the frame certificate covers.
+    Coordinate elements: with c_j, d_j the axis and partner of the j-th of
+    the n complex coordinates of the adapted frame Q = [C, D] and K_j the
+    canonical rotation on it, Z_j = Q K_j Q.T = d_j c_j.T - c_j d_j.T,
+    which is P_j J1 for the projector P_j onto the coordinate.  K_j is skew
+    and commutes with every K_k and every canonical form (each coordinate
+    at its own |mu|), so each combination of the Z_j lies in the realified
+    ``⊕ u(1)`` that the frame certificate covers, with no spread term.
 
-    Rank: T^k J1 = sum_i (s_i lambda_i)^k P_i J1.  The check is that the
-    Frobenius-normalized Z_i have Gram matrix I and that every normalized
+    Rank: T^k J1 = sum_j (s_j |mu_j|)^k P_j J1.  The check is that the
+    Frobenius-normalized Z_j have Gram matrix I and that every normalized
     direction t_k = s_k / |s_k|_F lies within rho of their span, both
     within ``tol.rel`` (``vandermonde_consistent``).  rho is measured
     (:func:`_inclusion_residual`); the Gram matrix is not formed, as
-    <Z_i, Z_j>_F = tr((I + O) K_i.T (I + O) K_j) with O = Q.T Q - I puts it
+    <Z_j, Z_k>_F = tr((I + O) K_j.T (I + O) K_k) with O = Q.T Q - I puts it
     within (2 e + e^2) / (1 - 2 e - e^2) of I (|O|_2 <= e, and
-    tr(K_i.T K_j) = 2 r_i for i = j, else 0).  The c nodes s_i lambda_i
-    are distinct and c <= n, so by the Vandermonde theorem the first c
-    powers span all the Z_i: the rank is c.
+    tr(K_j.T K_k) = 2 for j = k, else 0).  The nodes of a block's
+    coordinates are equal at ``cluster_gap``, and the c block nodes
+    s_i lambda_i distinct, so by the Vandermonde theorem the rank is c.
 
     Bounds: |.| is the row-sum norm, |.|_1 the column-sum norm and |s_k| =
     1.  Write s_k = Y_k + E_k with Y_k = |s_k|_F X_k for the element X_k of
@@ -274,7 +273,7 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
       P = beta (1 + eps) + eps + eps1, ``max_preservation_residual``; Y is
       skew, so that of g1 is at most P1 = eps + eps1.
     * Commutation.  Y_j = Q K Q.T and Y_k = Q K' Q.T for combinations of
-      the K_i, and K K' = K' K, so [Y_j, Y_k] = Q (K O K' - K' O K) Q.T,
+      the rotations, and K K' = K' K, so [Y_j, Y_k] = Q (K O K' - K' O K) Q.T,
       of spectral norm at most 2 e (1 + e) |K|_2 |K'|_2 with |K|_2 <=
       |Y|_F / (1 - e) <= a (1 + rho) / (1 - e); the row-sum norm is at most
       sqrt(m) times that.  The terms with an E add 2 (2 (1 + eps) eps +
@@ -352,24 +351,20 @@ _CHUNK_ENTRIES = 1 << 18
 def _inclusion_residual(mats: np.ndarray,
                         d: BlockDecomposition) -> tuple[float, float, float, float]:
     """``(rho, a, eps, eps1)`` of :func:`certify_recursion` for a stack of
-    unit directions s: with t = s / |s|_F and X = sum_i <t, Z_i>_F /
-    (2 r_i) Z_i (the projection onto the span of the class elements when Q
-    is orthonormal; any element of the span serves the bounds), the
-    largest |t - X|_F, |s|_F, and row-sum and column-sum norms of
-    E = |s|_F (t - X).
+    unit directions s: with t = s / |s|_F and X = sum_j <t, Z_j>_F / 2 Z_j,
+    each coordinate projected on its own (the projection onto the span of
+    the coordinate elements when Q is orthonormal; any element of the span
+    serves the bounds), the largest |t - X|_F, |s|_F, and row-sum and
+    column-sum norms of E = |s|_F (t - X).
 
-    No Z_i is formed: with W = t Q, <t, Z_i>_F = sum over the columns j of
-    block i of d_j.T W[:, j] - c_j.T W[:, n + j], and X = [D, -C]
-    diag(w, w) Q.T for the per-column coefficients w; two O(m^3) products
-    per direction, in chunks of directions.  The difference t - X is
+    No Z_j is formed: with W = t Q, <t, Z_j>_F = d_j.T W[:, j] -
+    c_j.T W[:, n + j], and X = [D, -C] diag(w, w) Q.T for w = <t, Z>_F / 2;
+    two O(m^3) products per direction, in chunks of directions.  The difference t - X is
     formed, never read as |t|^2 - |X|^2, which cancels the digits ``rel``
     needs."""
     cols, partners, _ = d.adapted_frame
     n, m = cols.shape[1], d.pair.dim
     q, q_dual = np.hstack((cols, partners)), np.hstack((partners, -cols))
-    owner = np.repeat(np.arange(len(d.blocks)), [b.dim // 2 for b in d.blocks])
-    # w = coef @ spread: the sum over the columns of each block, over 2 r_i
-    spread = (owner[:, None] == owner) / (2.0 * np.bincount(owner)[owner])
     step = max(1, _CHUNK_ENTRIES // (m * m))
     rho = alpha = eps = eps1 = 0.0
     for lo in range(0, len(mats), step):
@@ -379,7 +374,7 @@ def _inclusion_residual(mats: np.ndarray,
         w_q = unit @ q
         coef = (np.einsum("kij,ij->kj", w_q[:, :, :n], partners)
                 - np.einsum("kij,ij->kj", w_q[:, :, n:], cols))
-        w = np.tile(coef @ spread, 2)
+        w = np.tile(0.5 * coef, 2)
         unit -= (q_dual * w[:, None, :]) @ q.T
         rho = max(rho, float(np.sqrt(np.einsum("kij,kij->k", unit, unit)).max()))
         alpha = max(alpha, float(norms.max()))

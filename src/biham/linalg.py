@@ -62,7 +62,8 @@ class Tolerance:
     * a matrix is positive-definite (nondegenerate) when its smallest
       eigenvalue (singular value) exceeds ``rel`` times its largest;
     * two eigenvalues are equal when they differ by at most ``cluster_gap``
-      times the larger magnitude (:func:`same_cluster`).
+      times the larger magnitude (:func:`same_cluster`), and a cluster is
+      at most ``cluster_gap`` wide (``decompose`` refuses a wider chain).
     """
 
     rel: float = 1e-9

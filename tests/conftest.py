@@ -99,13 +99,20 @@ def spectrum_document(lam, sign, seed: int) -> dict:
     return {"dim": 2 * n, **{name: q.T @ m @ q for name, m in tensors.items()}}
 
 
-def same_sign_chain_document(seed: int) -> dict:
+def same_sign_chain_document(seed: int, lam4: float = 1000.0) -> dict:
     """Input document of a dim-8 pair, one complex dimension per (lambda,
-    sign): lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 with signs +, -, + chain into
-    one cluster at the default gap, beside lambda = 1000 (+).  The two +
-    eigenvalues of T there are 1.8e-7 apart, too far to chain on their own,
-    yet span one (lambda, sign) class (:func:`spectrum_document`)."""
-    return spectrum_document([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 1000.0],
+    sign): lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 with signs +, -, + chain in
+    steps within the default gap into one cluster of spread 1.8e-7, wider
+    than the gap, beside lambda = ``lam4`` (+) (:func:`spectrum_document`)."""
+    return spectrum_document([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, lam4],
+                             [1.0, -1.0, 1.0, 1.0], seed)
+
+
+def within_gap_chain_document(seed: int) -> dict:
+    """Input document of a dim-8 pair: lambda = 1, 1 + 0.45e-7, 1 + 0.9e-7
+    with signs +, -, + form one cluster of spread 0.9e-7, within the
+    default gap, beside lambda = 3 (+) (:func:`spectrum_document`)."""
+    return spectrum_document([1.0, 1.0 + 0.45e-7, 1.0 + 0.9e-7, 3.0],
                              [1.0, -1.0, 1.0, 1.0], seed)
 
 

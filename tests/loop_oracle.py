@@ -151,17 +151,23 @@ def relation_residuals(p):
     return out
 
 
-def decomposition_residuals(blocks, p):
+def decomposition_residuals(d):
     """Per-block residuals [g2, omega2, J2 checks] and, for each pair
-    i < k, the g2-orthogonality residual of ``decompose``."""
+    i < k, the g2-orthogonality residual of ``decompose``; g2 and omega2
+    are measured against each complex coordinate's own |mu|, the block's
+    slice of ``coordinate_lambda`` on its columns [C, D]."""
+    p, blocks = d.pair, d.blocks
     j1, j2 = p.t1.j_w, p.j2_w
     g2, w2 = p.metric_operator_w, p.omega2_w
-    per_block = []
+    per_block, at = [], 0
     for b in blocks:
-        c, lam, sign = b.basis_w, b.eigenvalue, b.sign
+        r = b.dim // 2
+        lam = np.diag(np.tile(d.coordinate_lambda[at:at + r], 2))
+        at += r
+        c, sign = b.basis_w, b.sign
         per_block.append([
-            op_norm(c.T @ g2 @ c - lam * (c.T @ c)),
-            op_norm(c.T @ w2 @ c - sign * lam * (c.T @ j1 @ c)),
+            op_norm(c.T @ g2 @ c - (c.T @ c) @ lam),
+            op_norm(c.T @ w2 @ c - sign * (c.T @ j1 @ c) @ lam),
             op_norm(j2 @ c - sign * (j1 @ c)),
         ])
     cross = {}

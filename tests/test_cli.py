@@ -14,18 +14,25 @@ import numpy as np
 import pytest
 
 import biham
-from biham import cli, decomposition, dynamics, linalg
+from biham import cli, commutant, decomposition, dynamics, linalg
 from biham.cli import InputDocument, analyze, main
-from biham.commutant import TransferOperator
-from biham.decomposition import BlockDecomposition, synthesize_pair
+from biham.commutant import (
+    TransferOperator,
+    bicommutant_dim,
+    commutant_dim,
+    complexify,
+    transfer_operator,
+)
+from biham.decomposition import BlockDecomposition, decompose, synthesize_pair
 from biham.compatibility import check_compatible
 from biham.dynamics import certify_recursion
-from biham.linalg import StructureError
+from biham.linalg import NumericalCheckError
 from biham.structures import check_admissible
 
 import loop_oracle
 from conftest import conditioned_pair, congruent, generic_spec, j_invariant_basis
 from test_dynamics import CONSERVATION_TIMES, uncertified_pair
+from test_loop_oracle import three_class_spec, two_class_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
@@ -42,6 +49,21 @@ CONGRUENCES_AT_COND_1E6 = [
     for dim, seeds in ((16, (1, 4, 6, 7, 8, 10, 17, 20, 24, 25, 28, 29, 31, 32, 33, 37, 38)),
                        (24, (1, 2, 4, 7, 9, 13, 14, 16, 17, 29, 31, 32, 34)))
     for seed in seeds
+]
+
+
+# pairs whose transfer operator the CLI reads off the blocks: synthesized
+# at dims 8-64, and moved by congruences at cond(g1) = 1e6
+READ_OFF_SPECS = (("generic", lambda dim: generic_spec(dim // 2)),
+                  ("two-class", two_class_spec), ("three-class", three_class_spec),
+                  ("one-class", lambda dim: [(2.0, 1, dim // 2)]))
+READ_OFF_PAIRS = [
+    pytest.param(lambda f=f, dim=dim: synthesize_pair(f(dim), seed=dim), id=f"{name}-{dim}")
+    for name, f in READ_OFF_SPECS for dim in (8, 16, 32, 64)
+] + [
+    pytest.param(lambda f=f, dim=dim, seed=seed: conditioned_pair(f(dim), 1e3, seed),
+                 id=f"{name}-{dim}-cond-1e6-{seed}")
+    for name, f in READ_OFF_SPECS[:2] for dim in (8, 16, 32) for seed in range(4)
 ]
 
 
@@ -176,23 +198,29 @@ class TestDecompose:
         code, _, _ = run_report(capsys, "decompose", FIXTURES / "incompatible_2d.json")
         assert code == 1
 
-    def test_same_sign_chain_lists_one_block_per_class(self, capsys):
-        # the + eigenvalues of T in the G cluster at 1.00000009 are 1.8e-7
-        # apart: one (lambda, sign) class, one block.  The transfer operator
-        # refuses the G cluster, wider than the cluster gap, on its own
+    def test_same_sign_chain_is_refused_by_decompose(self, capsys):
+        # lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 chain into one G cluster of
+        # spread 1.8e-7, wider than the cluster gap: decompose refuses it,
+        # by name, and no later stage runs
         code, report, _ = run_report(capsys, "decompose", FIXTURES / "same_sign_chain_8d.json")
-        blocks = [(b["lambda"], b["sign"], b["dim"]) for b in report["blocks"]]
-        assert blocks == [(pytest.approx(1.0 + 0.9e-7, rel=1e-12), 1, 4),
-                          (pytest.approx(1.0 + 0.9e-7, rel=1e-12), -1, 2),
-                          (pytest.approx(1000.0), 1, 2)]
-        assert report["signature_complex"] == "U(2)×U(1)×U(1)"
-        assert report["algebra_dim"] == 6
-        assert report["recursion"]["vandermonde_consistent"] is True
-        assert report["recursion"]["rank"] == 3
         assert code == 1
-        assert report["residuals"]["pipeline_error"] == (
-            "transfer operator: eigenvalue clusters are wider than the cluster gap "
-            "(residual 1.800e-07)")
+        assert report["compatible"] is True
+        assert report["blocks"] is None and report["signature_complex"] is None
+        assert report["recursion"] is None and report["algebra_dim"] is None
+        assert report["generic"] == {"real": None, "operator": None}
+        assert report["residuals"]["pipeline_error"].startswith("cluster width fails")
+        assert "give a smaller cluster_gap" in report["residuals"]["pipeline_error"]
+
+    def test_same_sign_chain_at_a_smaller_gap(self, capsys, tmp_path):
+        # the remedy the refusal names: cluster_gap 5e-8 in the file's tol
+        doc = json.loads((FIXTURES / "same_sign_chain_8d.json").read_text())
+        doc["tol"] = {"cluster_gap": 5e-8}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_report(capsys, "decompose", path)
+        assert code == 0
+        assert len({(b["lambda"], b["sign"]) for b in report["blocks"]}) == 4
+        assert report["algebra_dim"] == 4
 
 
 class TestOutputMode:
@@ -390,8 +418,8 @@ class TestPencil:
     def test_later_stages_run_past_a_failed_stage(self, monkeypatch):
         # cond(g1) = 9e6: the algebra fails on its own; the recursion, the
         # transfer operator and the pencil, which do not need it, are
-        # reported.  With the transfer operator failing too, both failures
-        # are named in stage order and the pencil still runs
+        # reported.  With the recursion failing too, both failures are
+        # named in stage order and the operator and the pencil still run
         pair = uncertified_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
@@ -407,17 +435,17 @@ class TestPencil:
             "bi-preserving algebra is not certified")
 
         def failing(*args):
-            raise StructureError("form is not conjugate-symmetric (residual 1.000e-08)",
-                                 check="hermitian_symmetric", residual=1e-8)
+            raise NumericalCheckError("recursion field T^3 @ J1 leaves the floating-point range")
 
-        monkeypatch.setattr(cli, "transfer_operator", failing)
+        monkeypatch.setattr(cli, "recursion_basis", failing)
         report, code = analyze(doc, gamma=0.5)
         assert code == 1
-        assert report["generic"]["operator"] is None and "operator" not in report["residuals"]
+        assert report["recursion"] is None
+        assert report["residuals"]["operator"]["commutant_dim"] == 4
         assert len(report["pencil_member"]["blocks"]) == 4
-        algebra, operator = report["residuals"]["pipeline_error"].split("; ")
+        recursion, algebra = report["residuals"]["pipeline_error"].split("; ")
+        assert recursion.startswith("recursion field T^3 @ J1")
         assert algebra.startswith("bi-preserving algebra is not certified")
-        assert operator.startswith("form is not conjugate-symmetric")
 
     def test_single_triple_names_the_reason(self, capsys):
         code, report, _ = run_report(capsys, "pencil", FIXTURES / "single_2d.json",
@@ -460,6 +488,21 @@ class TestCommutant:
         assert op["sign_pattern"] == [1, -1]
         assert op["eigenvalues"] == [pytest.approx(2.0), pytest.approx(3.0)]
         assert report["generic"]["operator"] is True
+
+    @pytest.mark.parametrize("make_pair", READ_OFF_PAIRS)
+    def test_read_off_matches_the_library_operator(self, make_pair):
+        # the CLI reads F's spectrum off the blocks; the library builds F
+        # from the complexified forms and certifies its own spectral frame
+        pair = make_pair()
+        report, code = analyze(InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                                             pair.t2.g.m, pair.t2.omega.m, pair.tol))
+        assert code == 0
+        h1, h2, signs = complexify(decompose(pair))
+        op = transfer_operator(h1, h2, pair.tol)
+        read = report["residuals"]["operator"]
+        assert (read["commutant_dim"], read["bicommutant_dim"], read["sign_pattern"]) == (
+            commutant_dim(op), bicommutant_dim(op), list(signs))
+        np.testing.assert_allclose(read["eigenvalues"], op.eigenvalues, rtol=1e-10, atol=0.0)
 
 
 class TestSynth:
@@ -615,12 +658,14 @@ class TestSharedResults:
     def test_analyze_decomposes_once_and_builds_frame_once(self, monkeypatch):
         # one analysis computes each spectral fact once: the decomposition
         # (with its two eigensolves), its adapted frame and that frame's
-        # certificate, and the transfer operator's cluster frames; the
-        # dimensions are read off the certified frames, so no basis is
-        # built and nothing is orthonormalized, and the drift bound comes
-        # from the recursion certificate, with no sampled flow
+        # certificate; the algebra's dimension is read off the certified
+        # frame and the transfer operator's spectrum off the blocks, so no
+        # operator is built, no basis is built and nothing is
+        # orthonormalized, and the drift bound comes from the recursion
+        # certificate, with no sampled flow
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
         calls = {"decompose": 0, "frame": 0, "frame_certificate": 0,
+                 "complexify": 0, "transfer_operator": 0,
                  "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                  "orthonormal_span": 0}
 
@@ -649,6 +694,8 @@ class TestSharedResults:
 
         count_function(decomposition, "decompose")
         count_function(dynamics, "conservation_probe")
+        count_function(commutant, "complexify")
+        count_function(commutant, "transfer_operator")
         count_function(linalg, "orthonormal_span")
         count_property(BlockDecomposition, "adapted_frame", "frame")
         count_property(BlockDecomposition, "frame_certificate", "frame_certificate")
@@ -662,7 +709,8 @@ class TestSharedResults:
         assert report["pencil_member"]["gamma"] == 0.5
         assert calls == {"decompose": 1, "frame": 1,
                          "frame_certificate": 1,
-                         "cluster_frames": 1, "commutant": 0, "conservation_probe": 0,
+                         "complexify": 0, "transfer_operator": 0,
+                         "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}
 
     def test_each_check_group_takes_its_norms_once(self, monkeypatch):

@@ -16,7 +16,12 @@ from biham.decomposition import (
 from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from biham.linalg import Tolerance, op_norm
 from biham.structures import check_admissible
-from conftest import same_sign_chain_document, spectrum_document, standard_triple
+from conftest import (
+    same_sign_chain_document,
+    spectrum_document,
+    standard_triple,
+    within_gap_chain_document,
+)
 
 
 def block_data(decomposition):
@@ -193,16 +198,21 @@ def assert_one_block_per_class(d):
     assert group_signature(d).multiplicities == tuple(b.dim // 2 for b in d.blocks)
 
 
+def analyze_document(doc):
+    return analyze(InputDocument(doc["dim"], doc["g1"], doc["omega1"],
+                                 doc["g2"], doc["omega2"], Tolerance()))
+
+
 class TestSameSignChain:
-    """A G cluster whose + eigenvalues of T are too far apart to chain on
-    their own is still one (lambda, sign) class: one block, one U(2) factor,
-    and an algebra of dimension 4 + 1 + 1.  Chain-clustering T inside the
-    cluster once gave two (1.00000009, +) blocks beside the signature
-    U(2)×U(1)×U(1), and the algebra refused the disagreement."""
+    """A G cluster within the gap, lambda = 1, 1 + 0.45e-7, 1 + 0.9e-7 with
+    signs +, -, +, is one (lambda, sign) class per sign: a U(2) block and a
+    U(1) block beside lambda = 3's, and an algebra of dimension 4 + 1 + 1.
+    Judged against the cluster mean at rel |G|, the spread of 4.5e-8 once
+    failed "g2 proportional to g1" beside lambda = 3."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_block_per_class(self, seed):
-        doc = same_sign_chain_document(seed)
+        doc = within_gap_chain_document(seed)
         p = check_compatible(check_admissible(doc["g1"], doc["omega1"]),
                              check_admissible(doc["g2"], doc["omega2"]))
         d = decompose(p)
@@ -211,6 +221,60 @@ class TestSameSignChain:
         assert group_signature(d).complex_form == "U(2)×U(1)×U(1)"
         assert bi_preserving_algebra(d).dim == 6
         assert certify_recursion(recursion_basis(p), d).vandermonde_consistent
+
+
+class TestWideChain:
+    """lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 chain in steps within the gap into
+    one cluster of spread 1.8e-7, wider than the gap: ``decompose`` refuses
+    it by name, whatever the unrelated fourth eigenvalue, and no later
+    stage runs.  The transfer operator once refused it beside 1000 while
+    ``decompose`` refused it beside 3, each by its own rule."""
+
+    @pytest.mark.parametrize("lam4", [3.0, 1000.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refused_by_decompose(self, lam4, seed):
+        report, code = analyze_document(same_sign_chain_document(seed, lam4))
+        assert code == 1
+        assert report["compatible"] is True
+        assert report["blocks"] is None
+        assert report["recursion"] is None and report["algebra_dim"] is None
+        assert "operator" not in report["residuals"]
+        assert report["residuals"]["pipeline_error"] == (
+            "cluster width fails: eigenvalues 1 .. 1.00000018 of G chain into one "
+            "cluster of spread 1.800e-07, wider than cluster_gap 1e-07; give a "
+            "smaller cluster_gap in the file's 'tol'")
+
+
+CLOSE_EIGENVALUES = [
+    pytest.param(delta, signs, seed,
+                 id=f"delta={delta:g}-{''.join('+-'[s < 0] for s in signs)}-{seed}")
+    for delta in (5e-9, 5e-8)
+    for signs in ((1, 1, -1, 1), (1, -1, -1, 1))
+    for seed in range(10)
+]
+
+
+class TestCloseEigenvalues:
+    """lambda = 1, 1 + delta closer than the gap: one cluster, judged once,
+    by ``decompose``.  The verdict on it does not depend on the unrelated
+    fourth eigenvalue.  Judged against the cluster mean at rel |G|, every
+    lambda4 = 5 document once exited 1 while lambda4 = 1000 passed."""
+
+    @pytest.mark.parametrize("delta, signs, seed", CLOSE_EIGENVALUES)
+    def test_verdict_does_not_depend_on_an_unrelated_block(self, delta, signs, seed):
+        summaries = []
+        for lam4 in (5.0, 1000.0):
+            report, code = analyze_document(
+                spectrum_document([1.0, 1.0 + delta, 3.0, lam4], signs, seed))
+            assert code == 0, report["residuals"].get("pipeline_error")
+            rec, op = report["recursion"], report["residuals"]["operator"]
+            summaries.append(([(b["sign"], b["dim"]) for b in report["blocks"]],
+                              report["algebra_dim"], rec["rank"], rec["vandermonde_consistent"],
+                              op["commutant_dim"], op["bicommutant_dim"]))
+        assert summaries[0] == summaries[1]
+        blocks = summaries[0][0]
+        assert summaries[0][1:] == (sum((dim // 2) ** 2 for _, dim in blocks), len(blocks),
+                                    True, 6, 3)
 
 
 NEAR_DEGENERATE = [
@@ -234,8 +298,7 @@ class TestNearDegenerateSpectrum:
     @pytest.mark.parametrize("lam4, delta, signs, seed", NEAR_DEGENERATE)
     def test_four_classes_certified(self, lam4, delta, signs, seed):
         doc = spectrum_document([1.0, 1.0 + delta, 3.0, lam4], signs, seed)
-        report, code = analyze(InputDocument(doc["dim"], doc["g1"], doc["omega1"],
-                                             doc["g2"], doc["omega2"], Tolerance()))
+        report, code = analyze_document(doc)
         assert code == 0
         assert len({(b["lambda"], b["sign"]) for b in report["blocks"]}) == 4
         assert report["algebra_dim"] == 4

@@ -255,7 +255,7 @@ def uncertified_pair():
 class TestCertificateFaults:
     """The recursion certificate measures preservation on the directions
     and reads the rank, and the commutation wherever its bound decides, off
-    the adapted frame and the class elements, so a fault in either must
+    the adapted frame and the coordinate elements, so a fault in either must
     fail it."""
 
     SPEC = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(6)]

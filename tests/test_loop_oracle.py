@@ -89,13 +89,14 @@ def assert_directions_within_bounds(p, drift_within_rel=True):
     assert cert.max_conservation_drift <= p.tol.rel or not drift_within_rel
 
 
-def assert_decomposition_residuals_match(blocks, p, rtol=0.0):
-    per_block, cross = _block_residuals(blocks, p)
-    loop_block, loop_cross = loop_oracle.decomposition_residuals(blocks, p)
+def assert_decomposition_residuals_match(d, rtol=0.0):
+    p = d.pair
+    per_block, cross = _block_residuals(d)
+    loop_block, loop_cross = loop_oracle.decomposition_residuals(d)
     block_scale, cross_scale = scales(p)
     assert (np.abs(per_block - loop_block) <= p.dim * EPS * block_scale
             + rtol * np.abs(loop_block)).all()
-    assert len(loop_cross) == len(blocks) * (len(blocks) - 1) // 2
+    assert len(loop_cross) == len(d.blocks) * (len(d.blocks) - 1) // 2
     for (i, k), value in loop_cross.items():
         assert abs(cross[i, k] - value) <= p.dim * EPS * cross_scale + rtol * abs(value)
 
@@ -103,8 +104,7 @@ def assert_decomposition_residuals_match(blocks, p, rtol=0.0):
 @pytest.mark.parametrize("make_pair", PAIRS)
 class TestStackedEqualsLoops:
     def test_decomposition_residuals(self, make_pair):
-        p = make_pair()
-        assert_decomposition_residuals_match(list(decompose(p).blocks), p)
+        assert_decomposition_residuals_match(decompose(make_pair()))
 
     def test_max_commutator_residual(self, make_pair):
         p = make_pair()
@@ -129,8 +129,8 @@ class TestTamperedPairs:
 
     def test_every_check_tampered(self):
         p = synthesize_pair([(1.0, 1, 1), (2.0, -1, 1), (3.0, 1, 1)], seed=4)
-        blocks = list(decompose(p).blocks)
-        b = [block.basis_w for block in blocks]
+        d = decompose(p)
+        b = [block.basis_w for block in d.blocks]
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         tampered = dataclasses.replace(
             p,
@@ -139,10 +139,11 @@ class TestTamperedPairs:
             omega2_w=p.omega2_w + self.EPS * (b[1] @ skew @ b[1].T),
             j2_w=p.j2_w + self.EPS * (b[2] @ skew @ b[2].T),
         )
-        per_block, cross = _block_residuals(blocks, tampered)
+        d = dataclasses.replace(d, pair=tampered)
+        per_block, cross = _block_residuals(d)
         assert (per_block[[0, 1, 2], [0, 1, 2]] > 1e-6).all()
         assert cross[1, 2] > 1e-6
-        assert_decomposition_residuals_match(blocks, tampered, rtol=1e-12)
+        assert_decomposition_residuals_match(d, rtol=1e-12)
 
 
 COMPLEXIFIED = [pytest.param(spec, id=name) for name, spec in (
