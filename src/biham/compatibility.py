@@ -21,7 +21,8 @@ frame and the eigenvalues of G for every later stage.
 
 A compatible pair also spans the *pencil*  g_c = g1 + c * g2,
 omega_c = omega1 + c * omega2, whose members are admissible block by block
-exactly where the two complex structures agree.
+exactly where the two complex structures agree: :func:`pencil_member` reads
+each block's verdict off the decomposition.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .linalg import (
     DEFAULT_TOL,
     StructureError,
     Tolerance,
-    by_size,
     commutator,
     frozen,
     op_norms,
@@ -204,8 +204,11 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
 @dataclass(frozen=True)
 class PencilBlockVerdict:
     """Admissibility of a pencil member restricted to one decomposition
-    block.  ``jsq_coefficient`` is the scalar c with (J_c|block)^2 = c * I;
-    admissibility on the block means c = -1."""
+    block, read off the block's (lambda, sign) and gamma.
+    ``jsq_coefficient`` is the scalar c with (J_c|block)^2 = c * I, the mean
+    of -f_j^2 over the block's complex coordinates; ``residual`` is the
+    largest departure of a coordinate's -f_j^2 from it; admissibility on the
+    block means c = -1."""
 
     eigenvalue: float
     sign: int
@@ -219,7 +222,9 @@ class PencilBlockVerdict:
 class PencilMember:
     """One member g_c = g1 + c g2, omega_c = omega1 + c omega2 of the pencil
     spanned by a compatible pair, with J_c = inv(g_c) @ omega_c and
-    admissibility verdicts for the whole space and per block."""
+    admissibility verdicts per block, read off the decomposition; the
+    member is admissible on the whole space (J_c^2 = -I) iff every block
+    is.  No verdict reads ``g``, ``omega`` or ``j``."""
 
     gamma: float
     g: np.ndarray
@@ -232,12 +237,17 @@ class PencilMember:
 def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     """Evaluate the pencil of the decomposed pair at parameter ``gamma``.
 
-    On a block of the decomposition, where g2 = r * g1 and
-    omega2 = s * r * omega1 (s = +-1), the candidate complex structure
-    scales as ``J_c = (1 + s * gamma * r) / (1 + gamma * r) * J1``, so the
-    member is admissible on the block iff s = +1 or gamma = 0.  The
-    verdicts report the measured coefficient of ``(J_c|block)^2`` for each
-    block, from one stacked solve per distinct block dimension.
+    :func:`~biham.decomposition.decompose` certified g2 = lambda_j g1 and
+    omega2 = s lambda_j omega1 on each complex coordinate j of a block of
+    sign s (lambda_j the coordinate's own |mu|), so there
+    g_c = (1 + gamma lambda_j) g1, omega_c = (1 + s gamma lambda_j) omega1
+    and J_c = f_j J1 with f_j = (1 + s gamma lambda_j) / (1 + gamma lambda_j):
+    (J_c|coordinate)^2 = -f_j^2.  Every verdict is read off those numbers,
+    with no solve and no matrix check: a block is admissible when
+    max |1 - f_j^2| <= rel * max f_j^2, the rule |J_b^2 + I| <= rel |J_b|^2
+    in the block's canonical [C, D] basis, where |J_b| = max |f_j|: within
+    ``rel``, when s = +1 or gamma = 0.  The member is admissible iff every
+    block is.
 
     Raises :class:`StructureError` when ``g_c`` is not positive-definite
     (``gamma`` outside :func:`positivity_range`).
@@ -254,33 +264,25 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
             f"(min eigenvalue {scales.min():.3e} relative to g1)",
             check="pencil_metric_positive", residual=float(scales.min()),
         )
-    g_w = np.eye(p.dim) + gamma * p.metric_operator_w
-    w_w = p.t1.j_w + gamma * p.omega2_w
-    j_w = np.linalg.solve(g_w, w_w)
-    resid, n_j = op_norms([j_w @ j_w + np.eye(p.dim), j_w]).tolist()
-    admissible = resid <= tol.threshold(n_j, n_j)
+    # one entry per complex coordinate, cut into blocks at ``starts``
+    ranks = np.array([b.dim // 2 for b in d.blocks])
+    starts = np.cumsum(ranks) - ranks
+    lam, signs = d.coordinate_lambda, np.array(d.adapted_frame[2])
+    f_sq = ((1.0 + signs * gamma * lam) / (1.0 + gamma * lam)) ** 2
+    coeffs = -np.add.reduceat(f_sq, starts) / ranks
+    resids = np.maximum.reduceat(np.abs(f_sq + np.repeat(coeffs, ranks)), starts)
+    admissible = (np.maximum.reduceat(np.abs(1.0 - f_sq), starts)
+                  <= tol.rel * np.maximum.reduceat(f_sq, starts))
+    verdicts = tuple(PencilBlockVerdict(b.eigenvalue, b.sign, b.dim, float(c), float(r), bool(a))
+                     for b, c, r, a in zip(d.blocks, coeffs, resids, admissible))
 
-    verdicts: list = [None] * len(d.blocks)
-    for dim, at in by_size([block.dim for block in d.blocks]):
-        # every block of this dimension in one stacked solve
-        b = np.stack([d.blocks[i].basis_w for i in at])
-        bt = b.transpose(0, 2, 1)
-        jb = np.linalg.solve(bt @ g_w @ b, bt @ w_w @ b)
-        jb2 = jb @ jb
-        eye = np.eye(dim)
-        coeffs = np.trace(jb2, axis1=1, axis2=2) / dim
-        resids, sq_resids, n_jb = op_norms([jb2 - coeffs[:, None, None] * eye,
-                                            jb2 + eye, jb]).tolist()
-        for i, coeff, resid, sq_resid, n_j in zip(at, coeffs, resids, sq_resids, n_jb):
-            block = d.blocks[i]
-            verdicts[i] = PencilBlockVerdict(block.eigenvalue, block.sign, block.dim,
-                                             float(coeff), resid,
-                                             sq_resid <= tol.threshold(n_j, n_j))
     g_c = p.t1.g.m + gamma * p.t2.g.m
     w_c = p.t1.omega.m + gamma * p.t2.omega.m
+    j_w = np.linalg.solve(np.eye(p.dim) + gamma * p.metric_operator_w,
+                          p.t1.j_w + gamma * p.omega2_w)
     j_c = p.t1.g.frame @ j_w @ p.t1.g.frame_inv
     return PencilMember(gamma, frozen(g_c), frozen(w_c), frozen(j_c),
-                        admissible, tuple(verdicts))
+                        bool(admissible.all()), verdicts)
 
 
 def positivity_range(p: CompatiblePair) -> tuple[float, float]:

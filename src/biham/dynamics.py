@@ -233,7 +233,9 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     directions s_k in t1's g1-orthonormal frame: preservation of all four
     tensors and pairwise commutation within ``tol.rel``, the rank, the
     matrix Nijenhuis identity [T A, T] = T [A, T] for A = J1 on T / |T|,
-    and a drift bound.  Every number but the rank and the Nijenhuis
+    and a drift bound.  That identity holds for every pair of matrices, as
+    both sides are T A T - T^2 A, so ``nijenhuis_residual`` measures
+    rounding only.  Every number but the rank and the Nijenhuis
     residual is first a bound read off the certificate of the adapted
     frame, ``(beta, e) = d.frame_certificate``, and one measured distance
     of each direction from the coordinate elements, with no product of two

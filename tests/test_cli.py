@@ -30,7 +30,8 @@ from biham.linalg import NumericalCheckError
 from biham.structures import check_admissible
 
 import loop_oracle
-from conftest import conditioned_pair, congruent, generic_spec, j_invariant_basis
+from conftest import (conditioned_basis, conditioned_pair, congruent, generic_spec,
+                      j_invariant_basis)
 from test_dynamics import CONSERVATION_TIMES, uncertified_pair
 from test_loop_oracle import three_class_spec, two_class_spec
 
@@ -446,6 +447,40 @@ class TestPencil:
         recursion, algebra = report["residuals"]["pipeline_error"].split("; ")
         assert recursion.startswith("recursion field T^3 @ J1")
         assert algebra.startswith("bi-preserving algebra is not certified")
+
+    @pytest.mark.parametrize("c2, gamma", [(1e-8, -0.05), (1e8, 2.0)], ids=["1e-8", "1e8"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("spec", [two_class_spec, three_class_spec],
+                             ids=["two-class", "three-class"])
+    def test_whole_space_verdict_is_every_block_verdict(self, spec, dim, seed, c2, gamma):
+        # a (lambda, -) block makes the member inadmissible at any gamma != 0,
+        # whatever the second triple's scale; judged in t1's frame, the
+        # whole-space check once passed three-class 16 (1e-8) and both
+        # classes at 32
+        p = synthesize_pair(spec(dim), seed=seed)
+        doc = InputDocument(p.dim, p.t1.g.m, p.t1.omega.m, c2 * p.t2.g.m, c2 * p.t2.omega.m,
+                            p.tol)
+        report, code = analyze(doc, gamma=gamma)
+        assert code == 0
+        member = report["pencil_member"]
+        assert member["admissible"] is False
+        assert member["admissible"] == all(b["admissible"] for b in member["blocks"])
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    def test_one_class_near_the_positivity_edge(self, dim):
+        # every sign +: admissible at any gamma in range.  At gamma = -0.45,
+        # 1 + gamma lambda = 0.1, and a solve on the block divided the
+        # rounding of cond(g1) = 1e6 by it (-1.00000000025 failed)
+        p = synthesize_pair([(2.0, 1, dim // 2)], seed=2)
+        moved = congruent(p, conditioned_basis(dim, 1e3, np.random.default_rng(2)))
+        doc = InputDocument(dim, moved["g1"], moved["omega1"], moved["g2"], moved["omega2"],
+                            p.tol)
+        report, code = analyze(doc, gamma=-0.45)
+        assert code == 0
+        member = report["pencil_member"]
+        assert member["admissible"] is True
+        assert all(b["admissible"] for b in member["blocks"])
 
     def test_single_triple_names_the_reason(self, capsys):
         code, report, _ = run_report(capsys, "pencil", FIXTURES / "single_2d.json",
