@@ -88,6 +88,20 @@ def _tolerance_from_rel(rel: float) -> Tolerance:
         raise InputError(str(err)) from None
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number (a boolean is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_float(value: int | float) -> float:
+    """A JSON number as a float; an integer beyond the float range becomes
+    an infinity, which every tolerance refuses by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def load_document(path: str, tol_override: float | None = None) -> InputDocument:
     """Load and schema-validate an input file."""
     try:
@@ -125,15 +139,21 @@ def load_document(path: str, tol_override: float | None = None) -> InputDocument
         tol = _tolerance_from_rel(tol_override)
     elif "tol" in raw:
         spec = raw["tol"]
-        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            tol = _tolerance_from_rel(float(spec))
+        if _is_number(spec):
+            tol = _tolerance_from_rel(_as_float(spec))
         elif isinstance(spec, dict):
+            for key, value in spec.items():
+                if key not in ("rel", "cluster_gap"):
+                    raise InputError(f"unknown key {key!r} in 'tol': "
+                                     "expected 'rel' and 'cluster_gap' only")
+                if not _is_number(value):
+                    raise InputError(f"'tol' key {key!r} must be a number, got {value!r}")
             base = default_tolerance()
+            rel = _as_float(spec.get("rel", base.rel))
+            gap = _as_float(spec.get("cluster_gap", max(base.cluster_gap, rel)))
             try:
-                rel = float(spec.get("rel", base.rel))
-                gap = float(spec.get("cluster_gap", max(base.cluster_gap, rel)))
                 tol = Tolerance(rel=rel, cluster_gap=gap)
-            except (TypeError, ValueError) as err:
+            except ValueError as err:
                 raise InputError(f"invalid 'tol' field: {err}") from None
         else:
             raise InputError("'tol' must be a number or an object")
@@ -281,7 +301,7 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
                 "eigenvalues": _py(eigenvalues),
                 "commutant_dim": comm_dim,
                 "bicommutant_dim": len(sizes),
-                "sign_pattern": list(dec.adapted_frame[2]),
+                "sign_pattern": dec.coordinate_sign.tolist(),
             }
 
             if gamma is not None:

@@ -287,17 +287,17 @@ def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tup
     """Turn the block decomposition of a compatible real pair into two
     Hermitian forms on C^n.
 
-    The first complex structure defines the multiplication by i; in the
-    decomposition's adapted frame, orthonormal in t1's g1-orthonormal
-    frame, the first form becomes the identity.  The second form is assembled blockwise as g2 - i * omega2 on
-    blocks where the complex structures agree and as the conjugate
-    g2 + i * omega2 where they are opposite (conjugation restores
+    The first complex structure defines the multiplication by i; on the
+    axes C of the decomposition's frame ``frame_w``, orthonormal in t1's
+    g1-orthonormal frame, the first form becomes the identity.  The second
+    form is assembled per coordinate, by its ``coordinate_sign``, as
+    g2 - i * omega2 where the complex structures agree and as the
+    conjugate g2 + i * omega2 where they are opposite (conjugation restores
     sesquilinearity there without changing the bi-unitary group).  Returns
     the two forms and the sign applied to each complex coordinate.
     """
     p = d.pair
-    cols, _, signs = d.adapted_frame
-    sign_rows = np.array(signs, dtype=float)[:, None]
+    cols, sign_rows = d.frame_w[:, :p.dim // 2], d.coordinate_sign[:, None]
 
     def form_matrix(g: np.ndarray, w: np.ndarray) -> np.ndarray:
         gm = cols.T @ g @ cols
@@ -306,4 +306,4 @@ def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tup
 
     h1 = HermitianForm(form_matrix(np.eye(p.dim), p.t1.j_w), d.tol)
     h2 = HermitianForm(form_matrix(p.metric_operator_w, p.omega2_w), d.tol)
-    return h1, h2, signs
+    return h1, h2, tuple(d.coordinate_sign.tolist())

@@ -267,7 +267,7 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     # one entry per complex coordinate, cut into blocks at ``starts``
     ranks = np.array([b.dim // 2 for b in d.blocks])
     starts = np.cumsum(ranks) - ranks
-    lam, signs = d.coordinate_lambda, np.array(d.adapted_frame[2])
+    lam, signs = d.coordinate_lambda, d.coordinate_sign
     f_sq = ((1.0 + signs * gamma * lam) / (1.0 + gamma * lam)) ** 2
     coeffs = -np.add.reduceat(f_sq, starts) / ranks
     resids = np.maximum.reduceat(np.abs(f_sq + np.repeat(coeffs, ranks)), starts)

@@ -87,34 +87,24 @@ class Block:
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Ordered blocks (ascending eigenvalue, + before -) of a compatible pair;
-    carries the pair, its tolerance, its adapted frame and each complex
-    coordinate's own |mu| in the frame's order (``coordinate_lambda``)."""
+    carries the pair, its tolerance and the adapted frame, laid out once by
+    :func:`decompose`: ``frame_w`` is Q = [C, D] in t1's g1-orthonormal
+    frame, the complex coordinate axes C in block order, then their
+    partners D = J1 C (orthonormal to rounding even where J1 is orthogonal
+    only to a larger residual), and ``coordinate_lambda`` and
+    ``coordinate_sign`` hold each axis's own |mu| and its block's sign.  A
+    block's ``basis_w`` is its columns of C, then the same columns of D."""
 
     blocks: tuple[Block, ...]
     pair: CompatiblePair
+    frame_w: np.ndarray
     coordinate_lambda: np.ndarray
+    coordinate_sign: np.ndarray
 
     @property
     def tol(self) -> Tolerance:
         """The pair's tolerance: one per decomposition."""
         return self.pair.tol
-
-    @cached_property
-    def adapted_frame(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """Complex basis vectors (columns) adapted to the decomposition, in
-        t1's g1-orthonormal frame, their partners and the block sign
-        carried by each.
-
-        Each block's basis is [C, D], its axes C and their partners
-        D = J1 C from :func:`decompose`'s one unitary; the axes are the
-        complex coordinate axes, and [axes, partners] is orthonormal to
-        rounding even where J1 is orthogonal only to a larger residual.
-        Sliced out of the blocks once per decomposition, on first use.
-        """
-        cols = np.hstack([b.basis_w[:, :b.dim // 2] for b in self.blocks])
-        partners = np.hstack([b.basis_w[:, b.dim // 2:] for b in self.blocks])
-        signs = tuple(b.sign for b in self.blocks for _ in range(b.dim // 2))
-        return frozen(cols), frozen(partners), signs
 
     @cached_property
     def frame_certificate(self) -> tuple[float, float]:
@@ -124,11 +114,12 @@ class BlockDecomposition:
         by one O(m^3) check, and never raises (the stages that rely on it
         compare ``bound`` with ``rel``).
 
-        In t1's frame let Q = [C, D] (axes and partners), e = |Q.T Q - I|,
-        |.| the row-sum norm, and for tau = J1, G, omega2 let tau_c be its
-        canonical block form ([[0, -I], [I, 0]], diag(lam, lam) and that
-        first form times diag(s lam, s lam), lam each coordinate's |mu|) and
-        d = max |tau - Q tau_c Q.T| / |tau|.  Then
+        Let Q = ``frame_w``, e = |Q.T Q - I|, |.| the row-sum norm, and for
+        tau = J1, G, omega2 let tau_c be its canonical block form
+        ([[0, -I], [I, 0]], diag(lam, lam) and diag(s lam, s lam) times the
+        first, lam and s ``coordinate_lambda`` and ``coordinate_sign``) and
+        d = max |tau - Q tau_c Q.T| / |tau|.  As Q [[0, -I], [I, 0]] =
+        [D, -C], each Q tau_c Q.T is one product, with no dense tau_c.  Then
 
             bound = 2 d + 2 m e (1 + e) (1 + d) / (1 - e)^2
 
@@ -155,15 +146,14 @@ class BlockDecomposition:
         preserves G and omega2 only within the bound plus 2 (1 + e) spread
         (spectral norm), spread the largest (max - min) lam / |tau| of a block.
         """
-        p, (cols, partners, signs) = self.pair, self.adapted_frame
-        q = np.hstack((cols, partners))
-        n, m = cols.shape[1], p.dim
+        p, q = self.pair, self.frame_w
+        n, m = p.dim // 2, p.dim
         lam = np.tile(self.coordinate_lambda, 2)
-        rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-        canon = np.array([rot, np.diag(lam), (np.tile(signs, 2) * lam)[:, None] * rot])
+        q_rot = np.hstack((q[:, n:], -q[:, :n]))
+        canon = np.array([q_rot, q * lam, q_rot * (np.tile(self.coordinate_sign, 2) * lam)])
         taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
         n_g2, n_w2, _ = p.norms_w
-        norms = op_norms(np.concatenate((taus - q @ canon @ q.T, [q.T @ q - np.eye(m)])))
+        norms = op_norms(np.concatenate((taus - canon @ q.T, [q.T @ q - np.eye(m)])))
         dep = float((norms[:3] / (p.t1.j_w_norm, n_g2, n_w2)).max())
         e = float(norms[3])
         bound = (2.0 * dep + 2.0 * m * e * (1.0 + e) * (1.0 + dep) / (1.0 - e) ** 2
@@ -216,11 +206,13 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     chain-clustered at ``cluster_gap``, each cluster is split by the sign
     of mu, and both parts take the cluster's mean as lambda.  This is the
     one judge of eigenvalue equality: a chain whose spread, (max - min) /
-    max, exceeds ``cluster_gap`` is refused.  The columns of ``sqrt(2) Z V``
-    give each block's axes C (real parts) and their partners D = J1 C
-    (imaginary parts), and the block's basis is [C, D]: every block is
-    J1-invariant and 2r-dimensional, and the blocks are g1-orthogonal, by
-    construction.  The part of T that anticommutes with J1 never enters;
+    max, exceeds ``cluster_gap`` is refused.  One permutation puts V's
+    columns in block order; the columns of ``sqrt(2) Z V`` are then the
+    axes C (real parts) and their partners D = J1 C (imaginary parts) of
+    the frame ``frame_w`` = [C, D], stored once, and each block's basis is
+    its columns of C, then of D: every block is J1-invariant and
+    2r-dimensional, and the blocks are g1-orthogonal, by construction.
+    The part of T that anticommutes with J1 never enters;
     the pair certified it zero to rounding.
 
     Per-block proportionality of the structures (the g2 check measures
@@ -236,31 +228,26 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     t_c = z.conj().T @ p.recursion_operator_w @ z
     mu, v = np.linalg.eigh(0.5 * (t_c + t_c.conj().T))
 
+    # one permutation of eigh's output into block order: lambda ascends by
+    # cluster, + before - within one (a zero mu joins the + part)
     order = np.argsort(np.abs(mu), kind="stable")
-    mu, lam_c, axes = mu[order], np.abs(mu[order]), np.sqrt(2.0) * (z @ v[:, order])
+    clusters = _chain_clusters(np.abs(mu[order]), tol.cluster_gap,
+                               "; give a smaller cluster_gap in the file's 'tol'")
+    cluster = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
+    order = order[np.lexsort((mu[order] < 0.0, cluster))]
+    mu, axes = mu[order], np.sqrt(2.0) * (z @ v[:, order])
+    sign = np.where(mu < 0.0, -1, 1)
+    frame_w = frozen(np.hstack((axes.real, axes.imag)))
 
-    # lambda ascends, + before - (a zero mu joins the + part)
-    blocks: list[Block] = []
-    coords = []
-    clusters = cluster_eigenvalues(lam_c, tol.cluster_gap)
-    ends = np.cumsum([0] + [count for _, count in clusters])
-    for (lam, _), lo, hi in zip(clusters, ends, ends[1:]):
-        low, high = lam_c[lo], lam_c[hi - 1]
-        if not same_cluster(low, high, tol.cluster_gap):
-            raise DecompositionError(
-                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of G chain into one "
-                f"cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
-                f"{tol.cluster_gap:g}; give a smaller cluster_gap in the file's 'tol'")
-        for sign in (1, -1):
-            part = (mu[lo:hi] >= 0.0) == (sign > 0)
-            if part.any():
-                cols = axes[:, lo:hi][:, part]
-                basis_w = np.hstack((cols.real, cols.imag))
-                blocks.append(Block(float(lam), sign, basis_w.shape[1],
-                                    frozen(p.t1.g.frame @ basis_w), frozen(basis_w)))
-                coords.append(lam_c[lo:hi][part])
+    # a block is a run of one (cluster, sign): the same columns of C and D
+    starts = np.flatnonzero(np.diff(2 * cluster + (sign < 0), prepend=-1))
+    blocks = []
+    for lo, hi in zip(starts, np.append(starts[1:], n)):
+        basis_w = frame_w[:, np.r_[lo:hi, n + lo:n + hi]]
+        blocks.append(Block(clusters[cluster[lo]][0], int(sign[lo]), basis_w.shape[1],
+                            frozen(p.t1.g.frame @ basis_w), frozen(basis_w)))
 
-    d = BlockDecomposition(tuple(blocks), p, frozen(np.concatenate(coords)))
+    d = BlockDecomposition(tuple(blocks), p, frame_w, frozen(np.abs(mu)), frozen(sign))
     per_block, cross = _block_residuals(d)
     n_g2, n_w2, _ = p.norms_w
     thresholds = np.array([tol.threshold(n_g2), tol.threshold(n_w2),
@@ -285,40 +272,57 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     return d
 
 
+def _chain_clusters(lam, cluster_gap: float, advice: str = "") -> list[tuple[float, int]]:
+    """The one rule of eigenvalue equality: the ascending ``lam`` chained at
+    ``cluster_gap`` (:func:`cluster_eigenvalues`), and a chain whose spread,
+    (max - min) / max, exceeds ``cluster_gap`` refused with
+    :class:`DecompositionError`, its message ending in ``advice``."""
+    clusters = cluster_eigenvalues(lam, cluster_gap)
+    ends = np.cumsum([0] + [count for _, count in clusters])
+    for lo, hi in zip(ends, ends[1:]):
+        low, high = lam[lo], lam[hi - 1]
+        if not same_cluster(low, high, cluster_gap):
+            raise DecompositionError(
+                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of G chain into one "
+                f"cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
+                f"{cluster_gap:g}{advice}")
+    return clusters
+
+
 def _block_residuals(d: BlockDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the checks of :func:`decompose`, from one set of dense
-    products of the stacked bases C (the (i, k) sub-block of C.T @ M @ C
-    is B_i.T @ M @ B_k).
+    products of the frame Q = [C, D] (the (i, k) sub-block of Q.T @ M @ Q,
+    folded over both halves, is B_i.T @ M @ B_k for the blocks' bases B).
 
     ``per_block[i]`` holds, for block i, the row-sum norms of
     B.T g2 B - B.T B L, B.T omega2 B - sign B.T J1 B L (L the block's
     ``coordinate_lambda`` on [C, D]) and J2 B - sign J1 B; ``cross[i, k]``
     that of B_i.T g2 B_k, meaningful for i < k.
     """
-    p, blocks = d.pair, d.blocks
+    p, q = d.pair, d.frame_w
     j1, j2 = p.t1.j_w, p.j2_w
     g2, w2 = p.metric_operator_w, p.omega2_w
-    dims = [b.dim for b in blocks]
-    starts = np.cumsum([0] + dims[:-1])
-    ends = np.cumsum([0] + [r // 2 for r in dims])
-    lam = np.concatenate([np.tile(d.coordinate_lambda[a:b], 2) for a, b in zip(ends, ends[1:])])
-    sign = np.repeat([b.sign for b in blocks], dims)
-    c = np.hstack([b.basis_w for b in blocks])
-    gram2, j1c = c.T @ g2 @ c, j1 @ c
+    ranks = [b.dim // 2 for b in d.blocks]
+    starts = np.cumsum([0] + ranks[:-1])
+    lam, sign = np.tile(d.coordinate_lambda, 2), np.tile(d.coordinate_sign, 2)
+    gram2, j1q = q.T @ g2 @ q, j1 @ q
     per_block = np.stack([
-        np.diagonal(_block_norms(gram2 - lam * (c.T @ c), starts)),
-        np.diagonal(_block_norms(c.T @ w2 @ c - (sign * lam) * (c.T @ j1c), starts)),
-        _block_norms(j2 @ c - sign * j1c, starts).max(axis=0),
+        np.diagonal(_block_norms(gram2 - lam * (q.T @ q), starts)),
+        np.diagonal(_block_norms(q.T @ w2 @ q - (sign * lam) * (q.T @ j1q), starts)),
+        _block_norms(j2 @ q - sign * j1q, starts).max(axis=0),
     ], axis=1)
     return per_block, _block_norms(gram2, starts)
 
 
 def _block_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Row-sum norm (the package's operator norm) of every sub-block of
-    ``a`` when both axes are cut at ``starts``: entry (i, k) belongs to row
-    block i and column block k."""
-    row_sums = np.add.reduceat(np.abs(a), starts, axis=1)
-    return np.maximum.reduceat(row_sums, starts, axis=0)
+    ``a`` when both axes are cut at the block starts ``starts`` of the C
+    half and again of the D half, each block's two segments folded into
+    one: entry (i, k) belongs to row block i and column block k."""
+    c, cuts = len(starts), np.concatenate((starts, starts + a.shape[1] // 2))
+    row_sums = np.add.reduceat(np.abs(a), cuts, axis=1)
+    row_max = np.maximum.reduceat(row_sums[:, :c] + row_sums[:, c:], cuts, axis=0)
+    return np.maximum(row_max[:c], row_max[c:])
 
 
 def is_generic(d: BlockDecomposition) -> bool:
@@ -383,8 +387,11 @@ def synthesize_pair(block_specs, seed: int,
     """Construct a compatible pair with prescribed block data.
 
     ``block_specs`` is an iterable of ``(eigenvalue, sign, multiplicity)``
-    triples with positive eigenvalues, signs +-1, and eigenvalues pairwise
-    distinct within each sign class.  In canonical coordinates the pair is
+    triples with positive eigenvalues and signs +-1, judged by
+    :func:`decompose`'s one rule: the eigenvalues of both signs chain at
+    ``cluster_gap``, and each chain must be at most ``cluster_gap`` wide
+    and hold at most one entry of each sign; any other spec raises
+    ``ValueError``.  In canonical coordinates the pair is
 
         g1 = I, omega1 = blockdiag(S),
         g2 = blockdiag(eigenvalue * I), omega2 = blockdiag(sign * eigenvalue * S)
@@ -409,14 +416,14 @@ def synthesize_pair(block_specs, seed: int,
             raise ValueError(f"block sign must be +1 or -1, got {sign}")
         if mult < 1:
             raise ValueError(f"block multiplicity must be >= 1, got {mult}")
-    for s in (-1, 1):
-        lams = sorted(lam for lam, sign, _ in specs if sign == s)
-        for a, b in zip(lams, lams[1:]):
-            if same_cluster(a, b, tol.cluster_gap):
-                raise ValueError(
-                    f"block eigenvalues {a} and {b} with sign {s:+d} are not "
-                    "distinguishable at the cluster tolerance"
-                )
+    # decompose's rule: every eigenvalue, of either sign, chained at the
+    # gap; a chain no wider than the gap holds at most one entry per sign
+    ordered, at = sorted(specs), 0
+    for _, count in _chain_clusters([lam for lam, _, _ in ordered], tol.cluster_gap):
+        chain, at = ordered[at:at + count], at + count
+        if len({sign for _, sign, _ in chain}) < count:
+            raise ValueError(f"block eigenvalues {chain[0][0]} .. {chain[-1][0]} hold two "
+                             "entries of one sign, not distinguishable at the cluster tolerance")
 
     mults = [mult for _, _, mult in specs]
     n = sum(mults)

@@ -37,7 +37,6 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
     Tolerance,
-    by_size,
     commutator,
     _expm,
     frozen,
@@ -76,26 +75,24 @@ class BiPreservingAlgebra:
     @cached_property
     def basis(self) -> tuple[np.ndarray, ...]:
         """Frobenius-orthonormal basis in the original coordinates, built
-        once, on first use, by one QR of the u(r) generators i E_aa,
-        E_ab - E_ba and i (E_ab + E_ba), a < b.  In t1's frame Z = X + iY
-        is realified as ``(C X + D Y) @ C.T + (D X - C Y) @ D.T`` with the
-        block's axes C and partners D = J1 @ C, its basis [C, D]: four
-        outer products per generator, one stacked product per block rank."""
+        once, on first use, by one QR of the u(r) generators of each block,
+        E_ab - E_ba for a < b and i (E_ab + E_ba) for a >= b.  In t1's
+        frame Z = X + iY is realified as ``Q_b [[X, -Y], [Y, X]] Q_b.T`` on
+        the block's columns Q_b = [C_b, D_b] of the decomposition's
+        ``frame_w``, the frame its certificate covers."""
         d = self.decomposition
-        p = d.pair
-        ranks = [b.dim // 2 for b in d.blocks]
-        gens: list = [None] * len(ranks)
-        for r, at in by_size(ranks):
-            # the k blocks of rank r at once, their axes C and partners D
-            # as rows (k, 2r, m)
-            cd = np.stack([d.blocks[i].basis_w.T for i in at])
-            rows = np.concatenate((cd, -cd, np.zeros((len(at), 1, p.dim))), axis=1)
-            left, right = _u_generator_terms(r)
-            # (k, r^2, m, 4) @ (k, r^2, 4, m): every generator of every block
-            stacked = rows[:, left].swapaxes(2, 3) @ rows[:, right]
-            for i, block_gens in zip(at, stacked):
-                gens[i] = block_gens
-        frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+        q, n = d.frame_w, d.pair.dim // 2
+        gens, lo = [], 0
+        for block in d.blocks:
+            r, hi = block.dim // 2, lo + block.dim // 2
+            # e[a r + c] = E_ac, and upper marks a < c
+            e = np.eye(r * r).reshape(r * r, r, r)
+            upper = np.triu(np.ones((r, r)), 1).reshape(-1, 1, 1)
+            x, y = upper * (e - e.swapaxes(1, 2)), (1.0 - upper) * (e + e.swapaxes(1, 2))
+            q_b = q[:, np.r_[lo:hi, n + lo:n + hi]]
+            gens.append(q_b @ np.block([[x, -y], [y, x]]) @ q_b.T)
+            lo = hi
+        frame, frame_inv = d.pair.t1.g.frame, d.pair.t1.g.frame_inv
         basis = orthonormal_span(frame @ np.concatenate(gens) @ frame_inv, d.tol.rel)
         return tuple(frozen(a) for a in basis)
 
@@ -187,28 +184,6 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
             f"bi-preserving algebra is not certified: the adapted frame departs "
             f"from the canonical block forms (bound {bound:.3e})")
     return BiPreservingAlgebra(d, dim)
-
-
-def _u_generator_terms(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (r^2, 4) into ``[C, D, -C, -D, 0]`` (a block's axes and
-    partners as rows, then one zero row) of the four
-    outer products whose sum is each realified u(r) generator: generator g
-    is the sum over t of ``outer(rows[left[g, t]], rows[right[g, t]])``.
-
-    The generators are i E_aa, D_a C_a - C_a D_a; then for a < b,
-    E_ab - E_ba, C_a C_b - C_b C_a + D_a D_b - D_b D_a; and i (E_ab + E_ba),
-    D_a C_b - C_a D_b + D_b C_a - C_b D_a (each product an outer product).
-    """
-    e, (a, b) = np.arange(r), np.triu_indices(r, 1)
-    c, d, neg_c, neg_d = 0, r, 2 * r, 3 * r
-    zero = np.full(r, 4 * r)
-    left = np.concatenate((np.column_stack((d + e, neg_c + e, zero, zero)),
-                           np.column_stack((c + a, neg_c + b, d + a, neg_d + b)),
-                           np.column_stack((d + a, neg_c + a, d + b, neg_c + b))))
-    right = np.concatenate((np.column_stack((c + e, d + e, zero, zero)),
-                            np.column_stack((c + b, c + a, d + b, d + a)),
-                            np.column_stack((c + b, d + b, c + a, d + a))))
-    return left, right
 
 
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
@@ -360,13 +335,13 @@ def _inclusion_residual(mats: np.ndarray,
     column-sum norms of E = |s|_F (t - X).
 
     No Z_j is formed: with W = t Q, <t, Z_j>_F = d_j.T W[:, j] -
-    c_j.T W[:, n + j], and X = [D, -C] diag(w, w) Q.T for w = <t, Z>_F / 2;
+    c_j.T W[:, n + j], the sum of the two halves of the column sums of
+    W * [D, -C], and X = [D, -C] diag(w, w) Q.T for w = <t, Z>_F / 2;
     two O(m^3) products per direction, in chunks of directions.  The difference t - X is
     formed, never read as |t|^2 - |X|^2, which cancels the digits ``rel``
     needs."""
-    cols, partners, _ = d.adapted_frame
-    n, m = cols.shape[1], d.pair.dim
-    q, q_dual = np.hstack((cols, partners)), np.hstack((partners, -cols))
+    q, n, m = d.frame_w, d.pair.dim // 2, d.pair.dim
+    q_dual = np.hstack((q[:, n:], -q[:, :n]))
     step = max(1, _CHUNK_ENTRIES // (m * m))
     rho = alpha = eps = eps1 = 0.0
     for lo in range(0, len(mats), step):
@@ -374,9 +349,8 @@ def _inclusion_residual(mats: np.ndarray,
         norms = np.sqrt(np.einsum("kij,kij->k", chunk, chunk))
         unit = chunk / norms[:, None, None]
         w_q = unit @ q
-        coef = (np.einsum("kij,ij->kj", w_q[:, :, :n], partners)
-                - np.einsum("kij,ij->kj", w_q[:, :, n:], cols))
-        w = np.tile(0.5 * coef, 2)
+        coef = np.einsum("kij,ij->kj", w_q, q_dual)
+        w = np.tile(0.5 * (coef[:, :n] + coef[:, n:]), 2)
         unit -= (q_dual * w[:, None, :]) @ q.T
         rho = max(rho, float(np.sqrt(np.einsum("kij,kij->k", unit, unit)).max()))
         alpha = max(alpha, float(norms.max()))

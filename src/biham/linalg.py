@@ -225,12 +225,6 @@ def cluster_eigenvalues(values, cluster_gap: float) -> list[tuple[float, int]]:
     return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
-def by_size(sizes) -> list[tuple[int, list[int]]]:
-    """The positions of ``sizes`` grouped by value, ascending: one stacked
-    solve or product per distinct size instead of one per item."""
-    return [(size, [i for i, s in enumerate(sizes) if s == size]) for size in sorted(set(sizes))]
-
-
 def commutator(a, b) -> np.ndarray:
     """Matrix bracket ``a @ b - b @ a``."""
     a = np.asarray(a)

@@ -574,6 +574,19 @@ class TestSynth:
                                "--seed", "1", "--out", tmp_path / "x.json")
         assert code == 2
 
+    def test_chain_wider_than_the_gap_exits_2(self, tmp_path, capsys):
+        # lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 with signs +, -, +: no two of
+        # one sign within the gap, yet one chain wider than it, which
+        # decompose refuses; synth once wrote it and exited 0
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "synth", "--spec",
+                                    "1:+:1,1.00000009:-:1,1.00000018:+:1,3:+:1",
+                                    "--seed", "0", "--out", out)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: invalid spec: cluster width fails: "
+                              "eigenvalues 1 .. 1.00000018")
+        assert not out.exists()
+
     def test_dimension_beyond_memory_exits_2(self, tmp_path, capsys):
         # dim 2e6: one dense matrix would take 29 TiB; the spec is refused
         # before any per-coordinate data is built, and nothing is written
@@ -635,6 +648,22 @@ class TestToleranceOverrides:
         code, report, _ = run_report(capsys, "check", path)
         assert code == 0
 
+    # the object form once read a string as a number and ignored an
+    # unknown key, while the number form refused a string
+    @pytest.mark.parametrize("tol, key", [
+        ({"rel": "1e-8"}, "rel"), ({"cluster_gap": "1e-6"}, "cluster_gap"),
+        ({"rel": True}, "rel"), ({"rel": None}, "rel"), ({"rel": [1e-8]}, "rel"),
+        ({"rell": 1e-30}, "rell"), ({"rel": 1e-8, "gap": 1e-6}, "gap"),
+    ], ids=["rel-string", "gap-string", "rel-bool", "rel-null", "rel-list", "rell", "gap"])
+    def test_file_tol_object_takes_numbers_under_known_keys(self, tmp_path, capsys, tol, key):
+        doc = json.loads((FIXTURES / "compatible_2d.json").read_text())
+        doc["tol"] = tol
+        path = tmp_path / "bad_tol.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert f"'{key}'" in err
+
     # a non-finite or huge tolerance made every threshold infinite, so both
     # valid triples failed with exit 1; each entry point now rejects it
     @pytest.mark.parametrize("value", ["inf", "1e300"])
@@ -644,7 +673,14 @@ class TestToleranceOverrides:
         assert code == 2 and out == ""
         assert "must be finite and in (0, 1)" in err
 
-    @pytest.mark.parametrize("tol_field", ["1e300", '{"cluster_gap": Infinity}'])
+    # an integer beyond the float range once raised OverflowError, a
+    # traceback
+    @pytest.mark.parametrize("tol_field", [
+        "1e300", '{"cluster_gap": Infinity}',
+        pytest.param("1" + "0" * 400, id="int-1e400"),
+        pytest.param('{"rel": 1' + "0" * 400 + "}", id="rel-int-1e400"),
+        pytest.param('{"cluster_gap": -1' + "0" * 400 + "}", id="gap-int-minus-1e400"),
+    ])
     def test_file_tol_rejects_non_finite_and_huge(self, tmp_path, capsys, tol_field):
         text = (FIXTURES / "compatible_2d.json").read_text().rstrip()
         path = tmp_path / "huge_tol.json"
@@ -732,7 +768,14 @@ class TestSharedResults:
         count_function(commutant, "complexify")
         count_function(commutant, "transfer_operator")
         count_function(linalg, "orthonormal_span")
-        count_property(BlockDecomposition, "adapted_frame", "frame")
+        # the frame is laid out once, when decompose stores it
+        store = BlockDecomposition.__init__
+
+        def counting_store(obj, *args, **kwargs):
+            calls["frame"] += 1
+            store(obj, *args, **kwargs)
+
+        monkeypatch.setattr(BlockDecomposition, "__init__", counting_store)
         count_property(BlockDecomposition, "frame_certificate", "frame_certificate")
         count_property(TransferOperator, "cluster_frames", "cluster_frames")
         count_property(TransferOperator, "commutant_basis", "commutant")

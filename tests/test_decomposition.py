@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biham.cli import InputDocument, analyze
 from biham.compatibility import check_compatible
@@ -14,7 +16,7 @@ from biham.decomposition import (
     synthesize_pair,
 )
 from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
-from biham.linalg import Tolerance, op_norm
+from biham.linalg import Tolerance, op_norm, same_cluster
 from biham.structures import check_admissible
 from conftest import (
     same_sign_chain_document,
@@ -372,10 +374,24 @@ class TestSynthesizePair:
         [(2.0, 2, 1)],
         [(2.0, 1, 0)],
         [(2.0, 1, 1), (2.0, 1, 1)],
+        [(1.0, 1, 1), (1.00000005, 1, 1), (3.0, -1, 1)],
     ])
     def test_rejects_inconsistent_specs(self, bad):
         with pytest.raises(ValueError):
             synthesize_pair(bad, seed=0)
+
+    def test_rejects_a_chain_decompose_refuses(self):
+        # lambda = 1, 1 + 0.9e-7, 1 + 1.8e-7 with signs +, -, +: no two of
+        # one sign within the gap, yet one chain wider than it; judged by
+        # decompose's rule, the spec is refused instead of synthesized
+        spec = [(1.0, 1, 1), (1.00000009, -1, 1), (1.00000018, 1, 1), (3.0, 1, 1)]
+        with pytest.raises(ValueError, match=r"cluster width fails: eigenvalues 1 \.\. "
+                                             r"1\.00000018 of G chain"):
+            synthesize_pair(spec, seed=0)
+
+    def test_chain_within_the_gap_round_trips(self):
+        p = synthesize_pair([(1.0, 1, 2), (1.00000005, -1, 1), (3.0, 1, 1)], seed=2)
+        assert [(b.sign, b.dim) for b in decompose(p).blocks] == [(1, 4), (-1, 2), (1, 2)]
 
     def test_same_eigenvalue_opposite_signs_allowed(self):
         p = synthesize_pair([(2.0, 1, 1), (2.0, -1, 1)], seed=4)
@@ -401,3 +417,53 @@ class TestSynthesizePair:
         expected = sorted((round(lam, 6), sign, mult) for lam, sign, mult in spec)
         assert recovered == expected
         assert_one_block_per_class(d)
+
+
+@st.composite
+def block_specs(draw):
+    """A ``synthesize_pair`` spec of dim <= 16: up to four entries, some
+    eigenvalues spread over [0.5, 8], some within a few cluster gaps of
+    one another, so that chains of either width come up."""
+    specs, room = [], 8
+    for _ in range(draw(st.integers(1, 4))):
+        if room == 0:
+            break
+        base = draw(st.sampled_from((1.0, 2.5)))
+        lam = draw(st.one_of(st.floats(0.5, 8.0),
+                             st.builds(lambda k: base * (1.0 + k * 4e-8), st.integers(0, 3))))
+        mult = draw(st.integers(1, min(3, room)))
+        specs.append((lam, draw(st.sampled_from((1, -1))), mult))
+        room -= mult
+    return specs
+
+
+class TestStoredFrame:
+    """``decompose`` lays the adapted frame out once: every block's basis is
+    its columns of ``frame_w``, the partners are J1 times the axes, the
+    frame is orthonormal, and the per-coordinate arrays match the blocks.
+    Every spec that ``synthesize_pair`` accepts decomposes back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=block_specs(), seed=st.integers(0, 2**16))
+    def test_blocks_read_the_one_frame(self, spec, seed):
+        try:
+            p = synthesize_pair(spec, seed=seed)
+        except ValueError:
+            assume(False)
+        d = decompose(p)
+        q, n = d.frame_w, p.dim // 2
+        c, dd = q[:, :n], q[:, n:]
+        assert not q.flags.writeable
+        assert op_norm(dd - p.t1.j_w @ c) <= 1e-12
+        assert op_norm(q.T @ q - np.eye(p.dim)) <= 1e-12
+        lo = 0
+        for b in d.blocks:
+            hi = lo + b.dim // 2
+            np.testing.assert_array_equal(b.basis_w, np.hstack((c[:, lo:hi], dd[:, lo:hi])))
+            assert (d.coordinate_sign[lo:hi] == b.sign).all()
+            assert all(same_cluster(lam, b.eigenvalue, p.tol.cluster_gap)
+                       for lam in d.coordinate_lambda[lo:hi])
+            lo = hi
+        assert lo == n == len(d.coordinate_sign) == len(d.coordinate_lambda)
+        recovered = sorted((b.sign, b.dim // 2) for b in d.blocks)
+        assert recovered == sorted((sign, mult) for _, sign, mult in spec)

@@ -267,10 +267,9 @@ class TestCertificateFaults:
     def test_tampered_frame_fails(self):
         p = synthesize_pair(self.SPEC, seed=3)
         d = decompose(p)
-        cols, partners, signs = d.adapted_frame
-        bad = cols.copy()
-        bad[:, 0] += 1e-6 * cols[:, 1]
-        vars(d)["adapted_frame"] = (bad, partners, signs)
+        bad = d.frame_w.copy()
+        bad[:, 0] += 1e-6 * d.frame_w[:, 1]
+        d = dataclasses.replace(d, frame_w=bad)
         bound, e = d.frame_certificate
         assert bound > p.tol.rel and e > 1e-7
         rb = recursion_basis(p)
@@ -479,13 +478,12 @@ class TestAlgebraFaults:
     @pytest.mark.parametrize("angle", [1e-3, 1e-6])
     def test_tampered_block_bases_raise(self, angle):
         d = decompose(synthesize_pair([(2.0, 1, 2), (3.0, -1, 1)], seed=5))
-        first, second = d.blocks[0].basis_w, d.blocks[1].basis_w
-        # tilt the first block's plane towards the second block
-        mixed = np.array(first)
-        mixed[:, :2] = np.cos(angle) * first[:, :2] + np.sin(angle) * second
-        frame = d.pair.t1.g.frame
-        block = dataclasses.replace(d.blocks[0], basis_w=mixed, basis=frame @ mixed)
-        tampered = dataclasses.replace(d, blocks=(block,) + d.blocks[1:])
+        # tilt the first block's axes (frame columns 0, 1) towards the second
+        # block's axis and partner (columns 2 and n + 2)
+        q, n = d.frame_w, d.pair.dim // 2
+        mixed = np.array(q)
+        mixed[:, :2] = np.cos(angle) * q[:, :2] + np.sin(angle) * q[:, [2, n + 2]]
+        tampered = dataclasses.replace(d, frame_w=mixed)
         with pytest.raises(DecompositionError):
             bi_preserving_algebra(tampered)
 
