@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .commutant import bicommutant_dim, commutant_dim, is_generic_operator, read_off_operator
 from .compatibility import check_compatible, pencil_member, positivity_range
 from .decomposition import decompose, group_signature, is_generic, synthesize_pair
 from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
@@ -290,17 +291,12 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             with _stage(errors):
                 report["algebra_dim"] = bi_preserving_algebra(dec).dim
 
-            # F = diag(lambda) in the adapted frame, as decompose certified:
-            # its clusters are the blocks of equal lambda, of either sign
-            eigenvalues = np.repeat([b.eigenvalue for b in dec.blocks],
-                                    [b.dim // 2 for b in dec.blocks])
-            sizes = np.unique(eigenvalues, return_counts=True)[1]
-            comm_dim = int(sizes @ sizes)
-            report["generic"]["operator"] = comm_dim == len(sizes)
+            op = read_off_operator(dec)
+            report["generic"]["operator"] = is_generic_operator(op)
             residuals["operator"] = {
-                "eigenvalues": _py(eigenvalues),
-                "commutant_dim": comm_dim,
-                "bicommutant_dim": len(sizes),
+                "eigenvalues": _py(op.eigenvalues),
+                "commutant_dim": commutant_dim(op),
+                "bicommutant_dim": bicommutant_dim(op),
                 "sign_pattern": dec.coordinate_sign.tolist(),
             }
 

@@ -17,30 +17,29 @@ commutant is ``⊕ gl(p)``, spanned by ``V E_ab inv(V)`` with a and b in one
 eigenvalue cluster of multiplicity p, and the bicommutant is spanned by the
 clusters' spectral projectors; so their dimensions are the sum of the p^2
 and the number of clusters, equal exactly when the spectrum is simple (the
-genericity criterion).  The :class:`TransferOperator` certifies its
-spectral frame once, in O(n^3), and reads both dimensions off it; the
+genericity criterion).  Both are read off the cluster sizes; the
 orthonormal bases are built only on request, each by one QR.
 
-:func:`complexify` bridges from the real picture: a decomposed compatible
-pair of real triples becomes two Hermitian forms on C^n, whose transfer
-operator has the block eigenvalues, one copy per complex dimension.
+:func:`read_off_operator` reads the operator of a decomposed pair off its
+blocks, with no eigensolve; forms given on their own go through
+:func:`transfer_operator`, which certifies its spectral frame once, in
+O(n^3).  :func:`complexify` turns a decomposition into two such forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .decomposition import BlockDecomposition
+from .decomposition import BlockDecomposition, _chain_clusters
 from .linalg import (
     DEFAULT_TOL,
     StructureError,
     Tolerance,
     as_matrix,
-    cluster_eigenvalues,
+    frame_departure,
     frozen,
     op_norm,
     op_norms,
@@ -53,6 +52,7 @@ __all__ = [
     "HermitianForm",
     "TransferOperator",
     "transfer_operator",
+    "read_off_operator",
     "norm_bounds",
     "commutant_dim",
     "bicommutant_basis",
@@ -90,8 +90,9 @@ class TransferOperator:
     its spectral data (eigenvalues ascending, eigenvector columns
     orthonormal for the first form), the tolerance of its checks and the
     Hermitian ``matrix_w`` = F in the first form's frame, which the
-    eigenvalues diagonalize.  The spectral data are certified once, when
-    the cluster frames are built."""
+    eigenvalues diagonalize.  ``block_sizes`` holds the cluster sizes of an
+    operator read off a decomposition, which certified its spectral data
+    (:func:`read_off_operator`), and is empty for one built from forms."""
 
     matrix: np.ndarray
     h1: HermitianForm
@@ -100,19 +101,27 @@ class TransferOperator:
     eigenvectors: np.ndarray
     tol: Tolerance
     matrix_w: np.ndarray
+    block_sizes: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @cached_property
+    def cluster_sizes(self) -> tuple[int, ...]:
+        """Multiplicities of the eigenvalue clusters in ascending order: the
+        ``block_sizes``, or else read once, on first use, after the
+        spectral data pass :func:`_certify_spectrum`."""
+        return self.block_sizes or _certify_spectrum(self)
+
+    @cached_property
     def cluster_frames(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per eigenvalue cluster, the eigenvector columns V_c and the
         matching rows of inv(V) = V^H @ H1 (V is h1-orthonormal), built once,
-        on first use, after the spectral data pass :func:`_certify_spectrum`."""
+        on first use."""
         v = self.eigenvectors
         v_inv = v.conj().T @ self.h1.h
-        ends = np.cumsum([0] + _certify_spectrum(self))
+        ends = np.cumsum([0, *self.cluster_sizes])
         return tuple((frozen(v[:, a:b]), frozen(v_inv[a:b])) for a, b in zip(ends, ends[1:]))
 
     @cached_property
@@ -125,16 +134,17 @@ class TransferOperator:
         return frozen(orthonormal_span(np.concatenate(gens), self.tol.rel))
 
 
-def _certify_spectrum(op: TransferOperator) -> list[int]:
+def _certify_spectrum(op: TransferOperator) -> tuple[int, ...]:
     """Certify the spectral frame in h1's frame W; return the cluster sizes.
 
     With U = inv(W) V, e = |U^H U - I|, C the cluster midpoints of the
     eigenvalues Λ, |.| the row-sum norm and
     eta = 2 n^1.5 e (1 + e) / (1 - e)^2 * max(1, max Λ / |F_w|), it checks
     eta <= rel (unitarity), 2 |F_w - U Λ U^H| / |F_w| + eta <= rel
-    (eigenpairs), and that no cluster spreads by more than cluster_gap
-    times its largest eigenvalue, with 2 |F_w - U C U^H| / |F_w| + eta <=
-    cluster_gap (spread).
+    (eigenpairs), that the eigenvalues chain into clusters no wider than
+    cluster_gap by the one width rule, ``decomposition._chain_clusters``
+    (a :class:`~biham.decomposition.DecompositionError` if not), and
+    2 |F_w - U C U^H| / |F_w| + eta <= cluster_gap (spread).
 
     Implication: the commutant is {x = U M U^H}, M block-diagonal by
     cluster, and the bicommutant {y = U S U^H}, S constant per cluster (W
@@ -145,34 +155,33 @@ def _certify_spectrum(op: TransferOperator) -> list[int]:
         [F_w, y] = [F_w - U Λ U^H, y] + U (Λ E S - S E Λ) U^H,
         [y, x]   = U (S E M - M E S) U^H.
 
-    In the spectral norm, where |E| <= e as E is Hermitian, |U|^2 <= 1 + e,
-    |M| <= |x| / (1 - e) and |S| <= |y| / (1 - e); with |z| <= sqrt(n) |z|_2 and |z|_2 <= sqrt(n) |z|
-    each last term is at most eta times the norms of its factors.  So every
-    element of the spans, not only of a basis, passes the element-wise
-    check this replaces: |[F_w, x]| <= cluster_gap |F_w| |x|,
-    |[F_w, y]| <= rel |F_w| |y| and |[y, x]| <= rel |y| |x|.  Rounding:
-    ``eigh`` is backward stable (Golub & Van Loan, *Matrix Computations*,
-    4th ed., §8.1), so e and the eigenpair residual are O(n eps): eta is
-    1e-10 at n = 128.
+    Each last term is the frame term of :func:`linalg.frame_departure`
+    with U for Q: in [y, x] both factors are elements, converted at
+    sqrt(n) each, so it is at most eta |y| |x|; in the other two C or Λ
+    enters directly, |C|_2 <= |Λ|_2 = max Λ, with one conversion, which
+    the factor max(1, max Λ / |F_w|) covers.  So every element of the
+    spans, not only of a basis, passes the element-wise check this
+    replaces: |[F_w, x]| <= cluster_gap |F_w| |x|, |[F_w, y]| <= rel
+    |F_w| |y| and |[y, x]| <= rel |y| |x|.  Rounding: ``eigh`` is backward
+    stable (Golub & Van Loan, *Matrix Computations*, 4th ed., §8.1), so e
+    and the eigenpair residual are O(n eps): eta is 1e-10 at n = 128.
     """
     tol, n = op.tol, op.dim
     f_w = op.matrix_w
     u = op.h1.frame_inv @ op.eigenvectors
     uh, lam = u.conj().T, op.eigenvalues
-    sizes = [m for _, m in cluster_eigenvalues(lam, tol.cluster_gap)]
-    ends = np.cumsum([0] + sizes)
-    low, high = lam[ends[:-1]], lam[ends[1:] - 1]
-    mid = np.repeat(0.5 * (low + high), sizes)
+    sizes = tuple(m for _, m in _chain_clusters(lam, tol.cluster_gap,
+                                                of="the transfer operator"))
+    ends = np.cumsum([0, *sizes])
+    mid = np.repeat(0.5 * (lam[ends[:-1]] + lam[ends[1:] - 1]), sizes)
     e, f_norm, pairs, clusters = op_norms([uh @ u - np.eye(n), f_w, f_w - (u * lam) @ uh,
                                            f_w - (u * mid) @ uh]).tolist()
-    eta = (2.0 * n ** 1.5 * e * (1.0 + e) / (1.0 - e) ** 2
-           * max(1.0, float(lam[-1]) / f_norm)) if e < 1.0 else math.inf
-    spread = np.max((high - low) / high)
+    eta = frame_departure(e, n ** 1.5, max(1.0, float(lam[-1]) / f_norm))
     for check, what, value, bound in (
         ("unitary", "eigenvectors are not unitary", eta, tol.rel),
         ("eigenpairs", "eigenpairs do not reproduce it", 2.0 * pairs / f_norm + eta, tol.rel),
-        ("cluster_spread", "eigenvalue clusters are wider than the cluster gap",
-         float(np.maximum(spread, 2.0 * clusters / f_norm + eta)), tol.cluster_gap),
+        ("cluster_spread", "eigenvalue clusters do not reproduce it within the cluster gap",
+         2.0 * clusters / f_norm + eta, tol.cluster_gap),
     ):
         if not value <= bound:
             raise StructureError(f"transfer operator: {what} (residual {value:.3e})",
@@ -214,6 +223,23 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
                             frozen(f_w))
 
 
+def read_off_operator(d: BlockDecomposition) -> TransferOperator:
+    """The transfer operator of a decomposed pair, with no eigensolve and
+    no spectral certificate of its own: on the axes C of the adapted frame
+    (:func:`complexify`'s coordinates) h1 = I and h2 = diag(lambda), each
+    block's lambda once per complex dimension, as ``decompose`` certified,
+    so F = diag(lambda), its eigenvectors are the identity and its clusters
+    the blocks of equal lambda (both signs of a cluster share its mean)."""
+    lam = frozen(np.repeat([b.eigenvalue for b in d.blocks], [b.dim // 2 for b in d.blocks]))
+    h1, h2 = object.__new__(HermitianForm), object.__new__(HermitianForm)
+    for form, w in ((h1, np.ones_like(lam)), (h2, lam)):
+        # a diagonal form is factored with no eigensolve: its frame is diag(w^-1/2)
+        root = np.sqrt(w + 0j)
+        form.h, form.frame, form.frame_inv = (frozen(np.diag(x)) for x in (w + 0j, 1 / root, root))
+    return TransferOperator(h2.h, h1, h2, lam, h1.h, d.tol, h2.h,
+                            tuple(np.unique(lam, return_counts=True)[1].tolist()))
+
+
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:
     """Best constants (a, b) of the norm equivalence
     ``a * |x|_2 <= |x|_1 <= b * |x|_2``.
@@ -232,8 +258,8 @@ def norm_bounds(op: TransferOperator) -> tuple[float, float]:
 
 def commutant_dim(op: TransferOperator) -> int:
     """Complex dimension of the commutant: the sum of the squared
-    eigenvalue multiplicities, read from the certified cluster frames."""
-    return sum(vc.shape[1] ** 2 for vc, _ in op.cluster_frames)
+    eigenvalue multiplicities, read from the certified cluster sizes."""
+    return sum(p * p for p in op.cluster_sizes)
 
 
 def bicommutant_basis(op: TransferOperator) -> np.ndarray:
@@ -248,7 +274,7 @@ def bicommutant_dim(op: TransferOperator) -> int:
     """Complex dimension of the bicommutant: the number of distinct
     eigenvalue clusters of F (the minimal-polynomial degree of a
     diagonalizable operator), one spectral projector each."""
-    return len(op.cluster_frames)
+    return len(op.cluster_sizes)
 
 
 def is_generic_operator(op: TransferOperator) -> bool:
@@ -265,9 +291,11 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     verified to preserve both Hermitian forms.
     """
     coeffs = np.asarray(poly_coeffs, dtype=np.float64)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("poly_coeffs must be a non-empty 1-d real sequence")
+    if coeffs.ndim != 1 or coeffs.size == 0 or not np.isfinite(coeffs).all():
+        raise ValueError("poly_coeffs must be a non-empty 1-d finite real sequence")
     t = float(t)
+    if not np.isfinite(t):
+        raise ValueError("time must be finite")
     vals = np.polynomial.polynomial.polyval(op.eigenvalues, coeffs)
     phases = np.exp(1j * vals * t)
     vs, v_invs = zip(*op.cluster_frames)

@@ -23,7 +23,6 @@ makes it the natural round-trip oracle for :func:`decompose`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +34,7 @@ from .linalg import (
     NumericalCheckError,
     Tolerance,
     cluster_eigenvalues,
+    frame_departure,
     frozen,
     op_norms,
     same_cluster,
@@ -58,7 +58,8 @@ __all__ = [
 class DecompositionError(NumericalCheckError):
     """The blocks of T's complex eigenvectors are inconsistent with a
     compatible pair (a cluster wider than ``cluster_gap``, a structure not
-    proportional on a block, or G not orthogonal across blocks)."""
+    proportional on a block, or G not orthogonal across blocks), or a
+    transfer operator's cluster that the same width rule refuses."""
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,11 @@ class BlockDecomposition:
 
             tau A + A.T tau = [tau - Q tau_c Q.T, A] + Q (tau_c O K - K O tau_c) Q.T.
 
-        The first term is at most 2 d |tau| |A|.  In the spectral norm,
-        where |O| <= e as O is symmetric, |Q|^2 <= 1 + e, |K| <= |A| /
-        (1 - e) and |tau_c| <= (1 + d) |tau| / (1 - e) (symmetric and skew
-        matrices have spectral norm at most row-sum norm); |z| <= sqrt(m)
-        |z|_2 and |A|_2 <= sqrt(m) |A| bound the second by the rest of the
-        bound times |tau| |A|.  Rounding: the departures are measured like
+        The first term is at most 2 d |tau| |A|.  The second is the frame
+        term of :func:`linalg.frame_departure` for a = Q tau_c Q.T, normal
+        (symmetric or skew) and of norm at most (1 + d) |tau|, and b = A,
+        converted at sqrt(m): at most the rest of the bound times |tau| |A|.
+        Rounding: the departures are measured like
         every residual of the threshold rule; the frame comes from backward
         stable ``eigh`` (Golub & Van Loan, *Matrix Computations*, 4th ed.,
         §8.1), so e is O(m eps) and d O((m + cond(g1)) eps): on 320
@@ -156,9 +156,7 @@ class BlockDecomposition:
         norms = op_norms(np.concatenate((taus - canon @ q.T, [q.T @ q - np.eye(m)])))
         dep = float((norms[:3] / (p.t1.j_w_norm, n_g2, n_w2)).max())
         e = float(norms[3])
-        bound = (2.0 * dep + 2.0 * m * e * (1.0 + e) * (1.0 + dep) / (1.0 - e) ** 2
-                 if e < 1.0 else math.inf)
-        return bound, e
+        return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
 
 
 @dataclass(frozen=True)
@@ -272,18 +270,20 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     return d
 
 
-def _chain_clusters(lam, cluster_gap: float, advice: str = "") -> list[tuple[float, int]]:
-    """The one rule of eigenvalue equality: the ascending ``lam`` chained at
-    ``cluster_gap`` (:func:`cluster_eigenvalues`), and a chain whose spread,
-    (max - min) / max, exceeds ``cluster_gap`` refused with
-    :class:`DecompositionError`, its message ending in ``advice``."""
+def _chain_clusters(lam, cluster_gap: float, advice: str = "",
+                    of: str = "G") -> list[tuple[float, int]]:
+    """The one rule of eigenvalue equality: the ascending ``lam``, the
+    eigenvalues ``of`` an operator, chained at ``cluster_gap``
+    (:func:`cluster_eigenvalues`), and a chain whose spread, (max - min) /
+    max, exceeds ``cluster_gap`` refused with :class:`DecompositionError`,
+    its message naming the operator and ending in ``advice``."""
     clusters = cluster_eigenvalues(lam, cluster_gap)
     ends = np.cumsum([0] + [count for _, count in clusters])
     for lo, hi in zip(ends, ends[1:]):
         low, high = lam[lo], lam[hi - 1]
         if not same_cluster(low, high, cluster_gap):
             raise DecompositionError(
-                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of G chain into one "
+                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of {of} chain into one "
                 f"cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
                 f"{cluster_gap:g}{advice}")
     return clusters

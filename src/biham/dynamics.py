@@ -39,6 +39,7 @@ from .linalg import (
     Tolerance,
     commutator,
     _expm,
+    frame_departure,
     frozen,
     op_norm,
     op_norms,
@@ -251,9 +252,8 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
       skew, so that of g1 is at most P1 = eps + eps1.
     * Commutation.  Y_j = Q K Q.T and Y_k = Q K' Q.T for combinations of
       the rotations, and K K' = K' K, so [Y_j, Y_k] = Q (K O K' - K' O K) Q.T,
-      of spectral norm at most 2 e (1 + e) |K|_2 |K'|_2 with |K|_2 <=
-      |Y|_F / (1 - e) <= a (1 + rho) / (1 - e); the row-sum norm is at most
-      sqrt(m) times that.  The terms with an E add 2 (2 (1 + eps) eps +
+      the frame term of :func:`linalg.frame_departure` with |Y|_2 <= |Y|_F
+      <= a (1 + rho).  The terms with an E add 2 (2 (1 + eps) eps +
       eps^2), so |[s_j, s_k]| <= sqrt(m) a^2 2 e (1 + e) (1 + rho)^2 /
       (1 - e)^2 + 4 eps + 6 eps^2, ``max_commutator_residual``.
     * Drift.  For s_k with symmetric part S and skew part K,
@@ -292,8 +292,8 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     pres_g1 = eps + eps1
     pres = beta * (1.0 + eps) + pres_g1
     drift = 10.0 * math.sqrt(m) * (pres + pres_g1)
-    comm = (math.sqrt(m) * alpha ** 2 * 2.0 * e * (1.0 + e) * (1.0 + rho) ** 2 / (1.0 - e) ** 2
-            + 4.0 * eps + 6.0 * eps ** 2) if e < 1.0 else math.inf
+    comm = (frame_departure(e, math.sqrt(m) * alpha ** 2, (1.0 + rho) ** 2)
+            + 4.0 * eps + 6.0 * eps ** 2)
     if not pres <= tol.rel:
         pres, drift = _measured_preservation(rb.directions_w, p)
     if not comm <= tol.rel:

@@ -131,6 +131,28 @@ def op_norms(a) -> np.ndarray:
     return np.maximum.reduce(np.add.reduce(np.abs(a, order="C"), axis=-1), axis=-1)
 
 
+def frame_departure(e: float, conversion: float, scale: float) -> float:
+    """``2 conversion e (1 + e) scale / (1 - e)^2``, inf unless e < 1: the
+    frame term of a certificate that bounds every element of a span.
+
+    Lemma: for m x m Q with E = Q^H Q - I of row-sum norm |E| <= e < 1,
+    a = Q P Q^H and b = Q R Q^H,
+
+        |Q (P E R - R E P) Q^H| <= 2 sqrt(m) e (1 + e) |P|_2 |R|_2
+                                <= 2 sqrt(m) e (1 + e) |a|_2 |b|_2 / (1 - e)^2,
+
+    as |z| <= sqrt(m) |z|_2, |E|_2 <= |E| (E is Hermitian), |Q|_2^2 <= 1 + e
+    and the singular values of Q are at least sqrt(1 - e).  The caller
+    bounds sqrt(m) |a|_2 |b|_2 by ``conversion * scale`` times its own
+    norms of a and b: |a|_2 <= |a| for a normal a, whose spectral radius is
+    below every induced norm, and |a|_2 <= sqrt(m) |a| and |a|_2 <= |a|_F
+    for every a.
+    """
+    if not e < 1.0:
+        return math.inf
+    return 2.0 * conversion * e * (1.0 + e) * scale / (1.0 - e) ** 2
+
+
 def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
                    check: str = "symmetric", anti: bool = False) -> np.ndarray:
     """Symmetric part ``0.5 * (m + mᴴ)`` of ``m``, or with ``anti`` its

@@ -21,6 +21,7 @@ from biham.commutant import (
     bicommutant_dim,
     commutant_dim,
     complexify,
+    read_off_operator,
     transfer_operator,
 )
 from biham.decomposition import BlockDecomposition, decompose, synthesize_pair
@@ -526,15 +527,24 @@ class TestCommutant:
 
     @pytest.mark.parametrize("make_pair", READ_OFF_PAIRS)
     def test_read_off_matches_the_library_operator(self, make_pair):
-        # the CLI reads F's spectrum off the blocks; the library builds F
-        # from the complexified forms and certifies its own spectral frame
+        # the CLI reports the library's read-off of F off the blocks; the
+        # independent oracle builds F from the complexified forms and
+        # certifies its own spectral frame
         pair = make_pair()
         report, code = analyze(InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                                              pair.t2.g.m, pair.t2.omega.m, pair.tol))
         assert code == 0
-        h1, h2, signs = complexify(decompose(pair))
-        op = transfer_operator(h1, h2, pair.tol)
+        dec = decompose(pair)
+        read_off = read_off_operator(dec)
+        block_lambda = [b.eigenvalue for b in dec.blocks for _ in range(b.dim // 2)]
+        assert read_off.eigenvalues.tolist() == block_lambda
         read = report["residuals"]["operator"]
+        assert read == {"eigenvalues": read_off.eigenvalues.tolist(),
+                        "commutant_dim": commutant_dim(read_off),
+                        "bicommutant_dim": bicommutant_dim(read_off),
+                        "sign_pattern": dec.coordinate_sign.tolist()}
+        h1, h2, signs = complexify(dec)
+        op = transfer_operator(h1, h2, pair.tol)
         assert (read["commutant_dim"], read["bicommutant_dim"], read["sign_pattern"]) == (
             commutant_dim(op), bicommutant_dim(op), list(signs))
         np.testing.assert_allclose(read["eigenvalues"], op.eigenvalues, rtol=1e-10, atol=0.0)
@@ -730,13 +740,13 @@ class TestSharedResults:
         # one analysis computes each spectral fact once: the decomposition
         # (with its two eigensolves), its adapted frame and that frame's
         # certificate; the algebra's dimension is read off the certified
-        # frame and the transfer operator's spectrum off the blocks, so no
-        # operator is built, no basis is built and nothing is
+        # frame and the transfer operator once off the blocks, so no forms
+        # are built, no cluster frame or basis is built and nothing is
         # orthonormalized, and the drift bound comes from the recursion
         # certificate, with no sampled flow
         pair = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=3)
         calls = {"decompose": 0, "frame": 0, "frame_certificate": 0,
-                 "complexify": 0, "transfer_operator": 0,
+                 "read_off_operator": 0, "complexify": 0, "transfer_operator": 0,
                  "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                  "orthonormal_span": 0}
 
@@ -765,6 +775,7 @@ class TestSharedResults:
 
         count_function(decomposition, "decompose")
         count_function(dynamics, "conservation_probe")
+        count_function(commutant, "read_off_operator")
         count_function(commutant, "complexify")
         count_function(commutant, "transfer_operator")
         count_function(linalg, "orthonormal_span")
@@ -786,7 +797,7 @@ class TestSharedResults:
         assert code == 0
         assert report["pencil_member"]["gamma"] == 0.5
         assert calls == {"decompose": 1, "frame": 1,
-                         "frame_certificate": 1,
+                         "frame_certificate": 1, "read_off_operator": 1,
                          "complexify": 0, "transfer_operator": 0,
                          "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from biham import commutant
 from biham.commutant import (
     HermitianForm,
     bicommutant_basis,
@@ -12,10 +13,11 @@ from biham.commutant import (
     complexify,
     is_generic_operator,
     norm_bounds,
+    read_off_operator,
     transfer_operator,
 )
 from biham.compatibility import check_compatible
-from biham.decomposition import decompose, synthesize_pair
+from biham.decomposition import DecompositionError, decompose, synthesize_pair
 from biham.linalg import DEFAULT_TOL, StructureError, Tolerance, commutator, op_norm
 from conftest import standard_triple
 
@@ -231,6 +233,16 @@ class TestBiunitarySample:
             for h in (h1.h, h2.h):
                 assert op_norm(u.conj().T @ h @ u - h) <= 1e-10 * op_norm(h)
 
+    @pytest.mark.parametrize("coeffs, t", [([1.0], np.inf), ([1.0], np.nan),
+                                           ([np.nan], 1.0), ([0.0, np.inf], 1.0)])
+    def test_non_finite_argument_is_a_value_error(self, coeffs, t):
+        # a bad argument is not a fault of the operator: no StructureError,
+        # and no RuntimeWarning on the way
+        op = operator_from_spectrum([1.0, 2.0], np.random.default_rng(13))
+        with pytest.raises(ValueError, match="must be finite|finite real sequence") as err:
+            biunitary_sample(op, coeffs, t)
+        assert not isinstance(err.value, StructureError)
+
 
 class TestComplexify:
     def test_2d_reference_pair(self, ref2d_pair):
@@ -275,6 +287,46 @@ class TestComplexify:
         np.testing.assert_allclose(op.eigenvalues, expected, atol=1e-9)
 
 
+class TestReadOff:
+    """The transfer operator of a decomposed pair, read off its blocks."""
+
+    def test_makes_no_eigensolve_and_no_certificate(self, monkeypatch):
+        d = decompose(synthesize_pair([(2.0, 1, 4), (3.0, -1, 4)], seed=21))
+        calls = {"eigh": 0, "certify": 0}
+        eigh, certify = np.linalg.eigh, commutant._certify_spectrum
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counting_certify(*args, **kwargs):
+            calls["certify"] += 1
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(commutant, "_certify_spectrum", counting_certify)
+        op = read_off_operator(d)
+        dims = (commutant_dim(op), bicommutant_dim(op), is_generic_operator(op))
+        u = biunitary_sample(op, [0.5, 1.0], 0.7)
+        assert calls == {"eigh": 0, "certify": 0}
+        assert dims == (32, 2, False)
+        assert op.eigenvalues.tolist() == [b.eigenvalue for b in d.blocks for _ in range(4)]
+        for h in (op.h1.h, op.h2.h):
+            assert op_norm(u.conj().T @ h @ u - h) <= 1e-12 * op_norm(h)
+
+    def test_forms_of_the_read_off_are_factored(self):
+        # the diagonal forms carry the frames of any HermitianForm: the
+        # forms path rebuilds the same operator from them
+        op = read_off_operator(decompose(synthesize_pair([(1.5, 1, 2), (2.5, -1, 1)], seed=4)))
+        for form in (op.h1, op.h2):
+            np.testing.assert_allclose(form.frame.conj().T @ form.h @ form.frame, np.eye(3),
+                                       atol=1e-14)
+            np.testing.assert_allclose(form.frame @ form.frame_inv, np.eye(3), atol=1e-14)
+        rebuilt = transfer_operator(op.h1, op.h2, op.tol)
+        np.testing.assert_allclose(rebuilt.eigenvalues, op.eigenvalues, rtol=1e-14)
+        assert (commutant_dim(rebuilt), bicommutant_dim(rebuilt)) == (5, 2)
+
+
 class TestSpectralFaults:
     """Spectral data that no longer match the operator fail the checks of
     the commutant and the bicommutant."""
@@ -296,6 +348,16 @@ class TestSpectralFaults:
             commutant_dim(self.tampered(op, angle))
         with pytest.raises(StructureError):
             bicommutant_dim(self.tampered(op, angle))
+
+    def test_wide_cluster_fails_the_one_width_rule(self):
+        # 1, 1 + 0.9e-7, 1 + 1.8e-7 chain at the default gap into one
+        # cluster of spread 1.8e-7: refused by decompose's rule, naming F
+        op = operator_from_spectrum([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 3.0],
+                                    np.random.default_rng(22))
+        with pytest.raises(DecompositionError,
+                           match=r"^cluster width fails: eigenvalues 1 \.\. 1\.0000001\d* of the "
+                                 r"transfer operator chain into one cluster"):
+            commutant_dim(op)
 
     def test_untampered_operator_passes(self):
         op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], np.random.default_rng(20))
