@@ -37,7 +37,7 @@ from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from .linalg import NumericalCheckError, Tolerance
 from .structures import ViolationReport, check_admissible
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class InputError(ValueError):
@@ -280,7 +280,6 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
                     "commute": cert.commute,
                     "distinct_t_eigenvalues": cert.distinct_t_eigenvalues,
                     "vandermonde_consistent": cert.vandermonde_consistent,
-                    "nijenhuis_residual": _py(cert.nijenhuis_residual),
                     "max_preservation_residual": _py(cert.max_preservation_residual),
                     "max_commutator_residual": _py(cert.max_commutator_residual),
                     "max_conservation_drift": _py(cert.max_conservation_drift),

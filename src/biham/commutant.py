@@ -288,7 +288,8 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     polynomial f (coefficients in ascending order).
 
     Computed spectrally from the operator's cluster frames; the result is
-    verified to preserve both Hermitian forms.
+    verified to preserve both Hermitian forms.  Arguments whose phases
+    f(lambda) * t leave the floating-point range raise ``ValueError``.
     """
     coeffs = np.asarray(poly_coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size == 0 or not np.isfinite(coeffs).all():
@@ -296,8 +297,12 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    vals = np.polynomial.polynomial.polyval(op.eigenvalues, coeffs)
-    phases = np.exp(1j * vals * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = np.polynomial.polynomial.polyval(op.eigenvalues, coeffs) * t
+    if not np.isfinite(args).all():
+        raise ValueError(f"poly_coeffs and time {t!r} give phases f(F) * t beyond "
+                         "the floating-point range")
+    phases = np.exp(1j * args)
     vs, v_invs = zip(*op.cluster_frames)
     u = (np.hstack(vs) * phases) @ np.vstack(v_invs)
     n_u = op_norm(u)

@@ -152,7 +152,7 @@ class BlockDecomposition:
         q_rot = np.hstack((q[:, n:], -q[:, :n]))
         canon = np.array([q_rot, q * lam, q_rot * (np.tile(self.coordinate_sign, 2) * lam)])
         taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
-        n_g2, n_w2, _ = p.norms_w
+        n_g2, n_w2 = p.norms_w
         norms = op_norms(np.concatenate((taus - canon @ q.T, [q.T @ q - np.eye(m)])))
         dep = float((norms[:3] / (p.t1.j_w_norm, n_g2, n_w2)).max())
         e = float(norms[3])
@@ -247,7 +247,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
 
     d = BlockDecomposition(tuple(blocks), p, frame_w, frozen(np.abs(mu)), frozen(sign))
     per_block, cross = _block_residuals(d)
-    n_g2, n_w2, _ = p.norms_w
+    n_g2, n_w2 = p.norms_w
     thresholds = np.array([tol.threshold(n_g2), tol.threshold(n_w2),
                            tol.threshold(p.t1.j_w_norm)])
     failing = ~(per_block <= thresholds)

@@ -12,13 +12,15 @@ Its dimension is read off the adapted frame after one O(m^3) certificate of
 that frame; the basis is built only on request.
 
 The recursion operator T generates a distinguished commuting family in
-its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1; it satisfies the
-Nijenhuis identity [T A, T] = T [A, T], and its rank is the number of
-blocks, one per (lambda, sign) class (Vandermonde).  :func:`certify_recursion`
-reads the family's preservation, commutation and drift bounds off the same
-frame certificate, with no product of two directions, and measures the
-directions only where a bound exceeds ``rel``; :func:`conservation_probe`
-samples the drift of any field instead.  Every stage computes in t1's
+its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1, whose rank is the
+number of blocks, one per (lambda, sign) class (Vandermonde).  T is
+constant, so the matrix Nijenhuis identity [T A, T] = T [A, T] holds for
+every A (both sides are T A T - T^2 A) and is not judged.
+:func:`certify_recursion` reads the family's preservation, commutation
+and drift bounds off the same frame certificate, with no product of two
+directions, and measures the directions only where a bound exceeds
+``rel``; :func:`conservation_probe` samples the drift of any field
+instead.  Every stage computes in t1's
 g1-orthonormal frame, where the fields preserving g1 are skew, and maps back
 only the fields it reports.
 """
@@ -37,7 +39,6 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
     Tolerance,
-    commutator,
     _expm,
     frame_departure,
     frozen,
@@ -145,15 +146,12 @@ class RecursionCertificate:
     expected_rank: int
     distinct_t_eigenvalues: int
     vandermonde_consistent: bool
-    nijenhuis_residual: float
-    nijenhuis_holds: bool
     max_conservation_drift: float
     power_basis_log10_condition: float
 
     @property
     def holds(self) -> bool:
-        return (self.preserves_all and self.commute and self.vandermonde_consistent
-                and self.nijenhuis_holds)
+        return self.preserves_all and self.commute and self.vandermonde_consistent
 
     @property
     def all_pass(self) -> bool:
@@ -207,15 +205,13 @@ def recursion_basis(p: CompatiblePair) -> RecursionBasis:
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
     """Certify the recursion family of the decomposed pair, read as unit
     directions s_k in t1's g1-orthonormal frame: preservation of all four
-    tensors and pairwise commutation within ``tol.rel``, the rank, the
-    matrix Nijenhuis identity [T A, T] = T [A, T] for A = J1 on T / |T|,
-    and a drift bound.  That identity holds for every pair of matrices, as
-    both sides are T A T - T^2 A, so ``nijenhuis_residual`` measures
-    rounding only.  Every number but the rank and the Nijenhuis
-    residual is first a bound read off the certificate of the adapted
-    frame, ``(beta, e) = d.frame_certificate``, and one measured distance
-    of each direction from the coordinate elements, with no product of two
-    directions.  Where the preservation or the commutation bound exceeds
+    tensors and pairwise commutation within ``tol.rel``, the rank and a
+    drift bound.  The matrix Nijenhuis identity [T A, T] = T [A, T] holds
+    for every pair of matrices, as both sides are T A T - T^2 A, so it is
+    not judged.  Every number but the rank is first a bound read off the
+    certificate of the adapted frame, ``(beta, e) = d.frame_certificate``,
+    and one measured distance of each direction from the coordinate
+    elements, with no product of two directions.  Where the preservation or the commutation bound exceeds
     ``tol.rel``, the directions are measured instead
     (:func:`_measured_preservation`, :func:`_max_commutator`), so each
     verdict is the measured one wherever its bound cannot decide, and
@@ -299,11 +295,6 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     if not comm <= tol.rel:
         comm = _max_commutator(rb.directions_w)
 
-    j1 = p.t1.j_w
-    big_t = p.recursion_operator_w / p.norms_w[2]
-    nij, n_t = op_norms([commutator(big_t @ j1, big_t) - big_t @ commutator(j1, big_t),
-                         big_t]).tolist()
-
     nodes = [b.sign * b.eigenvalue for b in d.blocks]
     return RecursionCertificate(
         preserves_all=pres <= tol.rel,
@@ -314,8 +305,6 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
         expected_rank=n,
         distinct_t_eigenvalues=len(d.blocks),
         vandermonde_consistent=bool(gram <= tol.rel and rho <= tol.rel),
-        nijenhuis_residual=nij,
-        nijenhuis_holds=nij <= tol.threshold(n_t, n_t, p.t1.j_w_norm),
         max_conservation_drift=drift,
         power_basis_log10_condition=_power_basis_log10_condition(nodes),
     )

@@ -9,7 +9,9 @@ they replaced: one small dense product per block, per pair of blocks or
 directions, or per basis element, each read with ``op_norm``.  The
 admissibility and compatibility checks take the norms of each check group
 in one reduction and carry the factor norms; here each residual and each
-factor of each threshold gets its own ``op_norm``.
+factor of each threshold gets its own ``op_norm``.  The relations those
+checks imply and no longer judge are kept here too, each with the
+threshold it was judged against.
 """
 
 import math
@@ -41,26 +43,43 @@ def admissibility_violations(g, omega, tol):
     its order, one norm per residual and per factor; ``{}`` for an
     admissible triple.  The metric and the form are validated by the
     package."""
-    metric, symp = MetricTensor(g, tol), SymplecticForm(omega, tol)
-    eye = np.eye(metric.dim)
+    jw = _j_in_frame(g, omega, tol)
+    eye = np.eye(len(jw))
     with np.errstate(over="ignore", invalid="ignore"):
-        jw = metric.frame.T @ symp.m @ metric.frame
         checks = (
             ("J_squared_plus_identity", op_norm(jw @ jw + eye), threshold(tol, jw, jw)),
             ("J_metric_invariance", op_norm(jw.T @ jw - eye), threshold(tol, jw, jw)),
             ("J_metric_skewness", op_norm(jw + jw.T), threshold(tol, jw)),
-            ("J_symplectic_invariance", op_norm(jw.T @ jw @ jw - jw),
-             threshold(tol, jw, jw, jw)),
         )
     return {name: resid for name, resid, thr in checks if not resid <= thr}
 
 
-def compatibility_residuals(t1, t2, tol):
-    """``(certificates, violations)`` of ``check_compatible``, key order
-    included, one norm per residual and per factor: the certificates of a
-    compatible pair with ``{}``, or ``(None, violations)``."""
-    frame, frame_inv = t1.g.frame, t1.g.frame_inv
-    j1 = t1.j_w
+def symplectic_invariance_violation(g, omega, tol):
+    """``{"J_symplectic_invariance": residual}`` where J.T @ omega @ J =
+    omega, which ``check_admissible`` no longer judges, fails the threshold
+    it was judged against, else ``{}``: in the g-orthonormal frame it reads
+    ``(J.T @ J - I) @ J``, within the metric invariance's threshold times
+    |J|."""
+    jw = _j_in_frame(g, omega, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = op_norm(jw.T @ jw @ jw - jw)
+        thr = threshold(tol, jw, jw, jw)
+    return {} if resid <= thr else {"J_symplectic_invariance": resid}
+
+
+def _j_in_frame(g, omega, tol):
+    """J of the metric and the form in the metric's orthonormal frame."""
+    metric, symp = MetricTensor(g, tol), SymplecticForm(omega, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return metric.frame.T @ symp.m @ metric.frame
+
+
+def _pair_in_t1_frame(t1, t2, tol):
+    """``(g2_in, g2, w2, evals, j2)``, the second triple in t1's
+    g1-orthonormal frame as ``check_compatible`` reads it (G unsymmetrized
+    and symmetrized, omega2, G's ascending eigenvalues and J2), with ``{}``;
+    or ``None`` with the one violation that stops it before G is used."""
+    frame = t1.g.frame
     with np.errstate(over="ignore", invalid="ignore"):
         g2_in = frame.T @ t2.g.m @ frame
         w2 = frame.T @ t2.omega.m @ frame
@@ -70,61 +89,104 @@ def compatibility_residuals(t1, t2, tol):
     evals = np.linalg.eigvalsh(g2)
     if not evals[0] > tol.rel * evals[-1]:
         return None, {"G_positive_spectrum": float(evals[0])}
-    j2 = np.linalg.solve(g2, w2)
-    certificates, violations = {}, {}
+    return (g2_in, g2, w2, evals, np.linalg.solve(g2, w2)), {}
+
+
+def _sym(m):
+    return op_norm(m - m.T)
+
+
+def _skew(m):
+    return op_norm(m + m.T)
+
+
+def compatibility_residuals(t1, t2, tol):
+    """``(certificates, violations)`` of ``check_compatible``, key order
+    included, one norm per residual and per factor: the certificates of a
+    compatible pair with ``{}``, or ``(None, violations)``."""
+    frame_pair, violations = _pair_in_t1_frame(t1, t2, tol)
+    if frame_pair is None:
+        return None, violations
+    g2_in, g2, w2, evals, j2 = frame_pair
+    frame, frame_inv = t1.g.frame, t1.g.frame_inv
+    j1 = t1.j_w
+    certificates = {}
 
     def record(name, resid, thr):
         certificates[name] = float(resid)
         if not resid <= thr:
             violations[name] = float(resid)
 
-    def sym(m):
-        return op_norm(m - m.T)
-
-    def skew(m):
-        return op_norm(m + m.T)
-
     with np.errstate(over="ignore", invalid="ignore"):
         scale = evals[-1]
         g2_s, w2_s = g2 / scale, w2 / scale
-        record("g2_J1_skew", skew(g2_s @ j1), threshold(tol, g2_s, j1))
-        record("omega2_J1_symmetric", sym(w2_s @ j1), threshold(tol, w2_s, j1))
-        record("g1_J2_skew", skew(j2), threshold(tol, j2))
-        record("omega1_J2_symmetric", sym(j1 @ j2), threshold(tol, j1, j2))
-        jj_comm = op_norm(commutator(j1, j2))
-        record("J1_J2_commutator", jj_comm, threshold(tol, j1, j2))
+        record("g2_J1_skew", _skew(g2_s @ j1), threshold(tol, g2_s, j1))
+        record("omega2_J1_symmetric", _sym(w2_s @ j1), threshold(tol, w2_s, j1))
+        record("g1_J2_skew", _skew(j2), threshold(tol, j2))
+        record("omega1_J2_symmetric", _sym(j1 @ j2), threshold(tol, j1, j2))
+        record("J1_J2_commutator", op_norm(commutator(j1, j2)), threshold(tol, j1, j2))
         if violations:
             return None, violations
-        record("phase_generator_commutator", jj_comm, threshold(tol, j1, j2))
-        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2_s)):
-            w_inv = np.linalg.inv(w)
-            record(name, 0.5 * op_norm(commutator(w_inv, g2_s)), threshold(tol, w_inv, g2_s))
-        big_t = np.linalg.solve(j1, w2)
-        t_s = big_t / scale
-        record("G_T_commutator", op_norm(commutator(g2_s, t_s)), threshold(tol, g2_s, t_s))
-        record("G_plus_J1_T_J2", op_norm(g2_s + j1 @ t_s @ j2), threshold(tol, j1, t_s, j2))
-        for name, op in (("G", g2_in / scale), ("T", t_s)):
-            record(f"{name}_selfadjoint_g1", sym(op), threshold(tol, op))
-            record(f"{name}_selfadjoint_g2", sym(g2_s @ op), threshold(tol, g2_s, op))
+        t_s = np.linalg.solve(j1, w2) / scale
+        record("T_selfadjoint_g1", _sym(t_s), threshold(tol, t_s))
         big_g = frame @ g2 @ frame_inv
         record("metric_transfer", op_norm(t1.g.m @ big_g - t2.g.m),
                threshold(tol, t1.g.m, big_g))
-        record("T_sq_minus_G_sq", op_norm(t_s @ t_s - g2_s @ g2_s), threshold(tol, t_s, t_s))
     certificates["G_min_eigenvalue"] = float(evals[0])
     return (None, violations) if violations else (certificates, {})
+
+
+def retired_relation_violations(t1, t2, tol):
+    """``{relation: residual}`` of every commuting-family relation that
+    ``check_compatible`` no longer judges and that fails the threshold it
+    was judged against, on G, T and omega2 divided by G's largest
+    eigenvalue, one norm per residual and per factor; ``None`` where
+    ``check_compatible`` stops before G is used.  Each follows from the
+    four compatibility conditions."""
+    frame_pair, _ = _pair_in_t1_frame(t1, t2, tol)
+    if frame_pair is None:
+        return None
+    g2_in, g2, w2, evals, j2 = frame_pair
+    j1 = t1.j_w
+    out = {}
+
+    def judge(name, resid, thr):
+        if not resid <= thr:
+            out[name] = float(resid)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = evals[-1]
+        g2_s, w2_s, g_s = g2 / scale, w2 / scale, g2_in / scale
+        t_s = np.linalg.solve(j1, w2) / scale
+        judge("phase_generator_commutator", op_norm(commutator(j1, j2)),
+              threshold(tol, j1, j2))
+        # the Poisson bracket of the energies of g1 = I and G for a form w
+        # is [inv(w), G] / 2
+        for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2_s)):
+            w_inv = np.linalg.inv(w)
+            judge(name, 0.5 * op_norm(commutator(w_inv, g2_s)), threshold(tol, w_inv, g2_s))
+        judge("G_T_commutator", op_norm(commutator(g2_s, t_s)), threshold(tol, g2_s, t_s))
+        judge("G_plus_J1_T_J2", op_norm(g2_s + j1 @ t_s @ j2), threshold(tol, j1, t_s, j2))
+        judge("G_selfadjoint_g1", _sym(g_s), threshold(tol, g_s))
+        judge("G_selfadjoint_g2", _sym(g2_s @ g_s), threshold(tol, g2_s, g_s))
+        judge("T_selfadjoint_g2", _sym(g2_s @ t_s), threshold(tol, g2_s, t_s))
+        judge("T_sq_minus_G_sq", op_norm(t_s @ t_s - g2_s @ g2_s), threshold(tol, t_s, t_s))
+    return out
 
 
 def relation_residuals(p):
     """The relation suite of a compatible pair, each relation measured on
     its own in t1's g1-orthonormal frame: commutation of G and T with both
-    complex structures and with each other, G = -J1 @ T @ J2,
+    complex structures and with each other, G = -J1 @ T @ J2, T^2 = G^2,
     self-adjointness of G and T and skew-adjointness of both J's for both
     metrics (the g1-adjoint is the transpose, the g2-adjoint of a is
-    ``inv(G) @ a.T @ G``), on G, T and omega2 divided by G's largest
-    eigenvalue, and the transfer identity g1(G x, y) = g2(x, y) in the
-    original coordinates over ``|g1| |G|``.  Every residual is relative and
-    compares with ``tol.rel`` at any scale of the second triple.  G is read
-    unsymmetrized off the second metric, so its symmetry is measured."""
+    ``inv(G) @ a.T @ G``) and the two Poisson brackets [inv(w), G] / 2 of
+    the energies of g1 and g2 for w in omega1, omega2 (over |inv(w)|), on
+    G, T and omega2 divided by G's largest eigenvalue, and the transfer
+    identity g1(G x, y) = g2(x, y) in the original coordinates over
+    ``|g1| |G|``.  Every residual is relative and compares with ``tol.rel``
+    at any scale of the second triple.  G is read unsymmetrized off the
+    second metric, so its symmetry is measured."""
     frame = p.t1.g.frame
     j1 = p.t1.j_w
     scale = p.metric_eigenvalues[-1]
@@ -146,6 +208,10 @@ def relation_residuals(p):
     out["J2_adjoint_g1_plus_J2"] = op_norm(j2 + j2.T)
     out["G_T_commutator"] = op_norm(commutator(big_g, big_t))
     out["G_plus_J1_T_J2"] = op_norm(big_g + j1 @ big_t @ j2)
+    out["T_sq_minus_G_sq"] = op_norm(big_t @ big_t - big_g @ big_g)
+    for name, w in (("poisson_bracket_omega1", j1), ("poisson_bracket_omega2", w2)):
+        w_inv = np.linalg.inv(w)
+        out[name] = 0.5 * op_norm(commutator(w_inv, big_g)) / op_norm(w_inv)
     g1, g = p.t1.g.m, p.metric_operator
     out["metric_transfer"] = op_norm(g1 @ g - p.t2.g.m) / op_norm(g1) / op_norm(g)
     return out

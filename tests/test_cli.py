@@ -84,12 +84,21 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
         assert report["signature_real"] == "SO(2)"
         assert report["generic"]["real"] is True
+
+    def test_schema_3_keys(self, capsys):
+        # the relations the kept checks imply are not reported
+        code, report, _ = run_report(capsys, "check", FIXTURES / "reference_4d.json")
+        assert code == 0
+        assert list(report["residuals"]["compatibility"]) == [
+            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew", "omega1_J2_symmetric",
+            "J1_J2_commutator", "T_selfadjoint_g1", "metric_transfer", "G_min_eigenvalue"]
+        assert "nijenhuis_residual" not in report["recursion"]
 
     def test_incompatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "incompatible_2d.json")
@@ -284,7 +293,6 @@ class TestRecursion:
         assert rec["rank"] == 2 == rec["expected_rank"]
         assert rec["all_pass"] is True
         assert rec["max_conservation_drift"] < 1e-9
-        assert rec["nijenhuis_residual"] <= 1e-12
         # nodes 2 and -3: Gautschi's bound is attained, |V| |inv(V)| = 5 * 0.8
         assert rec["power_basis_log10_condition"] == pytest.approx(math.log10(4.0))
 
@@ -378,8 +386,7 @@ class TestRecursion:
         assert rec["vandermonde_consistent"] is True
         assert rec["all_pass"] is False
 
-    @pytest.mark.parametrize("check", ["preserves_all", "commute",
-                                       "vandermonde_consistent", "nijenhuis_holds"])
+    @pytest.mark.parametrize("check", ["preserves_all", "commute", "vandermonde_consistent"])
     @pytest.mark.parametrize("command", ["check", "decompose", "recursion", "commutant"])
     def test_failed_certificate_exits_one(self, capsys, monkeypatch, check, command):
         def failing(*args):

@@ -243,6 +243,15 @@ class TestBiunitarySample:
             biunitary_sample(op, coeffs, t)
         assert not isinstance(err.value, StructureError)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coeffs, t", [([1e308, 1e308], 1.0), ([0.0, 1e200], 1e200)])
+    def test_overflowing_phase_is_a_value_error(self, coeffs, t):
+        # finite arguments whose phases f(lambda) * t overflow name the
+        # arguments, with no RuntimeWarning and no failed unitarity check
+        op = transfer_operator(HermitianForm(np.eye(2)), HermitianForm(np.diag([2.0, 3.0])))
+        with pytest.raises(ValueError, match=r"poly_coeffs and time .* floating-point range"):
+            biunitary_sample(op, coeffs, t)
+
 
 class TestComplexify:
     def test_2d_reference_pair(self, ref2d_pair):

@@ -10,10 +10,14 @@ from biham.compatibility import (
     positivity_range,
 )
 from biham.decomposition import decompose, synthesize_pair
-from biham.linalg import StructureError, commutator, eig_self_adjoint, op_norm
+from biham.linalg import DEFAULT_TOL, StructureError, commutator, eig_self_adjoint, op_norm
 from biham.structures import ViolationReport, check_admissible
-from conftest import conditioned_basis, congruent, standard_triple, whitened
-from loop_oracle import relation_residuals
+from conftest import conditioned_basis, congruent, generic_spec, standard_triple, whitened
+from loop_oracle import (
+    relation_residuals,
+    retired_relation_violations,
+    symplectic_invariance_violation,
+)
 
 
 class TestCheckCompatible:
@@ -85,8 +89,9 @@ class TestCheckCompatible:
 
 class TestRelationSuite:
     """Every relation a compatible pair satisfies, measured on its own
-    (``loop_oracle.relation_residuals``); the pair reports them through its
-    certificates."""
+    (``loop_oracle.relation_residuals``); ``check_compatible`` judges the
+    four conditions and the checks they do not imply, and ``decompose``
+    certifies the rest block by block."""
 
     def test_reference_2d(self, ref2d_pair):
         suite = relation_residuals(ref2d_pair)
@@ -116,6 +121,68 @@ class TestRelationSuite:
                              check_admissible(doc["g2"], doc["omega2"]))
         suite = relation_residuals(p)
         assert max(suite.values()) <= p.tol.rel
+
+
+def tampered_documents():
+    """Inputs near compatible pairs: generic, two- and three-class pairs of
+    dims 4-16, plain and after a ``conditioned_basis(dim, 1e3)``
+    congruence, with g1, omega1, g2 and omega2 tampered singly and in
+    pairs by s max|m| (X +- X.T), symmetric for a metric and skew for a
+    form, at s from 1e-13 to 1e-8."""
+    for dim in (4, 8, 12, 16):
+        n = dim // 2
+        specs = (generic_spec(n), [(2.0, 1, n // 2), (3.0, -1, n - n // 2)],
+                 [(1.5, 1, n - n // 2), (2.5, -1, 1), (4.0, 1, n // 2 - 1)])
+        for spec in specs:
+            pair = synthesize_pair([c for c in spec if c[2]], seed=0)
+            rng = np.random.default_rng(dim)
+            for basis in (np.eye(dim), conditioned_basis(dim, 1e3, rng)):
+                doc = congruent(pair, basis)
+                for names in (("g1",), ("omega1",), ("g2",), ("omega2",), ("g1", "g2"),
+                              ("omega1", "omega2"), ("g1", "omega2"), ("omega1", "g2")):
+                    for s in np.logspace(-13, -8, 11):
+                        tampered = dict(doc)
+                        for name in names:
+                            x = rng.standard_normal((dim, dim))
+                            x = x + x.T if name.startswith("g") else x - x.T
+                            tampered[name] = doc[name] + s * np.abs(doc[name]).max() * x
+                        yield tampered
+
+
+class TestRetiredChecks:
+    """The relations ``check_admissible`` and ``check_compatible`` no
+    longer judge follow from the checks they keep: no tampered input fails
+    one of them and passes."""
+
+    def test_tampered_inputs_failing_a_retired_relation_are_refused(self):
+        retired = {"admissibility": 0, "compatibility": 0}
+        for doc in tampered_documents():
+            triples = []
+            for g, w in ((doc["g1"], doc["omega1"]), (doc["g2"], doc["omega2"])):
+                t = check_admissible(g, w)
+                if symplectic_invariance_violation(g, w, DEFAULT_TOL):
+                    retired["admissibility"] += 1
+                    assert isinstance(t, ViolationReport) and "J_metric_invariance" in t.names
+                triples.append(t)
+            if any(isinstance(t, ViolationReport) for t in triples):
+                continue
+            failed = retired_relation_violations(*triples, DEFAULT_TOL)
+            if failed is None or failed:
+                retired["compatibility"] += 1
+                assert isinstance(check_compatible(*triples), ViolationReport), failed
+        # the corpus reaches both kinds of failure
+        assert min(retired.values()) > 0
+
+    def test_pair_only_t_symmetry_refuses(self):
+        # T's symmetry residual is [omega2, J1], omega2_J1_symmetric's, but
+        # rel |T| is the tighter threshold: this tampered omega1 puts the
+        # residual 1.6x above it and at 0.63x of rel |omega2| |J1|
+        p = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=0)
+        x = np.random.default_rng(4).standard_normal((8, 8))
+        w1 = p.t1.omega.m + 10 ** -9.6 * np.abs(p.t1.omega.m).max() * (x - x.T)
+        report = check_compatible(check_admissible(p.t1.g.m, w1), p.t2)
+        assert isinstance(report, ViolationReport)
+        assert report.names == ("T_selfadjoint_g1",)
 
 
 class TestPencil:
