@@ -119,9 +119,13 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     the transfer identity g1 G = g2.  The other relations of the commuting
     family, the vanishing Poisson brackets of the two quadratic energies
     among them, follow from the four conditions and are not judged here.
-    The checks but ``metric_transfer`` read G, T and omega2 divided by G's
-    largest eigenvalue, so no product overflows on a valid pair; the pair
-    stores them unscaled.
+    The kept residuals bound theirs with no factor of cond(G): for one,
+    [inv(omega2), G] = inv(J2) (J2 + J2.T) inv(J2).T, and G + J1 T J2 =
+    G (I + J2^2) is t2's certified J^2 + I under a congruence of norm |G|.
+    No tampered input with cond(G) up to 5e8 was found to fail one of them
+    at its former threshold and pass.  The checks but ``metric_transfer``
+    read G, T and omega2 divided by G's largest eigenvalue, so no product
+    overflows on a valid pair; the pair stores them unscaled.
     Returns a :class:`CompatiblePair` carrying every residual, or a
     :class:`ViolationReport` naming each failed condition.
     """

@@ -20,9 +20,8 @@ every A (both sides are T A T - T^2 A) and is not judged.
 and drift bounds off the same frame certificate, with no product of two
 directions, and measures the directions only where a bound exceeds
 ``rel``; :func:`conservation_probe` samples the drift of any field
-instead.  Every stage computes in t1's
-g1-orthonormal frame, where the fields preserving g1 are skew, and maps back
-only the fields it reports.
+instead.  Every stage computes in t1's g1-orthonormal frame, where the
+fields preserving g1 are skew, and maps back only the fields it reports.
 """
 
 from __future__ import annotations
@@ -211,11 +210,11 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     not judged.  Every number but the rank is first a bound read off the
     certificate of the adapted frame, ``(beta, e) = d.frame_certificate``,
     and one measured distance of each direction from the coordinate
-    elements, with no product of two directions.  Where the preservation or the commutation bound exceeds
-    ``tol.rel``, the directions are measured instead
-    (:func:`_measured_preservation`, :func:`_max_commutator`), so each
-    verdict is the measured one wherever its bound cannot decide, and
-    nothing is raised.
+    elements, with no product of two directions.  Where the preservation
+    or the commutation bound exceeds ``tol.rel``, the directions are
+    measured instead (:func:`_measured_preservation`,
+    :func:`_max_commutator`), so each verdict is the measured one wherever
+    its bound cannot decide, and nothing is raised.
 
     Coordinate elements: with c_j, d_j the axis and partner of the j-th of
     the n complex coordinates of the adapted frame Q = [C, D] and K_j the
