@@ -29,7 +29,7 @@ each block's verdict off the decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -72,13 +72,13 @@ class CompatiblePair:
     g2) and T are symmetric, and J2 is orthogonal and skew.  G's
     eigenvalues serve the positivity check and the pencil; no eigenvector
     of G is kept, as :func:`~biham.decomposition.decompose` reads its frame
-    off J1's complex coordinates and T.
+    off J1's complex coordinates and T.  T in the input coordinates,
+    ``recursion_operator``, is built on first use.
     """
 
     t1: AdmissibleTriple
     t2: AdmissibleTriple
     metric_operator: np.ndarray
-    recursion_operator: np.ndarray
     metric_eigenvalues: np.ndarray
     certificates: dict[str, float]
     tol: Tolerance
@@ -90,6 +90,14 @@ class CompatiblePair:
     @property
     def dim(self) -> int:
         return self.t1.dim
+
+    @cached_property
+    def recursion_operator(self) -> np.ndarray:
+        """T in the input coordinates, ``W @ recursion_operator_w @ inv(W)``:
+        read-only, built on first use (no check reads it)."""
+        frame = self.t1.g.frame
+        with np.errstate(over="ignore", invalid="ignore"):
+            return frozen(frame @ self.recursion_operator_w @ self.t1.g.frame_inv)
 
     @cached_property
     def norms_w(self) -> tuple[float, float]:
@@ -179,7 +187,7 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         big_t = np.linalg.solve(j1, w2)
         t_s = big_t / scale
         # the reported, unscaled G must carry g1 into g2 (an overflow fails)
-        big_g, t_orig = frame @ g2 @ frame_inv, frame @ big_t @ frame_inv
+        big_g = frame @ g2 @ frame_inv
         t_g1, transfer, n_t, n_g1, n_big_g = op_norms([
             _sym_defect(t_s), t1.g.m @ big_g - t2.g.m, t_s, t1.g.m, big_g]).tolist()
         record("T_selfadjoint_g1", t_g1, tol.threshold(n_t))
@@ -188,7 +196,7 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     if violations:
         return ViolationReport("compatibility", tuple(violations))
 
-    return CompatiblePair(t1, t2, frozen(big_g), frozen(t_orig), frozen(evals), certificates,
+    return CompatiblePair(t1, t2, frozen(big_g), frozen(evals), certificates,
                           tol, frozen(g2), frozen(big_t), frozen(w2), frozen(j2))
 
 
@@ -212,17 +220,31 @@ class PencilBlockVerdict:
 @dataclass(frozen=True)
 class PencilMember:
     """One member g_c = g1 + c g2, omega_c = omega1 + c omega2 of the pencil
-    spanned by a compatible pair, with J_c = inv(g_c) @ omega_c and
+    spanned by the compatible ``pair``, with J_c = inv(g_c) @ omega_c and
     admissibility verdicts per block, read off the decomposition; the
     member is admissible on the whole space (J_c^2 = -I) iff every block
-    is.  No verdict reads ``g``, ``omega`` or ``j``."""
+    is.  No verdict reads ``g``, ``omega`` or ``j``: each is read-only and
+    built on first use, ``j`` by one solve in t1's frame."""
 
     gamma: float
-    g: np.ndarray
-    omega: np.ndarray
-    j: np.ndarray
     admissible: bool
     blocks: tuple[PencilBlockVerdict, ...]
+    pair: CompatiblePair = field(repr=False, compare=False)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return frozen(self.pair.t1.g.m + self.gamma * self.pair.t2.g.m)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return frozen(self.pair.t1.omega.m + self.gamma * self.pair.t2.omega.m)
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        p, gamma = self.pair, self.gamma
+        j_w = np.linalg.solve(np.eye(p.dim) + gamma * p.metric_operator_w,
+                              p.t1.j_w + gamma * p.omega2_w)
+        return frozen(p.t1.g.frame @ j_w @ p.t1.g.frame_inv)
 
 
 def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
@@ -240,6 +262,10 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     ``rel``, when s = +1 or gamma = 0.  The member is admissible iff every
     block is.
 
+    Both the positivity and f_j are judged over c = max(1, |gamma|), as
+    (1 / c + (gamma / c) lambda), which no finite gamma overflows; for
+    |gamma| <= 1 that is 1 + gamma lambda itself.
+
     Raises :class:`StructureError` when ``g_c`` is not positive-definite
     (``gamma`` outside :func:`positivity_range`).
     """
@@ -247,33 +273,29 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    # in t1's frame g_c is I + gamma * G, with eigenvalues 1 + gamma * lambda
-    scales = 1.0 + gamma * p.metric_eigenvalues
+    c = max(1.0, abs(gamma))
+    one, gamma_c = 1.0 / c, gamma / c
+    # in t1's frame g_c / c is I / c + (gamma / c) G, with eigenvalues
+    # 1 / c + (gamma / c) lambda
+    scales = one + gamma_c * p.metric_eigenvalues
     if not scales.min() > tol.rel * scales.max():
         raise StructureError(
             f"pencil metric is not positive-definite at gamma={gamma} "
-            f"(min eigenvalue {scales.min():.3e} relative to g1)",
-            check="pencil_metric_positive", residual=float(scales.min()),
+            f"(min eigenvalue {c * float(scales.min()):.3e} relative to g1)",
+            check="pencil_metric_positive", residual=c * float(scales.min()),
         )
     # one entry per complex coordinate, cut into blocks at ``starts``
     ranks = np.array([b.dim // 2 for b in d.blocks])
     starts = np.cumsum(ranks) - ranks
     lam, signs = d.coordinate_lambda, d.coordinate_sign
-    f_sq = ((1.0 + signs * gamma * lam) / (1.0 + gamma * lam)) ** 2
+    f_sq = ((one + signs * gamma_c * lam) / (one + gamma_c * lam)) ** 2
     coeffs = -np.add.reduceat(f_sq, starts) / ranks
     resids = np.maximum.reduceat(np.abs(f_sq + np.repeat(coeffs, ranks)), starts)
     admissible = (np.maximum.reduceat(np.abs(1.0 - f_sq), starts)
                   <= tol.rel * np.maximum.reduceat(f_sq, starts))
     verdicts = tuple(PencilBlockVerdict(b.eigenvalue, b.sign, b.dim, float(c), float(r), bool(a))
                      for b, c, r, a in zip(d.blocks, coeffs, resids, admissible))
-
-    g_c = p.t1.g.m + gamma * p.t2.g.m
-    w_c = p.t1.omega.m + gamma * p.t2.omega.m
-    j_w = np.linalg.solve(np.eye(p.dim) + gamma * p.metric_operator_w,
-                          p.t1.j_w + gamma * p.omega2_w)
-    j_c = p.t1.g.frame @ j_w @ p.t1.g.frame_inv
-    return PencilMember(gamma, frozen(g_c), frozen(w_c), frozen(j_c),
-                        bool(admissible.all()), verdicts)
+    return PencilMember(gamma, bool(admissible.all()), verdicts, p)
 
 
 def positivity_range(p: CompatiblePair) -> tuple[float, float]:

@@ -23,7 +23,7 @@ makes it the natural round-trip oracle for :func:`decompose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,17 +68,30 @@ class Block:
     The blocks of a decomposition have distinct (eigenvalue, sign): each is
     the whole (lambda, sign) eigenspace of T.
 
-    ``basis_w`` holds the block's orthonormal columns [C, D] in t1's
-    g1-orthonormal frame W: its r complex coordinate axes C, then their
-    partners D = J1 C.  ``basis`` holds the same columns in the original
-    coordinates, g1-orthonormal there.
+    The block owns the ``dim // 2`` complex coordinates from ``start`` of
+    the adapted frame ``frame_w`` (the decomposition's Q = [C, D]), and
+    ``frame`` is t1's g1-orthonormal frame W.  ``basis_w`` holds the
+    block's orthonormal columns [C, D] in W: its r complex coordinate axes
+    C, then their partners D = J1 C.  ``basis`` holds the same columns in
+    the original coordinates, g1-orthonormal there.  Both are read-only
+    and built on first use.
     """
 
     eigenvalue: float
     sign: int
     dim: int
-    basis: np.ndarray
-    basis_w: np.ndarray
+    start: int
+    frame_w: np.ndarray = field(repr=False, compare=False)
+    frame: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def basis_w(self) -> np.ndarray:
+        n, lo, hi = self.frame_w.shape[0] // 2, self.start, self.start + self.dim // 2
+        return frozen(self.frame_w[:, np.r_[lo:hi, n + lo:n + hi]])
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return frozen(self.frame @ self.basis_w)
 
     def __repr__(self) -> str:
         return (f"Block(eigenvalue={self.eigenvalue:.6g}, sign={self.sign:+d}, "
@@ -208,10 +221,11 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     columns in block order; the columns of ``sqrt(2) Z V`` are then the
     axes C (real parts) and their partners D = J1 C (imaginary parts) of
     the frame ``frame_w`` = [C, D], stored once, and each block's basis is
-    its columns of C, then of D: every block is J1-invariant and
+    its columns of C, then of D, copied out only when a caller reads it
+    (:attr:`Block.basis_w`): every block is J1-invariant and
     2r-dimensional, and the blocks are g1-orthogonal, by construction.
-    The part of T that anticommutes with J1 never enters;
-    the pair certified it zero to rounding.
+    The part of T that anticommutes with J1 never enters; the pair
+    certified it zero to rounding.
 
     Per-block proportionality of the structures (the g2 check measures
     G = |T|) and cross-block g2-orthogonality are verified before
@@ -239,13 +253,11 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
 
     # a block is a run of one (cluster, sign): the same columns of C and D
     starts = np.flatnonzero(np.diff(2 * cluster + (sign < 0), prepend=-1))
-    blocks = []
-    for lo, hi in zip(starts, np.append(starts[1:], n)):
-        basis_w = frame_w[:, np.r_[lo:hi, n + lo:n + hi]]
-        blocks.append(Block(clusters[cluster[lo]][0], int(sign[lo]), basis_w.shape[1],
-                            frozen(p.t1.g.frame @ basis_w), frozen(basis_w)))
+    blocks = tuple(Block(clusters[cluster[lo]][0], int(sign[lo]), 2 * int(hi - lo), int(lo),
+                         frame_w, p.t1.g.frame)
+                   for lo, hi in zip(starts, np.append(starts[1:], n)))
 
-    d = BlockDecomposition(tuple(blocks), p, frame_w, frozen(np.abs(mu)), frozen(sign))
+    d = BlockDecomposition(blocks, p, frame_w, frozen(np.abs(mu)), frozen(sign))
     per_block, cross = _block_residuals(d)
     n_g2, n_w2 = p.norms_w
     thresholds = np.array([tol.threshold(n_g2), tol.threshold(n_w2),

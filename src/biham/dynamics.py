@@ -16,12 +16,13 @@ its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1, whose rank is the
 number of blocks, one per (lambda, sign) class (Vandermonde).  T is
 constant, so the matrix Nijenhuis identity [T A, T] = T [A, T] holds for
 every A (both sides are T A T - T^2 A) and is not judged.
-:func:`certify_recursion` reads the family's preservation, commutation
-and drift bounds off the same frame certificate, with no product of two
-directions, and measures the directions only where a bound exceeds
-``rel``; :func:`conservation_probe` samples the drift of any field
-instead.  Every stage computes in t1's g1-orthonormal frame, where the
-fields preserving g1 are skew, and maps back only the fields it reports.
+:func:`certify_recursion` reads the family's preservation, commutation,
+inclusion and drift bounds off T's block form on the same frame, with no
+power of T formed; :func:`recursion_basis` forms nothing, and the unit
+directions are stacked and measured only where a bound exceeds ``rel``.
+:func:`conservation_probe` samples the drift of any field instead.  Every
+stage computes in t1's g1-orthonormal frame, where the fields preserving
+g1 are skew, and maps back only the fields it reports.
 """
 
 from __future__ import annotations
@@ -100,16 +101,32 @@ class BiPreservingAlgebra:
 
 @dataclass(frozen=True)
 class RecursionBasis:
-    """The commuting family generated by the recursion operator:
+    """The commuting family generated by the recursion operator of ``pair``:
     fields with matrices T^k @ J1 for k = 0 .. n-1.
 
-    ``directions_w`` stacks them in t1's g1-orthonormal frame, each of unit
-    norm: the powers scale like lambda^k and leave the floating-point range
-    for extreme spectra, while every check of the family is scale-free.
+    Nothing is formed on construction.  ``directions_w`` stacks the family
+    in t1's g1-orthonormal frame, each power of unit norm, and is built on
+    first use: the powers scale like lambda^k and leave the floating-point
+    range for extreme spectra, while every check of the family is
+    scale-free.  ``fields`` holds the raw powers, also built on first use.
     """
 
     pair: CompatiblePair
-    directions_w: np.ndarray
+
+    @cached_property
+    def directions_w(self) -> np.ndarray:
+        """The unit directions T^k J1 / |T^k J1|, k = 0 .. n-1, in one
+        read-only (n, m, m) stack, each the product of T with the one
+        before, divided by its row-sum norm."""
+        p = self.pair
+        m = p.dim
+        dirs = np.empty((m // 2, m, m))
+        np.divide(p.t1.j_w, p.t1.j_w_norm, out=dirs[0])
+        for k in range(1, m // 2):
+            np.matmul(p.recursion_operator_w, dirs[k - 1], out=dirs[k])
+            dirs[k] /= op_norm(dirs[k])
+        dirs.setflags(write=False)
+        return dirs
 
     @cached_property
     def fields(self) -> tuple[LinearField, ...]:
@@ -185,36 +202,35 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
 
 
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
-    """The candidate commuting family T^k @ J1, k = 0 .. n-1.
-
-    Built unconditionally, as unit-norm directions in t1's g1-orthonormal
-    frame, in one preallocated stack; :func:`certify_recursion` decides
-    whether it is an actual basis (full rank requires genericity).
+    """The candidate commuting family T^k @ J1, k = 0 .. n-1, with nothing
+    formed: its unit directions in t1's g1-orthonormal frame are stacked
+    only when read (:attr:`RecursionBasis.directions_w`), and
+    :func:`certify_recursion` decides whether the family is an actual basis
+    (full rank requires genericity), reading the directions only where its
+    power-free bounds cannot decide.
     """
-    m = p.dim
-    dirs = np.empty((m // 2, m, m))
-    np.divide(p.t1.j_w, p.t1.j_w_norm, out=dirs[0])
-    for k in range(1, m // 2):
-        np.matmul(p.recursion_operator_w, dirs[k - 1], out=dirs[k])
-        dirs[k] /= op_norm(dirs[k])
-    dirs.setflags(write=False)
-    return RecursionBasis(p, dirs)
+    return RecursionBasis(p)
 
 
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
     """Certify the recursion family of the decomposed pair, read as unit
-    directions s_k in t1's g1-orthonormal frame: preservation of all four
-    tensors and pairwise commutation within ``tol.rel``, the rank and a
-    drift bound.  The matrix Nijenhuis identity [T A, T] = T [A, T] holds
-    for every pair of matrices, as both sides are T A T - T^2 A, so it is
-    not judged.  Every number but the rank is first a bound read off the
-    certificate of the adapted frame, ``(beta, e) = d.frame_certificate``,
-    and one measured distance of each direction from the coordinate
-    elements, with no product of two directions.  Where the preservation
-    or the commutation bound exceeds ``tol.rel``, the directions are
-    measured instead (:func:`_measured_preservation`,
-    :func:`_max_commutator`), so each verdict is the measured one wherever
-    its bound cannot decide, and nothing is raised.
+    directions s_k = T^k J1 / |T^k J1| in t1's g1-orthonormal frame, with T
+    and J1 those of ``rb.pair``: preservation of all four tensors and
+    pairwise commutation within ``tol.rel``, the rank and a drift bound.
+    The matrix Nijenhuis identity [T A, T] = T [A, T] holds for every pair
+    of matrices, as both sides are T A T - T^2 A, so it is not judged.
+    Every number but the rank is first a bound read off T's block form on
+    the adapted frame, with no power of T formed: the certificate of that
+    frame, ``(beta, e) = d.frame_certificate``, and two O(m^3) residuals of
+    the frame, of T and of J1 (:func:`_power_free_errors`).  Where any of
+    the preservation, commutation or inclusion bounds exceeds ``tol.rel``,
+    the directions are formed (``rb.directions_w``) and measured instead:
+    their distance from the coordinate elements
+    (:func:`_inclusion_residual`), and where the bounds read off that
+    distance still exceed ``tol.rel``, the preservation and commutation
+    themselves (:func:`_measured_preservation`, :func:`_max_commutator`).
+    So each verdict is the measured one wherever a bound cannot decide,
+    and nothing is raised.
 
     Coordinate elements: with c_j, d_j the axis and partner of the j-th of
     the n complex coordinates of the adapted frame Q = [C, D] and K_j the
@@ -227,18 +243,48 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     Rank: T^k J1 = sum_j (s_j |mu_j|)^k P_j J1.  The check is that the
     Frobenius-normalized Z_j have Gram matrix I and that every normalized
     direction t_k = s_k / |s_k|_F lies within rho of their span, both
-    within ``tol.rel`` (``vandermonde_consistent``).  rho is measured
-    (:func:`_inclusion_residual`); the Gram matrix is not formed, as
-    <Z_j, Z_k>_F = tr((I + O) K_j.T (I + O) K_k) with O = Q.T Q - I puts it
-    within (2 e + e^2) / (1 - 2 e - e^2) of I (|O|_2 <= e, and
-    tr(K_j.T K_k) = 2 for j = k, else 0).  The nodes of a block's
+    within ``tol.rel`` (``vandermonde_consistent``).  The Gram matrix is
+    not formed, as <Z_j, Z_k>_F = tr((I + O) K_j.T (I + O) K_k) with O =
+    Q.T Q - I puts it within (2 e + e^2) / (1 - 2 e - e^2) of I (|O|_2 <=
+    e, and tr(K_j.T K_k) = 2 for j = k, else 0).  The nodes of a block's
     coordinates are equal at ``cluster_gap``, and the c block nodes
     s_i lambda_i distinct, so by the Vandermonde theorem the rank is c.
 
-    Bounds: |.| is the row-sum norm, |.|_1 the column-sum norm and |s_k| =
-    1.  Write s_k = Y_k + E_k with Y_k = |s_k|_F X_k for the element X_k of
-    the span that :func:`_inclusion_residual` subtracts; it measures
-    eps = max_k |E_k| and eps1 = max_k |E_k|_1, and a = max_k |s_k|_F.
+    Errors of the directions.  |.| is the row-sum norm, |.|_1 the
+    column-sum norm and |.|_2 the spectral norm; |s_k| = 1.  Write s_k =
+    Y_k + E_k for an element Y_k of the span of the Z_j.  Then eps =
+    max_k |E_k|, eps1 = max_k |E_k|_1 and rho bound the family's distance
+    from the span, and y = max_k |Y_k|_2 its size there.  Two ways give
+    them:
+
+    * With no power formed (:func:`_power_free_errors`).  Let L = max
+      lambda, nu = ``coordinate_sign * coordinate_lambda`` / L on [C, D],
+      Q J_c = [D, -C], R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, and
+      take Y_k along Q diag(nu)^k J_c Q.T.  By telescoping, T^k Q / L^k =
+      Q diag(nu)^k + sum_(i<k) (T / L)^i R diag(nu)^(k-1-i), and J1 = (Q
+      J_c + S) inv(Q); with |Q|_2^2 <= 1 + e, |inv(Q)|_2^2 <= 1 / (1 - e),
+      |inv(Q) - Q.T|_2 <= e sqrt(1 + e) / (1 - e) and |T / L|_2 <= tau =
+      (sqrt(1 + e) + |R|_2) / sqrt(1 - e), every |T^k J1 - L^k Q
+      diag(nu)^k J_c Q.T|_2 is at most L^k delta, delta = (k |R|_2 +
+      |S|_2) max(1, tau)^k / sqrt(1 - e) + e (1 + e) / (1 - e) at k = n -
+      1 (Stewart & Sun, *Matrix Perturbation Theory*, 1990, for the
+      perturbation step).  The polar factor of Q carries Q diag(nu)^k J_c
+      Q.T to a normal matrix of spectral norm 1 within e (1 + sqrt(1 +
+      e)), so T^k J1 is within zeta = delta + e (1 + sqrt(1 + e)) of a
+      normal N of |N|_2 = |N| = L^k in units of L^k.  Hence |T^k J1| >=
+      L^k (1 - sqrt(m) zeta) and |T^k J1|_F >= |T^k J1|_2 >= L^k (1 -
+      zeta), and with |A|, |A|_1 <= sqrt(m) |A|_2 and |A|_F <= sqrt(m)
+      |A|_2: eps = eps1 = sqrt(m) delta / (1 - sqrt(m) zeta), rho =
+      sqrt(m) delta / (1 - zeta) and y = (1 + e) / (1 - sqrt(m) zeta).
+      No lambda^k is formed: the bound is scale-free.  The spectral norms
+      of R and S are first bounded by the square roots of |R.T R| and
+      |S.T S| (a spectral radius is below every induced norm), and taken
+      exactly, by an SVD, only where those bounds cannot decide.
+    * Measured (:func:`_inclusion_residual`), with Y_k = |s_k|_F X_k for
+      the element X_k of the span that it subtracts: rho and the largest
+      |E_k| and |E_k|_1, with y = a (1 + rho) for a = max_k |s_k|_F.
+
+    Bounds, from either set of errors:
 
     * Preservation.  For tau in J1, G, omega2, |tau Y + Y.T tau| <=
       beta |tau| |Y| with |Y| <= 1 + eps, and |tau E + E.T tau| <=
@@ -247,10 +293,10 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
       skew, so that of g1 is at most P1 = eps + eps1.
     * Commutation.  Y_j = Q K Q.T and Y_k = Q K' Q.T for combinations of
       the rotations, and K K' = K' K, so [Y_j, Y_k] = Q (K O K' - K' O K) Q.T,
-      the frame term of :func:`linalg.frame_departure` with |Y|_2 <= |Y|_F
-      <= a (1 + rho).  The terms with an E add 2 (2 (1 + eps) eps +
-      eps^2), so |[s_j, s_k]| <= sqrt(m) a^2 2 e (1 + e) (1 + rho)^2 /
-      (1 - e)^2 + 4 eps + 6 eps^2, ``max_commutator_residual``.
+      the frame term of :func:`linalg.frame_departure` with |Y|_2 <= y.
+      The terms with an E add 2 (2 (1 + eps) eps + eps^2), so |[s_j, s_k]|
+      <= sqrt(m) y^2 2 e (1 + e) / (1 - e)^2 + 4 eps + 6 eps^2,
+      ``max_commutator_residual``.
     * Drift.  For s_k with symmetric part S and skew part K,
       K.T tau + tau K = (s.T tau + tau s) - (S tau + tau S) has row-sum
       norm at most (P + P1) |tau|.  The flow exp(t K) is orthogonal, so by
@@ -261,17 +307,22 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
 
     Each reported value is its bound, or the measured value where the
     bound exceeds ``rel``.  Rounding: beta and e carry theirs (see
-    ``frame_certificate``); eps, eps1, rho and the measured residuals are
-    taken from the stored directions like every residual of the threshold
-    rule, so they carry the rounding of the directions (O(n eps) per power)
-    and of their products with Q and the tensors.  On the synthesized
-    pairs to dim 256, P and the commutator bound stay below 5e-11 and the
-    drift bound below 1e-8.  At cond(g1) = 1e6 the rounding of the whitened
-    tensors, about eps cond(g1), puts beta at up to 3.8e-10 and eps at up
-    to 1.3e-10: on 320 congruences of generic and two-class pairs of dims
-    8-32, P and the commutator bound reach 5.8e-10, 2-6x above the
-    measured residuals, and none exceeds ``rel``.  Where one does, the
-    verdict goes to the measurement.
+    ``frame_certificate``), and R and S are measured like every residual
+    of the threshold rule; the power-free bounds are those of the exact
+    powers, which the stored directions follow to O(n eps) per power.  On
+    the synthesized generic, two-, three- and one-class pairs of dims
+    8-256 (seed 1) they decide with the first norms: 50-5000x above the
+    measured residuals of the stored directions to dim 128, and at most
+    2.5e-10 at dim 256.  At dim 512 the generic, three- and one-class
+    pairs need the exact norms (commutator bound 7.4e-10 to 8.4e-10), and
+    the two-class pair (1.02e-9) is measured.  At cond(g1) = 1e6, 104 of
+    320 ``conditioned_basis`` congruences of generic and two-class pairs
+    of dims 8-32 take the bounds, and every J-invariant congruence of
+    generic dims 16 and 24 is measured.  Where the directions are
+    measured, their errors carry the rounding of the directions and of
+    their products with Q and the tensors; at cond(g1) = 1e6, P and the
+    commutator bound read off them reach 5.8e-10, 2-6x above the
+    measured residuals.
 
     ``power_basis_log10_condition`` is log10 of Gautschi's bound on the
     condition number of the Vandermonde matrix of the nodes
@@ -281,18 +332,21 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     p, tol = d.pair, d.tol
     m, n = p.dim, p.dim // 2
     beta, e = d.frame_certificate
-    rho, alpha, eps, eps1 = _inclusion_residual(rb.directions_w, d)
     gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
 
-    pres_g1 = eps + eps1
-    pres = beta * (1.0 + eps) + pres_g1
-    drift = 10.0 * math.sqrt(m) * (pres + pres_g1)
-    comm = (frame_departure(e, math.sqrt(m) * alpha ** 2, (1.0 + rho) ** 2)
-            + 4.0 * eps + 6.0 * eps ** 2)
-    if not pres <= tol.rel:
-        pres, drift = _measured_preservation(rb.directions_w, p)
-    if not comm <= tol.rel:
-        comm = _max_commutator(rb.directions_w)
+    for exact in (False, True):
+        eps, rho, y = _power_free_errors(rb.pair, d, exact)
+        pres, comm, drift = _family_bounds(beta, e, eps, eps, math.sqrt(m), y * y, m)
+        if max(pres, comm, rho) <= tol.rel:
+            break
+    else:
+        rho, alpha, eps, eps1 = _inclusion_residual(rb.directions_w, d)
+        pres, comm, drift = _family_bounds(beta, e, eps, eps1, math.sqrt(m) * alpha ** 2,
+                                           (1.0 + rho) ** 2, m)
+        if not pres <= tol.rel:
+            pres, drift = _measured_preservation(rb.directions_w, p)
+        if not comm <= tol.rel:
+            comm = _max_commutator(rb.directions_w)
 
     nodes = [b.sign * b.eigenvalue for b in d.blocks]
     return RecursionCertificate(
@@ -307,6 +361,51 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
         max_conservation_drift=drift,
         power_basis_log10_condition=_power_basis_log10_condition(nodes),
     )
+
+
+def _family_bounds(beta: float, e: float, eps: float, eps1: float, conversion: float,
+                   scale: float, m: int) -> tuple[float, float, float]:
+    """``(pres, comm, drift)`` of :func:`certify_recursion` from the errors
+    of the directions: the frame certificate ``(beta, e)``, eps and eps1,
+    and the span elements' spectral norms bounded through
+    ``conversion * scale`` (:func:`linalg.frame_departure`)."""
+    pres_g1 = eps + eps1
+    pres = beta * (1.0 + eps) + pres_g1
+    drift = 10.0 * math.sqrt(m) * (pres + pres_g1)
+    comm = frame_departure(e, conversion, scale) + 4.0 * eps + 6.0 * eps ** 2
+    return pres, comm, drift
+
+
+def _power_free_errors(p: CompatiblePair, d: BlockDecomposition,
+                       exact: bool) -> tuple[float, float, float]:
+    """``(eps, rho, y)`` of :func:`certify_recursion` for the family of
+    ``p`` on the frame of ``d``, with no power of T formed: two products
+    with the frame, R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, and
+    their spectral norms, bounded by sqrt(|X.T X|) or, with ``exact``,
+    taken by an SVD.  Returns infinities where the bound cannot hold (e
+    too large, or no positive lambda)."""
+    q, m, n = d.frame_w, p.dim, p.dim // 2
+    _, e = d.frame_certificate
+    top = float(d.coordinate_lambda.max())
+    if not (e < 0.5 and top > 0.0):
+        return math.inf, math.inf, math.inf
+    nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
+    resid = np.array([(p.recursion_operator_w / top) @ q - q * nu,
+                      p.t1.j_w @ q - np.hstack((q[:, n:], -q[:, :n]))])
+    if exact:
+        r, s = np.linalg.norm(resid, 2, axis=(1, 2)).tolist()
+    else:
+        r, s = np.sqrt(op_norms(np.swapaxes(resid, 1, 2) @ resid)).tolist()
+    # |T / L|_2 <= tau; a tau far above 1 only makes the bound undecided
+    tau = (math.sqrt(1.0 + e) + r) / math.sqrt(1.0 - e)
+    growth = math.exp(min((n - 1) * math.log(max(tau, 1.0)), 700.0))
+    delta = ((n - 1) * r + s) * growth / math.sqrt(1.0 - e) + e * (1.0 + e) / (1.0 - e)
+    zeta = delta + e * (1.0 + math.sqrt(1.0 + e))
+    root_m = math.sqrt(m)
+    if not root_m * zeta < 1.0:
+        return math.inf, math.inf, math.inf
+    return (root_m * delta / (1.0 - root_m * zeta), root_m * delta / (1.0 - zeta),
+            (1.0 + e) / (1.0 - root_m * zeta))
 
 
 # entries of one (rows, m, m) working stack, about 2 MB

@@ -23,6 +23,7 @@ three tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,17 +144,20 @@ class AdmissibleTriple:
     is also omega there), where every admissibility check is judged, and
     ``j_w_norm`` its :func:`op_norm`, taken once, with the admissibility
     residuals, for every later threshold it enters.  ``j`` is the read-only
-    matrix ``W @ j_w @ inv(W)``, J in the input coordinates.
-    Construct through :func:`check_admissible` or :func:`polar_admissible`;
-    instances are immutable and safe to share.
+    matrix ``W @ j_w @ inv(W)``, J in the input coordinates, built on first
+    use.  Construct through :func:`check_admissible` or
+    :func:`polar_admissible`; instances are immutable and safe to share.
     """
 
     g: MetricTensor
     omega: SymplecticForm
-    j: np.ndarray
     dim: int
     j_w: np.ndarray
     j_w_norm: float
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        return frozen(self.g.frame @ self.j_w @ self.g.frame_inv)
 
     def __repr__(self) -> str:
         return f"AdmissibleTriple(dim={self.dim})"
@@ -248,8 +252,8 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     the metric invariance and skewness are judged once, on
     ``J_w = W.T @ omega @ W`` in the g-orthonormal frame W, where rounding
     does not grow with cond(g); the symplectic invariance follows from the
-    metric invariance.  J itself is then mapped back as ``W @ J_w @ inv(W)``
-    and not checked again.  Returns the :class:`AdmissibleTriple` on
+    metric invariance.  J itself is mapped back as ``W @ J_w @ inv(W)``
+    only when read (:attr:`AdmissibleTriple.j`), and not checked.  Returns the :class:`AdmissibleTriple` on
     success and a :class:`ViolationReport` naming each failed invariant
     otherwise.
     Structural problems (odd or mismatched dimension, non-finite entries)
@@ -293,8 +297,7 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
             violations.append(Violation(name, resid))
     if violations:
         return ViolationReport("admissibility", tuple(violations))
-    jm = metric.frame @ jw @ metric.frame_inv
-    return AdmissibleTriple(metric, symp, frozen(jm), dim, frozen(jw), nj)
+    return AdmissibleTriple(metric, symp, dim, frozen(jw), nj)
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from functools import cached_property
 from pathlib import Path
 
@@ -24,11 +25,11 @@ from biham.commutant import (
     read_off_operator,
     transfer_operator,
 )
-from biham.decomposition import BlockDecomposition, decompose, synthesize_pair
-from biham.compatibility import check_compatible
-from biham.dynamics import certify_recursion
+from biham.decomposition import Block, BlockDecomposition, decompose, synthesize_pair
+from biham.compatibility import CompatiblePair, PencilMember, check_compatible
+from biham.dynamics import RecursionBasis, certify_recursion
 from biham.linalg import NumericalCheckError
-from biham.structures import check_admissible
+from biham.structures import AdmissibleTriple, check_admissible
 
 import loop_oracle
 from conftest import (conditioned_basis, conditioned_pair, congruent, generic_spec,
@@ -416,6 +417,24 @@ class TestPencil:
                                      "--gamma", "-0.5")
         assert code == 1
         assert "pipeline_error" in report["residuals"]
+
+    @pytest.mark.parametrize("gamma, code", [("1e308", 0), ("-1e308", 1)])
+    def test_extreme_gamma_judged_without_overflow(self, capsys, gamma, code):
+        # the range is (-1/3, inf): 1 + gamma * lambda once overflowed to
+        # inf, warned, and refused 1e308 as not positive-definite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, report, _ = run_report(capsys, "pencil", FIXTURES / "reference_4d.json",
+                                        f"--gamma={gamma}")
+        assert got == code
+        if code == 0:
+            # J_c tends to J2 = sign J1 on each block, so both are admissible
+            blocks = report["pencil_member"]["blocks"]
+            assert [b["jsq_coefficient"] for b in blocks] == [-1.0, -1.0]
+            assert report["pencil_member"]["admissible"] is True
+        else:
+            assert report["pencil_member"] is None
+            assert "not positive-definite" in report["residuals"]["pipeline_error"]
 
     def test_gamma_out_of_range_reports_null_member(self, capsys):
         code, report, _ = run_report(capsys, "pencil", FIXTURES / "reference_4d.json",
@@ -808,6 +827,46 @@ class TestSharedResults:
                          "complexify": 0, "transfer_operator": 0,
                          "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}
+
+    def test_analyze_forms_nothing_the_report_does_not_read(self, monkeypatch):
+        # one analysis of a generic pair solves twice (J2 and T, in
+        # check_compatible) and certifies the recursion family off the
+        # frame: no power of T is formed, and no matrix built on first use
+        # is built, as no report field reads one
+        pair = synthesize_pair(generic_spec(8), seed=1)
+        lazy = [(RecursionBasis, "directions_w"), (RecursionBasis, "fields"),
+                (Block, "basis"), (Block, "basis_w"),
+                (CompatiblePair, "recursion_operator"), (AdmissibleTriple, "j"),
+                (PencilMember, "g"), (PencilMember, "omega"), (PencilMember, "j")]
+        reads = []
+        for cls, attr in lazy:
+            build = cls.__dict__[attr].func
+
+            def reading(obj, build=build, key=f"{cls.__name__}.{attr}"):
+                reads.append(key)
+                return build(obj)
+
+            prop = cached_property(reading)
+            prop.__set_name__(cls, attr)
+            monkeypatch.setattr(cls, attr, prop)
+        solve, solves = np.linalg.solve, []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc, gamma=0.5)
+        assert code == 0 and report["recursion"]["all_pass"] is True
+        assert report["pencil_member"]["admissible"] is False
+        assert reads == []
+        assert solves == [(16, 16), (16, 16)]
+        # the same matrices are still there for a caller who reads them
+        d = decompose(pair)
+        assert d.blocks[0].basis.shape == (16, 2)
+        assert reads == ["Block.basis", "Block.basis_w"]
 
     def test_each_check_group_takes_its_norms_once(self, monkeypatch):
         # each check group takes its residual norms and the norms of its new

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biham.cli import InputDocument, analyze
-from biham.compatibility import check_compatible
+from biham.compatibility import check_compatible, pencil_member
 from biham.decomposition import (
     DecompositionError,
     canonical_basis,
@@ -467,3 +467,53 @@ class TestStoredFrame:
         assert lo == n == len(d.coordinate_sign) == len(d.coordinate_lambda)
         recovered = sorted((b.sign, b.dim // 2) for b in d.blocks)
         assert recovered == sorted((sign, mult) for _, sign, mult in spec)
+
+
+class TestBuiltOnFirstUse:
+    """The matrices no verdict reads are built on first read, each by the
+    formula that once built it eagerly, and are read-only."""
+
+    SPEC = [(1.5, 1, 2), (2.5, -1, 1), (4.0, 1, 1)]
+
+    @staticmethod
+    def assert_read_only_equal(got, expected):
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, expected)
+
+    def test_block_bases(self):
+        p = synthesize_pair(self.SPEC, seed=4)
+        d = decompose(p)
+        n, lo = p.dim // 2, 0
+        for block in d.blocks:
+            hi = lo + block.dim // 2
+            basis_w = d.frame_w[:, np.r_[lo:hi, n + lo:n + hi]]
+            self.assert_read_only_equal(block.basis_w, basis_w)
+            self.assert_read_only_equal(block.basis, p.t1.g.frame @ basis_w)
+            lo = hi
+        assert lo == n
+
+    def test_recursion_operator_and_j(self):
+        p = synthesize_pair(self.SPEC, seed=4)
+        frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+        self.assert_read_only_equal(p.recursion_operator,
+                                    frame @ p.recursion_operator_w @ frame_inv)
+        for t in (p.t1, p.t2):
+            self.assert_read_only_equal(t.j, t.g.frame @ t.j_w @ t.g.frame_inv)
+
+    @pytest.mark.parametrize("gamma", [0.5, -0.05, 2.0])
+    def test_pencil_member(self, gamma):
+        p = synthesize_pair(self.SPEC, seed=4)
+        member = pencil_member(decompose(p), gamma)
+        self.assert_read_only_equal(member.g, p.t1.g.m + gamma * p.t2.g.m)
+        self.assert_read_only_equal(member.omega, p.t1.omega.m + gamma * p.t2.omega.m)
+        j_w = np.linalg.solve(np.eye(p.dim) + gamma * p.metric_operator_w,
+                              p.t1.j_w + gamma * p.omega2_w)
+        self.assert_read_only_equal(member.j, p.t1.g.frame @ j_w @ p.t1.g.frame_inv)
+
+    def test_recursion_directions(self):
+        p = synthesize_pair(self.SPEC, seed=4)
+        dirs = [p.t1.j_w / p.t1.j_w_norm]
+        for _ in range(p.dim // 2 - 1):
+            power = p.recursion_operator_w @ dirs[-1]
+            dirs.append(power / op_norm(power))
+        self.assert_read_only_equal(recursion_basis(p).directions_w, np.array(dirs))

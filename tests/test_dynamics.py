@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biham import dynamics
 from biham.commutant import bicommutant_dim, commutant_dim, complexify, transfer_operator
@@ -13,7 +15,6 @@ from biham.compatibility import check_compatible
 from biham.decomposition import DecompositionError, decompose, synthesize_pair
 from biham.dynamics import (
     FlowOverflowError,
-    RecursionBasis,
     _power_basis_log10_condition,
     _probe_flows,
     bi_preserving_algebra,
@@ -30,7 +31,8 @@ from biham.linalg import (
     op_norm,
 )
 from biham.structures import LinearField, check_admissible, field_preserves, phase_group
-from conftest import S_BLOCK, conditioned_pair, generic_spec, standard_triple, whitened
+from conftest import (S_BLOCK, conditioned_basis, conditioned_pair, congruent, generic_spec,
+                      j_invariant_basis, standard_triple, whitened)
 import loop_oracle
 
 # the probe's sampled times, covering (0, 10], the horizon of the certified
@@ -281,16 +283,18 @@ class TestCertificateFaults:
             bi_preserving_algebra(d)
 
     def test_tampered_direction_fails(self):
+        # a fault in T moves every direction after J1; the power-free
+        # bounds read T off the frame, so they cannot miss it
         p = synthesize_pair(self.SPEC, seed=3)
-        rb = recursion_basis(p)
-        dirs = rb.directions_w.copy()
         sym = np.random.default_rng(5).standard_normal((p.dim, p.dim))
-        dirs[2] += 1e-6 * (sym + sym.T)
-        tampered = RecursionBasis(p, dirs)
+        tampered = dataclasses.replace(
+            p, recursion_operator_w=p.recursion_operator_w + 1e-6 * (sym + sym.T))
+        rb = recursion_basis(tampered)
+        dirs = rb.directions_w
         # the oracle sees the fault the certificate must not miss
         measured = loop_oracle.direction_residuals(dirs, p)
         assert measured["preservation"] > p.tol.rel and measured["commutator"] > p.tol.rel
-        cert = certify_recursion(tampered, decompose(p))
+        cert = certify_recursion(rb, decompose(p))
         assert not cert.preserves_all and not cert.commute
         assert not cert.vandermonde_consistent
         assert cert.max_preservation_residual >= measured["preservation"]
@@ -311,6 +315,71 @@ class TestCertificateFaults:
         assert cert.rank == cert.expected_rank == 4
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)
+
+
+@st.composite
+def family_pairs(draw):
+    """A synthesized pair of dim <= 32 with distinct eigenvalues on a 0.125
+    grid in [0.5, 8], plain, after a ``conditioned_basis(dim, 1e3)``
+    congruence, or, at dims 8-24, after a ``j_invariant_basis`` congruence
+    of cond 1e3 (both cond(g1) = 1e6); a congruence that leaves the
+    admissible range is rejected."""
+    lams = draw(st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True))
+    spec, room = [], 16
+    for k in lams:
+        mult = draw(st.integers(1, min(3, room)))
+        spec.append((0.5 + 0.125 * k, draw(st.sampled_from((1, -1))), mult))
+        room -= mult
+        if room == 0:
+            break
+    seed = draw(st.integers(0, 2**16))
+    pair = synthesize_pair(spec, seed=seed)
+    n = pair.dim // 2
+    basis = draw(st.sampled_from(("plain", "conditioned", "j-invariant")
+                                 if 4 <= n <= 12 else ("plain", "conditioned")))
+    if basis == "plain":
+        return pair
+    p = (conditioned_basis(pair.dim, 1e3, np.random.default_rng(seed)) if basis == "conditioned"
+         else j_invariant_basis(n, 1e3, seed))
+    doc = congruent(pair, p)
+    t1 = check_admissible(doc["g1"], doc["omega1"])
+    t2 = check_admissible(doc["g2"], doc["omega2"])
+    # g2 carries cond(G) on top of the congruence's 1e6
+    assume(t1 and t2)
+    moved = check_compatible(t1, t2)
+    assume(moved)
+    return moved
+
+
+class TestPowerFreeBounds:
+    """The bounds read off the frame with no power formed, against the
+    measured residuals of the stored directions (the oracle)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=family_pairs())
+    def test_bounds_cover_the_measurement_and_verdicts_agree(self, p):
+        m, rel = p.dim, p.tol.rel
+        d = decompose(p)
+        rb = recursion_basis(p)
+        measured = loop_oracle.direction_residuals(rb.directions_w, p)
+        rho = dynamics._inclusion_residual(rb.directions_w, d)[0]
+        beta, e = d.frame_certificate
+        assert e < 1e-12
+        for exact in (False, True):
+            eps, rho_bound, y = dynamics._power_free_errors(p, d, exact)
+            pres, comm, drift = dynamics._family_bounds(beta, e, eps, eps, math.sqrt(m),
+                                                        y * y, m)
+            assert pres >= measured["preservation"]
+            assert comm >= measured["commutator"]
+            assert drift >= measured["drift"]
+            assert rho_bound >= rho
+        cert = certify_recursion(rb, d)
+        assert cert.preserves_all == (measured["preservation"] <= rel)
+        assert cert.commute == (measured["commutator"] <= rel)
+        assert cert.vandermonde_consistent == (rho <= rel)
+        assert cert.max_preservation_residual >= measured["preservation"]
+        assert cert.max_commutator_residual >= measured["commutator"]
+        assert cert.max_conservation_drift >= measured["drift"]
 
 
 class TestPowerBasisCondition:
