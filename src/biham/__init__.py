@@ -57,6 +57,7 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
     RankAmbiguityError,
+    Record,
     StructureError,
     Tolerance,
     cluster_eigenvalues,

@@ -26,7 +26,6 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .commutant import bicommutant_dim, commutant_dim, is_generic_operator, read
 from .compatibility import check_compatible, pencil_member, positivity_range
 from .decomposition import decompose, group_signature, is_generic, synthesize_pair
 from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
-from .linalg import NumericalCheckError, Tolerance
+from .linalg import NumericalCheckError, Record, Tolerance
 from .structures import ViolationReport, check_admissible
 
 SCHEMA_VERSION = 3
@@ -44,8 +43,7 @@ class InputError(ValueError):
     """Malformed input file or command line (exit code 2)."""
 
 
-@dataclass
-class InputDocument:
+class InputDocument(Record):
     dim: int
     g1: np.ndarray
     omega1: np.ndarray

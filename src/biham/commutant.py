@@ -28,7 +28,6 @@ O(n^3).  :func:`complexify` turns a decomposition into two such forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +35,7 @@ import numpy as np
 from .decomposition import BlockDecomposition, _chain_clusters
 from .linalg import (
     DEFAULT_TOL,
+    Record,
     StructureError,
     Tolerance,
     as_matrix,
@@ -84,8 +84,7 @@ class HermitianForm:
         return f"HermitianForm(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class TransferOperator:
+class TransferOperator(Record):
     """Operator carrying one Hermitian form into the other, together with
     its spectral data (eigenvalues ascending, eigenvector columns
     orthonormal for the first form), the tolerance of its checks and the

@@ -29,7 +29,6 @@ each block's verdict off the decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -37,6 +36,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    Record,
     StructureError,
     Tolerance,
     commutator,
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
+class CompatiblePair(Record):
     """Two admissible triples that passed every compatibility check, plus the
     derived metric operator G = inv(g1) @ g2 and recursion operator
     T = inv(omega1) @ omega2, G's eigenvalues (ascending) and, in
@@ -200,8 +199,7 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
                           tol, frozen(g2), frozen(big_t), frozen(w2), frozen(j2))
 
 
-@dataclass(frozen=True)
-class PencilBlockVerdict:
+class PencilBlockVerdict(Record):
     """Admissibility of a pencil member restricted to one decomposition
     block, read off the block's (lambda, sign) and gamma.
     ``jsq_coefficient`` is the scalar c with (J_c|block)^2 = c * I, the mean
@@ -217,8 +215,7 @@ class PencilBlockVerdict:
     admissible: bool
 
 
-@dataclass(frozen=True)
-class PencilMember:
+class PencilMember(Record, hidden=("pair",)):
     """One member g_c = g1 + c g2, omega_c = omega1 + c omega2 of the pencil
     spanned by the compatible ``pair``, with J_c = inv(g_c) @ omega_c and
     admissibility verdicts per block, read off the decomposition; the
@@ -229,21 +226,32 @@ class PencilMember:
     gamma: float
     admissible: bool
     blocks: tuple[PencilBlockVerdict, ...]
-    pair: CompatiblePair = field(repr=False, compare=False)
+    pair: CompatiblePair
 
     @cached_property
     def g(self) -> np.ndarray:
+        """g_c = g1 + gamma g2, formed as written: where |gamma| |g2|
+        passes about 1e308 its entries leave the floating-point range,
+        although the member is judged, and ``j`` built, over
+        max(1, |gamma|)."""
         return frozen(self.pair.t1.g.m + self.gamma * self.pair.t2.g.m)
 
     @cached_property
     def omega(self) -> np.ndarray:
+        """omega_c = omega1 + gamma omega2, formed as written: like ``g``,
+        outside the floating-point range for an extreme gamma."""
         return frozen(self.pair.t1.omega.m + self.gamma * self.pair.t2.omega.m)
 
     @cached_property
     def j(self) -> np.ndarray:
+        """J_c = inv(g_c) omega_c, solved in t1's frame over
+        c = max(1, |gamma|) as (I / c + (gamma / c) G) X = J1 / c +
+        (gamma / c) omega2, so it stays finite for every finite gamma; for
+        |gamma| <= 1 that is the unscaled solve, bit for bit."""
         p, gamma = self.pair, self.gamma
-        j_w = np.linalg.solve(np.eye(p.dim) + gamma * p.metric_operator_w,
-                              p.t1.j_w + gamma * p.omega2_w)
+        c = max(1.0, abs(gamma))
+        j_w = np.linalg.solve(np.eye(p.dim) / c + (gamma / c) * p.metric_operator_w,
+                              p.t1.j_w / c + (gamma / c) * p.omega2_w)
         return frozen(p.t1.g.frame @ j_w @ p.t1.g.frame_inv)
 
 
@@ -264,7 +272,9 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
 
     Both the positivity and f_j are judged over c = max(1, |gamma|), as
     (1 / c + (gamma / c) lambda), which no finite gamma overflows; for
-    |gamma| <= 1 that is 1 + gamma lambda itself.
+    |gamma| <= 1 that is 1 + gamma lambda itself.  A refusal names the
+    smallest eigenvalue relative to g1, or, where that overflows, the
+    scaled one relative to c g1.
 
     Raises :class:`StructureError` when ``g_c`` is not positive-definite
     (``gamma`` outside :func:`positivity_range`).
@@ -279,10 +289,14 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     # 1 / c + (gamma / c) lambda
     scales = one + gamma_c * p.metric_eigenvalues
     if not scales.min() > tol.rel * scales.max():
+        # the eigenvalue itself, c times the scaled one, where that is finite
+        low, scale = c * float(scales.min()), "g1"
+        if not math.isfinite(low):
+            low, scale = float(scales.min()), f"{c:.3e} g1"
         raise StructureError(
             f"pencil metric is not positive-definite at gamma={gamma} "
-            f"(min eigenvalue {c * float(scales.min()):.3e} relative to g1)",
-            check="pencil_metric_positive", residual=c * float(scales.min()),
+            f"(min eigenvalue {low:.3e} relative to {scale})",
+            check="pencil_metric_positive", residual=low,
         )
     # one entry per complex coordinate, cut into blocks at ``starts``
     ranks = np.array([b.dim // 2 for b in d.blocks])

@@ -23,7 +23,6 @@ makes it the natural round-trip oracle for :func:`decompose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +31,7 @@ from .compatibility import CompatiblePair, check_compatible
 from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
+    Record,
     Tolerance,
     cluster_eigenvalues,
     frame_departure,
@@ -62,8 +62,7 @@ class DecompositionError(NumericalCheckError):
     transfer operator's cluster that the same width rule refuses."""
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record, hidden=("frame_w", "frame")):
     """One joint eigenspace: G = eigenvalue, T = sign * eigenvalue on it.
     The blocks of a decomposition have distinct (eigenvalue, sign): each is
     the whole (lambda, sign) eigenspace of T.
@@ -81,8 +80,8 @@ class Block:
     sign: int
     dim: int
     start: int
-    frame_w: np.ndarray = field(repr=False, compare=False)
-    frame: np.ndarray = field(repr=False, compare=False)
+    frame_w: np.ndarray
+    frame: np.ndarray
 
     @cached_property
     def basis_w(self) -> np.ndarray:
@@ -98,8 +97,7 @@ class Block:
                 f"dim={self.dim})")
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Record):
     """Ordered blocks (ascending eigenvalue, + before -) of a compatible pair;
     carries the pair, its tolerance and the adapted frame, laid out once by
     :func:`decompose`: ``frame_w`` is Q = [C, D] in t1's g1-orthonormal
@@ -172,8 +170,7 @@ class BlockDecomposition:
         return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
 
 
-@dataclass(frozen=True)
-class GroupSignature:
+class GroupSignature(Record):
     """Signature of the group preserving both structures.
 
     ``multiplicities`` lists one rank r per block; the group is the
@@ -191,8 +188,7 @@ class GroupSignature:
         return sum(self.multiplicities)
 
 
-@dataclass(frozen=True)
-class CanonicalBlockBasis:
+class CanonicalBlockBasis(Record):
     """Canonical 2-dimensional block frame: e2 = J1 @ e1 with g1(e1, e1) = 1.
 
     ``metric_ratio`` is the measured ratio g2/g1 on the block, the

@@ -28,7 +28,6 @@ g1 are skew, and maps back only the fields it reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +37,7 @@ from .decomposition import BlockDecomposition, DecompositionError
 from .linalg import (
     DEFAULT_TOL,
     NumericalCheckError,
+    Record,
     Tolerance,
     _expm,
     frame_departure,
@@ -66,8 +66,7 @@ class FlowOverflowError(NumericalCheckError):
     """The matrix exponential overflowed for the requested time."""
 
 
-@dataclass(frozen=True)
-class BiPreservingAlgebra:
+class BiPreservingAlgebra(Record):
     """The Lie algebra of fields preserving all four tensors of a decomposed
     pair; dimension = sum of squared signature ranks."""
 
@@ -99,8 +98,7 @@ class BiPreservingAlgebra:
         return tuple(frozen(a) for a in basis)
 
 
-@dataclass(frozen=True)
-class RecursionBasis:
+class RecursionBasis(Record):
     """The commuting family generated by the recursion operator of ``pair``:
     fields with matrices T^k @ J1 for k = 0 .. n-1.
 
@@ -148,8 +146,7 @@ class RecursionBasis:
         return tuple(fields)
 
 
-@dataclass(frozen=True)
-class RecursionCertificate:
+class RecursionCertificate(Record):
     """Certification report for a recursion family.  ``holds`` when every
     prediction of the theory for a compatible pair came true; ``all_pass``
     also needs full rank, that is, a generic pair."""
@@ -174,8 +171,7 @@ class RecursionCertificate:
         return self.holds and self.rank == self.expected_rank
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(Record):
     """Worst relative drift of each tensor under the flow of one field,
     over the sampled times."""
 

@@ -11,15 +11,100 @@ Conventions used throughout the package:
   the metric and recursion operators are symmetric, and map back only the
   matrices they report;
 * operator norms are the maximum absolute row sum (the induced infinity
-  norm), and every check follows the threshold rule of :class:`Tolerance`.
+  norm), and every check follows the threshold rule of :class:`Tolerance`;
+* every result is an immutable :class:`Record`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+
+class Record:
+    """Base of the package's immutable results.
+
+    A subclass declares its fields by annotation, in order; a class
+    attribute of the same name is the field's default.  Fields are taken
+    positionally or by keyword (a missing or unknown one raises
+    ``TypeError``), then ``__post_init__`` runs, where a subclass may
+    validate and normalize them through ``object.__setattr__``.  After that
+    a record is read-only: assigning or deleting an attribute raises
+    ``AttributeError``, while a ``functools.cached_property`` still stores
+    its value in the instance ``__dict__``.  Repr, equality and hash are
+    over the fields, but for those named in the class keyword ``hidden``
+    (kept, but left out of all three).  :meth:`replace` returns a modified,
+    validated copy.  No code is generated per class.
+    """
+
+    _fields = ()    # every field, in declaration order
+    _shown = ()     # the fields of repr, equality and hash
+    _defaults = {}  # field name -> default
+
+    def __init_subclass__(cls, hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the class's own annotations, in order: on Python 3.10+ the
+        # attribute holds only the class's own, and it also evaluates them
+        # where they are stored lazily (PEP 649)
+        own = tuple(name for name in cls.__annotations__ if name not in cls._fields)
+        cls._fields += own
+        cls._shown += tuple(name for name in own if name not in hidden)
+        cls._defaults = {**cls._defaults,
+                         **{name: vars(cls)[name] for name in own if name in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+        else:
+            self.__dict__.update(self._bind(args, kwargs))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return {f: values[f] if f in values else self._defaults[f] for f in fields}
+
+    def __post_init__(self) -> None:
+        """Validate the fields; a record without invariants has none."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._shown))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def replace(self, **changes) -> "Record":
+        """A new record of the same class with ``changes`` applied to its
+        fields, validated like any other."""
+        return type(self)(**{**{f: self.__dict__[f] for f in self._fields}, **changes})
 
 
 class NumericalCheckError(ValueError):
@@ -44,8 +129,7 @@ class RankAmbiguityError(NumericalCheckError):
     """Matrices that should be linearly independent are not, within ``rel``."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record):
     """Relative tolerances, finite and in (0, 1): ``rel`` for residual
     checks, ``cluster_gap`` for deciding when two eigenvalues are equal.
 

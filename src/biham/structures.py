@@ -22,13 +22,13 @@ three tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    Record,
     StructureError,
     Tolerance,
     as_matrix,
@@ -136,8 +136,7 @@ class ComplexStructure:
         return f"ComplexStructure(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(Record):
     """Validated bundle (g, omega, J) with J = inv(g) @ omega and J^2 = -I.
 
     ``j_w`` is J in the frame W = ``g.frame``, orthogonal and skew there (it
@@ -163,8 +162,7 @@ class AdmissibleTriple:
         return f"AdmissibleTriple(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class LinearField:
+class LinearField(Record):
     """Linear vector field with components ``matrix[i, j] * x[j]``."""
 
     matrix: np.ndarray
@@ -182,12 +180,11 @@ class LinearField:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record, hidden=("tol",)):
     """Quadratic function ``x -> 0.5 * x @ matrix @ x`` with symmetric matrix."""
 
     matrix: np.ndarray
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "quadratic form")
@@ -203,16 +200,14 @@ class QuadraticForm:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed check together with its residual norm."""
 
     name: str
     residual: float
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Falsy result naming every invariant a candidate object failed."""
 
     subject: str
@@ -230,8 +225,7 @@ class ViolationReport:
         return f"{self.subject} failed: {parts}"
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(Record):
     """Whether a linear field preserves a triple, with the two residuals of
     :func:`preservation_residuals` in the triple's g-orthonormal frame."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 import importlib.util
@@ -391,7 +390,7 @@ class TestRecursion:
     @pytest.mark.parametrize("command", ["check", "decompose", "recursion", "commutant"])
     def test_failed_certificate_exits_one(self, capsys, monkeypatch, check, command):
         def failing(*args):
-            return dataclasses.replace(certify_recursion(*args), **{check: False})
+            return certify_recursion(*args).replace(**{check: False})
 
         monkeypatch.setattr(cli, "certify_recursion", failing)
         code, report, _ = run_report(capsys, command, FIXTURES / "reference_4d.json")

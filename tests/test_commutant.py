@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -348,7 +347,7 @@ class TestSpectralFaults:
         first, last = v[:, 0].copy(), v[:, -1].copy()
         v[:, 0] = np.cos(angle) * first + np.sin(angle) * last
         v[:, -1] = np.cos(angle) * last - np.sin(angle) * first
-        return dataclasses.replace(op, eigenvectors=v)
+        return op.replace(eigenvectors=v)
 
     @pytest.mark.parametrize("angle", [1e-3, 1e-6])
     def test_tampered_eigenvectors_raise(self, angle):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,26 @@ class TestPencil:
     def test_infinite_gamma_rejected(self, ref4d_pair):
         with pytest.raises(ValueError):
             pencil_member(decompose(ref4d_pair), math.inf)
+
+    def test_extreme_gamma_member_stays_finite(self, ref4d_pair):
+        # the pair of tests/fixtures/reference_4d.json: J_c once solved
+        # (I + gamma G) X = J1 + gamma omega2 unscaled, which overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            member = pencil_member(decompose(ref4d_pair), 1e308)
+            j = member.j
+        assert member.admissible
+        # J_c tends to J2 as gamma grows
+        np.testing.assert_allclose(j, ref4d_pair.t2.j, atol=1e-12)
+
+    def test_extreme_negative_gamma_refused_with_finite_eigenvalue(self, ref4d_pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureError) as info:
+                pencil_member(decompose(ref4d_pair), -1e308)
+        # 1 / c - 3 over c = 1e308, the eigenvalue of g_c relative to c g1
+        assert info.value.residual == -3.0
+        assert "min eigenvalue -3.000e+00 relative to 1.000e+308 g1" in str(info.value)
 
 
 class TestPositivityRange:

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -107,7 +106,7 @@ class TestDecomposeFaults:
     def test_g2_proportionality(self, pair):
         b = self.bases(pair)[1]
         g2 = pair.metric_operator_w + self.EPS * (b @ b.T)
-        tampered = dataclasses.replace(pair, metric_operator_w=g2)
+        tampered = pair.replace(metric_operator_w=g2)
         with pytest.raises(DecompositionError,
                            match=r"g2 proportional to g1 fails on block "
                                  r"\(lambda=2, sign=-1\) with residual 1\.0\d*e-05"):
@@ -116,7 +115,7 @@ class TestDecomposeFaults:
     def test_omega2_proportionality(self, pair):
         b = self.bases(pair)[1]
         w2 = pair.omega2_w + self.EPS * (b @ self.SKEW @ b.T)
-        tampered = dataclasses.replace(pair, omega2_w=w2)
+        tampered = pair.replace(omega2_w=w2)
         with pytest.raises(DecompositionError,
                            match=r"omega2 proportional to omega1 fails on block "
                                  r"\(lambda=2, sign=-1\)"):
@@ -125,7 +124,7 @@ class TestDecomposeFaults:
     def test_j2_equals_sign_j1(self, pair):
         b = self.bases(pair)[2]
         j2 = pair.j2_w + self.EPS * (b @ self.SKEW @ b.T)
-        tampered = dataclasses.replace(pair, j2_w=j2)
+        tampered = pair.replace(j2_w=j2)
         with pytest.raises(DecompositionError,
                            match=r"J2 = sign \* J1 fails on block \(lambda=3, sign=\+1\)"):
             decompose(tampered)
@@ -133,7 +132,7 @@ class TestDecomposeFaults:
     def test_g2_orthogonality(self, pair):
         b = self.bases(pair)
         g2 = pair.metric_operator_w + self.EPS * (b[1] @ b[2].T + b[2] @ b[1].T)
-        tampered = dataclasses.replace(pair, metric_operator_w=g2)
+        tampered = pair.replace(metric_operator_w=g2)
         with pytest.raises(DecompositionError,
                            match=r"blocks 1 and 2 are not g2-orthogonal \(residual 1\.0\d*e-05\)"):
             decompose(tampered)

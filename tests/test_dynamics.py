@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -269,7 +268,7 @@ class TestCertificateFaults:
         d = decompose(p)
         bad = d.frame_w.copy()
         bad[:, 0] += 1e-6 * d.frame_w[:, 1]
-        d = dataclasses.replace(d, frame_w=bad)
+        d = d.replace(frame_w=bad)
         bound, e = d.frame_certificate
         assert bound > p.tol.rel and e > 1e-7
         rb = recursion_basis(p)
@@ -287,8 +286,8 @@ class TestCertificateFaults:
         # bounds read T off the frame, so they cannot miss it
         p = synthesize_pair(self.SPEC, seed=3)
         sym = np.random.default_rng(5).standard_normal((p.dim, p.dim))
-        tampered = dataclasses.replace(
-            p, recursion_operator_w=p.recursion_operator_w + 1e-6 * (sym + sym.T))
+        tampered = p.replace(
+            recursion_operator_w=p.recursion_operator_w + 1e-6 * (sym + sym.T))
         rb = recursion_basis(tampered)
         dirs = rb.directions_w
         # the oracle sees the fault the certificate must not miss
@@ -550,7 +549,7 @@ class TestAlgebraFaults:
         q, n = d.frame_w, d.pair.dim // 2
         mixed = np.array(q)
         mixed[:, :2] = np.cos(angle) * q[:, :2] + np.sin(angle) * q[:, [2, n + 2]]
-        tampered = dataclasses.replace(d, frame_w=mixed)
+        tampered = d.replace(frame_w=mixed)
         with pytest.raises(DecompositionError):
             bi_preserving_algebra(tampered)
 

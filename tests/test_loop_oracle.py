@@ -11,7 +11,6 @@ the certificates pass, and each measured residual of the family stays
 within the bound the certificate reports for it.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -139,14 +138,13 @@ class TestTamperedPairs:
         d = decompose(p)
         b = [block.basis_w for block in d.blocks]
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        tampered = dataclasses.replace(
-            p,
+        tampered = p.replace(
             metric_operator_w=p.metric_operator_w + self.EPS * (b[0] @ b[0].T + b[1] @ b[2].T
                                                                 + b[2] @ b[1].T),
             omega2_w=p.omega2_w + self.EPS * (b[1] @ skew @ b[1].T),
             j2_w=p.j2_w + self.EPS * (b[2] @ skew @ b[2].T),
         )
-        d = dataclasses.replace(d, pair=tampered)
+        d = d.replace(pair=tampered)
         per_block, cross = _block_residuals(d)
         assert (per_block[[0, 1, 2], [0, 1, 2]] > 1e-6).all()
         assert cross[1, 2] > 1e-6
