@@ -12,17 +12,15 @@ Its dimension is read off the adapted frame after one O(m^3) certificate of
 that frame; the basis is built only on request.
 
 The recursion operator T generates a distinguished commuting family in
-its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1, whose rank is the
-number of blocks, one per (lambda, sign) class (Vandermonde).  T is
-constant, so the matrix Nijenhuis identity [T A, T] = T [A, T] holds for
-every A (both sides are T A T - T^2 A) and is not judged.
-:func:`certify_recursion` reads the family's preservation, commutation,
-inclusion and drift bounds off T's block form on the same frame, with no
-power of T formed; :func:`recursion_basis` forms nothing, and the unit
-directions are stacked and measured only where a bound exceeds ``rel``.
-:func:`conservation_probe` samples the drift of any field instead.  Every
-stage computes in t1's g1-orthonormal frame, where the fields preserving
-g1 are skew, and maps back only the fields it reports.
+its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1, whose span is that of
+the block elements P_b @ J1 for T's spectral projectors P_b: its rank is
+the number of blocks, one per (lambda, sign) class (Vandermonde).
+:func:`certify_recursion` certifies that span off the adapted frame and
+judges how nearly T and J1 generate it, with no power of T formed;
+:func:`recursion_basis` forms nothing.  :func:`conservation_probe` samples
+the drift of any field instead.  Every stage computes in t1's
+g1-orthonormal frame, where the fields preserving g1 are skew, and maps
+back only the fields it reports.
 """
 
 from __future__ import annotations
@@ -40,13 +38,12 @@ from .linalg import (
     Record,
     Tolerance,
     _expm,
-    frame_departure,
     frozen,
     op_norm,
     op_norms,
     orthonormal_span,
 )
-from .structures import LinearField, preservation_residuals
+from .structures import LinearField
 
 __all__ = [
     "BiPreservingAlgebra",
@@ -100,37 +97,18 @@ class BiPreservingAlgebra(Record):
 
 class RecursionBasis(Record):
     """The commuting family generated by the recursion operator of ``pair``:
-    fields with matrices T^k @ J1 for k = 0 .. n-1.
-
-    Nothing is formed on construction.  ``directions_w`` stacks the family
-    in t1's g1-orthonormal frame, each power of unit norm, and is built on
-    first use: the powers scale like lambda^k and leave the floating-point
-    range for extreme spectra, while every check of the family is
-    scale-free.  ``fields`` holds the raw powers, also built on first use.
-    """
+    fields with matrices T^k @ J1 for k = 0 .. n-1.  Nothing is formed on
+    construction, and :func:`certify_recursion` reads only ``pair``.
+    ``fields`` holds the raw powers, built on first use; they scale like
+    lambda^k and leave the floating-point range for extreme spectra."""
 
     pair: CompatiblePair
-
-    @cached_property
-    def directions_w(self) -> np.ndarray:
-        """The unit directions T^k J1 / |T^k J1|, k = 0 .. n-1, in one
-        read-only (n, m, m) stack, each the product of T with the one
-        before, divided by its row-sum norm."""
-        p = self.pair
-        m = p.dim
-        dirs = np.empty((m // 2, m, m))
-        np.divide(p.t1.j_w, p.t1.j_w_norm, out=dirs[0])
-        for k in range(1, m // 2):
-            np.matmul(p.recursion_operator_w, dirs[k - 1], out=dirs[k])
-            dirs[k] /= op_norm(dirs[k])
-        dirs.setflags(write=False)
-        return dirs
 
     @cached_property
     def fields(self) -> tuple[LinearField, ...]:
         """The raw powers T^k @ J1 in the original coordinates.  Raises
         :class:`NumericalCheckError` naming the first power that leaves the
-        floating-point range, which ``directions_w`` never do."""
+        floating-point range."""
         p = self.pair
         frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
         power, fields = p.t1.j_w, []
@@ -199,279 +177,110 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
 
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
     """The candidate commuting family T^k @ J1, k = 0 .. n-1, with nothing
-    formed: its unit directions in t1's g1-orthonormal frame are stacked
-    only when read (:attr:`RecursionBasis.directions_w`), and
-    :func:`certify_recursion` decides whether the family is an actual basis
-    (full rank requires genericity), reading the directions only where its
-    power-free bounds cannot decide.
+    formed; :func:`certify_recursion` decides whether it is an actual basis
+    (full rank requires genericity) from its generators T and J1.
     """
     return RecursionBasis(p)
 
 
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
-    """Certify the recursion family of the decomposed pair, read as unit
-    directions s_k = T^k J1 / |T^k J1| in t1's g1-orthonormal frame, with T
-    and J1 those of ``rb.pair``: preservation of all four tensors and
-    pairwise commutation within ``tol.rel``, the rank and a drift bound.
+    """Certify the recursion family J1, T J1, ..., T^(n-1) J1 of the
+    decomposed pair, T and J1 those of ``rb.pair``: preservation of all
+    four tensors and pairwise commutation within ``tol.rel``, the rank and
+    a drift bound, read off the adapted frame with no power of T formed.
     The matrix Nijenhuis identity [T A, T] = T [A, T] holds for every pair
     of matrices, as both sides are T A T - T^2 A, so it is not judged.
-    Every number but the rank is first a bound read off T's block form on
-    the adapted frame, with no power of T formed: the certificate of that
-    frame, ``(beta, e) = d.frame_certificate``, and two O(m^3) residuals of
-    the frame, of T and of J1 (:func:`_power_free_errors`).  Where any of
-    the preservation, commutation or inclusion bounds exceeds ``tol.rel``,
-    the directions are formed (``rb.directions_w``) and measured instead:
-    their distance from the coordinate elements
-    (:func:`_inclusion_residual`), and where the bounds read off that
-    distance still exceed ``tol.rel``, the preservation and commutation
-    themselves (:func:`_measured_preservation`, :func:`_max_commutator`).
-    So each verdict is the measured one wherever a bound cannot decide,
-    and nothing is raised.
+    |.| is the row-sum norm and |.|_2 the spectral norm.
 
-    Coordinate elements: with c_j, d_j the axis and partner of the j-th of
-    the n complex coordinates of the adapted frame Q = [C, D] and K_j the
-    canonical rotation on it, Z_j = Q K_j Q.T = d_j c_j.T - c_j d_j.T,
-    which is P_j J1 for the projector P_j onto the coordinate.  K_j is skew
-    and commutes with every K_k and every canonical form (each coordinate
-    at its own |mu|), so each combination of the Z_j lies in the realified
-    ``⊕ u(1)`` that the frame certificate covers, with no spread term.
+    Span.  In t1's g1-orthonormal frame let Q = [C, D] = ``d.frame_w``,
+    J_c the canonical rotation (Q J_c = [D, -C]), K_j its part on the j-th
+    complex coordinate, and mu = ``coordinate_sign * coordinate_lambda`` on
+    [C, D].  Where T Q = Q diag(mu) and J1 Q = Q J_c, every power is
 
-    Rank: T^k J1 = sum_j (s_j |mu_j|)^k P_j J1.  The check is that the
-    Frobenius-normalized Z_j have Gram matrix I and that every normalized
-    direction t_k = s_k / |s_k|_F lies within rho of their span, both
-    within ``tol.rel`` (``vandermonde_consistent``).  The Gram matrix is
-    not formed, as <Z_j, Z_k>_F = tr((I + O) K_j.T (I + O) K_k) with O =
-    Q.T Q - I puts it within (2 e + e^2) / (1 - 2 e - e^2) of I (|O|_2 <=
-    e, and tr(K_j.T K_k) = 2 for j = k, else 0).  The nodes of a block's
-    coordinates are equal at ``cluster_gap``, and the c block nodes
-    s_i lambda_i distinct, so by the Vandermonde theorem the rank is c.
+        T^k J1 = Q diag(mu)^k J_c inv(Q) = sum_j mu_j^k P_j J1,
 
-    Errors of the directions.  |.| is the row-sum norm, |.|_1 the
-    column-sum norm and |.|_2 the spectral norm; |s_k| = 1.  Write s_k =
-    Y_k + E_k for an element Y_k of the span of the Z_j.  Then eps =
-    max_k |E_k|, eps1 = max_k |E_k|_1 and rho bound the family's distance
-    from the span, and y = max_k |Y_k|_2 its size there.  Two ways give
-    them:
+    P_j = Q E_j inv(Q) the spectral projectors: the spectral form of a
+    matrix function (Higham, *Functions of Matrices*, SIAM 2008, §1.2).  So
+    the family lies in the span of the coordinate elements Q K_j inv(Q).
+    The nodes of a block's coordinates are equal at ``cluster_gap`` and
+    the c block nodes s_b lambda_b are distinct, so by the Vandermonde
+    theorem the family spans the c block elements P_b J1: its rank is c.
 
-    * With no power formed (:func:`_power_free_errors`).  Let L = max
-      lambda, nu = ``coordinate_sign * coordinate_lambda`` / L on [C, D],
-      Q J_c = [D, -C], R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, and
-      take Y_k along Q diag(nu)^k J_c Q.T.  By telescoping, T^k Q / L^k =
-      Q diag(nu)^k + sum_(i<k) (T / L)^i R diag(nu)^(k-1-i), and J1 = (Q
-      J_c + S) inv(Q); with |Q|_2^2 <= 1 + e, |inv(Q)|_2^2 <= 1 / (1 - e),
-      |inv(Q) - Q.T|_2 <= e sqrt(1 + e) / (1 - e) and |T / L|_2 <= tau =
-      (sqrt(1 + e) + |R|_2) / sqrt(1 - e), every |T^k J1 - L^k Q
-      diag(nu)^k J_c Q.T|_2 is at most L^k delta, delta = (k |R|_2 +
-      |S|_2) max(1, tau)^k / sqrt(1 - e) + e (1 + e) / (1 - e) at k = n -
-      1 (Stewart & Sun, *Matrix Perturbation Theory*, 1990, for the
-      perturbation step).  The polar factor of Q carries Q diag(nu)^k J_c
-      Q.T to a normal matrix of spectral norm 1 within e (1 + sqrt(1 +
-      e)), so T^k J1 is within zeta = delta + e (1 + sqrt(1 + e)) of a
-      normal N of |N|_2 = |N| = L^k in units of L^k.  Hence |T^k J1| >=
-      L^k (1 - sqrt(m) zeta) and |T^k J1|_F >= |T^k J1|_2 >= L^k (1 -
-      zeta), and with |A|, |A|_1 <= sqrt(m) |A|_2 and |A|_F <= sqrt(m)
-      |A|_2: eps = eps1 = sqrt(m) delta / (1 - sqrt(m) zeta), rho =
-      sqrt(m) delta / (1 - zeta) and y = (1 + e) / (1 - sqrt(m) zeta).
-      No lambda^k is formed: the bound is scale-free.  The spectral norms
-      of R and S are first bounded by the square roots of |R.T R| and
-      |S.T S| (a spectral radius is below every induced norm), and taken
-      exactly, by an SVD, only where those bounds cannot decide.
-    * Measured (:func:`_inclusion_residual`), with Y_k = |s_k|_F X_k for
-      the element X_k of the span that it subtracts: rho and the largest
-      |E_k| and |E_k|_1, with y = a (1 + rho) for a = max_k |s_k|_F.
+    Generation.  With L the largest lambda and nu = mu / L, one stacked
+    product gives R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c.  The pair
+    T' = T - L R inv(Q), J1' = J1 - S inv(Q) satisfies T' Q = L Q diag(nu)
+    and J1' Q = Q J_c exactly, so its family lies in the span above.  This
+    is a backward-error statement: the family of a pair whose action on
+    the frame is within g = max(|R|, |S|) of the input's is exact, with no
+    factor of n, of the growth of the powers or of sqrt(m).
 
-    Bounds, from either set of errors:
+    Span bounds, from the frame certificate ``(beta, e) =
+    d.frame_certificate``.  Each span element is A M, A = Q K Q.T for a
+    combination K of the K_j and M = inv(Q Q.T), |M - I|_2 <= e / (1 - e).
 
-    * Preservation.  For tau in J1, G, omega2, |tau Y + Y.T tau| <=
-      beta |tau| |Y| with |Y| <= 1 + eps, and |tau E + E.T tau| <=
-      (eps + eps1) |tau|, so the relative residual of every s_k is at most
-      P = beta (1 + eps) + eps + eps1, ``max_preservation_residual``; Y is
-      skew, so that of g1 is at most P1 = eps + eps1.
-    * Commutation.  Y_j = Q K Q.T and Y_k = Q K' Q.T for combinations of
-      the rotations, and K K' = K' K, so [Y_j, Y_k] = Q (K O K' - K' O K) Q.T,
-      the frame term of :func:`linalg.frame_departure` with |Y|_2 <= y.
-      The terms with an E add 2 (2 (1 + eps) eps + eps^2), so |[s_j, s_k]|
-      <= sqrt(m) y^2 2 e (1 + e) / (1 - e)^2 + 4 eps + 6 eps^2,
-      ``max_commutator_residual``.
-    * Drift.  For s_k with symmetric part S and skew part K,
-      K.T tau + tau K = (s.T tau + tau s) - (S tau + tau S) has row-sum
-      norm at most (P + P1) |tau|.  The flow exp(t K) is orthogonal, so by
-      Duhamel's formula the relative drift of tau over t in [0, 10] is at
-      most 10 sqrt(m) (P + P1), ``max_conservation_drift``; that of g1 is
-      0.  It is reported, not judged.  Where P is replaced by measured
-      residuals r, the drift bound is 10 sqrt(m) max_k (r_tau + r_g1).
+    * Preservation.  A lies in the realified ``⊕ u(1)`` the certificate
+      covers: A is skew and |tau A + A.T tau| <= beta |tau| |A| for tau in
+      J1, G and omega2.  M adds at most 2 f |tau| |A| for every tau, g1
+      included, with f = sqrt(m) e / (1 - e), as |X| <= sqrt(m) |X|_2 and
+      |A|_2 <= |A| for skew A; and |A| <= |A M| / (1 - f).  So every span
+      element has relative residual at most P = (beta + 2 f) / (1 - f)
+      for all four tensors, and at most P1 = 2 f / (1 - f) for g1.
+    * Commutation.  Q K inv(Q) Q K' inv(Q) = Q K K' inv(Q) and the K
+      commute, so the span commutes exactly.
+    * Rank.  The Frobenius-normalized Z_j = Q K_j Q.T have Gram matrix
+      within gram = (2 e + e^2) / (1 - 2 e - e^2) of I, as <Z_j, Z_k>_F =
+      tr((I + O) K_j.T (I + O) K_k) with O = Q.T Q - I, |O|_2 <= e, and
+      tr(K_j.T K_k) = 2 for j = k, else 0; the span elements are the Z_j
+      times the invertible M.
 
-    Each reported value is its bound, or the measured value where the
-    bound exceeds ``rel``.  Rounding: beta and e carry theirs (see
-    ``frame_certificate``), and R and S are measured like every residual
-    of the threshold rule; the power-free bounds are those of the exact
-    powers, which the stored directions follow to O(n eps) per power.  On
-    the synthesized generic, two-, three- and one-class pairs of dims
-    8-256 (seed 1) they decide with the first norms: 50-5000x above the
-    measured residuals of the stored directions to dim 128, and at most
-    2.5e-10 at dim 256.  At dim 512 the generic, three- and one-class
-    pairs need the exact norms (commutator bound 7.4e-10 to 8.4e-10), and
-    the two-class pair (1.02e-9) is measured.  At cond(g1) = 1e6, 104 of
-    320 ``conditioned_basis`` congruences of generic and two-class pairs
-    of dims 8-32 take the bounds, and every J-invariant congruence of
-    generic dims 16 and 24 is measured.  Where the directions are
-    measured, their errors carry the rounding of the directions and of
-    their products with Q and the tensors; at cond(g1) = 1e6, P and the
-    commutator bound read off them reach 5.8e-10, 2-6x above the
-    measured residuals.
+    Values.  Each is the larger of its span bound and g, and each flag
+    compares its value with ``tol.rel``, so a fault in T or J1 fails all
+    three: ``max_preservation_residual`` is max(P, g),
+    ``max_commutator_residual`` is g, and ``vandermonde_consistent`` is
+    max(gram, g) <= ``rel``.  ``max_conservation_drift`` is 10 sqrt(m)
+    (max(P, g) + max(P1, g)), which bounds, by Duhamel's formula, the
+    relative drift of each tensor over t in [0, 10] under the orthogonal
+    flow of the g1-skew part of a span element of unit norm.  It is
+    reported, not judged.
+
+    Rounding: beta and e carry theirs (see ``frame_certificate``), and R
+    and S are measured like every residual of the threshold rule.  On the
+    two-class dim-512 pair (``2:+:128,3:-:128``) moved by a congruence of
+    cond(g1) = 1e6, beta is 2.5e-10, |R| 2.6e-10 and |S| 3.4e-10.
 
     ``power_basis_log10_condition`` is log10 of Gautschi's bound on the
     condition number of the Vandermonde matrix of the nodes
     (:func:`_power_basis_log10_condition`): an observable of how far the
     raw powers are from a usable basis, not a verdict.
     """
-    p, tol = d.pair, d.tol
-    m, n = p.dim, p.dim // 2
+    p, tol = rb.pair, d.tol
+    q, m, n = d.frame_w, p.dim, p.dim // 2
     beta, e = d.frame_certificate
-    gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
-
-    for exact in (False, True):
-        eps, rho, y = _power_free_errors(rb.pair, d, exact)
-        pres, comm, drift = _family_bounds(beta, e, eps, eps, math.sqrt(m), y * y, m)
-        if max(pres, comm, rho) <= tol.rel:
-            break
+    top = float(d.coordinate_lambda.max())
+    nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
+    gen = float(op_norms(np.array([(p.recursion_operator_w / top) @ q - q * nu,
+                                   p.t1.j_w @ q - np.hstack((q[:, n:], -q[:, :n]))])).max())
+    f = math.sqrt(m) * e / (1.0 - e) if e < 1.0 else math.inf
+    if f < 1.0:
+        span, span_g1 = (beta + 2.0 * f) / (1.0 - f), 2.0 * f / (1.0 - f)
     else:
-        rho, alpha, eps, eps1 = _inclusion_residual(rb.directions_w, d)
-        pres, comm, drift = _family_bounds(beta, e, eps, eps1, math.sqrt(m) * alpha ** 2,
-                                           (1.0 + rho) ** 2, m)
-        if not pres <= tol.rel:
-            pres, drift = _measured_preservation(rb.directions_w, p)
-        if not comm <= tol.rel:
-            comm = _max_commutator(rb.directions_w)
-
+        span = span_g1 = math.inf
+    gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
+    # np.maximum, unlike max, keeps a NaN, which fails every flag
+    pres, pres_g1, vandermonde = np.maximum([span, span_g1, gram], gen).tolist()
     nodes = [b.sign * b.eigenvalue for b in d.blocks]
     return RecursionCertificate(
         preserves_all=pres <= tol.rel,
         max_preservation_residual=pres,
-        commute=comm <= tol.rel,
-        max_commutator_residual=comm,
+        commute=gen <= tol.rel,
+        max_commutator_residual=gen,
         rank=len(d.blocks),
         expected_rank=n,
         distinct_t_eigenvalues=len(d.blocks),
-        vandermonde_consistent=bool(gram <= tol.rel and rho <= tol.rel),
-        max_conservation_drift=drift,
+        vandermonde_consistent=vandermonde <= tol.rel,
+        max_conservation_drift=10.0 * math.sqrt(m) * (pres + pres_g1),
         power_basis_log10_condition=_power_basis_log10_condition(nodes),
     )
-
-
-def _family_bounds(beta: float, e: float, eps: float, eps1: float, conversion: float,
-                   scale: float, m: int) -> tuple[float, float, float]:
-    """``(pres, comm, drift)`` of :func:`certify_recursion` from the errors
-    of the directions: the frame certificate ``(beta, e)``, eps and eps1,
-    and the span elements' spectral norms bounded through
-    ``conversion * scale`` (:func:`linalg.frame_departure`)."""
-    pres_g1 = eps + eps1
-    pres = beta * (1.0 + eps) + pres_g1
-    drift = 10.0 * math.sqrt(m) * (pres + pres_g1)
-    comm = frame_departure(e, conversion, scale) + 4.0 * eps + 6.0 * eps ** 2
-    return pres, comm, drift
-
-
-def _power_free_errors(p: CompatiblePair, d: BlockDecomposition,
-                       exact: bool) -> tuple[float, float, float]:
-    """``(eps, rho, y)`` of :func:`certify_recursion` for the family of
-    ``p`` on the frame of ``d``, with no power of T formed: two products
-    with the frame, R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, and
-    their spectral norms, bounded by sqrt(|X.T X|) or, with ``exact``,
-    taken by an SVD.  Returns infinities where the bound cannot hold (e
-    too large, or no positive lambda)."""
-    q, m, n = d.frame_w, p.dim, p.dim // 2
-    _, e = d.frame_certificate
-    top = float(d.coordinate_lambda.max())
-    if not (e < 0.5 and top > 0.0):
-        return math.inf, math.inf, math.inf
-    nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
-    resid = np.array([(p.recursion_operator_w / top) @ q - q * nu,
-                      p.t1.j_w @ q - np.hstack((q[:, n:], -q[:, :n]))])
-    if exact:
-        r, s = np.linalg.norm(resid, 2, axis=(1, 2)).tolist()
-    else:
-        r, s = np.sqrt(op_norms(np.swapaxes(resid, 1, 2) @ resid)).tolist()
-    # |T / L|_2 <= tau; a tau far above 1 only makes the bound undecided
-    tau = (math.sqrt(1.0 + e) + r) / math.sqrt(1.0 - e)
-    growth = math.exp(min((n - 1) * math.log(max(tau, 1.0)), 700.0))
-    delta = ((n - 1) * r + s) * growth / math.sqrt(1.0 - e) + e * (1.0 + e) / (1.0 - e)
-    zeta = delta + e * (1.0 + math.sqrt(1.0 + e))
-    root_m = math.sqrt(m)
-    if not root_m * zeta < 1.0:
-        return math.inf, math.inf, math.inf
-    return (root_m * delta / (1.0 - root_m * zeta), root_m * delta / (1.0 - zeta),
-            (1.0 + e) / (1.0 - root_m * zeta))
-
-
-# entries of one (rows, m, m) working stack, about 2 MB
-_CHUNK_ENTRIES = 1 << 18
-
-
-def _inclusion_residual(mats: np.ndarray,
-                        d: BlockDecomposition) -> tuple[float, float, float, float]:
-    """``(rho, a, eps, eps1)`` of :func:`certify_recursion` for a stack of
-    unit directions s: with t = s / |s|_F and X = sum_j <t, Z_j>_F / 2 Z_j,
-    each coordinate projected on its own (the projection onto the span of
-    the coordinate elements when Q is orthonormal; any element of the span
-    serves the bounds), the largest |t - X|_F, |s|_F, and row-sum and
-    column-sum norms of E = |s|_F (t - X).
-
-    No Z_j is formed: with W = t Q, <t, Z_j>_F = d_j.T W[:, j] -
-    c_j.T W[:, n + j], the sum of the two halves of the column sums of
-    W * [D, -C], and X = [D, -C] diag(w, w) Q.T for w = <t, Z>_F / 2;
-    two O(m^3) products per direction, in chunks of directions.  The difference t - X is
-    formed, never read as |t|^2 - |X|^2, which cancels the digits ``rel``
-    needs."""
-    q, n, m = d.frame_w, d.pair.dim // 2, d.pair.dim
-    q_dual = np.hstack((q[:, n:], -q[:, :n]))
-    step = max(1, _CHUNK_ENTRIES // (m * m))
-    rho = alpha = eps = eps1 = 0.0
-    for lo in range(0, len(mats), step):
-        chunk = mats[lo:lo + step]
-        norms = np.sqrt(np.einsum("kij,kij->k", chunk, chunk))
-        unit = chunk / norms[:, None, None]
-        w_q = unit @ q
-        coef = np.einsum("kij,ij->kj", w_q, q_dual)
-        w = np.tile(0.5 * (coef[:, :n] + coef[:, n:]), 2)
-        unit -= (q_dual * w[:, None, :]) @ q.T
-        rho = max(rho, float(np.sqrt(np.einsum("kij,kij->k", unit, unit)).max()))
-        alpha = max(alpha, float(norms.max()))
-        np.abs(unit, out=unit)
-        eps = max(eps, float((norms * unit.sum(axis=2).max(axis=1)).max()))
-        eps1 = max(eps1, float((norms * unit.sum(axis=1).max(axis=1)).max()))
-    return rho, alpha, eps, eps1
-
-
-def _measured_preservation(mats: np.ndarray, p: CompatiblePair) -> tuple[float, float]:
-    """The measured ``(pres, drift)`` of :func:`certify_recursion` for a
-    stack of directions s: the largest relative residual of ``tau s + s.T
-    tau`` over tau in g1 = I, J1, G and omega2, and the largest 10 sqrt(m)
-    (r_tau + r_g1) over the directions; one product with each tensor per
-    direction, in chunks of directions."""
-    eye = np.eye(p.dim)
-    step = max(1, _CHUNK_ENTRIES // mats[0].size)
-    pres = drift = 0.0
-    for lo in range(0, len(mats), step):
-        chunk = mats[lo:lo + step]
-        r = (preservation_residuals(chunk, eye, p.t1.j_w)
-             + preservation_residuals(chunk, p.metric_operator_w, p.omega2_w))
-        pres = max(pres, float(max(x.max() for x in r)))
-        drift = max(drift, float(max((x + r[0]).max() for x in r[1:])))
-    return pres, 10.0 * math.sqrt(p.dim) * drift
-
-
-def _max_commutator(mats: np.ndarray) -> float:
-    """Largest row-sum norm of the commutators of all pairs of unit
-    directions, one stacked product per direction against a chunk of
-    those after it."""
-    step = max(1, _CHUNK_ENTRIES // mats[0].size)
-    worst = 0.0
-    for i in range(len(mats) - 1):
-        for lo in range(i + 1, len(mats), step):
-            rest = mats[lo:lo + step]
-            worst = max(worst, float(op_norms(mats[i] @ rest - rest @ mats[i]).max()))
-    return worst
 
 
 def _power_basis_log10_condition(nodes) -> float:

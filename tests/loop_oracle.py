@@ -11,7 +11,9 @@ admissibility and compatibility checks take the norms of each check group
 in one reduction and carry the factor norms; here each residual and each
 factor of each threshold gets its own ``op_norm``.  The relations those
 checks imply and no longer judge are kept here too, each with the
-threshold it was judged against.
+threshold it was judged against, and so are the recursion family's
+floating-point powers, which the certificate no longer forms, as unit
+directions with the telescoped bound that once judged them.
 """
 
 import math
@@ -20,8 +22,8 @@ import numpy as np
 
 from biham.commutant import bicommutant_basis
 from biham.compatibility import check_compatible
-from biham.dynamics import conservation_probe, recursion_basis
-from biham.linalg import commutator, op_norm, op_norms
+from biham.dynamics import conservation_probe
+from biham.linalg import commutator, frame_departure, op_norm, op_norms
 from biham.structures import (
     LinearField,
     MetricTensor,
@@ -269,6 +271,79 @@ def direction_residuals(mats, p):
             "drift": drift}
 
 
+def unit_directions(p):
+    """The unit directions T^k J1 / |T^k J1|, k = 0 .. n-1, of the
+    recursion family in t1's g1-orthonormal frame, each the product of T
+    with the one before, divided by its row-sum norm: the powers that the
+    certificate once stacked and measured."""
+    dirs = [p.t1.j_w / p.t1.j_w_norm]
+    for _ in range(p.dim // 2 - 1):
+        power = p.recursion_operator_w @ dirs[-1]
+        dirs.append(power / op_norm(power))
+    return dirs
+
+
+def inclusion_residual(mats, d):
+    """Largest |t - X|_F over the directions, t = s / |s|_F and X = sum_j
+    <t, Z_j>_F / 2 Z_j for the coordinate elements Z_j = d_j c_j.T - c_j
+    d_j.T of the adapted frame [C, D], each formed on its own."""
+    q, n = d.frame_w, d.pair.dim // 2
+    zs = [np.outer(q[:, n + j], q[:, j]) - np.outer(q[:, j], q[:, n + j]) for j in range(n)]
+    worst = 0.0
+    for s in mats:
+        t = s / np.linalg.norm(s)
+        x = sum(0.5 * np.vdot(t, z) * z for z in zs)
+        worst = max(worst, float(np.linalg.norm(t - x)))
+    return worst
+
+
+def telescoped_bounds(p, d):
+    """Bounds on the measured ``preservation``, ``commutator`` and
+    ``drift`` of the unit directions (:func:`direction_residuals`) and on
+    their ``inclusion`` residual, read off the frame with no power formed
+    (the certificate's bound before it read the generators instead).
+
+    With L the largest lambda, nu = ``coordinate_sign * coordinate_lambda``
+    / L, R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, telescoping T^k Q /
+    L^k = Q diag(nu)^k + sum_(i<k) (T / L)^i R diag(nu)^(k-1-i) puts every
+    T^k J1 / L^k within delta = ((n - 1) |R|_2 + |S|_2) max(1, tau)^(n-1)
+    / sqrt(1 - e) + e (1 + e) / (1 - e) of Q diag(nu)^k J_c Q.T in the
+    spectral norm, tau = (sqrt(1 + e) + |R|_2) / sqrt(1 - e) bounding |T /
+    L|_2 (Stewart & Sun, *Matrix Perturbation Theory*, 1990).  That span
+    element is within e (1 + sqrt(1 + e)) of a normal matrix of norm 1, so
+    with zeta = delta + e (1 + sqrt(1 + e)) each direction is within eps =
+    sqrt(m) delta / (1 - sqrt(m) zeta) of the span in the row-sum and
+    column-sum norms, its Frobenius direction within rho = sqrt(m) delta /
+    (1 - zeta), and its span part has |Y|_2 <= y = (1 + e) / (1 - sqrt(m)
+    zeta).  Then P = beta (1 + eps) + 2 eps bounds the preservation, the
+    frame term of ``linalg.frame_departure`` at sqrt(m) y^2 plus 4 eps + 6
+    eps^2 the commutators, and 10 sqrt(m) (P + 2 eps) the drift; all inf
+    where the bound cannot hold."""
+    q, m, n = d.frame_w, p.dim, p.dim // 2
+    beta, e = d.frame_certificate
+    top = float(d.coordinate_lambda.max())
+    nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
+    r = np.linalg.norm((p.recursion_operator_w / top) @ q - q * nu, 2)
+    s = np.linalg.norm(p.t1.j_w @ q - np.hstack((q[:, n:], -q[:, :n])), 2)
+    root = math.sqrt(m)
+    out = dict.fromkeys(("preservation", "commutator", "drift", "inclusion"), math.inf)
+    if not e < 0.5:
+        return out
+    tau = (math.sqrt(1.0 + e) + r) / math.sqrt(1.0 - e)
+    growth = math.exp(min((n - 1) * math.log(max(tau, 1.0)), 700.0))
+    delta = ((n - 1) * r + s) * growth / math.sqrt(1.0 - e) + e * (1.0 + e) / (1.0 - e)
+    zeta = delta + e * (1.0 + math.sqrt(1.0 + e))
+    if not root * zeta < 1.0:
+        return out
+    eps = root * delta / (1.0 - root * zeta)
+    y = (1.0 + e) / (1.0 - root * zeta)
+    pres = beta * (1.0 + eps) + 2.0 * eps
+    return {"preservation": pres,
+            "commutator": frame_departure(e, root, y * y) + 4.0 * eps + 6.0 * eps ** 2,
+            "drift": 10.0 * root * (pres + 2.0 * eps),
+            "inclusion": root * delta / (1.0 - zeta)}
+
+
 def in_t1_frame(q):
     """The pair rebuilt in its own t1's g1-orthonormal frame, where g1 is
     I and the row-sum drift the certificate bounds is the one the probe
@@ -283,7 +358,7 @@ def probed_drift(p, times):
     """Largest drift the sampled probe measures over the unit directions of
     ``p``, which must be given in its own t1's frame (:func:`in_t1_frame`)."""
     return max(conservation_probe(LinearField(d), p, times).max_drift
-               for d in recursion_basis(p).directions_w)
+               for d in unit_directions(p))
 
 
 def pencil_verdicts(d, gamma):

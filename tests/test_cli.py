@@ -84,7 +84,7 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
@@ -297,18 +297,34 @@ class TestRecursion:
         assert rec["power_basis_log10_condition"] == pytest.approx(math.log10(4.0))
 
     def test_uncertified_frame_names_the_algebra_failure(self):
-        # cond(g1) = 9e6: the recursion certificate keeps the verdicts its
-        # directions measure, and the algebra, which needs the certified
-        # frame, names the failure
+        # cond(g1) = 9e6, beyond the advertised 1e6: the frame fails its
+        # certificate, so the recursion family's span fails preservation
+        # while T and J1 still generate it, and the algebra, which needs
+        # the same frame, names the failure
         pair = uncertified_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc)
         assert code == 1
         rec = report["recursion"]
-        assert rec["preserves_all"] is True and rec["commute"] is True
-        assert rec["rank"] == 4 and rec["all_pass"] is True
+        assert rec["preserves_all"] is False and rec["commute"] is True
+        assert rec["rank"] == 4 and rec["all_pass"] is False
         assert "not certified" in report["residuals"]["pipeline_error"]
+
+    def test_conditioned_two_class_dim512_passes(self):
+        # cond(g1) = 1e6: the stored powers' rounding grew with n, so the
+        # measured directions read 1.02e-9 against rel and the valid pair
+        # exited 1 after minutes; on the frame, the span's bound and the
+        # generators' residuals read 3.4e-10 at most
+        pair = conditioned_pair([(2.0, 1, 128), (3.0, -1, 128)], 1e3, seed=1)
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        report, code = analyze(doc)
+        assert code == 0
+        rec = report["recursion"]
+        assert rec["preserves_all"] is True and rec["commute"] is True
+        assert rec["vandermonde_consistent"] is True
+        assert rec["rank"] == 2 < rec["expected_rank"] == 256
 
     def test_cond_1e8_pair_is_certified(self):
         # cond(g1) = 1e8, basis seed 0: the frame read off J1's complex
@@ -443,16 +459,18 @@ class TestPencil:
         assert "not positive-definite" in report["residuals"]["pipeline_error"]
 
     def test_later_stages_run_past_a_failed_stage(self, monkeypatch):
-        # cond(g1) = 9e6: the algebra fails on its own; the recursion, the
-        # transfer operator and the pencil, which do not need it, are
-        # reported.  With the recursion failing too, both failures are
-        # named in stage order and the operator and the pencil still run
+        # cond(g1) = 9e6: the algebra fails, and the recursion fails its
+        # preservation flag, on the same uncertified frame; both are
+        # reported, as are the transfer operator and the pencil.  With the
+        # recursion raising instead, both failures are named in stage order
+        # and the operator and the pencil still run
         pair = uncertified_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc, gamma=0.5)
         assert code == 1
-        assert report["recursion"]["all_pass"] is True
+        assert report["recursion"]["preserves_all"] is False
+        assert report["recursion"]["rank"] == 4
         assert report["algebra_dim"] is None
         assert report["generic"]["operator"] is True
         assert report["residuals"]["operator"]["commutant_dim"] == 4
@@ -833,7 +851,7 @@ class TestSharedResults:
         # frame: no power of T is formed, and no matrix built on first use
         # is built, as no report field reads one
         pair = synthesize_pair(generic_spec(8), seed=1)
-        lazy = [(RecursionBasis, "directions_w"), (RecursionBasis, "fields"),
+        lazy = [(RecursionBasis, "fields"),
                 (Block, "basis"), (Block, "basis_w"),
                 (CompatiblePair, "recursion_operator"), (AdmissibleTriple, "j"),
                 (PencilMember, "g"), (PencilMember, "omega"), (PencilMember, "j")]

@@ -509,10 +509,11 @@ class TestBuiltOnFirstUse:
                               p.t1.j_w + gamma * p.omega2_w)
         self.assert_read_only_equal(member.j, p.t1.g.frame @ j_w @ p.t1.g.frame_inv)
 
-    def test_recursion_directions(self):
+    def test_recursion_fields(self):
         p = synthesize_pair(self.SPEC, seed=4)
-        dirs = [p.t1.j_w / p.t1.j_w_norm]
-        for _ in range(p.dim // 2 - 1):
-            power = p.recursion_operator_w @ dirs[-1]
-            dirs.append(power / op_norm(power))
-        self.assert_read_only_equal(recursion_basis(p).directions_w, np.array(dirs))
+        frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+        power = p.t1.j_w
+        for k, field in enumerate(recursion_basis(p).fields):
+            if k:
+                power = p.recursion_operator_w @ power
+            self.assert_read_only_equal(field.matrix, frame @ power @ frame_inv)

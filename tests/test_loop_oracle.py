@@ -74,14 +74,17 @@ def scales(p):
 
 def assert_directions_within_bounds(p, drift_within_rel=True):
     """Certificate first, then every measured residual of the unit
-    directions within the value reported for it (a bound, or the same
-    measurement where the bound exceeds ``rel``), and that within ``rel``.
-    The drift is no verdict: at cond(g1) = 1e6 its measured value already
-    exceeds ``rel``."""
-    rb = recursion_basis(p)
-    cert = certify_recursion(rb, decompose(p))
+    directions within the oracle's telescoped bound and within the value
+    reported for it, and that within ``rel``.  The reported values bound
+    the generators' backward error, not the powers' rounding; on these
+    pairs they cover it too.  The drift is no verdict: at cond(g1) = 1e6
+    its measured value already exceeds ``rel``."""
+    d = decompose(p)
+    cert = certify_recursion(recursion_basis(p), d)
     assert cert.preserves_all and cert.commute
-    measured = loop_oracle.direction_residuals(rb.directions_w, p)
+    measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
+    bound = loop_oracle.telescoped_bounds(p, d)
+    assert all(measured[k] <= bound[k] for k in measured)
     assert measured["preservation"] <= cert.max_preservation_residual <= p.tol.rel
     assert measured["commutator"] <= cert.max_commutator_residual <= p.tol.rel
     assert measured["drift"] <= cert.max_conservation_drift
@@ -107,9 +110,10 @@ class TestStackedEqualsLoops:
 
     def test_max_commutator_residual(self, make_pair):
         p = make_pair()
-        rb = recursion_basis(p)
-        cert = certify_recursion(rb, decompose(p))
-        measured = loop_oracle.max_commutator_residual(rb.directions_w)
+        d = decompose(p)
+        cert = certify_recursion(recursion_basis(p), d)
+        measured = loop_oracle.max_commutator_residual(loop_oracle.unit_directions(p))
+        assert measured <= loop_oracle.telescoped_bounds(p, d)["commutator"]
         assert measured <= cert.max_commutator_residual <= p.tol.rel
 
     @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.05])
