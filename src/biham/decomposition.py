@@ -163,9 +163,8 @@ class BlockDecomposition(Record):
         q_rot = np.hstack((q[:, n:], -q[:, :n]))
         canon = np.array([q_rot, q * lam, q_rot * (np.tile(self.coordinate_sign, 2) * lam)])
         taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
-        n_g2, n_w2 = p.norms_w
-        norms = op_norms(np.concatenate((taus - canon @ q.T, [q.T @ q - np.eye(m)])))
-        dep = float((norms[:3] / (p.t1.j_w_norm, n_g2, n_w2)).max())
+        norms = op_norms(np.concatenate((taus - canon @ q.T, [q.T @ q - np.eye(m)], taus[1:])))
+        dep = float((norms[:3] / (p.t1.j_w_norm, *norms[4:])).max())
         e = float(norms[3])
         return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
 
@@ -205,36 +204,41 @@ class CanonicalBlockBasis(Record):
 def decompose(p: CompatiblePair) -> BlockDecomposition:
     """Compute the bi-orthogonal block decomposition of a compatible pair.
 
-    In t1's g1-orthonormal frame, the top n eigenvectors Z of the Hermitian
-    ``i J1`` (J1 Z = -i Z, Z^H Z = I) are the complex coordinates of the
-    first triple.  On a compatible pair T commutes with J1, so there it is
-    the Hermitian n x n matrix ``T_c = Z^H T Z``, and one ``eigh`` of T_c
-    gives its eigenvalues mu and eigenvectors V.  The magnitudes |mu| are
-    chain-clustered at ``cluster_gap``, each cluster is split by the sign
-    of mu, and both parts take the cluster's mean as lambda.  This is the
-    one judge of eigenvalue equality: a chain whose spread, (max - min) /
-    max, exceeds ``cluster_gap`` is refused.  One permutation puts V's
-    columns in block order; the columns of ``sqrt(2) Z V`` are then the
-    axes C (real parts) and their partners D = J1 C (imaginary parts) of
-    the frame ``frame_w`` = [C, D], stored once, and each block's basis is
-    its columns of C, then of D, copied out only when a caller reads it
-    (:attr:`Block.basis_w`): every block is J1-invariant and
-    2r-dimensional, and the blocks are g1-orthogonal, by construction.
-    The part of T that anticommutes with J1 never enters; the pair
-    certified it zero to rounding.
+    In t1's g1-orthonormal frame J1 is -i diag(nu) on Z (``(nu, Z) =
+    t1.complex_coordinates``), so
+    T_c = Z^H T Z = i diag(1 / nu) K, K = ``omega2_c``, similar to the
+    Hermitian i N K N, N = diag(nu^-1/2); nu - 1, the frame's rounding
+    that J1 sees, enters G alike (N H N, H = ``g2_c``) and keeps mu as
+    accurate as the solved T.  One ``eigh`` gives mu and V.  The |mu|
+    chain at ``cluster_gap`` (a wider chain is refused: the one judge of
+    eigenvalue equality), each cluster split by the sign of mu, both parts
+    taking its mean as lambda.  In block order, ``sqrt(2) Z V`` holds the
+    axes C (real parts) and partners D = J1 C (imaginary parts) of
+    ``frame_w`` = [C, D]; a block's basis is its columns of C, then of D
+    (:attr:`Block.basis_w`), J1-invariant and g1-orthogonal to the others
+    by construction.  With S = diag(sign), the n x n residuals
 
-    Per-block proportionality of the structures (the g2 check measures
-    G = |T|) and cross-block g2-orthogonality are verified before
-    returning, from one set of dense products (:func:`_block_residuals`).
-    Proportionality is measured against each coordinate's own |mu|, so
-    ``rel`` judges rounding only.  An error names the first failing block
-    (then check) or pair in block order.
+        E = V^H N H N V - diag(|mu|)   (g2 = lambda g1; off the diagonal
+                                        blocks, g2-orthogonality),
+        R = V^H N K N V + i diag(mu)   (omega2 = sign lambda omega1),
+        Y = diag(1 / |mu|) (R + i E S) (J2 = sign J1, a block's columns)
+
+    are, for B = [C, D], up to the anti-linear blocks and to first order in
+    nu - 1 and E, the realified B.T g2 B - B.T B L, B.T omega2 B -
+    s B.T J1 B L and (J2 - s J1) B, as N (K + i s H) N V_b = V (R + i E S)_b
+    (realifying keeps the spectral norm, and the Frobenius one times
+    sqrt(2)).  Each sub-block's Frobenius norm, free of V's unitary freedom
+    in a block, passes at ``rel`` times the spectral |g2|_2 = lam_max,
+    |omega2|_2 = max |mu| or |J1|_2 = 1 (own |mu| per coordinate); the real
+    form's row-sum residuals (``tests/loop_oracle.py``) are at most
+    sqrt(m) times these.  An error names the first pair that is not
+    g2-orthogonal, else the first failing block (then check).
     """
     tol, n = p.tol, p.dim // 2
-    _, z = np.linalg.eigh(1j * p.t1.j_w)
-    z = z[:, n:]
-    t_c = z.conj().T @ p.recursion_operator_w @ z
-    mu, v = np.linalg.eigh(0.5 * (t_c + t_c.conj().T))
+    nu, z = p.t1.complex_coordinates
+    root = np.sqrt(nu)
+    hk = np.stack((p.g2_c, p.omega2_c)) / root[:, None] / root  # N H N, N K N
+    mu, v = np.linalg.eigh(0.5j * (hk[1] - hk[1].conj().T))
 
     # one permutation of eigh's output into block order: lambda ascends by
     # cluster, + before - within one (a zero mu joins the + part)
@@ -243,7 +247,8 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
                                "; give a smaller cluster_gap in the file's 'tol'")
     cluster = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
     order = order[np.lexsort((mu[order] < 0.0, cluster))]
-    mu, axes = mu[order], np.sqrt(2.0) * (z @ v[:, order])
+    mu, v = mu[order], v[:, order]
+    axes = np.sqrt(2.0) * (z @ v)
     sign = np.where(mu < 0.0, -1, 1)
     frame_w = frozen(np.hstack((axes.real, axes.imag)))
 
@@ -253,29 +258,34 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
                          frame_w, p.t1.g.frame)
                    for lo, hi in zip(starts, np.append(starts[1:], n)))
 
-    d = BlockDecomposition(blocks, p, frame_w, frozen(np.abs(mu)), frozen(sign))
-    per_block, cross = _block_residuals(d)
-    n_g2, n_w2 = p.norms_w
-    thresholds = np.array([tol.threshold(n_g2), tol.threshold(n_w2),
-                           tol.threshold(p.t1.j_w_norm)])
-    failing = ~(per_block <= thresholds)
-    if failing.any():
-        i, check = np.argwhere(failing)[0]
-        b = blocks[i]
-        what = ("g2 proportional to g1", "omega2 proportional to omega1",
-                "J2 = sign * J1")[check]
-        raise DecompositionError(
-            f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
-            f"with residual {per_block[i, check]:.3e}"
-        )
-    # only the pairs i < k are checked
-    failing = np.triu(~(cross <= thresholds[0]), 1)
+    # every residual over G's largest eigenvalue, so no square overflows
+    lam, scale = np.abs(mu), float(p.metric_eigenvalues[-1])
+    e, r = v.conj().T @ (hk / scale) @ v
+    e[np.diag_indices(n)] -= lam / scale
+    r[np.diag_indices(n)] += 1j * mu / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = (r + 1j * e * sign) / (lam / scale)[:, None]
+    # squared Frobenius norms of the sub-blocks (i, k), cut at the starts
+    sq = np.add.reduceat(np.add.reduceat(np.abs(np.array([e, r, y])) ** 2, starts, axis=1),
+                         starts, axis=2)
+    cross = np.sqrt(sq[0])
+    failing = np.triu(~(cross <= tol.rel), 1)  # only the pairs i < k
     if failing.any():
         i, k = np.argwhere(failing)[0]
+        raise DecompositionError(f"blocks {i} and {k} are not g2-orthogonal "
+                                 f"(residual {scale * float(cross[i, k]):.3e})")
+    # g2 and omega2 on each block, J2 on its whole columns
+    per_block = np.sqrt(np.stack([np.diagonal(sq[0]), np.diagonal(sq[1]), sq[2].sum(axis=0)],
+                                 axis=1))
+    failing = ~(per_block <= (tol.rel, tol.rel * lam.max() / scale, tol.rel))
+    if failing.any():
+        i, check = np.argwhere(failing)[0]
+        b, unit = blocks[i], (scale, scale, 1.0)[check]
+        what = ("g2 proportional to g1", "omega2 proportional to omega1", "J2 = sign * J1")[check]
         raise DecompositionError(
-            f"blocks {i} and {k} are not g2-orthogonal (residual {cross[i, k]:.3e})"
-        )
-    return d
+            f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
+            f"with residual {unit * float(per_block[i, check]):.3e}")
+    return BlockDecomposition(blocks, p, frame_w, frozen(lam), frozen(sign))
 
 
 def _chain_clusters(lam, cluster_gap: float, advice: str = "",
@@ -286,51 +296,17 @@ def _chain_clusters(lam, cluster_gap: float, advice: str = "",
     max, exceeds ``cluster_gap`` refused with :class:`DecompositionError`,
     its message naming the operator and ending in ``advice``."""
     clusters = cluster_eigenvalues(lam, cluster_gap)
-    ends = np.cumsum([0] + [count for _, count in clusters])
-    for lo, hi in zip(ends, ends[1:]):
-        low, high = lam[lo], lam[hi - 1]
-        if not same_cluster(low, high, cluster_gap):
-            raise DecompositionError(
-                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of {of} chain into one "
-                f"cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
-                f"{cluster_gap:g}{advice}")
+    counts = [count for _, count in clusters]
+    ends, lam = np.cumsum(counts), np.asarray(lam, dtype=np.float64)
+    low, high = lam[ends - counts], lam[ends - 1]
+    wide = np.flatnonzero(~same_cluster(low, high, cluster_gap))
+    if wide.size:
+        low, high = low[wide[0]], high[wide[0]]
+        raise DecompositionError(
+            f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of {of} chain into one "
+            f"cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
+            f"{cluster_gap:g}{advice}")
     return clusters
-
-
-def _block_residuals(d: BlockDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the checks of :func:`decompose`, from one set of dense
-    products of the frame Q = [C, D] (the (i, k) sub-block of Q.T @ M @ Q,
-    folded over both halves, is B_i.T @ M @ B_k for the blocks' bases B).
-
-    ``per_block[i]`` holds, for block i, the row-sum norms of
-    B.T g2 B - B.T B L, B.T omega2 B - sign B.T J1 B L (L the block's
-    ``coordinate_lambda`` on [C, D]) and J2 B - sign J1 B; ``cross[i, k]``
-    that of B_i.T g2 B_k, meaningful for i < k.
-    """
-    p, q = d.pair, d.frame_w
-    j1, j2 = p.t1.j_w, p.j2_w
-    g2, w2 = p.metric_operator_w, p.omega2_w
-    ranks = [b.dim // 2 for b in d.blocks]
-    starts = np.cumsum([0] + ranks[:-1])
-    lam, sign = np.tile(d.coordinate_lambda, 2), np.tile(d.coordinate_sign, 2)
-    gram2, j1q = q.T @ g2 @ q, j1 @ q
-    per_block = np.stack([
-        np.diagonal(_block_norms(gram2 - lam * (q.T @ q), starts)),
-        np.diagonal(_block_norms(q.T @ w2 @ q - (sign * lam) * (q.T @ j1q), starts)),
-        _block_norms(j2 @ q - sign * j1q, starts).max(axis=0),
-    ], axis=1)
-    return per_block, _block_norms(gram2, starts)
-
-
-def _block_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Row-sum norm (the package's operator norm) of every sub-block of
-    ``a`` when both axes are cut at the block starts ``starts`` of the C
-    half and again of the D half, each block's two segments folded into
-    one: entry (i, k) belongs to row block i and column block k."""
-    c, cuts = len(starts), np.concatenate((starts, starts + a.shape[1] // 2))
-    row_sums = np.add.reduceat(np.abs(a), cuts, axis=1)
-    row_max = np.maximum.reduceat(row_sums[:, :c] + row_sums[:, c:], cuts, axis=0)
-    return np.maximum(row_max[:c], row_max[c:])
 
 
 def is_generic(d: BlockDecomposition) -> bool:

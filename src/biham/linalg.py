@@ -306,29 +306,29 @@ def eig_self_adjoint(a_w, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
     return np.linalg.eigh(sym)
 
 
-def same_cluster(a: float, b: float, cluster_gap: float) -> bool:
+def same_cluster(a, b, cluster_gap: float):
     """Whether two eigenvalues count as equal: ``|a - b|`` at most
-    ``cluster_gap`` times the larger magnitude."""
-    return abs(a - b) <= cluster_gap * max(abs(a), abs(b))
+    ``cluster_gap`` times the larger magnitude; elementwise for arrays.  A
+    NaN, or inf against inf, equals nothing."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(a - b) <= cluster_gap * np.maximum(np.abs(a), np.abs(b))
 
 
 def cluster_eigenvalues(values, cluster_gap: float) -> list[tuple[float, int]]:
     """Merge an ascending list of eigenvalues into clusters.
 
     A value joins the current cluster when it is :func:`same_cluster` as
-    the previous value.  Returns ``(mean, count)`` pairs; the counts always
-    add up to ``len(values)``.
+    the previous value, judged for all neighbours at once.  Returns
+    ``(mean, count)`` pairs, each mean a Python ``sum`` in order; the
+    counts always add up to ``len(values)``.
     """
-    vals = [float(v) for v in values]
-    if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
+    vals = np.array(values, dtype=np.float64)
+    if (vals[:-1] > vals[1:]).any():
         raise ValueError("values must be sorted in ascending order")
-    clusters: list[list[float]] = []
-    for v in vals:
-        if clusters and same_cluster(clusters[-1][-1], v, cluster_gap):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
+    cuts = np.flatnonzero(~same_cluster(vals[:-1], vals[1:], cluster_gap)) + 1
+    ends = [0, *cuts.tolist(), len(vals)] if len(vals) else [0]
+    vals = vals.tolist()
+    return [(sum(vals[lo:hi]) / (hi - lo), hi - lo) for lo, hi in zip(ends, ends[1:])]
 
 
 def commutator(a, b) -> np.ndarray:

@@ -86,24 +86,25 @@ class MetricTensor:
 
 
 class SymplecticForm:
-    """Antisymmetric nondegenerate Gram matrix on an even-dimensional space."""
+    """Antisymmetric nondegenerate Gram matrix on an even-dimensional space,
+    nondegenerate by one SVD (a triple's form by :func:`check_admissible`)."""
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
-        m = as_matrix(m, "symplectic form")
-        if m.shape[0] % 2 != 0:
-            raise ValueError(
-                f"symplectic form needs even dimension, got {m.shape[0]}"
-            )
-        anti = symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric",
-                              anti=True)
-        s = np.linalg.svd(anti, compute_uv=False)
+        self.m = _antisymmetric(m, tol)
+        s = np.linalg.svd(self.m, compute_uv=False)
         smin = float(s[-1])
         if not smin > tol.rel * s[0]:
             raise StructureError(
                 f"symplectic form is degenerate (min singular value {smin:.3e})",
                 check="symplectic_nondegenerate", residual=smin,
             )
-        self.m = frozen(anti)
+
+    @classmethod
+    def _of_triple(cls, m, tol: Tolerance) -> "SymplecticForm":
+        """The form of a triple, checked for antisymmetry only."""
+        form = cls.__new__(cls)
+        form.m = _antisymmetric(m, tol)
+        return form
 
     @property
     def dim(self) -> int:
@@ -111,6 +112,15 @@ class SymplecticForm:
 
     def __repr__(self) -> str:
         return f"SymplecticForm(dim={self.dim})"
+
+
+def _antisymmetric(m, tol: Tolerance) -> np.ndarray:
+    """The read-only antisymmetric part of an even-dimensional matrix."""
+    m = as_matrix(m, "symplectic form")
+    if m.shape[0] % 2 != 0:
+        raise ValueError(f"symplectic form needs even dimension, got {m.shape[0]}")
+    return frozen(symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric",
+                                 anti=True))
 
 
 class ComplexStructure:
@@ -143,9 +153,10 @@ class AdmissibleTriple(Record):
     is also omega there), where every admissibility check is judged, and
     ``j_w_norm`` its :func:`op_norm`, taken once, with the admissibility
     residuals, for every later threshold it enters.  ``j`` is the read-only
-    matrix ``W @ j_w @ inv(W)``, J in the input coordinates, built on first
-    use.  Construct through :func:`check_admissible` or
-    :func:`polar_admissible`; instances are immutable and safe to share.
+    matrix ``W @ j_w @ inv(W)``, J in the input coordinates, and
+    ``complex_coordinates`` its (nu, Z), both built on first use.  Construct through
+    :func:`check_admissible` or :func:`polar_admissible`; instances are
+    immutable and safe to share.
     """
 
     g: MetricTensor
@@ -157,6 +168,14 @@ class AdmissibleTriple(Record):
     @cached_property
     def j(self) -> np.ndarray:
         return frozen(self.g.frame @ self.j_w @ self.g.frame_inv)
+
+    @cached_property
+    def complex_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nu, Z)``, the top n eigenpairs of ``1j * j_w`` from one
+        ``eigh``: ``j_w @ Z = -i Z diag(nu)``, ``Z^H Z = I``, nu = 1 to
+        within the metric invariance's residual."""
+        nu, z = np.linalg.eigh(1j * self.j_w)
+        return frozen(nu[self.dim // 2:]), frozen(z[:, self.dim // 2:])
 
     def __repr__(self) -> str:
         return f"AdmissibleTriple(dim={self.dim})"
@@ -246,8 +265,12 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     the metric invariance and skewness are judged once, on
     ``J_w = W.T @ omega @ W`` in the g-orthonormal frame W, where rounding
     does not grow with cond(g); the symplectic invariance follows from the
-    metric invariance.  J itself is mapped back as ``W @ J_w @ inv(W)``
-    only when read (:attr:`AdmissibleTriple.j`), and not checked.  Returns the :class:`AdmissibleTriple` on
+    metric invariance, and so does omega's nondegeneracy, so a raw omega
+    gets no SVD: with delta = rel |J_w|^2 >= |J_w.T J_w - I|_2, every
+    singular value s of J_w has |s^2 - 1| <= delta, so cond(omega) <=
+    cond(g) (1 + delta) / (1 - delta).  J is mapped back as
+    ``W @ J_w @ inv(W)`` only when read (:attr:`AdmissibleTriple.j`), and
+    not checked.  Returns the :class:`AdmissibleTriple` on
     success and a :class:`ViolationReport` naming each failed invariant
     otherwise.
     Structural problems (odd or mismatched dimension, non-finite entries)
@@ -260,7 +283,8 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     except StructureError as err:
         violations.append(Violation(err.check, err.residual))
     try:
-        symp = omega if isinstance(omega, SymplecticForm) else SymplecticForm(omega, tol)
+        symp = (omega if isinstance(omega, SymplecticForm)
+                else SymplecticForm._of_triple(omega, tol))
     except StructureError as err:
         violations.append(Violation(err.check, err.residual))
     if violations:

@@ -7,9 +7,14 @@ bi-preserving algebra, the recursion family, the commutant and the
 bicommutant from the frames they are built from.  These are the checks
 they replaced: one small dense product per block, per pair of blocks or
 directions, or per basis element, each read with ``op_norm``.  The
-admissibility and compatibility checks take the norms of each check group
-in one reduction and carry the factor norms; here each residual and each
-factor of each threshold gets its own ``op_norm``.  The relations those
+admissibility checks take the norms of each check group in one reduction
+and carry the factor norms; here each residual and each factor of each
+threshold gets its own ``op_norm``.  Compatibility and the decomposition
+judge the pair on n x n blocks in J1's complex coordinates; their former
+real-form checks, with their row-sum thresholds, are kept here
+(``compatibility_residuals``, ``decomposition_residuals``), with the
+real-form Frobenius residuals the blocks read off
+(``compatibility_frobenius``).  The relations those
 checks imply and no longer judge are kept here too, each with the
 threshold it was judged against, and so are the recursion family's
 floating-point powers, which the certificate no longer forms, as unit
@@ -23,7 +28,7 @@ import numpy as np
 from biham.commutant import bicommutant_basis
 from biham.compatibility import check_compatible
 from biham.dynamics import conservation_probe
-from biham.linalg import commutator, frame_departure, op_norm, op_norms
+from biham.linalg import DEFAULT_TOL, commutator, frame_departure, op_norm, op_norms
 from biham.structures import (
     LinearField,
     MetricTensor,
@@ -70,8 +75,9 @@ def symplectic_invariance_violation(g, omega, tol):
 
 
 def _j_in_frame(g, omega, tol):
-    """J of the metric and the form in the metric's orthonormal frame."""
-    metric, symp = MetricTensor(g, tol), SymplecticForm(omega, tol)
+    """J of the metric and the form in the metric's orthonormal frame, the
+    form checked for antisymmetry only, as ``check_admissible`` checks it."""
+    metric, symp = MetricTensor(g, tol), SymplecticForm._of_triple(omega, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         return metric.frame.T @ symp.m @ metric.frame
 
@@ -103,8 +109,9 @@ def _skew(m):
 
 
 def compatibility_residuals(t1, t2, tol):
-    """``(certificates, violations)`` of ``check_compatible``, key order
-    included, one norm per residual and per factor: the certificates of a
+    """``(certificates, violations)`` of the real-form compatibility checks
+    that the block suite of ``check_compatible`` replaced, in their order,
+    one row-sum norm per residual and per factor: the certificates of a
     compatible pair with ``{}``, or ``(None, violations)``."""
     frame_pair, violations = _pair_in_t1_frame(t1, t2, tol)
     if frame_pair is None:
@@ -136,6 +143,21 @@ def compatibility_residuals(t1, t2, tol):
                threshold(tol, t1.g.m, big_g))
     certificates["G_min_eigenvalue"] = float(evals[0])
     return (None, violations) if violations else (certificates, {})
+
+
+def compatibility_frobenius(t1, t2):
+    """The real-form residuals the block suite of ``check_compatible``
+    reads off J1's complex coordinates, measured by products and a solve
+    in t1's frame: ``g2_J1_skew`` and ``omega2_J1_symmetric``, the
+    Frobenius norms of [g2, J1] and [omega2, J1] over G's largest
+    eigenvalue, and ``g1_J2_skew``, that of J2 + J2.T."""
+    frame_pair, _ = _pair_in_t1_frame(t1, t2, DEFAULT_TOL)
+    _, g2, w2, evals, j2 = frame_pair
+    j1 = t1.j_w
+    scale = evals[-1]
+    return {"g2_J1_skew": np.linalg.norm(commutator(g2, j1)) / scale,
+            "omega2_J1_symmetric": np.linalg.norm(commutator(w2, j1)) / scale,
+            "g1_J2_skew": np.linalg.norm(j2 + j2.T)}
 
 
 def retired_relation_violations(t1, t2, tol):
@@ -221,7 +243,8 @@ def relation_residuals(p):
 
 def decomposition_residuals(d):
     """Per-block residuals [g2, omega2, J2 checks] and, for each pair
-    i < k, the g2-orthogonality residual of ``decompose``; g2 and omega2
+    i < k, the g2-orthogonality residual of the real-form checks that
+    ``decompose``'s n x n residuals replaced, in row-sum norms; g2 and omega2
     are measured against each complex coordinate's own |mu|, the block's
     slice of ``coordinate_lambda`` on its columns [C, D]."""
     p, blocks = d.pair, d.blocks

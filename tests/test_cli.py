@@ -84,27 +84,29 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
         assert report["signature_real"] == "SO(2)"
         assert report["generic"]["real"] is True
 
-    def test_schema_3_keys(self, capsys):
-        # the relations the kept checks imply are not reported
+    def test_schema_5_keys(self, capsys):
+        # the relations the kept checks imply are not reported, and the two
+        # J2 conditions and [J1, J2] are one residual in J1's complex
+        # coordinates
         code, report, _ = run_report(capsys, "check", FIXTURES / "reference_4d.json")
         assert code == 0
         assert list(report["residuals"]["compatibility"]) == [
-            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew", "omega1_J2_symmetric",
-            "J1_J2_commutator", "T_selfadjoint_g1", "metric_transfer", "G_min_eigenvalue"]
+            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew", "metric_transfer",
+            "G_min_eigenvalue"]
         assert "nijenhuis_residual" not in report["recursion"]
 
     def test_incompatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "incompatible_2d.json")
         assert code == 1
         assert report["compatible"] is False
-        assert "J1_J2_commutator" in report["residuals"]["compatibility"]
+        assert "g2_J1_skew" in report["residuals"]["compatibility"]
         assert report["blocks"] is None
 
     def test_single_triple_fixture(self, capsys):
@@ -297,7 +299,7 @@ class TestRecursion:
         assert rec["power_basis_log10_condition"] == pytest.approx(math.log10(4.0))
 
     def test_uncertified_frame_names_the_algebra_failure(self):
-        # cond(g1) = 9e6, beyond the advertised 1e6: the frame fails its
+        # cond(g1) = 6.4e7, beyond the advertised 1e6: the frame fails its
         # certificate, so the recursion family's span fails preservation
         # while T and J1 still generate it, and the algebra, which needs
         # the same frame, names the failure
@@ -459,7 +461,7 @@ class TestPencil:
         assert "not positive-definite" in report["residuals"]["pipeline_error"]
 
     def test_later_stages_run_past_a_failed_stage(self, monkeypatch):
-        # cond(g1) = 9e6: the algebra fails, and the recursion fails its
+        # cond(g1) = 6.4e7: the algebra fails, and the recursion fails its
         # preservation flag, on the same uncertified frame; both are
         # reported, as are the transfer operator and the pencil.  With the
         # recursion raising instead, both failures are named in stage order
@@ -845,15 +847,42 @@ class TestSharedResults:
                          "cluster_frames": 0, "commutant": 0, "conservation_probe": 0,
                          "orthonormal_span": 0}
 
+    def test_analyze_solves_and_eigensolves_once(self, monkeypatch):
+        # compatibility and decompose share J1's complex coordinates: one
+        # m x m (complex) eigensolve of i J1, the n x n ones of H and T_c,
+        # no SVD (the triples judge their forms' nondegeneracy through J),
+        # and one solve, of T, which the recursion certificate reads
+        pair = synthesize_pair(generic_spec(4), seed=1)
+        m = pair.dim
+        calls = {"eigh": [], "svd": [], "solve": []}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, original=original, name=name, **kwargs):
+                calls[name].append((a.shape, np.iscomplexobj(a)))
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        _, code = analyze(doc, gamma=0.5)
+        assert code == 0
+        # the two whitenings, i J1, then H and T_c
+        assert calls["eigh"] == [((m, m), False), ((m, m), False), ((m, m), True),
+                                 ((m // 2, m // 2), True), ((m // 2, m // 2), True)]
+        assert calls["svd"] == []
+        assert calls["solve"] == [((m, m), False)]
+
     def test_analyze_forms_nothing_the_report_does_not_read(self, monkeypatch):
-        # one analysis of a generic pair solves twice (J2 and T, in
-        # check_compatible) and certifies the recursion family off the
-        # frame: no power of T is formed, and no matrix built on first use
-        # is built, as no report field reads one
+        # one analysis of a generic pair solves once (T, for the recursion
+        # certificate) and certifies the recursion family off the frame: no
+        # power of T is formed, and no matrix built on first use is built,
+        # as no report field reads one
         pair = synthesize_pair(generic_spec(8), seed=1)
         lazy = [(RecursionBasis, "fields"),
                 (Block, "basis"), (Block, "basis_w"),
-                (CompatiblePair, "recursion_operator"), (AdmissibleTriple, "j"),
+                (CompatiblePair, "recursion_operator"), (CompatiblePair, "j2_w"),
+                (AdmissibleTriple, "j"),
                 (PencilMember, "g"), (PencilMember, "omega"), (PencilMember, "j")]
         reads = []
         for cls, attr in lazy:
@@ -879,7 +908,7 @@ class TestSharedResults:
         assert code == 0 and report["recursion"]["all_pass"] is True
         assert report["pencil_member"]["admissible"] is False
         assert reads == []
-        assert solves == [(16, 16), (16, 16)]
+        assert solves == [(16, 16)]
         # the same matrices are still there for a caller who reads them
         d = decompose(pair)
         assert d.blocks[0].basis.shape == (16, 2)

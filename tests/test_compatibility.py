@@ -10,10 +10,11 @@ from biham.compatibility import (
     pencil_member,
     positivity_range,
 )
-from biham.decomposition import decompose, synthesize_pair
+from biham.decomposition import DecompositionError, decompose, synthesize_pair
 from biham.linalg import DEFAULT_TOL, StructureError, commutator, eig_self_adjoint, op_norm
 from biham.structures import ViolationReport, check_admissible
 from conftest import conditioned_basis, congruent, generic_spec, standard_triple, whitened
+import loop_oracle
 from loop_oracle import (
     relation_residuals,
     retired_relation_violations,
@@ -27,8 +28,7 @@ class TestCheckCompatible:
         np.testing.assert_allclose(p.metric_operator, 2.0 * np.eye(2), atol=1e-12)
         np.testing.assert_allclose(p.recursion_operator, 2.0 * np.eye(2), atol=1e-12)
         assert max(p.certificates[k] for k in (
-            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew",
-            "omega1_J2_symmetric", "J1_J2_commutator")) <= 1e-12
+            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew")) <= 1e-12
 
     def test_self_compatibility(self):
         t = standard_triple(3)
@@ -41,16 +41,14 @@ class TestCheckCompatible:
         t1, t2 = incompatible_triples
         report = check_compatible(t1, t2)
         assert isinstance(report, ViolationReport)
-        names = report.names
-        assert "J1_J2_commutator" in names
-        assert "g1_J2_skew" in names
+        # in two dimensions H and K are 1 x 1, so J2's fault is all in the
+        # anti-linear blocks
+        assert report.names == ("g2_J1_skew", "g1_J2_skew")
         by_name = {v.name: v.residual for v in report.violations}
-        # frozen values from direct evaluation of the two diagonal triples in
-        # the g1-orthonormal frame W = diag(1, 1/2), where J2 reads
-        # [[0, sqrt(3)/2], [-2/sqrt(3), 0]]
-        root3 = math.sqrt(3.0)
-        assert by_name["J1_J2_commutator"] == pytest.approx(root3 / 6.0, rel=1e-12)
-        assert by_name["g1_J2_skew"] == pytest.approx(root3 / 6.0, rel=1e-12)
+        # frozen value from direct evaluation in the g1-orthonormal frame
+        # W = diag(1, 1/2): G = diag(2, 3/2) and [G, J1] = [[0, 1/2], [1/2, 0]],
+        # of Frobenius norm 1/sqrt(2), over lam_max = (2 + 3/2) / 2
+        assert by_name["g2_J1_skew"] == pytest.approx(2.0 * math.sqrt(2.0) / 7.0, rel=1e-12)
 
     def test_verdict_is_symmetric(self, ref2d_pair, incompatible_triples):
         assert isinstance(check_compatible(ref2d_pair.t2, ref2d_pair.t1),
@@ -154,13 +152,35 @@ def tampered_documents():
                         yield tampered
 
 
+def block_suite_refuses(t1, t2):
+    """Whether ``check_compatible`` or ``decompose`` refuses the pair; the
+    decomposition, when there is one, else ``None``."""
+    pair = check_compatible(t1, t2)
+    if isinstance(pair, ViolationReport):
+        return True, None
+    try:
+        return False, decompose(pair)
+    except DecompositionError:
+        return True, None
+
+
+def retired_block_violations(d):
+    """Whether a decomposition fails a real-form per-block or cross-block
+    check of the loop oracle at its row-sum threshold."""
+    p = d.pair
+    per_block, cross = loop_oracle.decomposition_residuals(d)
+    norms = [op_norm(p.metric_operator_w), op_norm(p.omega2_w), op_norm(p.t1.j_w)]
+    return (not (per_block <= p.tol.rel * np.array(norms)).all()
+            or any(not value <= p.tol.rel * norms[0] for value in cross.values()))
+
+
 class TestRetiredChecks:
     """The relations ``check_admissible`` and ``check_compatible`` no
     longer judge follow from the checks they keep: no tampered input fails
     one of them and passes, at cond(G) up to 1e6 here."""
 
     def test_tampered_inputs_failing_a_retired_relation_are_refused(self):
-        retired = {"admissibility": 0, "compatibility": 0}
+        retired = {"admissibility": 0, "compatibility": 0, "real_form": 0}
         for doc in tampered_documents():
             triples = []
             for g, w in ((doc["g1"], doc["omega1"]), (doc["g2"], doc["omega2"])):
@@ -176,24 +196,33 @@ class TestRetiredChecks:
                 triples.append(t)
             if any(isinstance(t, ViolationReport) for t in triples):
                 continue
+            refused, d = block_suite_refuses(*triples)
             failed = retired_relation_violations(*triples, DEFAULT_TOL)
             # None: refused before G is formed, with no relation to judge
             if failed:
                 retired["compatibility"] += 1
-                assert isinstance(check_compatible(*triples), ViolationReport), failed
-        # the corpus reaches both kinds of failure
+                assert refused, failed
+            # the real-form checks the block suite replaced, at their old
+            # row-sum thresholds: compatibility's, then decompose's
+            _, violations = loop_oracle.compatibility_residuals(*triples, DEFAULT_TOL)
+            if violations or (d is not None and retired_block_violations(d)):
+                retired["real_form"] += 1
+                assert refused, violations
+        # the corpus reaches every kind of failure
         assert min(retired.values()) > 0
 
     def test_pair_only_t_symmetry_refuses(self):
-        # T's symmetry residual is [omega2, J1], omega2_J1_symmetric's, but
-        # rel |T| is the tighter threshold: this tampered omega1 puts the
-        # residual 1.6x above it and at 0.63x of rel |omega2| |J1|
+        # T's symmetry residual is [omega2, J1], omega2_J1_symmetric's; in
+        # row-sum norms rel |T| was the tighter threshold, and this tampered
+        # omega1 put it 1.6x above that and at 0.63x of rel |omega2| |J1|.
+        # In the Frobenius norm, over the spectral |omega2| |J1|, the two
+        # thresholds agree, and the one check refuses it
         p = synthesize_pair([(2.0, 1, 2), (3.0, -1, 2)], seed=0)
         x = np.random.default_rng(4).standard_normal((8, 8))
         w1 = p.t1.omega.m + 10 ** -9.6 * np.abs(p.t1.omega.m).max() * (x - x.T)
         report = check_compatible(check_admissible(p.t1.g.m, w1), p.t2)
         assert isinstance(report, ViolationReport)
-        assert report.names == ("T_selfadjoint_g1",)
+        assert report.names == ("omega2_J1_symmetric",)
 
 
 class TestPencil:
@@ -255,8 +284,9 @@ class TestPencil:
             warnings.simplefilter("error")
             with pytest.raises(StructureError) as info:
                 pencil_member(decompose(ref4d_pair), -1e308)
-        # 1 / c - 3 over c = 1e308, the eigenvalue of g_c relative to c g1
-        assert info.value.residual == -3.0
+        # 1 / c - 3 over c = 1e308, the eigenvalue of g_c relative to c g1,
+        # with G's largest eigenvalue 3 as read off J1's complex coordinates
+        assert info.value.residual == -ref4d_pair.metric_eigenvalues[-1]
         assert "min eigenvalue -3.000e+00 relative to 1.000e+308 g1" in str(info.value)
 
 

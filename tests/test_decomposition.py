@@ -89,7 +89,9 @@ class TestDecomposeFaults:
 
     Blocks (ascending): 0 = (1, +), 1 = (2, -), 2 = (3, +).  Every fault is
     confined to the span of the named blocks, of size EPS, far above the
-    threshold rule's 1e-9 and far below the cluster gap.
+    threshold rule's 1e-9 and far below the cluster gap.  ``decompose``
+    reads g2 and omega2 through their blocks in J1's complex coordinates,
+    recomputed here from the tampered real matrices.
     """
 
     EPS = 1e-5
@@ -103,36 +105,50 @@ class TestDecomposeFaults:
     def bases(pair):
         return [b.basis_w for b in decompose(pair).blocks]
 
+    @staticmethod
+    def tampered(pair, g2=None, omega2=None):
+        """The pair with g2 or omega2 in t1's frame moved by the given
+        matrix, and its Hermitian block Z^H M Z moved alike."""
+        (_, z), changes = pair.t1.complex_coordinates, {}
+        for delta, real, block in ((g2, "metric_operator_w", "g2_c"),
+                                   (omega2, "omega2_w", "omega2_c")):
+            if delta is not None:
+                changes[real] = getattr(pair, real) + delta
+                changes[block] = getattr(pair, block) + z.conj().T @ delta @ z
+        return pair.replace(**changes)
+
     def test_g2_proportionality(self, pair):
         b = self.bases(pair)[1]
-        g2 = pair.metric_operator_w + self.EPS * (b @ b.T)
-        tampered = pair.replace(metric_operator_w=g2)
+        tampered = self.tampered(pair, g2=self.EPS * (b @ b.T))
         with pytest.raises(DecompositionError,
                            match=r"g2 proportional to g1 fails on block "
                                  r"\(lambda=2, sign=-1\) with residual 1\.0\d*e-05"):
             decompose(tampered)
 
     def test_omega2_proportionality(self, pair):
+        # T_c = i K keeps K's anti-Hermitian part only: a symmetric part of
+        # omega2, a Hermitian part of K, is what this check sees
         b = self.bases(pair)[1]
-        w2 = pair.omega2_w + self.EPS * (b @ self.SKEW @ b.T)
-        tampered = pair.replace(omega2_w=w2)
+        tampered = self.tampered(pair, omega2=self.EPS * (b @ b.T))
         with pytest.raises(DecompositionError,
                            match=r"omega2 proportional to omega1 fails on block "
                                  r"\(lambda=2, sign=-1\)"):
             decompose(tampered)
 
-    def test_j2_equals_sign_j1(self, pair):
-        b = self.bases(pair)[2]
-        j2 = pair.j2_w + self.EPS * (b @ self.SKEW @ b.T)
-        tampered = pair.replace(j2_w=j2)
+    def test_j2_equals_sign_j1(self):
+        # J2 is judged against each coordinate's own |mu|: a g2 fault within
+        # rel lambda_max = 3e-9 passes the g2 check, but is 1e-7 relative to
+        # the block of lambda 0.01
+        pair = synthesize_pair([(0.01, 1, 1), (2.0, -1, 1), (3.0, 1, 1)], seed=4)
+        b = self.bases(pair)[0]
+        tampered = self.tampered(pair, g2=1e-9 * (b @ b.T))
         with pytest.raises(DecompositionError,
-                           match=r"J2 = sign \* J1 fails on block \(lambda=3, sign=\+1\)"):
+                           match=r"J2 = sign \* J1 fails on block \(lambda=0.01, sign=\+1\)"):
             decompose(tampered)
 
     def test_g2_orthogonality(self, pair):
         b = self.bases(pair)
-        g2 = pair.metric_operator_w + self.EPS * (b[1] @ b[2].T + b[2] @ b[1].T)
-        tampered = pair.replace(metric_operator_w=g2)
+        tampered = self.tampered(pair, g2=self.EPS * (b[1] @ b[2].T + b[2] @ b[1].T))
         with pytest.raises(DecompositionError,
                            match=r"blocks 1 and 2 are not g2-orthogonal \(residual 1\.0\d*e-05\)"):
             decompose(tampered)

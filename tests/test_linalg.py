@@ -307,6 +307,51 @@ class TestClusterEigenvalues:
         assert sum(mult for _, mult in clusters) == len(values)
 
 
+def loop_clusters(values, cluster_gap):
+    """The per-value loop that ``cluster_eigenvalues`` replaced, kept as its
+    reference: one comparison per value, in Python float arithmetic."""
+    vals = [float(v) for v in values]
+    if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
+        raise ValueError("values must be sorted in ascending order")
+    clusters = []
+    for v in vals:
+        a = clusters[-1][-1] if clusters else None
+        if clusters and abs(a - v) <= cluster_gap * max(abs(a), abs(v)):
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return [(sum(c) / len(c), len(c)) for c in clusters]
+
+
+@st.composite
+def chained_values(draw):
+    """Sorted values of both signs in chains of up to 13, each step 0 (a
+    tie) to 1.1 times the gap, so chains both hold and break, with a NaN
+    inserted at some position or none; and the gap."""
+    gap = draw(st.floats(min_value=1e-12, max_value=1e-3))
+    values = []
+    for base in draw(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=8)):
+        chain = [base]
+        step = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1]))
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            chain.append(chain[-1] + step * gap * abs(chain[-1]))
+        values.extend(chain)
+    values.sort()
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(min_value=0, max_value=len(values))), float("nan"))
+    return values, gap
+
+
+class TestClusterEigenvaluesEqualsLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(chained_values())
+    def test_equal_to_the_loop(self, case):
+        # the same clusters, and every mean to the bit (NaN equal to NaN)
+        values, gap = case
+        assert [(repr(mean), count) for mean, count in cluster_eigenvalues(values, gap)] == \
+            [(repr(mean), count) for mean, count in loop_clusters(values, gap)]
+
+
 class TestFrameDeparture:
     """The lemma of the frame term, checked on frames of known departure."""
 

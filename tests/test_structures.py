@@ -119,11 +119,12 @@ class TestCheckAdmissible:
             check_admissible(np.eye(2), np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_degenerate_form_reports_violation(self):
-        # degenerate relative to its own scale: singular values 1 and 1e-13
+        # degenerate relative to its own scale: singular values 1 and 1e-13;
+        # the triple judges its form's nondegeneracy through J, with no SVD
         omega = np.kron(np.diag([1.0, 1e-13]), [[0.0, 1.0], [-1.0, 0.0]])
         report = check_admissible(np.eye(4), omega)
         assert isinstance(report, ViolationReport)
-        assert "symplectic_nondegenerate" in report.names
+        assert report.names == ("J_squared_plus_identity", "J_metric_invariance")
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-13, 1e160])
     def test_rescaled_triple_stays_admissible(self, scale):
