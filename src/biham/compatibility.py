@@ -66,8 +66,8 @@ class CompatiblePair(Record):
     The fields ending in ``_w`` hold G (there also g2) and omega2 in t1's
     g1-orthonormal frame, ``g2_c`` and ``omega2_c`` their blocks H = Z^H
     g2_w Z and K = Z^H omega2_w Z in J1's complex coordinates Z (T is i K
-    there, J2 inv(H) K).  T (which the recursion certificate reads) and J2
-    in t1's frame are built on first use, by one solve each.
+    there, J2 inv(H) K).  T and J2 in t1's frame are built on first use,
+    by one solve each; no check reads either.
     """
 
     t1: AdmissibleTriple
@@ -296,9 +296,9 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
             f"(min eigenvalue {low:.3e} relative to {scale})",
             check="pencil_metric_positive", residual=low,
         )
-    # one entry per complex coordinate, cut into blocks at ``starts``
+    # one entry per complex coordinate, cut into blocks at their starts
+    starts = np.array([b.start for b in d.blocks])
     ranks = np.array([b.dim // 2 for b in d.blocks])
-    starts = np.cumsum(ranks) - ranks
     lam, signs = d.coordinate_lambda, d.coordinate_sign
     f_sq = ((one + signs * gamma_c * lam) / (one + gamma_c * lam)) ** 2
     coeffs = -np.add.reduceat(f_sq, starts) / ranks

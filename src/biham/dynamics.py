@@ -15,8 +15,8 @@ The recursion operator T generates a distinguished commuting family in
 its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1, whose span is that of
 the block elements P_b @ J1 for T's spectral projectors P_b: its rank is
 the number of blocks, one per (lambda, sign) class (Vandermonde).
-:func:`certify_recursion` certifies that span off the adapted frame and
-judges how nearly T and J1 generate it, with no power of T formed;
+:func:`certify_recursion` reads that span, and how nearly J1 and omega2
+generate it, off the certificate of the adapted frame, with no T formed;
 :func:`recursion_basis` forms nothing.  :func:`conservation_probe` samples
 the drift of any field instead.  Every stage computes in t1's
 g1-orthonormal frame, where the fields preserving g1 are skew, and maps
@@ -76,20 +76,17 @@ class BiPreservingAlgebra(Record):
         once, on first use, by one QR of the u(r) generators of each block,
         E_ab - E_ba for a < b and i (E_ab + E_ba) for a >= b.  In t1's
         frame Z = X + iY is realified as ``Q_b [[X, -Y], [Y, X]] Q_b.T`` on
-        the block's columns Q_b = [C_b, D_b] of the decomposition's
-        ``frame_w``, the frame its certificate covers."""
+        the block's columns Q_b = ``basis_w`` of the adapted frame, the
+        frame its certificate covers."""
         d = self.decomposition
-        q, n = d.frame_w, d.pair.dim // 2
-        gens, lo = [], 0
+        gens = []
         for block in d.blocks:
-            r, hi = block.dim // 2, lo + block.dim // 2
+            r, q_b = block.dim // 2, block.basis_w
             # e[a r + c] = E_ac, and upper marks a < c
             e = np.eye(r * r).reshape(r * r, r, r)
             upper = np.triu(np.ones((r, r)), 1).reshape(-1, 1, 1)
             x, y = upper * (e - e.swapaxes(1, 2)), (1.0 - upper) * (e + e.swapaxes(1, 2))
-            q_b = q[:, np.r_[lo:hi, n + lo:n + hi]]
             gens.append(q_b @ np.block([[x, -y], [y, x]]) @ q_b.T)
-            lo = hi
         frame, frame_inv = d.pair.t1.g.frame, d.pair.t1.g.frame_inv
         basis = orthonormal_span(frame @ np.concatenate(gens) @ frame_inv, d.tol.rel)
         return tuple(frozen(a) for a in basis)
@@ -98,9 +95,10 @@ class BiPreservingAlgebra(Record):
 class RecursionBasis(Record):
     """The commuting family generated by the recursion operator of ``pair``:
     fields with matrices T^k @ J1 for k = 0 .. n-1.  Nothing is formed on
-    construction, and :func:`certify_recursion` reads only ``pair``.
-    ``fields`` holds the raw powers, built on first use; they scale like
-    lambda^k and leave the floating-point range for extreme spectra."""
+    construction, and :func:`certify_recursion` reads only ``pair``, to
+    refuse another pair's decomposition.  ``fields`` holds the raw powers,
+    built on first use; they scale like lambda^k and leave the
+    floating-point range for extreme spectra."""
 
     pair: CompatiblePair
 
@@ -178,96 +176,95 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
 def recursion_basis(p: CompatiblePair) -> RecursionBasis:
     """The candidate commuting family T^k @ J1, k = 0 .. n-1, with nothing
     formed; :func:`certify_recursion` decides whether it is an actual basis
-    (full rank requires genericity) from its generators T and J1.
+    (full rank requires genericity) off the decomposition's frame.
     """
     return RecursionBasis(p)
 
 
 def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
     """Certify the recursion family J1, T J1, ..., T^(n-1) J1 of the
-    decomposed pair, T and J1 those of ``rb.pair``: preservation of all
-    four tensors and pairwise commutation within ``tol.rel``, the rank and
-    a drift bound, read off the adapted frame with no power of T formed.
-    The matrix Nijenhuis identity [T A, T] = T [A, T] holds for every pair
-    of matrices, as both sides are T A T - T^2 A, so it is not judged.
-    |.| is the row-sum norm and |.|_2 the spectral norm.
+    decomposed pair: preservation of all four tensors and pairwise
+    commutation within ``tol.rel``, the rank and a drift bound, read off
+    ``(bound, e) = d.frame_certificate`` with no matrix work and no T.
+    Another pair's family ``rb`` raises ``ValueError``.  The matrix Nijenhuis
+    identity [T A, T] = T [A, T] holds for every pair of matrices, as both
+    sides are T A T - T^2 A, so it is not judged.  |.| is the row-sum norm
+    and |.|_2 the spectral norm.
 
-    Span.  In t1's g1-orthonormal frame let Q = [C, D] = ``d.frame_w``,
-    J_c the canonical rotation (Q J_c = [D, -C]), K_j its part on the j-th
-    complex coordinate, and mu = ``coordinate_sign * coordinate_lambda`` on
-    [C, D].  Where T Q = Q diag(mu) and J1 Q = Q J_c, every power is
+    Generation.  In t1's g1-orthonormal frame T = inv(J1) omega2.  Let
+    Q = [C, D] = ``d.frame_w``, O = Q.T Q - I, J_c the canonical rotation
+    (Q J_c = [D, -C]), K_j its part on the j-th complex coordinate, mu =
+    ``coordinate_sign * coordinate_lambda`` on [C, D], omega2_c =
+    diag(mu) J_c, and d the frame certificate's departure, the largest
+    |tau - Q tau_c Q.T| / |tau|.  The pair tau' = Q tau_c inv(Q), tau =
+    J1 and omega2, has T' = Q diag(mu) inv(Q), so every power is
 
-        T^k J1 = Q diag(mu)^k J_c inv(Q) = sum_j mu_j^k P_j J1,
+        T'^k J1' = Q diag(mu)^k J_c inv(Q) = sum_j mu_j^k P_j J1'
 
-    P_j = Q E_j inv(Q) the spectral projectors: the spectral form of a
-    matrix function (Higham, *Functions of Matrices*, SIAM 2008, §1.2).  So
-    the family lies in the span of the coordinate elements Q K_j inv(Q).
-    The nodes of a block's coordinates are equal at ``cluster_gap`` and
-    the c block nodes s_b lambda_b are distinct, so by the Vandermonde
-    theorem the family spans the c block elements P_b J1: its rank is c.
+    for the spectral projectors P_j = Q E_j inv(Q) (Higham, *Functions of
+    Matrices*, SIAM 2008, §1.2): its family lies exactly in the span of
+    the coordinate elements Q K_j inv(Q).  As Q.T - inv(Q) = O inv(I + O)
+    Q.T, tau - tau' is tau - Q tau_c Q.T, at most d |tau|, plus
+    Q tau_c O inv(I + O) Q.T, at most sqrt(m) e (1 + e) |tau_c|_2 / (1 - e)
+    with |tau_c|_2 <= (1 + d) |tau| / (1 - e), as Q tau_c Q.T is symmetric
+    or skew and Q's singular values are at least sqrt(1 - e).  As sqrt(m)
+    <= m, |tau - tau'| <= g |tau| with g = ``bound`` / 2: a backward error
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    SIAM 2002, ch. 1), with no factor of n or of the powers' growth.  The
+    nodes of a block's coordinates are equal at ``cluster_gap`` and the c
+    block nodes s_b lambda_b are distinct, so by the Vandermonde theorem
+    the family spans the c block elements P_b J1': its rank is c.
 
-    Generation.  With L the largest lambda and nu = mu / L, one stacked
-    product gives R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c.  The pair
-    T' = T - L R inv(Q), J1' = J1 - S inv(Q) satisfies T' Q = L Q diag(nu)
-    and J1' Q = Q J_c exactly, so its family lies in the span above.  This
-    is a backward-error statement: the family of a pair whose action on
-    the frame is within g = max(|R|, |S|) of the input's is exact, with no
-    factor of n, of the growth of the powers or of sqrt(m).
-
-    Span bounds, from the frame certificate ``(beta, e) =
-    d.frame_certificate``.  Each span element is A M, A = Q K Q.T for a
-    combination K of the K_j and M = inv(Q Q.T), |M - I|_2 <= e / (1 - e).
+    Span bounds.  Each span element is A M, A = Q K Q.T for a combination K
+    of the K_j and M = inv(Q Q.T), |M - I|_2 <= e / (1 - e).
 
     * Preservation.  A lies in the realified ``⊕ u(1)`` the certificate
-      covers: A is skew and |tau A + A.T tau| <= beta |tau| |A| for tau in
+      covers: A is skew and |tau A + A.T tau| <= bound |tau| |A| for tau in
       J1, G and omega2.  M adds at most 2 f |tau| |A| for every tau, g1
       included, with f = sqrt(m) e / (1 - e), as |X| <= sqrt(m) |X|_2 and
       |A|_2 <= |A| for skew A; and |A| <= |A M| / (1 - f).  So every span
-      element has relative residual at most P = (beta + 2 f) / (1 - f)
+      element has relative residual at most P = (bound + 2 f) / (1 - f)
       for all four tensors, and at most P1 = 2 f / (1 - f) for g1.
     * Commutation.  Q K inv(Q) Q K' inv(Q) = Q K K' inv(Q) and the K
       commute, so the span commutes exactly.
     * Rank.  The Frobenius-normalized Z_j = Q K_j Q.T have Gram matrix
       within gram = (2 e + e^2) / (1 - 2 e - e^2) of I, as <Z_j, Z_k>_F =
-      tr((I + O) K_j.T (I + O) K_k) with O = Q.T Q - I, |O|_2 <= e, and
-      tr(K_j.T K_k) = 2 for j = k, else 0; the span elements are the Z_j
-      times the invertible M.
+      tr((I + O) K_j.T (I + O) K_k), |O|_2 <= e, and tr(K_j.T K_k) = 2 for
+      j = k, else 0; the span elements are the Z_j times the invertible M.
 
-    Values.  Each is the larger of its span bound and g, and each flag
-    compares its value with ``tol.rel``, so a fault in T or J1 fails all
-    three: ``max_preservation_residual`` is max(P, g),
-    ``max_commutator_residual`` is g, and ``vandermonde_consistent`` is
-    max(gram, g) <= ``rel``.  ``max_conservation_drift`` is 10 sqrt(m)
-    (max(P, g) + max(P1, g)), which bounds, by Duhamel's formula, the
-    relative drift of each tensor over t in [0, 10] under the orthogonal
-    flow of the g1-skew part of a span element of unit norm.  It is
-    reported, not judged.
+    Values.  ``max_preservation_residual`` is P, ``max_commutator_residual``
+    is g, as the span commutes exactly, and ``vandermonde_consistent`` is
+    max(gram, g) <= ``rel``; each flag compares its value with ``rel``.  P
+    is at least ``bound`` = 2 g, so a frame or a pair that fails the
+    certificate fails all three flags, and so does a NaN.
+    ``max_conservation_drift`` is 10 sqrt(m) (P + P1), which bounds, by
+    Duhamel's formula, the relative drift of each tensor over t in [0, 10]
+    under the orthogonal flow of the g1-skew part of a span element of unit
+    norm.  It is reported, not judged.
 
-    Rounding: beta and e carry theirs (see ``frame_certificate``), and R
-    and S are measured like every residual of the threshold rule.  On the
-    two-class dim-512 pair (``2:+:128,3:-:128``) moved by a congruence of
-    cond(g1) = 1e6, beta is 2.5e-10, |R| 2.6e-10 and |S| 3.4e-10.
+    Rounding: ``bound`` and e carry theirs (see ``frame_certificate``), and
+    nothing else is measured.  On the two-class dim-512 pair
+    (``2:+:128,3:-:128``) moved by a congruence of cond(g1) = 1e6,
+    ``bound`` is 2.48e-10, so g is 1.24e-10 and P 2.51e-10.
 
     ``power_basis_log10_condition`` is log10 of Gautschi's bound on the
     condition number of the Vandermonde matrix of the nodes
     (:func:`_power_basis_log10_condition`): an observable of how far the
     raw powers are from a usable basis, not a verdict.
     """
-    p, tol = rb.pair, d.tol
-    q, m, n = d.frame_w, p.dim, p.dim // 2
-    beta, e = d.frame_certificate
-    top = float(d.coordinate_lambda.max())
-    nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
-    gen = float(op_norms(np.array([(p.recursion_operator_w / top) @ q - q * nu,
-                                   p.t1.j_w @ q - np.hstack((q[:, n:], -q[:, :n]))])).max())
+    if rb.pair is not d.pair:
+        raise ValueError("the recursion family is not that of the decomposed pair")
+    m, tol = d.pair.dim, d.tol
+    bound, e = d.frame_certificate
     f = math.sqrt(m) * e / (1.0 - e) if e < 1.0 else math.inf
     if f < 1.0:
-        span, span_g1 = (beta + 2.0 * f) / (1.0 - f), 2.0 * f / (1.0 - f)
+        pres, pres_g1 = (bound + 2.0 * f) / (1.0 - f), 2.0 * f / (1.0 - f)
     else:
-        span = span_g1 = math.inf
+        pres = pres_g1 = math.inf
     gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
+    gen = bound / 2.0
     # np.maximum, unlike max, keeps a NaN, which fails every flag
-    pres, pres_g1, vandermonde = np.maximum([span, span_g1, gram], gen).tolist()
+    vandermonde = float(np.maximum(gram, gen))
     nodes = [b.sign * b.eigenvalue for b in d.blocks]
     return RecursionCertificate(
         preserves_all=pres <= tol.rel,
@@ -275,7 +272,7 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
         commute=gen <= tol.rel,
         max_commutator_residual=gen,
         rank=len(d.blocks),
-        expected_rank=n,
+        expected_rank=m // 2,
         distinct_t_eigenvalues=len(d.blocks),
         vandermonde_consistent=vandermonde <= tol.rel,
         max_conservation_drift=10.0 * math.sqrt(m) * (pres + pres_g1),

@@ -367,6 +367,36 @@ def telescoped_bounds(p, d):
             "inclusion": root * delta / (1.0 - zeta)}
 
 
+def generator_action_residual(d):
+    """The retired action form of the generators' check, max(|R|, |S|) for
+    R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, with Q = [C, D] the
+    adapted frame, nu each coordinate's ``sign * lambda`` over the largest
+    lambda L and J_c the canonical rotation, T solved from the pair and
+    each residual read with ``op_norm``.  It was judged against ``rel``;
+    it carries |Q| of about 0.8 sqrt(m), which the departure form
+    (:func:`generator_backward_error`) does not."""
+    p, q, n = d.pair, d.frame_w, d.pair.dim // 2
+    top = float(d.coordinate_lambda.max())
+    nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
+    t = np.linalg.solve(p.t1.j_w, p.omega2_w)
+    return max(op_norm((t / top) @ q - q * nu),
+               op_norm(p.t1.j_w @ q - np.hstack((q[:, n:], -q[:, :n]))))
+
+
+def generator_backward_error(d):
+    """The departure form of the generators' backward error, formed
+    densely with ``inv(Q)``: max |tau - Q tau_c inv(Q)| / |tau| over tau =
+    J1 and omega2, with tau_c = J_c and diag(sign * lambda) J_c on [C, D].
+    The pair (Q J_c inv(Q), Q omega2_c inv(Q)) has its recursion family
+    exactly in the span of the coordinate elements."""
+    p, q, n = d.pair, d.frame_w, d.pair.dim // 2
+    q_inv = np.linalg.inv(q)
+    q_rot = np.hstack((q[:, n:], -q[:, :n]))  # Q J_c
+    mu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2)
+    return max(op_norm(p.t1.j_w - q_rot @ q_inv) / op_norm(p.t1.j_w),
+               op_norm(p.omega2_w - (q_rot * mu) @ q_inv) / op_norm(p.omega2_w))
+
+
 def in_t1_frame(q):
     """The pair rebuilt in its own t1's g1-orthonormal frame, where g1 is
     I and the row-sum drift the certificate bounds is the one the probe

@@ -84,7 +84,7 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
@@ -851,7 +851,7 @@ class TestSharedResults:
         # compatibility and decompose share J1's complex coordinates: one
         # m x m (complex) eigensolve of i J1, the n x n ones of H and T_c,
         # no SVD (the triples judge their forms' nondegeneracy through J),
-        # and one solve, of T, which the recursion certificate reads
+        # and no solve: the recursion certificate reads the frame's, not T
         pair = synthesize_pair(generic_spec(4), seed=1)
         m = pair.dim
         calls = {"eigh": [], "svd": [], "solve": []}
@@ -871,16 +871,17 @@ class TestSharedResults:
         assert calls["eigh"] == [((m, m), False), ((m, m), False), ((m, m), True),
                                  ((m // 2, m // 2), True), ((m // 2, m // 2), True)]
         assert calls["svd"] == []
-        assert calls["solve"] == [((m, m), False)]
+        assert calls["solve"] == []
 
     def test_analyze_forms_nothing_the_report_does_not_read(self, monkeypatch):
-        # one analysis of a generic pair solves once (T, for the recursion
-        # certificate) and certifies the recursion family off the frame: no
-        # power of T is formed, and no matrix built on first use is built,
+        # one analysis of a generic pair makes no solve and certifies the
+        # recursion family off the frame's certificate: T is not formed,
+        # nor any power of it, and no matrix built on first use is built,
         # as no report field reads one
         pair = synthesize_pair(generic_spec(8), seed=1)
         lazy = [(RecursionBasis, "fields"),
                 (Block, "basis"), (Block, "basis_w"),
+                (CompatiblePair, "recursion_operator_w"),
                 (CompatiblePair, "recursion_operator"), (CompatiblePair, "j2_w"),
                 (AdmissibleTriple, "j"),
                 (PencilMember, "g"), (PencilMember, "omega"), (PencilMember, "j")]
@@ -908,7 +909,7 @@ class TestSharedResults:
         assert code == 0 and report["recursion"]["all_pass"] is True
         assert report["pencil_member"]["admissible"] is False
         assert reads == []
-        assert solves == [(16, 16)]
+        assert solves == []
         # the same matrices are still there for a caller who reads them
         d = decompose(pair)
         assert d.blocks[0].basis.shape == (16, 2)

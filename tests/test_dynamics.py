@@ -292,31 +292,49 @@ class TestCertificateFaults:
             bi_preserving_algebra(d)
 
     def test_tampered_direction_fails(self):
-        # a fault in T moves every direction after J1; the certificate
-        # reads T on the frame, so it cannot miss it
+        # a fault in omega2 moves T, and with it every direction after J1;
+        # the frame certificate measures omega2 on the frame, so the
+        # certificate of the pair the decomposition carries cannot miss it
         p = synthesize_pair(self.SPEC, seed=3)
         sym = np.random.default_rng(5).standard_normal((p.dim, p.dim))
         # T = inv(J1) omega2 is built from omega2: move T by 1e-6 (sym + sym.T)
         tampered = p.replace(omega2_w=p.omega2_w + p.t1.j_w @ (1e-6 * (sym + sym.T)))
-        # the oracle sees the fault the certificate must not miss
+        # the oracle sees the fault the certificate must not miss, and so
+        # does the retired action-form check of the generators
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(tampered), p)
         assert measured["preservation"] > p.tol.rel and measured["commutator"] > p.tol.rel
-        cert = certify_recursion(recursion_basis(tampered), decompose(p))
+        d = decompose(p).replace(pair=tampered)
+        assert loop_oracle.generator_action_residual(d) > p.tol.rel
+        cert = certify_recursion(recursion_basis(tampered), d)
         assert not cert.preserves_all and not cert.commute
         assert not cert.vandermonde_consistent
+
+    def test_another_pairs_family_is_refused(self):
+        # the certificate reads only the decomposition, so a family of
+        # another pair, even an equal one, must not be certified by it
+        p = synthesize_pair(self.SPEC, seed=3)
+        d = decompose(p)
+        with pytest.raises(ValueError, match="not that of the decomposed pair"):
+            certify_recursion(recursion_basis(synthesize_pair(self.SPEC, seed=3)), d)
+        with pytest.raises(ValueError, match="not that of the decomposed pair"):
+            certify_recursion(recursion_basis(p.replace(omega2_w=2.0 * p.omega2_w)), d)
 
     def test_uncertified_frame_fails_the_span(self):
         # cond(g1) = 6.4e7, beyond the advertised 1e6: the certificate does
         # not raise, but the span's preservation bound, read off the frame,
         # exceeds rel though the directions measure within it; the algebra,
-        # which needs the same frame, names the failure
+        # which needs the same frame, names the failure.  The generators'
+        # backward error is half the frame's bound, within rel here
         p = uncertified_pair()
         d = decompose(p)
-        assert d.frame_certificate[0] > p.tol.rel
+        bound, _ = d.frame_certificate
+        assert bound > p.tol.rel
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
         assert max(measured["preservation"], measured["commutator"]) <= p.tol.rel
         cert = certify_recursion(recursion_basis(p), d)
-        assert not cert.preserves_all and cert.commute
+        assert not cert.preserves_all
+        assert cert.commute and cert.max_commutator_residual == bound / 2.0
+        assert loop_oracle.generator_backward_error(d) <= cert.max_commutator_residual
         assert cert.rank == cert.expected_rank == 4
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)

@@ -263,6 +263,28 @@ class TestRecursionBounds:
         assert_directions_within_bounds(make_pair(), drift_within_rel)
 
 
+class TestGeneratorBackwardError:
+    """The generators' backward error, formed densely with inv(Q) from the
+    departure of J1 and omega2 from their canonical forms on the frame,
+    within the ``max_commutator_residual`` the certificate reads off the
+    frame certificate alone; and the retired action form of the same
+    check within ``rel``, its old threshold, on these valid pairs."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3], ids=lambda s: (
+        "plain" if s is None else f"cond-1e6-seed-{s}"))
+    @pytest.mark.parametrize("dim", [8, 16, 24, 32])
+    @pytest.mark.parametrize("spec", [lambda dim: generic_spec(dim // 2), two_class_spec],
+                             ids=["generic", "two-class"])
+    def test_dense_backward_error_within_the_reported_value(self, spec, dim, seed):
+        p = (synthesize_pair(spec(dim), seed=dim) if seed is None
+             else conditioned_pair(spec(dim), 1e3, seed=seed))
+        d = decompose(p)
+        cert = certify_recursion(recursion_basis(p), d)
+        assert cert.commute
+        assert loop_oracle.generator_backward_error(d) <= cert.max_commutator_residual
+        assert loop_oracle.generator_action_residual(d) <= p.tol.rel
+
+
 class TestAlgebraElements:
     """The per-element preservation check the certificate of the adapted
     frame replaced: wherever ``bi_preserving_algebra`` passes, every basis
