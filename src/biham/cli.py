@@ -36,7 +36,7 @@ from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from .linalg import NumericalCheckError, Record, Tolerance
 from .structures import ViolationReport, check_admissible
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class InputError(ValueError):

@@ -16,9 +16,8 @@ a commuting family together with the two complex structures: G and T are
 self-adjoint and the J's skew-adjoint for both metrics, G = -J1 @ T @ J2,
 [G, T] = 0, the spectrum of G is positive, and T^2 = G^2.  Those relations
 follow from the four conditions, and :func:`~biham.decomposition.decompose`
-certifies them block by block.  Both judge the pair once, as two
-Hermitian forms on C^n in J1's complex coordinates, and the pair keeps
-the eigenvalues of G for every later stage.
+certifies them block by block.  Both read one eigensolve of the pair's
+two Hermitian forms on C^n, in J1's complex coordinates, which the pair keeps.
 
 A compatible pair also spans the *pencil*  g_c = g1 + c * g2,
 omega_c = omega1 + c * omega2, whose members are admissible block by block
@@ -64,10 +63,10 @@ class CompatiblePair(Record):
     :func:`check_compatible` made.
 
     The fields ending in ``_w`` hold G (there also g2) and omega2 in t1's
-    g1-orthonormal frame, ``g2_c`` and ``omega2_c`` their blocks H = Z^H
-    g2_w Z and K = Z^H omega2_w Z in J1's complex coordinates Z (T is i K
-    there, J2 inv(H) K).  T and J2 in t1's frame are built on first use,
-    by one solve each; no check reads either.
+    g1-orthonormal frame; ``mu``, ``v``, ``e``, ``r`` and ``y`` are T_c's
+    eigenpairs and the residuals E, R, Y of :func:`check_compatible`, which
+    ``decompose`` reads.  T and J2 in t1's frame are built on first use, by
+    one solve each; no check reads either.
     """
 
     t1: AdmissibleTriple
@@ -78,8 +77,11 @@ class CompatiblePair(Record):
     tol: Tolerance
     metric_operator_w: np.ndarray
     omega2_w: np.ndarray
-    g2_c: np.ndarray
-    omega2_c: np.ndarray
+    mu: np.ndarray
+    v: np.ndarray
+    e: np.ndarray
+    r: np.ndarray
+    y: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -104,42 +106,50 @@ class CompatiblePair(Record):
 
 def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
                      tol: Tolerance = DEFAULT_TOL):
-    """Decide compatibility in J1's complex coordinates, with no solve.
+    """Decide compatibility in J1's complex coordinates, by one n x n
+    eigensolve and no solve.
 
-    In t1's g1-orthonormal frame (g1 = I, omega1 = J1), with Z from
-    ``t1.complex_coordinates``, one stacked product gives, for M = g2 and
+    In t1's g1-orthonormal frame (g1 = I, omega1 = J1), with ``(nu, Z) =
+    t1.complex_coordinates``, one stacked product gives, for M = g2 and
     omega2, the Hermitian blocks Z^H M Z (H, K) and the anti-linear
-    A = Z^T M Z.  Residuals are
-    Frobenius norms (Z is fixed up to a unitary) over lam_max, G's largest
-    eigenvalue, against ``rel`` times spectral factor norms:
+    A = Z^T M Z.  T_c = Z^H T Z = i diag(1 / nu) K is similar to the
+    Hermitian i N K N, N = diag(nu^-1/2), whose ``eigh`` gives mu and V.
+    With L = diag(|mu|), S = diag(sign mu) (zero counts +), the pair keeps
+
+        E = V^H N H N V - L,  R = V^H N K N V + i diag(mu),  Y = inv(L) (R + i E S),
+
+    E and R over max |mu|.  G's spectrum is |mu| (N H N = V L V^H to first
+    order in E): positive when min |mu| > rel max |mu|, and min |mu| is
+    ``G_min_eigenvalue``.  Residuals are Frobenius norms (Z is fixed up to
+    a unitary) over max |mu|, against ``rel`` times spectral factor norms:
 
     * ``g2_J1_skew``, ``omega2_J1_symmetric``: both J1 conditions read
       [M, J1] = 0, and [M, J1] is [[0, 2i conj(A)], [-2i A, 0]] in the
       unitary basis [Z, conj(Z)], so |[M, J1]|_F = 2 sqrt(2) |A|_F.
-    * ``g1_J2_skew``: where the A vanish, J2 is inv(H) K on Z, and both J2
-      conditions read inv(H) K - K inv(H) = 0 ([H, K] = 0; [J1, J2] = 0
-      follows).  With H = U L U^H, K' = U^H K U, A' = U^T A U, J2 + J2.T
-      has, in the basis [Z U, conj(Z U)], the blocks X = inv(L) K' -
-      K' inv(L), exact, and Y = inv(L) A'_w - A'_w inv(L) + conj(K') M -
-      M K', M = inv(L) A'_g inv(L), to first order in the A; the residual
-      sqrt(2 |X|_F^2 + 2 |Y|_F^2) is |J2 + J2.T|_F.  It passes at
-      rel sqrt(m) / 2, the Frobenius-to-spectral ratio of an m x m
-      Gaussian matrix, as J2's rounding fills all its entries.
-    * T_c = Z^H T Z = i K is Hermitian, so T's symmetry ([omega2, J1]
-      again) is not judged.  G's spectrum is H's, each eigenvalue twice,
-      and must be positive; g1 G = g2 is judged in the input coordinates.
+    * ``g1_J2_skew``: |J2 + J2.T|_F to first order in E, R, nu - 1 and the
+      A.  Where the A vanish J2 is inv(H) K = N V inv(L + E) K' V^H inv(N)
+      on Z, K' = V^H N K N V = R - i diag(mu), and inv(L + E) K' = -i S + Y
+      to first order, so V^H J2 V = -i S + Y - i [Delta, S], Delta =
+      V^H (N - I) V.  J2 is real, so in the unitary basis [Z V, conj(Z V)]
+      J2 + J2.T = J2 + J2^H has the diagonal blocks X and conj(X), X =
+      Y + Y^H - 2i [Delta, S], and, to first order in the A (A' = V^T A V),
+      the off-diagonal Y_a and conj(Y_a), Y_a = inv(L) A'_w - A'_w inv(L) +
+      conj(K') M - M K', M = inv(L) A'_g inv(L): |J2 + J2.T|_F =
+      sqrt(2) hypot(|X|_F, |Y_a|_F).  It passes at rel sqrt(m) / 2, the
+      Frobenius-to-spectral ratio of an m x m Gaussian matrix, as J2's
+      rounding fills all its entries.  [J1, J2] = 0 follows, and T_c is
+      Hermitian, so T's symmetry ([omega2, J1] again) is not judged.
 
-    The retired real-form residuals (``tests/loop_oracle.py``) take
-    row-sum norms, up to sqrt(m) times these, so no constant keeps every
-    verdict alike: the constants come from the margins on the tests'
-    tamper corpus, where no input failing a retired check passes here and
-    in ``decompose``.  Returns a :class:`CompatiblePair` or a
+    g1 G = g2 is judged in the input coordinates.  The constants come from
+    the margins on the tests' tamper corpus, where no input failing a
+    retired real-form check (``tests/loop_oracle.py``) passes here and in
+    ``decompose``.  Returns a :class:`CompatiblePair` or a
     :class:`ViolationReport` naming each failed condition.
     """
     if t1.dim != t2.dim:
         raise ValueError(f"dimension mismatch: {t1.dim} vs {t2.dim}")
     frame, frame_inv = t1.g.frame, t1.g.frame_inv
-    n, (_, z) = t1.dim // 2, t1.complex_coordinates
+    n, (nu, z) = t1.dim // 2, t1.complex_coordinates
     # g2 (also G) and omega2 in t1's frame, then P = X.T M X for X = [Re Z,
     # Im Z]: Z^H M Z = P11 + P22 + i (P12 - P21), Z^T M Z = P11 - P22 +
     # i (P12 + P21); scales far apart overflow, and fail
@@ -154,10 +164,14 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         anti = p11 - p22 + 1j * (p12 + p21)
     if not (np.isfinite(herm).all() and np.isfinite(anti).all()):
         return ViolationReport("compatibility", (Violation("G_finite", math.inf),))
-    lam, u = np.linalg.eigh(herm[0])
-    if not lam[0] > tol.rel * lam[-1]:
-        return ViolationReport("compatibility",
-                               (Violation("G_positive_spectrum", float(lam[0])),))
+    root = np.sqrt(nu)
+    hk = herm / root[:, None] / root  # N H N, N K N
+    t_c = 0.5j * hk[1]  # i N K N, halved first so no finite K overflows
+    mu, v = np.linalg.eigh(t_c + t_c.conj().T)
+    lam, sign = np.abs(mu), np.where(mu < 0.0, -1, 1)
+    low, scale = float(lam.min()), float(lam.max())
+    if not low > tol.rel * scale:
+        return ViolationReport("compatibility", (Violation("G_positive_spectrum", low),))
 
     certificates: dict[str, float] = {}
     violations: list[Violation] = []
@@ -167,34 +181,38 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         if not resid <= threshold:
             violations.append(Violation(name, resid))
 
-    # over lam_max no product overflows on a valid pair (one that does
-    # fails its check); K' and A' in H's eigenbasis U
-    scale, m = lam[-1], t1.dim
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inv = scale / lam
-        k_u = u.conj().T @ (herm[1] / scale) @ u
-        a_g, a_w = u.T @ (anti / scale) @ u
-        diff = inv[:, None] - inv
+    # over max |mu| no product overflows on a valid pair (one that does
+    # fails its check); K' = V^H N K N V, Delta and the A' in V's basis
+    inv = scale / lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, k_v, delta = v.conj().T @ np.stack(
+            (hk[0] / scale, hk[1] / scale, np.diag(1.0 / root - 1.0))) @ v
+        a_g, a_w = v.T @ (anti / scale) @ v
+        e -= np.diag(lam / scale)
+        r = k_v + np.diag(1j * mu / scale)
+        y = inv[:, None] * (r + 1j * e * sign)
         m_g = inv[:, None] * a_g * inv
         skew_g2, sym_w2, lin_j2, anti_j2 = np.linalg.norm(np.array(
-            [a_g, a_w, diff * k_u, diff * a_w + k_u.conj() @ m_g - m_g @ k_u]),
+            [a_g, a_w, y + y.conj().T - 2j * delta * (sign - sign[:, None]),
+             (inv[:, None] - inv) * a_w + k_v.conj() @ m_g - m_g @ k_v]),
             axis=(-2, -1)).tolist()
     root2 = math.sqrt(2.0)
     record("g2_J1_skew", 2.0 * root2 * skew_g2, tol.rel)
     record("omega2_J1_symmetric", 2.0 * root2 * sym_w2, tol.rel)
-    record("g1_J2_skew", root2 * math.hypot(lin_j2, anti_j2), tol.rel * 0.5 * math.sqrt(m))
+    record("g1_J2_skew", root2 * math.hypot(lin_j2, anti_j2), tol.rel * 0.5 * math.sqrt(t1.dim))
     if not violations:
         # the reported, unscaled G must carry g1 into g2 (an overflow fails)
         with np.errstate(over="ignore", invalid="ignore"):
             big_g = frame @ g2 @ frame_inv
             transfer, n_g1, n_g = op_norms([t1.g.m @ big_g - t2.g.m, t1.g.m, big_g]).tolist()
         record("metric_transfer", transfer, tol.threshold(n_g1, n_g))
-    certificates["G_min_eigenvalue"] = float(lam[0])
+    certificates["G_min_eigenvalue"] = low
     if violations:
         return ViolationReport("compatibility", tuple(violations))
 
-    return CompatiblePair(t1, t2, frozen(big_g), frozen(np.repeat(lam, 2)), certificates,
-                          tol, frozen(g2), frozen(w2), frozen(herm[0]), frozen(herm[1]))
+    return CompatiblePair(t1, t2, frozen(big_g), frozen(np.repeat(np.sort(lam), 2)),
+                          certificates, tol, frozen(g2), frozen(w2), frozen(mu), frozen(v),
+                          frozen(e), frozen(r), frozen(y))
 
 
 class PencilBlockVerdict(Record):

@@ -204,42 +204,27 @@ class CanonicalBlockBasis(Record):
 def decompose(p: CompatiblePair) -> BlockDecomposition:
     """Compute the bi-orthogonal block decomposition of a compatible pair.
 
-    In t1's g1-orthonormal frame J1 is -i diag(nu) on Z (``(nu, Z) =
-    t1.complex_coordinates``), so
-    T_c = Z^H T Z = i diag(1 / nu) K, K = ``omega2_c``, similar to the
-    Hermitian i N K N, N = diag(nu^-1/2); nu - 1, the frame's rounding
-    that J1 sees, enters G alike (N H N, H = ``g2_c``) and keeps mu as
-    accurate as the solved T.  One ``eigh`` gives mu and V.  The |mu|
-    chain at ``cluster_gap`` (a wider chain is refused: the one judge of
+    Reads T_c's eigenpairs (mu, V) in J1's complex coordinates Z and the
+    residuals E, R and Y on them off the pair (:func:`check_compatible`),
+    with no eigensolve and no product beyond the frame's.  The |mu| chain
+    at ``cluster_gap`` (a wider chain is refused: the one judge of
     eigenvalue equality), each cluster split by the sign of mu, both parts
     taking its mean as lambda.  In block order, ``sqrt(2) Z V`` holds the
     axes C (real parts) and partners D = J1 C (imaginary parts) of
     ``frame_w`` = [C, D]; a block's basis is its columns of C, then of D
     (:attr:`Block.basis_w`), J1-invariant and g1-orthogonal to the others
-    by construction.  With S = diag(sign), the n x n residuals
-
-        E = V^H N H N V - diag(|mu|)   (g2 = lambda g1; off the diagonal
-                                        blocks, g2-orthogonality),
-        R = V^H N K N V + i diag(mu)   (omega2 = sign lambda omega1),
-        Y = diag(1 / |mu|) (R + i E S) (J2 = sign J1, a block's columns)
-
-    are, for B = [C, D], up to the anti-linear blocks and to first order in
-    nu - 1 and E, the realified B.T g2 B - B.T B L, B.T omega2 B -
-    s B.T J1 B L and (J2 - s J1) B, as N (K + i s H) N V_b = V (R + i E S)_b
-    (realifying keeps the spectral norm, and the Frobenius one times
-    sqrt(2)).  Each sub-block's Frobenius norm, free of V's unitary freedom
-    in a block, passes at ``rel`` times the spectral |g2|_2 = lam_max,
-    |omega2|_2 = max |mu| or |J1|_2 = 1 (own |mu| per coordinate); the real
-    form's row-sum residuals (``tests/loop_oracle.py``) are at most
-    sqrt(m) times these.  An error names the first pair that is not
-    g2-orthogonal, else the first failing block (then check).
+    by construction.  For B = [C, D], E, R and Y are, up to the anti-linear
+    blocks and to first order in nu - 1 and E, the realified B.T g2 B -
+    B.T B L, B.T omega2 B - s B.T J1 B L and (J2 - s J1) B (realifying
+    keeps the spectral norm, and the Frobenius one times sqrt(2)).  Each
+    sub-block's Frobenius norm, free of V's unitary freedom in a block,
+    passes at ``rel`` times the spectral |g2|_2 = |omega2|_2 = max |mu| or
+    |J1|_2 = 1 (own |mu| per coordinate); the real form's row-sum residuals
+    (``tests/loop_oracle.py``) are at most sqrt(m) times these.  An error
+    names the first pair that is not g2-orthogonal, else the first failing
+    block (then check).
     """
-    tol, n = p.tol, p.dim // 2
-    nu, z = p.t1.complex_coordinates
-    root = np.sqrt(nu)
-    hk = np.stack((p.g2_c, p.omega2_c)) / root[:, None] / root  # N H N, N K N
-    mu, v = np.linalg.eigh(0.5j * (hk[1] - hk[1].conj().T))
-
+    tol, n, mu = p.tol, p.dim // 2, p.mu
     # one permutation of eigh's output into block order: lambda ascends by
     # cluster, + before - within one (a zero mu joins the + part)
     order = np.argsort(np.abs(mu), kind="stable")
@@ -247,8 +232,8 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
                                "; give a smaller cluster_gap in the file's 'tol'")
     cluster = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
     order = order[np.lexsort((mu[order] < 0.0, cluster))]
-    mu, v = mu[order], v[:, order]
-    axes = np.sqrt(2.0) * (z @ v)
+    mu = mu[order]
+    axes = np.sqrt(2.0) * (p.t1.complex_coordinates[1] @ p.v[:, order])
     sign = np.where(mu < 0.0, -1, 1)
     frame_w = frozen(np.hstack((axes.real, axes.imag)))
 
@@ -258,17 +243,12 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
                          frame_w, p.t1.g.frame)
                    for lo, hi in zip(starts, np.append(starts[1:], n)))
 
-    # every residual over G's largest eigenvalue, so no square overflows
-    lam, scale = np.abs(mu), float(p.metric_eigenvalues[-1])
-    e, r = v.conj().T @ (hk / scale) @ v
-    e[np.diag_indices(n)] -= lam / scale
-    r[np.diag_indices(n)] += 1j * mu / scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = (r + 1j * e * sign) / (lam / scale)[:, None]
-    # squared Frobenius norms of the sub-blocks (i, k), cut at the starts
-    sq = np.add.reduceat(np.add.reduceat(np.abs(np.array([e, r, y])) ** 2, starts, axis=1),
-                         starts, axis=2)
-    cross = np.sqrt(sq[0])
+    # squared Frobenius norms of the sub-blocks (i, k) cut at the starts,
+    # E and R over max |mu|
+    sq = np.add.reduceat(np.add.reduceat(
+        np.abs(np.array([p.e, p.r, p.y])[:, order][:, :, order]) ** 2, starts, axis=1),
+        starts, axis=2)
+    cross, scale = np.sqrt(sq[0]), float(p.metric_eigenvalues[-1])
     failing = np.triu(~(cross <= tol.rel), 1)  # only the pairs i < k
     if failing.any():
         i, k = np.argwhere(failing)[0]
@@ -277,7 +257,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     # g2 and omega2 on each block, J2 on its whole columns
     per_block = np.sqrt(np.stack([np.diagonal(sq[0]), np.diagonal(sq[1]), sq[2].sum(axis=0)],
                                  axis=1))
-    failing = ~(per_block <= (tol.rel, tol.rel * lam.max() / scale, tol.rel))
+    failing = ~(per_block <= tol.rel)
     if failing.any():
         i, check = np.argwhere(failing)[0]
         b, unit = blocks[i], (scale, scale, 1.0)[check]
@@ -285,7 +265,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
         raise DecompositionError(
             f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
             f"with residual {unit * float(per_block[i, check]):.3e}")
-    return BlockDecomposition(blocks, p, frame_w, frozen(lam), frozen(sign))
+    return BlockDecomposition(blocks, p, frame_w, frozen(np.abs(mu)), frozen(sign))
 
 
 def _chain_clusters(lam, cluster_gap: float, advice: str = "",

@@ -14,7 +14,8 @@ judge the pair on n x n blocks in J1's complex coordinates; their former
 real-form checks, with their row-sum thresholds, are kept here
 (``compatibility_residuals``, ``decomposition_residuals``), with the
 real-form Frobenius residuals the blocks read off
-(``compatibility_frobenius``).  The relations those
+(``compatibility_frobenius``), and ``with_forms`` builds the tampered
+pairs that ``decompose``'s own checks must refuse.  The relations those
 checks imply and no longer judge are kept here too, each with the
 threshold it was judged against, and so are the recursion family's
 floating-point powers, which the certificate no longer forms, as unit
@@ -266,6 +267,25 @@ def decomposition_residuals(d):
         for k in range(i + 1, len(blocks)):
             cross[i, k] = op_norm(blocks[i].basis_w.T @ g2 @ blocks[k].basis_w)
     return np.array(per_block), cross
+
+
+def with_forms(p, g2_w, omega2_w):
+    """The pair ``p`` with g2 and omega2 in t1's frame replaced by ``g2_w``
+    and ``omega2_w``, unjudged, and T_c's eigenpairs and the residuals E, R
+    and Y that ``decompose`` reads formed again from them, by direct
+    complex products: a tampered pair for ``decompose``'s own checks, which
+    ``check_compatible`` might refuse first."""
+    nu, z = p.t1.complex_coordinates
+    root = np.sqrt(nu)
+    h, k = z.conj().T @ np.stack((g2_w, omega2_w)) @ z / root[:, None] / root
+    mu, v = np.linalg.eigh(0.5j * (k - k.conj().T))
+    lam = np.abs(mu)
+    scale = lam.max()
+    e = v.conj().T @ h @ v / scale - np.diag(lam / scale)
+    r = v.conj().T @ k @ v / scale + np.diag(1j * mu / scale)
+    y = (r + 1j * e * np.where(mu < 0.0, -1, 1)) / (lam / scale)[:, None]
+    return p.replace(metric_operator_w=g2_w, omega2_w=omega2_w,
+                     metric_eigenvalues=np.repeat(np.sort(lam), 2), mu=mu, v=v, e=e, r=r, y=y)
 
 
 def max_commutator_residual(mats):

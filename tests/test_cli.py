@@ -84,7 +84,7 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 6
+        assert report["schema_version"] == 7
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
@@ -848,18 +848,22 @@ class TestSharedResults:
                          "orthonormal_span": 0}
 
     def test_analyze_solves_and_eigensolves_once(self, monkeypatch):
-        # compatibility and decompose share J1's complex coordinates: one
-        # m x m (complex) eigensolve of i J1, the n x n ones of H and T_c,
-        # no SVD (the triples judge their forms' nondegeneracy through J),
-        # and no solve: the recursion certificate reads the frame's, not T
+        # compatibility and decompose share J1's complex coordinates and
+        # one eigensolve of T_c: one m x m (complex) eigensolve of i J1, one
+        # n x n of T_c, no SVD (the triples judge their forms'
+        # nondegeneracy through J), and no solve: the recursion certificate
+        # reads the frame's, not T.  decompose reads the pair's (mu, V) and
+        # residuals, and calls no np.linalg routine
         pair = synthesize_pair(generic_spec(4), seed=1)
         m = pair.dim
-        calls = {"eigh": [], "svd": [], "solve": []}
+        calls = {name: [] for name in np.linalg.__all__
+                 if callable(getattr(np.linalg, name))
+                 and not isinstance(getattr(np.linalg, name), type)}
         for name in calls:
             original = getattr(np.linalg, name)
 
             def counting(a, *args, original=original, name=name, **kwargs):
-                calls[name].append((a.shape, np.iscomplexobj(a)))
+                calls[name].append((np.shape(a), np.iscomplexobj(a)))
                 return original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
@@ -867,11 +871,15 @@ class TestSharedResults:
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         _, code = analyze(doc, gamma=0.5)
         assert code == 0
-        # the two whitenings, i J1, then H and T_c
+        # the two whitenings, i J1, then T_c
         assert calls["eigh"] == [((m, m), False), ((m, m), False), ((m, m), True),
-                                 ((m // 2, m // 2), True), ((m // 2, m // 2), True)]
+                                 ((m // 2, m // 2), True)]
         assert calls["svd"] == []
         assert calls["solve"] == []
+        for made in calls.values():
+            made.clear()
+        decompose(pair)
+        assert not any(calls.values())
 
     def test_analyze_forms_nothing_the_report_does_not_read(self, monkeypatch):
         # one analysis of a generic pair makes no solve and certifies the

@@ -4,16 +4,25 @@ import warnings
 import numpy as np
 import pytest
 
+from biham.cli import InputDocument, analyze
 from biham.compatibility import (
     CompatiblePair,
     check_compatible,
     pencil_member,
     positivity_range,
 )
-from biham.decomposition import DecompositionError, decompose, synthesize_pair
+from biham.decomposition import DecompositionError, _realify, decompose, synthesize_pair
 from biham.linalg import DEFAULT_TOL, StructureError, commutator, eig_self_adjoint, op_norm
 from biham.structures import ViolationReport, check_admissible
-from conftest import conditioned_basis, congruent, generic_spec, standard_triple, whitened
+from conftest import (
+    S_BLOCK,
+    conditioned_basis,
+    congruent,
+    generic_spec,
+    j_invariant_tensors,
+    standard_triple,
+    whitened,
+)
 import loop_oracle
 from loop_oracle import (
     relation_residuals,
@@ -47,8 +56,27 @@ class TestCheckCompatible:
         by_name = {v.name: v.residual for v in report.violations}
         # frozen value from direct evaluation in the g1-orthonormal frame
         # W = diag(1, 1/2): G = diag(2, 3/2) and [G, J1] = [[0, 1/2], [1/2, 0]],
-        # of Frobenius norm 1/sqrt(2), over lam_max = (2 + 3/2) / 2
-        assert by_name["g2_J1_skew"] == pytest.approx(2.0 * math.sqrt(2.0) / 7.0, rel=1e-12)
+        # of Frobenius norm 1/sqrt(2), over max |mu| = sqrt(3), the modulus
+        # of T_c = i K for omega2 = sqrt(3) J1 there (this far from
+        # compatible, not H's eigenvalue (2 + 3/2) / 2)
+        assert by_name["g2_J1_skew"] == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-12)
+
+    S4 = np.kron(np.eye(2), S_BLOCK)
+
+    @pytest.mark.parametrize("first, second, name, residual", [
+        # g1 = 1e-300 I puts t1's frame at 1e150, where g2 = 1e10 I reads
+        # 1e310 and overflows
+        ((1e-300 * np.eye(4), 1e-300 * S4), (1e10 * np.eye(4), 1e10 * S4), "G_finite", math.inf),
+        # metrics of condition number 1e6, each with complex structure S,
+        # in unrelated bases: min |mu| is within rel of max |mu|
+        (j_invariant_tensors(4, 1e3, 1), j_invariant_tensors(4, 1e3, 11),
+         "G_positive_spectrum", 7.921e-6),
+    ], ids=["G_finite", "G_positive_spectrum"])
+    def test_g_refused_before_the_checks(self, first, second, name, residual):
+        report = check_compatible(check_admissible(*first), check_admissible(*second))
+        assert isinstance(report, ViolationReport)
+        assert report.names == (name,)
+        assert report.violations[0].residual == pytest.approx(residual, rel=1e-3)
 
     def test_verdict_is_symmetric(self, ref2d_pair, incompatible_triples):
         assert isinstance(check_compatible(ref2d_pair.t2, ref2d_pair.t1),
@@ -84,6 +112,44 @@ class TestCheckCompatible:
             assert isinstance(p, CompatiblePair)
             q = check_compatible(p.t2, p.t1)
             assert isinstance(q, CompatiblePair)
+
+
+class TestBasisInvariance:
+    """A family where ``g1_J2_skew`` is the only failing check: g1 = I, J1
+    the standard form, g2 and omega2 the real images of H and H^1/2 (-i S)
+    H^1/2, H = diag(lambda) + s X with X Hermitian of unit spectral norm,
+    so both are J1-invariant, J2^2 = -I, and J2 is g1-skew only at s = 0.
+    Thirty orthogonal congruences of it get one verdict, and one reading,
+    at 0.8x and 1.25x of the boundary, which lies between s = 1.48e-9 and
+    1.5e-9.  The Frobenius norms make the verdict basis-invariant; the
+    row-sum norms once split rotated copies of a like pair over a band of
+    perturbations about 30% wide."""
+
+    LAM = np.repeat([1.5, 2.5, 4.0], [6, 6, 4])
+    SIGN = np.repeat([1, -1, 1], [6, 6, 4])
+
+    def documents(self, s):
+        a = np.random.default_rng(0).standard_normal((2, 16, 16))
+        x = a[0] + 1j * a[1]
+        x = x + x.conj().T
+        h = np.diag(self.LAM) + s * x / np.linalg.norm(x, 2)
+        w, u = np.linalg.eigh(h)
+        root = (u * np.sqrt(w)) @ u.conj().T
+        tensors = (np.eye(32), _realify(1j * np.eye(16)), _realify(h),
+                   _realify(root @ np.diag(-1j * self.SIGN) @ root))
+        for k in range(30):
+            q, _ = np.linalg.qr(np.random.default_rng(100 + k).standard_normal((32, 32)))
+            yield InputDocument(32, *(q.T @ m @ q for m in tensors), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("s, code", [(1.2e-9, 0), (1.85e-9, 1)])
+    def test_rotated_copies_agree(self, s, code):
+        reports = [analyze(doc) for doc in self.documents(s)]
+        assert {c for _, c in reports} == {code}
+        compat = [r["residuals"]["compatibility"] for r, _ in reports]
+        if code:
+            assert {tuple(c) for c in compat} == {("g1_J2_skew",)}
+        readings = np.array([c["g1_J2_skew"] for c in compat])
+        assert readings.max() <= (1.0 + 1e-4) * readings.min()
 
 
 class TestRelationSuite:

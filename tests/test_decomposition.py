@@ -23,6 +23,7 @@ from conftest import (
     standard_triple,
     within_gap_chain_document,
 )
+import loop_oracle
 
 
 def block_data(decomposition):
@@ -90,8 +91,9 @@ class TestDecomposeFaults:
     Blocks (ascending): 0 = (1, +), 1 = (2, -), 2 = (3, +).  Every fault is
     confined to the span of the named blocks, of size EPS, far above the
     threshold rule's 1e-9 and far below the cluster gap.  ``decompose``
-    reads g2 and omega2 through their blocks in J1's complex coordinates,
-    recomputed here from the tampered real matrices.
+    reads the residuals of g2 and omega2 on T_c's eigenvectors that
+    ``check_compatible`` formed, formed again here from the tampered real
+    matrices (``loop_oracle.with_forms``).
     """
 
     EPS = 1e-5
@@ -108,14 +110,9 @@ class TestDecomposeFaults:
     @staticmethod
     def tampered(pair, g2=None, omega2=None):
         """The pair with g2 or omega2 in t1's frame moved by the given
-        matrix, and its Hermitian block Z^H M Z moved alike."""
-        (_, z), changes = pair.t1.complex_coordinates, {}
-        for delta, real, block in ((g2, "metric_operator_w", "g2_c"),
-                                   (omega2, "omega2_w", "omega2_c")):
-            if delta is not None:
-                changes[real] = getattr(pair, real) + delta
-                changes[block] = getattr(pair, block) + z.conj().T @ delta @ z
-        return pair.replace(**changes)
+        matrix, and the residuals ``decompose`` reads formed again."""
+        return loop_oracle.with_forms(pair, pair.metric_operator_w + (0 if g2 is None else g2),
+                                      pair.omega2_w + (0 if omega2 is None else omega2))
 
     def test_g2_proportionality(self, pair):
         b = self.bases(pair)[1]

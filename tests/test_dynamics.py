@@ -273,21 +273,28 @@ class TestCertificateFaults:
         p = synthesize_pair(self.SPEC, seed=3)
         assert certify_recursion(recursion_basis(p), decompose(p)).all_pass
 
-    def test_tampered_frame_fails(self):
+    @pytest.mark.parametrize("scale, skew", [(1.0, 1e-6), (1.5, 0.0)], ids=["skewed", "scaled"])
+    def test_tampered_frame_fails(self, scale, skew):
         p = synthesize_pair(self.SPEC, seed=3)
         d = decompose(p)
-        bad = d.frame_w.copy()
-        bad[:, 0] += 1e-6 * d.frame_w[:, 1]
+        bad = scale * d.frame_w
+        bad[:, 0] += skew * d.frame_w[:, 1]
         d = d.replace(frame_w=bad)
-        bound, e = d.frame_certificate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound, e = d.frame_certificate
+            cert = certify_recursion(recursion_basis(p), d)
         assert bound > p.tol.rel and e > 1e-7
         # the untouched directions measure within rel, but the frame that
         # carries the span fails its own certificate, and T and J1 do not
         # act on it as they must
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
         assert max(measured["preservation"], measured["commutator"]) <= p.tol.rel
-        cert = certify_recursion(recursion_basis(p), d)
         assert not (cert.preserves_all or cert.commute or cert.vandermonde_consistent)
+        if e >= 1.0:
+            # past e = 1 (1.25 when scaled) every bound leaves its domain
+            assert (cert.max_preservation_residual == cert.max_commutator_residual
+                    == cert.max_conservation_drift == math.inf)
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)
 

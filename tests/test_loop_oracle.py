@@ -141,10 +141,7 @@ class TestTamperedPairs:
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         g2 = self.EPS * (b[0] @ b[0].T + b[1] @ b[2].T + b[2] @ b[1].T)
         w2 = self.EPS * (b[1] @ skew @ b[1].T)
-        _, z = p.t1.complex_coordinates
-        tampered = p.replace(
-            metric_operator_w=p.metric_operator_w + g2, g2_c=p.g2_c + z.conj().T @ g2 @ z,
-            omega2_w=p.omega2_w + w2, omega2_c=p.omega2_c + z.conj().T @ w2 @ z)
+        tampered = loop_oracle.with_forms(p, p.metric_operator_w + g2, p.omega2_w + w2)
         with pytest.raises(DecompositionError):
             decompose(tampered)
         per_block, cross = loop_oracle.decomposition_residuals(d.replace(pair=tampered))
