@@ -59,10 +59,12 @@ class InputDocument(Record):
 def _parse_matrix(obj, name: str, dim: int) -> np.ndarray:
     try:
         arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"field '{name}' is not a numeric matrix: {err}") from None
     if arr.shape != (dim, dim):
         raise InputError(f"field '{name}' must be a {dim}x{dim} matrix, got shape {arr.shape}")
+    if not {type(x) for row in obj for x in row} <= {int, float}:
+        raise InputError(f"field '{name}' holds an entry that is not a JSON number")
     if not np.isfinite(arr).all():
         raise InputError(f"field '{name}' contains non-finite entries")
     return arr
@@ -172,11 +174,11 @@ def _py(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, np.ndarray):
-        return [_py(x) for x in value.tolist()]
+        return _py(value.tolist())
     if isinstance(value, dict):
         return {k: _py(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
+        return [v if type(v) is float and math.isfinite(v) else _py(v) for v in value]
     return value
 
 
@@ -220,20 +222,14 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
         report["pencil_member"] = None
     failed = False
 
-    triples = []
-    admissible = {}
-    inputs = [("triple1", doc.g1, doc.omega1)]
-    if doc.has_pair:
-        inputs.append(("triple2", doc.g2, doc.omega2))
-    for name, g, w in inputs:
+    triples, admissible = [], {}
+    inputs = [("triple1", doc.g1, doc.omega1), ("triple2", doc.g2, doc.omega2)]
+    for name, g, w in inputs[:2 if doc.has_pair else 1]:
         result = check_admissible(g, w, doc.tol)
-        if isinstance(result, ViolationReport):
-            admissible[name] = False
-            residuals[name] = _violation_dict(result)
-            failed = True
-        else:
-            admissible[name] = True
-            residuals[name] = {}
+        admissible[name] = ok = not isinstance(result, ViolationReport)
+        residuals[name] = {} if ok else _violation_dict(result)
+        failed = failed or not ok
+        if ok:
             triples.append(result)
     report["admissible"] = admissible
 
@@ -265,8 +261,7 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
             report["signature_complex"] = sig.complex_form
             report["signature_real"] = sig.real_form
 
-            lo, hi = positivity_range(pair)
-            report["pencil_range"] = [_py(lo), _py(hi)]
+            report["pencil_range"] = _py(positivity_range(pair))
 
             with _stage(errors):
                 cert = certify_recursion(recursion_basis(pair), dec)

@@ -229,14 +229,17 @@ def read_off_operator(d: BlockDecomposition) -> TransferOperator:
     block's lambda once per complex dimension, as ``decompose`` certified,
     so F = diag(lambda), its eigenvectors are the identity and its clusters
     the blocks of equal lambda (both signs of a cluster share its mean)."""
-    lam = frozen(np.repeat([b.eigenvalue for b in d.blocks], [b.dim // 2 for b in d.blocks]))
+    ranks = {}
+    for b in d.blocks:  # both signs of a cluster share its mean
+        ranks[b.eigenvalue] = ranks.get(b.eigenvalue, 0) + b.dim // 2
+    lam = frozen(np.repeat(list(ranks), list(ranks.values())), copy=False)
     h1, h2 = object.__new__(HermitianForm), object.__new__(HermitianForm)
-    for form, w in ((h1, np.ones_like(lam)), (h2, lam)):
-        # a diagonal form is factored with no eigensolve: its frame is diag(w^-1/2)
-        root = np.sqrt(w + 0j)
-        form.h, form.frame, form.frame_inv = (frozen(np.diag(x)) for x in (w + 0j, 1 / root, root))
-    return TransferOperator(h2.h, h1, h2, lam, h1.h, d.tol, h2.h,
-                            tuple(np.unique(lam, return_counts=True)[1].tolist()))
+    # a diagonal form diag(w) is factored with no eigensolve: its frame is diag(w^-1/2)
+    root = np.sqrt(lam + 0j)
+    h1.h = h1.frame = h1.frame_inv = frozen(np.eye(len(lam), dtype=np.complex128), copy=False)
+    h2.h, h2.frame, h2.frame_inv = [frozen(np.diag(x), copy=False)
+                                    for x in (lam + 0j, 1 / root, root)]
+    return TransferOperator(h2.h, h1, h2, lam, h1.h, d.tol, h2.h, tuple(ranks.values()))
 
 
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:
@@ -258,7 +261,7 @@ def norm_bounds(op: TransferOperator) -> tuple[float, float]:
 def commutant_dim(op: TransferOperator) -> int:
     """Complex dimension of the commutant: the sum of the squared
     eigenvalue multiplicities, read from the certified cluster sizes."""
-    return sum(p * p for p in op.cluster_sizes)
+    return sum([p * p for p in op.cluster_sizes])
 
 
 def bicommutant_basis(op: TransferOperator) -> np.ndarray:

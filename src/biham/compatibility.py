@@ -150,29 +150,6 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         raise ValueError(f"dimension mismatch: {t1.dim} vs {t2.dim}")
     frame, frame_inv = t1.g.frame, t1.g.frame_inv
     n, (nu, z) = t1.dim // 2, t1.complex_coordinates
-    # g2 (also G) and omega2 in t1's frame, then P = X.T M X for X = [Re Z,
-    # Im Z]: Z^H M Z = P11 + P22 + i (P12 - P21), Z^T M Z = P11 - P22 +
-    # i (P12 + P21); scales far apart overflow, and fail
-    with np.errstate(over="ignore", invalid="ignore"):
-        g2_in = frame.T @ t2.g.m @ frame
-        w2 = frame.T @ t2.omega.m @ frame
-        g2 = 0.5 * (g2_in + g2_in.T)
-        x = np.hstack((z.real, z.imag))
-        p = x.T @ np.stack((g2, w2)) @ x
-        p11, p12, p21, p22 = p[:, :n, :n], p[:, :n, n:], p[:, n:, :n], p[:, n:, n:]
-        herm = p11 + p22 + 1j * (p12 - p21)
-        anti = p11 - p22 + 1j * (p12 + p21)
-    if not (np.isfinite(herm).all() and np.isfinite(anti).all()):
-        return ViolationReport("compatibility", (Violation("G_finite", math.inf),))
-    root = np.sqrt(nu)
-    hk = herm / root[:, None] / root  # N H N, N K N
-    t_c = 0.5j * hk[1]  # i N K N, halved first so no finite K overflows
-    mu, v = np.linalg.eigh(t_c + t_c.conj().T)
-    lam, sign = np.abs(mu), np.where(mu < 0.0, -1, 1)
-    low, scale = float(lam.min()), float(lam.max())
-    if not low > tol.rel * scale:
-        return ViolationReport("compatibility", (Violation("G_positive_spectrum", low),))
-
     certificates: dict[str, float] = {}
     violations: list[Violation] = []
 
@@ -181,38 +158,62 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         if not resid <= threshold:
             violations.append(Violation(name, resid))
 
-    # over max |mu| no product overflows on a valid pair (one that does
-    # fails its check); K' = V^H N K N V, Delta and the A' in V's basis
-    inv = scale / lam
+    # scales far apart overflow, and fail their check
     with np.errstate(over="ignore", invalid="ignore"):
-        e, k_v, delta = v.conj().T @ np.stack(
-            (hk[0] / scale, hk[1] / scale, np.diag(1.0 / root - 1.0))) @ v
+        # g2 (also G) and omega2 in t1's frame, then P = X.T M X for X =
+        # [Re Z, Im Z]: Z^H M Z = P11 + P22 + i (P12 - P21), Z^T M Z =
+        # P11 - P22 + i (P12 + P21)
+        g2_in = frame.T @ t2.g.m @ frame
+        forms = np.array([g2_in + g2_in.T, frame.T @ t2.omega.m @ frame])
+        forms[0] *= 0.5
+        x = np.concatenate((z.real, z.imag), axis=1)
+        p = x.T @ forms @ x
+        p11, p12, p21, p22 = p[:, :n, :n], p[:, :n, n:], p[:, n:, :n], p[:, n:, n:]
+        herm = p11 + p22 + 1j * (p12 - p21)
+        anti = p11 - p22 + 1j * (p12 + p21)
+        if not (np.isfinite(herm).all() and np.isfinite(anti).all()):
+            return ViolationReport("compatibility", (Violation("G_finite", math.inf),))
+        root = np.sqrt(nu)
+        hk = herm / root[:, None] / root  # N H N, N K N
+        t_c = 0.5j * hk[1]  # i N K N, halved first so no finite K overflows
+        mu, v = np.linalg.eigh(t_c + t_c.conj().T)
+        lam, sign = np.abs(mu), np.where(mu < 0.0, -1, 1)
+        low, scale = float(lam.min()), float(lam.max())
+        if not low > tol.rel * scale:
+            return ViolationReport("compatibility", (Violation("G_positive_spectrum", low),))
+
+        # over max |mu| no product overflows on a valid pair (one that does
+        # fails its check); K' = V^H N K N V, Delta and the A' in V's basis
+        inv = scale / lam
+        mats = np.zeros((3, n, n), dtype=np.complex128)
+        np.divide(hk, scale, out=mats[:2])
+        mats[2].flat[::n + 1] = 1.0 / root - 1.0
+        e, r, delta = v.conj().T @ mats @ v
         a_g, a_w = v.T @ (anti / scale) @ v
-        e -= np.diag(lam / scale)
-        r = k_v + np.diag(1j * mu / scale)
+        k_v = r.copy()
+        e.flat[::n + 1] -= lam / scale
+        r.flat[::n + 1] += 1j * mu / scale
         y = inv[:, None] * (r + 1j * e * sign)
         m_g = inv[:, None] * a_g * inv
         skew_g2, sym_w2, lin_j2, anti_j2 = np.linalg.norm(np.array(
             [a_g, a_w, y + y.conj().T - 2j * delta * (sign - sign[:, None]),
              (inv[:, None] - inv) * a_w + k_v.conj() @ m_g - m_g @ k_v]),
             axis=(-2, -1)).tolist()
-    root2 = math.sqrt(2.0)
-    record("g2_J1_skew", 2.0 * root2 * skew_g2, tol.rel)
-    record("omega2_J1_symmetric", 2.0 * root2 * sym_w2, tol.rel)
-    record("g1_J2_skew", root2 * math.hypot(lin_j2, anti_j2), tol.rel * 0.5 * math.sqrt(t1.dim))
-    if not violations:
-        # the reported, unscaled G must carry g1 into g2 (an overflow fails)
-        with np.errstate(over="ignore", invalid="ignore"):
-            big_g = frame @ g2 @ frame_inv
+        root2 = math.sqrt(2.0)
+        record("g2_J1_skew", 2.0 * root2 * skew_g2, tol.rel)
+        record("omega2_J1_symmetric", 2.0 * root2 * sym_w2, tol.rel)
+        record("g1_J2_skew", root2 * math.hypot(lin_j2, anti_j2), tol.rel * 0.5 * math.sqrt(t1.dim))
+        if not violations:
+            # the reported, unscaled G must carry g1 into g2 (an overflow fails)
+            big_g = frame @ forms[0] @ frame_inv
             transfer, n_g1, n_g = op_norms([t1.g.m @ big_g - t2.g.m, t1.g.m, big_g]).tolist()
-        record("metric_transfer", transfer, tol.threshold(n_g1, n_g))
+            record("metric_transfer", transfer, tol.threshold(n_g1, n_g))
     certificates["G_min_eigenvalue"] = low
     if violations:
         return ViolationReport("compatibility", tuple(violations))
-
-    return CompatiblePair(t1, t2, frozen(big_g), frozen(np.repeat(np.sort(lam), 2)),
-                          certificates, tol, frozen(g2), frozen(w2), frozen(mu), frozen(v),
-                          frozen(e), frozen(r), frozen(y))
+    fields = [frozen(a, copy=False)  # each the pair's own, fresh
+              for a in (big_g, np.repeat(np.sort(lam), 2), *forms, mu, v, e, r, y)]
+    return CompatiblePair(t1, t2, *fields[:2], certificates, tol, *fields[2:])
 
 
 class PencilBlockVerdict(Record):
@@ -315,17 +316,16 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
             check="pencil_metric_positive", residual=low,
         )
     # one entry per complex coordinate, cut into blocks at their starts
-    starts = np.array([b.start for b in d.blocks])
-    ranks = np.array([b.dim // 2 for b in d.blocks])
+    starts, ranks = [b.start for b in d.blocks], [b.dim // 2 for b in d.blocks]
     lam, signs = d.coordinate_lambda, d.coordinate_sign
     f_sq = ((one + signs * gamma_c * lam) / (one + gamma_c * lam)) ** 2
     coeffs = -np.add.reduceat(f_sq, starts) / ranks
-    resids = np.maximum.reduceat(np.abs(f_sq + np.repeat(coeffs, ranks)), starts)
-    admissible = (np.maximum.reduceat(np.abs(1.0 - f_sq), starts)
-                  <= tol.rel * np.maximum.reduceat(f_sq, starts))
-    verdicts = tuple(PencilBlockVerdict(b.eigenvalue, b.sign, b.dim, float(c), float(r), bool(a))
-                     for b, c, r, a in zip(d.blocks, coeffs, resids, admissible))
-    return PencilMember(gamma, bool(admissible.all()), verdicts, p)
+    resids, departs, peaks = np.maximum.reduceat(
+        [np.abs(f_sq + np.repeat(coeffs, ranks)), np.abs(1.0 - f_sq), f_sq], starts, axis=1)
+    admissible = (departs <= tol.rel * peaks).tolist()
+    verdicts = tuple([PencilBlockVerdict(b.eigenvalue, b.sign, b.dim, c, r, a) for b, c, r, a
+                      in zip(d.blocks, coeffs.tolist(), resids.tolist(), admissible)])
+    return PencilMember(gamma, all(admissible), verdicts, p)
 
 
 def positivity_range(p: CompatiblePair) -> tuple[float, float]:

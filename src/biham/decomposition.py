@@ -159,13 +159,20 @@ class BlockDecomposition(Record):
         """
         p, q = self.pair, self.frame_w
         n, m = p.dim // 2, p.dim
-        lam = np.tile(self.coordinate_lambda, 2)
-        q_rot = np.hstack((q[:, n:], -q[:, :n]))
-        canon = np.array([q_rot, q * lam, q_rot * (np.tile(self.coordinate_sign, 2) * lam)])
-        taus = np.array([p.t1.j_w, p.metric_operator_w, p.omega2_w])
-        norms = op_norms(np.concatenate((taus - canon @ q.T, [q.T @ q - np.eye(m)], taus[1:])))
-        dep = float((norms[:3] / (p.t1.j_w_norm, *norms[4:])).max())
-        e = float(norms[3])
+        lam = np.concatenate((self.coordinate_lambda,) * 2)
+        # one (6, m, m) stack, reduced once: tau - Q tau_c Q.T for tau = J1,
+        # G and omega2 (Q J_c = [D, -C]), then G, omega2 and Q.T Q - I
+        res = np.empty((6, m, m))
+        canon, res[3], res[4] = res[:3], p.metric_operator_w, p.omega2_w
+        canon[0, :, :n], canon[0, :, n:] = q[:, n:], -q[:, :n]
+        np.multiply(q, lam, out=canon[1])
+        np.multiply(canon[0], np.concatenate((self.coordinate_sign,) * 2) * lam, out=canon[2])
+        np.subtract((p.t1.j_w, *res[3:5]), canon @ q.T, out=res[:3])
+        np.matmul(q.T, q, out=res[5])
+        res[5].flat[::m + 1] -= 1.0
+        norms = op_norms(res)
+        dep = float((norms[:3] / (p.t1.j_w_norm, *norms[3:5])).max())
+        e = float(norms[5])
         return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
 
 
@@ -224,39 +231,40 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     names the first pair that is not g2-orthogonal, else the first failing
     block (then check).
     """
-    tol, n, mu = p.tol, p.dim // 2, p.mu
+    tol, frame, mu = p.tol, p.t1.g.frame, p.mu.tolist()
     # one permutation of eigh's output into block order: lambda ascends by
-    # cluster, + before - within one (a zero mu joins the + part)
-    order = np.argsort(np.abs(mu), kind="stable")
-    clusters = _chain_clusters(np.abs(mu[order]), tol.cluster_gap,
+    # cluster, + before - within one (a zero mu joins the + part); a block
+    # is a run of one (cluster, sign), the same columns of C and D
+    ranked = sorted(range(len(mu)), key=[abs(x) for x in mu].__getitem__)
+    clusters = _chain_clusters([abs(mu[k]) for k in ranked], tol.cluster_gap,
                                "; give a smaller cluster_gap in the file's 'tol'")
-    cluster = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
-    order = order[np.lexsort((mu[order] < 0.0, cluster))]
-    mu = mu[order]
-    axes = np.sqrt(2.0) * (p.t1.complex_coordinates[1] @ p.v[:, order])
-    sign = np.where(mu < 0.0, -1, 1)
-    frame_w = frozen(np.hstack((axes.real, axes.imag)))
-
-    # a block is a run of one (cluster, sign): the same columns of C and D
-    starts = np.flatnonzero(np.diff(2 * cluster + (sign < 0), prepend=-1))
-    blocks = tuple(Block(clusters[cluster[lo]][0], int(sign[lo]), 2 * int(hi - lo), int(lo),
-                         frame_w, p.t1.g.frame)
-                   for lo, hi in zip(starts, np.append(starts[1:], n)))
+    order, specs = [], []
+    for mean, count in clusters:
+        chain, ranked = ranked[:count], ranked[count:]
+        for sign in (1, -1):
+            part = [k for k in chain if (mu[k] < 0.0) == (sign < 0)]
+            if part:
+                specs.append((mean, sign, 2 * len(part), len(order)))
+                order += part
+    mu, index = p.mu[order], np.array(order)
+    axes = np.sqrt(2.0) * (p.t1.complex_coordinates[1] @ p.v[:, index])
+    frame_w = frozen(np.concatenate((axes.real, axes.imag), axis=1), copy=False)
+    blocks = tuple([Block(*spec, frame_w, frame) for spec in specs])
 
     # squared Frobenius norms of the sub-blocks (i, k) cut at the starts,
     # E and R over max |mu|
+    starts = [spec[3] for spec in specs]
     sq = np.add.reduceat(np.add.reduceat(
-        np.abs(np.array([p.e, p.r, p.y])[:, order][:, :, order]) ** 2, starts, axis=1),
+        np.abs(np.array((p.e, p.r, p.y))[:, index[:, None], index]) ** 2, starts, axis=1),
         starts, axis=2)
     cross, scale = np.sqrt(sq[0]), float(p.metric_eigenvalues[-1])
-    failing = np.triu(~(cross <= tol.rel), 1)  # only the pairs i < k
+    failing = ~(cross <= tol.rel) & ~np.tri(len(specs), dtype=bool)  # only the pairs i < k
     if failing.any():
         i, k = np.argwhere(failing)[0]
         raise DecompositionError(f"blocks {i} and {k} are not g2-orthogonal "
                                  f"(residual {scale * float(cross[i, k]):.3e})")
     # g2 and omega2 on each block, J2 on its whole columns
-    per_block = np.sqrt(np.stack([np.diagonal(sq[0]), np.diagonal(sq[1]), sq[2].sum(axis=0)],
-                                 axis=1))
+    per_block = np.sqrt([sq[0].diagonal(), sq[1].diagonal(), sq[2].sum(axis=0)]).T
     failing = ~(per_block <= tol.rel)
     if failing.any():
         i, check = np.argwhere(failing)[0]
@@ -265,7 +273,8 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
         raise DecompositionError(
             f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
             f"with residual {unit * float(per_block[i, check]):.3e}")
-    return BlockDecomposition(blocks, p, frame_w, frozen(np.abs(mu)), frozen(sign))
+    return BlockDecomposition(blocks, p, frame_w, frozen(np.abs(mu), copy=False),
+                              frozen(np.where(mu < 0.0, -1, 1), copy=False))
 
 
 def _chain_clusters(lam, cluster_gap: float, advice: str = "",
@@ -274,24 +283,22 @@ def _chain_clusters(lam, cluster_gap: float, advice: str = "",
     eigenvalues ``of`` an operator, chained at ``cluster_gap``
     (:func:`cluster_eigenvalues`), and a chain whose spread, (max - min) /
     max, exceeds ``cluster_gap`` refused with :class:`DecompositionError`,
-    its message naming the operator and ending in ``advice``."""
-    clusters = cluster_eigenvalues(lam, cluster_gap)
-    counts = [count for _, count in clusters]
-    ends, lam = np.cumsum(counts), np.asarray(lam, dtype=np.float64)
-    low, high = lam[ends - counts], lam[ends - 1]
-    wide = np.flatnonzero(~same_cluster(low, high, cluster_gap))
-    if wide.size:
-        low, high = low[wide[0]], high[wide[0]]
-        raise DecompositionError(
-            f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of {of} chain into one "
-            f"cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
-            f"{cluster_gap:g}{advice}")
+    its message naming the operator and ending in ``advice``.  A chain of
+    one (finite) value has spread 0, and is not judged again."""
+    clusters, at = cluster_eigenvalues(lam, cluster_gap), 0
+    for _, count in clusters:
+        low, high, at = lam[at], lam[at + count - 1], at + count
+        if count > 1 and not same_cluster(low, high, cluster_gap):
+            raise DecompositionError(
+                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of {of} chain into "
+                f"one cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
+                f"{cluster_gap:g}{advice}")
     return clusters
 
 
 def is_generic(d: BlockDecomposition) -> bool:
     """True when every block has the minimum possible dimension two."""
-    return all(b.dim == 2 for b in d.blocks)
+    return all([b.dim == 2 for b in d.blocks])
 
 
 def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
@@ -321,12 +328,12 @@ def group_signature(d: BlockDecomposition) -> GroupSignature:
     sign stay separate: their complex structures differ, so no bi-unitary
     transformation mixes them.
     """
-    ranks = tuple(b.dim // 2 for b in d.blocks)
-    complex_form = "×".join(f"U({r})" for r in ranks)
-    if all(r == 1 for r in ranks):
-        real_form = "×".join("SO(2)" for _ in ranks)
+    ranks = tuple([b.dim // 2 for b in d.blocks])
+    complex_form = "×".join([f"U({r})" for r in ranks])
+    if ranks.count(1) == len(ranks):
+        real_form = "×".join(["SO(2)"] * len(ranks))
     else:
-        real_form = "×".join(f"U_r({2 * r};g,ω)" for r in ranks)
+        real_form = "×".join([f"U_r({2 * r};g,ω)" for r in ranks])
     return GroupSignature(ranks, complex_form, real_form)
 
 

@@ -164,7 +164,7 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     ``⊕ u(r)``, one factor per block (the group signature's U(r)), of
     dimension the sum of the r^2, on a frame certified by
     :attr:`BlockDecomposition.frame_certificate`."""
-    dim = sum((b.dim // 2) ** 2 for b in d.blocks)
+    dim = sum([(b.dim // 2) ** 2 for b in d.blocks])
     bound, _ = d.frame_certificate
     if not bound <= d.tol.rel:
         raise DecompositionError(
@@ -295,9 +295,9 @@ def _power_basis_log10_condition(nodes) -> float:
     c = len(x)
     norm = max(math.log(c), float(np.logaddexp.reduce((c - 1) * np.log(np.abs(x)))))
     gaps = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(gaps, 1.0)
+    gaps.flat[::c + 1] = 1.0
     terms = np.log1p(np.abs(x))[None, :] - np.log(gaps)
-    np.fill_diagonal(terms, 0.0)
+    terms.flat[::c + 1] = 0.0
     return (norm + float(terms.sum(axis=1).max())) / math.log(10.0)
 
 

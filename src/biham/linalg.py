@@ -28,9 +28,10 @@ class Record:
     A subclass declares its fields by annotation, in order; a class
     attribute of the same name is the field's default.  Fields are taken
     positionally or by keyword (a missing or unknown one raises
-    ``TypeError``), then ``__post_init__`` runs, where a subclass may
-    validate and normalize them through ``object.__setattr__``.  After that
-    a record is read-only: assigning or deleting an attribute raises
+    ``TypeError``), then ``__post_init__`` runs if the class or a base
+    defines one: it may validate and normalize them through
+    ``object.__setattr__``.  After that a record is read-only: assigning or
+    deleting an attribute raises
     ``AttributeError``, while a ``functools.cached_property`` still stores
     its value in the instance ``__dict__``.  Repr, equality and hash are
     over the fields, but for those named in the class keyword ``hidden``
@@ -41,6 +42,7 @@ class Record:
     _fields = ()    # every field, in declaration order
     _shown = ()     # the fields of repr, equality and hash
     _defaults = {}  # field name -> default
+    __post_init__ = None  # a subclass's validation, if it has one
 
     def __init_subclass__(cls, hidden=(), **kwargs):
         super().__init_subclass__(**kwargs)
@@ -54,14 +56,13 @@ class Record:
                          **{name: vars(cls)[name] for name in own if name in vars(cls)}}
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if len(args) == len(fields) and not kwargs:
-            self.__dict__.update(zip(fields, args))
-        else:
-            self.__dict__.update(self._bind(args, kwargs))
-        self.__post_init__()
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        if self.__post_init__:
+            self.__post_init__()
 
-    def _bind(self, args: tuple, kwargs: dict) -> dict:
+    def _bind(self, args: tuple, kwargs: dict) -> list:
         name, fields = type(self).__name__, self._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
@@ -75,10 +76,7 @@ class Record:
         missing = [f for f in fields if f not in values and f not in self._defaults]
         if missing:
             raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-        return {f: values[f] if f in values else self._defaults[f] for f in fields}
-
-    def __post_init__(self) -> None:
-        """Validate the fields; a record without invariants has none."""
+        return [values[f] if f in values else self._defaults[f] for f in fields]
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only: cannot assign to {name!r}")
@@ -191,12 +189,14 @@ def as_matrix(a, name: str = "matrix", dim: int | None = None,
     return arr
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only copy of ``a``; the copy is always made, so later
-    writes to ``a`` cannot reach the frozen array."""
-    arr = np.array(a, copy=True)
-    arr.setflags(write=False)
-    return arr
+def frozen(a: np.ndarray, copy: bool = True) -> np.ndarray:
+    """Return ``a`` read-only: a copy by default, so later writes to ``a``
+    cannot reach it; with ``copy=False`` ``a`` itself, for an array a stage
+    has just computed that shares no memory with its arguments."""
+    if copy:
+        a = np.array(a, copy=True)
+    a.setflags(write=False)
+    return a
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -275,7 +275,7 @@ def whitening(sym: np.ndarray, tol: Tolerance, name: str,
             check=check, residual=float(w[0]),
         )
     root = np.sqrt(w)
-    return frozen(v / root), frozen(root[:, None] * v.conj().T)
+    return frozen(v / root, copy=False), frozen(root[:, None] * v.conj().T, copy=False)
 
 
 def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -75,7 +75,7 @@ class MetricTensor:
         sym = symmetric_part(m, tol, "metric", "metric_symmetric")
         self.frame, self.frame_inv = whitening(sym, tol, "metric",
                                                "metric_positive_definite")
-        self.m = frozen(sym)
+        self.m = frozen(sym, copy=False)
 
     @property
     def dim(self) -> int:
@@ -120,7 +120,7 @@ def _antisymmetric(m, tol: Tolerance) -> np.ndarray:
     if m.shape[0] % 2 != 0:
         raise ValueError(f"symplectic form needs even dimension, got {m.shape[0]}")
     return frozen(symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric",
-                                 anti=True))
+                                 anti=True), copy=False)
 
 
 class ComplexStructure:
@@ -175,7 +175,7 @@ class AdmissibleTriple(Record):
         ``eigh``: ``j_w @ Z = -i Z diag(nu)``, ``Z^H Z = I``, nu = 1 to
         within the metric invariance's residual."""
         nu, z = np.linalg.eigh(1j * self.j_w)
-        return frozen(nu[self.dim // 2:]), frozen(z[:, self.dim // 2:])
+        return frozen(nu[self.dim // 2:], copy=False), frozen(z[:, self.dim // 2:], copy=False)
 
     def __repr__(self) -> str:
         return f"AdmissibleTriple(dim={self.dim})"
@@ -305,17 +305,12 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
         *resids, nj = op_norms([jw @ jw + eye, jw.T @ jw - eye, jw + jw.T, jw]).tolist()
     # J.T omega J = omega reads (J.T J - I) J = 0 there, within the metric
     # invariance's threshold times |J|: not judged again
-    checks = (
-        ("J_squared_plus_identity", tol.threshold(nj, nj)),
-        ("J_metric_invariance", tol.threshold(nj, nj)),
-        ("J_metric_skewness", tol.threshold(nj)),
-    )
-    for (name, thr), resid in zip(checks, resids):
-        if not resid <= thr:
-            violations.append(Violation(name, resid))
+    violations = [Violation(name, resid) for name, resid, thr in zip(
+        ("J_squared_plus_identity", "J_metric_invariance", "J_metric_skewness"), resids,
+        (tol.threshold(nj, nj),) * 2 + (tol.threshold(nj),)) if not resid <= thr]
     if violations:
         return ViolationReport("admissibility", tuple(violations))
-    return AdmissibleTriple(metric, symp, dim, frozen(jw), nj)
+    return AdmissibleTriple(metric, symp, dim, frozen(jw, copy=False), nj)
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:

@@ -165,6 +165,21 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", path)
         assert code == 2
 
+    # an integer beyond the float range in a matrix raised OverflowError, a
+    # traceback, and a string or a boolean entry was read as a number
+    @pytest.mark.parametrize("field, entry", [
+        ("g1", "1" + "0" * 400), ("omega2", "-1" + "0" * 400), ("omega1", '"1"'),
+        ("g2", '"2.0"'), ("g1", "true"), ("omega2", "false"),
+    ], ids=["int-1e400", "int-minus-1e400", "string", "float-string", "true", "false"])
+    def test_schema_rejects_non_number_entries(self, tmp_path, capsys, field, entry):
+        doc = json.loads((FIXTURES / "compatible_2d.json").read_text())
+        doc[field][0][1] = "@entry@"
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc).replace('"@entry@"', entry))
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"field '{field}'" in err
+
     def test_inadmissible_input_exits_one(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "single_2d.json").read_text())
         doc["omega1"] = [[0.0, 1.0], [-1.0, 0.0]]  # wrong scale for diag(1, 4)
@@ -880,6 +895,39 @@ class TestSharedResults:
             made.clear()
         decompose(pair)
         assert not any(calls.values())
+
+    def test_analyze_results_are_read_only_and_never_alias_the_input(self, monkeypatch):
+        # each stage makes the arrays it has just computed read-only in
+        # place rather than copying them: every eager array of the triples,
+        # their metric and form, the pair, the decomposition and its
+        # blocks, the pencil member and the read-off operator is read-only,
+        # and none shares memory with the document's arrays
+        pair = synthesize_pair(two_class_spec(8), seed=2)
+        doc = InputDocument(pair.dim, *[np.array(m) for m in (
+            pair.t1.g.m, pair.t1.omega.m, pair.t2.g.m, pair.t2.omega.m)], pair.tol)
+        seen = {}
+        for name in ("pencil_member", "read_off_operator"):
+            def keeping(*args, original=getattr(cli, name), name=name):
+                seen[name] = (args, original(*args))
+                return seen[name][1]
+
+            monkeypatch.setattr(cli, name, keeping)
+        _, code = analyze(doc, gamma=0.5)
+        assert code == 0
+        (d, _), member = seen["pencil_member"]
+        op = seen["read_off_operator"][1]
+        p = d.pair
+        assert member.pair is p and seen["read_off_operator"][0][0] is d
+        objects = [p.t1, p.t2, p.t1.g, p.t1.omega, p.t2.g, p.t2.omega, p, d, *d.blocks,
+                   member, *member.blocks, op, op.h1, op.h2]
+        arrays = [a for obj in objects for value in vars(obj).values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        inputs = (doc.g1, doc.omega1, doc.g2, doc.omega2)
+        assert len(arrays) >= 30  # the triples' complex coordinates among them
+        for a in arrays:
+            assert not a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in inputs)
 
     def test_analyze_forms_nothing_the_report_does_not_read(self, monkeypatch):
         # one analysis of a generic pair makes no solve and certifies the

@@ -1,6 +1,7 @@
 """Fuzz target for the CLI: random, asymmetric, near-singular and
-1e+-300-scaled documents must end in exit code 0, 1 or 2, never in an
-uncaught exception (a traceback) or a floating-point warning."""
+1e+-300-scaled documents, some with one matrix entry that is no JSON float,
+must end in exit code 0, 1 or 2, never in an uncaught exception (a
+traceback) or a floating-point warning."""
 
 import json
 
@@ -56,7 +57,14 @@ def documents(draw):
     doc = {"dim": n, "g1": mats[0], "omega1": mats[1]}
     if draw(st.booleans()):
         doc.update(g2=mats[2], omega2=mats[3])
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    doc = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    if draw(st.integers(0, 3)) == 0:
+        # one entry that is no JSON float: an integer beyond the float
+        # range, a numeric string or a boolean, each refused with exit 2
+        field = draw(st.sampled_from(sorted(k for k in doc if k != "dim")))
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        doc[field][row][col] = draw(st.sampled_from((10**400, -10**400, "1.5", "0", True, False)))
+    return doc
 
 
 @settings(max_examples=150, deadline=None,
