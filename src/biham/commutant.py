@@ -10,9 +10,7 @@ extreme eigenvalues give the best constants of the norm equivalence
 ``a * |x|_2 <= |x|_1 <= b * |x|_2``.
 
 Operators unitary for both forms commute with F, so the bi-unitary group
-lives in the commutant of F.  In the h1-orthonormal frame W of
-:class:`HermitianForm` F is the Hermitian ``F_w = W^H @ H2 @ W``, whose
-eigenvectors U give h1-orthonormal eigenvectors V = W U of F.  The
+lives in the commutant of F.  F has h1-orthonormal eigenvectors V.  The
 commutant is ``⊕ gl(p)``, spanned by ``V E_ab inv(V)`` with a and b in one
 eigenvalue cluster of multiplicity p, and the bicommutant is spanned by the
 clusters' spectral projectors; so their dimensions are the sum of the p^2
@@ -22,8 +20,10 @@ orthonormal bases are built only on request, each by one QR.
 
 :func:`read_off_operator` reads the operator of a decomposed pair off its
 blocks, with no eigensolve; forms given on their own go through
-:func:`transfer_operator`, which certifies its spectral frame once, in
-O(n^3).  :func:`complexify` turns a decomposition into two such forms.
+:func:`transfer_operator`, which realifies them into a compatible pair and
+reads its operator off that pair's decomposition, so every spectral fact
+has one route and one certificate, ``decompose``'s.  :func:`complexify`
+turns a decomposition into two such forms.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .decomposition import BlockDecomposition, _chain_clusters
+from .compatibility import check_compatible
+from .decomposition import BlockDecomposition, decompose
 from .linalg import (
     DEFAULT_TOL,
     Record,
     StructureError,
     Tolerance,
     as_matrix,
-    frame_departure,
     frozen,
     op_norm,
     op_norms,
@@ -47,6 +47,7 @@ from .linalg import (
     symmetric_part,
     whitening,
 )
+from .structures import ViolationReport, check_admissible
 
 __all__ = [
     "HermitianForm",
@@ -88,10 +89,9 @@ class TransferOperator(Record):
     """Operator carrying one Hermitian form into the other, together with
     its spectral data (eigenvalues ascending, eigenvector columns
     orthonormal for the first form), the tolerance of its checks and the
-    Hermitian ``matrix_w`` = F in the first form's frame, which the
-    eigenvalues diagonalize.  ``block_sizes`` holds the cluster sizes of an
-    operator read off a decomposition, which certified its spectral data
-    (:func:`read_off_operator`), and is empty for one built from forms."""
+    multiplicities of its eigenvalue clusters, ascending, read off the
+    blocks of the decomposition that certified the spectral data
+    (:func:`read_off_operator`, :func:`transfer_operator`)."""
 
     matrix: np.ndarray
     h1: HermitianForm
@@ -99,19 +99,11 @@ class TransferOperator(Record):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     tol: Tolerance
-    matrix_w: np.ndarray
-    block_sizes: tuple[int, ...] = ()
+    cluster_sizes: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def cluster_sizes(self) -> tuple[int, ...]:
-        """Multiplicities of the eigenvalue clusters in ascending order: the
-        ``block_sizes``, or else read once, on first use, after the
-        spectral data pass :func:`_certify_spectrum`."""
-        return self.block_sizes or _certify_spectrum(self)
 
     @cached_property
     def cluster_frames(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -133,69 +125,33 @@ class TransferOperator(Record):
         return frozen(orthonormal_span(np.concatenate(gens), self.tol.rel))
 
 
-def _certify_spectrum(op: TransferOperator) -> tuple[int, ...]:
-    """Certify the spectral frame in h1's frame W; return the cluster sizes.
-
-    With U = inv(W) V, e = |U^H U - I|, C the cluster midpoints of the
-    eigenvalues Λ, |.| the row-sum norm and
-    eta = 2 n^1.5 e (1 + e) / (1 - e)^2 * max(1, max Λ / |F_w|), it checks
-    eta <= rel (unitarity), 2 |F_w - U Λ U^H| / |F_w| + eta <= rel
-    (eigenpairs), that the eigenvalues chain into clusters no wider than
-    cluster_gap by the one width rule, ``decomposition._chain_clusters``
-    (a :class:`~biham.decomposition.DecompositionError` if not), and
-    2 |F_w - U C U^H| / |F_w| + eta <= cluster_gap (spread).
-
-    Implication: the commutant is {x = U M U^H}, M block-diagonal by
-    cluster, and the bicommutant {y = U S U^H}, S constant per cluster (W
-    carries both to the original coordinates by a similarity).  With
-    E = U^H U - I,
-
-        [F_w, x] = [F_w - U C U^H, x] + U (C E M - M E C) U^H,
-        [F_w, y] = [F_w - U Λ U^H, y] + U (Λ E S - S E Λ) U^H,
-        [y, x]   = U (S E M - M E S) U^H.
-
-    Each last term is the frame term of :func:`linalg.frame_departure`
-    with U for Q: in [y, x] both factors are elements, converted at
-    sqrt(n) each, so it is at most eta |y| |x|; in the other two C or Λ
-    enters directly, |C|_2 <= |Λ|_2 = max Λ, with one conversion, which
-    the factor max(1, max Λ / |F_w|) covers.  So every element of the
-    spans, not only of a basis, passes the element-wise check this
-    replaces: |[F_w, x]| <= cluster_gap |F_w| |x|, |[F_w, y]| <= rel
-    |F_w| |y| and |[y, x]| <= rel |y| |x|.  Rounding: ``eigh`` is backward
-    stable (Golub & Van Loan, *Matrix Computations*, 4th ed., §8.1), so e
-    and the eigenpair residual are O(n eps): eta is 1e-10 at n = 128.
-    """
-    tol, n = op.tol, op.dim
-    f_w = op.matrix_w
-    u = op.h1.frame_inv @ op.eigenvectors
-    uh, lam = u.conj().T, op.eigenvalues
-    sizes = tuple(m for _, m in _chain_clusters(lam, tol.cluster_gap,
-                                                of="the transfer operator"))
-    ends = np.cumsum([0, *sizes])
-    mid = np.repeat(0.5 * (lam[ends[:-1]] + lam[ends[1:] - 1]), sizes)
-    e, f_norm, pairs, clusters = op_norms([uh @ u - np.eye(n), f_w, f_w - (u * lam) @ uh,
-                                           f_w - (u * mid) @ uh]).tolist()
-    eta = frame_departure(e, n ** 1.5, max(1.0, float(lam[-1]) / f_norm))
-    for check, what, value, bound in (
-        ("unitary", "eigenvectors are not unitary", eta, tol.rel),
-        ("eigenpairs", "eigenpairs do not reproduce it", 2.0 * pairs / f_norm + eta, tol.rel),
-        ("cluster_spread", "eigenvalue clusters do not reproduce it within the cluster gap",
-         2.0 * clusters / f_norm + eta, tol.cluster_gap),
-    ):
-        if not value <= bound:
-            raise StructureError(f"transfer operator: {what} (residual {value:.3e})",
-                                 check=f"transfer_{check}", residual=value)
-    return sizes
+def _passed(result):
+    """A pipeline stage's result, or the :class:`StructureError` naming the
+    first check of its :class:`ViolationReport`."""
+    if isinstance(result, ViolationReport):
+        first = result.violations[0]
+        raise StructureError(str(result), check=first.name, residual=first.residual)
+    return result
 
 
 def transfer_operator(h1: HermitianForm, h2: HermitianForm,
                       tol: Tolerance = DEFAULT_TOL) -> TransferOperator:
-    """Build the transfer operator F = inv(H1) @ H2 of two Hermitian forms.
+    """Build the transfer operator F = inv(H1) @ H2 of two Hermitian forms,
+    with no eigensolve and no certificate of its own.
 
-    In the first form's frame W, F reads ``F_w = W^H @ H2 @ W``.  Verifies
-    that ``F_w`` is Hermitian (F is self-adjoint for the first form, and by
-    ``H1 @ F = H2`` for the second), has positive spectrum, and that the
-    reported F reproduces the second form, ``(x, y)_2 = (F x, y)_1``.
+    Each form h = A + iB realifies into the triple g = [[A, -B], [B, A]],
+    omega = [[B, A], [-A, B]] on R^2n (h = g + i omega, x = a + ib read as
+    (a, b)), whose complex structure is multiplication by -i for both: the
+    triples are a compatible pair with every sign +, T_c is F in J1's
+    complex coordinates, and :func:`~biham.decomposition.decompose`
+    certifies its spectrum.  The operator is :func:`read_off_operator`'s,
+    its clusters the blocks, carried back to C^n: the eigenvectors V are
+    the axes C of the adapted frame read as complex vectors, h1-orthonormal
+    as [C, D] is g1-orthonormal, the eigenvalues the axes' own |mu|
+    (``coordinate_lambda``), and F is W W^H H2, W h1's frame.  A triple or
+    a pair that fails a check raises :class:`StructureError` naming the
+    first; a cluster wider than ``cluster_gap`` raises
+    :class:`~biham.decomposition.DecompositionError`.
     """
     if not isinstance(h1, HermitianForm):
         h1 = HermitianForm(h1, tol)
@@ -203,23 +159,15 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
         h2 = HermitianForm(h2, tol)
     if h1.dim != h2.dim:
         raise ValueError(f"dimension mismatch: {h1.dim} vs {h2.dim}")
-    f_w = symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
-                         "transfer operator in the first form's frame", "transfer_self_adjoint")
-    evals, vecs = np.linalg.eigh(f_w)
-    if evals[0] <= 0:
-        raise StructureError(
-            f"transfer operator spectrum is not positive (min {evals[0]:.3e})",
-            check="transfer_positive", residual=float(evals[0]),
-        )
-    f = h1.frame @ f_w @ h1.frame_inv
-    resid, n_h1, n_f = op_norms([h1.h @ f - h2.h, h1.h, f]).tolist()
-    if not resid <= tol.threshold(n_h1, n_f):
-        raise StructureError(
-            f"transfer identity H1 @ F = H2 fails (residual {resid:.3e})",
-            check="transfer_identity", residual=resid,
-        )
-    return TransferOperator(frozen(f), h1, h2, frozen(evals), frozen(h1.frame @ vecs), tol,
-                            frozen(f_w))
+    t1, t2 = [_passed(check_admissible(np.block([[h.real, -h.imag], [h.imag, h.real]]),
+                                       np.block([[h.imag, h.real], [-h.real, h.imag]]), tol))
+              for h in (h1.h, h2.h)]
+    d = decompose(_passed(check_compatible(t1, t2, tol)))
+    axes = t1.g.frame @ d.frame_w[:, :h1.dim]
+    v = frozen(axes[:h1.dim] + 1j * axes[h1.dim:], copy=False)
+    f = frozen(h1.frame @ (h1.frame.conj().T @ h2.h), copy=False)
+    return read_off_operator(d).replace(matrix=f, h1=h1, h2=h2,
+                                        eigenvalues=d.coordinate_lambda, eigenvectors=v)
 
 
 def read_off_operator(d: BlockDecomposition) -> TransferOperator:
@@ -239,7 +187,7 @@ def read_off_operator(d: BlockDecomposition) -> TransferOperator:
     h1.h = h1.frame = h1.frame_inv = frozen(np.eye(len(lam), dtype=np.complex128), copy=False)
     h2.h, h2.frame, h2.frame_inv = [frozen(np.diag(x), copy=False)
                                     for x in (lam + 0j, 1 / root, root)]
-    return TransferOperator(h2.h, h1, h2, lam, h1.h, d.tol, h2.h, tuple(ranks.values()))
+    return TransferOperator(h2.h, h1, h2, lam, h1.h, d.tol, tuple(ranks.values()))
 
 
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:

@@ -58,8 +58,8 @@ __all__ = [
 class DecompositionError(NumericalCheckError):
     """The blocks of T's complex eigenvectors are inconsistent with a
     compatible pair (a cluster wider than ``cluster_gap``, a structure not
-    proportional on a block, or G not orthogonal across blocks), or a
-    transfer operator's cluster that the same width rule refuses."""
+    proportional on a block, or G not orthogonal across blocks), also
+    where two forms' transfer operator is read off their realified pair."""
 
 
 class Block(Record, hidden=("frame_w", "frame")):
@@ -277,20 +277,19 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
                               frozen(np.where(mu < 0.0, -1, 1), copy=False))
 
 
-def _chain_clusters(lam, cluster_gap: float, advice: str = "",
-                    of: str = "G") -> list[tuple[float, int]]:
-    """The one rule of eigenvalue equality: the ascending ``lam``, the
-    eigenvalues ``of`` an operator, chained at ``cluster_gap``
-    (:func:`cluster_eigenvalues`), and a chain whose spread, (max - min) /
-    max, exceeds ``cluster_gap`` refused with :class:`DecompositionError`,
-    its message naming the operator and ending in ``advice``.  A chain of
-    one (finite) value has spread 0, and is not judged again."""
+def _chain_clusters(lam, cluster_gap: float, advice: str = "") -> list[tuple[float, int]]:
+    """The one rule of eigenvalue equality: the ascending ``lam``, G's
+    eigenvalues, chained at ``cluster_gap`` (:func:`cluster_eigenvalues`),
+    and a chain whose spread, (max - min) / max, exceeds ``cluster_gap``
+    refused with :class:`DecompositionError`, its message ending in
+    ``advice``.  A chain of one (finite) value has spread 0, and is not
+    judged again."""
     clusters, at = cluster_eigenvalues(lam, cluster_gap), 0
     for _, count in clusters:
         low, high, at = lam[at], lam[at + count - 1], at + count
         if count > 1 and not same_cluster(low, high, cluster_gap):
             raise DecompositionError(
-                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of {of} chain into "
+                f"cluster width fails: eigenvalues {low:.9g} .. {high:.9g} of G chain into "
                 f"one cluster of spread {(high - low) / high:.3e}, wider than cluster_gap "
                 f"{cluster_gap:g}{advice}")
     return clusters

@@ -19,17 +19,33 @@ pairs that ``decompose``'s own checks must refuse.  The relations those
 checks imply and no longer judge are kept here too, each with the
 threshold it was judged against, and so are the recursion family's
 floating-point powers, which the certificate no longer forms, as unit
-directions with the telescoped bound that once judged them.
+directions with the telescoped bound that once judged them.  The transfer
+operator of two forms is read off their realified pair's decomposition;
+the route it replaced, one ``eigh`` of F in the first form's frame and a
+certificate of its own, is kept as ``transfer_operator_oracle``.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from biham.commutant import bicommutant_basis
+from biham.commutant import HermitianForm, bicommutant_basis
 from biham.compatibility import check_compatible
+from biham.decomposition import _chain_clusters
 from biham.dynamics import conservation_probe
-from biham.linalg import DEFAULT_TOL, commutator, frame_departure, op_norm, op_norms
+from biham.linalg import (
+    DEFAULT_TOL,
+    Record,
+    StructureError,
+    Tolerance,
+    commutator,
+    frame_departure,
+    frozen,
+    op_norm,
+    op_norms,
+    symmetric_part,
+)
 from biham.structures import (
     LinearField,
     MetricTensor,
@@ -480,3 +496,106 @@ def algebra_preservation_residual(alg, p):
     residuals = (preservation_residuals(mats_w, np.eye(p.dim), p.t1.j_w)
                  + preservation_residuals(mats_w, p.metric_operator_w, p.omega2_w))
     return float(max(r.max() for r in residuals))
+
+
+class OracleTransferOperator(Record):
+    """The transfer operator as ``transfer_operator`` once built it from two
+    forms: F, its spectral data from one ``eigh``, the tolerance and
+    ``matrix_w`` = F in the first form's frame, which the eigenvalues
+    diagonalize.  Its cluster sizes are read on first use, after the
+    spectral data pass :func:`certify_spectrum`, so data replaced after
+    construction are judged too.  The package's ``commutant_dim``,
+    ``bicommutant_dim`` and ``is_generic_operator`` read it like a
+    ``TransferOperator``."""
+
+    matrix: np.ndarray
+    h1: HermitianForm
+    h2: HermitianForm
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    tol: Tolerance
+    matrix_w: np.ndarray
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+    @cached_property
+    def cluster_sizes(self):
+        return certify_spectrum(self)
+
+
+def certify_spectrum(op):
+    """Certify the spectral frame in h1's frame W; return the cluster sizes.
+
+    With U = inv(W) V, e = |U^H U - I|, C the cluster midpoints of the
+    eigenvalues Λ, |.| the row-sum norm and
+    eta = 2 n^1.5 e (1 + e) / (1 - e)^2 * max(1, max Λ / |F_w|), it checks
+    eta <= rel (``transfer_unitary``), 2 |F_w - U Λ U^H| / |F_w| + eta <=
+    rel (``transfer_eigenpairs``), that the eigenvalues chain into clusters
+    no wider than cluster_gap by ``decompose``'s width rule (a
+    ``DecompositionError`` if not), and 2 |F_w - U C U^H| / |F_w| + eta <=
+    cluster_gap (``transfer_cluster_spread``).
+
+    Implication: the commutant is {x = U M U^H}, M block-diagonal by
+    cluster, and the bicommutant {y = U S U^H}, S constant per cluster.
+    With E = U^H U - I,
+
+        [F_w, x] = [F_w - U C U^H, x] + U (C E M - M E C) U^H,
+        [F_w, y] = [F_w - U Λ U^H, y] + U (Λ E S - S E Λ) U^H,
+        [y, x]   = U (S E M - M E S) U^H,
+
+    each last term the frame term of ``linalg.frame_departure`` with U for
+    Q, so every element of the spans passes |[F_w, x]| <= cluster_gap |F_w|
+    |x|, |[F_w, y]| <= rel |F_w| |y| and |[y, x]| <= rel |y| |x|.
+    """
+    tol, n = op.tol, op.dim
+    f_w = op.matrix_w
+    u = op.h1.frame_inv @ op.eigenvectors
+    uh, lam = u.conj().T, op.eigenvalues
+    sizes = tuple(m for _, m in _chain_clusters(lam, tol.cluster_gap))
+    ends = np.cumsum([0, *sizes])
+    mid = np.repeat(0.5 * (lam[ends[:-1]] + lam[ends[1:] - 1]), sizes)
+    e, f_norm, pairs, clusters = op_norms([uh @ u - np.eye(n), f_w, f_w - (u * lam) @ uh,
+                                           f_w - (u * mid) @ uh]).tolist()
+    eta = frame_departure(e, n ** 1.5, max(1.0, float(lam[-1]) / f_norm))
+    for check, what, value, bound in (
+        ("unitary", "eigenvectors are not unitary", eta, tol.rel),
+        ("eigenpairs", "eigenpairs do not reproduce it", 2.0 * pairs / f_norm + eta, tol.rel),
+        ("cluster_spread", "eigenvalue clusters do not reproduce it within the cluster gap",
+         2.0 * clusters / f_norm + eta, tol.cluster_gap),
+    ):
+        if not value <= bound:
+            raise StructureError(f"transfer operator: {what} (residual {value:.3e})",
+                                 check=f"transfer_{check}", residual=value)
+    return sizes
+
+
+def transfer_operator_oracle(h1, h2, tol=DEFAULT_TOL):
+    """F = inv(H1) @ H2 of two forms by one ``eigh`` of the Hermitian
+    ``F_w = W^H @ H2 @ W`` in the first form's frame W, with the checks
+    that route made: ``F_w`` Hermitian (``transfer_self_adjoint``), its
+    spectrum positive (``transfer_positive``) and ``H1 @ F = H2``
+    (``transfer_identity``), each at its old threshold; the spectral frame
+    is certified on first use of the cluster sizes."""
+    if not isinstance(h1, HermitianForm):
+        h1 = HermitianForm(h1, tol)
+    if not isinstance(h2, HermitianForm):
+        h2 = HermitianForm(h2, tol)
+    f_w = symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
+                         "transfer operator in the first form's frame", "transfer_self_adjoint")
+    evals, vecs = np.linalg.eigh(f_w)
+    if evals[0] <= 0:
+        raise StructureError(
+            f"transfer operator spectrum is not positive (min {evals[0]:.3e})",
+            check="transfer_positive", residual=float(evals[0]),
+        )
+    f = h1.frame @ f_w @ h1.frame_inv
+    resid, n_h1, n_f = op_norms([h1.h @ f - h2.h, h1.h, f]).tolist()
+    if not resid <= tol.threshold(n_h1, n_f):
+        raise StructureError(
+            f"transfer identity H1 @ F = H2 fails (residual {resid:.3e})",
+            check="transfer_identity", residual=resid,
+        )
+    return OracleTransferOperator(frozen(f), h1, h2, frozen(evals), frozen(h1.frame @ vecs),
+                                  tol, frozen(f_w))

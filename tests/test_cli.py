@@ -22,7 +22,6 @@ from biham.commutant import (
     commutant_dim,
     complexify,
     read_off_operator,
-    transfer_operator,
 )
 from biham.decomposition import Block, BlockDecomposition, decompose, synthesize_pair
 from biham.compatibility import CompatiblePair, PencilMember, check_compatible
@@ -588,8 +587,8 @@ class TestCommutant:
     @pytest.mark.parametrize("make_pair", READ_OFF_PAIRS)
     def test_read_off_matches_the_library_operator(self, make_pair):
         # the CLI reports the library's read-off of F off the blocks; the
-        # independent oracle builds F from the complexified forms and
-        # certifies its own spectral frame
+        # independent oracle, the retired forms route, builds F from the
+        # complexified forms by one eigh and certifies its own spectral frame
         pair = make_pair()
         report, code = analyze(InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                                              pair.t2.g.m, pair.t2.omega.m, pair.tol))
@@ -604,7 +603,7 @@ class TestCommutant:
                         "bicommutant_dim": bicommutant_dim(read_off),
                         "sign_pattern": dec.coordinate_sign.tolist()}
         h1, h2, signs = complexify(dec)
-        op = transfer_operator(h1, h2, pair.tol)
+        op = loop_oracle.transfer_operator_oracle(h1, h2, pair.tol)
         assert (read["commutant_dim"], read["bicommutant_dim"], read["sign_pattern"]) == (
             commutant_dim(op), bicommutant_dim(op), list(signs))
         np.testing.assert_allclose(read["eigenvalues"], op.eigenvalues, rtol=1e-10, atol=0.0)

@@ -1,8 +1,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from biham import commutant
 from biham.commutant import (
     HermitianForm,
     bicommutant_basis,
@@ -17,8 +18,16 @@ from biham.commutant import (
 )
 from biham.compatibility import check_compatible
 from biham.decomposition import DecompositionError, decompose, synthesize_pair
-from biham.linalg import DEFAULT_TOL, StructureError, Tolerance, commutator, op_norm
+from biham.linalg import (
+    DEFAULT_TOL,
+    StructureError,
+    Tolerance,
+    cluster_eigenvalues,
+    commutator,
+    op_norm,
+)
 from conftest import standard_triple
+from loop_oracle import transfer_operator_oracle
 
 
 def random_hermitian_pd(rng, n):
@@ -26,8 +35,8 @@ def random_hermitian_pd(rng, n):
     return z @ z.conj().T + n * np.eye(n)
 
 
-def operator_from_spectrum(evals, rng, tol=DEFAULT_TOL):
-    """Random Hermitian-form pair whose transfer operator has the given
+def forms_with_spectrum(evals, rng):
+    """Random Hermitian forms h1, h2 whose transfer operator has the given
     spectrum: an independent construction used as oracle."""
     n = len(evals)
     h1 = random_hermitian_pd(rng, n)
@@ -36,8 +45,11 @@ def operator_from_spectrum(evals, rng, tol=DEFAULT_TOL):
     v = np.linalg.solve(l.conj().T, q)  # h1-orthonormal columns
     f = v @ np.diag(evals) @ np.linalg.inv(v)
     h2 = h1 @ f
-    h2 = 0.5 * (h2 + h2.conj().T)
-    return transfer_operator(HermitianForm(h1), HermitianForm(h2), tol)
+    return HermitianForm(h1), HermitianForm(0.5 * (h2 + h2.conj().T))
+
+
+def operator_from_spectrum(evals, rng, tol=DEFAULT_TOL):
+    return transfer_operator(*forms_with_spectrum(evals, rng), tol)
 
 
 class TestHermitianForm:
@@ -91,6 +103,14 @@ class TestTransferOperator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             transfer_operator(HermitianForm(np.eye(2)), HermitianForm(np.eye(3)))
+
+    def test_refusal_names_the_pipeline_check(self):
+        # F = diag(1e-5, 1e5): the realified pair's G has min |mu| below
+        # rel max |mu|, which check_compatible refuses by name
+        with pytest.raises(StructureError, match="compatibility failed") as err:
+            transfer_operator(np.diag([1.0, 1e-5]), np.diag([1e-5, 1.0]))
+        assert err.value.check == "G_positive_spectrum"
+        assert err.value.residual == pytest.approx(1e-5)
 
 
 class TestNormBounds:
@@ -300,23 +320,18 @@ class TestReadOff:
 
     def test_makes_no_eigensolve_and_no_certificate(self, monkeypatch):
         d = decompose(synthesize_pair([(2.0, 1, 4), (3.0, -1, 4)], seed=21))
-        calls = {"eigh": 0, "certify": 0}
-        eigh, certify = np.linalg.eigh, commutant._certify_spectrum
+        calls = {"eigh": 0}
+        eigh = np.linalg.eigh
 
         def counting_eigh(*args, **kwargs):
             calls["eigh"] += 1
             return eigh(*args, **kwargs)
 
-        def counting_certify(*args, **kwargs):
-            calls["certify"] += 1
-            return certify(*args, **kwargs)
-
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(commutant, "_certify_spectrum", counting_certify)
         op = read_off_operator(d)
         dims = (commutant_dim(op), bicommutant_dim(op), is_generic_operator(op))
         u = biunitary_sample(op, [0.5, 1.0], 0.7)
-        assert calls == {"eigh": 0, "certify": 0}
+        assert calls == {"eigh": 0}
         assert dims == (32, 2, False)
         assert op.eigenvalues.tolist() == [b.eigenvalue for b in d.blocks for _ in range(4)]
         for h in (op.h1.h, op.h2.h):
@@ -336,8 +351,9 @@ class TestReadOff:
 
 
 class TestSpectralFaults:
-    """Spectral data that no longer match the operator fail the checks of
-    the commutant and the bicommutant."""
+    """Spectral data that no longer match the operator fail the retired
+    route's certificate (``tests/loop_oracle.py``): the data are replaced
+    after construction, which only a certificate read on first use sees."""
 
     @staticmethod
     def tampered(op, angle):
@@ -349,24 +365,72 @@ class TestSpectralFaults:
         v[:, -1] = np.cos(angle) * last - np.sin(angle) * first
         return op.replace(eigenvectors=v)
 
+    @staticmethod
+    def oracle_operator():
+        return transfer_operator_oracle(
+            *forms_with_spectrum([1.0, 1.0, 2.0, 4.0], np.random.default_rng(20)))
+
     @pytest.mark.parametrize("angle", [1e-3, 1e-6])
     def test_tampered_eigenvectors_raise(self, angle):
-        op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], np.random.default_rng(20))
-        with pytest.raises(StructureError):
+        op = self.oracle_operator()
+        with pytest.raises(StructureError, match="eigenpairs do not reproduce it"):
             commutant_dim(self.tampered(op, angle))
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as err:
             bicommutant_dim(self.tampered(op, angle))
+        assert err.value.check == "transfer_eigenpairs"
 
     def test_wide_cluster_fails_the_one_width_rule(self):
         # 1, 1 + 0.9e-7, 1 + 1.8e-7 chain at the default gap into one
-        # cluster of spread 1.8e-7: refused by decompose's rule, naming F
-        op = operator_from_spectrum([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 3.0],
+        # cluster of spread 1.8e-7: decompose refuses the realified pair by
+        # its one width rule, naming G
+        forms = forms_with_spectrum([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 3.0],
                                     np.random.default_rng(22))
         with pytest.raises(DecompositionError,
-                           match=r"^cluster width fails: eigenvalues 1 \.\. 1\.0000001\d* of the "
-                                 r"transfer operator chain into one cluster"):
-            commutant_dim(op)
+                           match=r"^cluster width fails: eigenvalues 1 \.\. 1\.0000001\d* of G "
+                                 r"chain into one cluster"):
+            transfer_operator(*forms)
 
     def test_untampered_operator_passes(self):
         op = operator_from_spectrum([1.0, 1.0, 2.0, 4.0], np.random.default_rng(20))
         assert (commutant_dim(op), bicommutant_dim(op)) == (6, 3)
+        oracle = self.oracle_operator()
+        assert (commutant_dim(oracle), bicommutant_dim(oracle)) == (6, 3)
+        np.testing.assert_allclose(op.eigenvalues, oracle.eigenvalues, rtol=1e-12)
+
+
+@st.composite
+def form_spectra(draw):
+    """Ascending positive spectra of n <= 16, with runs of values closer
+    than the default ``cluster_gap``, and a seed for the forms."""
+    n = draw(st.integers(1, 16))
+    evals = [draw(st.floats(0.1, 10.0))]
+    for _ in range(n - 1):
+        step = draw(st.sampled_from(["equal", "inside", "apart"]))
+        if step == "apart":
+            # close but distinct down to ten times the gap
+            evals.append(evals[-1] * (1.0 + 10.0 ** draw(st.floats(-6.0, 0.0))))
+        else:
+            # within the gap, well under it so the chain stays narrow
+            evals.append(evals[-1] * (1.0 + (0.0 if step == "equal" else 1e-9)))
+    return evals, draw(st.integers(0, 2**32 - 1))
+
+
+class TestForms:
+    """The forms route against a dense ``eigh`` of F in the first form's
+    frame, at n <= 16 and always at n = 1 (a realified pair of dimension
+    2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(form_spectra())
+    @example(([1.5], 0))
+    def test_matches_dense_eigh(self, case):
+        evals, seed = case
+        h1, h2 = forms_with_spectrum(evals, np.random.default_rng(seed))
+        op = transfer_operator(h1, h2)
+        f_w = h1.frame.conj().T @ h2.h @ h1.frame
+        dense = np.linalg.eigvalsh(0.5 * (f_w + f_w.conj().T))
+        np.testing.assert_allclose(op.eigenvalues, dense, rtol=1e-12, atol=0.0)
+        assert op.cluster_sizes == tuple(
+            m for _, m in cluster_eigenvalues(dense, DEFAULT_TOL.cluster_gap))
+        np.testing.assert_allclose(op.eigenvectors.conj().T @ h1.h @ op.eigenvectors,
+                                   np.eye(len(evals)), atol=1e-12)

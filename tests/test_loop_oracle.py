@@ -203,10 +203,10 @@ def ill_conditioned_operator():
 
 
 class TestBicommutantBound:
-    """The element-wise checks of the commutant and the bicommutant, which
-    the certificate of the cluster frames bounds for whole spans, for dims
-    up to 32: wherever the certificate passes, every basis element passes
-    the check it replaced."""
+    """The element-wise checks of the commutant and the bicommutant, for
+    dims up to 32: wherever ``decompose`` certifies the pair (for forms,
+    their realified pair), every basis element of the operator read off
+    it passes the check it replaced."""
 
     @pytest.mark.parametrize("spec", COMPLEXIFIED)
     def test_complexified_pairs(self, spec):

@@ -153,9 +153,12 @@ class TestDefaultsAndValidation:
         assert Tolerance().rel == Tolerance.rel == 1e-9
         assert Tolerance(rel=1e-8).cluster_gap == Tolerance.cluster_gap
         assert QuadraticForm(np.eye(2)).tol is DEFAULT_TOL
+        # a transfer operator's cluster sizes are a field with no default:
+        # every operator is read off a decomposition that certified them
         op = read_off_operator(decompose(synthesize_pair([(2.0, 1, 1)], seed=1)))
-        assert op.block_sizes == (1,)
-        assert type(op)(*[getattr(op, f) for f in type(op)._fields[:-1]]).block_sizes == ()
+        assert op.cluster_sizes == (1,) and "cluster_sizes" not in type(op)._defaults
+        with pytest.raises(TypeError, match="missing required arguments: cluster_sizes"):
+            type(op)(*[getattr(op, f) for f in type(op)._fields[:-1]])
 
     def test_tolerance_validated_on_construction_and_replace(self):
         with pytest.raises(ValueError, match="rel must be finite and in"):
