@@ -2,9 +2,15 @@
 
 Input files are UTF-8 JSON with fields ``dim``, ``g1``, ``omega1`` and
 optionally ``g2``/``omega2`` (both or neither) and ``tol``; matrices are
-row-major arrays of arrays of numbers.  Every analysis command emits one
-JSON report with a fixed key set (missing sections are ``null``) and the
-exit code encodes the outcome:
+row-major arrays of arrays of numbers.
+
+One rule sets the tolerance: ``decompose --tol x`` or the file's ``tol``
+(x means ``{"rel": x}``) gives ``rel`` and ``cluster_gap``, each optional.
+A missing ``rel`` comes from BIHAM_TOL, else the default 1e-9; a missing
+``cluster_gap`` is max(1e-7, rel).  ``synth`` reads BIHAM_TOL alone.
+
+Every analysis command emits one JSON report with a fixed key set
+(missing sections are ``null``) and the exit code encodes the outcome:
 
     0   every requested check passed
     1   a mathematical check failed (the report names it), a check of the
@@ -70,33 +76,25 @@ def _parse_matrix(obj, name: str, dim: int) -> np.ndarray:
     return arr
 
 
-def default_tolerance() -> Tolerance:
-    """Default tolerance, honoring the BIHAM_TOL environment override."""
-    env = os.environ.get("BIHAM_TOL")
-    if env is None:
-        return Tolerance()
+def _tolerance(rel: float | None = None, cluster_gap: float | None = None) -> Tolerance:
+    """The one tolerance rule (see the module docstring), for the ``rel``
+    and ``cluster_gap`` that ``--tol`` or the file's ``tol`` gives."""
     try:
-        rel = float(env)
-    except ValueError:
-        raise InputError(f"BIHAM_TOL must be a number, got {env!r}") from None
-    return _tolerance_from_rel(rel)
-
-
-def _tolerance_from_rel(rel: float) -> Tolerance:
-    try:
-        return Tolerance(rel=rel, cluster_gap=max(Tolerance().cluster_gap, rel))
+        if rel is None:
+            rel = float(os.environ.get("BIHAM_TOL", Tolerance.rel))
+        if cluster_gap is None:
+            cluster_gap = max(Tolerance.cluster_gap, rel)
+        return Tolerance(rel, cluster_gap)
     except ValueError as err:
-        raise InputError(str(err)) from None
+        raise InputError(f"invalid tolerance from --tol, 'tol' or BIHAM_TOL: {err}") from None
 
 
-def _is_number(value) -> bool:
-    """Whether a parsed JSON value is a number (a boolean is not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_float(value: int | float) -> float:
-    """A JSON number as a float; an integer beyond the float range becomes
-    an infinity, which every tolerance refuses by name."""
+def _number(value, what: str) -> float:
+    """A parsed JSON number as a float, else an :class:`InputError` saying
+    ``what``.  A boolean is no number; an integer beyond the float range
+    becomes an infinity, which every tolerance refuses by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what}, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -136,31 +134,16 @@ def load_document(path: str, tol_override: float | None = None) -> InputDocument
     g2 = _parse_matrix(raw["g2"], "g2", dim) if "g2" in raw else None
     omega2 = _parse_matrix(raw["omega2"], "omega2", dim) if "omega2" in raw else None
 
-    if tol_override is not None:
-        tol = _tolerance_from_rel(tol_override)
-    elif "tol" in raw:
-        spec = raw["tol"]
-        if _is_number(spec):
-            tol = _tolerance_from_rel(_as_float(spec))
-        elif isinstance(spec, dict):
-            for key, value in spec.items():
-                if key not in ("rel", "cluster_gap"):
-                    raise InputError(f"unknown key {key!r} in 'tol': "
-                                     "expected 'rel' and 'cluster_gap' only")
-                if not _is_number(value):
-                    raise InputError(f"'tol' key {key!r} must be a number, got {value!r}")
-            base = default_tolerance()
-            rel = _as_float(spec.get("rel", base.rel))
-            gap = _as_float(spec.get("cluster_gap", max(base.cluster_gap, rel)))
-            try:
-                tol = Tolerance(rel=rel, cluster_gap=gap)
-            except ValueError as err:
-                raise InputError(f"invalid 'tol' field: {err}") from None
-        else:
-            raise InputError("'tol' must be a number or an object")
-    else:
-        tol = default_tolerance()
-    return InputDocument(dim, g1, omega1, g2, omega2, tol)
+    spec = raw.get("tol", {}) if tol_override is None else {"rel": tol_override}
+    if not isinstance(spec, dict):  # tol: x means tol: {"rel": x}
+        spec = {"rel": _number(spec, "'tol' must be a number or an object")}
+    given = {}
+    for key, value in spec.items():
+        if key not in ("rel", "cluster_gap"):
+            raise InputError(f"unknown key {key!r} in 'tol': "
+                             "expected 'rel' and 'cluster_gap' only")
+        given[key] = _number(value, f"'tol' key {key!r} must be a number")
+    return InputDocument(dim, g1, omega1, g2, omega2, _tolerance(**given))
 
 
 def _py(value):
@@ -366,8 +349,6 @@ def _parse_synth_spec(text: str) -> list[tuple[float, int, int]]:
             mult = int(mult_s)
         except ValueError:
             raise InputError(f"bad multiplicity {mult_s!r} in spec") from None
-        if lam <= 0 or mult <= 0:
-            raise InputError(f"spec entry {part!r} needs positive eigenvalue and multiplicity")
         specs.append((lam, sign, mult))
     return specs
 
@@ -396,9 +377,9 @@ def _run_analysis(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    specs = _parse_synth_spec(args.spec)
+    specs, tol = _parse_synth_spec(args.spec), _tolerance()
     try:
-        pair = synthesize_pair(specs, args.seed, default_tolerance())
+        pair = synthesize_pair(specs, args.seed, tol)
     except ValueError as err:
         raise InputError(f"invalid spec: {err}") from None
     doc = {

@@ -39,7 +39,6 @@ from .linalg import (
     Record,
     StructureError,
     Tolerance,
-    as_matrix,
     frozen,
     op_norm,
     op_norms,
@@ -71,11 +70,10 @@ class HermitianForm:
     """
 
     def __init__(self, h, tol: Tolerance = DEFAULT_TOL):
-        h = as_matrix(h, "hermitian form", dtype=np.complex128)
-        herm = symmetric_part(h, tol, "form", "hermitian_symmetric")
-        self.frame, self.frame_inv = whitening(herm, tol, "form",
+        self.h = symmetric_part(h, tol, "hermitian form", "hermitian_symmetric",
+                                dtype=np.complex128)
+        self.frame, self.frame_inv = whitening(self.h, tol, "hermitian form",
                                                "hermitian_positive_definite")
-        self.h = frozen(herm)
 
     @property
     def dim(self) -> int:
@@ -148,9 +146,10 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
     its clusters the blocks, carried back to C^n: the eigenvectors V are
     the axes C of the adapted frame read as complex vectors, h1-orthonormal
     as [C, D] is g1-orthonormal, the eigenvalues the axes' own |mu|
-    (``coordinate_lambda``), and F is W W^H H2, W h1's frame.  A triple or
-    a pair that fails a check raises :class:`StructureError` naming the
-    first; a cluster wider than ``cluster_gap`` raises
+    (``coordinate_lambda``), and F is read off the pair's G = inv(g1) g2,
+    the realified F [[Re F, -Im F], [Im F, Re F]].  A triple or a pair
+    that fails a check raises :class:`StructureError` naming the first; a
+    cluster wider than ``cluster_gap`` raises
     :class:`~biham.decomposition.DecompositionError`.
     """
     if not isinstance(h1, HermitianForm):
@@ -163,9 +162,10 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
                                        np.block([[h.imag, h.real], [-h.real, h.imag]]), tol))
               for h in (h1.h, h2.h)]
     d = decompose(_passed(check_compatible(t1, t2, tol)))
-    axes = t1.g.frame @ d.frame_w[:, :h1.dim]
-    v = frozen(axes[:h1.dim] + 1j * axes[h1.dim:], copy=False)
-    f = frozen(h1.frame @ (h1.frame.conj().T @ h2.h), copy=False)
+    n, big_g = h1.dim, d.pair.metric_operator
+    axes = t1.g.frame @ d.frame_w[:, :n]
+    v = frozen(axes[:n] + 1j * axes[n:], copy=False)
+    f = frozen(big_g[:n, :n] + 1j * big_g[n:, :n], copy=False)
     return read_off_operator(d).replace(matrix=f, h1=h1, h2=h2,
                                         eigenvalues=d.coordinate_lambda, eigenvectors=v)
 

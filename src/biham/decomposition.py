@@ -237,7 +237,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     # is a run of one (cluster, sign), the same columns of C and D
     ranked = sorted(range(len(mu)), key=[abs(x) for x in mu].__getitem__)
     clusters = _chain_clusters([abs(mu[k]) for k in ranked], tol.cluster_gap,
-                               "; give a smaller cluster_gap in the file's 'tol'")
+                               "; give a smaller cluster_gap")
     order, specs = [], []
     for mean, count in clusters:
         chain, ranked = ranked[:count], ranked[count:]

@@ -172,20 +172,21 @@ class Tolerance(Record):
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a, name: str = "matrix", dim: int | None = None,
-              dtype=np.float64) -> np.ndarray:
+def as_matrix(a, name: str = "matrix", dtype=np.float64) -> np.ndarray:
     """Validate ``a`` as a finite square matrix of the given dtype (float64,
-    or complex128 on the complexified side) and return a read-only copy."""
-    arr = np.array(a, dtype=dtype, copy=True)
+    or complex128 on the complexified side) and return a read-only copy;
+    :func:`symmetric_part` makes the same checks and keeps no copy."""
+    return frozen(_checked(np.array(a, dtype=dtype), name), copy=False)
+
+
+def _checked(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, once it is a finite square matrix of positive dimension."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError(f"{name} must have positive dimension")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"{name} must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[0]}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -237,17 +238,18 @@ def frame_departure(e: float, conversion: float, scale: float) -> float:
     return 2.0 * conversion * e * (1.0 + e) * scale / (1.0 - e) ** 2
 
 
-def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
-                   check: str = "symmetric", anti: bool = False) -> np.ndarray:
+def symmetric_part(m, tol: Tolerance, name: str = "matrix", check: str = "symmetric",
+                   anti: bool = False, dtype=np.float64) -> np.ndarray:
     """Symmetric part ``0.5 * (m + mᴴ)`` of ``m``, or with ``anti`` its
-    antisymmetric part ``0.5 * (m - mᴴ)``.
+    antisymmetric part ``0.5 * (m - mᴴ)``: a fresh read-only array.
 
-    The other part is rounding noise when ``op_norm(m ∓ mᴴ) <=
+    ``m``, read as ``dtype``, gets :func:`as_matrix`'s checks and messages
+    but no copy.  The other part is rounding noise when ``op_norm(m ∓ mᴴ) <=
     tol.threshold(op_norm(m))``; beyond that :class:`StructureError` names
     ``check``.  ``mᴴ`` is the conjugate transpose, so complex input is
     checked for conjugate symmetry.
     """
-    m = np.asarray(m)
+    m = _checked(np.asarray(m, dtype=dtype), name)
     mh = m.conj().T
     resid, norm = op_norms([m + mh if anti else m - mh, m]).tolist()
     if not resid <= tol.threshold(norm):
@@ -257,7 +259,7 @@ def symmetric_part(m: np.ndarray, tol: Tolerance, name: str = "matrix",
             f"{name} is not {kind} (residual {resid:.3e})",
             check=check, residual=resid,
         )
-    return 0.5 * (m - mh if anti else m + mh)
+    return frozen(0.5 * (m - mh if anti else m + mh), copy=False)
 
 
 def whitening(sym: np.ndarray, tol: Tolerance, name: str,
@@ -279,12 +281,12 @@ def whitening(sym: np.ndarray, tol: Tolerance, name: str,
 
 
 def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric nonnegative square root of a symmetric PSD matrix.
+    """Symmetric nonnegative square root of a symmetric PSD matrix, read-only.
 
     Eigenvalues in ``[-tol.threshold(op_norm(m)), 0)`` are treated as
     rounding noise and clipped to zero; anything more negative is an error.
     """
-    m = as_matrix(m, "m")
+    m = np.asarray(m, dtype=np.float64)
     sym = symmetric_part(m, tol)
     w, v = np.linalg.eigh(sym)
     if not w[0] >= -tol.threshold(op_norm(m)):
@@ -293,7 +295,7 @@ def sym_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             check="positive_semidefinite", residual=float(w[0]),
         )
     p = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return 0.5 * (p + p.T)
+    return frozen(0.5 * (p + p.T), copy=False)
 
 
 def eig_self_adjoint(a_w, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -71,11 +71,9 @@ class MetricTensor:
     W`` and an operator a reads ``frame_inv @ a @ W``."""
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL):
-        m = as_matrix(m, "metric")
-        sym = symmetric_part(m, tol, "metric", "metric_symmetric")
-        self.frame, self.frame_inv = whitening(sym, tol, "metric",
+        self.m = symmetric_part(m, tol, "metric", "metric_symmetric")
+        self.frame, self.frame_inv = whitening(self.m, tol, "metric",
                                                "metric_positive_definite")
-        self.m = frozen(sym, copy=False)
 
     @property
     def dim(self) -> int:
@@ -116,11 +114,10 @@ class SymplecticForm:
 
 def _antisymmetric(m, tol: Tolerance) -> np.ndarray:
     """The read-only antisymmetric part of an even-dimensional matrix."""
-    m = as_matrix(m, "symplectic form")
-    if m.shape[0] % 2 != 0:
-        raise ValueError(f"symplectic form needs even dimension, got {m.shape[0]}")
-    return frozen(symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric",
-                                 anti=True), copy=False)
+    part = symmetric_part(m, tol, "symplectic form", "symplectic form_antisymmetric", anti=True)
+    if part.shape[0] % 2 != 0:
+        raise ValueError(f"symplectic form needs even dimension, got {part.shape[0]}")
+    return part
 
 
 class ComplexStructure:
@@ -136,7 +133,7 @@ class ComplexStructure:
                 f"matrix squared is not -I (residual {resid:.3e})",
                 check="complex_structure_square", residual=resid,
             )
-        self.m = frozen(m)
+        self.m = m
 
     @property
     def dim(self) -> int:
@@ -206,9 +203,8 @@ class QuadraticForm(Record, hidden=("tol",)):
     tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "quadratic form")
-        sym = symmetric_part(m, self.tol, "quadratic form", "quadratic form_symmetric")
-        object.__setattr__(self, "matrix", frozen(sym))
+        object.__setattr__(self, "matrix", symmetric_part(
+            self.matrix, self.tol, "quadratic form", "quadratic form_symmetric"))
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)

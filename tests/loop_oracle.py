@@ -583,7 +583,8 @@ def transfer_operator_oracle(h1, h2, tol=DEFAULT_TOL):
     if not isinstance(h2, HermitianForm):
         h2 = HermitianForm(h2, tol)
     f_w = symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
-                         "transfer operator in the first form's frame", "transfer_self_adjoint")
+                         "transfer operator in the first form's frame", "transfer_self_adjoint",
+                         dtype=np.complex128)
     evals, vecs = np.linalg.eigh(f_w)
     if evals[0] <= 0:
         raise StructureError(

@@ -758,6 +758,42 @@ class TestToleranceOverrides:
         assert code == 2 and out == ""
         assert "must be finite and in (0, 1)" in err
 
+    # lambda = 1 and 1 + 5e-6 (+) are two classes at the default gap 1e-7
+    # and one at 1e-5, BIHAM_TOL's own gap; the object spelling once took
+    # that gap, the number and the flag did not
+    def test_every_spelling_of_one_tol_gives_one_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("BIHAM_TOL", raising=False)
+        pair = tmp_path / "pair.json"
+        run_cli(capsys, "synth", "--spec", "1:+:1,1.000005:+:1,3:-:1", "--seed", 1,
+                "--out", pair)
+        doc = json.loads(pair.read_text())
+        runs = [(pair, "--tol", 1e-9)]
+        for name, tol in (("number", 1e-9), ("object", {"rel": 1e-9})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**doc, "tol": tol}))
+            runs.append((path,))
+        monkeypatch.setenv("BIHAM_TOL", "1e-5")
+        outs = [run_cli(capsys, "decompose", *argv) for argv in runs]
+        assert outs[0] == outs[1] == outs[2]
+        code, out, _ = outs[0]
+        assert code == 0
+        assert json.loads(out)["signature_complex"] == "U(1)×U(1)×U(1)"
+
+    @pytest.mark.parametrize("env", [None, "1e-12", "1e-5", "not-a-number"])
+    def test_every_spelling_of_one_tol_gives_one_tolerance(self, tmp_path, monkeypatch, env):
+        # a source that gives rel reads no BIHAM_TOL, not even a malformed one
+        if env is None:
+            monkeypatch.delenv("BIHAM_TOL", raising=False)
+        else:
+            monkeypatch.setenv("BIHAM_TOL", env)
+        doc = json.loads((FIXTURES / "compatible_2d.json").read_text())
+        tols = [cli.load_document(FIXTURES / "compatible_2d.json", 1e-8).tol]
+        for tol in (1e-8, {"rel": 1e-8}):
+            path = tmp_path / "tol.json"
+            path.write_text(json.dumps({**doc, "tol": tol}))
+            tols.append(cli.load_document(path).tol)
+        assert tols == [linalg.Tolerance(1e-8, 1e-7)] * 3
+
     def test_env_var_rejects_non_finite(self, capsys, monkeypatch):
         monkeypatch.setenv("BIHAM_TOL", "inf")
         code, out, err = run_cli(capsys, "check", FIXTURES / "compatible_2d.json")

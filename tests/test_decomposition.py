@@ -256,7 +256,7 @@ class TestWideChain:
         assert report["residuals"]["pipeline_error"] == (
             "cluster width fails: eigenvalues 1 .. 1.00000018 of G chain into one "
             "cluster of spread 1.800e-07, wider than cluster_gap 1e-07; give a "
-            "smaller cluster_gap in the file's 'tol'")
+            "smaller cluster_gap")
 
 
 CLOSE_EIGENVALUES = [

@@ -115,6 +115,24 @@ class TestSymmetricPart:
         assert info.value.check == "symplectic form_antisymmetric"
         assert info.value.residual == 1.0
 
+    # each constructor keeps symmetric_part's fresh array, the one it builds
+    # from its input: read-only, and no later write to the input reaches it
+    @pytest.mark.parametrize("build, stored, m", [
+        (sym_sqrt, lambda r: r, [[2.0, 1.0], [1.0, 2.0]]),
+        (MetricTensor, lambda r: r.m, [[2.0, 1.0], [1.0, 2.0]]),
+        (QuadraticForm, lambda r: r.matrix, [[2.0, 1.0], [1.0, 2.0]]),
+        (HermitianForm, lambda r: r.h, [[2.0, 1j], [-1j, 2.0]]),
+        (SymplecticForm, lambda r: r.m, [[0.0, 1.0], [-1.0, 0.0]]),
+    ], ids=["sym_sqrt", "MetricTensor", "QuadraticForm", "HermitianForm", "SymplecticForm"])
+    def test_stores_a_read_only_array_of_its_own(self, build, stored, m):
+        m = np.array(m)
+        kept = stored(build(m))
+        before = kept.copy()
+        assert not kept.flags.writeable
+        assert not np.shares_memory(kept, m)
+        m[...] = 7.0
+        np.testing.assert_array_equal(kept, before)
+
     def test_hermitian_form_takes_conjugate_transpose(self):
         h = HermitianForm(np.array([[2.0, 1j], [-1j, 2.0]]))
         assert h.h[0, 1] == 1j and h.h[1, 0] == -1j
