@@ -42,7 +42,7 @@ from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from .linalg import NumericalCheckError, Record, Tolerance
 from .structures import ViolationReport, check_admissible
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class InputError(ValueError):

@@ -65,8 +65,13 @@ class CompatiblePair(Record):
     The fields ending in ``_w`` hold G (there also g2) and omega2 in t1's
     g1-orthonormal frame; ``mu``, ``v``, ``e``, ``r`` and ``y`` are T_c's
     eigenpairs and the residuals E, R, Y of :func:`check_compatible`, which
-    ``decompose`` reads.  T and J2 in t1's frame are built on first use, by
-    one solve each; no check reads either.
+    ``decompose`` reads, and ``coordinate_blocks`` the Hermitian Z^H tau Z
+    and anti-linear Z^T tau Z blocks, in J1's complex coordinates Z, of tau
+    = g1 (I), J1, G and omega2 in t1's frame, the last two over max |mu|,
+    which the frame certificate reads.  ``eigenframe_w``, sqrt(2) [Re Z V,
+    Im Z V] (T_c's eigenvectors as real columns in t1's frame), and T and
+    J2 in t1's frame are built on first use, by one product or one solve
+    each; no check reads any of the three.
     """
 
     t1: AdmissibleTriple
@@ -82,10 +87,16 @@ class CompatiblePair(Record):
     e: np.ndarray
     r: np.ndarray
     y: np.ndarray
+    coordinate_blocks: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.t1.dim
+
+    @cached_property
+    def eigenframe_w(self) -> np.ndarray:
+        axes = np.sqrt(2.0) * (self.t1.complex_coordinates[1] @ self.v)
+        return frozen(np.concatenate((axes.real, axes.imag), axis=1), copy=False)
 
     @cached_property
     def recursion_operator_w(self) -> np.ndarray:
@@ -110,10 +121,12 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
     eigensolve and no solve.
 
     In t1's g1-orthonormal frame (g1 = I, omega1 = J1), with ``(nu, Z) =
-    t1.complex_coordinates``, one stacked product gives, for M = g2 and
-    omega2, the Hermitian blocks Z^H M Z (H, K) and the anti-linear
-    A = Z^T M Z.  T_c = Z^H T Z = i diag(1 / nu) K is similar to the
-    Hermitian i N K N, N = diag(nu^-1/2), whose ``eigh`` gives mu and V.
+    t1.complex_coordinates``, one stacked product gives, for M = g1, J1,
+    g2 and omega2, the Hermitian blocks Z^H M Z and the anti-linear
+    Z^T M Z, which the pair keeps for the frame certificate; for g2 and
+    omega2 they are H, K and the A.  T_c = Z^H T Z = i diag(1 / nu) K is
+    similar to the Hermitian i N K N, N = diag(nu^-1/2), whose ``eigh``
+    gives mu and V.
     With L = diag(|mu|), S = diag(sign mu) (zero counts +), the pair keeps
 
         E = V^H N H N V - L,  R = V^H N K N V + i diag(mu),  Y = inv(L) (R + i E S),
@@ -160,19 +173,25 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
 
     # scales far apart overflow, and fail their check
     with np.errstate(over="ignore", invalid="ignore"):
-        # g2 (also G) and omega2 in t1's frame, then P = X.T M X for X =
-        # [Re Z, Im Z]: Z^H M Z = P11 + P22 + i (P12 - P21), Z^T M Z =
-        # P11 - P22 + i (P12 + P21)
+        # J1, g2 (also G) and omega2 in t1's frame, then P = X.T M X for X =
+        # [Re Z, Im Z] and M = I and those three: Z^H M Z = P11 + P22 +
+        # i (P12 - P21), Z^T M Z = P11 - P22 + i (P12 + P21)
         g2_in = frame.T @ t2.g.m @ frame
-        forms = np.array([g2_in + g2_in.T, frame.T @ t2.omega.m @ frame])
-        forms[0] *= 0.5
+        forms = np.array([t1.j_w, g2_in + g2_in.T, frame.T @ t2.omega.m @ frame])
+        forms[1] *= 0.5
         x = np.concatenate((z.real, z.imag), axis=1)
-        p = x.T @ forms @ x
+        p = np.empty((4, t1.dim, t1.dim))
+        np.matmul(x.T, x, out=p[0])
+        np.matmul(x.T @ forms, x, out=p[1:])
         p11, p12, p21, p22 = p[:, :n, :n], p[:, :n, n:], p[:, n:, :n], p[:, n:, n:]
-        herm = p11 + p22 + 1j * (p12 - p21)
-        anti = p11 - p22 + 1j * (p12 + p21)
-        if not (np.isfinite(herm).all() and np.isfinite(anti).all()):
+        blocks = np.empty((2, 4, n, n), dtype=np.complex128)
+        np.add(p11, p22, out=blocks[0].real)
+        np.subtract(p12, p21, out=blocks[0].imag)
+        np.subtract(p11, p22, out=blocks[1].real)
+        np.add(p12, p21, out=blocks[1].imag)
+        if not np.isfinite(blocks).all():
             return ViolationReport("compatibility", (Violation("G_finite", math.inf),))
+        herm, anti = blocks[:, 2:]  # g2 and omega2
         root = np.sqrt(nu)
         hk = herm / root[:, None] / root  # N H N, N K N
         t_c = 0.5j * hk[1]  # i N K N, halved first so no finite K overflows
@@ -189,7 +208,8 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         np.divide(hk, scale, out=mats[:2])
         mats[2].flat[::n + 1] = 1.0 / root - 1.0
         e, r, delta = v.conj().T @ mats @ v
-        a_g, a_w = v.T @ (anti / scale) @ v
+        blocks[:, 2:] /= scale  # the pair keeps g2 and omega2 over max |mu|
+        a_g, a_w = v.T @ anti @ v
         k_v = r.copy()
         e.flat[::n + 1] -= lam / scale
         r.flat[::n + 1] += 1j * mu / scale
@@ -205,14 +225,14 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
         record("g1_J2_skew", root2 * math.hypot(lin_j2, anti_j2), tol.rel * 0.5 * math.sqrt(t1.dim))
         if not violations:
             # the reported, unscaled G must carry g1 into g2 (an overflow fails)
-            big_g = frame @ forms[0] @ frame_inv
+            big_g = frame @ forms[1] @ frame_inv
             transfer, n_g1, n_g = op_norms([t1.g.m @ big_g - t2.g.m, t1.g.m, big_g]).tolist()
             record("metric_transfer", transfer, tol.threshold(n_g1, n_g))
     certificates["G_min_eigenvalue"] = low
     if violations:
         return ViolationReport("compatibility", tuple(violations))
     fields = [frozen(a, copy=False)  # each the pair's own, fresh
-              for a in (big_g, np.repeat(np.sort(lam), 2), *forms, mu, v, e, r, y)]
+              for a in (big_g, np.repeat(np.sort(lam), 2), *forms[1:], mu, v, e, r, y, blocks)]
     return CompatiblePair(t1, t2, *fields[:2], certificates, tol, *fields[2:])
 
 

@@ -23,6 +23,7 @@ makes it the natural round-trip oracle for :func:`decompose`.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -34,9 +35,7 @@ from .linalg import (
     Record,
     Tolerance,
     cluster_eigenvalues,
-    frame_departure,
     frozen,
-    op_norms,
     same_cluster,
 )
 from .structures import ViolationReport, check_admissible
@@ -62,35 +61,35 @@ class DecompositionError(NumericalCheckError):
     where two forms' transfer operator is read off their realified pair."""
 
 
-class Block(Record, hidden=("frame_w", "frame")):
+class Block(Record, hidden=("pair", "coordinates")):
     """One joint eigenspace: G = eigenvalue, T = sign * eigenvalue on it.
     The blocks of a decomposition have distinct (eigenvalue, sign): each is
     the whole (lambda, sign) eigenspace of T.
 
     The block owns the ``dim // 2`` complex coordinates from ``start`` of
-    the adapted frame ``frame_w`` (the decomposition's Q = [C, D]), and
-    ``frame`` is t1's g1-orthonormal frame W.  ``basis_w`` holds the
-    block's orthonormal columns [C, D] in W: its r complex coordinate axes
-    C, then their partners D = J1 C.  ``basis`` holds the same columns in
-    the original coordinates, g1-orthonormal there.  Both are read-only
-    and built on first use.
+    its decomposition's adapted frame, the columns ``coordinates`` of the
+    ``pair``'s T_c eigenvectors.  ``basis_w`` holds the block's orthonormal
+    columns [C, D] in t1's g1-orthonormal frame W, read off the pair's
+    ``eigenframe_w``: its r complex coordinate axes C, then their partners
+    D = J1 C.  ``basis`` holds the same columns in the original
+    coordinates, g1-orthonormal there.  Both are read-only and built on
+    first use.
     """
 
     eigenvalue: float
     sign: int
     dim: int
     start: int
-    frame_w: np.ndarray
-    frame: np.ndarray
+    pair: CompatiblePair
+    coordinates: np.ndarray
 
     @cached_property
     def basis_w(self) -> np.ndarray:
-        n, lo, hi = self.frame_w.shape[0] // 2, self.start, self.start + self.dim // 2
-        return frozen(self.frame_w[:, np.r_[lo:hi, n + lo:n + hi]])
+        return _frame_columns(self.pair, self.coordinates)
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return frozen(self.frame @ self.basis_w)
+        return frozen(self.pair.t1.g.frame @ self.basis_w)
 
     def __repr__(self) -> str:
         return (f"Block(eigenvalue={self.eigenvalue:.6g}, sign={self.sign:+d}, "
@@ -99,17 +98,19 @@ class Block(Record, hidden=("frame_w", "frame")):
 
 class BlockDecomposition(Record):
     """Ordered blocks (ascending eigenvalue, + before -) of a compatible pair;
-    carries the pair, its tolerance and the adapted frame, laid out once by
-    :func:`decompose`: ``frame_w`` is Q = [C, D] in t1's g1-orthonormal
-    frame, the complex coordinate axes C in block order, then their
-    partners D = J1 C (orthonormal to rounding even where J1 is orthogonal
-    only to a larger residual), and ``coordinate_lambda`` and
-    ``coordinate_sign`` hold each axis's own |mu| and its block's sign.  A
-    block's ``basis_w`` is its columns of C, then the same columns of D."""
+    carries the pair and its tolerance, ``coordinates``, the column of T_c's
+    eigenvectors ``pair.v`` behind each complex coordinate in block order,
+    and ``coordinate_lambda`` and ``coordinate_sign``, each coordinate's own
+    |mu| and its block's sign, laid out once by :func:`decompose`.  The
+    adapted frame ``frame_w`` is Q = [C, D] in t1's g1-orthonormal frame,
+    ``pair.eigenframe_w`` in block order: the complex coordinate axes C,
+    then their partners D = J1 C (orthonormal to rounding even where J1 is
+    orthogonal only to a larger residual).  A block's ``basis_w`` is its
+    columns of C, then the same columns of D."""
 
     blocks: tuple[Block, ...]
     pair: CompatiblePair
-    frame_w: np.ndarray
+    coordinates: np.ndarray
     coordinate_lambda: np.ndarray
     coordinate_sign: np.ndarray
 
@@ -119,61 +120,79 @@ class BlockDecomposition(Record):
         return self.pair.tol
 
     @cached_property
+    def frame_w(self) -> np.ndarray:
+        """Q, read-only and built on first use from the pair: no free
+        field, so the frame certificate covers it."""
+        return _frame_columns(self.pair, self.coordinates)
+
+    @cached_property
     def frame_certificate(self) -> tuple[float, float]:
-        """``(bound, e)``: how far every field of the realified ``⊕ u(r)``
-        on the adapted frame may be from preserving all four tensors, and
-        how far the frame is from orthonormal; measured once, on first use,
-        by one O(m^3) check, and never raises (the stages that rely on it
-        compare ``bound`` with ``rel``).
+        """``(bound, e)``: how far the pair is from one that the adapted
+        frame puts exactly in canonical form, a backward error, and how far
+        the frame is from orthonormal; read once, on first use, off the n x n
+        blocks the pair keeps, with no m x m product, and never raises (the
+        stages that rely on it compare ``bound`` with ``rel``).
 
-        Let Q = ``frame_w``, e = |Q.T Q - I|, |.| the row-sum norm, and for
-        tau = J1, G, omega2 let tau_c be its canonical block form
-        ([[0, -I], [I, 0]], diag(lam, lam) and diag(s lam, s lam) times the
-        first, lam and s ``coordinate_lambda`` and ``coordinate_sign``) and
-        d = max |tau - Q tau_c Q.T| / |tau|.  As Q [[0, -I], [I, 0]] =
-        [D, -C], each Q tau_c Q.T is one product, with no dense tau_c.  Then
+        Let Q = ``frame_w`` = sqrt(2) [Re U, Im U], U = Z V in block order
+        (Z J1's complex coordinates, V T_c's eigenvectors), and for tau = g1
+        (I), J1, G and omega2 in t1's frame let tau_c be its canonical form
+        on [C, D]: I, J_c = [[0, -I], [I, 0]], diag(lam, lam) and diag(s lam,
+        s lam) J_c, lam and s ``coordinate_lambda`` and ``coordinate_sign``.
+        As Q = [U, conj(U)] W with W = [[I, -iI], [I, iI]] / sqrt(2) unitary,
 
-            bound = 2 d + 2 m e (1 + e) (1 + d) / (1 - e)^2
+            |Q.T tau Q - tau_c|_F = sqrt(2) hypot(|U^H tau U - H_c|_F, |U^T tau U|_F)
 
-        (inf when e >= 1) and every A in the span satisfies
-        |tau A + A.T tau| <= bound |tau| |A|.
+        with H_c = I, -i I, diag(lam) and -i diag(s lam), and U^H tau U =
+        V^H (Z^H tau Z) V and U^T tau U = V^T (Z^T tau Z) V turn the pair's
+        ``coordinate_blocks`` by V (Frobenius norms do not depend on the
+        coordinates' order).  With e that residual for tau = g1,
 
-        Proof: the span is {A = Q K Q.T}, K skew and commuting with every
-        tau_c, so A is skew (g1 = I is preserved) and with O = Q.T Q - I
+            bound = max_tau |Q.T tau Q - tau_c|_F / |tau_c|_2 / (1 - e)
 
-            tau A + A.T tau = [tau - Q tau_c Q.T, A] + Q (tau_c O K - K O tau_c) Q.T.
+        (inf unless e < 1), |tau_c|_2 being 1 for g1 and J1 and max |mu| for
+        G and omega2, and tau' = Q^-T tau_c Q^-1, every |tau - tau'|_2 <=
+        ``bound`` |tau_c|_2: the pair is within ``bound`` of the pair tau',
+        a backward error (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., SIAM 2002, ch. 1).
 
-        The first term is at most 2 d |tau| |A|.  The second is the frame
-        term of :func:`linalg.frame_departure` for a = Q tau_c Q.T, normal
-        (symmetric or skew) and of norm at most (1 + d) |tau|, and b = A,
-        converted at sqrt(m): at most the rest of the bound times |tau| |A|.
-        Rounding: the departures are measured like
-        every residual of the threshold rule; the frame comes from backward
-        stable ``eigh`` (Golub & Van Loan, *Matrix Computations*, 4th ed.,
-        §8.1), so e is O(m eps) and d O((m + cond(g1)) eps): on 320
-        congruences of generic and two-class pairs of dims 8-32 at
-        cond(g1) = 1e6 the bound is at most 3.8e-10 (median 4.9e-11).
-        A block's lam spread by up to ``cluster_gap``, so a merged u(r) field
-        preserves G and omega2 only within the bound plus 2 (1 + e) spread
-        (spectral norm), spread the largest (max - min) lam / |tau| of a block.
+        Proof: Q.T (tau - tau') Q = Q.T tau Q - tau_c, and the singular
+        values of Q are at least sqrt(1 - e), as |Q.T Q - I|_2 <= e.  Every
+        field Q K Q^-1, K skew and commuting with every tau_c (the realified
+        ``⊕ u(1)``, or ``⊕ u(r)`` where a block's lam are equal), preserves
+        every tau' exactly: tau' Q K Q^-1 + Q^-T K.T Q.T tau' = Q^-T (tau_c K
+        + K.T tau_c) Q^-1 = 0.  A field A = Q K Q.T of the algebra's basis is
+        (Q K Q^-1) Q Q.T, within e / (1 - e) |A| <= ``bound`` |A| of one, as
+        |Q Q.T - I|_2 = |Q.T Q - I|_2 <= e.  So every field of the span is
+        within ``bound`` of a field that preserves exactly a pair within
+        ``bound`` of the input.  The lam of a block spread by up to
+        ``cluster_gap``, so a u(r) field that mixes a block's coordinates
+        preserves exactly the pair of each block's mean lam instead, within
+        ``bound`` plus the spread (max - min) lam / max |mu| / (1 - e).
+        Rounding: the blocks are measured like every residual of the
+        threshold rule; Z and V come from backward stable ``eigh`` (Golub &
+        Van Loan, *Matrix Computations*, 4th ed., §8.1), so e is O(m eps),
+        and J1's departure is its own rounding, O(cond(g1) eps): ``bound`` is
+        2.0e-10 on the two-class dim-512 pair at cond(g1) = 1e6, and 8.4e-14
+        on the generic dim-512 pair, where e is 7.7e-14.
         """
-        p, q = self.pair, self.frame_w
-        n, m = p.dim // 2, p.dim
-        lam = np.concatenate((self.coordinate_lambda,) * 2)
-        # one (6, m, m) stack, reduced once: tau - Q tau_c Q.T for tau = J1,
-        # G and omega2 (Q J_c = [D, -C]), then G, omega2 and Q.T Q - I
-        res = np.empty((6, m, m))
-        canon, res[3], res[4] = res[:3], p.metric_operator_w, p.omega2_w
-        canon[0, :, :n], canon[0, :, n:] = q[:, n:], -q[:, :n]
-        np.multiply(q, lam, out=canon[1])
-        np.multiply(canon[0], np.concatenate((self.coordinate_sign,) * 2) * lam, out=canon[2])
-        np.subtract((p.t1.j_w, *res[3:5]), canon @ q.T, out=res[:3])
-        np.matmul(q.T, q, out=res[5])
-        res[5].flat[::m + 1] -= 1.0
-        norms = op_norms(res)
-        dep = float((norms[:3] / (p.t1.j_w_norm, *norms[3:5])).max())
-        e = float(norms[5])
-        return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
+        p = self.pair
+        n, v, t = p.dim // 2, p.v, p.mu / p.metric_eigenvalues[-1]
+        # U^H tau U, then U^T tau U, for tau = g1, J1, G and omega2, G and
+        # omega2 over max |mu|, less the canonical diagonals
+        turned = np.stack((v.conj().T, v.T))[:, None] @ p.coordinate_blocks @ v
+        diag = turned[0].reshape(4, -1)[:, ::n + 1]
+        diag -= (np.ones(n), np.full(n, -1j), np.abs(t), -1j * t)
+        real = turned.view(np.float64)
+        # |Q.T tau Q - tau_c|_F^2 / 2 for each tau
+        half_sq = np.einsum("kaij,kaij->a", real, real)
+        e = math.sqrt(2.0 * float(half_sq[0]))
+        return (math.sqrt(2.0 * float(half_sq.max())) / (1.0 - e) if e < 1.0 else math.inf), e
+
+
+def _frame_columns(p: CompatiblePair, cols: np.ndarray) -> np.ndarray:
+    """The axes, then the partners, of the pair's ``eigenframe_w`` at the
+    eigenvector columns ``cols``: a fresh read-only copy."""
+    return frozen(p.eigenframe_w[:, np.concatenate((cols, cols + p.dim // 2))], copy=False)
 
 
 class GroupSignature(Record):
@@ -213,12 +232,12 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
 
     Reads T_c's eigenpairs (mu, V) in J1's complex coordinates Z and the
     residuals E, R and Y on them off the pair (:func:`check_compatible`),
-    with no eigensolve and no product beyond the frame's.  The |mu| chain
-    at ``cluster_gap`` (a wider chain is refused: the one judge of
-    eigenvalue equality), each cluster split by the sign of mu, both parts
-    taking its mean as lambda.  In block order, ``sqrt(2) Z V`` holds the
-    axes C (real parts) and partners D = J1 C (imaginary parts) of
-    ``frame_w`` = [C, D]; a block's basis is its columns of C, then of D
+    with no eigensolve and no product.  The |mu| chain at ``cluster_gap``
+    (a wider chain is refused: the one judge of eigenvalue equality), each
+    cluster split by the sign of mu, both parts taking its mean as lambda.
+    In block order, ``sqrt(2) Z V`` holds the axes C (real parts) and
+    partners D = J1 C (imaginary parts) of ``frame_w`` = [C, D], built on
+    first use; a block's basis is its columns of C, then of D
     (:attr:`Block.basis_w`), J1-invariant and g1-orthogonal to the others
     by construction.  For B = [C, D], E, R and Y are, up to the anti-linear
     blocks and to first order in nu - 1 and E, the realified B.T g2 B -
@@ -231,7 +250,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
     names the first pair that is not g2-orthogonal, else the first failing
     block (then check).
     """
-    tol, frame, mu = p.tol, p.t1.g.frame, p.mu.tolist()
+    tol, mu = p.tol, p.mu.tolist()
     # one permutation of eigh's output into block order: lambda ascends by
     # cluster, + before - within one (a zero mu joins the + part); a block
     # is a run of one (cluster, sign), the same columns of C and D
@@ -246,10 +265,9 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             if part:
                 specs.append((mean, sign, 2 * len(part), len(order)))
                 order += part
-    mu, index = p.mu[order], np.array(order)
-    axes = np.sqrt(2.0) * (p.t1.complex_coordinates[1] @ p.v[:, index])
-    frame_w = frozen(np.concatenate((axes.real, axes.imag), axis=1), copy=False)
-    blocks = tuple([Block(*spec, frame_w, frame) for spec in specs])
+    mu, index = p.mu[order], frozen(np.array(order), copy=False)
+    blocks = tuple([Block(lam, sign, dim, start, p, index[start:start + dim // 2])
+                    for lam, sign, dim, start in specs])
 
     # squared Frobenius norms of the sub-blocks (i, k) cut at the starts,
     # E and R over max |mu|
@@ -273,7 +291,7 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
         raise DecompositionError(
             f"{what} fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
             f"with residual {unit * float(per_block[i, check]):.3e}")
-    return BlockDecomposition(blocks, p, frame_w, frozen(np.abs(mu), copy=False),
+    return BlockDecomposition(blocks, p, index, frozen(np.abs(mu), copy=False),
                               frozen(np.where(mu < 0.0, -1, 1), copy=False))
 
 

@@ -163,7 +163,9 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     """All linear fields preserving both triples of the decomposed pair:
     ``⊕ u(r)``, one factor per block (the group signature's U(r)), of
     dimension the sum of the r^2, on a frame certified by
-    :attr:`BlockDecomposition.frame_certificate`."""
+    :attr:`BlockDecomposition.frame_certificate`: its fields are within
+    the backward error ``bound`` of fields that preserve exactly a pair
+    within ``bound`` of the input, and ``bound`` must be at most ``rel``."""
     dim = sum([(b.dim // 2) ** 2 for b in d.blocks])
     bound, _ = d.frame_certificate
     if not bound <= d.tol.rel:
@@ -188,64 +190,60 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     ``(bound, e) = d.frame_certificate`` with no matrix work and no T.
     Another pair's family ``rb`` raises ``ValueError``.  The matrix Nijenhuis
     identity [T A, T] = T [A, T] holds for every pair of matrices, as both
-    sides are T A T - T^2 A, so it is not judged.  |.| is the row-sum norm
-    and |.|_2 the spectral norm.
+    sides are T A T - T^2 A, so it is not judged.  |.|_2 is the spectral
+    norm and |.| the row-sum norm.
 
-    Generation.  In t1's g1-orthonormal frame T = inv(J1) omega2.  Let
-    Q = [C, D] = ``d.frame_w``, O = Q.T Q - I, J_c the canonical rotation
-    (Q J_c = [D, -C]), K_j its part on the j-th complex coordinate, mu =
-    ``coordinate_sign * coordinate_lambda`` on [C, D], omega2_c =
-    diag(mu) J_c, and d the frame certificate's departure, the largest
-    |tau - Q tau_c Q.T| / |tau|.  The pair tau' = Q tau_c inv(Q), tau =
-    J1 and omega2, has T' = Q diag(mu) inv(Q), so every power is
+    Generation.  In t1's g1-orthonormal frame let Q = [C, D] =
+    ``d.frame_w``, J_c the canonical rotation (Q J_c = [D, -C]), K_j its
+    part on the j-th complex coordinate and mu = ``coordinate_sign *
+    coordinate_lambda`` on [C, D].  The frame certificate puts the pair
+    within the backward error ``bound`` of the pair tau' = Q^-T tau_c Q^-1
+    (see ``frame_certificate``).  That pair's J1' = inv(g1') omega1' is
+    Q J_c Q^-1 and its T' = inv(omega1') omega2' is Q diag(mu) Q^-1, so
+    every power is
 
-        T'^k J1' = Q diag(mu)^k J_c inv(Q) = sum_j mu_j^k P_j J1'
+        T'^k J1' = Q diag(mu)^k J_c Q^-1 = sum_j mu_j^k P_j J1'
 
-    for the spectral projectors P_j = Q E_j inv(Q) (Higham, *Functions of
-    Matrices*, SIAM 2008, §1.2): its family lies exactly in the span of
-    the coordinate elements Q K_j inv(Q).  As Q.T - inv(Q) = O inv(I + O)
-    Q.T, tau - tau' is tau - Q tau_c Q.T, at most d |tau|, plus
-    Q tau_c O inv(I + O) Q.T, at most sqrt(m) e (1 + e) |tau_c|_2 / (1 - e)
-    with |tau_c|_2 <= (1 + d) |tau| / (1 - e), as Q tau_c Q.T is symmetric
-    or skew and Q's singular values are at least sqrt(1 - e).  As sqrt(m)
-    <= m, |tau - tau'| <= g |tau| with g = ``bound`` / 2: a backward error
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    SIAM 2002, ch. 1), with no factor of n or of the powers' growth.  The
-    nodes of a block's coordinates are equal at ``cluster_gap`` and the c
-    block nodes s_b lambda_b are distinct, so by the Vandermonde theorem
-    the family spans the c block elements P_b J1': its rank is c.
+    for the spectral projectors P_j = Q E_j Q^-1 (Higham, *Functions of
+    Matrices*, SIAM 2008, §1.2): the family lies exactly in the span of
+    the coordinate elements Q K_j Q^-1, with no factor of n or of the
+    powers' growth.  The nodes of a block's coordinates are equal at
+    ``cluster_gap`` and the c block nodes s_b lambda_b are distinct, so by
+    the Vandermonde theorem the family spans the c block elements P_b J1':
+    its rank is c.
 
-    Span bounds.  Each span element is A M, A = Q K Q.T for a combination K
-    of the K_j and M = inv(Q Q.T), |M - I|_2 <= e / (1 - e).
+    Span bounds.  Each span element is X = Q K Q^-1 for a combination K of
+    the K_j.
 
-    * Preservation.  A lies in the realified ``⊕ u(1)`` the certificate
-      covers: A is skew and |tau A + A.T tau| <= bound |tau| |A| for tau in
-      J1, G and omega2.  M adds at most 2 f |tau| |A| for every tau, g1
-      included, with f = sqrt(m) e / (1 - e), as |X| <= sqrt(m) |X|_2 and
-      |A|_2 <= |A| for skew A; and |A| <= |A M| / (1 - f).  So every span
-      element has relative residual at most P = (bound + 2 f) / (1 - f)
-      for all four tensors, and at most P1 = 2 f / (1 - f) for g1.
-    * Commutation.  Q K inv(Q) Q K' inv(Q) = Q K K' inv(Q) and the K
-      commute, so the span commutes exactly.
+    * Preservation and commutation.  X preserves all four tensors of the
+      pair tau' exactly, and the Q K Q^-1 commute, as the K do: the
+      family is exact for a pair within ``bound`` of the input, so both
+      read the backward error ``bound`` (Higham, *Accuracy and Stability
+      of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 1).
     * Rank.  The Frobenius-normalized Z_j = Q K_j Q.T have Gram matrix
       within gram = (2 e + e^2) / (1 - 2 e - e^2) of I, as <Z_j, Z_k>_F =
-      tr((I + O) K_j.T (I + O) K_k), |O|_2 <= e, and tr(K_j.T K_k) = 2 for
-      j = k, else 0; the span elements are the Z_j times the invertible M.
+      tr((I + O) K_j.T (I + O) K_k), O = Q.T Q - I with |O|_2 <= e, and
+      tr(K_j.T K_k) = 2 for j = k, else 0; the span elements are the Z_j
+      times the invertible inv(Q Q.T).
+    * Drift.  With beta = ``bound``, |tau - tau'|_2 <= beta |tau_c|_2 gives
+      |tau X + X.T tau|_2 <= 2 beta |tau_c|_2 |X|_2, so the g1-symmetric
+      part of X is at most beta |X|_2 and its g1-skew part S has |tau S +
+      S.T tau|_2 <= 2 beta (|tau_c|_2 + |tau|_2) |X|_2, while |tau_c|_2 <=
+      (1 + e) |tau|_2 / (1 - (1 + e) beta).  By Duhamel's formula the
+      orthogonal flow of S drifts tau by at most t times that; over t in
+      [0, 10], for |X|_2 = 1 and in the row-sum norm (|Y| <= sqrt(m) |Y|_2,
+      and |tau|_2 <= |tau| as tau is normal), the relative drift is at
+      most 20 sqrt(m) beta (1 + (1 + e) / (1 - (1 + e) beta)).
 
-    Values.  ``max_preservation_residual`` is P, ``max_commutator_residual``
-    is g, as the span commutes exactly, and ``vandermonde_consistent`` is
-    max(gram, g) <= ``rel``; each flag compares its value with ``rel``.  P
-    is at least ``bound`` = 2 g, so a frame or a pair that fails the
-    certificate fails all three flags, and so does a NaN.
-    ``max_conservation_drift`` is 10 sqrt(m) (P + P1), which bounds, by
-    Duhamel's formula, the relative drift of each tensor over t in [0, 10]
-    under the orthogonal flow of the g1-skew part of a span element of unit
-    norm.  It is reported, not judged.
-
-    Rounding: ``bound`` and e carry theirs (see ``frame_certificate``), and
-    nothing else is measured.  On the two-class dim-512 pair
-    (``2:+:128,3:-:128``) moved by a congruence of cond(g1) = 1e6,
-    ``bound`` is 2.48e-10, so g is 1.24e-10 and P 2.51e-10.
+    Values.  ``max_preservation_residual`` and ``max_commutator_residual``
+    are ``bound``, and ``vandermonde_consistent`` is max(gram, bound) <=
+    ``rel``; each flag compares its value with ``rel``, so a frame or a
+    pair that fails the certificate fails all three flags, and so does a
+    NaN.  ``max_conservation_drift`` is the drift bound; it is reported,
+    not judged.  Rounding: ``bound`` and e carry theirs (see
+    ``frame_certificate``), and nothing else is measured.  On the
+    two-class dim-512 pair (``2:+:128,3:-:128``) moved by a congruence of
+    cond(g1) = 1e6, ``bound`` is 2.0e-10.
 
     ``power_basis_log10_condition`` is log10 of Gautschi's bound on the
     condition number of the Vandermonde matrix of the nodes
@@ -254,30 +252,18 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     """
     if rb.pair is not d.pair:
         raise ValueError("the recursion family is not that of the decomposed pair")
-    m, tol = d.pair.dim, d.tol
+    m, rel = d.pair.dim, d.tol.rel
     bound, e = d.frame_certificate
-    f = math.sqrt(m) * e / (1.0 - e) if e < 1.0 else math.inf
-    if f < 1.0:
-        pres, pres_g1 = (bound + 2.0 * f) / (1.0 - f), 2.0 * f / (1.0 - f)
-    else:
-        pres = pres_g1 = math.inf
     gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
-    gen = bound / 2.0
+    grown = (1.0 + e) * bound
+    drift = (20.0 * math.sqrt(m) * bound * (1.0 + (1.0 + e) / (1.0 - grown))
+             if grown < 1.0 else math.inf)
+    certified = bound <= rel
     # np.maximum, unlike max, keeps a NaN, which fails every flag
-    vandermonde = float(np.maximum(gram, gen))
-    nodes = [b.sign * b.eigenvalue for b in d.blocks]
     return RecursionCertificate(
-        preserves_all=pres <= tol.rel,
-        max_preservation_residual=pres,
-        commute=gen <= tol.rel,
-        max_commutator_residual=gen,
-        rank=len(d.blocks),
-        expected_rank=m // 2,
-        distinct_t_eigenvalues=len(d.blocks),
-        vandermonde_consistent=vandermonde <= tol.rel,
-        max_conservation_drift=10.0 * math.sqrt(m) * (pres + pres_g1),
-        power_basis_log10_condition=_power_basis_log10_condition(nodes),
-    )
+        certified, bound, certified, bound, len(d.blocks), m // 2, len(d.blocks),
+        bool(np.maximum(gram, bound) <= rel), drift,
+        _power_basis_log10_condition([b.sign * b.eigenvalue for b in d.blocks]))
 
 
 def _power_basis_log10_condition(nodes) -> float:
@@ -290,15 +276,16 @@ def _power_basis_log10_condition(nodes) -> float:
 
     summed in logarithms: the plain value leaves the floating-point range
     for many or large nodes (|V| alone is about 1e375 for the 40 nodes
-    1e8 .. 4e9)."""
-    x = np.asarray(nodes, dtype=float)
-    c = len(x)
-    norm = max(math.log(c), float(np.logaddexp.reduce((c - 1) * np.log(np.abs(x)))))
-    gaps = np.abs(x[:, None] - x[None, :])
-    gaps.flat[::c + 1] = 1.0
-    terms = np.log1p(np.abs(x))[None, :] - np.log(gaps)
-    terms.flat[::c + 1] = 0.0
-    return (norm + float(terms.sum(axis=1).max())) / math.log(10.0)
+    1e8 .. 4e9).  One logarithm serves both: of the gaps |x_i - x_j| with
+    1 + |x_i| on the diagonal, whose trace less row i is row i's log of the
+    product, and of |x_i - 0| in a last column."""
+    x = np.array([*nodes, 0.0])
+    c = len(x) - 1
+    logs = np.abs(x[:c, None] - x)
+    logs.flat[::c + 2] = 1.0 + logs[:, c]
+    np.log(logs, out=logs)
+    norm = max(math.log(c), float(np.logaddexp.reduce((c - 1) * logs[:, c])))
+    return (norm + float(logs.trace() - logs[:, :c].sum(axis=1).min())) / math.log(10.0)
 
 
 def flow(field: LinearField, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -10,8 +10,13 @@ Conventions used throughout the package:
   tensors in the g1-orthonormal frame, where J1 is orthogonal and skew and
   the metric and recursion operators are symmetric, and map back only the
   matrices they report;
-* operator norms are the maximum absolute row sum (the induced infinity
-  norm), and every check follows the threshold rule of :class:`Tolerance`;
+* every check follows the threshold rule of :class:`Tolerance`.  The
+  checks on n x n blocks in J1's complex coordinates (compatibility, the
+  decomposition and the frame certificate) take Frobenius residuals
+  against spectral factor norms; the rest take row sums (:func:`op_norm`,
+  the induced infinity norm): admissibility and the complex structure,
+  ``metric_transfer``, the symmetric and self-adjoint parts, field
+  preservation, the flow and its probe, and the commutant's checks;
 * every result is an immutable :class:`Record`.
 """
 
@@ -214,28 +219,6 @@ def op_norms(a) -> np.ndarray:
     rounding depends on the layout, so a matrix gets the same norm, to the
     bit, alone, inside a stack or as a transposed view."""
     return np.maximum.reduce(np.add.reduce(np.abs(a, order="C"), axis=-1), axis=-1)
-
-
-def frame_departure(e: float, conversion: float, scale: float) -> float:
-    """``2 conversion e (1 + e) scale / (1 - e)^2``, inf unless e < 1: the
-    frame term of a certificate that bounds every element of a span.
-
-    Lemma: for m x m Q with E = Q^H Q - I of row-sum norm |E| <= e < 1,
-    a = Q P Q^H and b = Q R Q^H,
-
-        |Q (P E R - R E P) Q^H| <= 2 sqrt(m) e (1 + e) |P|_2 |R|_2
-                                <= 2 sqrt(m) e (1 + e) |a|_2 |b|_2 / (1 - e)^2,
-
-    as |z| <= sqrt(m) |z|_2, |E|_2 <= |E| (E is Hermitian), |Q|_2^2 <= 1 + e
-    and the singular values of Q are at least sqrt(1 - e).  The caller
-    bounds sqrt(m) |a|_2 |b|_2 by ``conversion * scale`` times its own
-    norms of a and b: |a|_2 <= |a| for a normal a, whose spectral radius is
-    below every induced norm, and |a|_2 <= sqrt(m) |a| and |a|_2 <= |a|_F
-    for every a.
-    """
-    if not e < 1.0:
-        return math.inf
-    return 2.0 * conversion * e * (1.0 + e) * scale / (1.0 - e) ** 2
 
 
 def symmetric_part(m, tol: Tolerance, name: str = "matrix", check: str = "symmetric",

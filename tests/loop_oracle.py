@@ -19,7 +19,12 @@ pairs that ``decompose``'s own checks must refuse.  The relations those
 checks imply and no longer judge are kept here too, each with the
 threshold it was judged against, and so are the recursion family's
 floating-point powers, which the certificate no longer forms, as unit
-directions with the telescoped bound that once judged them.  The transfer
+directions with the telescoped bound that once judged them.  The frame
+certificate now reads the pair's backward error off n x n blocks; the
+row-sum certificate it replaced is kept with its values and its frame-term
+lemma (``row_sum_frame_certificate``, ``row_sum_recursion_values``,
+``frame_departure``), beside the dense form of the new claim
+(``pair_backward_error``).  The transfer
 operator of two forms is read off their realified pair's decomposition;
 the route it replaced, one ``eigh`` of F in the first form's frame and a
 certificate of its own, is kept as ``transfer_operator_oracle``.
@@ -40,7 +45,6 @@ from biham.linalg import (
     StructureError,
     Tolerance,
     commutator,
-    frame_departure,
     frozen,
     op_norm,
     op_norms,
@@ -285,12 +289,32 @@ def decomposition_residuals(d):
     return np.array(per_block), cross
 
 
+def coordinate_blocks(t1, g2_w, omega2_w, scale):
+    """The Hermitian Z^H tau Z and anti-linear Z^T tau Z blocks of tau = I,
+    J1, ``g2_w / scale`` and ``omega2_w / scale`` in J1's complex
+    coordinates Z, by direct complex products: the pair's
+    ``coordinate_blocks`` for ``scale`` its max |mu|."""
+    z = t1.complex_coordinates[1]
+    taus = np.stack((np.eye(t1.dim), t1.j_w, g2_w / scale, omega2_w / scale))
+    return np.array([z.conj().T @ taus @ z, z.T @ taus @ z])
+
+
+def with_omega2(p, omega2_w):
+    """The pair ``p`` with omega2 in t1's frame replaced by ``omega2_w``,
+    unjudged, and its coordinate blocks formed again; T_c's eigenpairs and
+    the residuals E, R and Y stay those of ``p``, so the frame is ``p``'s
+    and only the frame certificate reads the change."""
+    blocks = coordinate_blocks(p.t1, p.metric_operator_w, omega2_w, p.metric_eigenvalues[-1])
+    return p.replace(omega2_w=omega2_w, coordinate_blocks=blocks)
+
+
 def with_forms(p, g2_w, omega2_w):
     """The pair ``p`` with g2 and omega2 in t1's frame replaced by ``g2_w``
-    and ``omega2_w``, unjudged, and T_c's eigenpairs and the residuals E, R
-    and Y that ``decompose`` reads formed again from them, by direct
-    complex products: a tampered pair for ``decompose``'s own checks, which
-    ``check_compatible`` might refuse first."""
+    and ``omega2_w``, unjudged, and T_c's eigenpairs, the residuals E, R
+    and Y that ``decompose`` reads and the coordinate blocks formed again
+    from them, by direct complex products: a tampered pair for
+    ``decompose``'s own checks, which ``check_compatible`` might refuse
+    first."""
     nu, z = p.t1.complex_coordinates
     root = np.sqrt(nu)
     h, k = z.conj().T @ np.stack((g2_w, omega2_w)) @ z / root[:, None] / root
@@ -301,7 +325,8 @@ def with_forms(p, g2_w, omega2_w):
     r = v.conj().T @ k @ v / scale + np.diag(1j * mu / scale)
     y = (r + 1j * e * np.where(mu < 0.0, -1, 1)) / (lam / scale)[:, None]
     return p.replace(metric_operator_w=g2_w, omega2_w=omega2_w,
-                     metric_eigenvalues=np.repeat(np.sort(lam), 2), mu=mu, v=v, e=e, r=r, y=y)
+                     metric_eigenvalues=np.repeat(np.sort(lam), 2), mu=mu, v=v, e=e, r=r, y=y,
+                     coordinate_blocks=coordinate_blocks(p.t1, g2_w, omega2_w, scale))
 
 
 def max_commutator_residual(mats):
@@ -356,11 +381,94 @@ def inclusion_residual(mats, d):
     return worst
 
 
+def frame_departure(e, conversion, scale):
+    """``2 conversion e (1 + e) scale / (1 - e)^2``, inf unless e < 1: the
+    frame term of a row-sum certificate that bounds every element of a
+    span (the package's certificates read backward errors in the spectral
+    norm instead, and need no conversion).
+
+    Lemma: for m x m Q with E = Q^H Q - I of row-sum norm |E| <= e < 1,
+    a = Q P Q^H and b = Q R Q^H,
+
+        |Q (P E R - R E P) Q^H| <= 2 sqrt(m) e (1 + e) |P|_2 |R|_2
+                                <= 2 sqrt(m) e (1 + e) |a|_2 |b|_2 / (1 - e)^2,
+
+    as |z| <= sqrt(m) |z|_2, |E|_2 <= |E| (E is Hermitian), |Q|_2^2 <= 1 + e
+    and the singular values of Q are at least sqrt(1 - e).  The caller
+    bounds sqrt(m) |a|_2 |b|_2 by ``conversion * scale`` times its own
+    norms of a and b: |a|_2 <= |a| for a normal a, whose spectral radius is
+    below every induced norm, and |a|_2 <= sqrt(m) |a| and |a|_2 <= |a|_F
+    for every a.
+    """
+    if not e < 1.0:
+        return math.inf
+    return 2.0 * conversion * e * (1.0 + e) * scale / (1.0 - e) ** 2
+
+
+def row_sum_frame_certificate(d):
+    """The retired certificate of the adapted frame, ``(bound, e)`` in row
+    sums, judged ``bound <= rel``: e = |Q.T Q - I| for Q = ``frame_w``, d
+    the largest |tau - Q tau_c Q.T| / |tau| over tau = J1, G and omega2
+    (canonical forms from ``coordinate_lambda`` and ``coordinate_sign``),
+    and bound = 2 d + 2 m e (1 + e) (1 + d) / (1 - e)^2, a bound on the
+    forward residual |tau A + A.T tau| / (|tau| |A|) of every A = Q K Q.T
+    in the realified ``⊕ u(r)``.  One (6, m, m) stack and four m x m
+    products; it counts J1's own departure twice and carries a factor m."""
+    p, q = d.pair, d.frame_w
+    n, m = p.dim // 2, p.dim
+    lam = np.concatenate((d.coordinate_lambda,) * 2)
+    res = np.empty((6, m, m))
+    canon, res[3], res[4] = res[:3], p.metric_operator_w, p.omega2_w
+    canon[0, :, :n], canon[0, :, n:] = q[:, n:], -q[:, :n]
+    np.multiply(q, lam, out=canon[1])
+    np.multiply(canon[0], np.concatenate((d.coordinate_sign,) * 2) * lam, out=canon[2])
+    np.subtract((p.t1.j_w, *res[3:5]), canon @ q.T, out=res[:3])
+    np.matmul(q.T, q, out=res[5])
+    res[5].flat[::m + 1] -= 1.0
+    norms = op_norms(res)
+    dep = float((norms[:3] / (p.t1.j_w_norm, *norms[3:5])).max())
+    e = float(norms[5])
+    return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
+
+
+def row_sum_recursion_values(d):
+    """The retired recursion certificate's values, read off
+    :func:`row_sum_frame_certificate`: ``preservation`` P = (bound + 2 f)
+    / (1 - f) with f = sqrt(m) e / (1 - e), a bound on the forward
+    residual of every span element in row sums, ``commutator`` bound / 2
+    and ``drift`` 10 sqrt(m) (P + 2 f / (1 - f)); each was judged against
+    ``rel`` but the drift."""
+    bound, e = row_sum_frame_certificate(d)
+    f = math.sqrt(d.pair.dim) * e / (1.0 - e) if e < 1.0 else math.inf
+    pres, pres_g1 = ((bound + 2.0 * f) / (1.0 - f), 2.0 * f / (1.0 - f)) if f < 1.0 else (
+        math.inf, math.inf)
+    return {"preservation": pres, "commutator": bound / 2.0,
+            "drift": 10.0 * math.sqrt(d.pair.dim) * (pres + pres_g1)}
+
+
+def pair_backward_error(d):
+    """The frame certificate's claim formed densely with ``inv(Q)``: the
+    largest |tau - Q^-T tau_c Q^-1|_2 / |tau_c|_2 over tau = I, J1, G and
+    omega2 in t1's frame, for Q = ``frame_w`` and the canonical forms
+    tau_c = I, J_c, diag(lam, lam) and diag(s lam, s lam) J_c on [C, D]."""
+    p, q, n = d.pair, d.frame_w, d.pair.dim // 2
+    q_inv = np.linalg.inv(q)
+    lam = np.tile(d.coordinate_lambda, 2)
+    j_c = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    mu = np.tile(d.coordinate_sign, 2) * lam
+    canon = (np.eye(p.dim), j_c, np.diag(lam), mu[:, None] * j_c)
+    taus = (np.eye(p.dim), p.t1.j_w, p.metric_operator_w, p.omega2_w)
+    scales = (1.0, 1.0, lam.max(), lam.max())
+    return max(np.linalg.norm(tau - q_inv.T @ c @ q_inv, 2) / s
+               for tau, c, s in zip(taus, canon, scales))
+
+
 def telescoped_bounds(p, d):
     """Bounds on the measured ``preservation``, ``commutator`` and
     ``drift`` of the unit directions (:func:`direction_residuals`) and on
     their ``inclusion`` residual, read off the frame with no power formed
-    (the certificate's bound before it read the generators instead).
+    (the certificate's bound before it read the generators instead), with
+    beta and e from :func:`row_sum_frame_certificate`.
 
     With L the largest lambda, nu = ``coordinate_sign * coordinate_lambda``
     / L, R = T Q / L - Q diag(nu) and S = J1 Q - Q J_c, telescoping T^k Q /
@@ -375,11 +483,11 @@ def telescoped_bounds(p, d):
     column-sum norms, its Frobenius direction within rho = sqrt(m) delta /
     (1 - zeta), and its span part has |Y|_2 <= y = (1 + e) / (1 - sqrt(m)
     zeta).  Then P = beta (1 + eps) + 2 eps bounds the preservation, the
-    frame term of ``linalg.frame_departure`` at sqrt(m) y^2 plus 4 eps + 6
+    frame term of :func:`frame_departure` at sqrt(m) y^2 plus 4 eps + 6
     eps^2 the commutators, and 10 sqrt(m) (P + 2 eps) the drift; all inf
     where the bound cannot hold."""
     q, m, n = d.frame_w, p.dim, p.dim // 2
-    beta, e = d.frame_certificate
+    beta, e = row_sum_frame_certificate(d)
     top = float(d.coordinate_lambda.max())
     nu = np.tile(d.coordinate_sign * d.coordinate_lambda, 2) / top
     r = np.linalg.norm((p.recursion_operator_w / top) @ q - q * nu, 2)
@@ -545,7 +653,7 @@ def certify_spectrum(op):
         [F_w, y] = [F_w - U Λ U^H, y] + U (Λ E S - S E Λ) U^H,
         [y, x]   = U (S E M - M E S) U^H,
 
-    each last term the frame term of ``linalg.frame_departure`` with U for
+    each last term the frame term of :func:`frame_departure` with U for
     Q, so every element of the spans passes |[F_w, x]| <= cluster_gap |F_w|
     |x|, |[F_w, y]| <= rel |F_w| |y| and |[y, x]| <= rel |y| |x|.
     """

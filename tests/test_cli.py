@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biham
 from biham import cli, commutant, decomposition, dynamics, linalg
@@ -83,7 +85,7 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
@@ -315,15 +317,15 @@ class TestRecursion:
     def test_uncertified_frame_names_the_algebra_failure(self):
         # cond(g1) = 6.4e7, beyond the advertised 1e6: the frame fails its
         # certificate, so the recursion family's span fails preservation
-        # while T and J1 still generate it, and the algebra, which needs
-        # the same frame, names the failure
+        # and commutation, which read the pair's backward error, and the
+        # algebra, which needs the same frame, names the failure
         pair = uncertified_pair()
         doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         report, code = analyze(doc)
         assert code == 1
         rec = report["recursion"]
-        assert rec["preserves_all"] is False and rec["commute"] is True
+        assert rec["preserves_all"] is False and rec["commute"] is False
         assert rec["rank"] == 4 and rec["all_pass"] is False
         assert "not certified" in report["residuals"]["pipeline_error"]
 
@@ -352,6 +354,30 @@ class TestRecursion:
         report, code = analyze(doc, gamma=0.5)
         assert code == 0
         assert report["algebra_dim"] == 4 and report["generic"]["operator"] is True
+
+    @pytest.mark.parametrize("lam", [(2.0, 2.125), (2.25, 2.375)], ids=["2-2.125", "2.25-2.375"])
+    def test_j_invariant_two_class_pair_is_certified(self, lam):
+        # two + classes of rank 2, synth seed 97, moved by a J-invariant
+        # congruence of cond(g1) = 1e6: G departs from its canonical form on
+        # the frame by 5.8e-10, J1's own rounding.  Read as a forward
+        # residual, counted twice, that was 1.16e-9, above rel, and the
+        # valid pair exited 1 with the algebra not certified; read as the
+        # pair's backward error it is 5.8e-10
+        pair = synthesize_pair([(lam[0], 1, 2), (lam[1], 1, 2)], seed=97)
+        doc = congruent(pair, j_invariant_basis(4, 1e3, 97))
+        report, code = analyze(InputDocument(8, doc["g1"], doc["omega1"], doc["g2"],
+                                             doc["omega2"], pair.tol))
+        assert code == 0
+        assert report["algebra_dim"] == 8 and len(report["blocks"]) == 2
+        rec = report["recursion"]
+        assert rec["preserves_all"] is True and rec["commute"] is True
+        assert 5e-10 < rec["max_preservation_residual"] < 6e-10
+
+    def test_j_invariant_two_class_fixture(self, capsys):
+        # the first of those pairs, as the committed document CI runs
+        code, report, _ = run_report(capsys, "decompose",
+                                     FIXTURES / "j_invariant_two_class_8d.json")
+        assert code == 0 and report["algebra_dim"] == 8
 
     @pytest.mark.parametrize("spec, basis, seed", CONGRUENCES_AT_COND_1E6)
     def test_congruent_pair_at_cond_1e6_passes(self, spec, basis, seed):
@@ -697,6 +723,58 @@ class TestDeterminism:
         assert out1  # non-empty
 
 
+@st.composite
+def congruent_documents(draw):
+    """Two documents of one synthesized pair of dim <= 16, plain or after
+    a ``conditioned_basis(dim, 1e3)`` congruence (cond(g1) = 1e6), the
+    second moved by a random orthogonal congruence of both triples."""
+    lams = draw(st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True))
+    spec, room = [], 8
+    for k in lams:
+        mult = draw(st.integers(1, min(3, room)))
+        spec.append((0.5 + 0.125 * k, draw(st.sampled_from((1, -1))), mult))
+        room -= mult
+        if room == 0:
+            break
+    seed = draw(st.integers(0, 2**16))
+    pair = synthesize_pair(spec, seed=seed)
+    dim = pair.dim
+    rng = np.random.default_rng(seed)
+    basis = conditioned_basis(dim, 1e3, rng) if draw(st.booleans()) else np.eye(dim)
+    doc = congruent(pair, basis)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    names = ("g1", "omega1", "g2", "omega2")
+    return [InputDocument(dim, *(m[k] for k in names), pair.tol)
+            for m in (doc, {k: q.T @ doc[k] @ q for k in names})]
+
+
+def verdicts(report):
+    """Every verdict of a report and the shape of its answers."""
+    rec = report["recursion"] or {}
+    member = report["pencil_member"] or {}
+    return (report["admissible"], report["compatible"], report["generic"],
+            [(b["sign"], b["dim"]) for b in report["blocks"] or ()],
+            report["signature_complex"], report["algebra_dim"],
+            [rec.get(k) for k in ("rank", "preserves_all", "commute",
+                                  "vandermonde_consistent", "all_pass")],
+            member.get("admissible"), [b["admissible"] for b in member.get("blocks", ())],
+            report["residuals"].get("operator", {}).get("commutant_dim"))
+
+
+class TestOrthogonalInvariance:
+    """Verdicts and exit codes do not depend on the basis: an orthogonal
+    congruence of both triples changes none of them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(docs=congruent_documents())
+    def test_verdicts_and_exit_codes_agree(self, docs):
+        (first, code), (moved, moved_code) = [analyze(doc, gamma=0.5) for doc in docs]
+        assert moved_code == code
+        assert verdicts(moved) == verdicts(first)
+        lam = [b["lambda"] for b in first["blocks"] or ()]
+        assert [b["lambda"] for b in moved["blocks"] or ()] == pytest.approx(lam, rel=1e-9)
+
+
 class TestToleranceOverrides:
     def test_env_var_is_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("BIHAM_TOL", "1e-12")
@@ -967,12 +1045,13 @@ class TestSharedResults:
     def test_analyze_forms_nothing_the_report_does_not_read(self, monkeypatch):
         # one analysis of a generic pair makes no solve and certifies the
         # recursion family off the frame's certificate: T is not formed,
-        # nor any power of it, and no matrix built on first use is built,
-        # as no report field reads one
+        # nor any power of it, nor the adapted frame, whose certificate
+        # reads the pair's n x n blocks, and no matrix built on first use
+        # is built, as no report field reads one
         pair = synthesize_pair(generic_spec(8), seed=1)
         lazy = [(RecursionBasis, "fields"),
-                (Block, "basis"), (Block, "basis_w"),
-                (CompatiblePair, "recursion_operator_w"),
+                (Block, "basis"), (Block, "basis_w"), (BlockDecomposition, "frame_w"),
+                (CompatiblePair, "eigenframe_w"), (CompatiblePair, "recursion_operator_w"),
                 (CompatiblePair, "recursion_operator"), (CompatiblePair, "j2_w"),
                 (AdmissibleTriple, "j"),
                 (PencilMember, "g"), (PencilMember, "omega"), (PencilMember, "j")]
@@ -1004,7 +1083,7 @@ class TestSharedResults:
         # the same matrices are still there for a caller who reads them
         d = decompose(pair)
         assert d.blocks[0].basis.shape == (16, 2)
-        assert reads == ["Block.basis", "Block.basis_w"]
+        assert reads == ["Block.basis", "Block.basis_w", "CompatiblePair.eigenframe_w"]
 
     def test_each_check_group_takes_its_norms_once(self, monkeypatch):
         # each check group takes its residual norms and the norms of its new

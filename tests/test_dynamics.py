@@ -255,17 +255,18 @@ class TestCertifyRecursion:
 
 def uncertified_pair():
     """Generic dim 8 with cond(g1) = 6.4e7, beyond the advertised 1e6: its
-    adapted frame's bound (1.08e-9) exceeds ``rel``, while its directions
-    measure within ``rel`` (7.0e-10 at most).  (The frame read off
-    T_c = i K is more accurate than the one read off the solved T: at
-    cond(g1) = 9e6, basis seed 10, its bound is 8.3e-10.)"""
-    return conditioned_pair(generic_spec(4), 8e3, seed=26)
+    frame certificate reads 1.05e-9, above ``rel``, and so does the
+    measured preservation of its unit directions (1.15e-9).  Of 1051
+    compatible generic and two-class pairs of dims 8 and 16 at cond(g1)
+    9e6 to 1.4e8 (basis seeds 0-199), it and one other are the only ones
+    whose certificate exceeds ``rel``."""
+    return conditioned_pair(generic_spec(4), 8e3, seed=197)
 
 
 class TestCertificateFaults:
     """The recursion certificate reads the family's span off the adapted
-    frame and judges the generators T and J1 on that frame, so a fault in
-    either must fail it."""
+    frame, and the frame certificate judges the pair on that frame, so a
+    fault in either must fail it."""
 
     SPEC = [(0.5 + 0.75 * k, 1 if k % 2 == 0 else -1, 1) for k in range(6)]
 
@@ -275,24 +276,30 @@ class TestCertificateFaults:
 
     @pytest.mark.parametrize("scale, skew", [(1.0, 1e-6), (1.5, 0.0)], ids=["skewed", "scaled"])
     def test_tampered_frame_fails(self, scale, skew):
+        # the frame is no free field: it is built from T_c's eigenvectors V,
+        # so a tampered eigensolve moves it, and V's departure from unitary
+        # reads in e, through V^H (Z^H Z) V - I
         p = synthesize_pair(self.SPEC, seed=3)
+        bad = scale * p.v
+        bad[:, 0] += skew * p.v[:, 1]
+        p = p.replace(v=bad)
         d = decompose(p)
-        bad = scale * d.frame_w
-        bad[:, 0] += skew * d.frame_w[:, 1]
-        d = d.replace(frame_w=bad)
+        with pytest.raises(TypeError):
+            d.replace(frame_w=d.frame_w)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bound, e = d.frame_certificate
             cert = certify_recursion(recursion_basis(p), d)
         assert bound > p.tol.rel and e > 1e-7
-        # the untouched directions measure within rel, but the frame that
-        # carries the span fails its own certificate, and T and J1 do not
-        # act on it as they must
+        q = d.frame_w
+        assert e == pytest.approx(np.linalg.norm(q.T @ q - np.eye(p.dim)), rel=1e-6)
+        # the directions, which T and J1 give, measure within rel, but the
+        # frame that carries the span fails its own certificate
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
         assert max(measured["preservation"], measured["commutator"]) <= p.tol.rel
         assert not (cert.preserves_all or cert.commute or cert.vandermonde_consistent)
         if e >= 1.0:
-            # past e = 1 (1.25 when scaled) every bound leaves its domain
+            # past e = 1 (1.25 sqrt(m) when scaled) every bound leaves its domain
             assert (cert.max_preservation_residual == cert.max_commutator_residual
                     == cert.max_conservation_drift == math.inf)
         with pytest.raises(DecompositionError, match="not certified"):
@@ -300,12 +307,13 @@ class TestCertificateFaults:
 
     def test_tampered_direction_fails(self):
         # a fault in omega2 moves T, and with it every direction after J1;
-        # the frame certificate measures omega2 on the frame, so the
-        # certificate of the pair the decomposition carries cannot miss it
+        # the frame certificate measures omega2 on the frame, through the
+        # pair's coordinate blocks, so the certificate of the pair the
+        # decomposition carries cannot miss it
         p = synthesize_pair(self.SPEC, seed=3)
         sym = np.random.default_rng(5).standard_normal((p.dim, p.dim))
         # T = inv(J1) omega2 is built from omega2: move T by 1e-6 (sym + sym.T)
-        tampered = p.replace(omega2_w=p.omega2_w + p.t1.j_w @ (1e-6 * (sym + sym.T)))
+        tampered = loop_oracle.with_omega2(p, p.omega2_w + p.t1.j_w @ (1e-6 * (sym + sym.T)))
         # the oracle sees the fault the certificate must not miss, and so
         # does the retired action-form check of the generators
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(tampered), p)
@@ -328,20 +336,20 @@ class TestCertificateFaults:
 
     def test_uncertified_frame_fails_the_span(self):
         # cond(g1) = 6.4e7, beyond the advertised 1e6: the certificate does
-        # not raise, but the span's preservation bound, read off the frame,
-        # exceeds rel though the directions measure within it; the algebra,
-        # which needs the same frame, names the failure.  The generators'
-        # backward error is half the frame's bound, within rel here
+        # not raise, but the pair's backward error, read off the frame,
+        # exceeds rel, as the measured directions' preservation does; the
+        # span's preservation and commutation read that backward error, and
+        # the algebra, which needs the same frame, names the failure
         p = uncertified_pair()
         d = decompose(p)
         bound, _ = d.frame_certificate
         assert bound > p.tol.rel
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
-        assert max(measured["preservation"], measured["commutator"]) <= p.tol.rel
+        assert measured["preservation"] > p.tol.rel
         cert = certify_recursion(recursion_basis(p), d)
-        assert not cert.preserves_all
-        assert cert.commute and cert.max_commutator_residual == bound / 2.0
-        assert loop_oracle.generator_backward_error(d) <= cert.max_commutator_residual
+        assert not (cert.preserves_all or cert.commute)
+        assert cert.max_preservation_residual == cert.max_commutator_residual == bound
+        assert loop_oracle.pair_backward_error(d) <= bound
         assert cert.rank == cert.expected_rank == 4
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)
@@ -382,11 +390,12 @@ def family_pairs(draw):
 
 
 class TestPowerFreeBounds:
-    """The oracle's telescoped bound, read off the frame with no power
-    formed, against the measured residuals of the unit directions; and the
-    certificate's verdicts against the same measurement.  The certificate's
-    values are the generators' residuals, not bounds on the powers'
-    rounding, which reads up to 3x above them at cond(g1) = 1e6."""
+    """The oracle's telescoped bound, read off the frame by the retired
+    row-sum certificate with no power formed, against the measured
+    residuals of the unit directions; and the certificate's verdicts
+    against the same measurement.  The certificate's values are the pair's
+    backward error, not bounds on the powers' rounding, which reads up to
+    3x above them at cond(g1) = 1e6."""
 
     @settings(max_examples=40, deadline=None)
     @given(p=family_pairs())
@@ -396,7 +405,7 @@ class TestPowerFreeBounds:
         dirs = loop_oracle.unit_directions(p)
         measured = loop_oracle.direction_residuals(dirs, p)
         rho = loop_oracle.inclusion_residual(dirs, d)
-        beta, e = d.frame_certificate
+        beta, e = loop_oracle.row_sum_frame_certificate(d)
         assert e < 1e-12
         bound = loop_oracle.telescoped_bounds(p, d)
         assert bound["preservation"] >= measured["preservation"]
@@ -404,10 +413,18 @@ class TestPowerFreeBounds:
         assert bound["drift"] >= measured["drift"]
         assert bound["inclusion"] >= rho
         cert = certify_recursion(recursion_basis(p), d)
-        # a frame that fails its own certificate fails the span with it
-        assert cert.preserves_all == (beta <= rel and measured["preservation"] <= rel)
+        # the backward error formed densely stays within the certificate's,
+        # but for the dense product's own rounding (at most 0.6 m eps on
+        # 2000 such pairs, where the departure has rank one)
+        backward, _ = d.frame_certificate
+        eps = np.finfo(float).eps
+        assert loop_oracle.pair_backward_error(d) <= backward + 4 * p.dim * eps
+        # the verdicts are those of the measurement, and a pass of the
+        # retired certificate stays a pass
+        assert cert.preserves_all == (measured["preservation"] <= rel)
         assert cert.commute == (measured["commutator"] <= rel)
         assert cert.vandermonde_consistent == (rho <= rel)
+        assert cert.preserves_all or not beta <= rel
 
 
 class TestPowerBasisCondition:
@@ -572,13 +589,16 @@ class TestAlgebraFaults:
 
     @pytest.mark.parametrize("angle", [1e-3, 1e-6])
     def test_tampered_block_bases_raise(self, angle):
-        d = decompose(synthesize_pair([(2.0, 1, 2), (3.0, -1, 1)], seed=5))
-        # tilt the first block's axes (frame columns 0, 1) towards the second
-        # block's axis and partner (columns 2 and n + 2)
-        q, n = d.frame_w, d.pair.dim // 2
-        mixed = np.array(q)
-        mixed[:, :2] = np.cos(angle) * q[:, :2] + np.sin(angle) * q[:, [2, n + 2]]
-        tampered = d.replace(frame_w=mixed)
+        p = synthesize_pair([(2.0, 1, 2), (3.0, -1, 1)], seed=5)
+        d = decompose(p)
+        # tilt the eigenvectors of the first block's coordinates towards
+        # the second block's, so its axes and partners tilt with them:
+        # decompose reads the residuals of the untampered eigensolve and
+        # passes, the frame is built from the tampered one
+        first, second = d.blocks[0].coordinates, d.blocks[1].coordinates
+        mixed = np.array(p.v)
+        mixed[:, first] = np.cos(angle) * p.v[:, first] + np.sin(angle) * p.v[:, second]
+        tampered = decompose(p.replace(v=mixed))
         with pytest.raises(DecompositionError):
             bi_preserving_algebra(tampered)
 

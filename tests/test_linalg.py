@@ -16,7 +16,6 @@ from biham.linalg import (
     commutator,
     _expm,
     eig_self_adjoint,
-    frame_departure,
     op_norm,
     op_norms,
     orthonormal_span,
@@ -368,29 +367,6 @@ class TestClusterEigenvaluesEqualsLoop:
         values, gap = case
         assert [(repr(mean), count) for mean, count in cluster_eigenvalues(values, gap)] == \
             [(repr(mean), count) for mean, count in loop_clusters(values, gap)]
-
-
-class TestFrameDeparture:
-    """The lemma of the frame term, checked on frames of known departure."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("m", [4, 12])
-    def test_bounds_the_frame_term(self, seed, m):
-        rng = np.random.default_rng(seed)
-        q = np.eye(m) + 1e-3 * rng.standard_normal((m, m))
-        e = op_norm(q.T @ q - np.eye(m))
-        p, r = rng.standard_normal((2, m, m))
-        sym = p + p.T
-        for left, conversion in ((p, m ** 1.5), (sym, float(m))):
-            term = q @ (left @ (q.T @ q - np.eye(m)) @ r - r @ (q.T @ q - np.eye(m)) @ left) @ q.T
-            a, b = q @ left @ q.T, q @ r @ q.T
-            assert op_norm(term) <= frame_departure(e, conversion, 1.0) * op_norm(a) * op_norm(b)
-            assert op_norm(term) <= frame_departure(e, np.sqrt(m), 1.0) * (
-                np.linalg.norm(a) * np.linalg.norm(b))
-
-    @pytest.mark.parametrize("e", [1.0, 2.0, np.nan])
-    def test_no_bound_off_a_frame(self, e):
-        assert frame_departure(e, 4.0, 1.0) == np.inf
 
 
 class TestCommutator:

@@ -72,20 +72,25 @@ def retired_thresholds(p):
 
 def assert_directions_within_bounds(p, drift_within_rel=True):
     """Certificate first, then every measured residual of the unit
-    directions within the oracle's telescoped bound and within the value
-    reported for it, and that within ``rel``.  The reported values bound
-    the generators' backward error, not the powers' rounding; on these
-    pairs they cover it too.  The drift is no verdict: at cond(g1) = 1e6
-    its measured value already exceeds ``rel``."""
+    directions within the oracle's telescoped bound and within the retired
+    row-sum certificate's value for it, and that within ``rel``; the
+    reported values are backward errors, which the dense backward error of
+    the pair stays within.  The retired values bound the generators'
+    backward error, not the powers' rounding; on these pairs they cover it
+    too.  The drift is no verdict: at cond(g1) = 1e6 its measured value
+    already exceeds ``rel``."""
     d = decompose(p)
     cert = certify_recursion(recursion_basis(p), d)
     assert cert.preserves_all and cert.commute
     measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
     bound = loop_oracle.telescoped_bounds(p, d)
     assert all(measured[k] <= bound[k] for k in measured)
-    assert measured["preservation"] <= cert.max_preservation_residual <= p.tol.rel
-    assert measured["commutator"] <= cert.max_commutator_residual <= p.tol.rel
-    assert measured["drift"] <= cert.max_conservation_drift
+    retired = loop_oracle.row_sum_recursion_values(d)
+    assert measured["preservation"] <= retired["preservation"] <= p.tol.rel
+    assert measured["commutator"] <= retired["commutator"] <= p.tol.rel
+    assert measured["drift"] <= retired["drift"]
+    assert retired["drift"] <= p.tol.rel or not drift_within_rel
+    assert loop_oracle.pair_backward_error(d) <= cert.max_preservation_residual <= p.tol.rel
     assert cert.max_conservation_drift <= p.tol.rel or not drift_within_rel
 
 
@@ -441,3 +446,27 @@ def test_per_check_form_rejects_the_malformed_fixture_alike():
     with pytest.raises(ValueError) as per_check:
         loop_oracle.admissibility_violations(g, w, Tolerance())
     assert str(grouped.value) == str(per_check.value)
+
+
+class TestFrameDeparture:
+    """The lemma of the frame term, checked on frames of known departure."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_bounds_the_frame_term(self, seed, m):
+        rng = np.random.default_rng(seed)
+        q = np.eye(m) + 1e-3 * rng.standard_normal((m, m))
+        e = op_norm(q.T @ q - np.eye(m))
+        p, r = rng.standard_normal((2, m, m))
+        sym = p + p.T
+        for left, conversion in ((p, m ** 1.5), (sym, float(m))):
+            term = q @ (left @ (q.T @ q - np.eye(m)) @ r - r @ (q.T @ q - np.eye(m)) @ left) @ q.T
+            a, b = q @ left @ q.T, q @ r @ q.T
+            bound = loop_oracle.frame_departure(e, conversion, 1.0)
+            assert op_norm(term) <= bound * op_norm(a) * op_norm(b)
+            assert op_norm(term) <= loop_oracle.frame_departure(e, np.sqrt(m), 1.0) * (
+                np.linalg.norm(a) * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("e", [1.0, 2.0, np.nan])
+    def test_no_bound_off_a_frame(self, e):
+        assert loop_oracle.frame_departure(e, 4.0, 1.0) == np.inf
