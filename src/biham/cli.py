@@ -353,15 +353,20 @@ def _parse_synth_spec(text: str) -> list[tuple[float, int, int]]:
     return specs
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: ``nan`` and ``inf`` exit 2 like any other bad number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
-    return value
+def _option_type(convert, ok, need: str):
+    """argparse type: the text read by ``convert`` (``int`` or ``float``)
+    and passing ``ok``; anything else exits 2 naming the option, so a
+    ``nan`` gamma or a negative seed is refused like any other bad number."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"value must be {need}, got {text!r}")
+        return value
+    return parse
 
 
 def _run_analysis(args: argparse.Namespace) -> int:
@@ -419,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pen = sub.add_parser("pencil", help="evaluate the structure pencil at gamma")
     p_pen.add_argument("file")
-    p_pen.add_argument("--gamma", type=_finite_float, required=True)
+    p_pen.add_argument("--gamma", type=_option_type(float, math.isfinite, "finite"),
+                       required=True)
     p_pen.set_defaults(func=_run_analysis)
 
     p_com = sub.add_parser("commutant", help="transfer-operator commutant analysis")
@@ -430,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--spec", required=True,
                        help="comma-separated lambda:sign:multiplicity triples, "
                             "e.g. '2:+:1,3:-:1'")
-    p_syn.add_argument("--seed", type=int, required=True)
+    p_syn.add_argument("--seed", type=_option_type(int, lambda v: v >= 0, "non-negative"),
+                       required=True)
     p_syn.add_argument("--out", required=True)
     p_syn.set_defaults(func=_cmd_synth)
 

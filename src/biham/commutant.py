@@ -44,9 +44,8 @@ from .linalg import (
     op_norms,
     orthonormal_span,
     symmetric_part,
-    whitening,
 )
-from .structures import ViolationReport, check_admissible
+from .structures import MetricTensor, ViolationReport, check_admissible
 
 __all__ = [
     "HermitianForm",
@@ -64,16 +63,19 @@ __all__ = [
 
 
 class HermitianForm:
-    """Positive-definite Hermitian Gram matrix; value ``conj(x) @ h @ y``
-    (conjugate-linear in the first argument).  Factored once, on validation,
-    into an h-orthonormal ``frame`` W (``W^H @ h @ W = I``) and ``frame_inv``.
+    """Positive-definite Hermitian Gram matrix ``h``; value ``conj(x) @ h @
+    y`` (conjugate-linear in the first argument).  Factored once, on
+    validation, as the :class:`~biham.structures.MetricTensor` ``metric`` of
+    its realification g = [[A, -B], [B, A]] (h = A + iB, x = a + ib read as
+    (a, b)): g has h's spectrum with every eigenvalue twice, so the metric's
+    own check, ``metric_positive_definite``, judges h's positivity.
     """
 
     def __init__(self, h, tol: Tolerance = DEFAULT_TOL):
         self.h = symmetric_part(h, tol, "hermitian form", "hermitian_symmetric",
                                 dtype=np.complex128)
-        self.frame, self.frame_inv = whitening(self.h, tol, "hermitian form",
-                                               "hermitian_positive_definite")
+        a, b = self.h.real, self.h.imag
+        self.metric = MetricTensor(np.block([[a, -b], [b, a]]), tol)
 
     @property
     def dim(self) -> int:
@@ -85,15 +87,17 @@ class HermitianForm:
 
 class TransferOperator(Record):
     """Operator carrying one Hermitian form into the other, together with
-    its spectral data (eigenvalues ascending, eigenvector columns
-    orthonormal for the first form), the tolerance of its checks and the
-    multiplicities of its eigenvalue clusters, ascending, read off the
-    blocks of the decomposition that certified the spectral data
+    the two forms' read-only Hermitian matrices ``h1`` and ``h2``, validated
+    by the entry point that built the operator, its spectral data
+    (eigenvalues ascending, eigenvector columns orthonormal for the first
+    form), the tolerance of its checks and the multiplicities of its
+    eigenvalue clusters, ascending, read off the blocks of the
+    decomposition that certified the spectral data
     (:func:`read_off_operator`, :func:`transfer_operator`)."""
 
     matrix: np.ndarray
-    h1: HermitianForm
-    h2: HermitianForm
+    h1: np.ndarray
+    h2: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     tol: Tolerance
@@ -109,7 +113,7 @@ class TransferOperator(Record):
         matching rows of inv(V) = V^H @ H1 (V is h1-orthonormal), built once,
         on first use."""
         v = self.eigenvectors
-        v_inv = v.conj().T @ self.h1.h
+        v_inv = v.conj().T @ self.h1
         ends = np.cumsum([0, *self.cluster_sizes])
         return tuple((frozen(v[:, a:b]), frozen(v_inv[a:b])) for a, b in zip(ends, ends[1:]))
 
@@ -137,36 +141,34 @@ def transfer_operator(h1: HermitianForm, h2: HermitianForm,
     """Build the transfer operator F = inv(H1) @ H2 of two Hermitian forms,
     with no eigensolve and no certificate of its own.
 
-    Each form h = A + iB realifies into the triple g = [[A, -B], [B, A]],
-    omega = [[B, A], [-A, B]] on R^2n (h = g + i omega, x = a + ib read as
-    (a, b)), whose complex structure is multiplication by -i for both: the
+    Each form h = A + iB realifies into the triple of its ``metric`` g =
+    [[A, -B], [B, A]] and omega = [[B, A], [-A, B]] on R^2n (h = g + i
+    omega), whose complex structure is multiplication by -i for both: the
     triples are a compatible pair with every sign +, T_c is F in J1's
     complex coordinates, and :func:`~biham.decomposition.decompose`
-    certifies its spectrum.  The operator is :func:`read_off_operator`'s,
-    its clusters the blocks, carried back to C^n: the eigenvectors V are
-    the axes C of the adapted frame read as complex vectors, h1-orthonormal
-    as [C, D] is g1-orthonormal, the eigenvalues the axes' own |mu|
-    (``coordinate_lambda``), and F is read off the pair's G = inv(g1) g2,
-    the realified F [[Re F, -Im F], [Im F, Re F]].  A triple or a pair
-    that fails a check raises :class:`StructureError` naming the first; a
-    cluster wider than ``cluster_gap`` raises
-    :class:`~biham.decomposition.DecompositionError`.
+    certifies its spectrum.  Each metric was factored once, when its form
+    was validated, and is judged no further.  The operator is
+    :func:`read_off_operator`'s, its clusters the blocks, carried back to
+    C^n: the eigenvectors V are the axes C of the adapted frame read as
+    complex vectors, h1-orthonormal as [C, D] is g1-orthonormal, the
+    eigenvalues the axes' own |mu| (``coordinate_lambda``), and F is read
+    off the pair's G = inv(g1) g2, the realified F [[Re F, -Im F], [Im F,
+    Re F]].  A form, a triple or a pair that fails a check raises
+    :class:`StructureError` naming the first; a cluster wider than
+    ``cluster_gap`` raises :class:`~biham.decomposition.DecompositionError`.
     """
-    if not isinstance(h1, HermitianForm):
-        h1 = HermitianForm(h1, tol)
-    if not isinstance(h2, HermitianForm):
-        h2 = HermitianForm(h2, tol)
+    h1, h2 = [h if isinstance(h, HermitianForm) else HermitianForm(h, tol) for h in (h1, h2)]
     if h1.dim != h2.dim:
         raise ValueError(f"dimension mismatch: {h1.dim} vs {h2.dim}")
-    t1, t2 = [_passed(check_admissible(np.block([[h.real, -h.imag], [h.imag, h.real]]),
-                                       np.block([[h.imag, h.real], [-h.real, h.imag]]), tol))
-              for h in (h1.h, h2.h)]
+    t1, t2 = [_passed(check_admissible(h.metric, np.block([[h.h.imag, h.h.real],
+                                                           [-h.h.real, h.h.imag]]), tol))
+              for h in (h1, h2)]
     d = decompose(_passed(check_compatible(t1, t2, tol)))
     n, big_g = h1.dim, d.pair.metric_operator
     axes = t1.g.frame @ d.frame_w[:, :n]
     v = frozen(axes[:n] + 1j * axes[n:], copy=False)
     f = frozen(big_g[:n, :n] + 1j * big_g[n:, :n], copy=False)
-    return read_off_operator(d).replace(matrix=f, h1=h1, h2=h2,
+    return read_off_operator(d).replace(matrix=f, h1=h1.h, h2=h2.h,
                                         eigenvalues=d.coordinate_lambda, eigenvectors=v)
 
 
@@ -175,19 +177,18 @@ def read_off_operator(d: BlockDecomposition) -> TransferOperator:
     no spectral certificate of its own: on the axes C of the adapted frame
     (:func:`complexify`'s coordinates) h1 = I and h2 = diag(lambda), each
     block's lambda once per complex dimension, as ``decompose`` certified,
-    so F = diag(lambda), its eigenvectors are the identity and its clusters
-    the blocks of equal lambda (both signs of a cluster share its mean)."""
+    so F = h2, its eigenvectors are the identity and its clusters the
+    blocks of equal lambda (both signs of a cluster share its mean).  The
+    forms are the plain read-only matrices I and diag(lambda), no
+    :class:`HermitianForm`: the pair they come from was validated and
+    decomposed already."""
     ranks = {}
     for b in d.blocks:  # both signs of a cluster share its mean
         ranks[b.eigenvalue] = ranks.get(b.eigenvalue, 0) + b.dim // 2
     lam = frozen(np.repeat(list(ranks), list(ranks.values())), copy=False)
-    h1, h2 = object.__new__(HermitianForm), object.__new__(HermitianForm)
-    # a diagonal form diag(w) is factored with no eigensolve: its frame is diag(w^-1/2)
-    root = np.sqrt(lam + 0j)
-    h1.h = h1.frame = h1.frame_inv = frozen(np.eye(len(lam), dtype=np.complex128), copy=False)
-    h2.h, h2.frame, h2.frame_inv = [frozen(np.diag(x), copy=False)
-                                    for x in (lam + 0j, 1 / root, root)]
-    return TransferOperator(h2.h, h1, h2, lam, h1.h, d.tol, tuple(ranks.values()))
+    eye = frozen(np.eye(len(lam), dtype=np.complex128), copy=False)
+    f = frozen(np.diag(lam + 0j), copy=False)
+    return TransferOperator(f, eye, f, lam, eye, d.tol, tuple(ranks.values()))
 
 
 def norm_bounds(op: TransferOperator) -> tuple[float, float]:
@@ -256,7 +257,7 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     vs, v_invs = zip(*op.cluster_frames)
     u = (np.hstack(vs) * phases) @ np.vstack(v_invs)
     n_u = op_norm(u)
-    for name, h in (("first", op.h1.h), ("second", op.h2.h)):
+    for name, h in (("first", op.h1), ("second", op.h2)):
         resid, n_h = op_norms([u.conj().T @ h @ u - h, h]).tolist()
         if not resid <= op.tol.threshold(n_u, n_h, n_u):
             raise StructureError(

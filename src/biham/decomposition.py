@@ -326,8 +326,11 @@ def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
     unitary and certified J2 = sign * J1 on it, and the first triple is
     admissible, so the frame is g1-orthogonal with equal lengths and
     carries omega1(e1, e2) = -g1(e1, e1); the measured metric ratio g2/g1
-    on the block is the coordinate's own eigenvalue.
+    on the block is the coordinate's own eigenvalue.  Another pair's block
+    raises ``ValueError``.
     """
+    if b.pair is not p:
+        raise ValueError("the block is not one of that pair's")
     if b.dim != 2:
         raise ValueError(f"canonical frame needs a 2-dimensional block, got dim {b.dim}")
     e1 = b.basis_w[:, 0]

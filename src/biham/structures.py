@@ -147,20 +147,17 @@ class AdmissibleTriple(Record):
     """Validated bundle (g, omega, J) with J = inv(g) @ omega and J^2 = -I.
 
     ``j_w`` is J in the frame W = ``g.frame``, orthogonal and skew there (it
-    is also omega there), where every admissibility check is judged, and
-    ``j_w_norm`` its :func:`op_norm`, taken once, with the admissibility
-    residuals, for every later threshold it enters.  ``j`` is the read-only
-    matrix ``W @ j_w @ inv(W)``, J in the input coordinates, and
-    ``complex_coordinates`` its (nu, Z), both built on first use.  Construct through
-    :func:`check_admissible` or :func:`polar_admissible`; instances are
-    immutable and safe to share.
+    is also omega there), where every admissibility check is judged.
+    ``j`` is the read-only matrix ``W @ j_w @ inv(W)``, J in the input
+    coordinates, and ``complex_coordinates`` its (nu, Z), both built on
+    first use.  Construct through :func:`check_admissible` or
+    :func:`polar_admissible`; instances are immutable and safe to share.
     """
 
     g: MetricTensor
     omega: SymplecticForm
     dim: int
     j_w: np.ndarray
-    j_w_norm: float
 
     @cached_property
     def j(self) -> np.ndarray:
@@ -306,7 +303,7 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
         (tol.threshold(nj, nj),) * 2 + (tol.threshold(nj),)) if not resid <= thr]
     if violations:
         return ViolationReport("admissibility", tuple(violations))
-    return AdmissibleTriple(metric, symp, dim, frozen(jw, copy=False), nj)
+    return AdmissibleTriple(metric, symp, dim, frozen(jw, copy=False))
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:

@@ -27,7 +27,8 @@ lemma (``row_sum_frame_certificate``, ``row_sum_recursion_values``,
 (``pair_backward_error``).  The transfer
 operator of two forms is read off their realified pair's decomposition;
 the route it replaced, one ``eigh`` of F in the first form's frame and a
-certificate of its own, is kept as ``transfer_operator_oracle``.
+certificate of its own, is kept as ``transfer_operator_oracle``, with the
+complex factoring of a form that it read (``hermitian_frame``).
 """
 
 import math
@@ -49,6 +50,7 @@ from biham.linalg import (
     op_norm,
     op_norms,
     symmetric_part,
+    whitening,
 )
 from biham.structures import (
     LinearField,
@@ -360,7 +362,7 @@ def unit_directions(p):
     recursion family in t1's g1-orthonormal frame, each the product of T
     with the one before, divided by its row-sum norm: the powers that the
     certificate once stacked and measured."""
-    dirs = [p.t1.j_w / p.t1.j_w_norm]
+    dirs = [p.t1.j_w / op_norm(p.t1.j_w)]
     for _ in range(p.dim // 2 - 1):
         power = p.recursion_operator_w @ dirs[-1]
         dirs.append(power / op_norm(power))
@@ -426,7 +428,7 @@ def row_sum_frame_certificate(d):
     np.matmul(q.T, q, out=res[5])
     res[5].flat[::m + 1] -= 1.0
     norms = op_norms(res)
-    dep = float((norms[:3] / (p.t1.j_w_norm, *norms[3:5])).max())
+    dep = float((norms[:3] / (op_norm(p.t1.j_w), *norms[3:5])).max())
     e = float(norms[5])
     return 2.0 * dep + frame_departure(e, m, 1.0 + dep), e
 
@@ -606,19 +608,28 @@ def algebra_preservation_residual(alg, p):
     return float(max(r.max() for r in residuals))
 
 
+def hermitian_frame(h, tol=DEFAULT_TOL):
+    """The retired factoring of a Hermitian form: one complex ``eigh`` of
+    ``h`` into an h-orthonormal frame W and inv(W), positive-definite by the
+    threshold rule (``hermitian_positive_definite``).  ``HermitianForm`` now
+    factors its realified metric instead, judged by
+    ``metric_positive_definite``."""
+    return whitening(h, tol, "hermitian form", "hermitian_positive_definite")
+
+
 class OracleTransferOperator(Record):
     """The transfer operator as ``transfer_operator`` once built it from two
-    forms: F, its spectral data from one ``eigh``, the tolerance and
-    ``matrix_w`` = F in the first form's frame, which the eigenvalues
-    diagonalize.  Its cluster sizes are read on first use, after the
-    spectral data pass :func:`certify_spectrum`, so data replaced after
+    forms: F, the forms' matrices, its spectral data from one ``eigh``, the
+    tolerance and ``matrix_w`` = F in the first form's frame, which the
+    eigenvalues diagonalize.  Its cluster sizes are read on first use, after
+    the spectral data pass :func:`certify_spectrum`, so data replaced after
     construction are judged too.  The package's ``commutant_dim``,
     ``bicommutant_dim`` and ``is_generic_operator`` read it like a
     ``TransferOperator``."""
 
     matrix: np.ndarray
-    h1: HermitianForm
-    h2: HermitianForm
+    h1: np.ndarray
+    h2: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     tol: Tolerance
@@ -659,7 +670,7 @@ def certify_spectrum(op):
     """
     tol, n = op.tol, op.dim
     f_w = op.matrix_w
-    u = op.h1.frame_inv @ op.eigenvectors
+    u = hermitian_frame(op.h1, tol)[1] @ op.eigenvectors
     uh, lam = u.conj().T, op.eigenvalues
     sizes = tuple(m for _, m in _chain_clusters(lam, tol.cluster_gap))
     ends = np.cumsum([0, *sizes])
@@ -690,7 +701,8 @@ def transfer_operator_oracle(h1, h2, tol=DEFAULT_TOL):
         h1 = HermitianForm(h1, tol)
     if not isinstance(h2, HermitianForm):
         h2 = HermitianForm(h2, tol)
-    f_w = symmetric_part(h1.frame.conj().T @ h2.h @ h1.frame, tol,
+    frame, frame_inv = hermitian_frame(h1.h, tol)
+    f_w = symmetric_part(frame.conj().T @ h2.h @ frame, tol,
                          "transfer operator in the first form's frame", "transfer_self_adjoint",
                          dtype=np.complex128)
     evals, vecs = np.linalg.eigh(f_w)
@@ -699,12 +711,12 @@ def transfer_operator_oracle(h1, h2, tol=DEFAULT_TOL):
             f"transfer operator spectrum is not positive (min {evals[0]:.3e})",
             check="transfer_positive", residual=float(evals[0]),
         )
-    f = h1.frame @ f_w @ h1.frame_inv
+    f = frame @ f_w @ frame_inv
     resid, n_h1, n_f = op_norms([h1.h @ f - h2.h, h1.h, f]).tolist()
     if not resid <= tol.threshold(n_h1, n_f):
         raise StructureError(
             f"transfer identity H1 @ F = H2 fails (residual {resid:.3e})",
             check="transfer_identity", residual=resid,
         )
-    return OracleTransferOperator(frozen(f), h1, h2, frozen(evals), frozen(h1.frame @ vecs),
+    return OracleTransferOperator(frozen(f), h1.h, h2.h, frozen(evals), frozen(frame @ vecs),
                                   tol, frozen(f_w))

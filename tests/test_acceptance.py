@@ -267,7 +267,7 @@ def test_criterion_5_operator_suite():
         evals = 0.5 + rng.uniform(0.0, 4.0, size=n)
         op = _operator_with_spectrum(np.sort(evals), rng)
         u = biunitary_sample(op, rng.standard_normal(4), float(rng.uniform(-3, 3)))
-        for h in (op.h1.h, op.h2.h):
+        for h in (op.h1, op.h2):
             assert op_norm(u.conj().T @ h @ u - h) <= 1e-10 * op_norm(h)
 
     # norm equivalence on 1000 random unit vectors
@@ -276,8 +276,8 @@ def test_criterion_5_operator_suite():
     for _ in range(1000):
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = x / np.linalg.norm(x)
-        n1 = math.sqrt(float(np.real(np.conj(x) @ op.h1.h @ x)))
-        n2 = math.sqrt(float(np.real(np.conj(x) @ op.h2.h @ x)))
+        n1 = math.sqrt(float(np.real(np.conj(x) @ op.h1 @ x)))
+        n2 = math.sqrt(float(np.real(np.conj(x) @ op.h2 @ x)))
         assert a * n2 - n1 <= 1e-12
         assert n1 - b * n2 <= 1e-12
 

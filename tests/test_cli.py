@@ -695,13 +695,14 @@ class TestSynth:
         assert not out.exists()
 
     def test_negative_seed_is_not_a_memory_error(self, tmp_path, capsys):
+        # nor blamed on the valid spec: the error names --seed, and no file
+        # is written
         out = tmp_path / "x.json"
-        code, stdout, err = run_cli(capsys, "synth", "--spec", "1:+:1",
-                                    "--seed", "-1", "--out", out)
-        assert code == 2
-        assert err.startswith("error: invalid spec: ")
-        assert "non-negative" in err
-        assert "memory" not in err
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--spec", "2:+:1", "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert info.value.code == 2
+        assert err == "biham synth: error: argument --seed: value must be non-negative, got '-1'"
         assert not out.exists()
 
 
@@ -1032,7 +1033,7 @@ class TestSharedResults:
         p = d.pair
         assert member.pair is p and seen["read_off_operator"][0][0] is d
         objects = [p.t1, p.t2, p.t1.g, p.t1.omega, p.t2.g, p.t2.omega, p, d, *d.blocks,
-                   member, *member.blocks, op, op.h1, op.h2]
+                   member, *member.blocks, op]
         arrays = [a for obj in objects for value in vars(obj).values()
                   for a in (value if isinstance(value, tuple) else (value,))
                   if isinstance(a, np.ndarray)]

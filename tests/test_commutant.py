@@ -27,7 +27,7 @@ from biham.linalg import (
     op_norm,
 )
 from conftest import standard_triple
-from loop_oracle import transfer_operator_oracle
+from loop_oracle import hermitian_frame, transfer_operator_oracle
 
 
 def random_hermitian_pd(rng, n):
@@ -62,8 +62,40 @@ class TestHermitianForm:
             HermitianForm([[1.0, 1.0j], [1.0j, 1.0]])
 
     def test_rejects_indefinite(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as err:
             HermitianForm(np.diag([1.0, -1.0]))
+        assert err.value.check == "metric_positive_definite"
+        assert err.value.residual == -1.0
+
+    def test_factored_once_as_its_realified_metric(self):
+        # h = A + iB is factored as g = [[A, -B], [B, A]], whose spectrum
+        # is h's with every eigenvalue twice
+        h = HermitianForm(random_hermitian_pd(np.random.default_rng(3), 3))
+        a, b = h.h.real, h.h.imag
+        np.testing.assert_array_equal(h.metric.m, np.block([[a, -b], [b, a]]))
+        np.testing.assert_allclose(np.linalg.eigvalsh(h.metric.m),
+                                   np.repeat(np.linalg.eigvalsh(h.h), 2), rtol=1e-12)
+
+    # spectra from k * rel up to 1, the min/max ratio k * rel at least 10x
+    # away from rel on either side, zero or negative (indefinite); k = -inf
+    # stands for min -1, far below any threshold
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(rel=1e-4, cluster_gap=1e-3)])
+    @pytest.mark.parametrize("k", [1e3, 10.0, 0.1, 1e-3, 0.0, -10.0, -np.inf])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_refuses_what_the_complex_factoring_refused(self, n, k, tol):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        h = (q * np.linspace(max(k * tol.rel, -1.0), 1.0, n)) @ q.conj().T
+        try:
+            hermitian_frame(h, tol)
+        except StructureError as err:
+            assert k < 10.0 and err.check == "hermitian_positive_definite"
+            with pytest.raises(StructureError) as refused:
+                HermitianForm(h, tol)
+            assert refused.value.check == "metric_positive_definite"
+        else:
+            assert k >= 10.0
+            HermitianForm(h, tol)
 
 
 class TestTransferOperator:
@@ -103,6 +135,28 @@ class TestTransferOperator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             transfer_operator(HermitianForm(np.eye(2)), HermitianForm(np.eye(3)))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_factors_each_form_once(self, monkeypatch, n):
+        # from raw matrices: one real 2n x 2n whitening per form, validating
+        # it, then the eigh of i J1 and that of T_c; forms built before the
+        # call were factored already
+        rng = np.random.default_rng(n)
+        h1, h2 = random_hermitian_pd(rng, n), random_hermitian_pd(rng, n)
+        forms = HermitianForm(h1), HermitianForm(h2)
+        solved = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            solved.append((a.shape[0], a.dtype.kind))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        transfer_operator(h1, h2)
+        assert solved == [(2 * n, "f"), (2 * n, "f"), (2 * n, "c"), (n, "c")]
+        solved.clear()
+        transfer_operator(*forms)
+        assert solved == [(2 * n, "c"), (n, "c")]
 
     def test_refusal_names_the_pipeline_check(self):
         # F = diag(1e-5, 1e5): the realified pair's G has min |mu| below
@@ -334,17 +388,25 @@ class TestReadOff:
         assert calls == {"eigh": 0}
         assert dims == (32, 2, False)
         assert op.eigenvalues.tolist() == [b.eigenvalue for b in d.blocks for _ in range(4)]
-        for h in (op.h1.h, op.h2.h):
+        for h in (op.h1, op.h2):
             assert op_norm(u.conj().T @ h @ u - h) <= 1e-12 * op_norm(h)
 
-    def test_forms_of_the_read_off_are_factored(self):
-        # the diagonal forms carry the frames of any HermitianForm: the
-        # forms path rebuilds the same operator from them
+    def test_builds_no_form(self, monkeypatch):
+        def refusing(*args, **kwargs):
+            raise AssertionError("read_off_operator built a HermitianForm")
+
+        d = decompose(synthesize_pair([(1.5, 1, 2), (2.5, -1, 1)], seed=4))
+        monkeypatch.setattr(HermitianForm, "__init__", refusing)
+        op = read_off_operator(d)
+        np.testing.assert_array_equal(op.h1, np.eye(3))
+        np.testing.assert_array_equal(op.h2, np.diag(op.eigenvalues))
+        assert op.matrix is op.h2 and op.eigenvectors is op.h1
+        assert not op.h1.flags.writeable and not op.h2.flags.writeable
+
+    def test_forms_of_the_read_off_rebuild_it(self):
+        # the read-off's forms are plain matrices: the forms route validates
+        # and factors them, and rebuilds the same operator
         op = read_off_operator(decompose(synthesize_pair([(1.5, 1, 2), (2.5, -1, 1)], seed=4)))
-        for form in (op.h1, op.h2):
-            np.testing.assert_allclose(form.frame.conj().T @ form.h @ form.frame, np.eye(3),
-                                       atol=1e-14)
-            np.testing.assert_allclose(form.frame @ form.frame_inv, np.eye(3), atol=1e-14)
         rebuilt = transfer_operator(op.h1, op.h2, op.tol)
         np.testing.assert_allclose(rebuilt.eigenvalues, op.eigenvalues, rtol=1e-14)
         assert (commutant_dim(rebuilt), bicommutant_dim(rebuilt)) == (5, 2)
@@ -427,7 +489,8 @@ class TestForms:
         evals, seed = case
         h1, h2 = forms_with_spectrum(evals, np.random.default_rng(seed))
         op = transfer_operator(h1, h2)
-        f_w = h1.frame.conj().T @ h2.h @ h1.frame
+        w, _ = hermitian_frame(h1.h)
+        f_w = w.conj().T @ h2.h @ w
         dense = np.linalg.eigvalsh(0.5 * (f_w + f_w.conj().T))
         np.testing.assert_allclose(op.eigenvalues, dense, rtol=1e-12, atol=0.0)
         assert op.cluster_sizes == tuple(

@@ -203,6 +203,17 @@ class TestCanonicalBasis:
         with pytest.raises(ValueError):
             canonical_basis(decompose(p).blocks[0], p)
 
+    def test_rejects_another_pairs_block(self):
+        # the block's axis read against another pair's frame and G gave
+        # eigenvalue 2 with metric ratio 6.95, a frame of neither pair
+        block = decompose(synthesize_pair([(2.0, 1, 1), (3.0, -1, 1)], seed=1)).blocks[0]
+        other = synthesize_pair([(5.0, 1, 1), (7.0, -1, 1)], seed=2)
+        assert (block.sign, block.dim) == (1, 2)
+        assert block.eigenvalue == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="not one of that pair's"):
+            canonical_basis(block, other)
+        assert canonical_basis(block, block.pair).metric_ratio == pytest.approx(2.0)
+
 
 def assert_one_block_per_class(d):
     """Every block is a whole (lambda, sign) class, and the group signature

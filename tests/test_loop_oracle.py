@@ -383,7 +383,6 @@ class TestPerCheckEqualsGrouped:
                 expected = {err.check: err.residual}
             if isinstance(result, AdmissibleTriple):
                 assert expected == {}
-                assert result.j_w_norm == op_norm(result.j_w)
             else:
                 assert exact((v.name, v.residual) for v in result.violations) == \
                     exact(expected.items())
