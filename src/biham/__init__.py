@@ -68,6 +68,8 @@ from .linalg import (
 from .structures import (
     AdmissibleTriple,
     ComplexStructure,
+    FormPair,
+    GramMatrix,
     LinearField,
     MetricTensor,
     PreservationReport,
@@ -77,6 +79,7 @@ from .structures import (
     ViolationReport,
     check_admissible,
     field_preserves,
+    form_pair,
     hermitian_product,
     lie_bracket,
     metric_hamiltonian,

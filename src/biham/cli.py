@@ -39,8 +39,8 @@ from .commutant import bicommutant_dim, commutant_dim, is_generic_operator, read
 from .compatibility import check_compatible, pencil_member, positivity_range
 from .decomposition import decompose, group_signature, is_generic, synthesize_pair
 from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
-from .linalg import NumericalCheckError, Record, Tolerance
-from .structures import ViolationReport, check_admissible
+from .linalg import NumericalCheckError, Record, StructureError, Tolerance
+from .structures import ViolationReport, check_admissible, form_pair
 
 SCHEMA_VERSION = 8
 
@@ -205,35 +205,48 @@ def analyze(doc: InputDocument, gamma: float | None = None) -> tuple[dict, int]:
         report["pencil_member"] = None
     failed = False
 
-    triples, admissible = [], {}
-    inputs = [("triple1", doc.g1, doc.omega1), ("triple2", doc.g2, doc.omega2)]
-    for name, g, w in inputs[:2 if doc.has_pair else 1]:
-        result = check_admissible(g, w, doc.tol)
-        admissible[name] = ok = not isinstance(result, ViolationReport)
-        residuals[name] = {} if ok else _violation_dict(result)
+    # a pair's second triple is judged by the frame certificate of its
+    # decomposition, which within rel puts the input within rel of a pair
+    # admissible in both triples.  check_admissible judges it only where a
+    # stage refuses, to explain the refusal; where it passes, the stages'
+    # results stand
+    t1 = check_admissible(doc.g1, doc.omega1, doc.tol)
+    compat = dec = second = None
+    errors: list[str] = []
+    if doc.has_pair and not isinstance(t1, ViolationReport):
+        try:
+            second = form_pair(doc.g2, doc.omega2, doc.tol)
+        except StructureError:
+            pass  # check_admissible names the same failure
+        else:
+            compat = check_compatible(t1, second, doc.tol)
+            if not isinstance(compat, ViolationReport):
+                with _stage(errors):
+                    dec = decompose(compat)
+    triples = [t1]
+    if doc.has_pair:
+        certified = dec is not None and dec.frame_certificate[0] <= doc.tol.rel
+        triples.append(second if certified else check_admissible(doc.g2, doc.omega2, doc.tol))
+    admissible = {}
+    for name, t in zip(("triple1", "triple2"), triples):
+        admissible[name] = ok = not isinstance(t, ViolationReport)
+        residuals[name] = {} if ok else _violation_dict(t)
         failed = failed or not ok
-        if ok:
-            triples.append(result)
     report["admissible"] = admissible
 
     pair = None
-    if doc.has_pair and len(triples) == 2:
-        result = check_compatible(triples[0], triples[1], doc.tol)
-        if isinstance(result, ViolationReport):
+    if doc.has_pair and not failed:
+        if isinstance(compat, ViolationReport):
             report["compatible"] = False
-            residuals["compatibility"] = _violation_dict(result)
+            residuals["compatibility"] = _violation_dict(compat)
             failed = True
         else:
-            pair = result
+            pair = compat
             report["compatible"] = True
             residuals["compatibility"] = _py(dict(pair.certificates))
 
     if pair is not None:
         # the stages after decompose depend on it alone; errors join in order
-        errors: list[str] = []
-        dec = None
-        with _stage(errors):
-            dec = decompose(pair)
         if dec is not None:
             sig = group_signature(dec)
             report["blocks"] = [

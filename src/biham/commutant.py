@@ -68,14 +68,21 @@ class HermitianForm:
     validation, as the :class:`~biham.structures.MetricTensor` ``metric`` of
     its realification g = [[A, -B], [B, A]] (h = A + iB, x = a + ib read as
     (a, b)): g has h's spectrum with every eigenvalue twice, so the metric's
-    own check, ``metric_positive_definite``, judges h's positivity.
+    own check, ``metric_positive_definite``, judges h's positivity, and a
+    refusal names the Hermitian form.
     """
 
     def __init__(self, h, tol: Tolerance = DEFAULT_TOL):
         self.h = symmetric_part(h, tol, "hermitian form", "hermitian_symmetric",
                                 dtype=np.complex128)
         a, b = self.h.real, self.h.imag
-        self.metric = MetricTensor(np.block([[a, -b], [b, a]]), tol)
+        try:
+            self.metric = MetricTensor(np.block([[a, -b], [b, a]]), tol)
+        except StructureError as err:
+            # g is exactly symmetric, so only its positivity can fail
+            raise StructureError(
+                f"hermitian form is not positive-definite (min eigenvalue {err.residual:.3e})",
+                check=err.check, residual=err.residual) from None
 
     @property
     def dim(self) -> int:

@@ -41,7 +41,7 @@ from .linalg import (
     frozen,
     op_norms,
 )
-from .structures import AdmissibleTriple, Violation, ViolationReport
+from .structures import AdmissibleTriple, FormPair, Violation, ViolationReport
 
 if TYPE_CHECKING:
     from .decomposition import BlockDecomposition
@@ -57,10 +57,13 @@ __all__ = [
 
 
 class CompatiblePair(Record):
-    """Two admissible triples that passed every compatibility check, plus the
-    derived metric operator G = inv(g1) @ g2, G's eigenvalues (ascending)
-    and, in ``certificates``, the residual of every check
-    :func:`check_compatible` made.
+    """Two triples that passed every compatibility check, plus the derived
+    metric operator G = inv(g1) @ g2, G's eigenvalues (ascending) and, in
+    ``certificates``, the residual of every check :func:`check_compatible`
+    made.  ``t1`` is admissible; ``t2`` is the second triple as given, an
+    :class:`~biham.structures.AdmissibleTriple` or a
+    :class:`~biham.structures.FormPair`, of which the pair reads ``g.m``
+    and ``omega.m`` alone.
 
     The fields ending in ``_w`` hold G (there also g2) and omega2 in t1's
     g1-orthonormal frame; ``mu``, ``v``, ``e``, ``r`` and ``y`` are T_c's
@@ -75,7 +78,7 @@ class CompatiblePair(Record):
     """
 
     t1: AdmissibleTriple
-    t2: AdmissibleTriple
+    t2: AdmissibleTriple | FormPair
     metric_operator: np.ndarray
     metric_eigenvalues: np.ndarray
     certificates: dict[str, float]
@@ -115,10 +118,12 @@ class CompatiblePair(Record):
             return frozen(frame @ self.recursion_operator_w @ self.t1.g.frame_inv)
 
 
-def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple,
+def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple | FormPair,
                      tol: Tolerance = DEFAULT_TOL):
     """Decide compatibility in J1's complex coordinates, by one n x n
-    eigensolve and no solve.
+    eigensolve and no solve.  Of ``t2`` it reads the matrices ``g.m`` and
+    ``omega.m`` alone, so a :class:`~biham.structures.FormPair`, with no
+    frame, serves as well as an admissible triple.
 
     In t1's g1-orthonormal frame (g1 = I, omega1 = J1), with ``(nu, Z) =
     t1.complex_coordinates``, one stacked product gives, for M = g1, J1,

@@ -6,10 +6,11 @@ Conventions used throughout the package:
   complexified side), validated on entry and treated as immutable afterwards;
 * a bilinear form with Gram matrix ``m`` takes the value ``x @ m @ y``;
 * every metric is factored once, when it is validated, into a frame ``W``
-  with ``W.T @ g @ W = I`` (:func:`whitening`); later stages work with the
-  tensors in the g1-orthonormal frame, where J1 is orthogonal and skew and
-  the metric and recursion operators are symmetric, and map back only the
-  matrices they report;
+  with ``W.T @ g @ W = I`` (:func:`whitening`), and a pair's second metric
+  needs no frame of its own (``structures.FormPair``): later stages work
+  with the tensors in the g1-orthonormal frame, where J1 is orthogonal and
+  skew and the metric and recursion operators are symmetric, and map back
+  only the matrices they report;
 * every check follows the threshold rule of :class:`Tolerance`.  The
   checks on n x n blocks in J1's complex coordinates (compatibility, the
   decomposition and the frame certificate) take Frobenius residuals

@@ -46,12 +46,15 @@ __all__ = [
     "SymplecticForm",
     "ComplexStructure",
     "AdmissibleTriple",
+    "GramMatrix",
+    "FormPair",
     "LinearField",
     "QuadraticForm",
     "Violation",
     "ViolationReport",
     "PreservationReport",
     "check_admissible",
+    "form_pair",
     "symmetrize_metric",
     "polar_admissible",
     "hermitian_product",
@@ -173,6 +176,32 @@ class AdmissibleTriple(Record):
 
     def __repr__(self) -> str:
         return f"AdmissibleTriple(dim={self.dim})"
+
+
+class GramMatrix(Record):
+    """A read-only Gram matrix ``m``, checked for its symmetry (a metric's)
+    or antisymmetry (a form's) alone."""
+
+    m: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.m.shape[0]
+
+
+class FormPair(Record):
+    """A metric ``g`` and a form ``omega`` of one even dimension, checked
+    for structure alone by :func:`form_pair`: neither is factored, nor
+    judged positive-definite or nondegenerate.  It is all that
+    :func:`~biham.compatibility.check_compatible` reads of a pair's second
+    triple (``g.m``, ``omega.m`` and ``dim``): a pair whose decomposition
+    certifies its adapted frame (``BlockDecomposition.frame_certificate``)
+    lies within that certificate's backward error of a pair admissible in
+    both triples, so the second triple needs no factoring of its own."""
+
+    g: GramMatrix
+    omega: GramMatrix
+    dim: int
 
 
 class LinearField(Record):
@@ -304,6 +333,19 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     if violations:
         return ViolationReport("admissibility", tuple(violations))
     return AdmissibleTriple(metric, symp, dim, frozen(jw, copy=False))
+
+
+def form_pair(g, omega, tol: Tolerance = DEFAULT_TOL) -> FormPair:
+    """The symmetric part of ``g`` and the antisymmetric part of ``omega``
+    as a :class:`FormPair`, by the checks :func:`check_admissible` makes
+    first: :class:`StructureError` names ``metric_symmetric``, else
+    ``symplectic form_antisymmetric``; an odd or mismatched dimension
+    raises ``ValueError``."""
+    metric = GramMatrix(symmetric_part(g, tol, "metric", "metric_symmetric"))
+    form = GramMatrix(_antisymmetric(omega, tol))
+    if metric.dim != form.dim:
+        raise ValueError(f"dimension mismatch: metric is {metric.dim}, form is {form.dim}")
+    return FormPair(metric, form, metric.dim)
 
 
 def symmetrize_metric(g, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> MetricTensor:

@@ -29,10 +29,11 @@ from biham.decomposition import Block, BlockDecomposition, decompose, synthesize
 from biham.compatibility import CompatiblePair, PencilMember, check_compatible
 from biham.dynamics import RecursionBasis, certify_recursion
 from biham.linalg import NumericalCheckError
-from biham.structures import AdmissibleTriple, check_admissible
+from biham.structures import AdmissibleTriple, ViolationReport, check_admissible, form_pair
 
+import corpus
 import loop_oracle
-from conftest import (conditioned_basis, conditioned_pair, congruent, generic_spec,
+from conftest import (S_BLOCK, conditioned_basis, conditioned_pair, congruent, generic_spec,
                       j_invariant_basis)
 from test_dynamics import CONSERVATION_TIMES, uncertified_pair
 from test_loop_oracle import three_class_spec, two_class_spec
@@ -190,6 +191,107 @@ class TestCheck:
         assert code == 1
         assert report["admissible"]["triple1"] is False
         assert "J_squared_plus_identity" in report["residuals"]["triple1"]
+
+
+# the tampered_documents() indices whose second triple fails
+# check_admissible (J_squared_plus_identity and J_metric_invariance, at
+# 1.0e-9 to 2.8e-9) while the frame certificate puts the pair within rel
+# of one admissible in both triples: they exit 0
+SECOND_TRIPLE_FLIPS = (30, 287, 669, 926, 1073, 1309, 1325, 1333, 1681, 1689, 1713, 1721,
+                       1949, 1956, 1965, 1973, 2330)
+
+
+def refused_report(doc, t2) -> dict:
+    """The report of a document whose first triple is admissible and whose
+    second ``check_admissible`` refuses with ``t2``: nothing after
+    admissibility runs."""
+    report = cli._empty_report()
+    report["admissible"] = {"triple1": True, "triple2": False}
+    report["residuals"] = {"triple1": {}, "triple2": cli._violation_dict(t2)}
+    return report
+
+
+class TestSecondTriple:
+    """A pair's second triple is judged by the frame certificate of its
+    decomposition; ``check_admissible`` runs on it only to explain a
+    refusal."""
+
+    def test_refusals_keep_their_report_or_are_listed(self):
+        # the oracle: check_admissible on the second triple of every corpus
+        # pair.  Each pair it refuses exits 1 with the report of that
+        # refusal, or is a listed flip, within rel of an admissible pair
+        flips = []
+        for label, raw in corpus.documents():
+            try:
+                doc = corpus.input_document(raw)
+            except cli.InputError:
+                continue
+            if not doc.has_pair:
+                continue
+            t1 = check_admissible(doc.g1, doc.omega1, doc.tol)
+            t2 = check_admissible(doc.g2, doc.omega2, doc.tol)
+            report, code = analyze(doc)
+            if not isinstance(t2, ViolationReport):
+                assert report["admissible"]["triple2"] is True, label
+            elif isinstance(t1, ViolationReport) or report["admissible"]["triple2"] is False:
+                assert code == 1, label
+                assert report["residuals"]["triple2"] == cli._violation_dict(t2), label
+                assert report["compatible"] is None, label
+                if not isinstance(t1, ViolationReport):
+                    assert report == refused_report(doc, t2), label
+            else:
+                flips.append(label)
+                d = decompose(check_compatible(t1, form_pair(doc.g2, doc.omega2, doc.tol)))
+                assert code == 0, label
+                assert d.frame_certificate[0] <= doc.tol.rel, label
+                assert loop_oracle.pair_backward_error(d) <= doc.tol.rel, label
+        assert flips == [f"tampered:{i}" for i in SECOND_TRIPLE_FLIPS]
+
+    def test_tampered_form_is_refused_as_before(self):
+        # omega2 off by 1e-6 of its largest entry: the second triple fails
+        # its J checks and compatibility is not reported, as when every
+        # document's second triple was factored
+        pair = synthesize_pair(generic_spec(4), seed=1)
+        x = np.random.default_rng(5).standard_normal((8, 8))
+        omega2 = pair.t2.omega.m + 1e-6 * np.abs(pair.t2.omega.m).max() * (x - x.T)
+        doc = InputDocument(8, pair.t1.g.m, pair.t1.omega.m, pair.t2.g.m, omega2, pair.tol)
+        report, code = analyze(doc)
+        t2 = check_admissible(pair.t2.g.m, omega2)
+        assert code == 1 and t2.names == ("J_squared_plus_identity", "J_metric_invariance")
+        assert cli._dump_report(report) == cli._dump_report(refused_report(doc, t2))
+
+    def test_incompatible_pair_reports_both_triples_admissible(self):
+        # the benchmark's incompatible document: J2 = inv(A) S A with A =
+        # diag(1, 2, 1, 1), in a random orthonormal basis.  Compatibility
+        # refuses it, and check_admissible then finds both triples admissible
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+        s, a = np.kron(np.eye(2), S_BLOCK), np.diag([1.0, 2.0, 1.0, 1.0])
+        doc = InputDocument(4, np.eye(4), q.T @ s @ q, q.T @ a.T @ a @ q,
+                            q.T @ a.T @ s @ a @ q, linalg.DEFAULT_TOL)
+        report, code = analyze(doc)
+        assert code == 1
+        assert report["admissible"] == {"triple1": True, "triple2": True}
+        assert report["compatible"] is False
+        assert report["residuals"]["triple2"] == {}
+        assert report["blocks"] is None
+
+    def test_uncertified_frame_judges_the_second_triple(self, monkeypatch):
+        # a frame certificate above rel falls back on check_admissible,
+        # which passes here: the pair's stages run on, as before
+        pair = uncertified_pair()
+        doc = InputDocument(pair.dim, pair.t1.g.m, pair.t1.omega.m,
+                            pair.t2.g.m, pair.t2.omega.m, pair.tol)
+        seen = []
+
+        def judging(g, *args):
+            seen.append(g is doc.g2)
+            return check_admissible(g, *args)
+
+        monkeypatch.setattr(cli, "check_admissible", judging)
+        report, code = analyze(doc)
+        assert seen == [False, True]
+        assert code == 1 and report["admissible"] == {"triple1": True, "triple2": True}
+        assert report["compatible"] is True and report["recursion"]["all_pass"] is False
 
 
 class TestDecompose:
@@ -979,10 +1081,11 @@ class TestSharedResults:
     def test_analyze_solves_and_eigensolves_once(self, monkeypatch):
         # compatibility and decompose share J1's complex coordinates and
         # one eigensolve of T_c: one m x m (complex) eigensolve of i J1, one
-        # n x n of T_c, no SVD (the triples judge their forms'
+        # n x n of T_c, no SVD (the first triple judges its form's
         # nondegeneracy through J), and no solve: the recursion certificate
-        # reads the frame's, not T.  decompose reads the pair's (mu, V) and
-        # residuals, and calls no np.linalg routine
+        # reads the frame's, not T.  The second triple is judged by the
+        # frame certificate, so it gets no whitening.  decompose reads the
+        # pair's (mu, V) and residuals, and calls no np.linalg routine
         pair = synthesize_pair(generic_spec(4), seed=1)
         m = pair.dim
         calls = {name: [] for name in np.linalg.__all__
@@ -1000,9 +1103,8 @@ class TestSharedResults:
                             pair.t2.g.m, pair.t2.omega.m, pair.tol)
         _, code = analyze(doc, gamma=0.5)
         assert code == 0
-        # the two whitenings, i J1, then T_c
-        assert calls["eigh"] == [((m, m), False), ((m, m), False), ((m, m), True),
-                                 ((m // 2, m // 2), True)]
+        # g1's whitening, i J1, then T_c
+        assert calls["eigh"] == [((m, m), False), ((m, m), True), ((m // 2, m // 2), True)]
         assert calls["svd"] == []
         assert calls["solve"] == []
         for made in calls.values():
@@ -1038,7 +1140,9 @@ class TestSharedResults:
                   for a in (value if isinstance(value, tuple) else (value,))
                   if isinstance(a, np.ndarray)]
         inputs = (doc.g1, doc.omega1, doc.g2, doc.omega2)
-        assert len(arrays) >= 30  # the triples' complex coordinates among them
+        # the first triple's complex coordinates among them; the second
+        # triple keeps its two matrices and no frame
+        assert len(arrays) >= 29
         for a in arrays:
             assert not a.flags.writeable
             assert not any(np.shares_memory(a, b) for b in inputs)

@@ -66,6 +66,8 @@ class TestHermitianForm:
             HermitianForm(np.diag([1.0, -1.0]))
         assert err.value.check == "metric_positive_definite"
         assert err.value.residual == -1.0
+        # the refusal names the form the caller gave, not its realification
+        assert str(err.value) == "hermitian form is not positive-definite (min eigenvalue -1.000e+00)"
 
     def test_factored_once_as_its_realified_metric(self):
         # h = A + iB is factored as g = [[A, -B], [B, A]], whose spectrum

@@ -18,12 +18,12 @@ from conftest import (
     S_BLOCK,
     conditioned_basis,
     congruent,
-    generic_spec,
     j_invariant_tensors,
     standard_triple,
     whitened,
 )
 import loop_oracle
+from corpus import tampered_documents
 from loop_oracle import (
     relation_residuals,
     retired_relation_violations,
@@ -186,36 +186,6 @@ class TestRelationSuite:
                              check_admissible(doc["g2"], doc["omega2"]))
         suite = relation_residuals(p)
         assert max(suite.values()) <= p.tol.rel
-
-
-def tampered_documents():
-    """Inputs near compatible pairs: generic, two- and three-class pairs of
-    dims 4-16 and pairs whose eigenvalues spread from 1 to 1e3 and to 1e6
-    (cond(G) up to 1e6), plain and after a ``conditioned_basis(dim, 1e3)``
-    congruence, with g1, omega1, g2 and omega2 tampered singly and in
-    pairs by s max|m| (X +- X.T), symmetric for a metric and skew for a
-    form, at s from 1e-13 to 10**-9.5; no larger s leaves both triples
-    admissible here."""
-    for dim in (4, 8, 12, 16):
-        n = dim // 2
-        specs = (generic_spec(n), [(2.0, 1, n // 2), (3.0, -1, n - n // 2)],
-                 [(1.5, 1, n - n // 2), (2.5, -1, 1), (4.0, 1, n // 2 - 1)],
-                 *([(top ** (k / (n - 1)), (-1) ** k, 1) for k in range(n)]
-                   for top in (1e3, 1e6)))
-        for spec in specs:
-            pair = synthesize_pair([c for c in spec if c[2]], seed=0)
-            rng = np.random.default_rng(dim)
-            for basis in (np.eye(dim), conditioned_basis(dim, 1e3, rng)):
-                doc = congruent(pair, basis)
-                for names in (("g1",), ("omega1",), ("g2",), ("omega2",), ("g1", "g2"),
-                              ("omega1", "omega2"), ("g1", "omega2"), ("omega1", "g2")):
-                    for s in np.logspace(-13, -9.5, 8):
-                        tampered = dict(doc)
-                        for name in names:
-                            x = rng.standard_normal((dim, dim))
-                            x = x + x.T if name.startswith("g") else x - x.T
-                            tampered[name] = doc[name] + s * np.abs(doc[name]).max() * x
-                        yield tampered
 
 
 def block_suite_refuses(t1, t2):

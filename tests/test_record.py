@@ -35,6 +35,7 @@ from biham.structures import (
     QuadraticForm,
     Violation,
     field_preserves,
+    form_pair,
     phase_generator,
 )
 from conftest import diag_triple
@@ -55,13 +56,14 @@ def samples():
     d = decompose(pair)
     rb = recursion_basis(pair)
     member = pencil_member(d, 0.5)
+    second = form_pair(pair.t2.g.m, pair.t2.omega.m)
     found = [
         Tolerance(), pair.t1, pair, d, d.blocks[0], member, member.blocks[0],
         group_signature(d), canonical_basis(d.blocks[0], pair), bi_preserving_algebra(d),
         rb, certify_recursion(rb, d), read_off_operator(d),
         conservation_probe(rb.fields[0], pair, (0.5,)),
         field_preserves(phase_generator(pair.t1), pair.t1), LinearField.dilation(4),
-        QuadraticForm(np.eye(4)), Violation("J1_J2_commutator", 0.5),
+        QuadraticForm(np.eye(4)), Violation("J1_J2_commutator", 0.5), second, second.g,
         check_compatible(diag_triple(1.0, 4.0), diag_triple(2.0, 6.0)),
         cli.load_document(str(FIXTURES / "reference_4d.json")),
     ]
