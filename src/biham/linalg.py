@@ -16,8 +16,8 @@ Conventions used throughout the package:
   decomposition and the frame certificate) take Frobenius residuals
   against spectral factor norms; the rest take row sums (:func:`op_norm`,
   the induced infinity norm): admissibility and the complex structure,
-  ``metric_transfer``, the symmetric and self-adjoint parts, field
-  preservation, the flow and its probe, and the commutant's checks;
+  the symmetric and self-adjoint parts, field preservation, the flow and
+  its probe, and the commutant's checks;
 * every result is an immutable :class:`Record`.
 """
 

@@ -86,23 +86,45 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 8
+        assert report["schema_version"] == 9
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
         assert report["signature_real"] == "SO(2)"
         assert report["generic"]["real"] is True
 
-    def test_schema_5_keys(self, capsys):
-        # the relations the kept checks imply are not reported, and the two
-        # J2 conditions and [J1, J2] are one residual in J1's complex
-        # coordinates
+    def test_schema_9_keys(self, capsys):
+        # the relations the kept checks imply are not reported, the two J2
+        # conditions and [J1, J2] are one residual in J1's complex
+        # coordinates, and g1 G = g2, which holds by construction, is not
+        # judged
         code, report, _ = run_report(capsys, "check", FIXTURES / "reference_4d.json")
         assert code == 0
         assert list(report["residuals"]["compatibility"]) == [
-            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew", "metric_transfer",
-            "G_min_eigenvalue"]
+            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew", "G_min_eigenvalue"]
         assert "nijenhuis_residual" not in report["recursion"]
+
+    @pytest.mark.parametrize("spec", [generic_spec(4), two_class_spec(8)],
+                             ids=["generic-8", "two-class-8"])
+    def test_second_triple_scaled_by_1e300_at_cond_1e6_is_compatible(self, spec, tmp_path,
+                                                                      capsys):
+        # |g1| = 1.5e6 and |G| = 6.6e302: a check of g1 G = g2 in the input
+        # coordinates, against rel |g1| |G|, overflowed its threshold and
+        # refused these valid pairs
+        pair = synthesize_pair(spec, seed=1)
+        basis = conditioned_basis(pair.dim, 1e3, np.random.default_rng(1))
+        doc = congruent(pair, basis, 1.0, 1e300)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({k: v if k == "dim" else v.tolist() for k, v in doc.items()}))
+        code, report, _ = run_report(capsys, "check", path)
+        assert code == 0
+        assert list(report["residuals"]["compatibility"]) == [
+            "g2_J1_skew", "omega2_J1_symmetric", "g1_J2_skew", "G_min_eigenvalue"]
+        blocks = sorted(spec)
+        assert [(b["sign"], b["dim"]) for b in report["blocks"]] == \
+            [(sign, 2 * rank) for _, sign, rank in blocks]
+        assert [b["lambda"] for b in report["blocks"]] == \
+            pytest.approx([1e300 * lam for lam, _, _ in blocks], rel=1e-9)
 
     def test_incompatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "incompatible_2d.json")
@@ -1141,8 +1163,9 @@ class TestSharedResults:
                   if isinstance(a, np.ndarray)]
         inputs = (doc.g1, doc.omega1, doc.g2, doc.omega2)
         # the first triple's complex coordinates among them; the second
-        # triple keeps its two matrices and no frame
-        assert len(arrays) >= 29
+        # triple keeps its two matrices and no frame, and the pair no G in
+        # the input coordinates
+        assert len(arrays) >= 28
         for a in arrays:
             assert not a.flags.writeable
             assert not any(np.shares_memory(a, b) for b in inputs)
@@ -1157,7 +1180,8 @@ class TestSharedResults:
         lazy = [(RecursionBasis, "fields"),
                 (Block, "basis"), (Block, "basis_w"), (BlockDecomposition, "frame_w"),
                 (CompatiblePair, "eigenframe_w"), (CompatiblePair, "recursion_operator_w"),
-                (CompatiblePair, "recursion_operator"), (CompatiblePair, "j2_w"),
+                (CompatiblePair, "metric_operator"), (CompatiblePair, "recursion_operator"),
+                (CompatiblePair, "j2_w"),
                 (AdmissibleTriple, "j"),
                 (PencilMember, "g"), (PencilMember, "omega"), (PencilMember, "j")]
         reads = []

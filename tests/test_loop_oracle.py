@@ -366,9 +366,9 @@ class TestPerCheckEqualsGrouped:
     """Every admissibility residual, with its verdict and its key order,
     equals the per-check form's to the bit, at the default tolerance and at
     one that reports every residual.  The compatibility verdict equals
-    that of the real-form checks the block suite replaced, and the one
-    real-form check it keeps, the transfer identity, its residual to the
-    bit."""
+    that of the real-form checks the block suite replaced, the transfer
+    identity g1 G = g2 among them: it is not judged, and holds at its old
+    threshold on every pair the block suite accepts."""
 
     @pytest.mark.parametrize("make_triples", TRIPLE_SETS)
     def test_admissibility(self, make_triples, tol):
@@ -395,9 +395,9 @@ class TestPerCheckEqualsGrouped:
         certificates, _ = loop_oracle.compatibility_residuals(*triples, tol)
         assert isinstance(result, ViolationReport) == (certificates is None)
         if certificates is not None:
-            kept = ("metric_transfer",)
-            assert exact((k, result.certificates[k]) for k in kept) == \
-                exact((k, certificates[k]) for k in kept)
+            assert "metric_transfer" not in result.certificates
+            assert certificates["metric_transfer"] <= loop_oracle.threshold(
+                tol, triples[0].g.m, result.metric_operator)
 
 
 TAMPERED_SPECS = [pytest.param(spec, id=name) for name, spec in (
