@@ -42,7 +42,7 @@ from .dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
 from .linalg import NumericalCheckError, Record, StructureError, Tolerance
 from .structures import ViolationReport, check_admissible, form_pair
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 class InputError(ValueError):

@@ -65,12 +65,13 @@ class CompatiblePair(Record):
     and ``omega.m`` alone.
 
     The fields ending in ``_w`` hold G (there also g2) and omega2 in t1's
-    g1-orthonormal frame; ``mu``, ``v``, ``e``, ``r`` and ``y`` are T_c's
-    eigenpairs and the residuals E, R, Y of :func:`check_compatible`, which
-    ``decompose`` reads, and ``coordinate_blocks`` the Hermitian Z^H tau Z
-    and anti-linear Z^T tau Z blocks, in J1's complex coordinates Z, of tau
-    = g1 (I), J1, G and omega2 in t1's frame, the last two over max |mu|,
-    which the frame certificate reads.  ``eigenframe_w``, sqrt(2) [Re Z V,
+    g1-orthonormal frame; ``mu`` and ``v`` are T_c's eigenpairs and ``y``
+    the residual Y of :func:`check_compatible`, which ``decompose`` reads
+    (with R, Y bounds the residual E; the pair keeps neither), and
+    ``coordinate_blocks`` the Hermitian Z^H tau Z and anti-linear Z^T tau Z
+    blocks, in J1's complex coordinates Z, of tau = g1 (I), J1, G and
+    omega2 in t1's frame, the last two over max |mu|, which the frame
+    certificate reads.  ``eigenframe_w``, sqrt(2) [Re Z V,
     Im Z V] (T_c's eigenvectors as real columns in t1's frame), T and J2 in
     t1's frame, and G and T in the input coordinates are built on first
     use, by one product or one solve each; no check reads any of them.
@@ -85,8 +86,6 @@ class CompatiblePair(Record):
     omega2_w: np.ndarray
     mu: np.ndarray
     v: np.ndarray
-    e: np.ndarray
-    r: np.ndarray
     y: np.ndarray
     coordinate_blocks: np.ndarray
 
@@ -138,14 +137,15 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple | FormPair,
     omega2 they are H, K and the A.  T_c = Z^H T Z = i diag(1 / nu) K is
     similar to the Hermitian i N K N, N = diag(nu^-1/2), whose ``eigh``
     gives mu and V.
-    With L = diag(|mu|), S = diag(sign mu) (zero counts +), the pair keeps
+    With L = diag(|mu|), S = diag(sign mu) (zero counts +), it forms
 
         E = V^H N H N V - L,  R = V^H N K N V + i diag(mu),  Y = inv(L) (R + i E S),
 
-    E and R over max |mu|.  G's spectrum is |mu| (N H N = V L V^H to first
-    order in E): positive when min |mu| > rel max |mu|, and min |mu| is
-    ``G_min_eigenvalue``.  Residuals are Frobenius norms (Z is fixed up to
-    a unitary) over max |mu|, against ``rel`` times spectral factor norms:
+    E and R over max |mu|, and the pair keeps Y.  G's spectrum is |mu| (N
+    H N = V L V^H to first order in E): positive when min |mu| > rel max
+    |mu|, and min |mu| is ``G_min_eigenvalue``.  Residuals are Frobenius
+    norms (Z is fixed up to a unitary) over max |mu|, against ``rel`` times
+    spectral factor norms:
 
     * ``g2_J1_skew``, ``omega2_J1_symmetric``: both J1 conditions read
       [M, J1] = 0, and [M, J1] is [[0, 2i conj(A)], [-2i A, 0]] in the
@@ -237,7 +237,7 @@ def check_compatible(t1: AdmissibleTriple, t2: AdmissibleTriple | FormPair,
     if violations:
         return ViolationReport("compatibility", tuple(violations))
     fields = [frozen(a, copy=False)  # each the pair's own, fresh
-              for a in (np.repeat(np.sort(lam), 2), *forms[1:], mu, v, e, r, y, blocks)]
+              for a in (np.repeat(np.sort(lam), 2), *forms[1:], mu, v, y, blocks)]
     return CompatiblePair(t1, t2, fields[0], certificates, tol, *fields[1:])
 
 

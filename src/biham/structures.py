@@ -150,7 +150,7 @@ class AdmissibleTriple(Record):
     """Validated bundle (g, omega, J) with J = inv(g) @ omega and J^2 = -I.
 
     ``j_w`` is J in the frame W = ``g.frame``, orthogonal and skew there (it
-    is also omega there), where every admissibility check is judged.
+    is also omega there), where admissibility is judged.
     ``j`` is the read-only matrix ``W @ j_w @ inv(W)``, J in the input
     coordinates, and ``complex_coordinates`` its (nu, Z), both built on
     first use.  Construct through :func:`check_admissible` or
@@ -283,18 +283,22 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     triple, i.e. whether ``J = inv(g) @ omega`` squares to ``-I``.
 
     ``g`` and ``omega`` may be raw matrices or already-validated
-    :class:`MetricTensor` / :class:`SymplecticForm` objects.  J^2 = -I and
-    the metric invariance and skewness are judged once, on
+    :class:`MetricTensor` / :class:`SymplecticForm` objects.  One check is
+    judged, ``J_metric_invariance``: |J_w.T J_w - I| <= rel |J_w|^2 on
     ``J_w = W.T @ omega @ W`` in the g-orthonormal frame W, where rounding
-    does not grow with cond(g); the symplectic invariance follows from the
-    metric invariance, and so does omega's nondegeneracy, so a raw omega
-    gets no SVD: with delta = rel |J_w|^2 >= |J_w.T J_w - I|_2, every
-    singular value s of J_w has |s^2 - 1| <= delta, so cond(omega) <=
-    cond(g) (1 + delta) / (1 - delta).  J is mapped back as
-    ``W @ J_w @ inv(W)`` only when read (:attr:`AdmissibleTriple.j`), and
-    not checked.  Returns the :class:`AdmissibleTriple` on
-    success and a :class:`ViolationReport` naming each failed invariant
-    otherwise.
+    does not grow with cond(g).  omega is exactly antisymmetric (its
+    antisymmetric part 0.5 (m - m.T), formed in IEEE arithmetic), so J_w
+    is skew up to the rounding of forming it, about eps cond(g) |J_w|, and
+    J_w^2 + I = -(J_w.T J_w - I) + (J_w + J_w.T) J_w: J^2 = -I, the metric
+    invariance and the skewness are one fact there, judged once.  The
+    symplectic invariance follows from the metric invariance, and so does
+    omega's nondegeneracy, so a raw omega gets no SVD: with delta = rel
+    |J_w|^2 >= |J_w.T J_w - I|_2, every singular value s of J_w has |s^2 -
+    1| <= delta, so cond(omega) <= cond(g) (1 + delta) / (1 - delta).  J
+    is mapped back as ``W @ J_w @ inv(W)`` only when read
+    (:attr:`AdmissibleTriple.j`), and not checked.  Returns the
+    :class:`AdmissibleTriple` on success and a :class:`ViolationReport`
+    naming each failed invariant otherwise.
     Structural problems (odd or mismatched dimension, non-finite entries)
     raise ``ValueError``.
     """
@@ -318,20 +322,14 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
         raise ValueError(f"admissible triples need even dimension, got {metric.dim}")
 
     dim = metric.dim
-    eye = np.eye(dim)
     # J = inv(g) @ omega reads W.T @ omega @ W in the g-orthonormal frame W;
     # metric and form on scales far apart overflow here, and an overflowed
     # (non-finite) residual fails its check
     with np.errstate(over="ignore", invalid="ignore"):
         jw = metric.frame.T @ symp.m @ metric.frame
-        *resids, nj = op_norms([jw @ jw + eye, jw.T @ jw - eye, jw + jw.T, jw]).tolist()
-    # J.T omega J = omega reads (J.T J - I) J = 0 there, within the metric
-    # invariance's threshold times |J|: not judged again
-    violations = [Violation(name, resid) for name, resid, thr in zip(
-        ("J_squared_plus_identity", "J_metric_invariance", "J_metric_skewness"), resids,
-        (tol.threshold(nj, nj),) * 2 + (tol.threshold(nj),)) if not resid <= thr]
-    if violations:
-        return ViolationReport("admissibility", tuple(violations))
+        resid, nj = op_norms([jw.T @ jw - np.eye(dim), jw]).tolist()
+    if not resid <= tol.threshold(nj, nj):
+        return ViolationReport("admissibility", (Violation("J_metric_invariance", resid),))
     return AdmissibleTriple(metric, symp, dim, frozen(jw, copy=False))
 
 
@@ -379,7 +377,9 @@ def polar_admissible(g, omega, tol: Tolerance = DEFAULT_TOL) -> AdmissibleTriple
     ``(g_omega, omega, J)`` is admissible.  In the g-orthonormal frame A is
     the skew matrix ``A_w = W.T @ omega @ W`` and P is ``sym_sqrt(-A_w @
     A_w)``.  If the input pair was already admissible then ``P = I`` and the
-    metric is returned unchanged.
+    metric is returned unchanged.  J is the triple's, judged by
+    :func:`check_admissible` on (g_omega, omega); ``A @ inv(P)``, the same
+    matrix in exact arithmetic, is not formed.
     """
     metric = g if isinstance(g, MetricTensor) else MetricTensor(g, tol)
     symp = omega if isinstance(omega, SymplecticForm) else SymplecticForm(omega, tol)
@@ -399,15 +399,6 @@ def polar_admissible(g, omega, tol: Tolerance = DEFAULT_TOL) -> AdmissibleTriple
     triple = check_admissible(MetricTensor(frame_inv.T @ p_w @ frame_inv, tol), symp, tol)
     if isinstance(triple, ViolationReport):
         raise StructureError(f"polar construction failed: {triple}", check="polar_admissible")
-    # the construction determines J directly; make sure both routes agree
-    jm = frame @ np.linalg.solve(p_w, a_w) @ frame_inv
-    drift, n_j = op_norms([triple.j - jm, jm]).tolist()
-    if not drift <= tol.threshold(n_j):
-        raise StructureError(
-            f"polar complex structure disagrees with inv(g_omega) @ omega "
-            f"(residual {drift:.3e})",
-            check="polar_consistency", residual=drift,
-        )
     return triple
 
 
@@ -431,7 +422,8 @@ def phase_generator(t: AdmissibleTriple) -> LinearField:
 
     Its matrix is exactly J; equivalently ``-inv(omega) @ g``, an identity
     forced by ``J^2 = -I``: in the g-orthonormal frame ``omega @ J + g``
-    reads ``J_w @ J_w + I``, which :func:`check_admissible` bounded.
+    reads ``J_w @ J_w + I``, which :func:`check_admissible` bounds by
+    the metric invariance and J_w's skew rounding.
     """
     return LinearField(t.j)
 

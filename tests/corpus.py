@@ -16,22 +16,26 @@ compared, with every seed fixed.  A helper, not a test module.
   and 24 after the congruence by ``j_invariant_basis(dim // 2, 1e3, k)``,
   seeds 0-39 (80).
 
-A document is a fixture's path or a dict of the four matrices and
-``dim``, judged at the default tolerance.  Run as a script, the module
-prints one line per document, its label, exit code and the SHA-256 of its
-report, so two checkouts compare by ``diff``::
+A document is a fixture's path or a read-only mapping of the four
+matrices and ``dim``, judged at the default tolerance.  Both lists are
+built once per process and shared by every caller, so each array is
+read-only: no test can change another test's input.  Run as a script, the
+module prints one line per document, its label, exit code and the SHA-256
+of its report, so two checkouts compare by ``diff``::
 
     PYTHONPATH=src python tests/corpus.py > codes.txt
 """
 
 import hashlib
+from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from biham import cli
 from biham.decomposition import synthesize_pair
-from biham.linalg import DEFAULT_TOL
+from biham.linalg import DEFAULT_TOL, frozen
 from conftest import conditioned_basis, congruent, generic_spec, j_invariant_basis
 from test_loop_oracle import three_class_spec, two_class_spec
 
@@ -41,6 +45,7 @@ SPECS = (("generic", lambda dim: generic_spec(dim // 2)), ("two-class", two_clas
          ("three-class", three_class_spec), ("one-class", lambda dim: [(2.0, 1, dim // 2)]))
 
 
+@cache
 def tampered_documents():
     """Inputs near compatible pairs: generic, two- and three-class pairs of
     dims 4-16 and pairs whose eigenvalues spread from 1 to 1e3 and to 1e6
@@ -48,7 +53,11 @@ def tampered_documents():
     congruence, with g1, omega1, g2 and omega2 tampered singly and in
     pairs by s max|m| (X +- X.T), symmetric for a metric and skew for a
     form, at s from 1e-13 to 10**-9.5; no larger s leaves both triples
-    admissible here."""
+    admissible here.  A tuple of read-only documents."""
+    return tuple(map(_read_only, _tampered()))
+
+
+def _tampered():
     for dim in (4, 8, 12, 16):
         n = dim // 2
         specs = (generic_spec(n), [(2.0, 1, n // 2), (3.0, -1, n - n // 2)],
@@ -71,8 +80,21 @@ def tampered_documents():
                         yield tampered
 
 
+def _read_only(doc):
+    """The document as a read-only mapping of read-only arrays."""
+    return MappingProxyType({k: frozen(v, copy=False) if isinstance(v, np.ndarray) else v
+                             for k, v in doc.items()})
+
+
+@cache
 def documents():
-    """Every corpus document, as ``(label, document)``, in a fixed order."""
+    """Every corpus document, as ``(label, document)``, in a fixed order:
+    a tuple."""
+    return tuple((label, _read_only(doc) if isinstance(doc, dict) else doc)
+                 for label, doc in _labelled())
+
+
+def _labelled():
     for path in sorted(FIXTURES.glob("*.json")):
         yield f"fixture:{path.name}", path
     for dim in (8, 32, 128):

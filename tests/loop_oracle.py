@@ -7,15 +7,19 @@ bi-preserving algebra, the recursion family, the commutant and the
 bicommutant from the frames they are built from.  These are the checks
 they replaced: one small dense product per block, per pair of blocks or
 directions, or per basis element, each read with ``op_norm``.  The
-admissibility checks take the norms of each check group in one reduction
-and carry the factor norms; here each residual and each factor of each
-threshold gets its own ``op_norm``.  Compatibility and the decomposition
-judge the pair on n x n blocks in J1's complex coordinates; their former
-real-form checks, with their row-sum thresholds, are kept here
-(``compatibility_residuals``, ``decomposition_residuals``), with the
+admissibility check takes the norms of its residual and its factor in one
+reduction; here each residual and each factor of each threshold gets its
+own ``op_norm``, beside the three J checks it implies and no longer judges
+(``admissibility_residuals``), and so does ``polar_admissible``'s retired
+second route to J (``polar_consistency``).  Compatibility and the
+decomposition judge the pair on n x n blocks in J1's complex coordinates;
+their former real-form checks, with their row-sum thresholds, are kept
+here (``compatibility_residuals``, ``decomposition_residuals``), with the
 real-form Frobenius residuals the blocks read off
-(``compatibility_frobenius``), and ``with_forms`` builds the tampered
-pairs that ``decompose``'s own checks must refuse.  The relations those
+(``compatibility_frobenius``), the sub-block checks of E and R that
+``decompose`` retired for its J2 check (``coordinate_block_norms``), and
+``with_forms`` builds the tampered pairs that ``decompose``'s own check
+must refuse.  The relations those
 checks imply and no longer judge are kept here too, each with the
 threshold it was judged against, and so are the recursion family's
 floating-point powers, which the certificate no longer forms, as unit
@@ -49,6 +53,7 @@ from biham.linalg import (
     frozen,
     op_norm,
     op_norms,
+    sym_sqrt,
     symmetric_part,
     whitening,
 )
@@ -68,36 +73,47 @@ def threshold(tol, *factors):
     return bound if math.isfinite(bound) else math.nan
 
 
-def admissibility_violations(g, omega, tol):
-    """``{check: residual}`` of every check ``check_admissible`` fails, in
-    its order, one norm per residual and per factor; ``{}`` for an
-    admissible triple.  The metric and the form are validated by the
-    package."""
-    jw = _j_in_frame(g, omega, tol)
+def admissibility_residuals(g, omega, tol):
+    """``{check: (residual, threshold)}`` of the four J checks, one norm per
+    residual and per factor: ``check_admissible`` judges
+    ``J_metric_invariance`` alone.  It implies the other three: retired
+    ``J_squared_plus_identity`` and ``J_metric_skewness`` within J_w's skew
+    rounding times |J_w|, and ``J_symplectic_invariance``, J.T @ omega @ J
+    = omega, which reads ``(J.T @ J - I) @ J`` in the g-orthonormal frame,
+    within the metric invariance's threshold times |J_w|.  The metric and
+    the form are validated by the package."""
+    jw = j_in_frame(g, omega, tol)
     eye = np.eye(len(jw))
     with np.errstate(over="ignore", invalid="ignore"):
-        checks = (
-            ("J_squared_plus_identity", op_norm(jw @ jw + eye), threshold(tol, jw, jw)),
-            ("J_metric_invariance", op_norm(jw.T @ jw - eye), threshold(tol, jw, jw)),
-            ("J_metric_skewness", op_norm(jw + jw.T), threshold(tol, jw)),
-        )
-    return {name: resid for name, resid, thr in checks if not resid <= thr}
+        return {
+            "J_squared_plus_identity": (op_norm(jw @ jw + eye), threshold(tol, jw, jw)),
+            "J_metric_invariance": (op_norm(jw.T @ jw - eye), threshold(tol, jw, jw)),
+            "J_metric_skewness": (op_norm(jw + jw.T), threshold(tol, jw)),
+            "J_symplectic_invariance": (op_norm(jw.T @ jw @ jw - jw),
+                                        threshold(tol, jw, jw, jw)),
+        }
 
 
-def symplectic_invariance_violation(g, omega, tol):
-    """``{"J_symplectic_invariance": residual}`` where J.T @ omega @ J =
-    omega, which ``check_admissible`` no longer judges, fails the threshold
-    it was judged against, else ``{}``: in the g-orthonormal frame it reads
-    ``(J.T @ J - I) @ J``, within the metric invariance's threshold times
-    |J|."""
-    jw = _j_in_frame(g, omega, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = op_norm(jw.T @ jw @ jw - jw)
-        thr = threshold(tol, jw, jw, jw)
-    return {} if resid <= thr else {"J_symplectic_invariance": resid}
+def admissibility_violations(g, omega, tol):
+    """``{check: residual}`` of every J check of
+    :func:`admissibility_residuals` that fails its threshold, in order;
+    ``{}`` where all four pass."""
+    return {name: resid for name, (resid, thr) in admissibility_residuals(g, omega, tol).items()
+            if not resid <= thr}
 
 
-def _j_in_frame(g, omega, tol):
+def polar_consistency(g, omega, triple, tol):
+    """``(residual, threshold)`` of the check ``polar_admissible`` retired:
+    its ``triple.j`` against J = A inv(P) formed a second way, ``W
+    solve(P_w, A_w) inv(W)`` in the input metric's frame W, at rel |J|.
+    The two routes give one matrix in exact arithmetic."""
+    metric, symp = MetricTensor(g, tol), SymplecticForm(omega, tol)
+    a_w = metric.frame.T @ symp.m @ metric.frame
+    jm = metric.frame @ np.linalg.solve(sym_sqrt(-(a_w @ a_w), tol), a_w) @ metric.frame_inv
+    return op_norm(triple.j - jm), threshold(tol, jm)
+
+
+def j_in_frame(g, omega, tol):
     """J of the metric and the form in the metric's orthonormal frame, the
     form checked for antisymmetry only, as ``check_admissible`` checks it."""
     metric, symp = MetricTensor(g, tol), SymplecticForm._of_triple(omega, tol)
@@ -304,31 +320,73 @@ def coordinate_blocks(t1, g2_w, omega2_w, scale):
 def with_omega2(p, omega2_w):
     """The pair ``p`` with omega2 in t1's frame replaced by ``omega2_w``,
     unjudged, and its coordinate blocks formed again; T_c's eigenpairs and
-    the residuals E, R and Y stay those of ``p``, so the frame is ``p``'s
-    and only the frame certificate reads the change."""
+    the residual Y stay those of ``p``, so the frame is ``p``'s and only
+    the frame certificate reads the change."""
     blocks = coordinate_blocks(p.t1, p.metric_operator_w, omega2_w, p.metric_eigenvalues[-1])
     return p.replace(omega2_w=omega2_w, coordinate_blocks=blocks)
 
 
 def with_forms(p, g2_w, omega2_w):
     """The pair ``p`` with g2 and omega2 in t1's frame replaced by ``g2_w``
-    and ``omega2_w``, unjudged, and T_c's eigenpairs, the residuals E, R
-    and Y that ``decompose`` reads and the coordinate blocks formed again
-    from them, by direct complex products: a tampered pair for
-    ``decompose``'s own checks, which ``check_compatible`` might refuse
+    and ``omega2_w``, unjudged, and T_c's eigenpairs, the coordinate blocks
+    and the residual Y that ``decompose`` reads formed again from them, by
+    direct complex products (:func:`coordinate_residuals`): a tampered pair
+    for ``decompose``'s own check, which ``check_compatible`` might refuse
     first."""
     nu, z = p.t1.complex_coordinates
     root = np.sqrt(nu)
-    h, k = z.conj().T @ np.stack((g2_w, omega2_w)) @ z / root[:, None] / root
+    k = z.conj().T @ omega2_w @ z / root[:, None] / root
     mu, v = np.linalg.eigh(0.5j * (k - k.conj().T))
     lam = np.abs(mu)
+    tampered = p.replace(metric_operator_w=g2_w, omega2_w=omega2_w,
+                         metric_eigenvalues=np.repeat(np.sort(lam), 2), mu=mu, v=v,
+                         coordinate_blocks=coordinate_blocks(p.t1, g2_w, omega2_w, lam.max()))
+    return tampered.replace(y=coordinate_residuals(tampered)[2])
+
+
+def coordinate_residuals(p):
+    """``(E, R, Y)`` of ``check_compatible`` on T_c's eigenvectors V, E and
+    R over max |mu|, by direct complex products from the pair's Hermitian
+    coordinate blocks H and K of g2 and omega2 (over max |mu|): E = V^H N H
+    N V - L, R = V^H N K N V + i diag(mu) and Y = inv(L) (R + i E S), N =
+    diag(nu^-1/2).  The pair keeps Y alone."""
+    root = np.sqrt(p.t1.complex_coordinates[0])
+    h, k = p.coordinate_blocks[0, 2:] / root[:, None] / root
+    mu, v = p.mu, p.v
+    lam = np.abs(mu)
     scale = lam.max()
-    e = v.conj().T @ h @ v / scale - np.diag(lam / scale)
-    r = v.conj().T @ k @ v / scale + np.diag(1j * mu / scale)
-    y = (r + 1j * e * np.where(mu < 0.0, -1, 1)) / (lam / scale)[:, None]
-    return p.replace(metric_operator_w=g2_w, omega2_w=omega2_w,
-                     metric_eigenvalues=np.repeat(np.sort(lam), 2), mu=mu, v=v, e=e, r=r, y=y,
-                     coordinate_blocks=coordinate_blocks(p.t1, g2_w, omega2_w, scale))
+    e = v.conj().T @ h @ v - np.diag(lam / scale)
+    r = v.conj().T @ k @ v + np.diag(1j * mu / scale)
+    return e, r, (r + 1j * e * np.where(mu < 0.0, -1, 1)) / (lam / scale)[:, None]
+
+
+def block_coordinates(p):
+    """Each block's columns of T_c's eigenvectors, in ``decompose``'s block
+    order: |mu| chained at ``cluster_gap`` (a wider chain raises
+    ``DecompositionError``), each chain split by sign, + first."""
+    lam = np.abs(p.mu)
+    ranked = np.argsort(lam, kind="stable")
+    cols, at = [], 0
+    for _, count in _chain_clusters(lam[ranked].tolist(), p.tol.cluster_gap):
+        chain, at = ranked[at:at + count], at + count
+        cols += [part for part in (chain[p.mu[chain] >= 0.0], chain[p.mu[chain] < 0.0])
+                 if part.size]
+    return cols
+
+
+def coordinate_block_norms(p):
+    """``(per_block, cross)``: the checks ``decompose`` retired, in J1's
+    complex coordinates, each passing at ``rel``.  ``per_block[b]`` is
+    [|E|_F, |R|_F] on block b's own coordinates (g2 proportional to g1,
+    omega2 proportional to omega1), ``cross[i, k]`` |E|_F between the
+    coordinates of blocks i < k (their g2-orthogonality), all over max |mu|
+    (:func:`coordinate_residuals`, :func:`block_coordinates`)."""
+    e, r, _ = coordinate_residuals(p)
+    cols = block_coordinates(p)
+    per_block = np.array([[np.linalg.norm(m[np.ix_(c, c)]) for m in (e, r)] for c in cols])
+    cross = {(i, k): np.linalg.norm(e[np.ix_(cols[i], cols[k])])
+             for i in range(len(cols)) for k in range(i + 1, len(cols))}
+    return per_block, cross
 
 
 def max_commutator_residual(mats):

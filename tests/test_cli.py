@@ -86,7 +86,7 @@ class TestCheck:
     def test_compatible_fixture(self, capsys):
         code, report, _ = run_report(capsys, "check", FIXTURES / "compatible_2d.json")
         assert code == 0
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
         assert report["admissible"] == {"triple1": True, "triple2": True}
         assert report["compatible"] is True
         assert report["signature_complex"] == "U(1)"
@@ -212,13 +212,14 @@ class TestCheck:
         code, report, _ = run_report(capsys, "check", path)
         assert code == 1
         assert report["admissible"]["triple1"] is False
-        assert "J_squared_plus_identity" in report["residuals"]["triple1"]
+        # J_w = diag(1, 1/2) omega1 diag(1, 1/2): |J_w.T J_w - I| = 3/4
+        assert report["residuals"]["triple1"] == {"J_metric_invariance": 0.75}
 
 
 # the tampered_documents() indices whose second triple fails
-# check_admissible (J_squared_plus_identity and J_metric_invariance, at
-# 1.0e-9 to 2.8e-9) while the frame certificate puts the pair within rel
-# of one admissible in both triples: they exit 0
+# check_admissible (J_metric_invariance, at 1.0e-9 to 2.8e-9) while the
+# frame certificate puts the pair within rel of one admissible in both
+# triples: they exit 0
 SECOND_TRIPLE_FLIPS = (30, 287, 669, 926, 1073, 1309, 1325, 1333, 1681, 1689, 1713, 1721,
                        1949, 1956, 1965, 1973, 2330)
 
@@ -279,7 +280,7 @@ class TestSecondTriple:
         doc = InputDocument(8, pair.t1.g.m, pair.t1.omega.m, pair.t2.g.m, omega2, pair.tol)
         report, code = analyze(doc)
         t2 = check_admissible(pair.t2.g.m, omega2)
-        assert code == 1 and t2.names == ("J_squared_plus_identity", "J_metric_invariance")
+        assert code == 1 and t2.names == ("J_metric_invariance",)
         assert cli._dump_report(report) == cli._dump_report(refused_report(doc, t2))
 
     def test_incompatible_pair_reports_both_triples_admissible(self):
@@ -1165,7 +1166,7 @@ class TestSharedResults:
         # the first triple's complex coordinates among them; the second
         # triple keeps its two matrices and no frame, and the pair no G in
         # the input coordinates
-        assert len(arrays) >= 28
+        assert len(arrays) >= 26
         for a in arrays:
             assert not a.flags.writeable
             assert not any(np.shares_memory(a, b) for b in inputs)

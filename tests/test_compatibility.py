@@ -13,21 +13,23 @@ from biham.compatibility import (
 )
 from biham.decomposition import DecompositionError, _realify, decompose, synthesize_pair
 from biham.linalg import DEFAULT_TOL, StructureError, commutator, eig_self_adjoint, op_norm
-from biham.structures import ViolationReport, check_admissible
+from biham.structures import ViolationReport, check_admissible, form_pair
 from conftest import (
     S_BLOCK,
     conditioned_basis,
+    conditioned_pair,
     congruent,
+    generic_spec,
     j_invariant_tensors,
     standard_triple,
     whitened,
 )
 import loop_oracle
 from corpus import tampered_documents
+from test_loop_oracle import three_class_spec, two_class_spec
 from loop_oracle import (
     relation_residuals,
     retired_relation_violations,
-    symplectic_invariance_violation,
 )
 
 
@@ -211,24 +213,30 @@ def retired_block_violations(d):
 
 
 class TestRetiredChecks:
-    """The relations ``check_admissible`` and ``check_compatible`` no
-    longer judge follow from the checks they keep: no tampered input fails
-    one of them and passes, at cond(G) up to 1e6 here."""
+    """The relations and checks ``check_admissible``, ``check_compatible``
+    and ``decompose`` no longer judge follow from the checks they keep: no
+    tampered input fails one of them and passes, at cond(G) up to 1e6
+    here."""
 
     def test_tampered_inputs_failing_a_retired_relation_are_refused(self):
-        retired = {"admissibility": 0, "compatibility": 0, "real_form": 0}
+        retired = {"admissibility": 0, "J_squared_plus_identity": 0, "compatibility": 0,
+                   "real_form": 0}
         for doc in tampered_documents():
             triples = []
             for g, w in ((doc["g1"], doc["omega1"]), (doc["g2"], doc["omega2"])):
                 t = check_admissible(g, w)
                 try:
-                    failed = symplectic_invariance_violation(g, w, DEFAULT_TOL)
+                    # the J checks check_admissible implies, at their old
+                    # thresholds
+                    failed = loop_oracle.admissibility_violations(g, w, DEFAULT_TOL)
+                    failed.pop("J_metric_invariance", None)
                 except StructureError:
                     # no J to judge: the metric or the form is refused as it is
                     failed = {}
                 if failed:
                     retired["admissibility"] += 1
-                    assert isinstance(t, ViolationReport) and "J_metric_invariance" in t.names
+                    retired["J_squared_plus_identity"] += "J_squared_plus_identity" in failed
+                    assert isinstance(t, ViolationReport) and t.names == ("J_metric_invariance",)
                 triples.append(t)
             if any(isinstance(t, ViolationReport) for t in triples):
                 continue
@@ -247,6 +255,40 @@ class TestRetiredChecks:
         # the corpus reaches every kind of failure
         assert min(retired.values()) > 0
 
+    def test_block_faults_failing_a_retired_check_are_refused(self):
+        # faults that commute with J1, so check_compatible's J1 checks pass
+        # them, of eps max |mu| in t1's frame: g2 or omega2 on a block, a
+        # Hermitian g2 within a block of rank 2 or more, g2 across two
+        # blocks.  Wherever a sub-block check of E or R that decompose
+        # retired fails, decompose's J2 check refuses the pair, or else its
+        # frame certificate exceeds rel
+        retired = {"failed": 0, "J2 = sign * J1": 0}
+        for spec in (generic_spec(4), two_class_spec(8), three_class_spec(12),
+                     two_class_spec(16)):
+            for cond in (1.0, 1e3):
+                p = conditioned_pair(spec, cond, seed=1)
+                frame_inv, scale = p.t1.g.frame_inv, p.metric_eigenvalues[-1]
+                for g2, w2 in block_faults(decompose(p), np.random.default_rng(0)):
+                    for eps in np.logspace(-11, -7.5, 8):
+                        g2_w, w2_w = p.metric_operator_w + eps * scale * g2, \
+                            p.omega2_w + eps * scale * w2
+                        q = check_compatible(p.t1, form_pair(frame_inv.T @ g2_w @ frame_inv,
+                                                             frame_inv.T @ w2_w @ frame_inv))
+                        if isinstance(q, ViolationReport):
+                            continue
+                        per_block, cross = loop_oracle.coordinate_block_norms(q)
+                        if (per_block <= q.tol.rel).all() and \
+                                all(v <= q.tol.rel for v in cross.values()):
+                            continue
+                        retired["failed"] += 1
+                        try:
+                            d = decompose(q)
+                        except DecompositionError as err:
+                            retired["J2 = sign * J1"] += str(err).startswith("J2 = sign * J1")
+                            continue
+                        assert d.frame_certificate[0] > q.tol.rel, (spec, cond, eps)
+        assert min(retired.values()) > 0
+
     def test_pair_only_t_symmetry_refuses(self):
         # T's symmetry residual is [omega2, J1], omega2_J1_symmetric's; in
         # row-sum norms rel |T| was the tighter threshold, and this tampered
@@ -259,6 +301,26 @@ class TestRetiredChecks:
         report = check_compatible(check_admissible(p.t1.g.m, w1), p.t2)
         assert isinstance(report, ViolationReport)
         assert report.names == ("omega2_J1_symmetric",)
+
+
+def block_faults(d, rng):
+    """Unit faults of (g2, omega2) in t1's frame that commute with J1, on
+    the largest block of ``d`` (B = [C, D], J1 B = B J_c) and across its
+    first two: B B.T on g2, B J_c B.T on omega2, a realified Hermitian
+    B H B.T on g2 where the block has rank 2 or more, and the first
+    coordinate's [C, D] of one block against the other's on g2."""
+    bases = [b.basis_w for b in d.blocks]
+    ranks = [b.dim // 2 for b in d.blocks]
+    b, r = bases[int(np.argmax(ranks))], max(ranks)
+    zero = np.zeros((d.pair.dim,) * 2)
+    yield b @ b.T, zero
+    yield zero, b @ np.kron(S_BLOCK.T, np.eye(r)) @ b.T
+    if r > 1:
+        a, s = rng.standard_normal((2, r, r))
+        h = np.block([[a + a.T, s.T - s], [s - s.T, a + a.T]])
+        yield b @ h @ b.T / np.linalg.norm(h, 2), zero
+    first, second = [x[:, [0, x.shape[1] // 2]] for x in bases[:2]]
+    yield first @ second.T + second @ first.T, zero
 
 
 class TestPencil:

@@ -85,13 +85,18 @@ class TestDecompose:
 
 
 class TestDecomposeFaults:
-    """Each verification of :func:`decompose` fails on a pair tampered with
-    in t1's g1-orthonormal frame, and names the offending block or pair.
+    """Each fault of g2 or omega2 on the blocks, tampered with in t1's
+    g1-orthonormal frame, fails :func:`decompose`'s one check, J2 = sign *
+    J1, which names the first block it fails on; the frame certificate
+    exceeds ``rel`` on it, and the sub-block checks of E and R that
+    ``decompose`` retired (``loop_oracle.coordinate_block_norms``) see it
+    at its block or pair of blocks alone.
 
     Blocks (ascending): 0 = (1, +), 1 = (2, -), 2 = (3, +).  Every fault is
     confined to the span of the named blocks, of size EPS, far above the
-    threshold rule's 1e-9 and far below the cluster gap.  ``decompose``
-    reads the residuals of g2 and omega2 on T_c's eigenvectors that
+    threshold rule's 1e-9 and far below the cluster gap: EPS / 3 over max
+    |mu| = 3 in E or R, and in Y times max |mu| / |mu| of the row's
+    coordinate.  ``decompose`` reads the residual Y that
     ``check_compatible`` formed, formed again here from the tampered real
     matrices (``loop_oracle.with_forms``).
     """
@@ -110,27 +115,37 @@ class TestDecomposeFaults:
     @staticmethod
     def tampered(pair, g2=None, omega2=None):
         """The pair with g2 or omega2 in t1's frame moved by the given
-        matrix, and the residuals ``decompose`` reads formed again."""
+        matrix, and the residual ``decompose`` reads formed again."""
         return loop_oracle.with_forms(pair, pair.metric_operator_w + (0 if g2 is None else g2),
                                       pair.omega2_w + (0 if omega2 is None else omega2))
 
+    def assert_refused(self, pair, tampered, message, seen):
+        """``decompose`` refuses with ``message``, the frame certificate
+        exceeds rel, and the retired checks fail at ``seen`` alone, with
+        EPS / 3: (block, "E") or (block, "R") on a block, or the pair (i,
+        k) of blocks for E across."""
+        with pytest.raises(DecompositionError, match=message):
+            decompose(tampered)
+        assert decompose(pair).replace(pair=tampered).frame_certificate[0] > pair.tol.rel
+        per_block, cross = loop_oracle.coordinate_block_norms(tampered)
+        norms = {**{(b, check): value for b, row in enumerate(per_block)
+                    for check, value in zip("ER", row)}, **cross}
+        assert [key for key, value in norms.items() if value > pair.tol.rel] == [seen]
+        assert norms[seen] == pytest.approx(self.EPS / 3.0, rel=1e-6)
+
     def test_g2_proportionality(self, pair):
         b = self.bases(pair)[1]
-        tampered = self.tampered(pair, g2=self.EPS * (b @ b.T))
-        with pytest.raises(DecompositionError,
-                           match=r"g2 proportional to g1 fails on block "
-                                 r"\(lambda=2, sign=-1\) with residual 1\.0\d*e-05"):
-            decompose(tampered)
+        self.assert_refused(pair, self.tampered(pair, g2=self.EPS * (b @ b.T)),
+                            r"J2 = sign \* J1 fails on block \(lambda=2, sign=-1\) "
+                            r"with residual 5\.0\d*e-06", (1, "E"))
 
     def test_omega2_proportionality(self, pair):
         # T_c = i K keeps K's anti-Hermitian part only: a symmetric part of
-        # omega2, a Hermitian part of K, is what this check sees
+        # omega2, a Hermitian part of K, is what the retired R check saw
         b = self.bases(pair)[1]
-        tampered = self.tampered(pair, omega2=self.EPS * (b @ b.T))
-        with pytest.raises(DecompositionError,
-                           match=r"omega2 proportional to omega1 fails on block "
-                                 r"\(lambda=2, sign=-1\)"):
-            decompose(tampered)
+        self.assert_refused(pair, self.tampered(pair, omega2=self.EPS * (b @ b.T)),
+                            r"J2 = sign \* J1 fails on block \(lambda=2, sign=-1\) "
+                            r"with residual 5\.0\d*e-06", (1, "R"))
 
     def test_j2_equals_sign_j1(self):
         # J2 is judged against each coordinate's own |mu|: a g2 fault within
@@ -144,11 +159,13 @@ class TestDecomposeFaults:
             decompose(tampered)
 
     def test_g2_orthogonality(self, pair):
+        # E is Hermitian: the fault is in the columns of both blocks, and
+        # block 1's (its rows block 2's, of |mu| = max |mu|) fail first
         b = self.bases(pair)
-        tampered = self.tampered(pair, g2=self.EPS * (b[1] @ b[2].T + b[2] @ b[1].T))
-        with pytest.raises(DecompositionError,
-                           match=r"blocks 1 and 2 are not g2-orthogonal \(residual 1\.0\d*e-05\)"):
-            decompose(tampered)
+        self.assert_refused(pair, self.tampered(pair, g2=self.EPS * (b[1] @ b[2].T
+                                                                     + b[2] @ b[1].T)),
+                            r"J2 = sign \* J1 fails on block \(lambda=2, sign=-1\) "
+                            r"with residual 3\.33\d*e-06", (1, 2))
 
 
 class TestIsGeneric:

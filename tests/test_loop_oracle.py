@@ -363,26 +363,33 @@ TRIPLE_SETS = PAIR_SETS + [
 
 @pytest.mark.parametrize("tol", [Tolerance(), STRICT], ids=["default", "strict"])
 class TestPerCheckEqualsGrouped:
-    """Every admissibility residual, with its verdict and its key order,
-    equals the per-check form's to the bit, at the default tolerance and at
-    one that reports every residual.  The compatibility verdict equals
-    that of the real-form checks the block suite replaced, the transfer
-    identity g1 G = g2 among them: it is not judged, and holds at its old
-    threshold on every pair the block suite accepts."""
+    """The admissibility residual, ``J_metric_invariance``, with its
+    verdict, equals the per-check form's to the bit, at the default
+    tolerance and at one that reports every residual; at the default
+    tolerance the two J checks it retired pass their old thresholds
+    wherever it passes.  The compatibility verdict equals that of the
+    real-form checks the block suite replaced, the transfer identity g1 G
+    = g2 among them: it is not judged, and holds at its old threshold on
+    every pair the block suite accepts."""
 
     @pytest.mark.parametrize("make_triples", TRIPLE_SETS)
     def test_admissibility(self, make_triples, tol):
         for g, w in make_triples():
             # exactly symmetric inputs pass their symmetry checks at any
-            # tolerance and reach the J checks
+            # tolerance and reach the J check
             g, w = 0.5 * (g + g.T), 0.5 * (w - w.T)
             result = check_admissible(g, w, tol)
             try:
-                expected = loop_oracle.admissibility_violations(g, w, tol)
+                residuals = loop_oracle.admissibility_residuals(g, w, tol)
             except StructureError as err:
-                expected = {err.check: err.residual}
+                expected, residuals = {err.check: err.residual}, {}
+            else:
+                resid, thr = residuals["J_metric_invariance"]
+                expected = {} if resid <= thr else {"J_metric_invariance": resid}
             if isinstance(result, AdmissibleTriple):
                 assert expected == {}
+                if tol != STRICT:
+                    assert all(resid <= thr for resid, thr in residuals.values())
             else:
                 assert exact((v.name, v.residual) for v in result.violations) == \
                     exact(expected.items())
@@ -435,6 +442,21 @@ class TestBlockResidualsReadTheRealForm:
         assert list(got) == list(want)
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-4)
+
+
+@pytest.mark.parametrize("make_triples", TRIPLE_SETS)
+def test_squared_plus_identity_within_invariance_and_skewness(make_triples):
+    # J_w^2 + I = -(J_w.T J_w - I) + (J_w + J_w.T) J_w, and J_w is skew to
+    # the rounding of forming it: J^2 = -I is the metric invariance
+    for g, w in make_triples():
+        g, w = 0.5 * (g + g.T), 0.5 * (w - w.T)
+        try:
+            residuals = loop_oracle.admissibility_residuals(g, w, Tolerance())
+        except StructureError:
+            continue
+        square, invariance, skew = (residuals[name][0] for name in (
+            "J_squared_plus_identity", "J_metric_invariance", "J_metric_skewness"))
+        assert square <= invariance + skew * op_norm(loop_oracle.j_in_frame(g, w, Tolerance()))
 
 
 def test_per_check_form_rejects_the_malformed_fixture_alike():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biham.linalg import StructureError, op_norm
+from biham.linalg import DEFAULT_TOL, StructureError, op_norm
 from biham.structures import (
     AdmissibleTriple,
     ComplexStructure,
@@ -22,6 +22,7 @@ from biham.structures import (
     symmetrize_metric,
 )
 from conftest import diag_triple, random_spd, random_symplectic_form, standard_triple
+import loop_oracle
 
 
 class TestWrapperTypes:
@@ -93,8 +94,9 @@ class TestCheckAdmissible:
         report = check_admissible(np.diag([1.0, 4.0]), [[0.0, 1.0], [-1.0, 0.0]])
         assert isinstance(report, ViolationReport)
         assert not report
-        assert "J_squared_plus_identity" in report.names
-        # J^2 = diag(-1/4, -1/4), so the residual against -I is 3/4
+        assert report.names == ("J_metric_invariance",)
+        # J_w = diag(1, 1/2) omega diag(1, 1/2) has J_w.T J_w = I / 4, so
+        # the residual against I is 3/4
         violation = report.violations[0]
         assert violation.residual == pytest.approx(0.75)
 
@@ -124,7 +126,7 @@ class TestCheckAdmissible:
         omega = np.kron(np.diag([1.0, 1e-13]), [[0.0, 1.0], [-1.0, 0.0]])
         report = check_admissible(np.eye(4), omega)
         assert isinstance(report, ViolationReport)
-        assert report.names == ("J_squared_plus_identity", "J_metric_invariance")
+        assert report.names == ("J_metric_invariance",)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-13, 1e160])
     def test_rescaled_triple_stays_admissible(self, scale):
@@ -188,6 +190,16 @@ class TestPolarAdmissible:
             again = check_admissible(t.g, t.omega)
             assert isinstance(again, AdmissibleTriple)
             np.testing.assert_allclose(again.j, t.j, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_j_agrees_with_the_retired_second_route(self, dim):
+        # the check polar_admissible retired, at its old threshold: the
+        # triple's J against A inv(P) formed from the input pair
+        rng = np.random.default_rng(dim)
+        for _ in range(25):
+            g, w = random_spd(rng, dim), random_symplectic_form(rng, dim)
+            resid, thr = loop_oracle.polar_consistency(g, w, polar_admissible(g, w), DEFAULT_TOL)
+            assert resid <= thr
 
 
 class TestHermitianProduct:
