@@ -19,11 +19,11 @@ genericity criterion).  Both are read off the cluster sizes; the
 orthonormal bases are built only on request, each by one QR.
 
 :func:`read_off_operator` reads the operator of a decomposed pair off its
-blocks, with no eigensolve; forms given on their own go through
-:func:`transfer_operator`, which realifies them into a compatible pair and
-reads its operator off that pair's decomposition, so every spectral fact
-has one route and one certificate, ``decompose``'s.  :func:`complexify`
-turns a decomposition into two such forms.
+blocks, with no eigensolve; forms given on their own stay in C^n:
+:func:`transfer_operator` takes one ``eigh`` of F in the first form's
+frame and judges it by the rules the pair route applies to G, its
+positivity threshold and ``decompose``'s one rule of eigenvalue equality.
+:func:`complexify` turns a decomposition into two such forms.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compatibility import check_compatible
-from .decomposition import BlockDecomposition, decompose
+from .decomposition import BlockDecomposition, _chain_clusters
 from .linalg import (
     DEFAULT_TOL,
     Record,
@@ -44,8 +43,8 @@ from .linalg import (
     op_norms,
     orthonormal_span,
     symmetric_part,
+    whitening,
 )
-from .structures import MetricTensor, ViolationReport, check_admissible
 
 __all__ = [
     "HermitianForm",
@@ -65,24 +64,17 @@ __all__ = [
 class HermitianForm:
     """Positive-definite Hermitian Gram matrix ``h``; value ``conj(x) @ h @
     y`` (conjugate-linear in the first argument).  Factored once, on
-    validation, as the :class:`~biham.structures.MetricTensor` ``metric`` of
-    its realification g = [[A, -B], [B, A]] (h = A + iB, x = a + ib read as
-    (a, b)): g has h's spectrum with every eigenvalue twice, so the metric's
-    own check, ``metric_positive_definite``, judges h's positivity, and a
+    validation, by one complex ``eigh`` into an h-orthonormal ``frame`` W
+    (``W^H @ h @ W = I``) and ``frame_inv``, positive-definite by the
+    threshold rule of a real metric, ``metric_positive_definite``; a
     refusal names the Hermitian form.
     """
 
     def __init__(self, h, tol: Tolerance = DEFAULT_TOL):
         self.h = symmetric_part(h, tol, "hermitian form", "hermitian_symmetric",
                                 dtype=np.complex128)
-        a, b = self.h.real, self.h.imag
-        try:
-            self.metric = MetricTensor(np.block([[a, -b], [b, a]]), tol)
-        except StructureError as err:
-            # g is exactly symmetric, so only its positivity can fail
-            raise StructureError(
-                f"hermitian form is not positive-definite (min eigenvalue {err.residual:.3e})",
-                check=err.check, residual=err.residual) from None
+        self.frame, self.frame_inv = whitening(self.h, tol, "hermitian form",
+                                               "metric_positive_definite")
 
     @property
     def dim(self) -> int:
@@ -98,9 +90,10 @@ class TransferOperator(Record):
     by the entry point that built the operator, its spectral data
     (eigenvalues ascending, eigenvector columns orthonormal for the first
     form), the tolerance of its checks and the multiplicities of its
-    eigenvalue clusters, ascending, read off the blocks of the
-    decomposition that certified the spectral data
-    (:func:`read_off_operator`, :func:`transfer_operator`)."""
+    eigenvalue clusters, ascending, by ``decompose``'s one rule of
+    eigenvalue equality: read off the blocks of a decomposition
+    (:func:`read_off_operator`) or off the eigenvalues of one ``eigh``
+    (:func:`transfer_operator`)."""
 
     matrix: np.ndarray
     h1: np.ndarray
@@ -134,49 +127,43 @@ class TransferOperator(Record):
         return frozen(orthonormal_span(np.concatenate(gens), self.tol.rel))
 
 
-def _passed(result):
-    """A pipeline stage's result, or the :class:`StructureError` naming the
-    first check of its :class:`ViolationReport`."""
-    if isinstance(result, ViolationReport):
-        first = result.violations[0]
-        raise StructureError(str(result), check=first.name, residual=first.residual)
-    return result
-
-
 def transfer_operator(h1: HermitianForm, h2: HermitianForm,
                       tol: Tolerance = DEFAULT_TOL) -> TransferOperator:
-    """Build the transfer operator F = inv(H1) @ H2 of two Hermitian forms,
-    with no eigensolve and no certificate of its own.
+    """Build the transfer operator F = inv(H1) @ H2 of two Hermitian forms
+    by one ``eigh`` of F_w = W^H @ H2 @ W = U diag(lambda) U^H in the first
+    form's frame W, where F reads ``W @ F_w @ inv(W)``: its eigenvectors V =
+    W U are h1-orthonormal.
 
-    Each form h = A + iB realifies into the triple of its ``metric`` g =
-    [[A, -B], [B, A]] and omega = [[B, A], [-A, B]] on R^2n (h = g + i
-    omega), whose complex structure is multiplication by -i for both: the
-    triples are a compatible pair with every sign +, T_c is F in J1's
-    complex coordinates, and :func:`~biham.decomposition.decompose`
-    certifies its spectrum.  Each metric was factored once, when its form
-    was validated, and is judged no further.  The operator is
-    :func:`read_off_operator`'s, its clusters the blocks, carried back to
-    C^n: the eigenvectors V are the axes C of the adapted frame read as
-    complex vectors, h1-orthonormal as [C, D] is g1-orthonormal, the
-    eigenvalues the axes' own |mu| (``coordinate_lambda``), and F is read
-    off the pair's G = inv(g1) g2, the realified F [[Re F, -Im F], [Im F,
-    Re F]].  A form, a triple or a pair that fails a check raises
-    :class:`StructureError` naming the first; a cluster wider than
+    Each form was factored once, when it was validated, and is judged no
+    further.  The pair route's rules judge F_w as they judge G in t1's
+    frame (:func:`~biham.compatibility.check_compatible`): non-finite
+    entries, where the forms' scales lie far apart, fail ``G_finite``, and a
+    spectrum with min lambda <= rel max lambda fails ``G_positive_spectrum``,
+    each a :class:`StructureError`.  The eigenvalues chain into clusters by
+    ``decompose``'s one rule of eigenvalue equality; a cluster wider than
     ``cluster_gap`` raises :class:`~biham.decomposition.DecompositionError`.
+    Both complex structures are multiplication by -i, so realifying the
+    forms into a compatible pair would add no fact, only rounding; that
+    route is kept as an oracle in ``tests/loop_oracle.py``.
     """
     h1, h2 = [h if isinstance(h, HermitianForm) else HermitianForm(h, tol) for h in (h1, h2)]
     if h1.dim != h2.dim:
         raise ValueError(f"dimension mismatch: {h1.dim} vs {h2.dim}")
-    t1, t2 = [_passed(check_admissible(h.metric, np.block([[h.h.imag, h.h.real],
-                                                           [-h.h.real, h.h.imag]]), tol))
-              for h in (h1, h2)]
-    d = decompose(_passed(check_compatible(t1, t2, tol)))
-    n, big_g = h1.dim, d.pair.metric_operator
-    axes = t1.g.frame @ d.frame_w[:, :n]
-    v = frozen(axes[:n] + 1j * axes[n:], copy=False)
-    f = frozen(big_g[:n, :n] + 1j * big_g[n:, :n], copy=False)
-    return read_off_operator(d).replace(matrix=f, h1=h1.h, h2=h2.h,
-                                        eigenvalues=d.coordinate_lambda, eigenvectors=v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_w = h1.frame.conj().T @ h2.h @ h1.frame
+    if not np.isfinite(f_w).all():
+        raise StructureError("transfer operator is not finite in the first form's frame",
+                             check="G_finite", residual=np.inf)
+    lam, u = np.linalg.eigh(f_w)
+    if not lam[0] > tol.rel * lam[-1]:
+        raise StructureError(
+            f"transfer operator spectrum is not positive (min eigenvalue {lam[0]:.3e} "
+            f"of max {lam[-1]:.3e})", check="G_positive_spectrum", residual=float(lam[0]))
+    sizes = tuple([count for _, count in _chain_clusters(lam.tolist(), tol.cluster_gap,
+                                                         "; give a smaller cluster_gap")])
+    f = frozen(h1.frame @ f_w @ h1.frame_inv, copy=False)
+    return TransferOperator(f, h1.h, h2.h, frozen(lam, copy=False),
+                            frozen(h1.frame @ u, copy=False), tol, sizes)
 
 
 def read_off_operator(d: BlockDecomposition) -> TransferOperator:

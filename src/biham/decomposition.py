@@ -57,8 +57,8 @@ __all__ = [
 class DecompositionError(NumericalCheckError):
     """The blocks of T's complex eigenvectors are inconsistent with a
     compatible pair (a cluster wider than ``cluster_gap``, or J2 not sign *
-    J1 on a block), also where two forms' transfer operator is read off
-    their realified pair."""
+    J1 on a block), also where the eigenvalues of two forms' transfer
+    operator chain into a cluster wider than ``cluster_gap``."""
 
 
 class Block(Record, hidden=("pair", "coordinates")):

@@ -29,10 +29,13 @@ row-sum certificate it replaced is kept with its values and its frame-term
 lemma (``row_sum_frame_certificate``, ``row_sum_recursion_values``,
 ``frame_departure``), beside the dense form of the new claim
 (``pair_backward_error``).  The transfer
-operator of two forms is read off their realified pair's decomposition;
-the route it replaced, one ``eigh`` of F in the first form's frame and a
+operator of two forms is one ``eigh`` of F in the first form's frame,
+judged by the pair route's rules; the first such route, with a
 certificate of its own, is kept as ``transfer_operator_oracle``, with the
-complex factoring of a form that it read (``hermitian_frame``).
+complex factoring of a form that it read (``hermitian_frame``), and so is
+the route that replaced it and was retired in turn, the forms realified
+into a compatible pair and F read off its decomposition
+(``realified_transfer_operator``, ``realification``).
 """
 
 import math
@@ -40,9 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from biham.commutant import HermitianForm, bicommutant_basis
+from biham.commutant import HermitianForm, bicommutant_basis, read_off_operator
 from biham.compatibility import check_compatible
-from biham.decomposition import _chain_clusters
+from biham.decomposition import _chain_clusters, decompose
 from biham.dynamics import conservation_probe
 from biham.linalg import (
     DEFAULT_TOL,
@@ -58,9 +61,11 @@ from biham.linalg import (
     whitening,
 )
 from biham.structures import (
+    AdmissibleTriple,
     LinearField,
     MetricTensor,
     SymplecticForm,
+    ViolationReport,
     check_admissible,
     preservation_residuals,
 )
@@ -73,7 +78,7 @@ def threshold(tol, *factors):
     return bound if math.isfinite(bound) else math.nan
 
 
-def admissibility_residuals(g, omega, tol):
+def admissibility_residuals(g, omega, tol, triple=None):
     """``{check: (residual, threshold)}`` of the four J checks, one norm per
     residual and per factor: ``check_admissible`` judges
     ``J_metric_invariance`` alone.  It implies the other three: retired
@@ -81,8 +86,11 @@ def admissibility_residuals(g, omega, tol):
     rounding times |J_w|, and ``J_symplectic_invariance``, J.T @ omega @ J
     = omega, which reads ``(J.T @ J - I) @ J`` in the g-orthonormal frame,
     within the metric invariance's threshold times |J_w|.  The metric and
-    the form are validated by the package."""
-    jw = j_in_frame(g, omega, tol)
+    the form are validated by the package.  ``triple`` is
+    ``check_admissible(g, omega, tol)`` where the caller has it: where it
+    accepted, its ``j_w``, the same J_w bit for bit, is read and nothing is
+    whitened again."""
+    jw = triple.j_w if isinstance(triple, AdmissibleTriple) else j_in_frame(g, omega, tol)
     eye = np.eye(len(jw))
     with np.errstate(over="ignore", invalid="ignore"):
         return {
@@ -94,12 +102,12 @@ def admissibility_residuals(g, omega, tol):
         }
 
 
-def admissibility_violations(g, omega, tol):
+def admissibility_violations(g, omega, tol, triple=None):
     """``{check: residual}`` of every J check of
-    :func:`admissibility_residuals` that fails its threshold, in order;
-    ``{}`` where all four pass."""
-    return {name: resid for name, (resid, thr) in admissibility_residuals(g, omega, tol).items()
-            if not resid <= thr}
+    :func:`admissibility_residuals` (``triple`` as there) that fails its
+    threshold, in order; ``{}`` where all four pass."""
+    return {name: resid for name, (resid, thr)
+            in admissibility_residuals(g, omega, tol, triple).items() if not resid <= thr}
 
 
 def polar_consistency(g, omega, triple, tol):
@@ -667,12 +675,62 @@ def algebra_preservation_residual(alg, p):
 
 
 def hermitian_frame(h, tol=DEFAULT_TOL):
-    """The retired factoring of a Hermitian form: one complex ``eigh`` of
-    ``h`` into an h-orthonormal frame W and inv(W), positive-definite by the
-    threshold rule (``hermitian_positive_definite``).  ``HermitianForm`` now
-    factors its realified metric instead, judged by
-    ``metric_positive_definite``."""
+    """The factoring of a Hermitian form that ``transfer_operator_oracle``
+    read: one complex ``eigh`` of ``h`` into an h-orthonormal frame W and
+    inv(W), positive-definite by the threshold rule
+    (``hermitian_positive_definite``).  ``HermitianForm`` factors itself
+    the same way, naming the check ``metric_positive_definite``."""
     return whitening(h, tol, "hermitian form", "hermitian_positive_definite")
+
+
+def _passed(result):
+    """A pipeline stage's result, or the :class:`StructureError` naming the
+    first check of its :class:`ViolationReport`."""
+    if isinstance(result, ViolationReport):
+        first = result.violations[0]
+        raise StructureError(str(result), check=first.name, residual=first.residual)
+    return result
+
+
+def realification(h, tol=DEFAULT_TOL):
+    """``(h, g, omega)``: the Hermitian part of ``h`` = A + iB and its
+    realification on R^2n (x = a + ib read as (a, b)), the ``MetricTensor``
+    g = [[A, -B], [B, A]], which has h's spectrum with every eigenvalue
+    twice, and omega = [[B, A], [-A, B]] (h = g + i omega), whose complex
+    structure is multiplication by -i.  ``HermitianForm`` once factored
+    itself as this g; a refusal names the Hermitian form."""
+    h = symmetric_part(h, tol, "hermitian form", "hermitian_symmetric", dtype=np.complex128)
+    a, b = h.real, h.imag
+    try:
+        g = MetricTensor(np.block([[a, -b], [b, a]]), tol)
+    except StructureError as err:
+        raise StructureError(
+            f"hermitian form is not positive-definite (min eigenvalue {err.residual:.3e})",
+            check=err.check, residual=err.residual) from None
+    return h, g, np.block([[b, a], [-a, b]])
+
+
+def realified_transfer_operator(h1, h2, tol=DEFAULT_TOL):
+    """The route ``transfer_operator`` retired: the forms' matrices
+    realified into triples (:func:`realification`), each judged by
+    ``check_admissible``, the pair by ``check_compatible`` and
+    ``decompose``, and the operator read off the decomposition (``read_off_operator``) and carried back to C^n: the
+    eigenvectors are the axes C of the adapted frame read as complex
+    vectors, the eigenvalues the axes' own |mu|, and F is read off the
+    pair's G, the realified F [[Re F, -Im F], [Im F, Re F]].  A failed
+    check raises :class:`StructureError` naming the first, a wide cluster
+    :class:`~biham.decomposition.DecompositionError`."""
+    (h1, g1, w1), (h2, g2, w2) = realification(h1, tol), realification(h2, tol)
+    if h1.shape != h2.shape:
+        raise ValueError(f"dimension mismatch: {len(h1)} vs {len(h2)}")
+    t1, t2 = _passed(check_admissible(g1, w1, tol)), _passed(check_admissible(g2, w2, tol))
+    d = decompose(_passed(check_compatible(t1, t2, tol)))
+    n, big_g = len(h1), d.pair.metric_operator
+    axes = t1.g.frame @ d.frame_w[:, :n]
+    v = frozen(axes[:n] + 1j * axes[n:], copy=False)
+    f = frozen(big_g[:n, :n] + 1j * big_g[n:, :n], copy=False)
+    return read_off_operator(d).replace(matrix=f, h1=h1, h2=h2,
+                                        eigenvalues=d.coordinate_lambda, eigenvectors=v)
 
 
 class OracleTransferOperator(Record):

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from biham.compatibility import check_compatible
 from biham.decomposition import DecompositionError, decompose, synthesize_pair
 from biham.linalg import (
     DEFAULT_TOL,
+    NumericalCheckError,
     StructureError,
     Tolerance,
     cluster_eigenvalues,
@@ -27,7 +29,12 @@ from biham.linalg import (
     op_norm,
 )
 from conftest import standard_triple
-from loop_oracle import hermitian_frame, transfer_operator_oracle
+from loop_oracle import (
+    hermitian_frame,
+    realification,
+    realified_transfer_operator,
+    transfer_operator_oracle,
+)
 
 
 def random_hermitian_pd(rng, n):
@@ -66,17 +73,24 @@ class TestHermitianForm:
             HermitianForm(np.diag([1.0, -1.0]))
         assert err.value.check == "metric_positive_definite"
         assert err.value.residual == -1.0
-        # the refusal names the form the caller gave, not its realification
+        # the refusal names the form the caller gave, not a metric
         assert str(err.value) == "hermitian form is not positive-definite (min eigenvalue -1.000e+00)"
 
-    def test_factored_once_as_its_realified_metric(self):
-        # h = A + iB is factored as g = [[A, -B], [B, A]], whose spectrum
-        # is h's with every eigenvalue twice
+    def test_factored_once_in_its_own_frame(self):
+        # one complex whitening: W^H h W = I and W inv(W) = I; an indefinite
+        # form gets the refusal of the retired realified metric
+        # g = [[A, -B], [B, A]], which has h's spectrum twice
         h = HermitianForm(random_hermitian_pd(np.random.default_rng(3), 3))
-        a, b = h.h.real, h.h.imag
-        np.testing.assert_array_equal(h.metric.m, np.block([[a, -b], [b, a]]))
-        np.testing.assert_allclose(np.linalg.eigvalsh(h.metric.m),
-                                   np.repeat(np.linalg.eigvalsh(h.h), 2), rtol=1e-12)
+        np.testing.assert_allclose(h.frame.conj().T @ h.h @ h.frame, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(h.frame @ h.frame_inv, np.eye(3), atol=1e-14)
+        indefinite = np.array([[1.0, 2.0j], [-2.0j, 1.0]])
+        with pytest.raises(StructureError) as err:
+            HermitianForm(indefinite)
+        with pytest.raises(StructureError) as retired:
+            realification(indefinite)
+        assert str(err.value) == str(retired.value)
+        assert err.value.check == retired.value.check == "metric_positive_definite"
+        assert err.value.residual == pytest.approx(retired.value.residual, rel=1e-14)
 
     # spectra from k * rel up to 1, the min/max ratio k * rel at least 10x
     # away from rel on either side, zero or negative (indefinite); k = -inf
@@ -140,9 +154,9 @@ class TestTransferOperator:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_factors_each_form_once(self, monkeypatch, n):
-        # from raw matrices: one real 2n x 2n whitening per form, validating
-        # it, then the eigh of i J1 and that of T_c; forms built before the
-        # call were factored already
+        # from raw matrices: one complex n x n whitening per form, validating
+        # it, then the eigh of F in the first form's frame; forms built
+        # before the call were factored already
         rng = np.random.default_rng(n)
         h1, h2 = random_hermitian_pd(rng, n), random_hermitian_pd(rng, n)
         forms = HermitianForm(h1), HermitianForm(h2)
@@ -155,18 +169,28 @@ class TestTransferOperator:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         transfer_operator(h1, h2)
-        assert solved == [(2 * n, "f"), (2 * n, "f"), (2 * n, "c"), (n, "c")]
+        assert solved == [(n, "c")] * 3
         solved.clear()
         transfer_operator(*forms)
-        assert solved == [(2 * n, "c"), (n, "c")]
+        assert solved == [(n, "c")]
 
     def test_refusal_names_the_pipeline_check(self):
-        # F = diag(1e-5, 1e5): the realified pair's G has min |mu| below
-        # rel max |mu|, which check_compatible refuses by name
-        with pytest.raises(StructureError, match="compatibility failed") as err:
+        # F = diag(1e-5, 1e5): min lambda is below rel max lambda, which
+        # the forms route refuses by check_compatible's name for G
+        with pytest.raises(StructureError, match="spectrum is not positive") as err:
             transfer_operator(np.diag([1.0, 1e-5]), np.diag([1e-5, 1.0]))
         assert err.value.check == "G_positive_spectrum"
         assert err.value.residual == pytest.approx(1e-5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_forms_on_scales_far_apart_fail_g_finite(self):
+        # F_w = W^H h2 W overflows: refused by name before any eigh, with
+        # no RuntimeWarning, as the realified route refused it
+        for route in (transfer_operator, realified_transfer_operator):
+            with pytest.raises(StructureError) as err:
+                route(1e-300 * np.eye(2), 1e300 * np.eye(2))
+            assert err.value.check == "G_finite"
+            assert err.value.residual == np.inf
 
 
 class TestNormBounds:
@@ -445,8 +469,8 @@ class TestSpectralFaults:
 
     def test_wide_cluster_fails_the_one_width_rule(self):
         # 1, 1 + 0.9e-7, 1 + 1.8e-7 chain at the default gap into one
-        # cluster of spread 1.8e-7: decompose refuses the realified pair by
-        # its one width rule, naming G
+        # cluster of spread 1.8e-7: the forms route refuses it by
+        # decompose's one width rule, naming G
         forms = forms_with_spectrum([1.0, 1.0 + 0.9e-7, 1.0 + 1.8e-7, 3.0],
                                     np.random.default_rng(22))
         with pytest.raises(DecompositionError,
@@ -481,8 +505,7 @@ def form_spectra(draw):
 
 class TestForms:
     """The forms route against a dense ``eigh`` of F in the first form's
-    frame, at n <= 16 and always at n = 1 (a realified pair of dimension
-    2)."""
+    frame, at n <= 16 and always at n = 1."""
 
     @settings(max_examples=60, deadline=None)
     @given(form_spectra())
@@ -499,3 +522,62 @@ class TestForms:
             m for _, m in cluster_eigenvalues(dense, DEFAULT_TOL.cluster_gap))
         np.testing.assert_allclose(op.eigenvectors.conj().T @ h1.h @ op.eigenvectors,
                                    np.eye(len(evals)), atol=1e-12)
+
+
+def conditioned_forms(seed, c, n=6):
+    """Forms h1 = Q diag(logspace(0, log10 c, n)) Q^H of condition number
+    c, Q a seeded random unitary, and h2 = A A^H + n I, A complex
+    Gaussian."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (q * np.logspace(0.0, np.log10(c), n)) @ q.conj().T, a @ a.conj().T + n * np.eye(n)
+
+
+class TestConditionedForms:
+    """Valid forms with cond(h1) up to 1e8 pass, with the eigenvalues of a
+    dense generalized ``eigh`` to eps cond(h1): the realified route judged
+    the rounding of the realification and refused 14 of these 20 at 1e7,
+    and all 20 at 1e8."""
+
+    @pytest.mark.parametrize("c", [1e6, 1e7, 1e8])
+    def test_every_form_passes(self, c):
+        for seed in range(20):
+            h1, h2 = conditioned_forms(seed, c)
+            op = transfer_operator(h1, h2)
+            np.testing.assert_allclose(op.eigenvalues, scipy.linalg.eigh(h2, h1, eigvals_only=True),
+                                       rtol=1e-15 * c, atol=0.0)
+
+
+class TestRealifiedRoute:
+    """No input goes from pass to refusal: every pair of forms that the
+    retired realified route (``loop_oracle.realified_transfer_operator``)
+    accepts, the forms route accepts, with the same clusters and
+    eigenvalues within ``rtol``."""
+
+    @staticmethod
+    def accepted_alike(h1, h2, rtol):
+        try:
+            retired = realified_transfer_operator(h1, h2)
+        except NumericalCheckError:
+            return False
+        op = transfer_operator(h1, h2)
+        assert op.cluster_sizes == retired.cluster_sizes
+        np.testing.assert_allclose(op.eigenvalues, retired.eigenvalues, rtol=rtol, atol=0.0)
+        return True
+
+    @settings(max_examples=60, deadline=None)
+    @given(form_spectra())
+    @example(([1.5], 0))
+    @example(([1.0, 1.0, 1.0 + 1e-9, 2.0], 3))
+    def test_form_spectra(self, case):
+        evals, seed = case
+        h1, h2 = forms_with_spectrum(evals, np.random.default_rng(seed))
+        self.accepted_alike(h1.h, h2.h, 1e-12)
+
+    def test_conditioned_forms(self):
+        # both routes whiten h1, each to about eps cond(h1): they agree to
+        # that, 1.8e-10 relative here
+        c = 1e6
+        assert all([self.accepted_alike(*conditioned_forms(seed, c), 1e-15 * c)
+                    for seed in range(20)])

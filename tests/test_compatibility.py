@@ -228,7 +228,7 @@ class TestRetiredChecks:
                 try:
                     # the J checks check_admissible implies, at their old
                     # thresholds
-                    failed = loop_oracle.admissibility_violations(g, w, DEFAULT_TOL)
+                    failed = loop_oracle.admissibility_violations(g, w, DEFAULT_TOL, t)
                     failed.pop("J_metric_invariance", None)
                 except StructureError:
                     # no J to judge: the metric or the form is refused as it is
