@@ -318,6 +318,12 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     smallest eigenvalue relative to g1, or, where that overflows, the
     scaled one relative to c g1.
 
+    That bookkeeping runs on Python floats, read once with ``tolist()``:
+    the positivity test, f_j^2 and each block's maxima.  Each block's sum
+    of f_j^2, which ``jsq_coefficient`` reports over the rank, is numpy's
+    reduction (``np.add.reduceat``): Python's ``sum`` rounds some of them
+    differently in the last bit.
+
     Raises :class:`StructureError` when ``g_c`` is not positive-definite
     (``gamma`` outside :func:`positivity_range`).
     """
@@ -329,28 +335,29 @@ def pencil_member(d: BlockDecomposition, gamma: float) -> PencilMember:
     one, gamma_c = 1.0 / c, gamma / c
     # in t1's frame g_c / c is I / c + (gamma / c) G, with eigenvalues
     # 1 / c + (gamma / c) lambda
-    scales = one + gamma_c * p.metric_eigenvalues
-    if not scales.min() > tol.rel * scales.max():
+    scales = [one + gamma_c * x for x in p.metric_eigenvalues.tolist()]
+    if not min(scales) > tol.rel * max(scales):
         # the eigenvalue itself, c times the scaled one, where that is finite
-        low, scale = c * float(scales.min()), "g1"
+        low, scale = c * min(scales), "g1"
         if not math.isfinite(low):
-            low, scale = float(scales.min()), f"{c:.3e} g1"
+            low, scale = min(scales), f"{c:.3e} g1"
         raise StructureError(
             f"pencil metric is not positive-definite at gamma={gamma} "
             f"(min eigenvalue {low:.3e} relative to {scale})",
             check="pencil_metric_positive", residual=low,
         )
-    # one entry per complex coordinate, cut into blocks at their starts
-    starts, ranks = [b.start for b in d.blocks], [b.dim // 2 for b in d.blocks]
-    lam, signs = d.coordinate_lambda, d.coordinate_sign
-    f_sq = ((one + signs * gamma_c * lam) / (one + gamma_c * lam)) ** 2
-    coeffs = -np.add.reduceat(f_sq, starts) / ranks
-    resids, departs, peaks = np.maximum.reduceat(
-        [np.abs(f_sq + np.repeat(coeffs, ranks)), np.abs(1.0 - f_sq), f_sq], starts, axis=1)
-    admissible = (departs <= tol.rel * peaks).tolist()
-    verdicts = tuple([PencilBlockVerdict(b.eigenvalue, b.sign, b.dim, c, r, a) for b, c, r, a
-                      in zip(d.blocks, coeffs.tolist(), resids.tolist(), admissible)])
-    return PencilMember(gamma, all(admissible), verdicts, p)
+    # f_j^2 per complex coordinate, in block order, and each block's verdict
+    lam, signs = d.coordinate_lambda.tolist(), d.coordinate_sign.tolist()
+    f = [(one + s * gamma_c * x) / (one + gamma_c * x) for x, s in zip(lam, signs)]
+    f_sq = [v * v for v in f]
+    sums = np.add.reduceat(np.array(f_sq), [b.start for b in d.blocks]).tolist()
+    verdicts = []
+    for b, total in zip(d.blocks, sums):
+        block, coeff = f_sq[b.start:b.start + b.dim // 2], -total / (b.dim // 2)
+        verdicts.append(PencilBlockVerdict(
+            b.eigenvalue, b.sign, b.dim, coeff, max([abs(v + coeff) for v in block]),
+            max([abs(1.0 - v) for v in block]) <= tol.rel * max(block)))
+    return PencilMember(gamma, all([v.admissible for v in verdicts]), tuple(verdicts), p)
 
 
 def positivity_range(p: CompatiblePair) -> tuple[float, float]:

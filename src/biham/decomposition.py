@@ -179,9 +179,14 @@ class BlockDecomposition(Record):
         n, v, t = p.dim // 2, p.v, p.mu / p.metric_eigenvalues[-1]
         # U^H tau U, then U^T tau U, for tau = g1, J1, G and omega2, G and
         # omega2 over max |mu|, less the canonical diagonals
-        turned = np.stack((v.conj().T, v.T))[:, None] @ p.coordinate_blocks @ v
+        turned = np.empty((2, 4, n, n), dtype=np.complex128)
+        np.matmul(v.conj().T @ p.coordinate_blocks[0], v, out=turned[0])
+        np.matmul(v.T @ p.coordinate_blocks[1], v, out=turned[1])
         diag = turned[0].reshape(4, -1)[:, ::n + 1]
-        diag -= (np.ones(n), np.full(n, -1j), np.abs(t), -1j * t)
+        diag[0] -= 1.0
+        diag[1] -= -1j
+        diag[2] -= np.abs(t)
+        diag[3] -= -1j * t
         real = turned.view(np.float64)
         # |Q.T tau Q - tau_c|_F^2 / 2 for each tau
         half_sq = np.einsum("kaij,kaij->a", real, real)
@@ -271,21 +276,21 @@ def decompose(p: CompatiblePair) -> BlockDecomposition:
             if part:
                 specs.append((mean, sign, 2 * len(part), len(order)))
                 order += part
-    mu, index = p.mu[order], frozen(np.array(order), copy=False)
+    index = frozen(np.array(order), copy=False)
     blocks = tuple([Block(lam, sign, dim, start, p, index[start:start + dim // 2])
                     for lam, sign, dim, start in specs])
 
     # J2 on each block's whole columns of Y, in block order
-    per_block = np.sqrt(np.add.reduceat((np.abs(p.y) ** 2).sum(axis=0)[index],
-                                        [spec[3] for spec in specs]))
-    failing = np.flatnonzero(~(per_block <= tol.rel))
-    if failing.size:
-        b = blocks[failing[0]]
-        raise DecompositionError(
-            f"J2 = sign * J1 fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
-            f"with residual {float(per_block[failing[0]]):.3e}")
-    return BlockDecomposition(blocks, p, index, frozen(np.abs(mu), copy=False),
-                              frozen(np.where(mu < 0.0, -1, 1), copy=False))
+    columns = (abs(p.y) ** 2).sum(axis=0).tolist()
+    for b in blocks:
+        resid = math.sqrt(sum([columns[k] for k in order[b.start:b.start + b.dim // 2]]))
+        if not resid <= tol.rel:
+            raise DecompositionError(
+                f"J2 = sign * J1 fails on block (lambda={b.eigenvalue:.6g}, sign={b.sign:+d}) "
+                f"with residual {resid:.3e}")
+    lam, signs = [abs(mu[k]) for k in order], [-1 if mu[k] < 0.0 else 1 for k in order]
+    return BlockDecomposition(blocks, p, index, frozen(np.array(lam), copy=False),
+                              frozen(np.array(signs), copy=False))
 
 
 def _chain_clusters(lam, cluster_gap: float, advice: str = "") -> list[tuple[float, int]]:

@@ -236,10 +236,10 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
       most 20 sqrt(m) beta (1 + (1 + e) / (1 - (1 + e) beta)).
 
     Values.  ``max_preservation_residual`` and ``max_commutator_residual``
-    are ``bound``, and ``vandermonde_consistent`` is max(gram, bound) <=
-    ``rel``; each flag compares its value with ``rel``, so a frame or a
-    pair that fails the certificate fails all three flags, and so does a
-    NaN.  ``max_conservation_drift`` is the drift bound; it is reported,
+    are ``bound``, and ``vandermonde_consistent`` is gram <= ``rel`` and
+    ``bound`` <= ``rel``; each flag compares its values with ``rel``, so a
+    frame or a pair that fails the certificate fails all three flags, and
+    so does a NaN.  ``max_conservation_drift`` is the drift bound; it is reported,
     not judged.  Rounding: ``bound`` and e carry theirs (see
     ``frame_certificate``), and nothing else is measured.  On the
     two-class dim-512 pair (``2:+:128,3:-:128``) moved by a congruence of
@@ -259,10 +259,10 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     drift = (20.0 * math.sqrt(m) * bound * (1.0 + (1.0 + e) / (1.0 - grown))
              if grown < 1.0 else math.inf)
     certified = bound <= rel
-    # np.maximum, unlike max, keeps a NaN, which fails every flag
+    # a NaN fails every comparison, so every flag
     return RecursionCertificate(
         certified, bound, certified, bound, len(d.blocks), m // 2, len(d.blocks),
-        bool(np.maximum(gram, bound) <= rel), drift,
+        gram <= rel and certified, drift,
         _power_basis_log10_condition([b.sign * b.eigenvalue for b in d.blocks]))
 
 

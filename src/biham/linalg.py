@@ -292,28 +292,26 @@ def eig_self_adjoint(a_w, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
     return np.linalg.eigh(sym)
 
 
-def same_cluster(a, b, cluster_gap: float):
+def same_cluster(a: float, b: float, cluster_gap: float) -> bool:
     """Whether two eigenvalues count as equal: ``|a - b|`` at most
-    ``cluster_gap`` times the larger magnitude; elementwise for arrays.  A
+    ``cluster_gap`` times the larger magnitude, judged on Python floats.  A
     NaN, or inf against inf, equals nothing."""
-    with np.errstate(invalid="ignore"):
-        return np.abs(a - b) <= cluster_gap * np.maximum(np.abs(a), np.abs(b))
+    return abs(a - b) <= cluster_gap * max(abs(a), abs(b))
 
 
 def cluster_eigenvalues(values, cluster_gap: float) -> list[tuple[float, int]]:
     """Merge an ascending list of eigenvalues into clusters.
 
-    A value joins the current cluster when it is :func:`same_cluster` as
-    the previous value, judged for all neighbours at once.  Returns
-    ``(mean, count)`` pairs, each mean a Python ``sum`` in order; the
-    counts always add up to ``len(values)``.
+    The values are read once as Python floats, and a value joins the
+    current cluster when it is :func:`same_cluster` as the previous one.
+    Returns ``(mean, count)`` pairs, each mean a Python ``sum`` in order;
+    the counts always add up to ``len(values)``.
     """
-    vals = np.array(values, dtype=np.float64)
-    if (vals[:-1] > vals[1:]).any():
+    vals = [float(v) for v in values]
+    if any(a > b for a, b in zip(vals, vals[1:])):
         raise ValueError("values must be sorted in ascending order")
-    cuts = np.flatnonzero(~same_cluster(vals[:-1], vals[1:], cluster_gap)) + 1
-    ends = [0, *cuts.tolist(), len(vals)] if len(vals) else [0]
-    vals = vals.tolist()
+    cuts = [k for k in range(1, len(vals)) if not same_cluster(vals[k - 1], vals[k], cluster_gap)]
+    ends = [0, *cuts, len(vals)] if vals else [0]
     return [(sum(vals[lo:hi]) / (hi - lo), hi - lo) for lo, hi in zip(ends, ends[1:])]
 
 

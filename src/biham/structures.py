@@ -327,7 +327,9 @@ def check_admissible(g, omega, tol: Tolerance = DEFAULT_TOL):
     # (non-finite) residual fails its check
     with np.errstate(over="ignore", invalid="ignore"):
         jw = metric.frame.T @ symp.m @ metric.frame
-        resid, nj = op_norms([jw.T @ jw - np.eye(dim), jw]).tolist()
+        gram = jw.T @ jw
+        gram.flat[::dim + 1] -= 1.0
+        resid, nj = op_norms([gram, jw]).tolist()
     if not resid <= tol.threshold(nj, nj):
         return ViolationReport("admissibility", (Violation("J_metric_invariance", resid),))
     return AdmissibleTriple(metric, symp, dim, frozen(jw, copy=False))

@@ -35,7 +35,12 @@ certificate of its own, is kept as ``transfer_operator_oracle``, with the
 complex factoring of a form that it read (``hermitian_frame``), and so is
 the route that replaced it and was retired in turn, the forms realified
 into a compatible pair and F read off its decomposition
-(``realified_transfer_operator``, ``realification``).
+(``realified_transfer_operator``, ``realification``).  The package keeps
+its per-eigenvalue bookkeeping on Python floats; the numpy vector forms
+that bookkeeping replaced, the cluster rule judged for all neighbours at
+once (``vectorized_same_cluster``, ``vectorized_clusters``) and the pencil
+verdicts read by ``reduceat`` (``vectorized_pencil_verdicts``), are kept
+here as oracles of the same floats.
 """
 
 import math
@@ -79,8 +84,10 @@ def threshold(tol, *factors):
 
 
 def admissibility_residuals(g, omega, tol, triple=None):
-    """``{check: (residual, threshold)}`` of the four J checks, one norm per
-    residual and per factor: ``check_admissible`` judges
+    """``{check: (residual, threshold)}`` of the four J checks, each
+    residual and each threshold judged apart, from J_w's norm, taken once,
+    and the four residual norms, taken in one ``op_norms`` stack (the
+    floats separate ``op_norm`` calls give): ``check_admissible`` judges
     ``J_metric_invariance`` alone.  It implies the other three: retired
     ``J_squared_plus_identity`` and ``J_metric_skewness`` within J_w's skew
     rounding times |J_w|, and ``J_symplectic_invariance``, J.T @ omega @ J
@@ -93,13 +100,13 @@ def admissibility_residuals(g, omega, tol, triple=None):
     jw = triple.j_w if isinstance(triple, AdmissibleTriple) else j_in_frame(g, omega, tol)
     eye = np.eye(len(jw))
     with np.errstate(over="ignore", invalid="ignore"):
-        return {
-            "J_squared_plus_identity": (op_norm(jw @ jw + eye), threshold(tol, jw, jw)),
-            "J_metric_invariance": (op_norm(jw.T @ jw - eye), threshold(tol, jw, jw)),
-            "J_metric_skewness": (op_norm(jw + jw.T), threshold(tol, jw)),
-            "J_symplectic_invariance": (op_norm(jw.T @ jw @ jw - jw),
-                                        threshold(tol, jw, jw, jw)),
-        }
+        nj = op_norm(jw)
+        resids = op_norms([jw @ jw + eye, jw.T @ jw - eye, jw + jw.T,
+                           jw.T @ jw @ jw - jw]).tolist()
+    factors = ((nj, nj), (nj, nj), (nj,), (nj, nj, nj))
+    return {name: (resid, tol.threshold(*norms)) for name, resid, norms in zip(
+        ("J_squared_plus_identity", "J_metric_invariance", "J_metric_skewness",
+         "J_symplectic_invariance"), resids, factors)}
 
 
 def admissibility_violations(g, omega, tol, triple=None):
@@ -642,6 +649,56 @@ def pencil_verdicts(d, gamma):
         admissible = op_norm(jb2 + np.eye(block.dim)) <= threshold(tol, jb, jb)
         out.append((coeff, resid, admissible))
     return out
+
+
+def vectorized_pencil_verdicts(d, gamma):
+    """(jsq_coefficient, residual, admissible) of the pencil member at
+    ``gamma`` restricted to each block, as ``pencil_member`` once read them
+    off the decomposition with numpy vectors: the positivity test on the
+    array of G's eigenvalues, f_j^2 as one array expression and each
+    block's sum and maxima by ``reduceat``.  Refuses a ``gamma`` outside
+    the positivity range with ``pencil_member``'s :class:`StructureError`."""
+    p, tol, gamma = d.pair, d.tol, float(gamma)
+    c = max(1.0, abs(gamma))
+    one, gamma_c = 1.0 / c, gamma / c
+    scales = one + gamma_c * p.metric_eigenvalues
+    if not scales.min() > tol.rel * scales.max():
+        low, scale = c * float(scales.min()), "g1"
+        if not math.isfinite(low):
+            low, scale = float(scales.min()), f"{c:.3e} g1"
+        raise StructureError(
+            f"pencil metric is not positive-definite at gamma={gamma} "
+            f"(min eigenvalue {low:.3e} relative to {scale})",
+            check="pencil_metric_positive", residual=low,
+        )
+    starts, ranks = [b.start for b in d.blocks], [b.dim // 2 for b in d.blocks]
+    lam, signs = d.coordinate_lambda, d.coordinate_sign
+    f_sq = ((one + signs * gamma_c * lam) / (one + gamma_c * lam)) ** 2
+    coeffs = -np.add.reduceat(f_sq, starts) / ranks
+    resids, departs, peaks = np.maximum.reduceat(
+        [np.abs(f_sq + np.repeat(coeffs, ranks)), np.abs(1.0 - f_sq), f_sq], starts, axis=1)
+    return list(zip(coeffs.tolist(), resids.tolist(), (departs <= tol.rel * peaks).tolist()))
+
+
+def vectorized_same_cluster(a, b, cluster_gap):
+    """The cluster rule elementwise on arrays, as ``linalg.same_cluster``
+    once judged it: ``|a - b|`` at most ``cluster_gap`` times the larger
+    magnitude; a NaN, or inf against inf, equals nothing."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(a - b) <= cluster_gap * np.maximum(np.abs(a), np.abs(b))
+
+
+def vectorized_clusters(values, cluster_gap):
+    """``linalg.cluster_eigenvalues`` as it once ran: every neighbour
+    judged at once by :func:`vectorized_same_cluster`, each cluster's mean a
+    Python ``sum`` in order."""
+    vals = np.array(values, dtype=np.float64)
+    if (vals[:-1] > vals[1:]).any():
+        raise ValueError("values must be sorted in ascending order")
+    cuts = np.flatnonzero(~vectorized_same_cluster(vals[:-1], vals[1:], cluster_gap)) + 1
+    ends = [0, *cuts.tolist(), len(vals)] if len(vals) else [0]
+    vals = vals.tolist()
+    return [(sum(vals[lo:hi]) / (hi - lo), hi - lo) for lo, hi in zip(ends, ends[1:])]
 
 
 def commutation_residual(elements, against):

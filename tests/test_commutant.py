@@ -98,20 +98,21 @@ class TestHermitianForm:
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(rel=1e-4, cluster_gap=1e-3)])
     @pytest.mark.parametrize("k", [1e3, 10.0, 0.1, 1e-3, 0.0, -10.0, -np.inf])
     @pytest.mark.parametrize("n", [2, 3, 8])
-    def test_refuses_what_the_complex_factoring_refused(self, n, k, tol):
+    def test_refuses_by_the_constructed_spectrum(self, n, k, tol):
+        # judged from the spectrum built in, min max(k rel, -1) and max 1:
+        # positive-definite iff min > rel; a refusal names that min, which
+        # eigh returns to a few eps of the form's norm 1
         rng = np.random.default_rng(n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        h = (q * np.linspace(max(k * tol.rel, -1.0), 1.0, n)) @ q.conj().T
-        try:
-            hermitian_frame(h, tol)
-        except StructureError as err:
-            assert k < 10.0 and err.check == "hermitian_positive_definite"
-            with pytest.raises(StructureError) as refused:
-                HermitianForm(h, tol)
-            assert refused.value.check == "metric_positive_definite"
-        else:
-            assert k >= 10.0
+        low = max(k * tol.rel, -1.0)
+        h = (q * np.linspace(low, 1.0, n)) @ q.conj().T
+        if low > tol.rel:
             HermitianForm(h, tol)
+            return
+        with pytest.raises(StructureError) as refused:
+            HermitianForm(h, tol)
+        assert refused.value.check == "metric_positive_definite"
+        assert abs(refused.value.residual - low) <= 4 * np.finfo(float).eps
 
 
 class TestTransferOperator:

@@ -1,7 +1,8 @@
 """The stacked verifications against the per-block and per-pair loops.
 
 The pencil verdicts, read off each block's (lambda, sign) and gamma, equal
-those of one solve per block, with the coefficients equal to rounding.
+those of one solve per block, with the coefficients equal to rounding, and,
+to the bit, those of the numpy vector form they were once read in.
 ``decompose`` judges its blocks on n x n residuals in J1's complex
 coordinates; wherever it passes, the real-form per-block and per-pair
 checks it replaced pass their row-sum thresholds, and a tampered pair
@@ -12,10 +13,13 @@ within the bound the certificate reports for it.
 """
 
 import json
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import loop_oracle
 from biham.commutant import (
@@ -130,6 +134,51 @@ class TestStackedEqualsLoops:
             assert v.admissible == admissible
             assert abs(v.jsq_coefficient - coeff) <= 1e-13 * abs(coeff)
             assert v.residual <= 1e-12 and resid <= 1e-12
+
+
+@cache
+def decomposed(kind, dim):
+    """The decomposition of the generic, two- or three-class pair of
+    ``dim``, synthesized with seed ``dim``: built once per process."""
+    spec = {"generic": generic_spec(dim // 2), "two-class": two_class_spec(dim),
+            "three-class": three_class_spec(dim)}[kind]
+    return decompose(synthesize_pair(spec, seed=dim))
+
+
+class TestPencilEqualsVectorized:
+    """``pencil_member`` judges on Python floats what it once judged on
+    numpy vectors: the same refusals, verdicts and floats, to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["generic", "two-class", "three-class"]),
+           st.sampled_from([8, 16, 24]),
+           st.one_of(st.tuples(st.just("free"), st.floats(allow_nan=False,
+                                                          allow_infinity=False)),
+                     st.tuples(st.just("free"), st.floats(-1.0, 1.0)),
+                     st.tuples(st.just("edge"), st.floats(-1e-7, 1e-7))))
+    @example("generic", 8, ("edge", -1e-8))
+    @example("two-class", 16, ("edge", 1e-8))
+    @example("three-class", 24, ("edge", 0.0))
+    @example("three-class", 24, ("free", 1e6))
+    @example("two-class", 8, ("free", -1e308))
+    def test_same_floats_as_the_vectors(self, kind, dim, where):
+        # "edge": gamma within (1 + x) of -1 / max lambda, the lower end of
+        # the positivity range, where the positivity test turns
+        d = decomposed(kind, dim)
+        mode, x = where
+        gamma = -(1.0 + x) / float(d.pair.metric_eigenvalues[-1]) if mode == "edge" else x
+        try:
+            expected = loop_oracle.vectorized_pencil_verdicts(d, gamma)
+        except StructureError as err:
+            with pytest.raises(StructureError) as refused:
+                pencil_member(d, gamma)
+            assert (str(refused.value), refused.value.check, repr(refused.value.residual)) == \
+                (str(err), err.check, repr(err.residual))
+            return
+        member = pencil_member(d, gamma)
+        assert [(repr(v.jsq_coefficient), repr(v.residual), v.admissible)
+                for v in member.blocks] == [(repr(c), repr(r), a) for c, r, a in expected]
+        assert member.admissible is all(a for _, _, a in expected)
 
 
 class TestTamperedPairs:
