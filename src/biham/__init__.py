@@ -45,7 +45,6 @@ from .dynamics import (
     BiPreservingAlgebra,
     ConservationReport,
     FlowOverflowError,
-    RecursionBasis,
     RecursionCertificate,
     bi_preserving_algebra,
     certify_recursion,

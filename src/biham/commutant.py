@@ -261,7 +261,7 @@ def biunitary_sample(op: TransferOperator, poly_coeffs, t: float) -> np.ndarray:
     return u
 
 
-def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tuple[int, ...]]:
+def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm]:
     """Turn the block decomposition of a compatible real pair into two
     Hermitian forms on C^n.
 
@@ -272,7 +272,8 @@ def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tup
     g2 - i * omega2 where the complex structures agree and as the
     conjugate g2 + i * omega2 where they are opposite (conjugation restores
     sesquilinearity there without changing the bi-unitary group).  Returns
-    the two forms and the sign applied to each complex coordinate.
+    the two forms; the sign applied to each complex coordinate is the
+    decomposition's ``coordinate_sign``.
     """
     p = d.pair
     cols, sign_rows = d.frame_w[:, :p.dim // 2], d.coordinate_sign[:, None]
@@ -284,4 +285,4 @@ def complexify(d: BlockDecomposition) -> tuple[HermitianForm, HermitianForm, tup
 
     h1 = HermitianForm(form_matrix(np.eye(p.dim), p.t1.j_w), d.tol)
     h2 = HermitianForm(form_matrix(p.metric_operator_w, p.omega2_w), d.tol)
-    return h1, h2, tuple(d.coordinate_sign.tolist())
+    return h1, h2

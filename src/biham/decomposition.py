@@ -316,19 +316,18 @@ def is_generic(d: BlockDecomposition) -> bool:
     return all([b.dim == 2 for b in d.blocks])
 
 
-def canonical_basis(b: Block, p: CompatiblePair) -> CanonicalBlockBasis:
-    """Canonical frame of a two-dimensional block, read off the block.
+def canonical_basis(b: Block) -> CanonicalBlockBasis:
+    """Canonical frame of a two-dimensional block, read off the block and
+    its pair ``b.pair``.
 
     ``e1`` is the block's axis normalized to g1(e1, e1) = 1 and
     ``e2 = J1 @ e1``.  :func:`decompose` built the block's [C, D] from one
     unitary and certified J2 = sign * J1 on it, and the first triple is
     admissible, so the frame is g1-orthogonal with equal lengths and
     carries omega1(e1, e2) = -g1(e1, e1); the measured metric ratio g2/g1
-    on the block is the coordinate's own eigenvalue.  Another pair's block
-    raises ``ValueError``.
+    on the block is the coordinate's own eigenvalue.
     """
-    if b.pair is not p:
-        raise ValueError("the block is not one of that pair's")
+    p = b.pair
     if b.dim != 2:
         raise ValueError(f"canonical frame needs a 2-dimensional block, got dim {b.dim}")
     e1 = b.basis_w[:, 0]

@@ -16,11 +16,11 @@ its centre, the fields J1, T @ J1, ..., T^(n-1) @ J1, whose span is that of
 the block elements P_b @ J1 for T's spectral projectors P_b: its rank is
 the number of blocks, one per (lambda, sign) class (Vandermonde).
 :func:`certify_recursion` reads that span, and how nearly J1 and omega2
-generate it, off the certificate of the adapted frame, with no T formed;
-:func:`recursion_basis` forms nothing.  :func:`conservation_probe` samples
-the drift of any field instead.  Every stage computes in t1's
-g1-orthonormal frame, where the fields preserving g1 are skew, and maps
-back only the fields it reports.
+generate it, off the decomposition's certificate of the adapted frame,
+with no T formed; :func:`recursion_basis` forms the raw powers, only on
+request.  :func:`conservation_probe` samples the drift of any field
+instead.  Every stage computes in t1's g1-orthonormal frame, where the
+fields preserving g1 are skew, and maps back only the fields it reports.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .structures import LinearField
 
 __all__ = [
     "BiPreservingAlgebra",
-    "RecursionBasis",
     "RecursionCertificate",
     "ConservationReport",
     "FlowOverflowError",
@@ -92,55 +91,25 @@ class BiPreservingAlgebra(Record):
         return tuple(frozen(a) for a in basis)
 
 
-class RecursionBasis(Record):
-    """The commuting family generated by the recursion operator of ``pair``:
-    fields with matrices T^k @ J1 for k = 0 .. n-1.  Nothing is formed on
-    construction, and :func:`certify_recursion` reads only ``pair``, to
-    refuse another pair's decomposition.  ``fields`` holds the raw powers,
-    built on first use; they scale like lambda^k and leave the
-    floating-point range for extreme spectra."""
-
-    pair: CompatiblePair
-
-    @cached_property
-    def fields(self) -> tuple[LinearField, ...]:
-        """The raw powers T^k @ J1 in the original coordinates.  Raises
-        :class:`NumericalCheckError` naming the first power that leaves the
-        floating-point range."""
-        p = self.pair
-        frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
-        power, fields = p.t1.j_w, []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(p.dim // 2):
-                if k:
-                    power = p.recursion_operator_w @ power
-                mat = frame @ power @ frame_inv
-                if not np.isfinite(mat).all():
-                    raise NumericalCheckError(
-                        f"recursion field T^{k} @ J1 leaves the floating-point range")
-                fields.append(LinearField(mat))
-        return tuple(fields)
-
-
 class RecursionCertificate(Record):
-    """Certification report for a recursion family.  ``holds`` when every
-    prediction of the theory for a compatible pair came true; ``all_pass``
-    also needs full rank, that is, a generic pair."""
+    """Certification report for the recursion family of a decomposed pair,
+    one field per fact: ``preserves_all`` also judges commutation, as the
+    span commutes exactly, and ``rank`` is the number of distinct
+    eigenvalues of T.  ``holds`` when every prediction of the theory for a
+    compatible pair came true; ``all_pass`` also needs full rank, that is,
+    a generic pair."""
 
     preserves_all: bool
     max_preservation_residual: float
-    commute: bool
-    max_commutator_residual: float
     rank: int
     expected_rank: int
-    distinct_t_eigenvalues: int
     vandermonde_consistent: bool
     max_conservation_drift: float
     power_basis_log10_condition: float
 
     @property
     def holds(self) -> bool:
-        return self.preserves_all and self.commute and self.vandermonde_consistent
+        return self.preserves_all and self.vandermonde_consistent
 
     @property
     def all_pass(self) -> bool:
@@ -175,20 +144,32 @@ def bi_preserving_algebra(d: BlockDecomposition) -> BiPreservingAlgebra:
     return BiPreservingAlgebra(d, dim)
 
 
-def recursion_basis(p: CompatiblePair) -> RecursionBasis:
-    """The candidate commuting family T^k @ J1, k = 0 .. n-1, with nothing
-    formed; :func:`certify_recursion` decides whether it is an actual basis
-    (full rank requires genericity) off the decomposition's frame.
-    """
-    return RecursionBasis(p)
+def recursion_basis(p: CompatiblePair) -> tuple[LinearField, ...]:
+    """The recursion family T^k @ J1, k = 0 .. n-1, as fields in the
+    original coordinates.  The raw powers scale like lambda^k and leave
+    the floating-point range for extreme spectra: the first that does
+    raises :class:`NumericalCheckError`, naming it.
+    :func:`certify_recursion` judges the family without forming it."""
+    frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
+    power, fields = p.t1.j_w, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(p.dim // 2):
+            if k:
+                power = p.recursion_operator_w @ power
+            mat = frame @ power @ frame_inv
+            if not np.isfinite(mat).all():
+                raise NumericalCheckError(
+                    f"recursion field T^{k} @ J1 leaves the floating-point range")
+            fields.append(LinearField(mat))
+    return tuple(fields)
 
 
-def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCertificate:
+def certify_recursion(d: BlockDecomposition) -> RecursionCertificate:
     """Certify the recursion family J1, T J1, ..., T^(n-1) J1 of the
     decomposed pair: preservation of all four tensors and pairwise
     commutation within ``tol.rel``, the rank and a drift bound, read off
-    ``(bound, e) = d.frame_certificate`` with no matrix work and no T.
-    Another pair's family ``rb`` raises ``ValueError``.  The matrix Nijenhuis
+    ``(bound, e) = d.frame_certificate`` with no matrix work, no T and no
+    field formed (:func:`recursion_basis` forms them).  The matrix Nijenhuis
     identity [T A, T] = T [A, T] holds for every pair of matrices, as both
     sides are T A T - T^2 A, so it is not judged.  |.|_2 is the spectral
     norm and |.| the row-sum norm.
@@ -235,12 +216,13 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
       and |tau|_2 <= |tau| as tau is normal), the relative drift is at
       most 20 sqrt(m) beta (1 + (1 + e) / (1 - (1 + e) beta)).
 
-    Values.  ``max_preservation_residual`` and ``max_commutator_residual``
-    are ``bound``, and ``vandermonde_consistent`` is gram <= ``rel`` and
-    ``bound`` <= ``rel``; each flag compares its values with ``rel``, so a
-    frame or a pair that fails the certificate fails all three flags, and
-    so does a NaN.  ``max_conservation_drift`` is the drift bound; it is reported,
-    not judged.  Rounding: ``bound`` and e carry theirs (see
+    Values.  ``max_preservation_residual`` is ``bound``, the residual of
+    preservation and of commutation alike, and ``preserves_all`` is
+    ``bound`` <= ``rel``; ``vandermonde_consistent`` is gram <= ``rel``
+    and ``bound`` <= ``rel``.  So a frame or a pair that fails the
+    certificate fails both flags, and so does a NaN.
+    ``max_conservation_drift`` is the drift bound; it is reported, not
+    judged.  Rounding: ``bound`` and e carry theirs (see
     ``frame_certificate``), and nothing else is measured.  On the
     two-class dim-512 pair (``2:+:128,3:-:128``) moved by a congruence of
     cond(g1) = 1e6, ``bound`` is 2.0e-10.
@@ -250,8 +232,6 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     (:func:`_power_basis_log10_condition`): an observable of how far the
     raw powers are from a usable basis, not a verdict.
     """
-    if rb.pair is not d.pair:
-        raise ValueError("the recursion family is not that of the decomposed pair")
     m, rel = d.pair.dim, d.tol.rel
     bound, e = d.frame_certificate
     gram = (2.0 * e + e * e) / (1.0 - 2.0 * e - e * e) if e < 0.4 else math.inf
@@ -261,8 +241,7 @@ def certify_recursion(rb: RecursionBasis, d: BlockDecomposition) -> RecursionCer
     certified = bound <= rel
     # a NaN fails every comparison, so every flag
     return RecursionCertificate(
-        certified, bound, certified, bound, len(d.blocks), m // 2, len(d.blocks),
-        gram <= rel and certified, drift,
+        certified, bound, len(d.blocks), m // 2, gram <= rel and certified, drift,
         _power_basis_log10_condition([b.sign * b.eigenvalue for b in d.blocks]))
 
 

@@ -172,11 +172,11 @@ def test_criterion_3_group_theory_consistency():
 
         if all(r == 1 for r in sig.multiplicities):
             assert alg.dim == n
-            cert = certify_recursion(recursion_basis(pair), decompose(pair))
+            cert = certify_recursion(decompose(pair))
             assert cert.rank == n
-            assert cert.max_commutator_residual <= 1e-10
+            assert cert.max_preservation_residual <= 1e-10
             # the torus sits inside the algebra: projection residuals vanish
-            for f in recursion_basis(pair).fields:
+            for f in recursion_basis(pair):
                 v = f.matrix.ravel()
                 v = v / np.linalg.norm(v)
                 proj = np.zeros_like(v)
@@ -198,8 +198,7 @@ def test_criterion_4_recursion_degeneration():
             specs = [(1.0 + i, 1 if i % 2 == 0 else -1, r)
                      for i, r in enumerate(base)]
             pair = synthesize_pair(specs, seed=40 + 10 * n + k)
-            cert = certify_recursion(recursion_basis(pair), decompose(pair))
-            assert cert.distinct_t_eigenvalues == k
+            cert = certify_recursion(decompose(pair))
             assert cert.rank == k
             assert cert.vandermonde_consistent
 
@@ -255,7 +254,7 @@ def test_criterion_5_operator_suite():
     for case in range(20):
         n = int(rng.integers(1, 9))
         pair = synthesize_pair(random_block_specs(rng, n), seed=700 + case)
-        h1, h2, _ = complexify(decompose(pair))
+        h1, h2 = complexify(decompose(pair))
         op = transfer_operator(h1, h2)
         expected = sorted(b.eigenvalue for b in decompose(pair).blocks
                           for _ in range(b.dim // 2))

@@ -355,41 +355,44 @@ class TestBiunitarySample:
 
 class TestComplexify:
     def test_2d_reference_pair(self, ref2d_pair):
-        h1, h2, signs = complexify(decompose(ref2d_pair))
+        d = decompose(ref2d_pair)
+        h1, h2 = complexify(d)
         assert h1.dim == h2.dim == 1
-        assert signs == (1,)
+        assert d.coordinate_sign.tolist() == [1]
         op = transfer_operator(h1, h2)
         np.testing.assert_allclose(op.eigenvalues, [2.0], atol=1e-12)
 
     def test_4d_reference_pair(self, ref4d_pair):
-        h1, h2, signs = complexify(decompose(ref4d_pair))
+        d = decompose(ref4d_pair)
+        h1, h2 = complexify(d)
         assert h1.dim == 2
-        assert signs == (1, -1)
+        assert d.coordinate_sign.tolist() == [1, -1]
         op = transfer_operator(h1, h2)
         np.testing.assert_allclose(op.eigenvalues, [2.0, 3.0], atol=1e-12)
 
     def test_identity_pair(self):
         t = standard_triple(2)
-        h1, h2, _ = complexify(decompose(check_compatible(t, t)))
+        h1, h2 = complexify(decompose(check_compatible(t, t)))
         np.testing.assert_allclose(h1.h, h2.h, atol=1e-12)
         op = transfer_operator(h1, h2)
         np.testing.assert_allclose(op.matrix, np.eye(2), atol=1e-12)
 
     def test_first_form_is_standard(self, ref4d_pair):
-        h1, _, _ = complexify(decompose(ref4d_pair))
+        h1, _ = complexify(decompose(ref4d_pair))
         np.testing.assert_allclose(h1.h, np.eye(2), atol=1e-12)
 
     def test_multiplicity_block(self):
         p = synthesize_pair([(2.0, 1, 2)], seed=15)
-        h1, h2, signs = complexify(decompose(p))
-        assert signs == (1, 1)
+        d = decompose(p)
+        h1, h2 = complexify(d)
+        assert d.coordinate_sign.tolist() == [1, 1]
         op = transfer_operator(h1, h2)
         np.testing.assert_allclose(op.eigenvalues, [2.0, 2.0], atol=1e-10)
         assert commutant_dim(op) == 4
 
     def test_eigenvalues_match_real_decomposition(self):
         p = synthesize_pair([(1.5, 1, 1), (2.5, -1, 2), (6.0, 1, 1)], seed=16)
-        h1, h2, _ = complexify(decompose(p))
+        h1, h2 = complexify(decompose(p))
         op = transfer_operator(h1, h2)
         expected = sorted(
             [b.eigenvalue for b in decompose(p).blocks for _ in range(b.dim // 2)])

@@ -1,6 +1,5 @@
 import math
 import re
-import types
 import warnings
 
 import numpy as np
@@ -99,7 +98,7 @@ class TestBiPreservingAlgebra:
         for m in alg.basis:
             assert field_preserves(LinearField(m), scaled.t1)
             assert field_preserves(LinearField(m), scaled.t2)
-        h1, h2, _ = complexify(decompose(scaled))
+        h1, h2 = complexify(decompose(scaled))
         op = transfer_operator(h1, h2, scaled.tol)
         assert commutant_dim(op) == comm_dim
         assert bicommutant_dim(op) == bicomm_dim
@@ -115,31 +114,30 @@ class TestBiPreservingAlgebra:
 class TestRecursionBasis:
     def test_2d_single_field(self, ref2d_pair):
         rb = recursion_basis(ref2d_pair)
-        assert len(rb.fields) == 1
-        np.testing.assert_allclose(rb.fields[0].matrix, ref2d_pair.t1.j)
+        assert len(rb) == 1
+        np.testing.assert_allclose(rb[0].matrix, ref2d_pair.t1.j)
 
     def test_reference_4d_fields(self, ref4d_pair):
         rb = recursion_basis(ref4d_pair)
         j1 = np.kron(np.eye(2), S_BLOCK)
         tj1 = np.kron(np.diag([2.0, -3.0]), S_BLOCK)
-        np.testing.assert_allclose(rb.fields[0].matrix, j1, atol=1e-12)
-        np.testing.assert_allclose(rb.fields[1].matrix, tj1, atol=1e-12)
+        np.testing.assert_allclose(rb[0].matrix, j1, atol=1e-12)
+        np.testing.assert_allclose(rb[1].matrix, tj1, atol=1e-12)
 
     def test_identity_pair_repeats(self):
         t = standard_triple(2)
         rb = recursion_basis(check_compatible(t, t))
-        np.testing.assert_allclose(rb.fields[0].matrix, rb.fields[1].matrix,
+        np.testing.assert_allclose(rb[0].matrix, rb[1].matrix,
                                    atol=1e-14)
 
     def test_fields_name_the_first_power_out_of_range(self):
         # a valid pair whose raw powers T^k J1 grow like (4e9)^k: the fields
         # once overflowed with a matmul RuntimeWarning and a bare ValueError
         p = synthesize_pair([(1e8 * (1 + k), (-1) ** k, 1) for k in range(40)], 1)
-        rb = recursion_basis(p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalCheckError, match=r"T\^\d+ @ J1") as info:
-                rb.fields
+                recursion_basis(p)
         k = int(re.search(r"T\^(\d+)", str(info.value)).group(1))
         frame, frame_inv = p.t1.g.frame, p.t1.g.frame_inv
         powers = [p.t1.j_w]
@@ -150,23 +148,22 @@ class TestRecursionBasis:
         assert all(finite[:k]) and not finite[k]
         # the unit directions stay in range and certify
         assert np.isfinite(loop_oracle.unit_directions(p)).all()
-        assert certify_recursion(rb, decompose(p)).all_pass
+        assert certify_recursion(decompose(p)).all_pass
 
 
 class TestCertifyRecursion:
     def test_reference_4d_passes(self, ref4d_pair):
-        cert = certify_recursion(recursion_basis(ref4d_pair), decompose(ref4d_pair))
+        cert = certify_recursion(decompose(ref4d_pair))
         assert cert.all_pass
         assert cert.rank == 2 == cert.expected_rank
-        assert cert.distinct_t_eigenvalues == 2
+        assert cert.rank == 2
 
     def test_identity_pair_fails_rank_only(self):
         t = standard_triple(2)
         p = check_compatible(t, t)
-        cert = certify_recursion(recursion_basis(p), decompose(p))
-        assert cert.preserves_all and cert.commute
+        cert = certify_recursion(decompose(p))
+        assert cert.preserves_all
         assert cert.rank == 1
-        assert cert.distinct_t_eigenvalues == 1
         assert cert.vandermonde_consistent  # rank matches cluster count
         assert not cert.all_pass
 
@@ -182,9 +179,8 @@ class TestCertifyRecursion:
     ])
     def test_rank_equals_distinct_eigenvalue_count(self, spec, expected_rank):
         p = synthesize_pair(spec, seed=29)
-        cert = certify_recursion(recursion_basis(p), decompose(p))
+        cert = certify_recursion(decompose(p))
         assert cert.rank == expected_rank
-        assert cert.distinct_t_eigenvalues == expected_rank
         assert cert.vandermonde_consistent
 
     @pytest.mark.parametrize("spec", [
@@ -203,15 +199,15 @@ class TestCertifyRecursion:
             p = synthesize_pair(spec, seed=11)
         t_evals, _ = eig_self_adjoint(whitened(p.recursion_operator, p), p.tol)
         expected = len(cluster_eigenvalues(t_evals, p.tol.cluster_gap))
-        cert = certify_recursion(recursion_basis(p), decompose(p))
-        assert cert.distinct_t_eigenvalues == expected
+        cert = certify_recursion(decompose(p))
+        assert cert.rank == expected
 
     @pytest.mark.parametrize("dim", [4, 16, 32])
     def test_generic_pairs_pass(self, dim):
         n = dim // 2
         spec = [(1.0 + k, 1 if k % 2 == 0 else -1, 1) for k in range(n)]
         p = synthesize_pair(spec, seed=dim)
-        cert = certify_recursion(recursion_basis(p), decompose(p))
+        cert = certify_recursion(decompose(p))
         assert cert.all_pass
         assert cert.rank == n
 
@@ -225,22 +221,22 @@ class TestCertifyRecursion:
     ], ids=["generic48", "generic64", "generic128", "dim16_eigenvalues_0.01_apart"])
     def test_full_rank_where_the_power_stack_is_ill_conditioned(self, spec):
         p = synthesize_pair(spec, seed=1)
-        cert = certify_recursion(recursion_basis(p), decompose(p))
+        cert = certify_recursion(decompose(p))
         assert cert.rank == cert.expected_rank == len(spec)
         assert cert.vandermonde_consistent
         assert cert.all_pass
 
-    def test_reads_only_the_pair_of_the_family(self):
+    def test_reads_only_the_decomposition(self):
         # cond(g1) = 1e6: the bound on the powers could not decide here, so
         # the certificate stacked and measured them; it now reads the
-        # generators of ``rb.pair`` on the frame, and nothing else of ``rb``
+        # decomposition's frame certificate, and no field of the family
         p = conditioned_pair(generic_spec(32), 1e3, seed=1)
-        cert = certify_recursion(types.SimpleNamespace(pair=p), decompose(p))
+        cert = certify_recursion(decompose(p))
         assert cert.all_pass and cert.rank == 32
 
     def test_recursion_fields_live_in_the_algebra(self, ref4d_pair):
         alg = bi_preserving_algebra(decompose(ref4d_pair))
-        for f in recursion_basis(ref4d_pair).fields:
+        for f in recursion_basis(ref4d_pair):
             assert projection_residual(f.matrix, alg.basis) <= 1e-9
 
     def test_nijenhuis_identity_for_arbitrary_fields(self, ref4d_pair):
@@ -272,7 +268,7 @@ class TestCertificateFaults:
 
     def test_passes_untampered(self):
         p = synthesize_pair(self.SPEC, seed=3)
-        assert certify_recursion(recursion_basis(p), decompose(p)).all_pass
+        assert certify_recursion(decompose(p)).all_pass
 
     @pytest.mark.parametrize("scale, skew", [(1.0, 1e-6), (1.5, 0.0)], ids=["skewed", "scaled"])
     def test_tampered_frame_fails(self, scale, skew):
@@ -289,7 +285,7 @@ class TestCertificateFaults:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bound, e = d.frame_certificate
-            cert = certify_recursion(recursion_basis(p), d)
+            cert = certify_recursion(d)
         assert bound > p.tol.rel and e > 1e-7
         q = d.frame_w
         assert e == pytest.approx(np.linalg.norm(q.T @ q - np.eye(p.dim)), rel=1e-6)
@@ -297,11 +293,10 @@ class TestCertificateFaults:
         # frame that carries the span fails its own certificate
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
         assert max(measured["preservation"], measured["commutator"]) <= p.tol.rel
-        assert not (cert.preserves_all or cert.commute or cert.vandermonde_consistent)
+        assert not (cert.preserves_all or cert.vandermonde_consistent)
         if e >= 1.0:
             # past e = 1 (1.25 sqrt(m) when scaled) every bound leaves its domain
-            assert (cert.max_preservation_residual == cert.max_commutator_residual
-                    == cert.max_conservation_drift == math.inf)
+            assert cert.max_preservation_residual == cert.max_conservation_drift == math.inf
         with pytest.raises(DecompositionError, match="not certified"):
             bi_preserving_algebra(d)
 
@@ -320,19 +315,9 @@ class TestCertificateFaults:
         assert measured["preservation"] > p.tol.rel and measured["commutator"] > p.tol.rel
         d = decompose(p).replace(pair=tampered)
         assert loop_oracle.generator_action_residual(d) > p.tol.rel
-        cert = certify_recursion(recursion_basis(tampered), d)
-        assert not cert.preserves_all and not cert.commute
+        cert = certify_recursion(d)
+        assert not cert.preserves_all
         assert not cert.vandermonde_consistent
-
-    def test_another_pairs_family_is_refused(self):
-        # the certificate reads only the decomposition, so a family of
-        # another pair, even an equal one, must not be certified by it
-        p = synthesize_pair(self.SPEC, seed=3)
-        d = decompose(p)
-        with pytest.raises(ValueError, match="not that of the decomposed pair"):
-            certify_recursion(recursion_basis(synthesize_pair(self.SPEC, seed=3)), d)
-        with pytest.raises(ValueError, match="not that of the decomposed pair"):
-            certify_recursion(recursion_basis(p.replace(omega2_w=2.0 * p.omega2_w)), d)
 
     def test_uncertified_frame_fails_the_span(self):
         # cond(g1) = 6.4e7, beyond the advertised 1e6: the certificate does
@@ -346,9 +331,9 @@ class TestCertificateFaults:
         assert bound > p.tol.rel
         measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
         assert measured["preservation"] > p.tol.rel
-        cert = certify_recursion(recursion_basis(p), d)
-        assert not (cert.preserves_all or cert.commute)
-        assert cert.max_preservation_residual == cert.max_commutator_residual == bound
+        cert = certify_recursion(d)
+        assert not cert.preserves_all
+        assert cert.max_preservation_residual == bound
         assert loop_oracle.pair_backward_error(d) <= bound
         assert cert.rank == cert.expected_rank == 4
         with pytest.raises(DecompositionError, match="not certified"):
@@ -412,7 +397,7 @@ class TestPowerFreeBounds:
         assert bound["commutator"] >= measured["commutator"]
         assert bound["drift"] >= measured["drift"]
         assert bound["inclusion"] >= rho
-        cert = certify_recursion(recursion_basis(p), d)
+        cert = certify_recursion(d)
         # the backward error formed densely stays within the certificate's,
         # but for the dense product's own rounding (at most 0.6 m eps on
         # 2000 such pairs, where the departure has rank one)
@@ -422,7 +407,7 @@ class TestPowerFreeBounds:
         # the verdicts are those of the measurement, and a pass of the
         # retired certificate stays a pass
         assert cert.preserves_all == (measured["preservation"] <= rel)
-        assert cert.commute == (measured["commutator"] <= rel)
+        assert cert.preserves_all == (measured["commutator"] <= rel)
         assert cert.vandermonde_consistent == (rho <= rel)
         assert cert.preserves_all or not beta <= rel
 
@@ -464,7 +449,7 @@ class TestDriftBound:
             "three_class24", "three_class32"])
     def test_sampled_drift_stays_within_the_bound(self, spec):
         p = loop_oracle.in_t1_frame(synthesize_pair(spec, seed=7))
-        bound = certify_recursion(recursion_basis(p), decompose(p)).max_conservation_drift
+        bound = certify_recursion(decompose(p)).max_conservation_drift
         # the probe's own rounding: it flows by eigenvectors that are
         # orthogonal to a few m * eps only, and the drift of g1, exactly 0
         # for a g1-skew field, reads up to 3.7 m * eps on these pairs
@@ -532,7 +517,7 @@ class TestConservationProbe:
         assert report.drifts["g1"] == pytest.approx(np.e**2 - 1.0, rel=1e-9)
 
     def test_recursion_field_conserves(self, ref4d_pair):
-        second = recursion_basis(ref4d_pair).fields[1]
+        second = recursion_basis(ref4d_pair)[1]
         report = conservation_probe(second, ref4d_pair, CONSERVATION_TIMES)
         assert report.max_drift <= 1e-9
 
@@ -551,7 +536,7 @@ class TestProbePaths:
         pair = synthesize_pair(spec, seed=41)
         fields = [LinearField(m) for m in bi_preserving_algebra(decompose(pair)).basis]
         fields += [LinearField(f.matrix / op_norm(f.matrix))
-                   for f in recursion_basis(pair).fields]
+                   for f in recursion_basis(pair)]
         # g1-skew fields never reach the matrix-exponential path
         monkeypatch.setattr(dynamics, "flow", None)
         for f in fields:

@@ -69,7 +69,7 @@ def check_pair(pair, ranks, multiplicities):
     oracle_alg = kron_oracle.bi_preserving_algebra(pair)
     assert len(oracle_alg) == sum(r * r for r in ranks)
     assert_same_span(bi_preserving_algebra(decompose(pair)).basis, oracle_alg)
-    h1, h2, _ = complexify(decompose(pair))
+    h1, h2 = complexify(decompose(pair))
     check_operator(transfer_operator(h1, h2, pair.tol), multiplicities)
 
 

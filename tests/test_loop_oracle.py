@@ -31,7 +31,7 @@ from biham.commutant import (
 )
 from biham.compatibility import check_compatible, pencil_member
 from biham.decomposition import DecompositionError, decompose, synthesize_pair
-from biham.dynamics import bi_preserving_algebra, certify_recursion, recursion_basis
+from biham.dynamics import bi_preserving_algebra, certify_recursion
 from biham.structures import AdmissibleTriple, ViolationReport, check_admissible
 from biham.linalg import StructureError, Tolerance, op_norm
 from conftest import conditioned_basis, conditioned_pair, congruent, standard_triple
@@ -84,8 +84,8 @@ def assert_directions_within_bounds(p, drift_within_rel=True):
     too.  The drift is no verdict: at cond(g1) = 1e6 its measured value
     already exceeds ``rel``."""
     d = decompose(p)
-    cert = certify_recursion(recursion_basis(p), d)
-    assert cert.preserves_all and cert.commute
+    cert = certify_recursion(d)
+    assert cert.preserves_all
     measured = loop_oracle.direction_residuals(loop_oracle.unit_directions(p), p)
     bound = loop_oracle.telescoped_bounds(p, d)
     assert all(measured[k] <= bound[k] for k in measured)
@@ -116,10 +116,10 @@ class TestStackedEqualsLoops:
     def test_max_commutator_residual(self, make_pair):
         p = make_pair()
         d = decompose(p)
-        cert = certify_recursion(recursion_basis(p), d)
+        cert = certify_recursion(d)
         measured = loop_oracle.max_commutator_residual(loop_oracle.unit_directions(p))
         assert measured <= loop_oracle.telescoped_bounds(p, d)["commutator"]
-        assert measured <= cert.max_commutator_residual <= p.tol.rel
+        assert measured <= cert.max_preservation_residual <= p.tol.rel
 
     @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.05])
     def test_pencil_verdicts(self, make_pair, gamma):
@@ -265,7 +265,7 @@ class TestBicommutantBound:
     @pytest.mark.parametrize("spec", COMPLEXIFIED)
     def test_complexified_pairs(self, spec):
         p = synthesize_pair(spec, seed=1)
-        h1, h2, _ = complexify(decompose(p))
+        h1, h2 = complexify(decompose(p))
         assert_operator_elements_commute(transfer_operator(h1, h2, p.tol))
 
     @pytest.mark.parametrize("evals", [[1.0, 2.0, 3.0], [1.0, 1.0, 3.0],
@@ -277,7 +277,7 @@ class TestBicommutantBound:
     @pytest.mark.parametrize("spec", SCALED)
     def test_second_triple_scaled_by_1e8(self, spec):
         d = decompose(scaled_pair(spec))
-        h1, h2, _ = complexify(d)
+        h1, h2 = complexify(d)
         assert_operator_elements_commute(transfer_operator(h1, h2, d.tol))
 
     def test_ill_conditioned_first_form(self):
@@ -317,7 +317,7 @@ class TestRecursionBounds:
 class TestGeneratorBackwardError:
     """The generators' backward error, formed densely with inv(Q) from the
     departure of J1 and omega2 from their canonical forms on the frame,
-    within the ``max_commutator_residual`` the certificate reads off the
+    within the ``max_preservation_residual`` the certificate reads off the
     frame certificate alone; and the retired action form of the same
     check within ``rel``, its old threshold, on these valid pairs."""
 
@@ -330,9 +330,9 @@ class TestGeneratorBackwardError:
         p = (synthesize_pair(spec(dim), seed=dim) if seed is None
              else conditioned_pair(spec(dim), 1e3, seed=seed))
         d = decompose(p)
-        cert = certify_recursion(recursion_basis(p), d)
-        assert cert.commute
-        assert loop_oracle.generator_backward_error(d) <= cert.max_commutator_residual
+        cert = certify_recursion(d)
+        assert cert.preserves_all
+        assert loop_oracle.generator_backward_error(d) <= cert.max_preservation_residual
         assert loop_oracle.generator_action_residual(d) <= p.tol.rel
 
 

@@ -54,14 +54,13 @@ def samples():
     makes it."""
     pair = synthesize_pair([(2.0, 1, 1), (3.0, -1, 1)], seed=1)
     d = decompose(pair)
-    rb = recursion_basis(pair)
     member = pencil_member(d, 0.5)
     second = form_pair(pair.t2.g.m, pair.t2.omega.m)
     found = [
         Tolerance(), pair.t1, pair, d, d.blocks[0], member, member.blocks[0],
-        group_signature(d), canonical_basis(d.blocks[0], pair), bi_preserving_algebra(d),
-        rb, certify_recursion(rb, d), read_off_operator(d),
-        conservation_probe(rb.fields[0], pair, (0.5,)),
+        group_signature(d), canonical_basis(d.blocks[0]), bi_preserving_algebra(d),
+        certify_recursion(d), read_off_operator(d),
+        conservation_probe(recursion_basis(pair)[0], pair, (0.5,)),
         field_preserves(phase_generator(pair.t1), pair.t1), LinearField.dilation(4),
         QuadraticForm(np.eye(4)), Violation("J1_J2_commutator", 0.5), second, second.g,
         check_compatible(diag_triple(1.0, 4.0), diag_triple(2.0, 6.0)),
