@@ -377,6 +377,12 @@ class TestComplexify:
         op = transfer_operator(h1, h2)
         np.testing.assert_allclose(op.matrix, np.eye(2), atol=1e-12)
 
+    def test_returns_the_two_forms(self, ref4d_pair):
+        # the coordinate signs stay on the decomposition, not in the result
+        forms = complexify(decompose(ref4d_pair))
+        assert type(forms) is tuple and len(forms) == 2
+        assert all(isinstance(h, HermitianForm) and h.dim == 2 for h in forms)
+
     def test_first_form_is_standard(self, ref4d_pair):
         h1, _ = complexify(decompose(ref4d_pair))
         np.testing.assert_allclose(h1.h, np.eye(2), atol=1e-12)

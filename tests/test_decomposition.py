@@ -214,6 +214,18 @@ class TestCanonicalBasis:
         np.testing.assert_allclose(p.t2.j @ frame.e1, -(p.t1.j @ frame.e1),
                                    atol=1e-12)
 
+    def test_reads_each_block_off_its_own_pair(self):
+        # no pair is passed: the frame and the metric ratio are those of
+        # ``b.pair``, block by block
+        p = synthesize_pair([(1.5, 1, 1), (2.5, -1, 1), (4.0, 1, 1)], seed=7)
+        for b in decompose(p).blocks:
+            assert b.pair is p
+            frame = canonical_basis(b)
+            assert frame.e1 @ p.t1.g.m @ frame.e1 == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(frame.e2, p.t1.j @ frame.e1, atol=1e-12)
+            np.testing.assert_allclose(p.t2.j @ frame.e1, b.sign * frame.e2, atol=1e-10)
+            assert frame.metric_ratio == pytest.approx(b.eigenvalue, rel=1e-10)
+
     def test_rejects_big_block(self):
         t = standard_triple(2)
         p = check_compatible(t, t)

@@ -16,6 +16,7 @@ from biham.dynamics import (
     FlowOverflowError,
     _power_basis_log10_condition,
     _probe_flows,
+    RecursionCertificate,
     bi_preserving_algebra,
     certify_recursion,
     conservation_probe,
@@ -130,6 +131,25 @@ class TestRecursionBasis:
         np.testing.assert_allclose(rb[0].matrix, rb[1].matrix,
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("spec", [
+        [(2.0, 1, 1), (3.0, -1, 1)],
+        generic_spec(4),
+        [(1.5, 1, 1), (2.5, -1, 2)],
+    ], ids=["two_class4", "generic8", "repeated8"])
+    def test_is_the_tuple_of_powers(self, spec):
+        # the family itself, no record around it: field k is T^k @ J1 in
+        # the input coordinates
+        p = synthesize_pair(spec, seed=5)
+        rb = recursion_basis(p)
+        assert type(rb) is tuple and len(rb) == p.dim // 2
+        power = p.t1.j
+        for k, field in enumerate(rb):
+            assert isinstance(field, LinearField)
+            if k:
+                power = p.recursion_operator @ power
+            np.testing.assert_allclose(field.matrix, power, rtol=0.0,
+                                       atol=1e-10 * op_norm(power))
+
     def test_fields_name_the_first_power_out_of_range(self):
         # a valid pair whose raw powers T^k J1 grow like (4e9)^k: the fields
         # once overflowed with a matmul RuntimeWarning and a bare ValueError
@@ -233,6 +253,31 @@ class TestCertifyRecursion:
         p = conditioned_pair(generic_spec(32), 1e3, seed=1)
         cert = certify_recursion(decompose(p))
         assert cert.all_pass and cert.rank == 32
+
+    @pytest.mark.parametrize("alias", [
+        "commute", "max_commutator_residual", "distinct_t_eigenvalues"])
+    def test_one_field_per_fact(self, ref4d_pair, alias):
+        # commutation is judged by preserves_all, and the count of distinct
+        # T eigenvalues is the rank: the record stores neither twice
+        cert = certify_recursion(decompose(ref4d_pair))
+        assert alias not in RecursionCertificate._fields
+        assert not hasattr(cert, alias)
+
+    @pytest.mark.parametrize("case, holds, all_pass", [
+        ("generic", True, True), ("identity", True, False), ("uncertified", False, False)])
+    def test_holds_is_preservation_and_vandermonde(self, case, holds, all_pass):
+        # the CLI's exit code reads ``holds``: a pair that is not generic
+        # still holds, and an uncertified frame fails it
+        if case == "generic":
+            p = synthesize_pair(generic_spec(4), seed=3)
+        elif case == "identity":
+            t = standard_triple(2)
+            p = check_compatible(t, t)
+        else:
+            p = uncertified_pair()
+        cert = certify_recursion(decompose(p))
+        assert cert.holds == (cert.preserves_all and cert.vandermonde_consistent) == holds
+        assert cert.all_pass == all_pass
 
     def test_recursion_fields_live_in_the_algebra(self, ref4d_pair):
         alg = bi_preserving_algebra(decompose(ref4d_pair))
